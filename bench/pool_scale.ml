@@ -190,10 +190,8 @@ let r_membership_rows points =
 
 (* Synchronization operations (the Rito & Paulino metric the CAS-only
    deque is optimizing): atomic RMWs + publishing stores executed by the
-   task-transfer paths, including failed CAS attempts, one row per point.
-   WS rows are structurally zero (its deque is mutex-based and
-   uninstrumented) but are emitted anyway so the per-p shape is uniform;
-   never timing-gated. *)
+   task-transfer paths, including failed CAS attempts, one row per point
+   and both policies; never timing-gated. *)
 let sync_ops_rows points =
   List.map
     (fun pt ->

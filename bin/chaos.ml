@@ -226,9 +226,18 @@ let pool_crash_campaign ~seed (name, policy) =
        let input = Array.init n (fun i -> i * 106_039 land 0xffff) in
        let expect = Array.copy input in
        Array.sort compare expect;
-       let sorted = Pool.run pool (fun () -> psort (Array.copy input)) in
-       let sorted_ok = sorted = expect in
-       let crash_fired = List.assoc "worker_crash" (Fault.counts fault) = 1 in
+       (* The crash is armed on a worker domain's first top-level take.
+          Under load the caller can finish a whole sort before any worker
+          domain takes, so the checked sort is repeated until the crash
+          has fired, at most [max_rounds] times; every round must sort. *)
+       let max_rounds = 20 in
+       let fired () = List.assoc "worker_crash" (Fault.counts fault) = 1 in
+       let rec sort_rounds round =
+         let ok = Pool.run pool (fun () -> psort (Array.copy input)) = expect in
+         if ok && (not (fired ())) && round < max_rounds then sort_rounds (round + 1) else ok
+       in
+       let sorted_ok = sort_rounds 1 in
+       let crash_fired = fired () in
        let quarantine_ok = Pool.quarantines pool = 1 in
        let degraded_ok = Pool.degraded_p pool = p - 1 in
        let requeue_ok =

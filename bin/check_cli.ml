@@ -16,7 +16,7 @@ let list_scenarios () =
   List.iter
     (fun s ->
       Printf.printf "%-16s %d threads  %s\n" s.Explore.name s.Explore.n_threads s.Explore.descr)
-    (Scenarios.clev_buggy :: Scenarios.multiq_buggy :: Scenarios.lfdeque_buggy :: Scenarios.all);
+    Scenarios.catalogue;
   0
 
 let replay_file path =
@@ -55,10 +55,7 @@ let run_check ~seed ~budget ~depth ~scenario ~replay ~replay_out ~list =
           | Some s -> [ s ]
           | None ->
             Printf.eprintf "check: unknown scenario %s; known: %s\n" name
-              (String.concat ", "
-                 (List.map
-                    (fun s -> s.Explore.name)
-                    (Scenarios.clev_buggy :: Scenarios.multiq_buggy :: Scenarios.lfdeque_buggy :: Scenarios.all)));
+              (String.concat ", " (List.map (fun s -> s.Explore.name) Scenarios.catalogue));
             exit 2)
       in
       let failed = ref None in

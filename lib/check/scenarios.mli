@@ -1,6 +1,6 @@
 (** The scenario catalogue for {!Explore}.
 
-    Chase–Lev scenarios share one oracle: every pushed value is delivered
+    Deque scenarios share one oracle: every pushed value is delivered
     exactly once (owner pop, thief steal, or final drain) — the multiset
     identity that double delivery or loss breaks.  Pool scenarios run a
     real fork-join computation on a detached pool
@@ -8,18 +8,16 @@
     controlled threads, checking the computed result, the task-count
     accounting and the absence of leaked tasks. *)
 
-val clev_ops : Explore.scenario
-(** Seeded owner push/pop mix against two concurrent thieves. *)
+val lfdeque_ops : Explore.scenario
+(** The deque of both pool disciplines ({!Dfd_structures.Lfdeque}):
+    seeded owner push/pop mix against two concurrent thieves,
+    exactly-once delivery. *)
 
-val clev_grow : Explore.scenario
+val lfdeque_grow : Explore.scenario
 (** Tiny initial buffer; pushes force grows under a concurrent thief. *)
 
-val clev_wrap : Explore.scenario
+val lfdeque_wrap : Explore.scenario
 (** Deque started at [max_int - 3]: churn across the overflow boundary. *)
-
-val lfdeque_ops : Explore.scenario
-(** CAS-only DFDeques deque ({!Dfd_structures.Lfdeque}): seeded owner
-    push/pop mix against two concurrent thieves, exactly-once delivery. *)
 
 val lfdeque_abandon : Explore.scenario
 (** Owner abandonment (sticky give-up) and reap racing two thieves:
@@ -58,10 +56,6 @@ val pool_crash_dfd : Explore.scenario
     has usually run a task — quarantine must also abandon and reap the
     dead owner's R-list deque via the death-certificate protocol. *)
 
-val clev_buggy : Explore.scenario
-(** Drives {!Buggy_clev}; the explorer is expected to {e fail} this one.
-    Excluded from {!all}. *)
-
 val multiq_buggy : Explore.scenario
 (** Drives {!Buggy_multiq} (torn membership on remove); the explorer is
     expected to {e fail} this one.  Excluded from {!all}. *)
@@ -71,10 +65,13 @@ val lfdeque_buggy : Explore.scenario
     is expected to {e fail} this one.  Excluded from {!all}. *)
 
 val buggy : Explore.scenario
-(** Alias for {!clev_buggy}. *)
+(** Alias for {!lfdeque_buggy}. *)
 
 val all : Explore.scenario list
 (** Every correct scenario, the default set for [repro check]. *)
+
+val catalogue : Explore.scenario list
+(** The planted-bug scenarios followed by {!all}. *)
 
 val find : string -> Explore.scenario option
 (** Look up any scenario (including the buggy one) by name. *)

@@ -1,5 +1,4 @@
 module Lfdeque = Dfd_structures.Lfdeque
-module Clev = Dfd_structures.Clev
 module Multiq = Dfd_structures.Multiq
 module Stats = Dfd_structures.Stats
 module Prng = Dfd_structures.Prng
@@ -27,8 +26,8 @@ type task = unit -> unit
 
 type policy = Work_stealing | Dfdeques of { quota : int }
 
-(* A deque of the global list R (DFDeques only; the WS policy uses raw
-   Chase–Lev deques).  Task transfer is CAS-only through [Lfdeque] —
+(* A deque of the global list R (DFDeques only; the WS policy keeps one
+   bare [Lfdeque] per worker).  Task transfer is CAS-only through [Lfdeque] —
    owner push/pop at the bottom, thief steals at the top, the sticky
    owner certificate and the [is_dead] reap test all live inside the
    structure, so there is no per-deque lock at all.  R membership lives
@@ -69,10 +68,13 @@ type worker_state = {
 }
 
 (* One record per worker, written only by that worker (thief-side events —
-   steals, failures — are charged to the thief).  Each record is its own
-   heap block, so workers do not false-share counter cache lines; reads
-   aggregate across workers and may be slightly stale, exactly the
-   contract {!val-counters} documents. *)
+   steals, failures — are charged to the thief).  Reads aggregate across
+   workers and may be slightly stale, exactly the contract
+   {!val-counters} documents.  Being separate heap blocks does not keep
+   two workers' records off one cache line: the allocator may place them
+   side by side.  The one cell written on every deque operation, the
+   sync-op count, therefore lives apart from the records, in
+   [sync_cells] under an explicit layout rule (see {!padded_run}). *)
 type wcounters = {
   mutable c_steals : int;
   mutable c_steal_failures : int;
@@ -89,16 +91,6 @@ type wcounters = {
           clock wedge detection compares against: an awaiting or stealing
           worker keeps ticking even when no task runs, while a wedged one
           goes flat.  Internal (not part of {!type-counters}). *)
-  c_sync : int ref;
-      (** synchronization ops (atomic RMWs and publishing stores, CAS
-          retries included) this worker executed on DFDeques scheduling
-          paths — the Lfdeque/Multiq [?ops] cells all point here.  A ref
-          rather than a mutable field so the structures can bump it
-          directly; still single-writer (thief-side ops are charged to
-          the thief).  Aggregated by {!val-sync_ops} — deliberately not
-          mirrored into a registry counter on the hot path, which would
-          add an atomic RMW per operation just to count atomic RMWs; the
-          registry exposes it as a lazy probe instead. *)
   c_rank_err : Stats.Histogram.t;
       (** rank error of this worker's successful steals; merged across
           workers by {!val-rank_error}.  Single-writer like the ints. *)
@@ -132,7 +124,9 @@ type t = {
   policy : policy;
   n_workers : int;  (** worker domains + the caller *)
   (* --- Work_stealing: one lock-free deque per worker --------------- *)
-  ws_deques : task Clev.t array;
+  ws_deques : task Lfdeque.t array;
+      (** worker [w]'s deque is owned by [w] and never abandoned: a
+          quarantined worker's deque stays in place as a steal target. *)
   (* --- Dfdeques: the relaxed ordered list R -------------------------
      Lock hierarchy: [trace_lock] only (plus the idle-parking pair,
      which no task-holding path touches).  R membership (insert, remove,
@@ -153,8 +147,23 @@ type t = {
           (quota refill), so adjustment costs one atomic store and no
           locks. *)
   (* --- shared scheduling state -------------------------------------- *)
-  live_tasks : int Atomic.t;  (** tasks pushed but not yet taken. *)
+  live_tasks : int Atomic.t;
+      (** tasks pushed but not yet taken; the middle cell of [live_run]
+          (see {!padded_run}). *)
+  live_run : int Atomic.t array;  (** keeps [live_tasks]'s padding alive. *)
   per_worker : wcounters array;
+  sync_cells : int ref array;
+      (** synchronization ops (atomic RMWs and publishing stores, CAS
+          retries included) each worker executed on its scheduling paths,
+          both policies — the Lfdeque/Multiq [?ops] argument.  Worker [w]
+          owns [sync_cells.(pad_index w)]; the other refs are padding
+          (see {!padded_run}).  A ref rather than a mutable field so
+          the structures can bump it directly; still single-writer
+          (thief-side ops are charged to the thief).  Summed by
+          {!val-sync_ops} — deliberately not mirrored into a registry
+          counter on the hot path, which would add an atomic RMW per
+          operation just to count atomic RMWs; the registry exposes it as
+          a lazy probe instead. *)
   idle_lock : Mutex.t;
   idle_cond : Condition.t;
   n_parked : int Atomic.t;
@@ -379,13 +388,44 @@ let park pool w =
   Mutex.unlock pool.idle_lock
 
 (* ------------------------------------------------------------------ *)
-(* DFDeques: lock-free R membership (Multiq CAS paths) and CAS-only     *)
-(* task transfer (Lfdeque)                                              *)
+(* Padded cells: the per-worker sync-op counts and [live_tasks]         *)
 (* ------------------------------------------------------------------ *)
+
+(* Layout rule for a 1-field block that some worker writes on every
+   deque operation: no other such block, and no block that a worker
+   reads on every operation, within 128 bytes of it (the span an
+   adjacent-line prefetcher pulls in as a pair).  Otherwise each write
+   sends the line back and forth between the cores.  Measured with
+   fork-join fib at p = 2 on a 2-core x86-64 host:
+   - one unpadded sync-op ref per worker, allocated back to back, made
+     WS about 25% slower than with the refs apart;
+   - [live_tasks], promoted next to [n_parked] (16 bytes apart, and
+     every push reads [n_parked]), made WS 15-25% slower than with it
+     apart.
+   OCaml 5's major heap keeps each block size in pools of its own, so
+   padding separates two refs or atomics only if it is the same size:
+   each cell is the middle block of its own run of [pad_stride] blocks.
+   [make] allocates the runs first and promotes them at once with a
+   minor collection, before any other value points at a cell, so each
+   run is copied out in array order into consecutive slots of one size
+   class: a cell has 7 blocks (112 bytes) of its own padding below it,
+   8 above, and neighbouring workers' cells are 256 bytes apart.  The
+   runs stay reachable from the pool so the padding is never freed and
+   reused. *)
+let pad_stride = 16
+
+let pad_index i = (i * pad_stride) + (pad_stride / 2)
+
+let padded_run n make = Array.init (n * pad_stride) (fun _ -> make ())
 
 (* The worker's sync-op cell, handed to every Lfdeque/Multiq mutating
    call on its behalf. *)
-let sync_cell pool w = pool.per_worker.(w).c_sync
+let sync_cell pool w = pool.sync_cells.(pad_index w)
+
+(* ------------------------------------------------------------------ *)
+(* DFDeques: lock-free R membership (Multiq CAS paths) and CAS-only     *)
+(* task transfer (Lfdeque)                                              *)
+(* ------------------------------------------------------------------ *)
 
 let new_dq pool ~proc ~owner =
   let born_us = if Tracer.enabled pool.tracer then now_us pool else 0 in
@@ -617,8 +657,8 @@ let quarantine_as pool ~proc ~cause w =
     let abandoned =
       match pool.policy with
       | Work_stealing ->
-        (* the dead worker's Chase–Lev deque stays a valid steal target in
-           place: survivors steal its leftovers back naturally *)
+        (* the dead worker's deque stays a valid steal target in place:
+           survivors steal its leftovers back naturally *)
         false
       | Dfdeques _ -> (
           match pool.dfd_deque.(w) with
@@ -658,11 +698,12 @@ let push_local pool w task =
   (* [live_tasks] rises before the task is visible, so a worker that sees
      zero can safely park: any task not yet pushed will signal it. *)
   Atomic.incr pool.live_tasks;
-  (match pool.policy with
-   | Work_stealing -> Clev.push pool.ws_deques.(w) task
-   | Dfdeques _ ->
-     let d = dfd_own_deque pool w in
-     Lfdeque.push ~ops:(sync_cell pool w) d.tasks task);
+  let tasks =
+    match pool.policy with
+    | Work_stealing -> pool.ws_deques.(w)
+    | Dfdeques _ -> (dfd_own_deque pool w).tasks
+  in
+  Lfdeque.push ~ops:(sync_cell pool w) tasks task;
   signal_work pool
 
 (* One attempt to obtain a task; lock-free on every path — WS and DFD
@@ -681,7 +722,7 @@ let try_get pool w =
   | None -> (
   match pool.policy with
   | Work_stealing -> (
-      match Clev.pop pool.ws_deques.(w) with
+      match Lfdeque.pop ~ops:(sync_cell pool w) pool.ws_deques.(w) with
       | Some t ->
         let c = pool.per_worker.(w) in
         c.c_local_pops <- c.c_local_pops + 1;
@@ -697,7 +738,7 @@ let try_get pool w =
             None
           end
           else
-            match Clev.steal pool.ws_deques.(victim) with
+            match Lfdeque.steal ~ops:(sync_cell pool w) pool.ws_deques.(victim) with
             | Some t ->
               note_steal_success pool w ~victim;
               Some t
@@ -782,29 +823,24 @@ let help_once ?(top = false) pool w =
    other task (possible only if ours was stolen) is pushed straight
    back — the push-back is safe because only the owner pops its own
    deque, so nothing was reordered underneath it. *)
+let pop_back pool w tasks task =
+  let ops = sync_cell pool w in
+  match Lfdeque.pop ~ops tasks with
+  | Some t when t == task -> true
+  | Some other ->
+    Lfdeque.push ~ops tasks other;
+    false
+  | None -> false
+
 let try_pop_exact pool w task =
   Schedpoint.point Schedpoint.pool_pop_exact;
   let got =
     match pool.policy with
-    | Work_stealing -> (
-        match Clev.pop pool.ws_deques.(w) with
-        | Some t when t == task -> true
-        | Some other ->
-          Clev.push pool.ws_deques.(w) other;
-          false
-        | None -> false)
+    | Work_stealing -> pop_back pool w pool.ws_deques.(w) task
     | Dfdeques _ -> (
         match pool.dfd_deque.(w) with
         | None -> false
-        | Some e -> (
-            let d = Multiq.value e in
-            let ops = sync_cell pool w in
-            match Lfdeque.pop ~ops d.tasks with
-            | Some t when t == task -> true
-            | Some other ->
-              Lfdeque.push ~ops d.tasks other;
-              false
-            | None -> false))
+        | Some e -> pop_back pool w (Multiq.value e).tasks task)
   in
   if got then begin
     Atomic.decr pool.live_tasks;
@@ -920,6 +956,18 @@ let make_obs registry =
         "dfd_pool_steal_rank_error";
   }
 
+(* Total synchronization operations (atomic RMWs + publishing stores,
+   CAS retries included) executed on either policy's scheduling paths,
+   summed across workers — the Rito & Paulino sync-overhead metric,
+   measured rather than assumed.  Same staleness contract as
+   {!val-counters}. *)
+let sync_ops pool =
+  let n = ref 0 in
+  for w = 0 to pool.n_workers - 1 do
+    n := !n + !(sync_cell pool w)
+  done;
+  !n
+
 let register_probes registry pool =
   let g name help f = Registry.probe registry ~kind:`Gauge ~help name f in
   g "dfd_pool_live_tasks" "Tasks pushed but not yet taken." (fun () -> Atomic.get pool.live_tasks);
@@ -938,16 +986,21 @@ let register_probes registry pool =
      registry cell would add an atomic RMW per operation just to count
      atomic RMWs.  The per-worker cells are summed lazily at scrape. *)
   Registry.probe registry ~kind:`Counter
-    ~help:"Synchronization ops (atomic RMWs, CAS retries included) on DFDeques scheduling paths."
+    ~help:"Synchronization ops (atomic RMWs, CAS retries included) on scheduling paths."
     "dfd_pool_sync_ops"
-    (fun () -> Array.fold_left (fun acc c -> acc + !(c.c_sync)) 0 pool.per_worker)
+    (fun () -> sync_ops pool)
 
 let make ?(registry = Registry.disabled) ?(flight = Flight.disabled) ?(respawn_budget = 0)
     ~n_workers ~tracer ~fault policy =
+    (* the padded runs first, then one minor collection (the layout rule
+       above) *)
+    let sync_cells = padded_run n_workers (fun () -> ref 0) in
+    let live_run = padded_run 1 (fun () -> Atomic.make 0) in
+    Gc.minor ();
     {
       policy;
       n_workers;
-      ws_deques = Array.init n_workers (fun _ -> Clev.create ());
+      ws_deques = Array.init n_workers (fun w -> Lfdeque.create ~owner:w ());
       (* 2 shards per worker: enough spread that concurrent membership
          CAS retries stay rare, small enough that two-choice sampling
          still sees a meaningful fraction of R *)
@@ -959,7 +1012,8 @@ let make ?(registry = Registry.disabled) ?(flight = Flight.disabled) ?(respawn_b
       dfd_quota =
         Atomic.make
           (match policy with Dfdeques { quota } -> quota | Work_stealing -> max_int);
-      live_tasks = Atomic.make 0;
+      live_tasks = live_run.(pad_index 0);
+      live_run;
       per_worker =
         Array.init n_workers (fun _ ->
             {
@@ -974,9 +1028,9 @@ let make ?(registry = Registry.disabled) ?(flight = Flight.disabled) ?(respawn_b
               c_r_inserts = 0;
               c_r_removes = 0;
               c_ticks = 0;
-              c_sync = ref 0;
               c_rank_err = Stats.Histogram.create ();
             });
+      sync_cells;
       idle_lock = Mutex.create ();
       idle_cond = Condition.create ();
       n_parked = Atomic.make 0;
@@ -1146,6 +1200,7 @@ let counters pool =
   Array.fold_left
     (fun acc c ->
        {
+         acc with
          steals = acc.steals + c.c_steals;
          steal_failures = acc.steal_failures + c.c_steal_failures;
          local_pops = acc.local_pops + c.c_local_pops;
@@ -1156,7 +1211,6 @@ let counters pool =
          parks = acc.parks + c.c_parks;
          r_inserts = acc.r_inserts + c.c_r_inserts;
          r_removes = acc.r_removes + c.c_r_removes;
-         sync_ops = acc.sync_ops + !(c.c_sync);
        })
     {
       steals = 0;
@@ -1169,17 +1223,9 @@ let counters pool =
       parks = 0;
       r_inserts = 0;
       r_removes = 0;
-      sync_ops = 0;
+      sync_ops = sync_ops pool;
     }
     pool.per_worker
-
-(* Total synchronization operations (atomic RMWs + publishing stores,
-   CAS retries included) executed on DFDeques scheduling paths, summed
-   across workers — the Rito & Paulino sync-overhead metric, measured
-   rather than assumed.  Zero under WS (the Clev paths predate the
-   accounting and stay unmeasured).  Same staleness contract as
-   {!val-counters}. *)
-let sync_ops pool = Array.fold_left (fun acc c -> acc + !(c.c_sync)) 0 pool.per_worker
 
 (* Per-worker single-writer histograms merged at read, like the ints. *)
 let rank_error pool =
@@ -1338,7 +1384,7 @@ let snapshot pool =
   (match pool.policy with
    | Work_stealing ->
      Array.iteri
-       (fun i d -> pf "  deque[worker %d]: %d tasks\n" i (Clev.length d))
+       (fun i d -> pf "  deque[worker %d]: %d tasks\n" i (Lfdeque.length d))
        pool.ws_deques
    | Dfdeques _ ->
      (* lock-free Multiq walk: approximate while membership churns,
@@ -1444,6 +1490,8 @@ module For_testing = struct
     | exception Worker_stop -> `Stopped
 
   let scan pool ~proc = scan_crashed pool ~proc
+
+  let sync_cell = sync_cell
 
   let live_tasks pool = Atomic.get pool.live_tasks
 end

@@ -5,10 +5,12 @@
     scheduling algorithms that the simulator analyses, driving real OCaml
     closures on real domains.
 
-    - {!Work_stealing} — one {e lock-free Chase–Lev deque} per worker,
-      LIFO locally, thieves pop the bottom of a uniformly random victim
-      (Blumofe–Leiserson / Cilk).  The owner's push/pop takes no lock and
-      no CAS except on the last element; steals are arbitrated by one CAS.
+    - {!Work_stealing} — one {e lock-free Chase–Lev deque}
+      ({!Dfd_structures.Lfdeque}, the same deque DFDeques uses) per
+      worker, LIFO locally, thieves pop the bottom of a uniformly random
+      victim (Blumofe–Leiserson / Cilk).  The owner's push/pop takes no
+      lock and no CAS except on the last element; steals are arbitrated
+      by one CAS.
     - {!Dfdeques} — the paper's algorithm: a globally ordered list R of
       deques; thieves pop the bottom of a deque near the leftmost-[p]
       window; a cooperative memory quota (fed by {!alloc_hint}) makes a
@@ -27,8 +29,8 @@
       exact window), which the pool measures per steal and exposes via
       {!rank_error}, the [dfd_pool_steal_rank_error] registry histogram
       and [Steal_rank] trace events; the synchronization cost of the
-      CAS discipline is itself measured ({!sync_ops},
-      [dfd_pool_sync_ops]).  DESIGN.md §15 documents the MultiQueue and
+      CAS discipline is itself measured, under both policies
+      ({!sync_ops}, [dfd_pool_sync_ops]).  DESIGN.md §15 documents the MultiQueue and
       §16 the lock-free deque (CAS commit points, ABA and
       memory-ordering audit); §10 the lock hierarchy, now [trace_lock]
       only.
@@ -202,8 +204,7 @@ type counters = {
   r_removes : int;  (** deques reaped from R (DFDeques only) *)
   sync_ops : int;
       (** synchronization operations (atomic RMWs and publishing stores,
-          CAS retries included) on DFDeques scheduling paths; 0 under
-          {!Work_stealing} *)
+          CAS retries included) on scheduling paths, both policies *)
 }
 
 val counters : t -> counters
@@ -216,11 +217,12 @@ val counters : t -> counters
 
 val sync_ops : t -> int
 (** Total synchronization operations (atomic RMWs and publishing stores,
-    CAS retries included) executed on DFDeques scheduling paths — push,
-    pop, steal, abandonment, reap, and R membership — summed across the
-    per-worker single-writer cells.  The Rito & Paulino sync-overhead
-    metric: what the lock removal is measured by, not assumed from.
-    Always 0 under {!Work_stealing}.  Exposed to the registry as the
+    CAS retries included) executed on scheduling paths — push, pop and
+    steal under both policies, plus abandonment, reap and R membership
+    under {!Dfdeques} — summed across the per-worker single-writer cells.
+    The Rito & Paulino sync-overhead metric: what the lock removal is
+    measured by, not assumed from, and a direct comparison of the two
+    policies' deque traffic.  Exposed to the registry as the
     lazily-summed [dfd_pool_sync_ops] probe (the pool deliberately does
     not mirror it into a write-side counter — that would add an atomic
     RMW per operation just to count atomic RMWs) and per p in the
@@ -391,4 +393,7 @@ module For_testing : sig
   val live_tasks : t -> int
   (** Tasks pushed but not yet taken (0 once a computation is quiescent —
       the checker's leak oracle). *)
+
+  val sync_cell : t -> int -> int ref
+  (** Worker [w]'s sync-op cell, for checking the cells' memory layout. *)
 end

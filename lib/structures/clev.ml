@@ -1,124 +1,3 @@
-(* Chase–Lev work-stealing deque over OCaml 5 atomics.
-
-   Layout: logical indices [top, bottom) name the live elements; a
-   circular buffer of Atomic cells stores them at [index land mask].  The
-   owner pushes/pops at [bottom]; thieves CAS [top] forward.  OCaml's
-   [Atomic] operations are sequentially consistent, which is exactly the
-   fence discipline the original algorithm needs: the owner publishes the
-   cell write before advancing [bottom] (so a thief that reads
-   [bottom > t] also sees the cell), and in [pop] it writes the lowered
-   [bottom] before reading [top] (the Dekker-style handshake that makes
-   the last-element race fall through to the CAS on [top]).
-
-   Resizing: only the owner grows the buffer, copying the live range into
-   a fresh cell array and republishing it through the [buf] atomic.  An
-   old buffer is never written again, so a thief that read it before the
-   swap still reads the correct value for any index its CAS can win: the
-   owner cannot recycle a physical slot for a new logical index without
-   first growing (a deque of capacity [c] holds at most [c] elements), and
-   a slot's value is only cleared by whoever won the element — whose CAS
-   our thief would have lost. *)
-
-type 'a buf = { mask : int; cells : 'a option Atomic.t array }
-
-type 'a t = {
-  top : int Atomic.t;  (* next index to steal; only ever increases *)
-  bottom : int Atomic.t;  (* next index to push; owner-written only *)
-  buf : 'a buf Atomic.t;
-}
-
-let mk_buf cap = { mask = cap - 1; cells = Array.init cap (fun _ -> Atomic.make None) }
-
-let cell b i = b.cells.(i land b.mask)
-
-let round_pow2 n =
-  let rec go c = if c >= n then c else go (c * 2) in
-  go 1
-
-let create ?(min_capacity = 16) () =
-  let cap = round_pow2 (max 2 min_capacity) in
-  { top = Atomic.make 0; bottom = Atomic.make 0; buf = Atomic.make (mk_buf cap) }
-
-let create_at ?min_capacity ~index () =
-  let q = create ?min_capacity () in
-  Atomic.set q.top index;
-  Atomic.set q.bottom index;
-  q
-
-(* Owner only: copy [t, b) into a doubled buffer and publish it.  The
-   loop walks offsets, not raw indices: near [max_int] the indices wrap
-   while [b - t] (wraparound subtraction) stays a small positive count. *)
-let grow q b t old =
-  let nb = mk_buf (2 * (old.mask + 1)) in
-  for off = 0 to b - t - 1 do
-    Atomic.set (cell nb (t + off)) (Atomic.get (cell old (t + off)))
-  done;
-  Schedpoint.point Schedpoint.clev_grow_publish;
-  Atomic.set q.buf nb;
-  nb
-
-let push q x =
-  let b = Atomic.get q.bottom in
-  let t = Atomic.get q.top in
-  let buf = Atomic.get q.buf in
-  let buf = if b - t > buf.mask then grow q b t buf else buf in
-  Schedpoint.point Schedpoint.clev_push_cell;
-  Atomic.set (cell buf b) (Some x);
-  Schedpoint.point Schedpoint.clev_push_publish;
-  Atomic.set q.bottom (b + 1)
-
-(* Take the value out of a won cell, clearing it so the deque does not
-   retain the element (tasks are closures; holding them leaks). *)
-let take c =
-  let x = Atomic.get c in
-  Atomic.set c None;
-  x
-
-(* All index comparisons go through wraparound subtraction ([b - t], a
-   small signed distance) rather than [<]/[>=] on the raw indices, so the
-   deque stays correct when the monotonically increasing indices overflow
-   past [max_int] (exercised by the biased-start tests). *)
-let pop q =
-  let b = Atomic.get q.bottom - 1 in
-  let buf = Atomic.get q.buf in
-  Atomic.set q.bottom b;
-  Schedpoint.point Schedpoint.clev_pop_reserve;
-  (* SC: the [bottom] write above is ordered before this [top] read, so a
-     thief that observed the old bottom cannot also observe a top that
-     lets both of us take the same element (DESIGN.md §10). *)
-  let t = Atomic.get q.top in
-  let d = b - t in
-  if d < 0 then begin
-    (* already empty: undo the reservation *)
-    Atomic.set q.bottom t;
-    None
-  end
-  else if d = 0 then begin
-    (* single element left: race thieves for it via the top CAS *)
-    Schedpoint.point Schedpoint.clev_pop_race;
-    let won = Atomic.compare_and_set q.top t (t + 1) in
-    Atomic.set q.bottom (t + 1);
-    if won then take (cell buf b) else None
-  end
-  else take (cell buf b)
-
-let steal q =
-  let t = Atomic.get q.top in
-  Schedpoint.point Schedpoint.clev_steal_read;
-  let b = Atomic.get q.bottom in
-  if b - t <= 0 then None
-  else begin
-    let buf = Atomic.get q.buf in
-    (* read the candidate before the CAS: once the CAS wins, the owner may
-       recycle the slot, but then it is ours and nobody rewrites what we
-       read (a rewrite requires winning index [t], i.e. our CAS failing) *)
-    let x = Atomic.get (cell buf t) in
-    Schedpoint.point Schedpoint.clev_steal_cell;
-    if Atomic.compare_and_set q.top t (t + 1) then x else None
-  end
-
-let length q = max 0 (Atomic.get q.bottom - Atomic.get q.top)
-
-let is_empty q = length q = 0
-
-let capacity q = (Atomic.get q.buf).mask + 1
+(* Kept only because the frozen benchmark (perfbench/structures_probe.ml)
+   names [Dfd_structures.Clev]; the work-stealing deque is [Lfdeque]. *)
+include Lfdeque

@@ -4,8 +4,8 @@
     (Section 3.2 of the paper): the owner pushes and pops at the {e top}
     (LIFO stack discipline), thieves pop at the {e bottom}.  All operations
     are amortised O(1).  The structure is not thread-safe; in the simulator
-    all accesses happen inside one synchronous engine, and in the native
-    runtime each deque is protected by its pool's lock. *)
+    all accesses happen inside one synchronous engine.  The native pool
+    uses the lock-free {!Lfdeque} instead. *)
 
 type 'a t
 

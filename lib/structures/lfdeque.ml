@@ -1,6 +1,8 @@
-(* Single-word-CAS lock-free deque specialized for the DFDeques
-   discipline (after Sundell & Tsigas's CAS-only deques and Chase–Lev's
-   owner/thief split; see DESIGN.md §16).
+(* Single-word-CAS lock-free deque, the one per-processor deque of both
+   pool disciplines (after Sundell & Tsigas's CAS-only deques and
+   Chase–Lev's owner/thief split; see DESIGN.md §16).  Work stealing uses
+   the owner/thief operations alone; DFDeques(∞) is work stealing, so
+   the same structure serves both.
 
    The pool's DFDeques paths need three things beyond a plain
    work-stealing deque, and this module builds them in so the pool can
@@ -38,7 +40,7 @@
    bumps an [ops] cell by the number of atomic RMW/store operations it
    actually executed (CAS attempts included, plain loads excluded) — the
    fork/join sync-op metric of Rito & Paulino that the pool aggregates
-   per worker into [Pool.sync_ops]. *)
+   per worker into [Pool.sync_ops], under either policy. *)
 
 module Schedpoint = Schedpoint
 

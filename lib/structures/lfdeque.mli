@@ -1,9 +1,11 @@
-(** Single-word-CAS lock-free deque for the DFDeques discipline.
+(** Single-word-CAS lock-free deque: the per-processor deque of both the
+    work-stealing and the DFDeques pool.
 
     A Chase–Lev-style work-stealing deque (owner pushes and pops at the
     bottom, thieves CAS the top forward) extended with the two
     operations the paper's DFDeques discipline needs from its deques and
-    which previously forced a per-deque mutex in the pool:
+    which previously forced a per-deque mutex in the pool (work stealing
+    never calls them):
 
     - {!abandon}: the sticky ownership give-up an owner publishes when
       its memory quota runs out mid-deque.  One-way [Some w -> None];
@@ -24,7 +26,7 @@
     The optional [ops] argument on mutating operations accumulates the
     number of atomic RMW / publishing-store operations actually executed
     (CAS attempts included, plain loads excluded) — the per-worker
-    sync-op metric surfaced as [Pool.sync_ops]. *)
+    sync-op metric surfaced as [Pool.sync_ops] for both policies. *)
 
 type 'a t
 

@@ -2,7 +2,7 @@
 
     Concurrency-sensitive code calls {!point} at the instants where an
     adversarial scheduler could preempt it: between the individual atomic
-    operations of the Chase–Lev deque, at the native pool's task-transfer
+    operations of the work-stealing deque, at the native pool's task-transfer
     boundaries.  With no handler installed (production, and every test
     that is not a checker run) a point costs one atomic load and does
     nothing — the hook is a no-op unless checking is enabled.
@@ -31,23 +31,11 @@ val active : unit -> bool
 val start : int
 (** Pseudo-point at which every controlled thread blocks before running. *)
 
-val clev_push_cell : int
-val clev_push_publish : int
-val clev_pop_reserve : int
-val clev_pop_race : int
-val clev_steal_read : int
-val clev_steal_cell : int
-val clev_grow_publish : int
 val pool_push : int
 val pool_get : int
 val pool_pop_exact : int
 val pool_await : int
 val pool_fulfill : int
-
-val clev_steal_commit : int
-(** Only emitted by the checker's deliberately buggy deque variant: the
-    instant between its (non-atomic) top check and top store, where the
-    correct deque has a single CAS and hence no such point. *)
 
 val multiq_insert : int
 (** Inside a multiq shard-publish or gap-split CAS retry window. *)

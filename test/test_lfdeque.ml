@@ -1,8 +1,10 @@
 (* Tests for the CAS-only DFDeques deque (Dfd_structures.Lfdeque).
 
-   Same shape as test_clev: sequential deque laws, a concurrent multiset
-   property under real Domains, and wraparound regressions via the
-   biased-start constructor.  On top of those, the DFDeques-specific
+   Sequential deque laws, a concurrent multiset property under real
+   Domains (every pushed element obtained exactly once, by the owner's
+   pops, a thief's steals or the final drain), and wraparound
+   regressions via the biased-start constructor.  On top of those, the
+   DFDeques-specific
    surface: the sticky ownership certificate, the stability of the
    [is_dead] death certificate, the sync-op accounting cells, and a
    multi-deque stress group (N owners x M thieves, capped at 4 domains)
@@ -26,6 +28,29 @@ let test_lifo_owner () =
     checki "LIFO pop" i (Option.get (Lfdeque.pop q))
   done;
   checkb "empty after" true (Lfdeque.pop q = None)
+
+(* push/pop churn that wraps the circular buffer many times *)
+let test_interleaved_push_pop () =
+  let q = Lfdeque.create ~min_capacity:2 () in
+  let next = ref 0 in
+  for _ = 1 to 50 do
+    for _ = 1 to 7 do
+      Lfdeque.push q !next;
+      incr next
+    done;
+    for _ = 1 to 5 do
+      ignore (Lfdeque.pop q)
+    done
+  done;
+  checki "residual length after churn" 100 (Lfdeque.length q);
+  let rec drain last =
+    match Lfdeque.pop q with
+    | None -> ()
+    | Some v ->
+      checkb "pop order strictly decreasing after churn" true (v < last);
+      drain v
+  in
+  drain max_int
 
 let test_fifo_steal () =
   let q = Lfdeque.create () in
@@ -204,24 +229,34 @@ let qcheck_dead_owner_drain =
        let drained = List.concat_map Domain.join thieves in
        multiset_eq remaining drained && Lfdeque.is_dead q && Lfdeque.steal q = None)
 
-let test_resize_under_steal_stress () =
-  let n = 20_000 in
-  let ops = List.init n (fun i -> i mod 11 <> 10) in
-  let pushed, taken = concurrent_run ~min_capacity:2 ~n_stealers:3 ops in
-  checkb "stress multiset equal" true (multiset_eq pushed taken);
-  checki "stress taken count" (List.length pushed) (List.length taken)
+(* Grows racing thieves, one input per test case: a mixed stream (~9%
+   pops), a push-only stream that stealers must drain even when they win
+   most races, and a minimum-size buffer that grows constantly. *)
+let test_resize_under_steal (min_capacity, n_stealers, ops) () =
+  let pushed, taken = concurrent_run ~min_capacity ~n_stealers ops in
+  checkb "multiset equal" true (multiset_eq pushed taken);
+  checki "taken count" (List.length pushed) (List.length taken)
+
+let stress_mixed = (2, 3, List.init 20_000 (fun i -> i mod 11 <> 10))
+let stress_push_only = (2, 2, List.init 5_000 (fun _ -> true))
+let stress_tiny_grow = (1, 3, List.init 4_000 (fun i -> i mod 3 <> 2))
 
 (* ------------------------------------------------------------------ *)
 (* N owners x M thieves (the pool's usage pattern; <= 4 domains)       *)
 (* ------------------------------------------------------------------ *)
 
-(* Two owner domains each drive their own deque through a push/pop/
-   abandon cycle; two thief domains roam over both deques, stealing
-   wherever they find work.  Values are tagged by owner so the oracle
-   can assert, per deque, exactly-once delivery — any double steal
-   surfaces as a duplicate, any lost element as a shortfall.  Domain
-   count stays at 4 (2 owners + 2 thieves) to keep CI deflaked. *)
-let test_owners_vs_roaming_thieves () =
+(* Two owner domains each drive their own deque through a push/pop
+   cycle; two thief domains roam over both deques, stealing wherever
+   they find work.  Values are tagged by owner so the oracle can assert,
+   per deque, exactly-once delivery — any double steal surfaces as a
+   duplicate, any lost element as a shortfall.  Domain count stays at 4
+   (2 owners + 2 thieves) to keep CI deflaked.
+
+   [abandon] picks how an owner ends: DFDeques' owner walks away and the
+   thieves drain the deque to death; a work-stealing owner keeps its
+   deque for life and pops it empty itself, so the deque stays owned and
+   is never dead. *)
+let test_owners_vs_roaming_thieves ~abandon () =
   let n_owners = 2 and n_thieves = 2 in
   let per_owner = 4_000 in
   let deques = Array.init n_owners (fun w -> Lfdeque.create ~min_capacity:2 ~owner:w ()) in
@@ -264,9 +299,17 @@ let test_owners_vs_roaming_thieves () =
                 | Some v -> got := v :: !got
                 | None -> ()
             done;
-            (* quota exhausted: the owner walks away; thieves drain *)
-            Lfdeque.abandon q;
-            !got))
+            if abandon then begin
+              (* quota exhausted: the owner walks away; thieves drain *)
+              Lfdeque.abandon q;
+              !got
+            end
+            else
+              (* out of work: the owner pops its own deque empty *)
+              let rec drain acc =
+                match Lfdeque.pop q with Some v -> drain (v :: acc) | None -> acc
+              in
+              drain !got))
   in
   let popped = List.concat_map Domain.join owners in
   Atomic.set stop true;
@@ -290,9 +333,15 @@ let test_owners_vs_roaming_thieves () =
   in
   checkb "owners x thieves multiset equal (no duplicate steal, no loss)" true
     (multiset_eq pushed taken);
-  Array.iter
-    (fun q ->
-       checkb "every abandoned deque drained to death" true (Lfdeque.is_dead q))
+  Array.iteri
+    (fun w q ->
+       if abandon then
+         checkb "every abandoned deque drained to death" true (Lfdeque.is_dead q)
+       else begin
+         checkb "a kept deque stays owned" true (Lfdeque.owner q = Some w);
+         checki "a kept deque ends empty" 0 (Lfdeque.length q);
+         checkb "a kept deque is never dead" false (Lfdeque.is_dead q)
+       end)
     deques
 
 (* ------------------------------------------------------------------ *)
@@ -350,6 +399,7 @@ let () =
           Alcotest.test_case "owner LIFO" `Quick test_lifo_owner;
           Alcotest.test_case "thief FIFO" `Quick test_fifo_steal;
           Alcotest.test_case "resize" `Quick test_resize_sequential;
+          Alcotest.test_case "wraparound churn" `Quick test_interleaved_push_pop;
         ] );
       ( "ownership",
         [
@@ -361,9 +411,16 @@ let () =
         [
           QCheck_alcotest.to_alcotest ~long:false qcheck_no_dup_no_loss;
           QCheck_alcotest.to_alcotest ~long:false qcheck_dead_owner_drain;
-          Alcotest.test_case "resize under steal stress" `Quick test_resize_under_steal_stress;
+          Alcotest.test_case "resize under steal stress" `Quick
+            (test_resize_under_steal stress_mixed);
+          Alcotest.test_case "push-only, stealers drain" `Quick
+            (test_resize_under_steal stress_push_only);
+          Alcotest.test_case "tiny buffer grows under steal" `Quick
+            (test_resize_under_steal stress_tiny_grow);
           Alcotest.test_case "2 owners x 2 roaming thieves" `Quick
-            test_owners_vs_roaming_thieves;
+            (test_owners_vs_roaming_thieves ~abandon:true);
+          Alcotest.test_case "2 kept deques x 2 roaming thieves" `Quick
+            (test_owners_vs_roaming_thieves ~abandon:false);
         ] );
       ( "wraparound",
         [

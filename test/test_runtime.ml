@@ -229,7 +229,61 @@ let test_stats_counters () =
       checkb "tasks ran" true (List.assoc "tasks_run" stats > 0);
       (* one alist entry per field of the [Pool.counters] record *)
       checkb "all counters present" true (List.length stats = 11);
-      checki "WS runs zero sync ops" 0 (List.assoc "sync_ops" stats))
+      checkb "WS counts its sync ops" true (List.assoc "sync_ops" stats > 0))
+
+(* Both policies count their scheduling sync ops: a fib run reports a
+   positive total, and the count only grows — through the stats entry
+   and a second run.  Idle worker domains keep polling their empty
+   deques between reads, so successive reads are ordered, not equal. *)
+let test_sync_ops_counted policy () =
+  with_pool policy (fun pool ->
+      ignore (Pool.run pool (fun () -> fib 15));
+      let first = Pool.sync_ops pool in
+      checkb "fib counts sync ops" true (first > 0);
+      let listed = List.assoc "sync_ops" (Pool.stats pool) in
+      checkb "stats entry reads the same count" true (listed >= first);
+      ignore (Pool.run pool (fun () -> fib 15));
+      checkb "a second run adds to the count" true (Pool.sync_ops pool > listed))
+
+(* Every deque call charges the calling worker's own cell: on a pool
+   with no worker domains, worker 0 runs a fork_join tree alone, so all
+   the sync ops land in its cell and worker 1's cell stays at 0. *)
+let test_sync_ops_per_worker policy () =
+  let pool = Pool.For_testing.create_detached ~workers:2 policy in
+  Pool.For_testing.as_worker pool 0 (fun () -> checki "fib 12" 144 (fib 12));
+  let c0 = !(Pool.For_testing.sync_cell pool 0) in
+  checkb "worker 0 counted its sync ops" true (c0 > 0);
+  checki "idle worker 1 counted none" 0 !(Pool.For_testing.sync_cell pool 1);
+  checki "total is the sum of the cells" c0 (Pool.sync_ops pool)
+
+(* The sync-op cells' layout rule: no two workers' cells within 128
+   bytes.  An address is read by reinterpreting a ref as an int, so the
+   difference of two such reads is half the byte distance; the cells
+   are in the major heap by then, where blocks do not move.  Garbage
+   refs allocated first leave holes in the free slots of the cells' size
+   class, so the rule must hold on a used heap, not only on a fresh one. *)
+let test_sync_cells_apart policy () =
+  let addr (r : int ref) = 2 * (Obj.magic r : int) in
+  for round = 1 to 20 do
+    let junk = Array.init (round * 1000) (fun i -> ref i) in
+    Gc.minor ();
+    let kept = Array.init (round * 100) (fun i -> junk.(i * 7 mod Array.length junk)) in
+    Gc.full_major ();
+    let pool = Pool.For_testing.create_detached ~workers:4 policy in
+    let cells = List.init 4 (Pool.For_testing.sync_cell pool) in
+    List.iteri
+      (fun i a ->
+         List.iteri
+           (fun j b ->
+              if i < j then
+                checkb
+                  (Printf.sprintf "round %d: cells %d and %d >= 128 bytes apart" round i j)
+                  true
+                  (abs (addr a - addr b) >= 128))
+           cells)
+      cells;
+    ignore (Sys.opaque_identity kept)
+  done
 
 let test_heartbeat_monotonic () =
   List.iter
@@ -491,6 +545,18 @@ let () =
           Alcotest.test_case "fork_join outside run" `Quick test_fork_join_outside_run_rejected;
           Alcotest.test_case "alloc_hint quota" `Quick test_alloc_hint_quota;
           Alcotest.test_case "stats" `Quick test_stats_counters;
+          Alcotest.test_case "WS sync ops counted" `Quick
+            (test_sync_ops_counted Pool.Work_stealing);
+          Alcotest.test_case "DFD sync ops counted" `Quick
+            (test_sync_ops_counted (Pool.Dfdeques { quota = 4096 }));
+          Alcotest.test_case "WS sync ops per worker" `Quick
+            (test_sync_ops_per_worker Pool.Work_stealing);
+          Alcotest.test_case "DFD sync ops per worker" `Quick
+            (test_sync_ops_per_worker (Pool.Dfdeques { quota = 4096 }));
+          Alcotest.test_case "sync cells 128 bytes apart" `Quick
+            (test_sync_cells_apart Pool.Work_stealing);
+          Alcotest.test_case "DFD sync cells 128 bytes apart" `Quick
+            (test_sync_cells_apart (Pool.Dfdeques { quota = 4096 }));
           Alcotest.test_case "rank error instrumented" `Quick test_rank_error_instrumented;
           Alcotest.test_case "heartbeat" `Quick test_heartbeat_monotonic;
           Alcotest.test_case "sequential runs" `Quick test_many_sequential_runs;

@@ -104,18 +104,17 @@ let () =
        if inserts < removes then fail "r_membership_ops[%d]: inserts < removes" i)
     memb_rows;
   (* sync-op counts of the CAS-only task-transfer paths: one row per
-     result point, both policies (ws rows are structurally zero).  Counts
-     are facts about the execution, not timings, so missing or negative
-     counters crash-gate; magnitudes never do.  At least one dfd row must
-     have actually synchronized — a dfd run that did zero atomic ops means
-     the instrumentation came unwired. *)
+     result point, both policies.  Counts are facts about the execution,
+     not timings, so missing or negative counters crash-gate; magnitudes
+     never do.  Each policy's rows must sum to a nonzero count — a policy
+     whose runs did zero atomic ops has had its instrumentation come
+     unwired. *)
   let sync_rows =
     try Json.to_list_exn (Json.member "sync_ops" j)
     with _ -> fail "missing sync_ops list"
   in
   if sync_rows = [] then fail "sync_ops must be nonempty";
-  let dfd_sync_total = ref 0 in
-  let seen_dfd = ref false in
+  let sync_total = Hashtbl.create 2 in
   List.iteri
     (fun i r ->
        let int k =
@@ -136,15 +135,15 @@ let () =
        let ops = int "sync_ops" in
        if ops < 0 then fail "sync_ops[%d]: negative sync_ops" i;
        if num "sync_ops_per_task" < 0.0 then fail "sync_ops[%d]: negative sync_ops_per_task" i;
-       if policy = "ws" && ops <> 0 then
-         fail "sync_ops[%d]: ws path is uninstrumented and must report 0" i;
-       if policy = "dfd" then begin
-         seen_dfd := true;
-         dfd_sync_total := !dfd_sync_total + ops
-       end)
+       let before = Option.value ~default:0 (Hashtbl.find_opt sync_total policy) in
+       Hashtbl.replace sync_total policy (before + ops))
     sync_rows;
-  if not !seen_dfd then fail "sync_ops has no dfd row";
-  if !dfd_sync_total = 0 then fail "sync_ops: all dfd rows are zero (instrumentation unwired?)";
+  List.iter
+    (fun policy ->
+       match Hashtbl.find_opt sync_total policy with
+       | Some n when n > 0 -> ()
+       | _ -> fail "sync_ops: %s rows are missing or all zero (instrumentation unwired?)" policy)
+    [ "ws"; "dfd" ];
   (* obs-overhead pair: structural checks only — the ratio itself is
      timing and must never gate CI *)
   let obs = Json.member "obs_overhead" j in
