@@ -443,7 +443,7 @@ let metrics_run bench grain sched p k seed mode text_out json_out flight_out =
   let prog = b.Dfd_benchmarks.Workload.prog () in
   let s = Dfd_dag.Analysis.analyze prog in
   let registry = Dfd_obs.Registry.create () in
-  let flight = Dfd_obs.Flight.create ~lanes:(p + 1) () in
+  let flight = Dfd_trace.Tracer.create ~capacity:256 ~lanes:(p + 1) () in
   (* with analysis in hand the budget gauge is the exact Oracle.thm44
      bound: S1 + c * min(K, S1) * p * D (infinite K degrades to K = S1) *)
   let s1 = s.Dfd_dag.Analysis.serial_space in
@@ -478,8 +478,8 @@ let metrics_run bench grain sched p k seed mode text_out json_out flight_out =
   match flight_out with
   | None -> ()
   | Some path ->
-    writing path (fun () -> Dfd_obs.Flight.write_file ~path ~reason:"run" flight);
-    Printf.printf "flight dump: %d events -> %s\n" (Dfd_obs.Flight.recorded flight) path
+    writing path (fun () -> Dfd_trace.Tracer.write_file ~path ~reason:"run" flight);
+    Printf.printf "flight dump: %d events -> %s\n" (Dfd_trace.Tracer.total flight) path
 
 let metrics_cmd =
   let doc =

@@ -10,7 +10,6 @@ module Event = Dfd_trace.Event
 module Fault = Dfd_fault.Fault
 module Watchdog = Dfd_fault.Watchdog
 module Registry = Dfd_obs.Registry
-module Flight = Dfd_obs.Flight
 module Headroom = Dfd_obs.Headroom
 module T = Thread_state
 
@@ -75,7 +74,7 @@ exception Malformed_run of string
 
 let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_000_000)
     ?(tracer = Tracer.disabled) ?(fault = Fault.none) ?(no_progress_limit = 1000) ?observer
-    ?sampler ?(registry = Registry.disabled) ?(flight = Flight.disabled) ?headroom
+    ?sampler ?(registry = Registry.disabled) ?(flight = Tracer.disabled) ?headroom
     ~(sched : sched) (cfg : Config.t) (prog : Prog.t) : result =
   let p = cfg.p in
   let metrics = Metrics.create ~p in
@@ -84,6 +83,14 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
     { Sched_intf.cfg; metrics; rng; tracer; fault; last_active = Array.make p 0; now = 0 }
   in
   let last_active = ctx.Sched_intf.last_active in
+  (* The events both rings take (quota exhaustions, injected stalls, the
+     per-step counter sample): the payload is built once, and only when a
+     ring is live. *)
+  let rings_live = Tracer.enabled tracer || Tracer.enabled flight in
+  let note ~proc ~tid kind =
+    Tracer.emit tracer ~ts:ctx.Sched_intf.now ~proc ~tid kind;
+    Tracer.emit flight ~ts:ctx.Sched_intf.now ~proc ~tid kind
+  in
   let (Sched_intf.Packed ((module P), pol)) = make_policy sched ctx in
   let pool = T.create_pool () in
   let memory = Memory.create ~stack_bytes:cfg.stack_bytes in
@@ -395,11 +402,8 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
             when finite_k && quota.(proc) < n && n <= k_bytes && not th.T.big_alloc_pending ->
             (* Memory quota exhausted: preempt (free transition). *)
             Metrics.quota_exhausted metrics;
-            if Tracer.enabled tracer then
-              Tracer.emit tracer ~ts:ctx.now ~proc ~tid:th.T.tid
-                (Event.Quota_exhausted { used = k_bytes - quota.(proc); quota = k_bytes });
-            if Flight.enabled flight then
-              Flight.recordk flight ~lane:proc ~ts:ctx.now ~proc ~tid:th.T.tid
+            if rings_live then
+              note ~proc ~tid:th.T.tid
                 (Event.Quota_exhausted { used = k_bytes - quota.(proc); quota = k_bytes });
             th.T.state <- T.Ready;
             P.on_quota_exhausted pol ~proc th;
@@ -512,29 +516,17 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
         match Fault.stall_steps fault with
         | 0 -> turn proc
         | s ->
-          if Tracer.enabled tracer then
-            Tracer.emit tracer ~ts:ctx.now ~proc ~tid:(-1)
-              (Event.Fault_injected { fault = "stall" });
-          if Flight.enabled flight then
-            Flight.recordk flight ~lane:proc ~ts:ctx.now ~proc ~tid:(-1)
-              (Event.Fault_injected { fault = "stall" });
+          if rings_live then note ~proc ~tid:(-1) (Event.Fault_injected { fault = "stall" });
           progress ();
           stall proc (s - 1))
     done;
     if check_invariants then P.check_invariants pol;
-    if Tracer.enabled tracer then
-      Tracer.emit tracer ~ts:ctx.now ~proc:(-1) ~tid:(-1)
-        (Event.Counter
-           {
-             deques = Metrics.deque_current metrics;
-             heap = Memory.heap_current memory;
-             threads = Memory.live_threads memory;
-           });
-    (* The flight ring keeps a machine-wide counter track in its last lane:
-       on a wedge the dump shows the final few hundred timesteps of heap /
-       thread / deque history next to the per-proc fault and quota events. *)
-    if Flight.enabled flight then
-      Flight.recordk flight ~lane:p ~ts:ctx.now ~proc:(-1) ~tid:(-1)
+    (* The flight ring keeps this machine-wide counter track in its last
+       lane: on a wedge the dump shows the final few hundred timesteps of
+       heap / thread / deque history next to the per-proc fault and quota
+       events. *)
+    if rings_live then
+      note ~proc:(-1) ~tid:(-1)
         (Event.Counter
            {
              deques = Metrics.deque_current metrics;

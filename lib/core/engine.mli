@@ -88,7 +88,7 @@ val run :
   ?observer:(now:int -> proc:int -> Thread_state.t -> Dfd_dag.Action.t -> unit) ->
   ?sampler:int * (now:int -> heap:int -> threads:int -> deques:int -> unit) ->
   ?registry:Dfd_obs.Registry.t ->
-  ?flight:Dfd_obs.Flight.t ->
+  ?flight:Dfd_trace.Tracer.t ->
   ?headroom:Dfd_obs.Headroom.t ->
   sched:sched ->
   Dfd_machine.Config.t ->
@@ -133,10 +133,10 @@ val run :
     [dfd_engine_*] probes closing over this run's live counters — the
     registry answers mid-run snapshots and retains the final values after
     the run returns.
-    [flight] (default {!Dfd_obs.Flight.disabled}): crash-forensics ring;
-    the engine records quota exhaustions and injected stalls on each
-    processor's lane and a machine-wide counter sample per timestep on
-    lane [p] (size the recorder with [~lanes:(p + 1)]).
+    [flight] (default {!Dfd_trace.Tracer.disabled}): crash-forensics
+    ring; the engine records quota exhaustions and injected stalls on
+    each processor's lane and a machine-wide counter sample per timestep
+    on the last lane (size it [~capacity:256 ~lanes:(p + 1)]).
     [headroom] : a {!Dfd_obs.Headroom} gauge family fed every timestep
     with the live heap bytes and the heavy-premature count; create it
     from [Analysis.analyze] results so its budget equals the

@@ -7,7 +7,6 @@ module Tracer = Dfd_trace.Tracer
 module Event = Dfd_trace.Event
 module Fault = Dfd_fault.Fault
 module Registry = Dfd_obs.Registry
-module Flight = Dfd_obs.Flight
 
 exception Not_in_pool
 
@@ -128,12 +127,11 @@ type t = {
       (** worker [w]'s deque is owned by [w] and never abandoned: a
           quarantined worker's deque stays in place as a steal target. *)
   (* --- Dfdeques: the relaxed ordered list R -------------------------
-     Lock hierarchy: [trace_lock] only (plus the idle-parking pair,
-     which no task-holding path touches).  R membership (insert, remove,
-     the thief's insert-after-victim) is lock-free CAS in the [Multiq];
-     victim selection is two-choice sampling over its shards; task
-     transfer is CAS-only through [Lfdeque] — no DFDeques path takes a
-     mutex while holding or transferring a task. *)
+     No scheduling or event-recording path takes a mutex: only idle
+     parking and respawn do, and neither holds a task.  R membership
+     (insert, remove, the thief's insert-after-victim) is lock-free CAS
+     in the [Multiq]; victim selection is two-choice sampling over its
+     shards; task transfer is CAS-only through [Lfdeque]. *)
   r : dq Multiq.t;
   dfd_deque : dq Multiq.entry option array;
       (** each worker's owned deque, as its R-membership handle;
@@ -176,14 +174,14 @@ type t = {
   mutable domains : unit Domain.t list;
   rngs : Prng.t array;  (** per worker; only touched by its own worker. *)
   tracer : Tracer.t;
-  trace_lock : Mutex.t;
-      (** serialises tracer emits now that hot paths take no global lock;
-          only ever taken when the tracer is enabled. *)
+      (** every event, one lane per worker plus the last for external
+          writers ({!Tracer.disabled} by default). *)
   fault : Fault.t;  (** fault-injection plan; {!Fault.none} by default. *)
   obs : obs;  (** registry instruments; no-ops under {!Registry.disabled}. *)
-  flight : Flight.t;
-      (** always-on crash-forensics ring ({!Flight.disabled} by default);
-          only rare events are recorded, so the hot path stays clean. *)
+  flight : Tracer.t;
+      (** always-on crash-forensics ring, laned like [tracer]
+          ({!Tracer.disabled} by default); only rare events are recorded,
+          so the hot path stays clean. *)
   t0 : float;  (** pool creation wall clock; event stamps are µs since. *)
   next_did : int Atomic.t;
   last_active_us : int array;
@@ -229,8 +227,8 @@ type t = {
 }
 
 (* Wall-clock event timestamp: microseconds since pool creation.  Only
-   called inside [Tracer.enabled] guards — the hot path never reads the
-   clock when tracing is off. *)
+   called inside [Tracer.enabled] / [rings_live] guards — the hot path
+   never reads the clock when no ring is live. *)
 let now_us pool = int_of_float ((Unix.gettimeofday () -. pool.t0) *. 1e6)
 
 (* Which worker the current domain/thread is, while inside [run]. *)
@@ -273,34 +271,26 @@ let backoff_wait rng n =
 let park_threshold = 8
 
 (* ------------------------------------------------------------------ *)
-(* Tracing plumbing (all behind [Tracer.enabled]; emits serialised by   *)
-(* [trace_lock], the innermost lock in the hierarchy)                   *)
+(* Event recording: lock-free.  Both rings give each worker its own     *)
+(* lane and external writers ([proc = -1]) the last one, so every       *)
+(* emit appends to a lane nobody else writes.                           *)
 (* ------------------------------------------------------------------ *)
 
-let emit_locked pool ~proc kind =
-  Mutex.lock pool.trace_lock;
-  Tracer.emit pool.tracer ~ts:(now_us pool) ~proc ~tid:(-1) kind;
-  Mutex.unlock pool.trace_lock
+let rings_live pool = Tracer.enabled pool.tracer || Tracer.enabled pool.flight
 
-(* Flight-recorder lane write: per-worker single-writer ring, so no lock;
-   the clock is only read when the recorder is live, mirroring the tracer
-   discipline.  Only rare events go through here (steal successes, quota
-   giveups, deque lifecycle, faults, task exceptions, parks). *)
-let flight_emit pool ~proc kind =
-  if Flight.enabled pool.flight then
-    Flight.recordk pool.flight ~lane:proc ~ts:(now_us pool) ~proc ~tid:(-1) kind
+(* A rare event (steal successes, quota giveups, deque lifecycle, faults,
+   task exceptions, crash-domain transitions), into both rings.  Callers
+   guard with [rings_live] and read the clock once inside the guard, so
+   with no live ring neither the clock nor the payload is touched.
+   Frequent events (steal attempts, one [Action_batch] per task, steal
+   ranks) go to the tracer only. *)
+let note pool ~ts ~proc kind =
+  Tracer.emit pool.tracer ~ts ~proc ~tid:(-1) kind;
+  Tracer.emit pool.flight ~ts ~proc ~tid:(-1) kind
 
 let trace_steal_attempt pool w ~victim =
-  if Tracer.enabled pool.tracer then emit_locked pool ~proc:w (Event.Steal_attempt { victim })
-
-let trace_dq_removed pool ~proc d =
-  if Tracer.enabled pool.tracer then begin
-    Mutex.lock pool.trace_lock;
-    let ts = now_us pool in
-    Tracer.emit pool.tracer ~ts ~proc ~tid:(-1)
-      (Event.Deque_deleted { did = d.did; residency = ts - d.born_us });
-    Mutex.unlock pool.trace_lock
-  end
+  if Tracer.enabled pool.tracer then
+    Tracer.emit pool.tracer ~ts:(now_us pool) ~proc:w ~tid:(-1) (Event.Steal_attempt { victim })
 
 (* ------------------------------------------------------------------ *)
 (* Counters                                                            *)
@@ -314,24 +304,20 @@ let note_task_start pool w =
   c.c_tasks_run <- c.c_tasks_run + 1;
   Registry.Counter.incr pool.obs.o_tasks_run;
   if Tracer.enabled pool.tracer then begin
-    Mutex.lock pool.trace_lock;
     let ts = now_us pool in
     pool.last_active_us.(w) <- ts;
-    Tracer.emit pool.tracer ~ts ~proc:w ~tid:(-1) (Event.Action_batch { units = 1 });
-    Mutex.unlock pool.trace_lock
+    Tracer.emit pool.tracer ~ts ~proc:w ~tid:(-1) (Event.Action_batch { units = 1 })
   end
 
 let note_steal_success pool w ~victim =
   let c = pool.per_worker.(w) in
   c.c_steals <- c.c_steals + 1;
   Registry.Counter.incr pool.obs.o_steals;
-  flight_emit pool ~proc:w (Event.Steal_success { victim; latency = 0 });
-  if Tracer.enabled pool.tracer then begin
-    Mutex.lock pool.trace_lock;
+  if rings_live pool then begin
     let ts = now_us pool in
-    Tracer.emit pool.tracer ~ts ~proc:w ~tid:(-1)
-      (Event.Steal_success { victim; latency = ts - pool.last_active_us.(w) });
-    Mutex.unlock pool.trace_lock
+    (* [last_active_us] is stamped only while the tracer is on *)
+    let latency = if Tracer.enabled pool.tracer then ts - pool.last_active_us.(w) else 0 in
+    note pool ~ts ~proc:w (Event.Steal_success { victim; latency })
   end
 
 let note_steal_failure pool w =
@@ -345,9 +331,8 @@ let injected_steal_failure pool w =
   let fail = Fault.steal_fails pool.fault in
   if fail then begin
     note_steal_failure pool w;
-    flight_emit pool ~proc:w (Event.Fault_injected { fault = "steal_fail" });
-    if Tracer.enabled pool.tracer then
-      emit_locked pool ~proc:w (Event.Fault_injected { fault = "steal_fail" })
+    if rings_live pool then
+      note pool ~ts:(now_us pool) ~proc:w (Event.Fault_injected { fault = "steal_fail" })
   end;
   fail
 
@@ -428,7 +413,7 @@ let sync_cell pool w = pool.sync_cells.(pad_index w)
 (* ------------------------------------------------------------------ *)
 
 let new_dq pool ~proc ~owner =
-  let born_us = if Tracer.enabled pool.tracer then now_us pool else 0 in
+  let born_us = if rings_live pool then now_us pool else 0 in
   let d =
     {
       tasks = Lfdeque.create ?owner ();
@@ -437,9 +422,7 @@ let new_dq pool ~proc ~owner =
     }
   in
   Registry.Counter.incr pool.obs.o_deques_created;
-  flight_emit pool ~proc (Event.Deque_created { did = d.did });
-  if Tracer.enabled pool.tracer then
-    emit_locked pool ~proc (Event.Deque_created { did = d.did });
+  if rings_live pool then note pool ~ts:born_us ~proc (Event.Deque_created { did = d.did });
   d
 
 let note_r_insert pool w =
@@ -460,8 +443,10 @@ let reap_if_dead pool ~proc e =
     let c = pool.per_worker.(proc) in
     c.c_r_removes <- c.c_r_removes + 1;
     Registry.Counter.incr pool.obs.o_deques_deleted;
-    flight_emit pool ~proc (Event.Deque_deleted { did = d.did; residency = 0 });
-    trace_dq_removed pool ~proc d
+    if rings_live pool then begin
+      let ts = now_us pool in
+      note pool ~ts ~proc (Event.Deque_deleted { did = d.did; residency = ts - d.born_us })
+    end
   end
 
 (* The worker's own deque, creating and inserting it at the front of R if
@@ -505,7 +490,7 @@ let note_rank_error pool w e =
   Stats.Histogram.add c.c_rank_err (float_of_int err);
   Registry.Histogram.observe pool.obs.o_rank_error err;
   if Tracer.enabled pool.tracer then
-    emit_locked pool ~proc:w
+    Tracer.emit pool.tracer ~ts:(now_us pool) ~proc:w ~tid:(-1)
       (Event.Steal_rank { victim = (Multiq.value e).did; rank; err })
 
 (* A successful DFD steal: the thief takes ownership of a fresh deque
@@ -595,9 +580,8 @@ let rec lineage_add pool entry =
    certificate must be noticed even on an otherwise idle pool, and the
    requeued task is not yet counted in [live_tasks]. *)
 let worker_crash pool w =
-  flight_emit pool ~proc:w (Event.Fault_injected { fault = "worker_crash" });
-  if Tracer.enabled pool.tracer then
-    emit_locked pool ~proc:w (Event.Fault_injected { fault = "worker_crash" });
+  if rings_live pool then
+    note pool ~ts:(now_us pool) ~proc:w (Event.Fault_injected { fault = "worker_crash" });
   Schedpoint.point Schedpoint.pool_crash_flag;
   Atomic.set pool.stopped.(w) true;
   Atomic.incr pool.crashed_pending;
@@ -612,9 +596,8 @@ let worker_crash pool w =
    quarantine of this worker sound: after the bump the spinner's only
    remaining action is to unwind. *)
 let wedge_spin pool w =
-  flight_emit pool ~proc:w (Event.Fault_injected { fault = "worker_wedge" });
-  if Tracer.enabled pool.tracer then
-    emit_locked pool ~proc:w (Event.Fault_injected { fault = "worker_wedge" });
+  if rings_live pool then
+    note pool ~ts:(now_us pool) ~proc:w (Event.Fault_injected { fault = "worker_wedge" });
   let g0 = Atomic.get pool.wgen.(w) in
   Atomic.set pool.wedged.(w) true;
   while Atomic.get pool.wgen.(w) = g0 && not (Atomic.get pool.shutting_down) do
@@ -626,15 +609,16 @@ let wedge_spin pool w =
    pool.  One winner (CAS on [quarantined]); the winner fences the slot
    (generation bump), recovers the held task exactly once (atomic
    exchange of [cur_task] — the owner's own pre-run exchange and this one
-   cannot both win), requeues it through the orphan stack, abandons the
-   dead owner's DFDeques deque via the sticky death-certificate protocol
-   (sound because the owner is certifiably fenced: crashed domains have
-   unwound, wedged ones spin without touching the pool, so no push can
-   race the abandonment — the one relaxation of the owner-only [abandon]
-   contract, audited in DESIGN.md §17), and appends the lineage-ledger
-   entry that {!verify_lineage} later audits.  Reap/abandon sync ops are
-   charged to the dead worker's own record — it is fenced, so the
-   single-writer discipline holds.  [proc] identifies the quarantining
+   cannot both win), abandons the dead owner's DFDeques deque via the
+   sticky death-certificate protocol (sound because the owner is
+   certifiably fenced: crashed domains have unwound, wedged ones spin
+   without touching the pool, so no push can race the abandonment — the
+   one relaxation of the owner-only [abandon] contract, audited in
+   DESIGN.md §17), appends the lineage-ledger entry that
+   {!verify_lineage} later audits, and only then requeues the held task
+   through the orphan stack.  Reap/abandon sync ops are charged to the
+   dead worker's own record — it is fenced, so the single-writer
+   discipline holds.  [proc] identifies the quarantining
    peer for trace attribution (-1 for an external supervisor). *)
 let quarantine_as pool ~proc ~cause w =
   if w <= 0 || w >= pool.n_workers then invalid_arg "Pool.quarantine: bad worker";
@@ -644,16 +628,6 @@ let quarantine_as pool ~proc ~cause w =
     Atomic.incr pool.wgen.(w);
     if Atomic.get pool.stopped.(w) then Atomic.decr pool.crashed_pending;
     let held = Atomic.exchange pool.cur_task.(w) None in
-    (match held with
-     | Some task ->
-       Atomic.incr pool.live_tasks;
-       orphan_push pool task;
-       Registry.Counter.incr pool.obs.o_requeues;
-       flight_emit pool ~proc (Event.Task_requeued { worker = w });
-       if Tracer.enabled pool.tracer then
-         emit_locked pool ~proc (Event.Task_requeued { worker = w });
-       signal_work pool
-     | None -> ());
     let abandoned =
       match pool.policy with
       | Work_stealing ->
@@ -670,10 +644,22 @@ let quarantine_as pool ~proc ~cause w =
             true)
     in
     lineage_add pool { worker = w; cause; requeued = Option.is_some held; abandoned };
+    (* The requeue comes after the abandonment and the ledger entry: the
+       requeued task can complete the computation, so a [run] that
+       returns — and a [verify_lineage] or [respawn_worker] after it —
+       must find both done. *)
+    (match held with
+     | Some task ->
+       Atomic.incr pool.live_tasks;
+       orphan_push pool task;
+       Registry.Counter.incr pool.obs.o_requeues;
+       if rings_live pool then
+         note pool ~ts:(now_us pool) ~proc (Event.Task_requeued { worker = w });
+       signal_work pool
+     | None -> ());
     Registry.Counter.incr pool.obs.o_quarantines;
-    flight_emit pool ~proc (Event.Worker_quarantined { worker = w; cause });
-    if Tracer.enabled pool.tracer then
-      emit_locked pool ~proc (Event.Worker_quarantined { worker = w; cause });
+    if rings_live pool then
+      note pool ~ts:(now_us pool) ~proc (Event.Worker_quarantined { worker = w; cause });
     true
   end
   else false
@@ -753,13 +739,9 @@ let try_get pool w =
         let c = pool.per_worker.(w) in
         c.c_quota_giveups <- c.c_quota_giveups + 1;
         Registry.Counter.incr pool.obs.o_quota_giveups;
-        (if Flight.enabled pool.flight then
-           let quota = Atomic.get pool.dfd_quota in
-           flight_emit pool ~proc:w
-             (Event.Quota_exhausted { used = quota - pool.quota_left.(w); quota }));
-        if Tracer.enabled pool.tracer then begin
+        if rings_live pool then begin
           let quota = Atomic.get pool.dfd_quota in
-          emit_locked pool ~proc:w
+          note pool ~ts:(now_us pool) ~proc:w
             (Event.Quota_exhausted { used = quota - pool.quota_left.(w); quota })
         end;
         dfd_abandon pool w;
@@ -809,7 +791,8 @@ let help_once ?(top = false) pool w =
           let c = pool.per_worker.(w) in
           c.c_task_exns <- c.c_task_exns + 1;
           Registry.Counter.incr pool.obs.o_task_exns;
-          flight_emit pool ~proc:w (Event.Fault_injected { fault = "task_exn" }))
+          if rings_live pool then
+            note pool ~ts:(now_us pool) ~proc:w (Event.Fault_injected { fault = "task_exn" }))
      | None ->
        (* a quarantiner won the exchange: the task is requeued and this
           worker has been declared dead — unwind without running it *)
@@ -867,7 +850,8 @@ let fulfill pool pr f =
       let c = pool.per_worker.(w) in
       c.c_task_exns <- c.c_task_exns + 1;
       Registry.Counter.incr pool.obs.o_task_exns;
-      flight_emit pool ~proc:w (Event.Fault_injected { fault = "task_exn" });
+      if rings_live pool then
+        note pool ~ts:(now_us pool) ~proc:w (Event.Fault_injected { fault = "task_exn" });
       Failed e
   in
   Schedpoint.point Schedpoint.pool_fulfill;
@@ -990,8 +974,15 @@ let register_probes registry pool =
     "dfd_pool_sync_ops"
     (fun () -> sync_ops pool)
 
-let make ?(registry = Registry.disabled) ?(flight = Flight.disabled) ?(respawn_budget = 0)
+let make ?(registry = Registry.disabled) ?(flight = Tracer.disabled) ?(respawn_budget = 0)
     ~n_workers ~tracer ~fault policy =
+    List.iter
+      (fun (name, ring) ->
+        if Tracer.enabled ring && Tracer.lanes ring < n_workers + 1 then
+          invalid_arg
+            (Printf.sprintf "Pool.create: the %s ring needs n_workers + 1 = %d lanes, has %d"
+               name (n_workers + 1) (Tracer.lanes ring)))
+      [ ("tracer", tracer); ("flight", flight) ];
     (* the padded runs first, then one minor collection (the layout rule
        above) *)
     let sync_cells = padded_run n_workers (fun () -> ref 0) in
@@ -1038,7 +1029,6 @@ let make ?(registry = Registry.disabled) ?(flight = Flight.disabled) ?(respawn_b
       domains = [];
       rngs = Array.init n_workers (fun i -> Prng.create (1000 + i));
       tracer;
-      trace_lock = Mutex.create ();
       fault;
       obs = make_obs registry;
       flight;
@@ -1455,9 +1445,8 @@ let respawn_worker pool w =
          Atomic.decr pool.n_quarantined;
          lineage_add pool { worker = w; cause = "respawn"; requeued = false; abandoned = false };
          Registry.Counter.incr pool.obs.o_respawns;
-         flight_emit pool ~proc:w (Event.Worker_respawned { worker = w });
-         if Tracer.enabled pool.tracer then
-           emit_locked pool ~proc:w (Event.Worker_respawned { worker = w });
+         if rings_live pool then
+           note pool ~ts:(now_us pool) ~proc:w (Event.Worker_respawned { worker = w });
          pool.domains <- Domain.spawn (fun () -> worker_loop pool w) :: pool.domains;
          true
        end

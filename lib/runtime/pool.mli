@@ -32,8 +32,8 @@
       CAS discipline is itself measured, under both policies
       ({!sync_ops}, [dfd_pool_sync_ops]).  DESIGN.md §15 documents the MultiQueue and
       §16 the lock-free deque (CAS commit points, ABA and
-      memory-ordering audit); §10 the lock hierarchy, now [trace_lock]
-      only.
+      memory-ordering audit); §10 the lock hierarchy: no scheduling or
+      event-recording path takes a mutex.
 
     Fork-join is work-first: {!fork_join} pushes the left branch and runs
     the right inline; on return it pops the left branch back if nobody
@@ -79,7 +79,7 @@ val create :
   ?tracer:Dfd_trace.Tracer.t ->
   ?fault:Dfd_fault.Fault.t ->
   ?registry:Dfd_obs.Registry.t ->
-  ?flight:Dfd_obs.Flight.t ->
+  ?flight:Dfd_trace.Tracer.t ->
   ?respawn_budget:int ->
   policy ->
   t
@@ -91,10 +91,13 @@ val create :
     scheduler events — steal attempts/successes, quota exhaustions, deque
     lifecycle, one [Action_batch] per task.  Unlike the simulator, event
     timestamps are wall-clock microseconds since pool creation, so traces
-    export directly to Chrome/Perfetto at real-time scale.  Emits are
-    serialised by a dedicated trace lock (taken only when the tracer is
-    enabled — with tracing off the hot paths never read the clock), so
-    any tracer is safe to share.
+    export directly to Chrome/Perfetto at real-time scale.  One ring per
+    pool: it needs [n_workers + 1] = [domains + 2] lanes (worker [w]
+    writes lane [w], the caller being worker 0; external supervisors
+    write the last), so every emit is lock-free; never share a ring
+    between live pools.  With tracing off the hot paths never read the
+    clock.  Raises [Invalid_argument] if an enabled [tracer] or [flight]
+    has fewer than [n_workers + 1] lanes.
 
     [fault] (default {!Dfd_fault.Fault.none}): a seeded fault-injection
     plan for chaos testing.  The pool consults it at every steal attempt
@@ -114,11 +117,15 @@ val create :
     so pool incarnations respawned by a supervisor keep accumulating into
     the same series.
 
-    [flight] (default {!Dfd_obs.Flight.disabled}): always-on crash
-    forensics.  Rare events (steal successes, quota giveups, deque
-    lifecycle, injected faults, task exceptions) are recorded into
-    per-worker bounded rings that a supervisor dumps on [Timeout],
-    watchdog kill or give-up — without enabling full tracing.
+    [flight] (default {!Dfd_trace.Tracer.disabled}): always-on crash
+    forensics, typically [Tracer.create ~capacity:256 ~lanes:(domains + 2) ()].
+    Rare events (steal successes, quota giveups, deque lifecycle,
+    injected faults, task exceptions, crash-domain transitions) are
+    recorded into it — as into [tracer] — and a supervisor dumps it
+    ({!Dfd_trace.Tracer.write_file}) on [Timeout], watchdog kill or
+    give-up, without enabling full tracing.  Same lane rule as [tracer]:
+    one ring per pool, [n_workers + 1] lanes, never shared between live
+    pools.
 
     [respawn_budget] (default 0): how many quarantined worker slots
     {!respawn_worker} may refill with fresh domains over the pool's
@@ -334,9 +341,9 @@ val stats : t -> (string * int) list
 (** {!counters} flattened to association-list form for quick printing
     ([Dfd_obs.Registry.Snapshot.to_alist] over {!metrics_samples}). *)
 
-val flight : t -> Dfd_obs.Flight.t
+val flight : t -> Dfd_trace.Tracer.t
 (** The flight recorder passed at {!create}
-    ({!Dfd_obs.Flight.disabled} if none) — supervisors dump it on
+    ({!Dfd_trace.Tracer.disabled} if none) — supervisors dump it on
     wedge/timeout post-mortems. *)
 
 val snapshot : t -> string

@@ -3,7 +3,6 @@ module Tracer = Dfd_trace.Tracer
 module Event = Dfd_trace.Event
 module Registry = Dfd_obs.Registry
 module Openmetrics = Dfd_obs.Openmetrics
-module Flight = Dfd_obs.Flight
 module Headroom = Dfd_obs.Headroom
 module Stats = Dfd_structures.Stats
 
@@ -110,7 +109,6 @@ type cell =
 
 type epoch = {
   pool : Pool.t;
-  flight : Flight.t;  (** this incarnation's crash-forensics ring. *)
   cell : cell Atomic.t;
   retired : bool Atomic.t;
   mutable exec : unit Domain.t option;
@@ -283,14 +281,16 @@ let spawn_raw_epoch ?(fault = Dfd_fault.Fault.none) ~domains ~policy ~k0 ~regist
     ~respawn_budget () =
   let domains = max 0 domains in
   (* each incarnation gets a fresh flight ring (forensics belong to one
-     pool's lifetime) but shares the registry, whose upsert registration
-     keeps the dfd_pool_* series continuous across respawns *)
-  let flight = Flight.create ~lanes:(domains + 1) () in
+     pool's lifetime; read back through [Pool.flight]) but shares the
+     registry, whose upsert registration keeps the dfd_pool_* series
+     continuous across respawns.  One lane per worker — the caller slot
+     included — plus the last for this driver's quarantines. *)
+  let flight = Tracer.create ~capacity:256 ~lanes:(domains + 2) () in
   let pool =
     Pool.create ~domains ~fault ~registry ~flight ~respawn_budget
       (effective_policy ~policy ~k0)
   in
-  let ep = { pool; flight; cell = Atomic.make Idle; retired = Atomic.make false; exec = None } in
+  let ep = { pool; cell = Atomic.make Idle; retired = Atomic.make false; exec = None } in
   ep.exec <- Some (Domain.spawn (fun () -> executor_loop ep));
   ep
 
@@ -478,7 +478,8 @@ let flight_dump t ~reason =
   | Some dir ->
     let path = Filename.concat dir (Printf.sprintf "flight_%s_step%05d.json" reason t.clock) in
     let snapshot = try Pool.snapshot t.epoch.pool with _ -> "pool snapshot unavailable" in
-    (try Flight.write_file ~snapshot ~path ~reason t.epoch.flight with Sys_error _ -> ())
+    try Tracer.write_file ~snapshot ~path ~reason (Pool.flight t.epoch.pool)
+    with Sys_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Ledger bookkeeping                                                  *)

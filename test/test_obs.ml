@@ -1,12 +1,12 @@
 (* Tests for the telemetry plane (lib/obs): registry instruments under
    concurrent domains, snapshot determinism, OpenMetrics round-trips
-   through the Om_util parser (unit + property), flight-recorder ring
-   semantics and dump-on-deadlock, and the live Theorem-4.4 headroom
-   profiler checked differentially against [Oracle.thm44]. *)
+   through the Om_util parser (unit + property), and the live
+   Theorem-4.4 headroom profiler checked differentially against
+   [Oracle.thm44].  The flight-recorder ring is a [Tracer] and is tested
+   in test_trace. *)
 
 module Registry = Dfd_obs.Registry
 module Openmetrics = Dfd_obs.Openmetrics
-module Flight = Dfd_obs.Flight
 module Headroom = Dfd_obs.Headroom
 module Event = Dfd_trace.Event
 module Json = Dfd_trace.Json
@@ -22,7 +22,6 @@ open Prog
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
-let checks = Alcotest.(check string)
 
 (* ------------------------------------------------------------------ *)
 (* Registry instruments                                                *)
@@ -232,73 +231,6 @@ let openmetrics_roundtrip_prop =
         expect)
 
 (* ------------------------------------------------------------------ *)
-(* Flight recorder                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let test_flight_ring_wrap () =
-  let f = Flight.create ~capacity:4 ~lanes:2 () in
-  checkb "enabled" true (Flight.enabled f);
-  for i = 0 to 9 do
-    Flight.recordk f ~lane:0 ~ts:i ~proc:0 ~tid:0 (Event.Action_batch { units = 1 })
-  done;
-  checki "recorded counts everything" 10 (Flight.recorded f);
-  checki "dropped = overwritten" 6 (Flight.dropped f);
-  let evs = Flight.events f in
-  checki "ring keeps capacity" 4 (List.length evs);
-  checkb "survivors are the newest" true
-    (List.map (fun e -> e.Event.ts) evs = [ 6; 7; 8; 9 ])
-
-let test_flight_merge_order () =
-  let f = Flight.create ~capacity:8 ~lanes:2 () in
-  List.iter (fun ts -> Flight.recordk f ~lane:0 ~ts ~proc:0 ~tid:0 Event.Dummy_exec) [ 1; 3; 5 ];
-  List.iter (fun ts -> Flight.recordk f ~lane:1 ~ts ~proc:1 ~tid:0 Event.Dummy_exec) [ 2; 4 ];
-  checkb "lanes merge sorted by ts" true
-    (List.map (fun e -> e.Event.ts) (Flight.events f) = [ 1; 2; 3; 4; 5 ]);
-  (* out-of-range lanes clamp, never raise *)
-  Flight.recordk f ~lane:99 ~ts:6 ~proc:0 ~tid:0 Event.Dummy_exec;
-  checki "clamped lane recorded" 6 (Flight.recorded f)
-
-let test_flight_disabled () =
-  let f = Flight.disabled in
-  checkb "disabled" false (Flight.enabled f);
-  Flight.recordk f ~lane:0 ~ts:1 ~proc:0 ~tid:0 Event.Dummy_exec;
-  checki "record inert" 0 (Flight.recorded f);
-  checkb "no events" true (Flight.events f = [])
-
-let test_flight_dump_on_deadlock () =
-  (* Classic ABBA deadlock (same program as test_core): the engine dies
-     with [Engine.Deadlock], after which the flight ring must still dump
-     a parseable artifact holding the run's last moments. *)
-  let prog =
-    finish
-      (par
-         (lock 0 >> work 5 >> lock 1 >> work 1 >> unlock 1 >> unlock 0)
-         (lock 1 >> work 5 >> lock 0 >> work 1 >> unlock 0 >> unlock 1))
-  in
-  let flight = Flight.create ~capacity:64 ~lanes:3 () in
-  checkb "deadlock raised" true
-    (try
-       ignore (Engine.run ~sched:`Dfdeques ~flight (Config.analysis ~p:2 ()) prog);
-       false
-     with Engine.Deadlock _ -> true);
-  checkb "ring captured the run" true (Flight.recorded flight > 0);
-  let path = Filename.temp_file "dfd_flight" ".json" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Flight.write_file ~path ~reason:"deadlock" flight;
-      let ic = open_in_bin path in
-      let text = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let j = Json.of_string text in
-      let fl = Json.member "flight" j in
-      checks "reason recorded" "deadlock" (Json.to_string_exn (Json.member "reason" fl));
-      let events = Json.to_list_exn (Json.member "events" fl) in
-      checkb "events survive to the artifact" true (events <> []);
-      checki "artifact agrees with the live ring" (List.length (Flight.events flight))
-        (List.length events))
-
-(* ------------------------------------------------------------------ *)
 (* Headroom profiler                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -436,13 +368,6 @@ let () =
       ( "openmetrics",
         [ Alcotest.test_case "roundtrip" `Quick test_openmetrics_roundtrip_unit ]
         @ qsuite [ openmetrics_roundtrip_prop ] );
-      ( "flight",
-        [
-          Alcotest.test_case "ring wrap" `Quick test_flight_ring_wrap;
-          Alcotest.test_case "lane merge order" `Quick test_flight_merge_order;
-          Alcotest.test_case "disabled is inert" `Quick test_flight_disabled;
-          Alcotest.test_case "dump on deadlock" `Quick test_flight_dump_on_deadlock;
-        ] );
       ( "headroom",
         [
           Alcotest.test_case "budget arithmetic" `Quick test_headroom_budget_arithmetic;

@@ -1,6 +1,8 @@
-(* Tests for the tracing subsystem: JSON round-trips, ring-buffer
-   behaviour, engine determinism at the event-stream level, and the Chrome
-   trace export. *)
+(* Tests for the tracing subsystem: JSON round-trips, the laned event
+   ring in both its retentions (full trace and crash-forensics flight
+   ring, including the dump on deadlock), engine determinism at the
+   event-stream level, native-pool tracing, and the Chrome trace
+   export. *)
 
 module Json = Dfd_trace.Json
 module Event = Dfd_trace.Event
@@ -8,10 +10,14 @@ module Tracer = Dfd_trace.Tracer
 module Chrome = Dfd_trace.Chrome
 module Engine = Dfdeques_core.Engine
 module Config = Dfd_machine.Config
+module Pool = Dfd_runtime.Pool
+module Fault = Dfd_fault.Fault
+module Stats = Dfd_structures.Stats
 
 let check = Alcotest.check
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
+let checks = Alcotest.(check string)
 
 (* ------------------------------------------------------------------ *)
 (* Json                                                                *)
@@ -137,20 +143,31 @@ let event_roundtrip_prop =
 (* Tracer ring buffer                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let test_tracer_disabled () =
-  checkb "disabled" false (Tracer.enabled Tracer.disabled);
-  Tracer.emit Tracer.disabled ~ts:1 ~proc:0 ~tid:0 Event.Dummy_exec;
-  checki "no events" 0 (Tracer.length Tracer.disabled);
-  checki "no totals" 0 (Tracer.total Tracer.disabled)
+(* Every ring test takes its ring as input: the one-lane full-trace
+   tracer and the multi-lane flight ring are the same structure. *)
 
-let test_tracer_ring () =
-  let tr = Tracer.create ~capacity:4 () in
+let test_disabled tr () =
+  checkb "disabled" false (Tracer.enabled tr);
+  Tracer.emit tr ~ts:1 ~proc:0 ~tid:0 Event.Dummy_exec;
+  checki "no events" 0 (Tracer.length tr);
+  checki "no totals" 0 (Tracer.total tr);
+  checkb "no events listed" true (Tracer.events tr = [])
+
+(* The default flight ring of a pool created without one. *)
+let pool_flight () =
+  let pool = Pool.create ~domains:0 Pool.Work_stealing in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> Pool.flight pool)
+
+let test_ring_overflow ~lanes () =
+  let tr = Tracer.create ~capacity:4 ~lanes () in
+  checkb "enabled" true (Tracer.enabled tr);
   for i = 1 to 10 do
     Tracer.emit tr ~ts:i ~proc:0 ~tid:0 (Event.Action_batch { units = i })
   done;
   checki "length capped" 4 (Tracer.length tr);
   checki "dropped" 6 (Tracer.dropped tr);
   checki "total" 10 (Tracer.total tr);
+  checki "ring keeps capacity" 4 (List.length (Tracer.events tr));
   (* retained events are the newest, oldest first *)
   check
     Alcotest.(list int)
@@ -161,6 +178,60 @@ let test_tracer_ring () =
   Tracer.clear tr;
   checki "cleared" 0 (Tracer.length tr);
   checki "cleared totals" 0 (Tracer.total tr)
+
+(* Procs 0 and 1 emit interleaved timestamps.  One lane keeps emission
+   order; with two lanes the merge sorts by timestamp.  Out-of-range
+   procs land in the last lane, never raise. *)
+let test_merge_order ~lanes () =
+  let tr = Tracer.create ~capacity:8 ~lanes () in
+  List.iter (fun ts -> Tracer.emit tr ~ts ~proc:0 ~tid:0 Event.Dummy_exec) [ 1; 3; 5 ];
+  List.iter (fun ts -> Tracer.emit tr ~ts ~proc:1 ~tid:0 Event.Dummy_exec) [ 2; 4 ];
+  check
+    Alcotest.(list int)
+    "merge order"
+    (if lanes = 1 then [ 1; 3; 5; 2; 4 ] else [ 1; 2; 3; 4; 5 ])
+    (List.map (fun e -> e.Event.ts) (Tracer.events tr));
+  Tracer.emit tr ~ts:6 ~proc:99 ~tid:0 Event.Dummy_exec;
+  Tracer.emit tr ~ts:7 ~proc:(-1) ~tid:0 Event.Dummy_exec;
+  checki "clamped lanes recorded" 7 (Tracer.total tr);
+  checkb "clamped events listed last, in order" true
+    (match List.rev (Tracer.events tr) with
+     | e7 :: e6 :: _ -> e7.Event.ts = 7 && e6.Event.ts = 6
+     | _ -> false)
+
+let test_dump_on_deadlock () =
+  (* Classic ABBA deadlock (same program as test_core): the engine dies
+     with [Engine.Deadlock], after which the flight ring must still dump
+     a parseable artifact holding the run's last moments. *)
+  let prog =
+    Dfd_dag.Prog.(
+      finish
+        (par
+           (lock 0 >> work 5 >> lock 1 >> work 1 >> unlock 1 >> unlock 0)
+           (lock 1 >> work 5 >> lock 0 >> work 1 >> unlock 0 >> unlock 1)))
+  in
+  let flight = Tracer.create ~capacity:64 ~lanes:3 () in
+  checkb "deadlock raised" true
+    (try
+       ignore (Engine.run ~sched:`Dfdeques ~flight (Config.analysis ~p:2 ()) prog);
+       false
+     with Engine.Deadlock _ -> true);
+  checkb "ring captured the run" true (Tracer.total flight > 0);
+  let path = Filename.temp_file "dfd_flight" ".json" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Tracer.write_file ~path ~reason:"deadlock" flight;
+      let ic = open_in_bin path in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let j = Json.of_string text in
+      let fl = Json.member "flight" j in
+      checks "reason recorded" "deadlock" (Json.to_string_exn (Json.member "reason" fl));
+      let events = Json.to_list_exn (Json.member "events" fl) in
+      checkb "events survive to the artifact" true (events <> []);
+      checki "artifact agrees with the live ring" (List.length (Tracer.events flight))
+        (List.length events))
 
 (* ------------------------------------------------------------------ *)
 (* Engine determinism at event granularity                             *)
@@ -223,6 +294,99 @@ let test_counter_convention () =
     (Tracer.events tr)
 
 (* ------------------------------------------------------------------ *)
+(* Native pool tracing                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let rec fib n =
+  if n < 2 then n
+  else
+    let a, b = Pool.fork_join (fun () -> fib (n - 1)) (fun () -> fib (n - 2)) in
+    a + b
+
+let check_procs ~n_workers evs =
+  List.iter
+    (fun (e : Event.t) ->
+      checkb "proc in [-1, n_workers)" true (e.proc >= -1 && e.proc < n_workers))
+    evs
+
+(* A traced p=2 fib on a ring small enough to overflow: the per-kind
+   counts, exact after overwrites, must equal the pool's own counters. *)
+let test_pool_tracing policy () =
+  let domains = 1 in
+  let tracer = Tracer.create ~capacity:64 ~lanes:(domains + 2) () in
+  let pool = Pool.create ~domains ~tracer policy in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () -> checki "fib 18" 2584 (Pool.run pool (fun () -> fib 18)));
+  (* the worker domains have joined: the ring is quiescent *)
+  let c = Pool.counters pool in
+  checkb "ring overflowed" true (Tracer.dropped tracer > 0);
+  checki "one Action_batch per task run" c.Pool.tasks_run
+    (Tracer.count tracer (Event.Action_batch { units = 0 }));
+  checki "one Steal_success per steal" c.Pool.steals
+    (Tracer.count tracer (Event.Steal_success { victim = 0; latency = 0 }));
+  (match policy with
+   | Pool.Dfdeques _ ->
+     checki "one Steal_rank per rank-error sample"
+       (Stats.Histogram.count (Pool.rank_error pool))
+       (Tracer.count tracer (Event.Steal_rank { victim = 0; rank = 0; err = 0 }))
+   | Pool.Work_stealing -> ());
+  let evs = Tracer.events tracer in
+  check_procs ~n_workers:(domains + 1) evs;
+  let ts = List.map (fun (e : Event.t) -> e.ts) evs in
+  checkb "events sorted by ts" true (List.sort compare ts = ts)
+
+(* A supervisor that is not a worker (here the test thread) records on
+   the last lane.  Worker 1 wedges on its first take; its last event is
+   the wedge fault.  The test thread then quarantines it.  With one slot
+   per lane, both events must survive: when external writes wrapped into
+   worker n_workers - 1's lane, as on a flight ring of n_workers lanes,
+   the quarantine overwrote the wedge.  Such a ring is now refused. *)
+let test_external_lane () =
+  let n_workers = 2 in
+  checkb "a ring without an external lane is refused" true
+    (match
+       Pool.create ~domains:(n_workers - 1)
+         ~flight:(Tracer.create ~capacity:1 ~lanes:n_workers ())
+         Pool.Work_stealing
+     with
+     | pool ->
+       Pool.shutdown pool;
+       false
+     | exception Invalid_argument _ -> true);
+  let fault =
+    Fault.create ~rates:{ Fault.zero_rates with Fault.worker_wedge = Some 1 } ~seed:11 ()
+  in
+  let flight = Tracer.create ~capacity:1 ~lanes:(n_workers + 1) () in
+  let pool = Pool.create ~domains:(n_workers - 1) ~fault ~flight Pool.Work_stealing in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      (* rerun until worker 1 has stolen, and so wedged: the caller then
+         waits on the stolen task until the timeout *)
+      let wedged () = List.assoc "worker_wedge" (Fault.counts fault) > 0 in
+      let rounds = ref 0 in
+      while (not (wedged ())) && !rounds < 50 do
+        incr rounds;
+        try ignore (Pool.run ~timeout:0.2 pool (fun () -> fib 20)) with Pool.Timeout -> ()
+      done;
+      checkb "worker 1 wedged" true (wedged ());
+      checkb "external quarantine" true (Pool.quarantine pool (n_workers - 1)));
+  let evs = Tracer.events flight in
+  check_procs ~n_workers evs;
+  checkb "worker n_workers - 1's wedge survives" true
+    (List.exists
+       (fun (e : Event.t) ->
+         e.proc = n_workers - 1 && e.kind = Event.Fault_injected { fault = "worker_wedge" })
+       evs);
+  checkb "the external quarantine survives" true
+    (List.exists
+       (fun (e : Event.t) ->
+         e.proc = -1
+         && e.kind = Event.Worker_quarantined { worker = n_workers - 1; cause = "wedge" })
+       evs)
+
+(* ------------------------------------------------------------------ *)
 (* Chrome export                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -267,8 +431,24 @@ let () =
         @ qsuite [ event_roundtrip_prop ] );
       ( "tracer",
         [
-          Alcotest.test_case "disabled is inert" `Quick test_tracer_disabled;
-          Alcotest.test_case "ring overflow" `Quick test_tracer_ring;
+          Alcotest.test_case "disabled is inert" `Quick (test_disabled Tracer.disabled);
+          Alcotest.test_case "ring overflow" `Quick (test_ring_overflow ~lanes:1);
+          Alcotest.test_case "one lane keeps emission order" `Quick (test_merge_order ~lanes:1);
+        ] );
+      ( "flight",
+        [
+          Alcotest.test_case "ring wrap" `Quick (test_ring_overflow ~lanes:2);
+          Alcotest.test_case "lane merge order" `Quick (test_merge_order ~lanes:2);
+          Alcotest.test_case "disabled is inert" `Quick (fun () ->
+              test_disabled (pool_flight ()) ());
+          Alcotest.test_case "dump on deadlock" `Quick test_dump_on_deadlock;
+        ] );
+      ( "pool",
+        [
+          Alcotest.test_case "WS traced fib" `Quick (test_pool_tracing Pool.Work_stealing);
+          Alcotest.test_case "DFD traced fib" `Quick
+            (test_pool_tracing (Pool.Dfdeques { quota = 4096 }));
+          Alcotest.test_case "external writer keeps its own lane" `Quick test_external_lane;
         ] );
       ( "engine",
         [

@@ -1,8 +1,9 @@
 (* Schema checker for the `repro metrics` artifacts: the OpenMetrics v1
-   text exposition and the JSON registry snapshot of the same run.
-   Structural and cross-consistency checks only — never timing — so CI
-   can gate on it from any hardware.  Byte-determinism across runs is
-   checked separately with cmp.  Usage: validate_metrics TEXT JSON *)
+   text exposition and the JSON registry snapshot of the same run, and
+   optionally its flight-recorder dump.  Structural and
+   cross-consistency checks only — never timing — so CI can gate on it
+   from any hardware.  Byte-determinism across runs is checked
+   separately with cmp.  Usage: validate_metrics TEXT JSON [FLIGHT] *)
 
 module Json = Dfd_trace.Json
 
@@ -20,10 +21,11 @@ let base_family points name =
   | _ -> name
 
 let () =
-  let text_path, json_path =
+  let text_path, json_path, flight_path =
     match Sys.argv with
-    | [| _; t; j |] -> (t, j)
-    | _ -> fail "usage: validate_metrics TEXT JSON"
+    | [| _; t; j |] -> (t, j, None)
+    | [| _; t; j; f |] -> (t, j, Some f)
+    | _ -> fail "usage: validate_metrics TEXT JSON [FLIGHT]"
   in
   let om =
     try Om_util.parse (Json_util.read_file text_path) with Failure m -> fail "%s: %s" text_path m
@@ -144,4 +146,35 @@ let () =
   Printf.printf "validate_metrics: %s / %s ok (%d families, %d points, %d cross-checked)\n"
     text_path json_path
     (List.length om.Om_util.families)
-    (List.length om.Om_util.points) !checked
+    (List.length om.Om_util.points) !checked;
+  (* the flight dump: every key present, every event decodable, and —
+     the simulator being single-threaded — exactly the retained events *)
+  Option.iter
+    (fun path ->
+      let fl =
+        try Json.member "flight" (Json_util.parse_file path)
+        with _ -> fail "%s: no flight object" path
+      in
+      let int k =
+        try Json.to_int_exn (Json.member k fl) with _ -> fail "%s: flight.%s not an int" path k
+      in
+      (try ignore (Json.to_string_exn (Json.member "reason" fl))
+       with _ -> fail "%s: flight.reason not a string" path);
+      let lanes = int "lanes" and capacity = int "capacity" in
+      let recorded = int "recorded" and dropped = int "dropped" in
+      let events =
+        try Json.to_list_exn (Json.member "events" fl)
+        with _ -> fail "%s: flight.events not a list" path
+      in
+      if lanes <= 0 || capacity <= 0 then fail "%s: flight lanes/capacity not positive" path;
+      if List.length events <> recorded - dropped then
+        fail "%s: %d events, but recorded - dropped = %d" path (List.length events)
+          (recorded - dropped);
+      List.iteri
+        (fun i e ->
+          try ignore (Dfd_trace.Event.of_json e)
+          with _ -> fail "%s: flight.events[%d] does not decode" path i)
+        events;
+      Printf.printf "validate_metrics: %s ok (%d lanes x %d, %d events)\n" path lanes capacity
+        (List.length events))
+    flight_path
