@@ -157,7 +157,7 @@ let pool_totals ~domains ~policy prog =
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () -> Pool.run pool (fun () -> exec_thread tot prog));
-  (tot, Pool.For_testing.live_tasks pool)
+  (tot, Pool.For_testing.queued pool)
 
 let serial_totals prog =
   let tot = mk_totals () in

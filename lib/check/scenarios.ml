@@ -503,10 +503,9 @@ let pool_scenario ~name ~descr ~policy ~leaf =
         let oracle () =
           if !result <> fib depth then
             Error (Printf.sprintf "fib %d = %d, expected %d" depth !result (fib depth))
-          else if Pool.For_testing.live_tasks pool <> 0 then
+          else if Pool.For_testing.queued pool <> 0 then
             Error
-              (Printf.sprintf "%d task(s) leaked in the pool"
-                 (Pool.For_testing.live_tasks pool))
+              (Printf.sprintf "%d task(s) leaked in the pool" (Pool.For_testing.queued pool))
           else begin
             let c = Pool.counters pool in
             let expect = forks_of_fib depth in
@@ -595,10 +594,9 @@ let pool_crash_scenario ~name ~descr ~policy ~trigger =
           let crashed = List.assoc "worker_crash" (Fault.counts fault) in
           if !result <> fib depth then
             Error (Printf.sprintf "fib %d = %d, expected %d" depth !result (fib depth))
-          else if Pool.For_testing.live_tasks pool <> 0 then
+          else if Pool.For_testing.queued pool <> 0 then
             Error
-              (Printf.sprintf "%d task(s) leaked in the pool"
-                 (Pool.For_testing.live_tasks pool))
+              (Printf.sprintf "%d task(s) leaked in the pool" (Pool.For_testing.queued pool))
           else begin
             let c = Pool.counters pool in
             let expect = forks_of_fib depth in
@@ -649,6 +647,60 @@ let pool_crash_dfd =
     ~policy:(Pool.Dfdeques { quota = 32 })
     ~trigger:2
 
+(* The idle wake-up handshake.  Thread 0 plays worker 0 and pushes one
+   or two tasks as a fork does (publish, then read [n_parked]); thread 1
+   takes one parking step.  No task is ever taken, so whatever was pushed
+   is still queued when the oracle runs.  A lost wake-up is the parker
+   deciding to sleep while a task is queued and no signal was sent.  The
+   policy is drawn per iteration, so the scan covers both the WS deque
+   array and, under DFDeques, a deque the push first inserts into R. *)
+let park_scenario ~name ~descr ~step =
+  {
+    Explore.name;
+    descr;
+    n_threads = 2;
+    approx_steps = 30;
+    prepare =
+      (fun rng ->
+        let policy =
+          if Prng.int rng 2 = 0 then Pool.Work_stealing else Pool.Dfdeques { quota = 32 }
+        in
+        let n_push = 1 + Prng.int rng 2 in
+        let pool = Pool.For_testing.create_detached ~workers:2 policy in
+        let verdict = ref `Found_work in
+        let body i =
+          if i = 0 then
+            for _ = 1 to n_push do
+              Pool.For_testing.push pool 0 ignore
+            done
+          else verdict := step pool
+        in
+        let oracle () =
+          let queued = Pool.For_testing.queued pool in
+          match !verdict with
+          | `Would_sleep when queued > 0 && Pool.For_testing.wakeups pool = 0 ->
+            Error
+              (Printf.sprintf
+                 "lost wake-up: the parker would sleep with %d task(s) queued and no signal \
+                  sent"
+                 queued)
+          | `Would_sleep | `Found_work -> Ok ()
+        in
+        (body, oracle));
+  }
+
+let pool_park =
+  park_scenario ~name:"pool_park"
+    ~descr:"native pool: announce-then-scan parking racing a push, no lost wake-up"
+    ~step:Pool.For_testing.park_step
+
+(* The planted bug: Buggy_park scans before it announces.  The explorer
+   must find the lost wake-up. *)
+let pool_park_buggy =
+  park_scenario ~name:"pool_park_buggy"
+    ~descr:"deliberately misordered parking (scan, then announce): explorer must find it"
+    ~step:Buggy_park.park_step
+
 (* ------------------------------------------------------------------ *)
 
 let all =
@@ -664,10 +716,11 @@ let all =
     pool_dfd;
     pool_crash_ws;
     pool_crash_dfd;
+    pool_park;
   ]
 
 let buggy = lfdeque_buggy
 
-let catalogue = multiq_buggy :: lfdeque_buggy :: all
+let catalogue = multiq_buggy :: lfdeque_buggy :: pool_park_buggy :: all
 
 let find name = List.find_opt (fun s -> s.Explore.name = name) catalogue

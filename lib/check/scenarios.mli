@@ -56,6 +56,16 @@ val pool_crash_dfd : Explore.scenario
     has usually run a task — quarantine must also abandon and reap the
     dead owner's R-list deque via the death-certificate protocol. *)
 
+val pool_park : Explore.scenario
+(** The idle wake-up handshake: a push (publish, then read [n_parked])
+    racing one announce-then-scan parking step, under a policy drawn per
+    iteration.  Fails if the parker would sleep while a task is queued
+    and no signal was sent. *)
+
+val pool_park_buggy : Explore.scenario
+(** The same race over {!Buggy_park} (scan, then announce); the explorer
+    is expected to {e fail} this one.  Excluded from {!all}. *)
+
 val multiq_buggy : Explore.scenario
 (** Drives {!Buggy_multiq} (torn membership on remove); the explorer is
     expected to {e fail} this one.  Excluded from {!all}. *)

@@ -21,7 +21,9 @@ exception Cancelled
    worker loop without running anything else.  Never escapes the pool. *)
 exception Worker_stop
 
-type task = unit -> unit
+(* A queued task; its argument is the worker that runs it, so the task
+   can charge its own synchronization ops to that worker's cell. *)
+type task = int -> unit
 
 type policy = Work_stealing | Dfdeques of { quota : int }
 
@@ -145,10 +147,6 @@ type t = {
           (quota refill), so adjustment costs one atomic store and no
           locks. *)
   (* --- shared scheduling state -------------------------------------- *)
-  live_tasks : int Atomic.t;
-      (** tasks pushed but not yet taken; the middle cell of [live_run]
-          (see {!padded_run}). *)
-  live_run : int Atomic.t array;  (** keeps [live_tasks]'s padding alive. *)
   per_worker : wcounters array;
   sync_cells : int ref array;
       (** synchronization ops (atomic RMWs and publishing stores, CAS
@@ -165,11 +163,14 @@ type t = {
   idle_lock : Mutex.t;
   idle_cond : Condition.t;
   n_parked : int Atomic.t;
-      (** atomic (not merely under [idle_lock]): the parker's
-          [incr n_parked]/[read live_tasks] and the pusher's
-          [incr live_tasks]/[read n_parked] form a Dekker pair, so both
-          sides must be sequentially consistent for wake-ups to be
-          lossless. *)
+      (** workers announced as about to sleep.  Atomic (not merely under
+          [idle_lock]): the parker's [incr n_parked]-then-scan and the
+          pusher's publish-then-[read n_parked] must both be sequentially
+          consistent for wake-ups to be lossless (see {!park}).  Pushers
+          only read it. *)
+  wakeups : int Atomic.t;
+      (** wake-up signals sent: pushes (or requeues) that saw a parked
+          worker.  Written only on that slow path. *)
   shutting_down : bool Atomic.t;
   mutable domains : unit Domain.t list;
   rngs : Prng.t array;  (** per worker; only touched by its own worker. *)
@@ -341,39 +342,78 @@ let injected_steal_failure pool w =
 (* ------------------------------------------------------------------ *)
 
 (* Wake at most one parked worker.  The pusher has already published the
-   task and incremented [live_tasks] (both SC), so either the parker's
-   re-check sees the work, or this read sees the parker — a wake-up can
-   never be lost between the two.  Signalling one worker instead of
-   broadcasting avoids the thundering herd the old single [Condition]
-   produced: p-1 sleepers stampeding the lock for one task. *)
+   task (an SC store), so either the parker's scan, which follows its SC
+   announce, sees the task, or this read sees the announce — a wake-up can
+   never be lost between the two (see {!park}).  Signalling one worker
+   instead of broadcasting avoids the thundering herd the old single
+   [Condition] produced: p-1 sleepers stampeding the lock for one task. *)
 let signal_work pool =
+  Schedpoint.point Schedpoint.pool_signal;
   if Atomic.get pool.n_parked > 0 then begin
+    Atomic.incr pool.wakeups;
     Mutex.lock pool.idle_lock;
     Condition.signal pool.idle_cond;
     Mutex.unlock pool.idle_lock
   end
 
-let park pool w =
-  let c = pool.per_worker.(w) in
-  c.c_parks <- c.c_parks + 1;
-  Registry.Counter.incr pool.obs.o_parks;
-  Mutex.lock pool.idle_lock;
+(* Whether any task sits where a worker could take it: the orphan stack,
+   then every WS deque or every live R member's deque.  Reads only (two
+   atomic loads per deque), allocates nothing. *)
+let work_queued pool =
+  Atomic.get pool.orphans <> []
+  ||
+  match pool.policy with
+  | Work_stealing -> Array.exists (fun q -> not (Lfdeque.is_empty q)) pool.ws_deques
+  | Dfdeques _ -> Multiq.exists (fun d -> not (Lfdeque.is_empty d.tasks)) pool.r
+
+(* A parked worker's reasons to get up.  A pending crash certificate
+   counts: the crasher broadcasts, and the woken worker must
+   scan-and-quarantine, since the held task is not queued anywhere until
+   a quarantiner requeues it. *)
+let idle_over pool =
+  work_queued pool || Atomic.get pool.shutting_down || Atomic.get pool.crashed_pending > 0
+
+(* The parker's half of the wake-up handshake: announce, then scan.
+   Every push publishes its task and then reads [n_parked]
+   ([signal_work]).  OCaml atomics are SC, so if this scan misses the
+   task, the scan's read came before the publishing store, the announce
+   before that, and the pusher's later read of [n_parked] sees the
+   announce and signals.  Scanning before announcing would let both
+   sides miss each other.  [`Found_work] withdraws the announce;
+   [`Would_sleep] leaves it for the caller's wait. *)
+let announce_and_scan pool =
   Atomic.incr pool.n_parked;
-  (* a pending crash certificate also ends the nap: the crasher
-     broadcasts, and the woken worker must scan-and-quarantine (the
-     requeued task is not yet in [live_tasks]) *)
-  while
-    Atomic.get pool.live_tasks = 0
-    && (not (Atomic.get pool.shutting_down))
-    && Atomic.get pool.crashed_pending = 0
-  do
-    Condition.wait pool.idle_cond pool.idle_lock
-  done;
-  Atomic.decr pool.n_parked;
+  Schedpoint.point Schedpoint.pool_park;
+  if idle_over pool then begin
+    Atomic.decr pool.n_parked;
+    `Found_work
+  end
+  else `Would_sleep
+
+(* Sleep until work is queued (or shutdown, or a crash).  The lock makes
+   the signal wait for the sleeper: a pusher that saw the announce takes
+   [idle_lock] to signal, which it can only do once this worker is inside
+   [Condition.wait].  The scan is repeated before every wait, so a
+   spurious or stolen wake-up just sleeps again.  [pool_park] is the one
+   yield point inside a held mutex; controlled threads only reach it
+   through [For_testing.park_step], which takes no lock. *)
+let park pool w =
+  Mutex.lock pool.idle_lock;
+  (match announce_and_scan pool with
+   | `Found_work -> ()
+   | `Would_sleep ->
+     let c = pool.per_worker.(w) in
+     c.c_parks <- c.c_parks + 1;
+     Registry.Counter.incr pool.obs.o_parks;
+     Condition.wait pool.idle_cond pool.idle_lock;
+     while not (idle_over pool) do
+       Condition.wait pool.idle_cond pool.idle_lock
+     done;
+     Atomic.decr pool.n_parked);
   Mutex.unlock pool.idle_lock
 
 (* ------------------------------------------------------------------ *)
-(* Padded cells: the per-worker sync-op counts and [live_tasks]         *)
+(* Padded cells: the per-worker sync-op counts                         *)
 (* ------------------------------------------------------------------ *)
 
 (* Layout rule for a 1-field block that some worker writes on every
@@ -381,12 +421,9 @@ let park pool w =
    reads on every operation, within 128 bytes of it (the span an
    adjacent-line prefetcher pulls in as a pair).  Otherwise each write
    sends the line back and forth between the cores.  Measured with
-   fork-join fib at p = 2 on a 2-core x86-64 host:
-   - one unpadded sync-op ref per worker, allocated back to back, made
-     WS about 25% slower than with the refs apart;
-   - [live_tasks], promoted next to [n_parked] (16 bytes apart, and
-     every push reads [n_parked]), made WS 15-25% slower than with it
-     apart.
+   fork-join fib at p = 2 on a 2-core x86-64 host: one unpadded sync-op
+   ref per worker, allocated back to back, made WS about 25% slower than
+   with the refs apart.
    OCaml 5's major heap keeps each block size in pools of its own, so
    padding separates two refs or atomics only if it is the same size:
    each cell is the middle block of its own run of [pad_stride] blocks.
@@ -578,7 +615,8 @@ let rec lineage_add pool entry =
    read by any peer also publishes the task and every plain write this
    worker made before it.  The broadcast wakes parked peers — the
    certificate must be noticed even on an otherwise idle pool, and the
-   requeued task is not yet counted in [live_tasks]. *)
+   held task is queued nowhere a parker's scan could see it until a
+   quarantiner requeues it. *)
 let worker_crash pool w =
   if rings_live pool then
     note pool ~ts:(now_us pool) ~proc:w (Event.Fault_injected { fault = "worker_crash" });
@@ -650,7 +688,6 @@ let quarantine_as pool ~proc ~cause w =
        must find both done. *)
     (match held with
      | Some task ->
-       Atomic.incr pool.live_tasks;
        orphan_push pool task;
        Registry.Counter.incr pool.obs.o_requeues;
        if rings_live pool then
@@ -679,11 +716,10 @@ let scan_crashed pool ~proc =
 (* Obtaining work                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Publish, then read [n_parked]: the pusher's half of the wake-up
+   handshake ({!park}).  No shared write beyond the owner's own deque. *)
 let push_local pool w task =
   Schedpoint.point Schedpoint.pool_push;
-  (* [live_tasks] rises before the task is visible, so a worker that sees
-     zero can safely park: any task not yet pushed will signal it. *)
-  Atomic.incr pool.live_tasks;
   let tasks =
     match pool.policy with
     | Work_stealing -> pool.ws_deques.(w)
@@ -693,8 +729,7 @@ let push_local pool w task =
   signal_work pool
 
 (* One attempt to obtain a task; lock-free on every path — WS and DFD
-   both go through CAS-only deques.  Does not touch [live_tasks];
-   callers do. *)
+   both go through CAS-only deques. *)
 let try_get pool w =
   Schedpoint.point Schedpoint.pool_get;
   (* activity tick: single-writer; the clock wedge detection reads *)
@@ -759,7 +794,7 @@ let try_get pool w =
             dfd_steal pool w)
       | None -> dfd_steal pool w))
 
-let run_task t = t ()
+let run_task w t = t w
 
 (* Grab one task and run it; returns false if none was found.  A task that
    escapes an exception must never tear down the worker that happened to
@@ -769,10 +804,12 @@ let run_task t = t ()
 let help_once ?(top = false) pool w =
   match try_get pool w with
   | Some t ->
-    Atomic.decr pool.live_tasks;
     (* publish the held task before anything can kill us: a quarantiner
-       that reads our certificate is guaranteed to see it *)
+       that reads our certificate is guaranteed to see it.  This store and
+       the exchange below are the take path's two sync ops. *)
     Atomic.set pool.cur_task.(w) (Some t);
+    let ops = sync_cell pool w in
+    ops := !ops + 2;
     (* seeded crash/wedge injection — top-of-loop takes by worker domains
        only, so a dying worker holds exactly one unstarted task and
        nothing else in flight (the caller and nested helping takes are
@@ -786,7 +823,7 @@ let help_once ?(top = false) pool w =
     (match Atomic.exchange pool.cur_task.(w) None with
      | Some t' ->
        note_task_start pool w;
-       (try run_task t'
+       (try run_task w t'
         with _ ->
           let c = pool.per_worker.(w) in
           c.c_task_exns <- c.c_task_exns + 1;
@@ -805,13 +842,16 @@ let help_once ?(top = false) pool w =
    same lock-free discipline: owner pop, and a pop that surfaces some
    other task (possible only if ours was stolen) is pushed straight
    back — the push-back is safe because only the owner pops its own
-   deque, so nothing was reordered underneath it. *)
+   deque, so nothing was reordered underneath it.  The task was queued
+   nowhere between the pop and the push-back, so a worker may have
+   parked in that window: the push-back signals like any push. *)
 let pop_back pool w tasks task =
   let ops = sync_cell pool w in
   match Lfdeque.pop ~ops tasks with
   | Some t when t == task -> true
   | Some other ->
     Lfdeque.push ~ops tasks other;
+    signal_work pool;
     false
   | None -> false
 
@@ -825,10 +865,7 @@ let try_pop_exact pool w task =
         | None -> false
         | Some e -> pop_back pool w (Multiq.value e).tasks task)
   in
-  if got then begin
-    Atomic.decr pool.live_tasks;
-    note_task_start pool w
-  end;
+  if got then note_task_start pool w;
   got
 
 (* ------------------------------------------------------------------ *)
@@ -837,16 +874,16 @@ let try_pop_exact pool w task =
 
 type 'a outcome = Pending | Done of 'a | Failed of exn
 
-type 'a promise = { mutable state : 'a outcome Atomic.t }
+(* One block per fork: the cell itself. *)
+type 'a promise = 'a outcome Atomic.t
 
-let promise () = { state = Atomic.make Pending }
-
-let fulfill pool pr f =
+(* Run [f] as worker [w] and publish its outcome.  The publishing store
+   is a sync op, charged to [w]. *)
+let fulfill pool w (pr : _ promise) f =
   let v =
     match f () with
     | x -> Done x
     | exception e ->
-      let w = match self () with Some (w, _) -> w | None -> 0 in
       let c = pool.per_worker.(w) in
       c.c_task_exns <- c.c_task_exns + 1;
       Registry.Counter.incr pool.obs.o_task_exns;
@@ -855,11 +892,13 @@ let fulfill pool pr f =
       Failed e
   in
   Schedpoint.point Schedpoint.pool_fulfill;
-  Atomic.set pr.state v
+  Atomic.set pr v;
+  let ops = sync_cell pool w in
+  ops := !ops + 1
 
-let await pool w pr =
+let await pool w (pr : _ promise) =
   let rec go misses =
-    match Atomic.get pr.state with
+    match Atomic.get pr with
     | Done v -> v
     | Failed e -> raise e
     | Pending ->
@@ -893,18 +932,15 @@ let worker_loop pool w =
       else begin
         incr misses;
         if Atomic.get pool.crashed_pending > 0 then ignore (scan_crashed pool ~proc:w);
-        if Atomic.get pool.live_tasks = 0 then begin
-          (* nothing queued anywhere: bounded spin, then park until a
-             push signals — no thundering herd, one signal wakes one *)
-          if !misses >= park_threshold then begin
-            park pool w;
-            misses := 0
-          end
-          else backoff_wait pool.rngs.(w) !misses
+        (* bounded spin, then park until a push signals — but only if a
+           lock-free scan finds nothing queued anywhere, so a pusher never
+           sees a worker parked while work waits, and the busy path never
+           scans.  No thundering herd: one signal wakes one. *)
+        if !misses >= park_threshold && not (work_queued pool) then begin
+          park pool w;
+          misses := 0
         end
-        else
-          (* work exists but our attempt lost: back off and retry *)
-          backoff_wait pool.rngs.(w) !misses
+        else backoff_wait pool.rngs.(w) !misses
       end;
       loop ()
     end
@@ -954,7 +990,6 @@ let sync_ops pool =
 
 let register_probes registry pool =
   let g name help f = Registry.probe registry ~kind:`Gauge ~help name f in
-  g "dfd_pool_live_tasks" "Tasks pushed but not yet taken." (fun () -> Atomic.get pool.live_tasks);
   g "dfd_pool_parked_workers" "Workers currently parked on the idle condition." (fun () ->
       Atomic.get pool.n_parked);
   g "dfd_pool_workers" "Worker slots (domains + caller)." (fun () -> pool.n_workers);
@@ -986,7 +1021,6 @@ let make ?(registry = Registry.disabled) ?(flight = Tracer.disabled) ?(respawn_b
     (* the padded runs first, then one minor collection (the layout rule
        above) *)
     let sync_cells = padded_run n_workers (fun () -> ref 0) in
-    let live_run = padded_run 1 (fun () -> Atomic.make 0) in
     Gc.minor ();
     {
       policy;
@@ -1003,8 +1037,6 @@ let make ?(registry = Registry.disabled) ?(flight = Tracer.disabled) ?(respawn_b
       dfd_quota =
         Atomic.make
           (match policy with Dfdeques { quota } -> quota | Work_stealing -> max_int);
-      live_tasks = live_run.(pad_index 0);
-      live_run;
       per_worker =
         Array.init n_workers (fun _ ->
             {
@@ -1025,6 +1057,7 @@ let make ?(registry = Registry.disabled) ?(flight = Tracer.disabled) ?(respawn_b
       idle_lock = Mutex.create ();
       idle_cond = Condition.create ();
       n_parked = Atomic.make 0;
+      wakeups = Atomic.make 0;
       shutting_down = Atomic.make false;
       domains = [];
       rngs = Array.init n_workers (fun i -> Prng.create (1000 + i));
@@ -1068,14 +1101,26 @@ let create ?domains ?(tracer = Tracer.disabled) ?(fault = Fault.none) ?registry 
   pool.domains <- List.init extra (fun i -> Domain.spawn (fun () -> worker_loop pool (i + 1)));
   pool
 
+(* Tasks queued where a worker could take them, counted over the same
+   places [work_queued] scans.  Exact once the pool is quiescent. *)
+let queued pool =
+  List.length (Atomic.get pool.orphans)
+  +
+  match pool.policy with
+  | Work_stealing -> Array.fold_left (fun n q -> n + Lfdeque.length q) 0 pool.ws_deques
+  | Dfdeques _ ->
+    List.fold_left
+      (fun n e -> n + Lfdeque.length (Multiq.value e).tasks)
+      0 (Multiq.members pool.r)
+
 (* After cancellation the deques may still hold queued tasks whose parents
    have unwound: run them all (they raise [Cancelled] immediately or are
    cheap leftovers) so the pool is clean for the next [run]. *)
 let drain pool =
   let misses = ref 0 in
-  (* a pending crash certificate hides a held task that [live_tasks] no
-     longer counts: quarantine first so nothing is stranded *)
-  while Atomic.get pool.live_tasks > 0 || Atomic.get pool.crashed_pending > 0 do
+  (* a pending crash certificate hides a held task that no deque holds:
+     quarantine first so nothing is stranded *)
+  while work_queued pool || Atomic.get pool.crashed_pending > 0 do
     if Atomic.get pool.crashed_pending > 0 then ignore (scan_crashed pool ~proc:0);
     if help_once pool 0 then misses := 0
     else begin
@@ -1113,6 +1158,18 @@ let run ?timeout ?quota pool f =
          drain pool;
          raise e)
 
+(* Take the forked task back if nobody stole it and run it inline (the
+   fast path), else help until its thief publishes the outcome. *)
+let join_fork pool w task (pr : _ promise) =
+  if try_pop_exact pool w task then begin
+    run_task w task;
+    match Atomic.get pr with
+    | Done v -> v
+    | Failed e -> raise e
+    | Pending -> assert false
+  end
+  else await pool w pr
+
 let fork_join fa fb =
   let w, pool = self_exn () in
   check_cancel pool;
@@ -1122,22 +1179,15 @@ let fork_join fa fb =
         fa ())
     else fa
   in
-  let pr = promise () in
-  let task () = fulfill pool pr fa in
+  let pr = Atomic.make Pending in
+  let task w = fulfill pool w pr fa in
   push_local pool w task;
-  let b = try Ok (fb ()) with e -> Error e in
-  let a =
-    if try_pop_exact pool w task then begin
-      (* fast path: nobody stole it; run inline *)
-      run_task task;
-      match Atomic.get pr.state with
-      | Done v -> v
-      | Failed e -> raise e
-      | Pending -> assert false
-    end
-    else await pool w pr
-  in
-  match b with Ok b -> (a, b) | Error e -> raise e
+  match fb () with
+  | b -> (join_fork pool w task pr, b)
+  | exception e ->
+    (* the forked branch still joins first (its exception wins) *)
+    ignore (join_fork pool w task pr);
+    raise e
 
 let rec parallel_for ~lo ~hi body =
   if hi - lo <= 0 then ()
@@ -1331,7 +1381,8 @@ let stats pool = Registry.Snapshot.to_alist (metrics_samples pool)
 let flight pool = pool.flight
 
 (* Human-readable diagnostic dump for hang post-mortems: every counter,
-   the live-task and cancellation state, and each deque's occupancy.
+   the queued-task, parking and cancellation state, and each deque's
+   occupancy.
    Counter reads are per-worker aggregates and the R walk is a lock-free
    Multiq snapshot — both exact once idle, slightly stale while running.
    Call it from a watchdog, not a hot path. *)
@@ -1343,8 +1394,8 @@ let snapshot pool =
      | Work_stealing -> "WS"
      | Dfdeques { quota } -> Printf.sprintf "DFDeques(K=%d)" quota)
     pool.n_workers;
-  pf "  live_tasks=%d parked=%d shutting_down=%b cancelled=%b deadline=%s\n"
-    (Atomic.get pool.live_tasks) (Atomic.get pool.n_parked)
+  pf "  queued=%d parked=%d wakeups=%d shutting_down=%b cancelled=%b deadline=%s\n"
+    (queued pool) (Atomic.get pool.n_parked) (Atomic.get pool.wakeups)
     (Atomic.get pool.shutting_down) (Atomic.get pool.cancelled)
     (match Atomic.get pool.deadline with
      | None -> "none"
@@ -1482,7 +1533,17 @@ module For_testing = struct
 
   let sync_cell = sync_cell
 
-  let live_tasks pool = Atomic.get pool.live_tasks
+  let queued = queued
+
+  let push pool w f = push_local pool w (fun _ -> f ())
+
+  let park_step = announce_and_scan
+
+  let announce pool = Atomic.incr pool.n_parked
+
+  let work_queued = work_queued
+
+  let wakeups pool = Atomic.get pool.wakeups
 end
 
 let parallel_reduce ~zero ~op ~lo ~hi f =

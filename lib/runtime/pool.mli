@@ -110,7 +110,7 @@ val create :
     failures, local pops, quota giveups, tasks, task exceptions, parks,
     deque churn, [alloc_hint] bytes) additionally land in the registry's
     sharded [dfd_pool_*] counters, and gauges over live state
-    (live tasks, parked workers, current K) are published as probes —
+    (parked workers, current K, R size) are published as probes —
     queryable while the pool runs.  With the default disabled registry
     each instrument update is a single load-and-branch (measured by the
     obs-overhead pair in [bench/pool_scale.exe]).  Registration upserts,
@@ -225,8 +225,10 @@ val counters : t -> counters
 val sync_ops : t -> int
 (** Total synchronization operations (atomic RMWs and publishing stores,
     CAS retries included) executed on scheduling paths — push, pop and
-    steal under both policies, plus abandonment, reap and R membership
-    under {!Dfdeques} — summed across the per-worker single-writer cells.
+    steal under both policies, each promise's publishing store, a taken
+    task's hand-over through its worker's held-task slot, plus
+    abandonment, reap and R membership under {!Dfdeques} — summed across
+    the per-worker single-writer cells.
     The Rito & Paulino sync-overhead metric: what the lock removal is
     measured by, not assumed from, and a direct comparison of the two
     policies' deque traffic.  Exposed to the registry as the
@@ -347,7 +349,7 @@ val flight : t -> Dfd_trace.Tracer.t
     wedge/timeout post-mortems. *)
 
 val snapshot : t -> string
-(** Human-readable diagnostic dump: policy, counters, live-task and
+(** Human-readable diagnostic dump: policy, counters, queued-task, parking and
     cancellation state, per-deque occupancy (and per-worker quota under
     {!Dfdeques}), and the total injected-fault count.  All reads are
     lock-free (per-worker counter aggregates; a relaxed walk of the R
@@ -397,9 +399,30 @@ module For_testing : sig
       peers do when they observe one pending; returns how many this call
       won. *)
 
-  val live_tasks : t -> int
-  (** Tasks pushed but not yet taken (0 once a computation is quiescent —
-      the checker's leak oracle). *)
+  val queued : t -> int
+  (** Tasks queued where a worker could take them — the orphan stack plus
+      every WS deque, or every live R member's deque.  0 once a
+      computation is quiescent: the checker's leak oracle. *)
+
+  val push : t -> int -> (unit -> unit) -> unit
+  (** [push pool w f] — worker [w] pushes [f] onto its own deque exactly
+      as a fork does: publish, then signal a parked worker if it sees
+      one. *)
+
+  val park_step : t -> [ `Found_work | `Would_sleep ]
+  (** The parker's announce-then-scan step, without the lock or the wait:
+      [`Would_sleep] means a real parker would now block, still announced;
+      [`Found_work] means it withdrew its announce and stays up. *)
+
+  val announce : t -> unit
+  (** The announce half of {!park_step} alone (raise the parked count),
+      for building deliberately misordered variants. *)
+
+  val work_queued : t -> bool
+  (** The scan half of {!park_step} alone: is any task queued? *)
+
+  val wakeups : t -> int
+  (** Wake-up signals sent so far (pushes that saw a parked worker). *)
 
   val sync_cell : t -> int -> int ref
   (** Worker [w]'s sync-op cell, for checking the cells' memory layout. *)

@@ -196,6 +196,17 @@ let fold_live t f acc =
        Array.fold_left (fun acc e -> if is_live e then f acc e else acc) acc (Atomic.get cell))
     acc t.shards
 
+(* Top-level recursion over the raw shard arrays so a scan allocates
+   nothing (a local closure over [f] and the array would be a fresh block
+   per call): the pool's parkers run this before every sleep. *)
+let rec exists_in f arr i =
+  i < Array.length arr && ((is_live arr.(i) && f arr.(i).e_value) || exists_in f arr (i + 1))
+
+let rec exists_from f t k =
+  k < t.n_shards && (exists_in f (Atomic.get t.shards.(k)) 0 || exists_from f t (k + 1))
+
+let exists f t = exists_from f t 0
+
 let rank t e = fold_live t (fun n m -> if compare_entries m e < 0 then n + 1 else n) 0
 
 let members t = List.sort compare_entries (fold_live t (fun acc e -> e :: acc) [])

@@ -100,6 +100,12 @@ val rank : 'a t -> 'a entry -> int
     over the shard arrays (lock-free, approximate under concurrent
     churn); observability, not a hot-path primitive. *)
 
+val exists : ('a -> bool) -> 'a t -> bool
+(** [exists f t] — whether some live member's value satisfies [f].  One
+    atomic load per shard plus one liveness load per entry; allocates
+    nothing.  Lock-free and approximate under concurrent churn, like
+    {!rank}: a member inserted after its shard was read is not seen. *)
+
 val members : 'a t -> 'a entry list
 (** All live entries, sorted by {!compare_entries}.  Lock-free snapshot;
     approximate while membership churns. *)

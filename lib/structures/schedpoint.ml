@@ -70,6 +70,10 @@ let pool_orphan_push = 22
 
 let pool_orphan_pop = 23
 
+let pool_park = 24
+
+let pool_signal = 25
+
 let names =
   [|
     "start";
@@ -96,6 +100,8 @@ let names =
     "pool_quarantine";
     "pool_orphan_push";
     "pool_orphan_pop";
+    "pool_park";
+    "pool_signal";
   |]
 
 let name id = if id >= 0 && id < Array.length names then names.(id) else Printf.sprintf "p%d" id

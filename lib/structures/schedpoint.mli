@@ -101,6 +101,16 @@ val pool_orphan_push : int
 val pool_orphan_pop : int
 (** Pool orphan take: inside the Treiber-stack pop CAS window. *)
 
+val pool_park : int
+(** Pool parking: between a parker's announce ([n_parked] raised) and its
+    scan for queued work — the window a concurrent push races.  The
+    checker's buggy parking twin emits it between its scan and its
+    announce instead. *)
+
+val pool_signal : int
+(** Pool wake-up: after a push has published its task, before the pusher
+    reads [n_parked] to decide whether to signal a parked worker. *)
+
 val name : int -> string
 (** Human-readable name of a point id. *)
 

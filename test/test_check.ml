@@ -111,6 +111,41 @@ let test_multiq_buggy_caught () =
     checkb "serial fallback schedule passes" true
       (Explore.replay Scenarios.multiq_buggy serial = None)
 
+(* The planted parking bug (scan before announce): the lost wake-up is
+   found, shrunk, and reproducible through a replay file.  Seed chosen so
+   the failure lands within a few iterations. *)
+let park_buggy_seed = 2
+
+let test_park_buggy_caught () =
+  let r = Explore.run ~seed:park_buggy_seed Scenarios.pool_park_buggy in
+  match r.Explore.r_failure with
+  | None -> Alcotest.fail "explorer missed the scan-before-announce lost wake-up"
+  | Some f ->
+    checkb "found within default budget" true (r.Explore.r_iterations <= r.Explore.r_budget);
+    checkb "shrunk" true f.Explore.f_shrunk;
+    checkb "minimal trace nonempty" true (f.Explore.f_choices <> []);
+    checkb "minimal trace short" true (List.length f.Explore.f_choices <= 16);
+    checkb "lost wake-up is the reason" true
+      (String.starts_with ~prefix:"lost wake-up" f.Explore.f_reason);
+    let path = Filename.temp_file "replay_park" ".json" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Explore.write_replay path f;
+        let f' = Explore.read_replay path in
+        checkb "replay file roundtrips" true (f = f');
+        checkb "replay from file reproduces" true
+          (Explore.replay Scenarios.pool_park_buggy f' <> None));
+    (* the serial fallback runs the pusher to completion first, so the
+       parker's scan sees the task *)
+    let serial = { f with Explore.f_choices = []; f_points = [] } in
+    checkb "serial fallback schedule passes" true
+      (Explore.replay Scenarios.pool_park_buggy serial = None);
+    (* the correct announce-then-scan step passes the very trace that
+       breaks the twin *)
+    checkb "real park_step passes the failing trace" true
+      (Explore.replay Scenarios.pool_park { f with Explore.f_scenario = "pool_park" } = None)
+
 let test_correct_scenarios_pass () =
   List.iter
     (fun sc ->
@@ -146,14 +181,14 @@ let test_catalogue () =
   checki "scenario names distinct" (List.length all) (List.length (List.sort_uniq compare all));
   List.iter
     (fun n -> checkb (n ^ " in all") true (List.mem n all))
-    [ "lfdeque_ops"; "lfdeque_grow"; "lfdeque_wrap"; "lfdeque_abandon"; "lfdeque_reap" ];
+    [ "lfdeque_ops"; "lfdeque_grow"; "lfdeque_wrap"; "lfdeque_abandon"; "lfdeque_reap"; "pool_park" ];
   List.iter
     (fun n -> checkb (n ^ " kept out of all") false (List.mem n all))
-    [ "lfdeque_buggy"; "multiq_buggy" ];
+    [ "lfdeque_buggy"; "multiq_buggy"; "pool_park_buggy" ];
   checkb "the headline buggy scenario is lfdeque_buggy" true
     (Scenarios.buggy.Explore.name = "lfdeque_buggy");
   checkb "catalogue = planted bugs @ all" true
-    (names Scenarios.catalogue = [ "multiq_buggy"; "lfdeque_buggy" ] @ all);
+    (names Scenarios.catalogue = [ "multiq_buggy"; "lfdeque_buggy"; "pool_park_buggy" ] @ all);
   List.iter
     (fun n ->
       checkb (n ^ " found by name") true
@@ -179,7 +214,7 @@ let registered_points =
   go 0
 
 let test_point_ids_distinct () =
-  checkb "all known ids registered" true (registered_points >= 24);
+  checkb "all known ids registered" true (registered_points >= 26);
   let names = List.init registered_points Schedpoint.name in
   checki "names pairwise distinct" registered_points
     (List.length (List.sort_uniq compare names));
@@ -247,6 +282,8 @@ let test_points_hit () =
          bounded: if the handshake wedges, the task returns and the
          coverage assertion fails instead of the test hanging. *)
       let pool = Pool.For_testing.create_detached ~workers:2 Pool.Work_stealing in
+      (* a parking step on the idle pool: announce, then scan *)
+      ignore (Pool.For_testing.park_step pool);
       let stolen = Atomic.make false in
       let finished = Atomic.make false in
       let bounded_spin cond =
@@ -401,6 +438,8 @@ let () =
             test_replay_rejects_wrong_scenario;
           Alcotest.test_case "multiq torn remove caught and shrunk" `Quick
             test_multiq_buggy_caught;
+          Alcotest.test_case "scan-before-announce parking caught and shrunk" `Quick
+            test_park_buggy_caught;
           Alcotest.test_case "correct scenarios pass" `Quick test_correct_scenarios_pass;
           Alcotest.test_case "lfdeque_grow passes CI seeds 1-3" `Quick
             (test_passes_ci_seeds Scenarios.lfdeque_grow);

@@ -522,7 +522,7 @@ let test_snapshot_mentions_state () =
              go 0
            in
            checkb (name ^ " snapshot has counters") true (has "tasks_run");
-           checkb (name ^ " snapshot has live state") true (has "live_tasks=0")))
+           checkb (name ^ " snapshot has queue state") true (has "queued=0")))
     policies
 
 let () =
