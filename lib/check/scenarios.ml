@@ -463,9 +463,13 @@ let rec forks_of_fib n = if n < 2 then 0 else 1 + forks_of_fib (n - 1) + forks_o
 let rec fib n = if n < 2 then n else fib (n - 1) + fib (n - 2)
 
 (* A real fork-join computation on a detached pool: controlled thread 0
-   plays worker 0 and computes fib; threads 1-2 play workers 1-2 and help
-   (steal and run tasks) until the computation announces completion. *)
-let pool_scenario ~name ~descr ~policy ~leaf =
+   plays worker 0 and computes fib through [fork_join]; threads 1-2 play
+   workers 1-2 and help (steal and run tasks) until the computation
+   announces completion.  Each fork is named by its path from the root
+   (the root is 1, fork [k]'s children are [2k] and [2k+1]) and counts
+   the runs of its forked branch, so the oracle sees a branch that ran
+   twice even when the second run was inline and no deque noticed. *)
+let pool_scenario ~name ~descr ~policy ~leaf ~fork_join =
   {
     Explore.name;
     descr;
@@ -477,22 +481,27 @@ let pool_scenario ~name ~descr ~policy ~leaf =
         let pool = Pool.For_testing.create_detached ~workers:3 policy in
         let result = ref (-1) in
         let finished = Atomic.make false in
+        let runs = Array.init (2 lsl depth) (fun _ -> Atomic.make 0) in
         let body i =
           if i = 0 then
             Pool.For_testing.as_worker pool 0 (fun () ->
-              let rec go n =
+              let rec go n k =
                 if n < 2 then begin
                   leaf ();
                   n
                 end
                 else begin
                   let a, b =
-                    Pool.fork_join (fun () -> go (n - 1)) (fun () -> go (n - 2))
+                    fork_join
+                      (fun () ->
+                        Atomic.incr runs.(k);
+                        go (n - 1) (2 * k))
+                      (fun () -> go (n - 2) ((2 * k) + 1))
                   in
                   a + b
                 end
               in
-              result := go depth;
+              result := go depth 1;
               Atomic.set finished true)
           else
             Pool.For_testing.as_worker pool i (fun () ->
@@ -501,14 +510,23 @@ let pool_scenario ~name ~descr ~policy ~leaf =
               done)
         in
         let oracle () =
+          let runs = Array.map Atomic.get runs in
+          let once = Array.fold_left (fun n r -> if r = 1 then n + 1 else n) 0 runs in
+          let expect = forks_of_fib depth in
           if !result <> fib depth then
             Error (Printf.sprintf "fib %d = %d, expected %d" depth !result (fib depth))
+          else if Array.exists (fun r -> r > 1) runs then
+            let k = Option.get (Array.find_index (fun r -> r > 1) runs) in
+            Error
+              (Printf.sprintf "exactly-once broken: fork %d's forked branch ran %d times" k
+                 runs.(k))
+          else if once <> expect then
+            Error (Printf.sprintf "%d forked branches ran, expected %d" once expect)
           else if Pool.For_testing.queued pool <> 0 then
             Error
               (Printf.sprintf "%d task(s) leaked in the pool" (Pool.For_testing.queued pool))
           else begin
             let c = Pool.counters pool in
-            let expect = forks_of_fib depth in
             if c.tasks_run <> expect then
               Error
                 (Printf.sprintf "tasks_run=%d, expected %d (forks of fib %d)"
@@ -524,6 +542,7 @@ let pool_ws =
     ~descr:"native pool, work stealing: fork-join fib with two helping workers"
     ~policy:Pool.Work_stealing
     ~leaf:(fun () -> ())
+    ~fork_join:Pool.fork_join
 
 (* Small quota plus a per-leaf allocation hint forces quota give-ups, so
    task transfer flows through the sharded R-list paths too. *)
@@ -532,6 +551,17 @@ let pool_dfd =
     ~descr:"native pool, DFDeques(K): small quota forces R-list give-ups"
     ~policy:(Pool.Dfdeques { quota = 32 })
     ~leaf:(fun () -> Pool.alloc_hint 64)
+    ~fork_join:Pool.fork_join
+
+(* The planted bug: Buggy_join runs the forked branch inline whenever its
+   promise is still unwritten.  The explorer must find a branch run both
+   by its thief and by its forker. *)
+let pool_join_buggy =
+  pool_scenario ~name:"pool_join_buggy"
+    ~descr:"deliberately wrong join (Pending means unstolen): explorer must find it"
+    ~policy:Pool.Work_stealing
+    ~leaf:(fun () -> ())
+    ~fork_join:Buggy_join.fork_join
 
 (* The quarantine protocol under the explorer: the same fork-join fib,
    but with a one-shot [worker_crash] armed.  Helpers 1-2 take through
@@ -721,6 +751,6 @@ let all =
 
 let buggy = lfdeque_buggy
 
-let catalogue = multiq_buggy :: lfdeque_buggy :: pool_park_buggy :: all
+let catalogue = multiq_buggy :: lfdeque_buggy :: pool_park_buggy :: pool_join_buggy :: all
 
 let find name = List.find_opt (fun s -> s.Explore.name = name) catalogue

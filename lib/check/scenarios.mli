@@ -38,7 +38,10 @@ val multiq_two_choice : Explore.scenario
     must be a live member and the leftmost of both sampled shards. *)
 
 val pool_ws : Explore.scenario
-(** Fork-join fib on the work-stealing pool, two helping workers. *)
+(** Fork-join fib on the work-stealing pool, two helping workers.  Fails
+    on a wrong result, a leaked task, a [tasks_run] count other than the
+    number of forks, or a forked branch that did not run exactly once
+    (each fork counts the runs of its branch, inline ones included). *)
 
 val pool_dfd : Explore.scenario
 (** Same computation under DFDeques(K) with a quota small enough that
@@ -65,6 +68,11 @@ val pool_park : Explore.scenario
 val pool_park_buggy : Explore.scenario
 (** The same race over {!Buggy_park} (scan, then announce); the explorer
     is expected to {e fail} this one.  Excluded from {!all}. *)
+
+val pool_join_buggy : Explore.scenario
+(** The {!pool_ws} computation joined through {!Buggy_join} (a branch
+    whose promise is still unwritten runs inline); the explorer is
+    expected to {e fail} this one.  Excluded from {!all}. *)
 
 val multiq_buggy : Explore.scenario
 (** Drives {!Buggy_multiq} (torn membership on remove); the explorer is

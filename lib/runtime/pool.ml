@@ -148,12 +148,13 @@ type t = {
           locks. *)
   (* --- shared scheduling state -------------------------------------- *)
   per_worker : wcounters array;
-  sync_cells : int ref array;
+  sync_cells : int ref option array;
       (** synchronization ops (atomic RMWs and publishing stores, CAS
           retries included) each worker executed on its scheduling paths,
-          both policies — the Lfdeque/Multiq [?ops] argument.  Worker [w]
-          owns [sync_cells.(pad_index w)]; the other refs are padding
-          (see {!padded_run}).  A ref rather than a mutable field so
+          both policies.  Worker [w] owns [sync_cells.(pad_index w)]; the
+          other cells are padding (see {!padded_run}).  Each cell is
+          stored already boxed as the Lfdeque/Multiq [?ops] argument, so
+          passing it allocates nothing.  A ref rather than a mutable field so
           the structures can bump it directly; still single-writer
           (thief-side ops are charged to the thief).  Summed by
           {!val-sync_ops} — deliberately not mirrored into a registry
@@ -310,6 +311,14 @@ let note_task_start pool w =
     Tracer.emit pool.tracer ~ts ~proc:w ~tid:(-1) (Event.Action_batch { units = 1 })
   end
 
+(* A task raised: counted, and noted as a [task_exn] fault. *)
+let note_task_exn pool w =
+  let c = pool.per_worker.(w) in
+  c.c_task_exns <- c.c_task_exns + 1;
+  Registry.Counter.incr pool.obs.o_task_exns;
+  if rings_live pool then
+    note pool ~ts:(now_us pool) ~proc:w (Event.Fault_injected { fault = "task_exn" })
+
 let note_steal_success pool w ~victim =
   let c = pool.per_worker.(w) in
   c.c_steals <- c.c_steals + 1;
@@ -426,23 +435,29 @@ let park pool w =
    with the refs apart.
    OCaml 5's major heap keeps each block size in pools of its own, so
    padding separates two refs or atomics only if it is the same size:
-   each cell is the middle block of its own run of [pad_stride] blocks.
+   each cell is the middle element of its own run of [pad_stride].
    [make] allocates the runs first and promotes them at once with a
    minor collection, before any other value points at a cell, so each
    run is copied out in array order into consecutive slots of one size
-   class: a cell has 7 blocks (112 bytes) of its own padding below it,
-   8 above, and neighbouring workers' cells are 256 bytes apart.  The
-   runs stay reachable from the pool so the padding is never freed and
-   reused. *)
+   class.  A run element is a cell boxed as [Some cell], and the
+   collector copies a one-field block's field right after the block, so
+   the run lays out box, cell, box, cell: the box its worker reads on
+   every operation is the block next to the cell it writes, the pair has
+   16 blocks (256 bytes) of padding on one side and 14 (224 bytes) on
+   the other, and neighbouring workers' cells are 512 bytes apart.  The runs stay
+   reachable from the pool so the padding is never freed and reused. *)
 let pad_stride = 16
 
 let pad_index i = (i * pad_stride) + (pad_stride / 2)
 
 let padded_run n make = Array.init (n * pad_stride) (fun _ -> make ())
 
-(* The worker's sync-op cell, handed to every Lfdeque/Multiq mutating
-   call on its behalf. *)
-let sync_cell pool w = pool.sync_cells.(pad_index w)
+(* The worker's sync-op cell as the [?ops] argument of every
+   Lfdeque/Multiq mutating call on its behalf, and unboxed for the
+   pool's own counts. *)
+let ops pool w = pool.sync_cells.(pad_index w)
+
+let sync_cell pool w = Option.get (ops pool w)
 
 (* ------------------------------------------------------------------ *)
 (* DFDeques: lock-free R membership (Multiq CAS paths) and CAS-only     *)
@@ -475,7 +490,7 @@ let note_r_insert pool w =
 let reap_if_dead pool ~proc e =
   let d = Multiq.value e in
   if Multiq.is_live e && Lfdeque.is_dead d.tasks
-     && Multiq.remove ~ops:(sync_cell pool proc) pool.r e
+     && Multiq.remove ?ops:(ops pool proc) pool.r e
   then begin
     let c = pool.per_worker.(proc) in
     c.c_r_removes <- c.c_r_removes + 1;
@@ -494,7 +509,7 @@ let dfd_own_deque pool w =
   | Some e -> Multiq.value e
   | None ->
     let d = new_dq pool ~proc:w ~owner:(Some w) in
-    pool.dfd_deque.(w) <- Some (Multiq.insert_front ~ops:(sync_cell pool w) pool.r d);
+    pool.dfd_deque.(w) <- Some (Multiq.insert_front ?ops:(ops pool w) pool.r d);
     note_r_insert pool w;
     d
 
@@ -510,7 +525,7 @@ let dfd_abandon pool w =
   | None -> ()
   | Some e ->
     pool.dfd_deque.(w) <- None;
-    Lfdeque.abandon ~ops:(sync_cell pool w) (Multiq.value e).tasks;
+    Lfdeque.abandon ?ops:(ops pool w) (Multiq.value e).tasks;
     reap_if_dead pool ~proc:w e
 
 (* Rank error of a successful steal: how far the sampled victim sat
@@ -538,7 +553,7 @@ let note_rank_error pool w e =
    reaped if the steal emptied an unowned deque. *)
 let dfd_adopt_after pool w victim_e =
   let d = new_dq pool ~proc:w ~owner:(Some w) in
-  let e = Multiq.insert_after ~ops:(sync_cell pool w) pool.r victim_e d in
+  let e = Multiq.insert_after ?ops:(ops pool w) pool.r victim_e d in
   note_r_insert pool w;
   reap_if_dead pool ~proc:w victim_e;
   pool.dfd_deque.(w) <- Some e
@@ -565,20 +580,20 @@ let dfd_steal pool w =
          a genuinely drained deque and a lost top-CAS race — either way
          the attempt failed and the caller retries with backoff, exactly
          like a WS thief losing a Chase–Lev race. *)
-      (match Lfdeque.steal ~ops:(sync_cell pool w) victim.tasks with
+      (match Lfdeque.steal ?ops:(ops pool w) victim.tasks with
        | None ->
          (* drained (or raced) between sample and steal; reap if dead *)
          reap_if_dead pool ~proc:w victim_e;
          note_steal_failure pool w;
          None
-       | Some task ->
+       | Some _ as got ->
          note_steal_success pool w ~victim:victim.did;
          note_rank_error pool w victim_e;
          dfd_adopt_after pool w victim_e;
          (* refill from the current K: a runtime quota adjustment takes
             effect here, at the worker's next steal *)
          pool.quota_left.(w) <- Atomic.get pool.dfd_quota;
-         Some task)
+         got)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -677,7 +692,7 @@ let quarantine_as pool ~proc ~cause w =
           | None -> false
           | Some e ->
             pool.dfd_deque.(w) <- None;
-            Lfdeque.abandon ~ops:(sync_cell pool w) (Multiq.value e).tasks;
+            Lfdeque.abandon ?ops:(ops pool w) (Multiq.value e).tasks;
             reap_if_dead pool ~proc:w e;
             true)
     in
@@ -725,7 +740,7 @@ let push_local pool w task =
     | Work_stealing -> pool.ws_deques.(w)
     | Dfdeques _ -> (dfd_own_deque pool w).tasks
   in
-  Lfdeque.push ~ops:(sync_cell pool w) tasks task;
+  Lfdeque.push ?ops:(ops pool w) tasks task;
   signal_work pool
 
 (* One attempt to obtain a task; lock-free on every path — WS and DFD
@@ -743,12 +758,12 @@ let try_get pool w =
   | None -> (
   match pool.policy with
   | Work_stealing -> (
-      match Lfdeque.pop ~ops:(sync_cell pool w) pool.ws_deques.(w) with
-      | Some t ->
+      match Lfdeque.pop ?ops:(ops pool w) pool.ws_deques.(w) with
+      | Some _ as got ->
         let c = pool.per_worker.(w) in
         c.c_local_pops <- c.c_local_pops + 1;
         Registry.Counter.incr pool.obs.o_local_pops;
-        Some t
+        got
       | None ->
         if injected_steal_failure pool w then None
         else begin
@@ -759,10 +774,10 @@ let try_get pool w =
             None
           end
           else
-            match Lfdeque.steal ~ops:(sync_cell pool w) pool.ws_deques.(victim) with
-            | Some t ->
+            match Lfdeque.steal ?ops:(ops pool w) pool.ws_deques.(victim) with
+            | Some _ as got ->
               note_steal_success pool w ~victim;
-              Some t
+              got
             | None ->
               note_steal_failure pool w;
               None
@@ -783,11 +798,11 @@ let try_get pool w =
         dfd_steal pool w
       | Some e -> (
           let d = Multiq.value e in
-          match Lfdeque.pop ~ops:(sync_cell pool w) d.tasks with
-          | Some t ->
+          match Lfdeque.pop ?ops:(ops pool w) d.tasks with
+          | Some _ as got ->
             let c = pool.per_worker.(w) in
             c.c_local_pops <- c.c_local_pops + 1;
-            Some t
+            got
           | None ->
             (* empty own deque: retire it, then steal *)
             dfd_abandon pool w;
@@ -803,11 +818,11 @@ let run_task w t = t w
    and carry on. *)
 let help_once ?(top = false) pool w =
   match try_get pool w with
-  | Some t ->
+  | Some _ as held ->
     (* publish the held task before anything can kill us: a quarantiner
        that reads our certificate is guaranteed to see it.  This store and
        the exchange below are the take path's two sync ops. *)
-    Atomic.set pool.cur_task.(w) (Some t);
+    Atomic.set pool.cur_task.(w) held;
     let ops = sync_cell pool w in
     ops := !ops + 2;
     (* seeded crash/wedge injection — top-of-loop takes by worker domains
@@ -823,13 +838,7 @@ let help_once ?(top = false) pool w =
     (match Atomic.exchange pool.cur_task.(w) None with
      | Some t' ->
        note_task_start pool w;
-       (try run_task w t'
-        with _ ->
-          let c = pool.per_worker.(w) in
-          c.c_task_exns <- c.c_task_exns + 1;
-          Registry.Counter.incr pool.obs.o_task_exns;
-          if rings_live pool then
-            note pool ~ts:(now_us pool) ~proc:w (Event.Fault_injected { fault = "task_exn" }))
+       (try run_task w t' with _ -> note_task_exn pool w)
      | None ->
        (* a quarantiner won the exchange: the task is requeued and this
           worker has been declared dead — unwind without running it *)
@@ -846,11 +855,11 @@ let help_once ?(top = false) pool w =
    nowhere between the pop and the push-back, so a worker may have
    parked in that window: the push-back signals like any push. *)
 let pop_back pool w tasks task =
-  let ops = sync_cell pool w in
-  match Lfdeque.pop ~ops tasks with
+  let ops = ops pool w in
+  match Lfdeque.pop ?ops tasks with
   | Some t when t == task -> true
   | Some other ->
-    Lfdeque.push ~ops tasks other;
+    Lfdeque.push ?ops tasks other;
     signal_work pool;
     false
   | None -> false
@@ -877,18 +886,17 @@ type 'a outcome = Pending | Done of 'a | Failed of exn
 (* One block per fork: the cell itself. *)
 type 'a promise = 'a outcome Atomic.t
 
-(* Run [f] as worker [w] and publish its outcome.  The publishing store
-   is a sync op, charged to [w]. *)
+(* Run [f] as worker [w] and publish its outcome.  Only a task taken
+   through [help_once] runs here (a steal, a helper's local pop, a
+   requeued orphan); the forking worker that pops its own task back runs
+   [f] inline and never touches the promise ([join_fork]).  The
+   publishing store is a sync op, charged to [w]. *)
 let fulfill pool w (pr : _ promise) f =
   let v =
     match f () with
     | x -> Done x
     | exception e ->
-      let c = pool.per_worker.(w) in
-      c.c_task_exns <- c.c_task_exns + 1;
-      Registry.Counter.incr pool.obs.o_task_exns;
-      if rings_live pool then
-        note pool ~ts:(now_us pool) ~proc:w (Event.Fault_injected { fault = "task_exn" });
+      note_task_exn pool w;
       Failed e
   in
   Schedpoint.point Schedpoint.pool_fulfill;
@@ -1020,7 +1028,7 @@ let make ?(registry = Registry.disabled) ?(flight = Tracer.disabled) ?(respawn_b
       [ ("tracer", tracer); ("flight", flight) ];
     (* the padded runs first, then one minor collection (the layout rule
        above) *)
-    let sync_cells = padded_run n_workers (fun () -> ref 0) in
+    let sync_cells = padded_run n_workers (fun () -> Some (ref 0)) in
     Gc.minor ();
     {
       policy;
@@ -1158,15 +1166,20 @@ let run ?timeout ?quota pool f =
          drain pool;
          raise e)
 
-(* Take the forked task back if nobody stole it and run it inline (the
-   fast path), else help until its thief publishes the outcome. *)
-let join_fork pool w task (pr : _ promise) =
+(* Take the forked task back if nobody stole it and run [fa] inline (the
+   fast path), else help until its thief publishes the outcome.  The
+   winning pop is the only proof that no one else runs [fa]: a [Pending]
+   promise does not mean unstolen, since a thief holds it [Pending] until
+   [fa] returns (the planted twin in lib/check makes exactly that
+   mistake).  The inline path skips the promise altogether, so only a
+   taken task writes one and only [await] reads one. *)
+let join_fork pool w task (pr : _ promise) fa =
   if try_pop_exact pool w task then begin
-    run_task w task;
-    match Atomic.get pr with
-    | Done v -> v
-    | Failed e -> raise e
-    | Pending -> assert false
+    match fa () with
+    | v -> v
+    | exception e ->
+      note_task_exn pool w;
+      raise e
   end
   else await pool w pr
 
@@ -1183,10 +1196,10 @@ let fork_join fa fb =
   let task w = fulfill pool w pr fa in
   push_local pool w task;
   match fb () with
-  | b -> (join_fork pool w task pr, b)
+  | b -> (join_fork pool w task pr fa, b)
   | exception e ->
     (* the forked branch still joins first (its exception wins) *)
-    ignore (join_fork pool w task pr);
+    ignore (join_fork pool w task pr fa);
     raise e
 
 let rec parallel_for ~lo ~hi body =
@@ -1536,6 +1549,25 @@ module For_testing = struct
   let queued = queued
 
   let push pool w f = push_local pool w (fun _ -> f ())
+
+  type 'a fork = { f_task : task; f_pr : 'a promise }
+
+  let fork fa =
+    let w, pool = self_exn () in
+    let pr = Atomic.make Pending in
+    let task w = fulfill pool w pr fa in
+    push_local pool w task;
+    { f_task = task; f_pr = pr }
+
+  let pop_fork k =
+    let w, pool = self_exn () in
+    try_pop_exact pool w k.f_task
+
+  let peek k =
+    match Atomic.get k.f_pr with
+    | Pending -> None
+    | Done v -> Some v
+    | Failed e -> raise e
 
   let park_step = announce_and_scan
 

@@ -37,8 +37,9 @@
 
     Fork-join is work-first: {!fork_join} pushes the left branch and runs
     the right inline; on return it pops the left branch back if nobody
-    stole it (the fast path runs both branches with zero synchronisation),
-    otherwise it helps execute other tasks until the thief finishes.
+    stole it and runs it inline (the fast path: one push and one pop, and
+    the branch's promise is never written or read), otherwise it helps
+    execute other tasks until the thief publishes the branch's outcome.
     Exceptions propagate to the joining parent.
 
     Idle workers spin briefly with jittered exponential backoff, then park
@@ -225,10 +226,14 @@ val counters : t -> counters
 val sync_ops : t -> int
 (** Total synchronization operations (atomic RMWs and publishing stores,
     CAS retries included) executed on scheduling paths — push, pop and
-    steal under both policies, each promise's publishing store, a taken
-    task's hand-over through its worker's held-task slot, plus
+    steal under both policies, the promise's publishing store of each
+    task taken from a deque (a branch its forker pops back is joined
+    without one), a taken task's hand-over through its worker's
+    held-task slot, plus
     abandonment, reap and R membership under {!Dfdeques} — summed across
-    the per-worker single-writer cells.
+    the per-worker single-writer cells.  An unstolen fork costs 4: the
+    push's cell and [bottom] stores, the pop's [bottom] store and its
+    take of the cell (6 when the pop races for the deque's last task).
     The Rito & Paulino sync-overhead metric: what the lock removal is
     measured by, not assumed from, and a direct comparison of the two
     policies' deque traffic.  Exposed to the registry as the
@@ -408,6 +413,25 @@ module For_testing : sig
   (** [push pool w f] — worker [w] pushes [f] onto its own deque exactly
       as a fork does: publish, then signal a parked worker if it sees
       one. *)
+
+  type 'a fork
+  (** A branch forked by {!fork}.  {!pop_fork} and {!peek} are the
+      pieces of {!fork_join}'s join, for building deliberately wrong
+      joins. *)
+
+  val fork : (unit -> 'a) -> 'a fork
+  (** Push a branch from the calling worker exactly as {!fork_join}
+      pushes its first one.  Raises {!Not_in_pool} outside a worker. *)
+
+  val pop_fork : 'a fork -> bool
+  (** The join's fast path: take the branch back if it is still on top
+      of the caller's deque.  [true] means no other worker can run it. *)
+
+  val peek : 'a fork -> 'a option
+  (** The branch's published outcome: its value, or its exception
+      re-raised.  [None] while the promise is unwritten: the branch is
+      still queued, taken back by {!pop_fork}, or taken by another
+      worker and not yet finished. *)
 
   val park_step : t -> [ `Found_work | `Would_sleep ]
   (** The parker's announce-then-scan step, without the lock or the wait:

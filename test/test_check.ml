@@ -146,6 +146,45 @@ let test_park_buggy_caught () =
     checkb "real park_step passes the failing trace" true
       (Explore.replay Scenarios.pool_park { f with Explore.f_scenario = "pool_park" } = None)
 
+(* The planted join bug (a branch whose promise is still unwritten runs
+   inline): the double run is found by the per-fork run counter, shrunk,
+   and reproducible through a replay file.  Seed chosen so the failure
+   lands within the default budget. *)
+let join_buggy_seed = 33
+
+let test_join_buggy_caught () =
+  let r = Explore.run ~seed:join_buggy_seed Scenarios.pool_join_buggy in
+  match r.Explore.r_failure with
+  | None -> Alcotest.fail "explorer missed the Pending-means-unstolen double run"
+  | Some f ->
+    checkb "found within default budget" true (r.Explore.r_iterations <= r.Explore.r_budget);
+    checkb "shrunk" true f.Explore.f_shrunk;
+    checkb "minimal trace nonempty" true (f.Explore.f_choices <> []);
+    checkb "minimal trace short" true (List.length f.Explore.f_choices <= 16);
+    checkb "a double run is the reason" true
+      (String.starts_with ~prefix:"exactly-once broken" f.Explore.f_reason);
+    let path = Filename.temp_file "replay_join" ".json" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Explore.write_replay path f;
+        let f' = Explore.read_replay path in
+        checkb "replay file roundtrips" true (f = f');
+        checkb "replay from file reproduces" true
+          (Explore.replay Scenarios.pool_join_buggy f' <> None));
+    (* the serial fallback runs the forking worker to completion first,
+       so nothing is ever stolen *)
+    let serial = { f with Explore.f_choices = []; f_points = [] } in
+    checkb "serial fallback schedule passes" true
+      (Explore.replay Scenarios.pool_join_buggy serial = None);
+    (* the real join, which trusts only its pop, passes the same seed and
+       budget.  (Replaying the failing trace itself cannot finish: past
+       its end the fallback always picks the forking worker, which then
+       awaits a thief that is never scheduled.) *)
+    let real = Explore.run ~seed:join_buggy_seed Scenarios.pool_ws in
+    checkb "real fork_join passes the same seed" true (real.Explore.r_failure = None);
+    checki "real fork_join: full budget used" real.Explore.r_budget real.Explore.r_iterations
+
 let test_correct_scenarios_pass () =
   List.iter
     (fun sc ->
@@ -184,11 +223,12 @@ let test_catalogue () =
     [ "lfdeque_ops"; "lfdeque_grow"; "lfdeque_wrap"; "lfdeque_abandon"; "lfdeque_reap"; "pool_park" ];
   List.iter
     (fun n -> checkb (n ^ " kept out of all") false (List.mem n all))
-    [ "lfdeque_buggy"; "multiq_buggy"; "pool_park_buggy" ];
+    [ "lfdeque_buggy"; "multiq_buggy"; "pool_park_buggy"; "pool_join_buggy" ];
   checkb "the headline buggy scenario is lfdeque_buggy" true
     (Scenarios.buggy.Explore.name = "lfdeque_buggy");
   checkb "catalogue = planted bugs @ all" true
-    (names Scenarios.catalogue = [ "multiq_buggy"; "lfdeque_buggy"; "pool_park_buggy" ] @ all);
+    (names Scenarios.catalogue
+     = [ "multiq_buggy"; "lfdeque_buggy"; "pool_park_buggy"; "pool_join_buggy" ] @ all);
   List.iter
     (fun n ->
       checkb (n ^ " found by name") true
@@ -440,6 +480,8 @@ let () =
             test_multiq_buggy_caught;
           Alcotest.test_case "scan-before-announce parking caught and shrunk" `Quick
             test_park_buggy_caught;
+          Alcotest.test_case "Pending-means-unstolen join caught and shrunk" `Quick
+            test_join_buggy_caught;
           Alcotest.test_case "correct scenarios pass" `Quick test_correct_scenarios_pass;
           Alcotest.test_case "lfdeque_grow passes CI seeds 1-3" `Quick
             (test_passes_ci_seeds Scenarios.lfdeque_grow);

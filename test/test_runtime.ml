@@ -183,6 +183,79 @@ let test_exception_propagation () =
            checki (name ^ " still works") 55 (Pool.run pool (fun () -> fib 10))))
     policies
 
+exception Boom_inline
+
+(* On a pool with no worker domains nothing is ever stolen, so every
+   join takes its branch back and runs it inline, without the branch's
+   promise.  The branch's exception must still reach the caller of
+   [run], be counted once and be noted as a [task_exn] fault; when both
+   branches raise, the forked branch's exception still wins. *)
+let test_inline_join_exception () =
+  let tracer = Dfd_trace.Tracer.create ~lanes:2 () in
+  let pool = Pool.create ~domains:0 ~tracer Pool.Work_stealing in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+       let task_exn_events () =
+         List.length
+           (List.filter
+              (fun e -> e.Dfd_trace.Event.kind = Dfd_trace.Event.Fault_injected { fault = "task_exn" })
+              (Dfd_trace.Tracer.events tracer))
+       in
+       checkb "forked branch's exception reaches run" true
+         (match Pool.run pool (fun () -> Pool.fork_join (fun () -> raise Boom) (fun () -> 1)) with
+          | _ -> false
+          | exception Boom -> true);
+       checki "task_exns rose by exactly 1" 1 (Pool.counters pool).Pool.task_exns;
+       checki "one task_exn fault event" 1 (task_exn_events ());
+       checkb "forked branch's exception wins over the inline one" true
+         (match
+            Pool.run pool (fun () ->
+                Pool.fork_join (fun () -> raise Boom) (fun () -> raise Boom_inline))
+          with
+          | _ -> false
+          | exception Boom -> true
+          | exception Boom_inline -> false);
+       checki "nothing was stolen" 0 (Pool.counters pool).Pool.steals;
+       checki "pool still works" 55 (Pool.run pool (fun () -> fib 10)))
+
+let rec forks_of_fib n = if n < 2 then 0 else 1 + forks_of_fib (n - 1) + forks_of_fib (n - 2)
+
+(* The unstolen fork's exact sync-op cost on a pool with no worker
+   domains: push 2 (cell, bottom), pop 1 (bottom), take 1 (cell clear).
+   A join whose branch is the deque's last task also CASes [top] and
+   restores [bottom]: in fib n that is the n - 1 forks down the
+   leftmost spine, reached through forked branches only. *)
+let test_sync_ops_per_fork () =
+  let pool = Pool.create ~domains:0 Pool.Work_stealing in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+       checki "fib 20" 6765 (Pool.run pool (fun () -> fib 20));
+       checki "4 per fork, 2 more per last-task join"
+         ((4 * forks_of_fib 20) + (2 * (20 - 1)))
+         (Pool.sync_ops pool))
+
+(* Allocation per unstolen fork, measured as 23 words with [fib] above
+   (its two thunks included): nothing on the fork path may box again,
+   such as a sync-op cell wrapped as [Some] per call or a result stored
+   in a promise that only a thief would read.  Counts words, not time. *)
+let test_fork_alloc_bound () =
+  let pool = Pool.create ~domains:0 Pool.Work_stealing in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+       ignore (Pool.run pool (fun () -> fib 10));
+       let w0 = Gc.minor_words () in
+       ignore (Sys.opaque_identity (Pool.run pool (fun () -> fib 20)));
+       let words = Gc.minor_words () -. w0 in
+       let forks = forks_of_fib 20 in
+       (* a few hundred words of slack for [run]'s own fixed cost *)
+       checkb
+         (Printf.sprintf "%.0f words for %d forks, at most 23 per fork" words forks)
+         true
+         (words <= float_of_int ((23 * forks) + 256)))
+
 let test_nested_run_rejected () =
   with_pool Pool.Work_stealing (fun pool ->
       checkb "nested run fails" true
@@ -557,6 +630,9 @@ let () =
             (test_sync_cells_apart Pool.Work_stealing);
           Alcotest.test_case "DFD sync cells 128 bytes apart" `Quick
             (test_sync_cells_apart (Pool.Dfdeques { quota = 4096 }));
+          Alcotest.test_case "inline join exception" `Quick test_inline_join_exception;
+          Alcotest.test_case "sync ops per unstolen fork" `Quick test_sync_ops_per_fork;
+          Alcotest.test_case "allocation per unstolen fork" `Quick test_fork_alloc_bound;
           Alcotest.test_case "rank error instrumented" `Quick test_rank_error_instrumented;
           Alcotest.test_case "heartbeat" `Quick test_heartbeat_monotonic;
           Alcotest.test_case "sequential runs" `Quick test_many_sequential_runs;
