@@ -13,6 +13,12 @@ module Registry = Dfd_obs.Registry
 module Headroom = Dfd_obs.Headroom
 module T = Thread_state
 
+(* Int-specialised: Stdlib's polymorphic max/min call the generic compare,
+   and [stall] runs on every executed action. *)
+let max (a : int) b = if a >= b then a else b
+
+let min (a : int) b = if a <= b then a else b
+
 exception Deadlock of string
 
 exception Stuck of string
@@ -87,10 +93,11 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
      per-step counter sample): the payload is built once, and only when a
      ring is live. *)
   let rings_live = Tracer.enabled tracer || Tracer.enabled flight in
-  let note ~proc ~tid kind =
-    Tracer.emit tracer ~ts:ctx.Sched_intf.now ~proc ~tid kind;
-    Tracer.emit flight ~ts:ctx.Sched_intf.now ~proc ~tid kind
+  let note_at ~ts ~proc ~tid kind =
+    Tracer.emit tracer ~ts ~proc ~tid kind;
+    Tracer.emit flight ~ts ~proc ~tid kind
   in
+  let note ~proc ~tid kind = note_at ~ts:ctx.Sched_intf.now ~proc ~tid kind in
   let (Sched_intf.Packed ((module P), pol)) = make_policy sched ctx in
   let pool = T.create_pool () in
   let memory = Memory.create ~stack_bytes:cfg.stack_bytes in
@@ -506,33 +513,57 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
   in
 
   while not (T.dead root) do
-    ctx.now <- ctx.now + 1;
-    if ctx.now > max_steps then raise (Stuck (Printf.sprintf "exceeded %d timesteps" max_steps));
-    for proc = 0 to p - 1 do
-      if avail.(proc) > ctx.now then progress () (* stalled = executing *)
-      else (
-        (* injected processor stall: the core freezes for a few timesteps
-           (descheduled / slowed), counted as occupied like any stall *)
-        match Fault.stall_steps fault with
-        | 0 -> turn proc
-        | s ->
-          if rings_live then note ~proc ~tid:(-1) (Event.Fault_injected { fault = "stall" });
-          progress ();
-          stall proc (s - 1))
+    let step = ctx.now + 1 in
+    if step > max_steps then raise (Stuck (Printf.sprintf "exceeded %d timesteps" max_steps));
+    (* If every processor is stalled (= executing) up to [first_free], the
+       steps before it run no turn: they draw no fault and no PRNG value,
+       and the state cannot change.  The clock jumps over them in one
+       assignment (stopping at [max_steps]), and the end-of-step observers
+       below take the whole span [step, ctx.now]. *)
+    let first_free = ref avail.(0) in
+    for proc = 1 to p - 1 do
+      if avail.(proc) < !first_free then first_free := avail.(proc)
     done;
+    if !first_free > step then begin
+      ctx.now <- min (!first_free - 1) max_steps;
+      progress ()
+    end
+    else begin
+      ctx.now <- step;
+      for proc = 0 to p - 1 do
+        if avail.(proc) > ctx.now then progress () (* stalled = executing *)
+        else (
+          (* injected processor stall: the core freezes for a few timesteps
+             (descheduled / slowed), counted as occupied like any stall *)
+          match Fault.stall_steps fault with
+          | 0 -> turn proc
+          | s ->
+            if rings_live then note ~proc ~tid:(-1) (Event.Fault_injected { fault = "stall" });
+            progress ();
+            stall proc (s - 1))
+      done
+    end;
+    (* Over a jumped span the state is constant: the invariant check, the
+       headroom gauges and the watchdog need one look, while the counter
+       track and the sampler still see every step of it. *)
     if check_invariants then P.check_invariants pol;
     (* The flight ring keeps this machine-wide counter track in its last
        lane: on a wedge the dump shows the final few hundred timesteps of
        heap / thread / deque history next to the per-proc fault and quota
        events. *)
-    if rings_live then
-      note ~proc:(-1) ~tid:(-1)
-        (Event.Counter
-           {
-             deques = Metrics.deque_current metrics;
-             heap = Memory.heap_current memory;
-             threads = Memory.live_threads memory;
-           });
+    if rings_live then begin
+      let sample =
+        Event.Counter
+          {
+            deques = Metrics.deque_current metrics;
+            heap = Memory.heap_current memory;
+            threads = Memory.live_threads memory;
+          }
+      in
+      for ts = step to ctx.now do
+        note_at ~ts ~proc:(-1) ~tid:(-1) sample
+      done
+    end;
     (match headroom with
      | Some hr ->
        Headroom.observe hr ~live_bytes:(Memory.heap_current memory);
@@ -540,10 +571,12 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
      | None -> ());
     (match sampler with
      | Some (every, f) ->
-       if ctx.now mod every = 0 then
-         f ~now:ctx.now ~heap:(Memory.heap_current memory)
-           ~threads:(Memory.live_threads memory)
-           ~deques:(Metrics.deque_current metrics)
+       let ts = ref (step + ((every - (step mod every)) mod every)) in
+       while !ts <= ctx.now do
+         f ~now:!ts ~heap:(Memory.heap_current memory) ~threads:(Memory.live_threads memory)
+           ~deques:(Metrics.deque_current metrics);
+         ts := !ts + every
+       done
      | None -> ());
     (try Watchdog.check wd ~now:ctx.now with
      | Watchdog.No_progress { idle; snapshot; _ } ->

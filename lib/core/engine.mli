@@ -16,7 +16,19 @@
     mutexes, the memory quota and the Section 3.3 big-allocation
     transformation); the plugged {!Sched_intf.POLICY} only decides thread
     placement.  Running the same program under two policies therefore
-    compares pure scheduling decisions under an identical machine. *)
+    compares pure scheduling decisions under an identical machine.
+
+    {b Advancing time.}  A timestep in which every processor is stalled
+    (still executing a multi-timestep action or a miss penalty) runs no
+    scheduler turn, draws no fault and no random number, and changes no
+    state.  The engine therefore jumps its clock over each maximal run of
+    such timesteps in one assignment.  The per-timestep observers still
+    see every timestep of the span: one counter sample per timestep on
+    [tracer] and [flight], and a [sampler] call at every multiple of its
+    period.  The observers of constant state — [check_invariants],
+    [headroom] and the watchdog — look once per span.  [max_steps] stops
+    a span at its bound, so {!Stuck} is raised exactly where a
+    step-by-step clock would raise it. *)
 
 exception Deadlock of string
 (** No processor can make progress but live threads remain (e.g. a mutex
@@ -99,8 +111,8 @@ val run :
     [spin_locks] (default [false]): contended [Lock] actions busy-wait
     instead of suspending (the Cilk-style locks of Figure 17).
     [check_invariants] (default [false]): run the policy's structural
-    invariant check (e.g. Lemma 3.1) after every timestep — O(ready
-    threads) per step, tests only.  Only valid for pure nested-parallel
+    invariant check (e.g. Lemma 3.1) after every timestep (once per
+    all-stalled span) — O(ready threads) per step, tests only.  Only valid for pure nested-parallel
     programs: mutex/condvar wakeups intentionally approximate the priority
     order (Section 5) and trip the check.
     [max_steps] (default [10_000_000_000]).
@@ -126,7 +138,8 @@ val run :
     [observer] is called on every executed action (timestep, processor,
     thread, action) — schedule tracing for tests and visualisation; fork
     actions are reported as [Work 1].
-    [sampler] = [(every, f)]: call [f] every [every] timesteps with the
+    [sampler] = [(every, f)], [every >= 1]: call [f] at every timestep
+    that is a multiple of [every], with the
     live heap bytes, live thread count and peak deque count — the
     memory-profile-over-time instrumentation behind `repro profile`.
     [registry] (default {!Dfd_obs.Registry.disabled}): registers
@@ -138,7 +151,8 @@ val run :
     each processor's lane and a machine-wide counter sample per timestep
     on the last lane (size it [~capacity:256 ~lanes:(p + 1)]).
     [headroom] : a {!Dfd_obs.Headroom} gauge family fed every timestep
-    with the live heap bytes and the heavy-premature count; create it
+    (once per all-stalled span, across which they do not change) with
+    the live heap bytes and the heavy-premature count; create it
     from [Analysis.analyze] results so its budget equals the
     [Oracle.thm44] bound. *)
 

@@ -1,5 +1,11 @@
 type t = {
-  geo : Config.cache;
+  (* The geometry as shifts and a mask (Config.validate_cache makes line
+     and set counts powers of two): line = addr lsr line_shift, set =
+     line land set_mask, tag = line lsr set_shift. *)
+  line_shift : int;
+  set_mask : int;
+  set_shift : int;
+  assoc : int;
   (* tags.(proc).(set * assoc + way): cached line tag, -1 = empty. *)
   tags : int array array;
   (* stamps mirror tags with the last-use clock for LRU replacement. *)
@@ -10,10 +16,19 @@ type t = {
   per_proc_miss : int array;
 }
 
+let log2 n =
+  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
+  go 0
+
 let create geo ~p =
-  let slots = geo.Config.n_sets * geo.Config.assoc in
+  Config.validate_cache geo;
+  let { Config.line_words; n_sets; assoc } = geo in
+  let slots = n_sets * assoc in
   {
-    geo;
+    line_shift = log2 line_words;
+    set_mask = n_sets - 1;
+    set_shift = log2 n_sets;
+    assoc;
     tags = Array.init p (fun _ -> Array.make slots (-1));
     stamps = Array.init p (fun _ -> Array.make slots 0);
     clock = 0;
@@ -22,39 +37,44 @@ let create geo ~p =
     per_proc_miss = Array.make p 0;
   }
 
-let access t ~proc ~addr =
-  t.clock <- t.clock + 1;
-  t.n_access <- t.n_access + 1;
-  let { Config.line_words; n_sets; assoc } = t.geo in
-  let line = addr / line_words in
-  let set = line mod n_sets in
-  let tag = line / n_sets in
+let access_many t ~proc addrs =
   let tags = t.tags.(proc) and stamps = t.stamps.(proc) in
-  let base = set * assoc in
-  let hit = ref false in
-  let victim = ref base in
-  let oldest = ref max_int in
-  for way = base to base + assoc - 1 do
-    if tags.(way) = tag then begin
-      hit := true;
-      victim := way
-    end
-    else if stamps.(way) < !oldest then begin
-      oldest := stamps.(way);
-      if not !hit then victim := way
+  let { line_shift; set_mask; set_shift; assoc; _ } = t in
+  let clock = ref t.clock and misses = ref 0 in
+  for i = 0 to Array.length addrs - 1 do
+    let addr = addrs.(i) in
+    (* a negative tag would alias the empty marker -1 *)
+    if addr < 0 then invalid_arg "Cache.access: negative address";
+    incr clock;
+    let line = addr lsr line_shift in
+    let tag = line lsr set_shift in
+    let base = (line land set_mask) * assoc in
+    let last = base + assoc - 1 in
+    (* A tag sits in at most one way of its set: stop at the first match. *)
+    let way = ref base in
+    while !way <= last && tags.(!way) <> tag do
+      incr way
+    done;
+    if !way <= last then stamps.(!way) <- !clock
+    else begin
+      (* Miss: evict the first way with the strictly smallest stamp (empty
+         ways carry stamp 0, so they fill in order). *)
+      let victim = ref base in
+      for w = base + 1 to last do
+        if stamps.(w) < stamps.(!victim) then victim := w
+      done;
+      tags.(!victim) <- tag;
+      stamps.(!victim) <- !clock;
+      incr misses
     end
   done;
-  stamps.(!victim) <- t.clock;
-  if !hit then false
-  else begin
-    tags.(!victim) <- tag;
-    t.n_miss <- t.n_miss + 1;
-    t.per_proc_miss.(proc) <- t.per_proc_miss.(proc) + 1;
-    true
-  end
+  t.clock <- !clock;
+  t.n_access <- t.n_access + Array.length addrs;
+  t.n_miss <- t.n_miss + !misses;
+  t.per_proc_miss.(proc) <- t.per_proc_miss.(proc) + !misses;
+  !misses
 
-let access_many t ~proc addrs =
-  Array.fold_left (fun acc addr -> acc + if access t ~proc ~addr then 1 else 0) 0 addrs
+let access t ~proc ~addr = access_many t ~proc [| addr |] = 1
 
 let accesses t = t.n_access
 

@@ -12,13 +12,16 @@
 type t
 
 val create : Config.cache -> p:int -> t
-(** One private cache per processor. *)
+(** One private cache per processor.  Raises [Invalid_argument] on a
+    geometry {!Config.validate_cache} rejects. *)
 
 val access : t -> proc:int -> addr:int -> bool
-(** Issue one word reference on processor [proc]; [true] if it missed. *)
+(** Issue one word reference on processor [proc]; [true] if it missed.
+    Raises [Invalid_argument] if [addr] is negative. *)
 
 val access_many : t -> proc:int -> int array -> int
-(** Issue all addresses; returns the number of misses. *)
+(** Issue all addresses in order; returns the number of misses.  Raises
+    [Invalid_argument] at the first negative address. *)
 
 val accesses : t -> int
 (** Total references issued (all processors). *)

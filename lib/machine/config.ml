@@ -18,6 +18,12 @@ let default_cache = { line_words = 8; n_sets = 256; assoc = 4 }
 
 let cache_bytes c = c.line_words * 8 * c.n_sets * c.assoc
 
+let validate_cache c =
+  let pow2 n = n > 0 && n land (n - 1) = 0 in
+  if not (pow2 c.line_words) then invalid_arg "Config: cache line_words must be a power of two";
+  if not (pow2 c.n_sets) then invalid_arg "Config: cache n_sets must be a power of two";
+  if c.assoc < 1 then invalid_arg "Config: cache assoc must be >= 1"
+
 let analysis ~p ?(mem_threshold = None) ?(seed = 42) () =
   if p < 1 then invalid_arg "Config.analysis: p must be >= 1";
   {
@@ -38,6 +44,7 @@ let costed ~p ?(mem_threshold = None) ?(seed = 42) ?(cache = default_cache)
     ?(miss_penalty = 8) ?(queue_cost = 2) ?(steal_cost = 4) ?(thread_cost = 10)
     ?(stack_pressure_threshold = 128) ?(stack_pressure_cost = 40) () =
   if p < 1 then invalid_arg "Config.costed: p must be >= 1";
+  validate_cache cache;
   {
     p;
     mem_threshold;

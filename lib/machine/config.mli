@@ -20,7 +20,10 @@ type cache = {
   assoc : int;  (** ways per set. *)
 }
 (** A [line_words * n_sets * assoc * 8]-byte set-associative LRU cache per
-    processor (the paper's per-processor off-chip L2, Section 1). *)
+    processor (the paper's per-processor off-chip L2, Section 1).
+    [line_words] and [n_sets] must be powers of two, so that the simulator
+    splits an address into line, set and tag with shifts and a mask;
+    [assoc] may be any value >= 1.  See {!validate_cache}. *)
 
 type t = {
   p : int;  (** number of processors. *)
@@ -64,13 +67,19 @@ val costed :
   t
 (** Section 5 performance model.  Defaults: the {!default_cache}, miss
     penalty 8, queue cost 2, steal cost 4, thread cost 10, stack pressure
-    40 extra fork timesteps beyond 128 live threads. *)
+    40 extra fork timesteps beyond 128 live threads.  Raises
+    [Invalid_argument] if [p < 1] or the cache geometry is invalid
+    ({!validate_cache}). *)
 
 val default_cache : cache
 (** 64B lines (8 words), 256 sets, 4-way: 64kB per processor — scaled down
     from the paper's 512kB L2 in proportion to our scaled-down inputs. *)
 
 val cache_bytes : cache -> int
+
+val validate_cache : cache -> unit
+(** Raises [Invalid_argument] unless [line_words] and [n_sets] are powers
+    of two and [assoc >= 1]. *)
 
 val mem_threshold_exn : t -> int
 (** The threshold, raising if infinite (callers that need a finite K). *)

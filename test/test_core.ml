@@ -12,6 +12,10 @@ module Config = Dfd_machine.Config
 module Engine = Dfdeques_core.Engine
 module Dummy = Dfdeques_core.Dummy
 module Oracle = Dfd_check.Oracle
+module Workload = Dfd_benchmarks.Workload
+module Benchmarks = Dfd_benchmarks.Registry
+module Tracer = Dfd_trace.Tracer
+module Event = Dfd_trace.Event
 open Prog
 
 let checki = Alcotest.(check int)
@@ -395,6 +399,83 @@ let test_more_procs_than_work () =
   checki "work" 5 r.Engine.work
 
 (* ------------------------------------------------------------------ *)
+(* Costed simulator: pinned numbers and jumped all-stalled spans       *)
+(* ------------------------------------------------------------------ *)
+
+let table_cfg = Config.costed ~p:8 ~mem_threshold:(Some 50_000) ~seed:1 ()
+
+let table_prog name = (Benchmarks.find name Workload.Fine).Workload.prog ()
+
+(* (program, policy, (time, work, heap_peak, cache_misses, steal_attempts))
+   for the seven Table-1 programs, Fine grain, costed p = 8, K = 50 000,
+   seed 1.  Any change to the engine, a policy or the cache model that
+   moves one simulated number trips this table. *)
+let pinned =
+  [
+    ("VolRend", `Ws, (4985, 24831, 0, 1536, 70));
+    ("DenseMM", `Ws, (170951, 312830, 475136, 110226, 31329));
+    ("SparseMVM", `Ws, (6166, 12249, 0, 4184, 325));
+    ("FFTW", `Ws, (24014, 37762, 131072, 17376, 3264));
+    ("FMM", `Ws, (43397, 250477, 222720, 6066, 1290));
+    ("BarnesHut", `Ws, (57778, 160766, 32768, 36019, 1493));
+    ("DecisionTree", `Ws, (15052, 38268, 280344, 7970, 1571));
+    ("VolRend", `Dfdeques, (5369, 24831, 0, 1788, 353));
+    ("DenseMM", `Dfdeques, (180764, 312838, 442368, 116189, 39063));
+    ("SparseMVM", `Dfdeques, (6122, 12249, 0, 4103, 391));
+    ("FFTW", `Dfdeques, (22881, 37770, 131072, 15376, 4981));
+    ("FMM", `Dfdeques, (44152, 250477, 220320, 6474, 2043));
+    ("BarnesHut", `Dfdeques, (58293, 160766, 32768, 35717, 3136));
+    ("DecisionTree", `Dfdeques, (15464, 38273, 280864, 8693, 937));
+  ]
+
+let test_table_numbers_pinned () =
+  List.iter
+    (fun (name, sched, (time, work, heap_peak, misses, attempts)) ->
+       let r = Engine.run ~sched table_cfg (table_prog name) in
+       let tag what = Printf.sprintf "%s %s %s" name (Engine.sched_name sched) what in
+       checki (tag "time") time r.Engine.time;
+       checki (tag "work") work r.Engine.work;
+       checki (tag "heap_peak") heap_peak r.Engine.heap_peak;
+       checki (tag "cache_misses") misses r.Engine.cache_misses;
+       checki (tag "steal_attempts") attempts r.Engine.steal_attempts)
+    pinned
+
+let test_sampler_sees_every_multiple () =
+  let prog = table_prog "FFTW" in
+  let seen = ref [] in
+  let r =
+    Engine.run ~sched:`Dfdeques
+      ~sampler:(7, fun ~now ~heap:_ ~threads:_ ~deques:_ -> seen := now :: !seen)
+      table_cfg prog
+  in
+  checki "observed run unchanged" 22881 r.Engine.time;
+  Alcotest.(check (list int))
+    "every multiple of 7 up to T, once"
+    (List.init (r.Engine.time / 7) (fun i -> 7 * (i + 1)))
+    (List.rev !seen)
+
+let test_counter_track_covers_every_step () =
+  let prog = table_prog "FFTW" in
+  let tracer = Tracer.create ~capacity:256 () in
+  let flight = Tracer.create ~capacity:256 ~lanes:9 () in
+  let r = Engine.run ~sched:`Ws ~tracer ~flight table_cfg prog in
+  checki "traced run unchanged" 24014 r.Engine.time;
+  let counter = Event.Counter { deques = 0; heap = 0; threads = 0 } in
+  checki "one tracer counter per timestep" r.Engine.time (Tracer.count tracer counter);
+  checki "one flight counter per timestep" r.Engine.time (Tracer.count flight counter)
+
+let test_stuck_inside_stalled_span () =
+  (* one processor executing a 1000-unit action is stalled through steps
+     2..1000, so max_steps = 10 falls inside a span the clock jumps *)
+  let seen = ref [] in
+  Alcotest.check_raises "Stuck at max_steps" (Engine.Stuck "exceeded 10 timesteps") (fun () ->
+      ignore
+        (Engine.run ~sched:`Ws ~max_steps:10
+           ~sampler:(1, fun ~now ~heap:_ ~threads:_ ~deques:_ -> seen := now :: !seen)
+           (Config.analysis ~p:1 ()) (finish (work 1_000))));
+  Alcotest.(check (list int)) "sampled up to max_steps" (List.init 10 (fun i -> i + 1)) (List.rev !seen)
+
+(* ------------------------------------------------------------------ *)
 (* Theorems as properties                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -697,6 +778,13 @@ let () =
           Alcotest.test_case "spin + observer" `Quick test_spin_locks_with_observer;
           Alcotest.test_case "more procs than work" `Quick test_more_procs_than_work;
           Alcotest.test_case "load balance" `Quick test_load_balance_wide_dag;
+        ] );
+      ( "costed",
+        [
+          Alcotest.test_case "table numbers pinned" `Quick test_table_numbers_pinned;
+          Alcotest.test_case "sampler every multiple" `Quick test_sampler_sees_every_multiple;
+          Alcotest.test_case "counter every step" `Quick test_counter_track_covers_every_step;
+          Alcotest.test_case "stuck inside span" `Quick test_stuck_inside_stalled_span;
         ] );
       ( "locks",
         [

@@ -70,6 +70,19 @@ let test_cache_capacity_sweep () =
   done;
   checki "all accesses missed" (4 * cap_lines) (Cache.misses c)
 
+let test_cache_rejects_negative_address () =
+  (* with the default geometry address -2048 has tag -1, the empty-way
+     marker: unchecked, a cold access would report a hit *)
+  let c = Cache.create Config.default_cache ~p:1 in
+  List.iter
+    (fun addr ->
+       Alcotest.check_raises
+         (Printf.sprintf "addr %d" addr)
+         (Invalid_argument "Cache.access: negative address")
+         (fun () -> ignore (Cache.access c ~proc:0 ~addr)))
+    [ -2048; -8; -1 ];
+  checki "nothing counted" 0 (Cache.accesses c)
+
 let test_config_validation () =
   checkb "p=0 rejected" true
     (try
@@ -86,7 +99,26 @@ let test_config_validation () =
      with Invalid_argument _ -> true);
   let c = Config.costed ~p:4 ~mem_threshold:(Some 100) () in
   checki "threshold" 100 (Config.mem_threshold_exn c);
-  checki "cache bytes" (64 * 1024) (Config.cache_bytes Config.default_cache)
+  checki "cache bytes" (64 * 1024) (Config.cache_bytes Config.default_cache);
+  let rejected name cache =
+    checkb (name ^ " rejected by costed") true
+      (try
+         ignore (Config.costed ~p:4 ~cache ());
+         false
+       with Invalid_argument _ -> true);
+    checkb (name ^ " rejected by Cache.create") true
+      (try
+         ignore (Cache.create cache ~p:1);
+         false
+       with Invalid_argument _ -> true)
+  in
+  rejected "n_sets = 3" { Config.default_cache with n_sets = 3 };
+  rejected "line_words = 6" { Config.default_cache with line_words = 6 };
+  rejected "assoc = 0" { Config.default_cache with assoc = 0 };
+  let three_way = { Config.default_cache with assoc = 3 } in
+  checkb "assoc = 3 accepted" true
+    ((Config.costed ~p:4 ~cache:three_way ()).Config.cache = Some three_way);
+  ignore (Cache.create three_way ~p:1)
 
 let test_memory_watermarks () =
   let m = Memory.create ~stack_bytes:100 in
@@ -173,6 +205,7 @@ let () =
           Alcotest.test_case "access_many" `Quick test_cache_access_many;
           Alcotest.test_case "empty rate" `Quick test_cache_empty_rate;
           Alcotest.test_case "capacity thrash" `Quick test_cache_capacity_sweep;
+          Alcotest.test_case "negative address" `Quick test_cache_rejects_negative_address;
         ] );
       ("config", [ Alcotest.test_case "validation" `Quick test_config_validation ]);
       ( "memory",
