@@ -295,129 +295,10 @@ let pool_report ~seed (name, policy) =
       ] )
 
 (* ------------------------------------------------------------------ *)
-(* Service campaigns (supervised pool; deterministic facts only)       *)
-(* ------------------------------------------------------------------ *)
-
-module Service = Dfd_service.Service
-module Tenant = Dfd_service.Tenant
-module Retry = Dfd_service.Retry
-
-(* A lane bounded at 2 sheds the third of a burst of three — typed
-   admission control on the handle, not an exception. *)
-let service_shed_campaign ~seed =
-  let config =
-    {
-      Service.default_config with
-      Service.seed;
-      tenants = [ Tenant.make ~queue_bound:2 "default" ];
-      domains = 1;
-    }
-  in
-  let svc = Service.create ~config Pool.Work_stealing in
-  let r1 = Service.admission (Service.submit svc (fun () -> ())) in
-  let r2 = Service.admission (Service.submit svc (fun () -> ())) in
-  let r3 = Service.admission (Service.submit svc (fun () -> ())) in
-  Service.drive svc;
-  let ok =
-    Result.is_ok r1 && Result.is_ok r2
-    && r3 = Error Service.Queue_full
-    && Service.verify_ledger svc = Ok ()
-  in
-  Service.shutdown svc;
-  ok
-
-(* One supervised service, three deterministic outcome classes: a job
-   that always raises is retried to budget exhaustion then Failed; a job
-   that raises once recovers on its first retry; a job that wedges the
-   pool (spins outside cooperative cancellation) triggers exactly one
-   respawn + front requeue and completes on the second attempt.  The
-   exactly-once ledger must audit clean throughout. *)
-let service_fault_campaign ~seed =
-  let wedge_flags : (int, bool Atomic.t) Hashtbl.t = Hashtbl.create 4 in
-  let on_pool_retired ~in_flight =
-    match in_flight with
-    | Some id -> (
-        match Hashtbl.find_opt wedge_flags id with
-        | Some flag -> Atomic.set flag true
-        | None -> ())
-    | None -> ()
-  in
-  let config =
-    {
-      Service.default_config with
-      Service.seed;
-      retry = { Retry.max_attempts = 2; base_delay = 1; max_delay = 2 };
-      wedge_grace = 1.0;
-      domains = 2;
-      on_pool_retired = Some on_pool_retired;
-    }
-  in
-  let svc = Service.create ~config (Pool.Dfdeques { quota = 4096 }) in
-  let exn_id =
-    Result.get_ok
-      (Service.admission (Service.submit svc ~class_:"exn" (fun () -> failwith "boom")))
-  in
-  let tripped = Atomic.make false in
-  let flaky_id =
-    Result.get_ok
-      (Service.admission
-         (Service.submit svc ~class_:"flaky" (fun () ->
-              if not (Atomic.exchange tripped true) then failwith "flaky")))
-  in
-  let flag = Atomic.make false in
-  let wedge_id =
-    Result.get_ok
-      (Service.admission
-         (Service.submit svc ~class_:"wedge" (fun () ->
-              while not (Atomic.get flag) do
-                Domain.cpu_relax ()
-              done)))
-  in
-  Hashtbl.replace wedge_flags wedge_id flag;
-  Service.drive svc;
-  let entry id = List.find (fun e -> e.Service.job = id) (Service.ledger svc) in
-  let c = Service.counters svc in
-  let exn_ok =
-    let e = entry exn_id in
-    (match e.Service.outcome with Some (Service.Failed _) -> true | _ -> false)
-    && e.Service.attempts = 2
-  in
-  let flaky_ok =
-    let e = entry flaky_id in
-    e.Service.outcome = Some Service.Completed && e.Service.attempts = 2
-  in
-  let wedge_ok =
-    let e = entry wedge_id in
-    e.Service.outcome = Some Service.Completed
-    && e.Service.requeues = 1
-    && c.Service.wedges = 1
-    && c.Service.respawns = 1
-  in
-  let ledger_ok = Service.verify_ledger svc = Ok () in
-  let dup_ok = c.Service.duplicate_acks = 0 in
-  Service.shutdown ~reap:true svc;
-  (exn_ok, flaky_ok, wedge_ok, ledger_ok, dup_ok)
-
-let service_report ~seed =
-  let shed_ok = service_shed_campaign ~seed in
-  let exn_ok, flaky_ok, wedge_ok, ledger_ok, dup_ok = service_fault_campaign ~seed in
-  let passed = shed_ok && exn_ok && flaky_ok && wedge_ok && ledger_ok && dup_ok in
-  ( passed,
-    Json.Assoc
-      [
-        ("queue_sheds_at_capacity", Json.Bool shed_ok);
-        ("exn_retried_to_budget_then_failed", Json.Bool exn_ok);
-        ("flaky_recovers_after_one_retry", Json.Bool flaky_ok);
-        ("wedge_respawn_requeues_exactly_once", Json.Bool wedge_ok);
-        ("ledger_verified", Json.Bool ledger_ok);
-        ("no_duplicate_acks", Json.Bool dup_ok);
-      ] )
-
-(* ------------------------------------------------------------------ *)
 (* The campaign driver                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let run_chaos ~seed ~campaigns ~p ~json_out ~skip_pool ~service ~crash =
+let run_chaos ~seed ~campaigns ~p ~json_out ~skip_pool ~crash =
   let ok = ref 0
   and invariants = ref 0
   and deadlocks = ref 0
@@ -457,14 +338,6 @@ let run_chaos ~seed ~campaigns ~p ~json_out ~skip_pool ~service ~crash =
         List.map snd results @ [ lf_json ] )
     end
   in
-  let service_passed, service_json =
-    if not service then (true, None)
-    else begin
-      let passed, j = service_report ~seed in
-      Printf.printf "service %s\n%!" (if passed then "ok" else "FAILED");
-      (passed, Some j)
-    end
-  in
   let crash_passed, crash_json =
     if not crash then (true, None)
     else begin
@@ -481,7 +354,7 @@ let run_chaos ~seed ~campaigns ~p ~json_out ~skip_pool ~service ~crash =
   let sim_total = List.length scheds * campaigns in
   let all_passed =
     !ok = sim_total && !invariants = 0 && !deadlocks = 0 && !errors = 0 && pool_passed
-    && service_passed && crash_passed
+    && crash_passed
   in
   let report =
     Json.Assoc
@@ -492,7 +365,6 @@ let run_chaos ~seed ~campaigns ~p ~json_out ~skip_pool ~service ~crash =
          ("simulator", Json.List sim_json);
          ("pool", Json.List pool_json);
        ]
-       @ (match service_json with Some j -> [ ("service", j) ] | None -> [])
        @ (match crash_json with Some j -> [ ("crash", j) ] | None -> [])
        @ [
            ( "summary",
@@ -506,7 +378,6 @@ let run_chaos ~seed ~campaigns ~p ~json_out ~skip_pool ~service ~crash =
                   ("faults_injected", Json.Int !faults);
                   ("pool_passed", Json.Bool pool_passed);
                 ]
-                @ (if service then [ ("service_passed", Json.Bool service_passed) ] else [])
                 @ (if crash then [ ("crash_passed", Json.Bool crash_passed) ] else [])
                 @ [ ("all_passed", Json.Bool all_passed) ]) );
          ])

@@ -309,14 +309,6 @@ let chaos_skip_pool_arg =
   let doc = "Only run the (fast, fully deterministic) simulator campaigns." in
   Arg.(value & flag & info [ "skip-pool" ] ~doc)
 
-let chaos_service_arg =
-  let doc =
-    "Also run campaigns against the supervised job service (admission shedding, retry to \
-     budget exhaustion, flaky-job recovery, pool-wedge respawn with exactly-once requeue, \
-     ledger audit)."
-  in
-  Arg.(value & flag & info [ "service" ] ~doc)
-
 let chaos_crash_arg =
   let doc =
     "Also run the per-worker crash-domain campaigns: a seeded worker crash is injected \
@@ -327,8 +319,8 @@ let chaos_crash_arg =
   in
   Arg.(value & flag & info [ "crash" ] ~doc)
 
-let chaos_run seed campaigns p json_out skip_pool service crash =
-  exit (Chaos.run_chaos ~seed ~campaigns ~p ~json_out ~skip_pool ~service ~crash)
+let chaos_run seed campaigns p json_out skip_pool crash =
+  exit (Chaos.run_chaos ~seed ~campaigns ~p ~json_out ~skip_pool ~crash)
 
 let chaos_cmd =
   let doc =
@@ -340,7 +332,7 @@ let chaos_cmd =
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(
       const chaos_run $ seed_arg $ chaos_campaigns_arg $ p_arg $ chaos_json_arg
-      $ chaos_skip_pool_arg $ chaos_service_arg $ chaos_crash_arg)
+      $ chaos_skip_pool_arg $ chaos_crash_arg)
 
 let soak_duration_arg =
   let doc = "Logical duration of the submission phase, in service steps (>= 12)." in
@@ -384,8 +376,9 @@ let soak_tenants_arg =
   let doc =
     "Run the multi-tenant open-loop campaign instead of a fault plan: `normal' (three tenants \
      under steady seeded load; nothing may be shed) or `bully' (the lowest-weight tenant \
-     offers ~10x load laced with allocation spikes; the oracle checks it is shed first and \
-     alone, victims complete >= 99% with bounded p99, and per-tenant K budgets stay isolated)."
+     offers ~10x load laced with allocation spikes; the oracle checks its own full lane sheds it \
+     first and alone, victims complete >= 99% with bounded p99, and per-tenant K budgets stay \
+     isolated)."
   in
   Arg.(value & opt (some (Arg.enum Soak.tenant_modes)) None
        & info [ "tenants" ] ~docv:"MODE" ~doc)
@@ -404,8 +397,8 @@ let soak_cmd =
      ledger (zero lost jobs, zero duplicated acknowledgements, outcome classes per \
      archetype, wedge -> respawn -> requeue exactly once, adaptive-K shrink and recovery).  \
      With $(b,--tenants) the campaign instead exercises the multi-tenant front door: \
-     weighted-fair lanes under seeded open-loop load, the overload backpressure ladder, \
-     duplicate coalescing and per-tenant adaptive-K isolation."
+     weighted-fair bounded lanes under seeded open-loop load, shedding at a full lane, and \
+     per-tenant adaptive-K isolation."
   in
   Cmd.v (Cmd.info "soak" ~doc)
     Term.(

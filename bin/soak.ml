@@ -27,26 +27,23 @@
    bronze w1) submit per-step arrivals drawn from per-tenant splitmix64
    streams.  Under `bully', bronze offers ~10x its normal load laced
    with allocation spikes; the oracle then checks the isolation story —
-   the bully is shed first (and only the bully), victims complete
-   >= 99% with bounded p99, every lane stays within its bound, the
-   bully's K shrinks while the victims' K budgets never dip, and the
-   peak per-attempt allocation stays inside the Theorem-4.4 headroom
-   budget.  Per-tenant latency quantiles come from [Stats.Histogram];
+   the bully is shed first (and only the bully) by its own full lane,
+   victims complete >= 99% with bounded p99, every lane stays within
+   its bound, the bully's K shrinks while the victims' K budgets never
+   dip, and the peak per-attempt allocation stays inside the
+   Theorem-4.4 headroom budget.  Per-tenant latency quantiles come from [Stats.Histogram];
    the global distribution is their [Histogram.merge].
 
    After the submission phase the service is driven to idle and audited.
    The JSON report contains only logical-clock facts — counters, the
-   ledger, quota/breaker/ladder trajectories, per-tenant sections —
+   ledger, quota trajectories, per-tenant sections —
    never wall-clock readings, so two runs with the same seed and
    arguments are byte-identical.  The exit code is gated on the ledger
    audit and the oracle, never on timing. *)
 
 module Service = Dfd_service.Service
-module Handle = Dfd_service.Handle
 module Tenant = Dfd_service.Tenant
-module Ladder = Dfd_service.Ladder
 module Retry = Dfd_service.Retry
-module Breaker = Dfd_service.Breaker
 module Quota_ctl = Dfd_service.Quota_ctl
 module Pool = Dfd_runtime.Pool
 module Json = Dfd_trace.Json
@@ -141,8 +138,6 @@ let wedge_body flag () = while not (Atomic.get flag) do Domain.cpu_relax () done
 
 let soak_retry = { Retry.max_attempts = 3; base_delay = 1; max_delay = 8 }
 
-let soak_breaker = { Breaker.failure_threshold = 4; cooldown = 12; probe_budget = 2 }
-
 let soak_quota =
   {
     Quota_ctl.k_init = 32_000;
@@ -156,18 +151,14 @@ let soak_quota =
 let slow_deadline = 0.05
 
 (* The multi-tenant lanes: weight is declared importance, so the
-   low-weight bronze lane is where a bully is cheapest to run and the
-   first to be shed. *)
+   low-weight bronze lane, with the smallest bound, is where a bully is
+   cheapest to run and the first to fill. *)
 let soak_tenants =
   [
     Tenant.make ~weight:4 ~queue_bound:16 "gold";
     Tenant.make ~weight:2 ~queue_bound:12 "silver";
     Tenant.make ~weight:1 ~queue_bound:8 "bronze";
   ]
-
-(* Ladder thresholds for the tenant campaigns: with 36 aggregate slots, a
-   full bronze lane alone (8 jobs, 22%) must already read as overload. *)
-let soak_ladder = { Ladder.coalesce_at = 10; shed_at = 20; break_at = 95; calm_steps = 3 }
 
 (* Headroom estimates for the tenant campaigns: generous S1/D guesses
    that make the Theorem-4.4 budget a real (finite, nonzero) ceiling the
@@ -191,66 +182,45 @@ let outcome_fields = function
   | Some Service.Cancelled -> [ ("outcome", Json.String "cancelled") ]
 
 (* The counters object is rendered from the registry's sample type (the
-   same path `repro metrics` exposes); [Service.counter_samples] keeps the
-   exact key set and order this report has always had. *)
+   same path `repro metrics` exposes); [Service.counter_samples] fixes its
+   key set and order. *)
 let counters_json svc = Registry.Snapshot.to_flat_json (Service.counter_samples svc)
 
-let config_json ~policy_name ~with_quota ~tenants ~ladder =
+let config_json ~policy_name ~with_quota ~tenants =
   Json.Assoc
-    ([
-       ("policy", Json.String policy_name);
-       ( "tenants",
-         Json.List
-           (List.map
-              (fun (tn : Tenant.t) ->
-                 Json.Assoc
-                   [
-                     ("name", Json.String tn.Tenant.name);
-                     ("weight", Json.Int tn.Tenant.weight);
-                     ("queue_bound", Json.Int tn.Tenant.queue_bound);
-                   ])
-              tenants) );
-       ( "retry",
-         Json.Assoc
-           [
-             ("max_attempts", Json.Int soak_retry.Retry.max_attempts);
-             ("base_delay", Json.Int soak_retry.Retry.base_delay);
-             ("max_delay", Json.Int soak_retry.Retry.max_delay);
-           ] );
-       ( "breaker",
-         Json.Assoc
-           [
-             ("failure_threshold", Json.Int soak_breaker.Breaker.failure_threshold);
-             ("cooldown", Json.Int soak_breaker.Breaker.cooldown);
-             ("probe_budget", Json.Int soak_breaker.Breaker.probe_budget);
-           ] );
-       ( "quota_ctl",
-         if with_quota then
-           Json.Assoc
-             [
-               ("k_init", Json.Int soak_quota.Quota_ctl.k_init);
-               ("k_min", Json.Int soak_quota.Quota_ctl.k_min);
-               ("k_max", Json.Int soak_quota.Quota_ctl.k_max);
-               ("high_watermark", Json.Int soak_quota.Quota_ctl.high_watermark);
-               ("low_watermark", Json.Int soak_quota.Quota_ctl.low_watermark);
-               ("recover_steps", Json.Int soak_quota.Quota_ctl.recover_steps);
-             ]
-         else Json.Null );
-     ]
-     @
-     match ladder with
-     | None -> []
-     | Some (l : Ladder.config) ->
-       [
-         ( "ladder",
-           Json.Assoc
-             [
-               ("coalesce_at", Json.Int l.Ladder.coalesce_at);
-               ("shed_at", Json.Int l.Ladder.shed_at);
-               ("break_at", Json.Int l.Ladder.break_at);
-               ("calm_steps", Json.Int l.Ladder.calm_steps);
-             ] );
-       ])
+    [
+      ("policy", Json.String policy_name);
+      ( "tenants",
+        Json.List
+          (List.map
+             (fun (tn : Tenant.t) ->
+                Json.Assoc
+                  [
+                    ("name", Json.String tn.Tenant.name);
+                    ("weight", Json.Int tn.Tenant.weight);
+                    ("queue_bound", Json.Int tn.Tenant.queue_bound);
+                  ])
+             tenants) );
+      ( "retry",
+        Json.Assoc
+          [
+            ("max_attempts", Json.Int soak_retry.Retry.max_attempts);
+            ("base_delay", Json.Int soak_retry.Retry.base_delay);
+            ("max_delay", Json.Int soak_retry.Retry.max_delay);
+          ] );
+      ( "quota_ctl",
+        if with_quota then
+          Json.Assoc
+            [
+              ("k_init", Json.Int soak_quota.Quota_ctl.k_init);
+              ("k_min", Json.Int soak_quota.Quota_ctl.k_min);
+              ("k_max", Json.Int soak_quota.Quota_ctl.k_max);
+              ("high_watermark", Json.Int soak_quota.Quota_ctl.high_watermark);
+              ("low_watermark", Json.Int soak_quota.Quota_ctl.low_watermark);
+              ("recover_steps", Json.Int soak_quota.Quota_ctl.recover_steps);
+            ]
+        else Json.Null );
+    ]
 
 let quantile_json h =
   let q p = match Stats.Histogram.quantile h p with Some v -> Json.Float v | None -> Json.Null in
@@ -269,18 +239,10 @@ let tenant_json (ts : Service.tenant_stats) =
       ("weight", Json.Int ts.Service.ts_weight);
       ("queue_bound", Json.Int ts.Service.ts_bound);
       ("accepted", Json.Int ts.Service.ts_accepted);
-      ("coalesced", Json.Int ts.Service.ts_coalesced);
       ("completions", Json.Int ts.Service.ts_completions);
       ("failures", Json.Int ts.Service.ts_failures);
       ("cancelled", Json.Int ts.Service.ts_cancelled);
-      ( "rejected",
-        Json.Assoc
-          [
-            ("queue_full", Json.Int ts.Service.ts_rejected_queue_full);
-            ("breaker_open", Json.Int ts.Service.ts_rejected_breaker_open);
-            ("memory_pressure", Json.Int ts.Service.ts_rejected_memory_pressure);
-            ("overloaded", Json.Int ts.Service.ts_rejected_overloaded);
-          ] );
+      ("rejected_queue_full", Json.Int ts.Service.ts_rejected_queue_full);
       ( "first_shed_step",
         match ts.Service.ts_first_shed with None -> Json.Null | Some s -> Json.Int s );
       ("peak_depth", Json.Int ts.Service.ts_peak_depth);
@@ -292,17 +254,6 @@ let tenant_json (ts : Service.tenant_stats) =
           (List.map
              (fun (s, k) -> Json.List [ Json.Int s; Json.Int k ])
              ts.Service.ts_quota_trajectory) );
-    ]
-
-let ladder_json svc =
-  Json.Assoc
-    [
-      ("final", Json.String (Ladder.level_name (Service.ladder_level svc)));
-      ( "transitions",
-        Json.List
-          (List.map
-             (fun (s, lvl) -> Json.List [ Json.Int s; Json.String (Ladder.level_name lvl) ])
-             (Service.ladder_transitions svc)) );
     ]
 
 let headroom_json svc =
@@ -329,12 +280,6 @@ let ledger_json entries =
              ]
              @ outcome_fields e.Service.outcome))
        entries)
-
-let breaker_json svc =
-  Json.List
-    (List.map
-       (fun (s, cl, st) -> Json.List [ Json.Int s; Json.String cl; Json.String st ])
-       (Service.breaker_transitions svc))
 
 let write_report ~json_out report =
   match json_out with
@@ -385,9 +330,7 @@ let run_fault_soak ~seed ~duration ~plan ~policy ~wedge_grace ~json_out ~flight_
     {
       Service.seed;
       tenants;
-      ladder = Ladder.default_config;
       retry = soak_retry;
-      breaker = soak_breaker;
       quota_ctl = (if dfd then Some soak_quota else None);
       default_deadline = None;
       wedge_grace;
@@ -513,11 +456,6 @@ let run_fault_soak ~seed ~duration ~plan ~policy ~wedge_grace ~json_out ~flight_
      | Some k -> violate "quota did not recover to k_max after calm period (final K = %d)" k
      | None -> violate "dfd service reports no quota")
   end;
-  let breaker_trans = Service.breaker_transitions svc in
-  if plan = P_exns || plan = P_mixed then begin
-    if not (List.exists (fun (_, cl, st) -> cl = "exn" && st = "open") breaker_trans) then
-      violate "breaker for class 'exn' never opened under repeated failures"
-  end;
   let violations = List.rev !violations in
   let passed = violations = [] in
   (* ---- the report ---- *)
@@ -528,7 +466,7 @@ let run_fault_soak ~seed ~duration ~plan ~policy ~wedge_grace ~json_out ~flight_
         ("plan", Json.String (plan_name plan));
         ("duration_steps", Json.Int duration);
         ("final_step", Json.Int (Service.now svc));
-        ("config", config_json ~policy_name ~with_quota:dfd ~tenants ~ladder:None);
+        ("config", config_json ~policy_name ~with_quota:dfd ~tenants);
         ( "submissions",
           Json.List
             (List.map
@@ -546,7 +484,6 @@ let run_fault_soak ~seed ~duration ~plan ~policy ~wedge_grace ~json_out ~flight_
         ( "quota_trajectory",
           Json.List
             (List.map (fun (s, k) -> Json.List [ Json.Int s; Json.Int k ]) quota_traj) );
-        ("breaker_transitions", breaker_json svc);
         ("counters", counters_json svc);
         ( "metrics",
           Json.Assoc
@@ -576,12 +513,10 @@ let run_fault_soak ~seed ~duration ~plan ~policy ~wedge_grace ~json_out ~flight_
   write_report ~json_out report;
   Printf.printf
     "soak[%s/%s]: %d submitted (%d accepted, %d shed), %d completed, %d failed, %d retries, %d \
-     timeouts, %d wedges -> %d respawns, %d quota moves, %d breaker transitions\n"
+     timeouts, %d wedges -> %d respawns, %d quota moves\n"
     (plan_name plan) policy_name (List.length submissions) c.Service.accepted
-    (c.Service.rejected_queue_full + c.Service.rejected_breaker_open
-     + c.Service.rejected_memory_pressure + c.Service.rejected_overloaded)
-    c.Service.completions c.Service.failures c.Service.retries c.Service.timeouts
-    c.Service.wedges c.Service.respawns (List.length quota_traj) (List.length breaker_trans);
+    c.Service.rejected_queue_full c.Service.completions c.Service.failures c.Service.retries
+    c.Service.timeouts c.Service.wedges c.Service.respawns (List.length quota_traj);
   finish ~violations
 
 (* ------------------------------------------------------------------ *)
@@ -606,7 +541,6 @@ type t_submission = {
   u_tenant : string;
   u_class : string;
   u_result : (int, Service.reject_reason) result;
-  u_coalesced : bool;
 }
 
 let run_tenant_soak ~seed ~duration ~mode ~policy ~wedge_grace ~json_out ~flight_dir =
@@ -619,9 +553,7 @@ let run_tenant_soak ~seed ~duration ~mode ~policy ~wedge_grace ~json_out ~flight
     {
       Service.seed;
       tenants = soak_tenants;
-      ladder = soak_ladder;
       retry = soak_retry;
-      breaker = soak_breaker;
       quota_ctl = (if dfd then Some soak_quota else None);
       default_deadline = None;
       wedge_grace;
@@ -642,36 +574,22 @@ let run_tenant_soak ~seed ~duration ~mode ~policy ~wedge_grace ~json_out ~flight
   let submissions = ref [] in
   let bronze_jobs = ref 0 in
   let submit_one ~s tenant =
-    (* class, body and coalescing key per tenant: gold is plain load;
-       silver bursts a duplicate-keyed pair every 7th step (coalescing
-       fodder); bronze in bully mode offers distinct non-idempotent jobs
-       (a bully's flood must pile up, not coalesce away) and laces every
-       4th with an allocation spike that only its own K controller
-       should feel *)
-    let class_, key, body =
+    (* class and body per tenant: gold is plain load; silver bursts a
+       pair every 7th step; bronze in bully mode laces every 4th job with
+       an allocation spike that only its own K controller should feel *)
+    let class_, body =
       match tenant with
-      | "gold" -> ("ok", None, ok_body)
-      | "silver" ->
-        if s mod 7 = 3 then ("dup", Some (Printf.sprintf "silver-%d" s), ok_body)
-        else ("ok", None, ok_body)
+      | "gold" -> ("ok", ok_body)
+      | "silver" -> ((if s mod 7 = 3 then "dup" else "ok"), ok_body)
       | _ ->
         incr bronze_jobs;
         if mode = T_bully then
-          if !bronze_jobs mod 4 = 0 then ("spike", None, spike_body)
-          else ("bully", None, ok_body)
-        else ("ok", None, ok_body)
+          if !bronze_jobs mod 4 = 0 then ("spike", spike_body) else ("bully", ok_body)
+        else ("ok", ok_body)
     in
-    let before = (Service.counters svc).Service.coalesced in
-    let h = Service.submit svc ~tenant ~class_ ?key body in
-    let coalesced = (Service.counters svc).Service.coalesced > before in
+    let h = Service.submit svc ~tenant ~class_ body in
     submissions :=
-      {
-        u_step = s;
-        u_tenant = tenant;
-        u_class = class_;
-        u_result = Service.admission h;
-        u_coalesced = coalesced;
-      }
+      { u_step = s; u_tenant = tenant; u_class = class_; u_result = Service.admission h }
       :: !submissions
   in
   for s = 1 to duration do
@@ -714,11 +632,10 @@ let run_tenant_soak ~seed ~duration ~mode ~policy ~wedge_grace ~json_out ~flight
   if Headroom.peak h > Headroom.budget h then
     violate "headroom peak %d bytes exceeds Theorem-4.4 budget %d" (Headroom.peak h)
       (Headroom.budget h);
-  (* victims complete >= 99% of their admitted work (coalesced riders
-     complete through their primary, so they count on both sides) *)
+  (* victims complete >= 99% of their admitted work *)
   let completion_ratio ts =
-    let offered = ts.Service.ts_accepted + ts.Service.ts_coalesced in
-    if offered = 0 then 1.0 else float_of_int ts.Service.ts_completions /. float_of_int offered
+    if ts.Service.ts_accepted = 0 then 1.0
+    else float_of_int ts.Service.ts_completions /. float_of_int ts.Service.ts_accepted
   in
   List.iter
     (fun ts ->
@@ -728,9 +645,9 @@ let run_tenant_soak ~seed ~duration ~mode ~policy ~wedge_grace ~json_out ~flight
     [ gold; silver ];
   (match mode with
    | T_bully ->
-     (* the ladder must have shed, and the bully strictly first *)
+     (* the bully's own full lane must have shed it, and strictly first *)
      (match bronze.Service.ts_first_shed with
-      | None -> violate "bully was never shed by the overload ladder"
+      | None -> violate "bully was never shed"
       | Some bs ->
         List.iter
           (fun ts ->
@@ -740,9 +657,6 @@ let run_tenant_soak ~seed ~duration ~mode ~policy ~wedge_grace ~json_out ~flight
                  ts.Service.ts_name vs bs
              | _ -> ())
           [ gold; silver ]);
-     if not (List.exists (fun (_, l) -> l = Ladder.Shed) (Service.ladder_transitions svc)) then
-       violate "ladder never reached the Shed rung under bully load";
-     if c.Service.coalesced = 0 then violate "no duplicate submission was coalesced under overload";
      (* victims' tail latency stays bounded: DRR guarantees their share *)
      List.iter
        (fun ts ->
@@ -770,23 +684,13 @@ let run_tenant_soak ~seed ~duration ~mode ~policy ~wedge_grace ~json_out ~flight
          [ gold; silver ]
      end
    | T_normal | T_off ->
-     (* under normal load nothing is shed anywhere; a transient Coalesce
-        blip on a small burst is benign, the Shed rung is not *)
-     let rejections ts =
-       ts.Service.ts_rejected_queue_full + ts.Service.ts_rejected_breaker_open
-       + ts.Service.ts_rejected_memory_pressure + ts.Service.ts_rejected_overloaded
-     in
+     (* under normal load nothing is shed anywhere *)
      List.iter
        (fun ts ->
-          if rejections ts > 0 then
+          if ts.Service.ts_rejected_queue_full > 0 then
             violate "tenant %s saw %d rejections under normal load" ts.Service.ts_name
-              (rejections ts))
-       stats;
-     if
-       List.exists
-         (fun (_, l) -> Ladder.level_index l >= Ladder.level_index Ladder.Shed)
-         (Service.ladder_transitions svc)
-     then violate "ladder reached the Shed rung under normal load");
+              ts.Service.ts_rejected_queue_full)
+       stats);
   let violations = List.rev !violations in
   let passed = violations = [] in
   (* the global latency distribution is the merge of the per-tenant
@@ -803,9 +707,7 @@ let run_tenant_soak ~seed ~duration ~mode ~policy ~wedge_grace ~json_out ~flight
         ("plan", Json.String (tenant_mode_name mode));
         ("duration_steps", Json.Int duration);
         ("final_step", Json.Int (Service.now svc));
-        ( "config",
-          config_json ~policy_name ~with_quota:dfd ~tenants:soak_tenants
-            ~ladder:(Some soak_ladder) );
+        ("config", config_json ~policy_name ~with_quota:dfd ~tenants:soak_tenants);
         ( "submissions",
           Json.List
             (List.map
@@ -818,12 +720,7 @@ let run_tenant_soak ~seed ~duration ~mode ~policy ~wedge_grace ~json_out ~flight
                      ]
                      @
                      match u.u_result with
-                     | Ok id ->
-                       [
-                         ("accepted", Json.Bool true);
-                         ("job", Json.Int id);
-                         ("coalesced", Json.Bool u.u_coalesced);
-                       ]
+                     | Ok id -> [ ("accepted", Json.Bool true); ("job", Json.Int id) ]
                      | Error r ->
                        [
                          ("accepted", Json.Bool false);
@@ -832,10 +729,8 @@ let run_tenant_soak ~seed ~duration ~mode ~policy ~wedge_grace ~json_out ~flight
                submissions) );
         ("tenants", Json.List (List.map tenant_json stats));
         ("latency_all_steps", quantile_json merged);
-        ("ladder", ladder_json svc);
         ("headroom", headroom_json svc);
         ("ledger", ledger_json entries);
-        ("breaker_transitions", breaker_json svc);
         ("counters", counters_json svc);
         ( "checks",
           Json.Assoc
@@ -849,15 +744,10 @@ let run_tenant_soak ~seed ~duration ~mode ~policy ~wedge_grace ~json_out ~flight
   Service.shutdown ~reap:true svc;
   write_report ~json_out report;
   Printf.printf
-    "soak[%s/%s]: %d submitted (%d accepted, %d coalesced, %d shed), %d completed, %d failed; \
-     ladder %s with %d shifts; bully first shed %s\n"
+    "soak[%s/%s]: %d submitted (%d accepted, %d shed), %d completed, %d failed; bully first \
+     shed %s\n"
     (tenant_mode_name mode) policy_name (List.length submissions) c.Service.accepted
-    c.Service.coalesced
-    (c.Service.rejected_queue_full + c.Service.rejected_breaker_open
-     + c.Service.rejected_memory_pressure + c.Service.rejected_overloaded)
-    c.Service.completions c.Service.failures
-    (Ladder.level_name (Service.ladder_level svc))
-    (List.length (Service.ladder_transitions svc))
+    c.Service.rejected_queue_full c.Service.completions c.Service.failures
     (match bronze.Service.ts_first_shed with
      | Some s -> Printf.sprintf "at step %d" s
      | None -> "never");

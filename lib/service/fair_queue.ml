@@ -47,10 +47,6 @@ let weight t name = (find t name).weight
 
 let bound t name = (find t name).bound
 
-let min_weight t =
-  if Array.length t.lanes = 0 then invalid_arg "Fair_queue.min_weight: no tenants";
-  Array.fold_left (fun m l -> min m l.weight) max_int t.lanes
-
 let enqueue t lane x =
   lane.back <- x :: lane.back;
   lane.depth <- lane.depth + 1;
@@ -140,5 +136,3 @@ let depth t name = (find t name).depth
 let peak_depth t name = (find t name).peak
 
 let total t = t.total
-
-let total_bound t = Array.fold_left (fun acc l -> acc + l.bound) 0 t.lanes

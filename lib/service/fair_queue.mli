@@ -30,10 +30,6 @@ val weight : 'a t -> string -> int
 
 val bound : 'a t -> string -> int
 
-val min_weight : 'a t -> int
-(** The smallest registered weight (the lane the overload ladder sheds
-    first).  Raises [Invalid_argument] when no tenant is registered. *)
-
 val push : 'a t -> tenant:string -> 'a -> (unit, [ `Queue_full ]) result
 (** Append to the lane's FIFO; [Error `Queue_full] once the lane holds
     [bound] jobs. *)
@@ -62,7 +58,3 @@ val peak_depth : 'a t -> string -> int
 
 val total : 'a t -> int
 (** Jobs queued across all lanes. *)
-
-val total_bound : 'a t -> int
-(** Sum of the per-lane bounds (the occupancy denominator for the
-    backpressure ladder). *)

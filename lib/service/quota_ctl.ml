@@ -57,7 +57,7 @@ let observe t ~now ~pressure =
       t.traj <- (now, t.k) :: t.traj;
       Shrink { from_quota; to_quota = t.k }
     end
-    else Steady (* already at the floor: shedding territory *)
+    else Steady (* already at the floor *)
   end
   else if t.ewma <= t.cfg.low_watermark then begin
     t.calm <- t.calm + 1;
@@ -76,13 +76,6 @@ let observe t ~now ~pressure =
     Steady
   end
 
-let observe_headroom t ~now hr ~cumulative_alloc =
-  observe t ~now ~pressure:(Dfd_obs.Headroom.take_pressure hr ~cumulative_alloc)
-
 let quota t = t.k
-
-let ewma t = t.ewma
-
-let shedding t = t.k = t.cfg.k_min && t.ewma > t.cfg.high_watermark
 
 let trajectory t = List.rev t.traj

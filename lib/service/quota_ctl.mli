@@ -21,9 +21,7 @@
 
     The controller is pure bookkeeping: the service applies the returned
     action to the pool ({!Dfd_runtime.Pool.set_quota}) and emits the
-    [Quota_adjusted] trace event.  {!shedding} — K pinned at the floor
-    with pressure still high — is the admission-control signal for
-    [Memory_pressure] rejections. *)
+    [Quota_adjusted] trace event. *)
 
 type config = {
   k_init : int;  (** starting K (bytes); must lie in [[k_min, k_max]]. *)
@@ -54,25 +52,8 @@ val observe : t -> now:int -> pressure:int -> action
 (** Feed one control interval's allocation pressure (bytes) at logical
     time [now]; returns the K adjustment to apply, if any. *)
 
-val observe_headroom : t -> now:int -> Dfd_obs.Headroom.t -> cumulative_alloc:int -> action
-(** Like {!observe}, but the pressure is taken {e through the headroom
-    profiler's alloc-rate gauge}
-    ({!Dfd_obs.Headroom.take_pressure} on [cumulative_alloc], the pool's
-    monotone [alloc_bytes] counter): the controller and the telemetry
-    plane see one number from one source instead of each re-deriving
-    deltas.  Numerically identical to the historical inline
-    [alloc_bytes] delta, so seeded trajectories are unchanged. *)
-
 val quota : t -> int
 (** The controller's current K. *)
-
-val ewma : t -> int
-(** The smoothed pressure (bytes/interval). *)
-
-val shedding : t -> bool
-(** K is pinned at [k_min] and smoothed pressure is still above the high
-    watermark: shrinking can degrade no further, so admission control
-    should shed load ([Memory_pressure]). *)
 
 val trajectory : t -> (int * int) list
 (** Every K change as [(step, new_K)], oldest first. *)

@@ -6,13 +6,9 @@ module Openmetrics = Dfd_obs.Openmetrics
 module Headroom = Dfd_obs.Headroom
 module Stats = Dfd_structures.Stats
 
-type reject_reason = Queue_full | Breaker_open of string | Memory_pressure | Overloaded
+type reject_reason = Queue_full
 
-let reject_reason_name = function
-  | Queue_full -> "queue_full"
-  | Breaker_open _ -> "breaker_open"
-  | Memory_pressure -> "memory_pressure"
-  | Overloaded -> "overloaded"
+let reject_reason_name Queue_full = "queue_full"
 
 type outcome = Completed | Failed of string | Rejected of reject_reason | Cancelled
 
@@ -21,9 +17,7 @@ type handle = outcome Handle.t
 type config = {
   seed : int;
   tenants : Tenant.t list;
-  ladder : Ladder.config;
   retry : Retry.policy;
-  breaker : Breaker.config;
   quota_ctl : Quota_ctl.config option;
   default_deadline : float option;
   wedge_grace : float;
@@ -37,9 +31,7 @@ let default_config =
   {
     seed = 0;
     tenants = [ Tenant.default ];
-    ladder = Ladder.default_config;
     retry = Retry.default;
-    breaker = Breaker.default_config;
     quota_ctl = None;
     default_deadline = None;
     wedge_grace = 5.0;
@@ -73,18 +65,12 @@ type ledger_slot = {
 type job = {
   id : int;
   tenant : string;
-  class_ : string;
-  key : string option;
   deadline : float option;
   work : unit -> unit;
   retry : Retry.t;
   submitted_at : int;
-  bgen : int;  (** breaker generation captured at admission. *)
   handle : handle;
   mutable run_quota : int option;  (** tenant K, stamped by the driver at dispatch. *)
-  mutable followers : (ledger_slot * handle * int) list;
-      (** coalesced duplicates riding this job: (slot, handle,
-          submitted_at), newest first. *)
 }
 
 type exec_result =
@@ -177,14 +163,10 @@ type tenant_stats = {
   ts_weight : int;
   ts_bound : int;
   ts_accepted : int;
-  ts_coalesced : int;
   ts_completions : int;
   ts_failures : int;
   ts_cancelled : int;
   ts_rejected_queue_full : int;
-  ts_rejected_breaker_open : int;
-  ts_rejected_memory_pressure : int;
-  ts_rejected_overloaded : int;
   ts_first_shed : int option;
   ts_peak_depth : int;
   ts_latency : Stats.Histogram.t;
@@ -201,14 +183,10 @@ type lane = {
   mutable in_flight : int;  (* 0 or 1 *)
   mutable pending_retries : int;
   mutable a_accepted : int;
-  mutable a_coalesced : int;
   mutable a_completions : int;
   mutable a_failures : int;
   mutable a_cancelled : int;
   mutable a_rej_queue : int;
-  mutable a_rej_breaker : int;
-  mutable a_rej_memory : int;
-  mutable a_rej_overload : int;
   mutable a_first_shed : int option;
 }
 
@@ -232,19 +210,11 @@ type t = {
   mutable pending : (int * job) list;  (** retries waiting for their due step. *)
   lanes : (string, lane) Hashtbl.t;
   lane_order : string list;  (** registration (= DRR) order. *)
-  coalesce : (string, job) Hashtbl.t;  (** (tenant NUL key) -> queued primary. *)
-  breakers : (string, Breaker.t) Hashtbl.t;  (** keyed (tenant NUL class). *)
-  ladder : Ladder.t;
   slots : (int, ledger_slot) Hashtbl.t;
   mutable next_id : int;
-  mutable press_ewma : int;  (** 4:1 smoothed global alloc bytes/step, for the ladder. *)
   (* global counters *)
   mutable c_accepted : int;
-  mutable c_coalesced : int;
   mutable c_rej_queue : int;
-  mutable c_rej_breaker : int;
-  mutable c_rej_memory : int;
-  mutable c_rej_overload : int;
   mutable c_completions : int;
   mutable c_failures : int;
   mutable c_cancelled : int;
@@ -314,13 +284,8 @@ let register_service_probes t =
   let c name help f = Registry.probe r ~stable:true ~kind:`Counter ~help name f in
   let g name help f = Registry.probe r ~stable:true ~kind:`Gauge ~help name f in
   c "dfd_service_accepted_total" "Submissions admitted to a lane." (fun () -> t.c_accepted);
-  c "dfd_service_coalesced_total" "Duplicate submissions that rode a queued job." (fun () ->
-      t.c_coalesced);
   c "dfd_service_rejected_total{reason=\"queue_full\"}" "Submissions shed, by reason." (fun () ->
       t.c_rej_queue);
-  c "dfd_service_rejected_total{reason=\"breaker_open\"}" "" (fun () -> t.c_rej_breaker);
-  c "dfd_service_rejected_total{reason=\"memory_pressure\"}" "" (fun () -> t.c_rej_memory);
-  c "dfd_service_rejected_total{reason=\"overloaded\"}" "" (fun () -> t.c_rej_overload);
   c "dfd_service_completions_total" "Jobs acknowledged Completed." (fun () -> t.c_completions);
   c "dfd_service_failures_total" "Jobs acknowledged Failed (retry budget exhausted)." (fun () ->
       t.c_failures);
@@ -333,15 +298,6 @@ let register_service_probes t =
   c "dfd_service_respawns_total" "Fresh pool incarnations after a wedge." (fun () -> t.c_respawns);
   c "dfd_service_duplicate_acks_total" "Terminal acks refused (0 in a correct run)." (fun () ->
       t.c_dup_acks);
-  c "dfd_service_breaker_transitions_total" "Circuit-breaker state changes across lanes."
-    (fun () ->
-      Hashtbl.fold (fun _ b acc -> acc + List.length (Breaker.transitions b)) t.breakers 0);
-  c "dfd_service_breaker_stale_total" "Breaker results dropped as stale (window closed)."
-    (fun () -> Hashtbl.fold (fun _ b acc -> acc + Breaker.stale_results b) t.breakers 0);
-  c "dfd_service_ladder_transitions_total" "Backpressure ladder rung changes." (fun () ->
-      List.length (Ladder.transitions t.ladder));
-  g "dfd_service_ladder_level" "Current backpressure rung (0 accept .. 3 break)." (fun () ->
-      Ladder.level_index (Ladder.level t.ladder));
   g "dfd_service_queue_depth" "Jobs queued across all lanes, not yet dispatched." (fun () ->
       Fair_queue.total t.queue);
   g "dfd_service_pending_retries" "Retries waiting for their due step." (fun () ->
@@ -358,12 +314,9 @@ let register_service_probes t =
        let lane = Hashtbl.find t.lanes name in
        let lbl fam = Registry.labeled fam [ ("tenant", name) ] in
        c (lbl "dfd_tenant_accepted_total") "Per-tenant admissions." (fun () -> lane.a_accepted);
-       c (lbl "dfd_tenant_coalesced_total") "Per-tenant coalesced duplicates." (fun () ->
-           lane.a_coalesced);
        c (lbl "dfd_tenant_completions_total") "Per-tenant completions." (fun () ->
            lane.a_completions);
-       c (lbl "dfd_tenant_shed_total") "Per-tenant rejections, all reasons." (fun () ->
-           lane.a_rej_queue + lane.a_rej_breaker + lane.a_rej_memory + lane.a_rej_overload);
+       c (lbl "dfd_tenant_shed_total") "Per-tenant rejections." (fun () -> lane.a_rej_queue);
        g (lbl "dfd_tenant_queue_depth") "Per-tenant queued jobs." (fun () ->
            Fair_queue.depth t.queue name);
        g (lbl "dfd_tenant_quota_bytes") "Per-tenant memory threshold K." (fun () ->
@@ -373,7 +326,6 @@ let register_service_probes t =
 let create ?(tracer = Tracer.disabled) ?(fault = Dfd_fault.Fault.none) ?registry ?flight_dir
     ?headroom_s1 ?headroom_depth ?(config = default_config) policy =
   Tenant.validate_all config.tenants;
-  Ladder.validate config.ladder;
   if config.wedge_grace <= 0.0 then invalid_arg "Service: wedge_grace must be positive";
   if config.max_respawns < 0 then invalid_arg "Service: max_respawns must be >= 0";
   if config.worker_respawn_budget < 0 then
@@ -402,14 +354,10 @@ let create ?(tracer = Tracer.disabled) ?(fault = Dfd_fault.Fault.none) ?registry
            in_flight = 0;
            pending_retries = 0;
            a_accepted = 0;
-           a_coalesced = 0;
            a_completions = 0;
            a_failures = 0;
            a_cancelled = 0;
            a_rej_queue = 0;
-           a_rej_breaker = 0;
-           a_rej_memory = 0;
-           a_rej_overload = 0;
            a_first_shed = None;
          })
     config.tenants;
@@ -441,18 +389,10 @@ let create ?(tracer = Tracer.disabled) ?(fault = Dfd_fault.Fault.none) ?registry
       pending = [];
       lanes;
       lane_order;
-      coalesce = Hashtbl.create 32;
-      breakers = Hashtbl.create 8;
-      ladder = Ladder.create config.ladder;
       slots = Hashtbl.create 64;
       next_id = 0;
-      press_ewma = 0;
       c_accepted = 0;
-      c_coalesced = 0;
       c_rej_queue = 0;
-      c_rej_breaker = 0;
-      c_rej_memory = 0;
-      c_rej_overload = 0;
       c_completions = 0;
       c_failures = 0;
       c_cancelled = 0;
@@ -523,142 +463,56 @@ let ack t (s : ledger_slot) out =
        lane.a_cancelled <- lane.a_cancelled + 1
      | Rejected _ -> ())
 
-let breaker_key tenant class_ = tenant ^ "\x00" ^ class_
-
-let breaker_label tenant class_ = if tenant = "default" then class_ else tenant ^ "/" ^ class_
-
-let breaker_for t ~tenant ~class_ =
-  let key = breaker_key tenant class_ in
-  match Hashtbl.find_opt t.breakers key with
-  | Some b -> b
-  | None ->
-    let b = Breaker.create t.cfg.breaker in
-    Hashtbl.replace t.breakers key b;
-    b
-
-let coalesce_key tenant key = tenant ^ "\x00" ^ key
-
-(* Terminal outcome for a job: ledger, latency, handle, and every
-   coalesced follower riding it. *)
+(* Terminal outcome for a job: ledger, latency and handle. *)
 let settle t (job : job) (s : ledger_slot) out =
-  let lane = lane_of t job.tenant in
   ack t s out;
   (match out with
-   | Completed -> Stats.Histogram.add lane.lat (float_of_int (t.clock - job.submitted_at))
+   | Completed ->
+     Stats.Histogram.add (lane_of t job.tenant).lat (float_of_int (t.clock - job.submitted_at))
    | _ -> ());
-  let followers = List.rev job.followers in
-  job.followers <- [];
-  Handle.resolve job.handle out;
-  List.iter
-    (fun ((fs : ledger_slot), fh, f_submitted) ->
-       ack t fs out;
-       (match out with
-        | Completed -> Stats.Histogram.add lane.lat (float_of_int (t.clock - f_submitted))
-        | _ -> ());
-       Handle.resolve fh out)
-    followers
+  Handle.resolve job.handle out
 
 (* ------------------------------------------------------------------ *)
 (* Admission control                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Which tenants the current ladder rung refuses outright: at [Shed] the
-   minimum-weight lanes, at [Break] everything but the maximum-weight
-   lanes.  Weight is the declared importance, so the bully-shaped cheap
-   tenant pays first and the premium tenant survives longest. *)
-let ladder_refuses t lane =
-  match Ladder.level t.ladder with
-  | Ladder.Accept | Ladder.Coalesce -> false
-  | Ladder.Shed -> lane.tn.Tenant.weight <= Fair_queue.min_weight t.queue
-  | Ladder.Break ->
-    let max_w =
-      List.fold_left (fun m l -> max m l.tn.Tenant.weight) min_int (lanes_in_order t)
-    in
-    lane.tn.Tenant.weight < max_w
-
 let effective_load t lane =
   Fair_queue.depth t.queue lane.tn.Tenant.name + lane.pending_retries + lane.in_flight
 
-let submit t ?(tenant = "default") ?(class_ = "default") ?key ?deadline ?on_done work =
+(* The lane bound is the one admission check.  The load counts pending
+   retries and the in-flight attempt, so forced retry pushes can never
+   overrun the bound. *)
+let submit t ?(tenant = "default") ?(class_ = "default") ?deadline ?on_done work =
   let lane = lane_of t tenant in
   let h = Handle.make ~id:t.next_id ~tenant in
   (match on_done with Some f -> Handle.on_done h f | None -> ());
-  let reject r =
-    let s = new_slot t ~tenant ~class_ in
-    ack t s (Rejected r);
-    (match r with
-     | Queue_full ->
-       t.c_rej_queue <- t.c_rej_queue + 1;
-       lane.a_rej_queue <- lane.a_rej_queue + 1
-     | Breaker_open _ ->
-       t.c_rej_breaker <- t.c_rej_breaker + 1;
-       lane.a_rej_breaker <- lane.a_rej_breaker + 1
-     | Memory_pressure ->
-       t.c_rej_memory <- t.c_rej_memory + 1;
-       lane.a_rej_memory <- lane.a_rej_memory + 1
-     | Overloaded ->
-       t.c_rej_overload <- t.c_rej_overload + 1;
-       lane.a_rej_overload <- lane.a_rej_overload + 1;
-       if lane.a_first_shed = None then lane.a_first_shed <- Some t.clock);
-    Handle.resolve h (Rejected r);
-    h
-  in
-  let coalescible =
-    match key with
-    | Some k when Ladder.level_index (Ladder.level t.ladder) >= Ladder.level_index Ladder.Coalesce
-      -> Hashtbl.find_opt t.coalesce (coalesce_key tenant k)
-    | _ -> None
-  in
-  if ladder_refuses t lane then reject Overloaded
-  else if match lane.l_qctl with Some qc -> Quota_ctl.shedding qc | None -> false then
-    reject Memory_pressure
-  else
-    match coalescible with
-    | Some primary ->
-      (* ride the queued primary: own ledger slot, shared execution *)
-      let s = new_slot t ~tenant ~class_ in
-      primary.followers <- (s, h, t.clock) :: primary.followers;
-      t.c_coalesced <- t.c_coalesced + 1;
-      lane.a_coalesced <- lane.a_coalesced + 1;
-      h
-    | None ->
-      (* capacity before the breaker: [Breaker.admit] consumes a half-open
-         probe slot, which must not be burned on a job the lane would
-         refuse anyway.  The load counts pending retries and the in-flight
-         attempt, so forced retry pushes can never overrun the bound. *)
-      if effective_load t lane >= lane.tn.Tenant.queue_bound then reject Queue_full
-      else begin
-        let b = breaker_for t ~tenant ~class_ in
-        if not (Breaker.admit b ~now:t.clock) then
-          reject (Breaker_open (breaker_label tenant class_))
-        else begin
-          let s = new_slot t ~tenant ~class_ in
-          let deadline = match deadline with Some _ as d -> d | None -> t.cfg.default_deadline in
-          let job =
-            {
-              id = s.l_id;
-              tenant;
-              class_;
-              key;
-              deadline;
-              work;
-              retry = Retry.create t.cfg.retry ~seed:t.cfg.seed ~job:s.l_id;
-              submitted_at = t.clock;
-              bgen = Breaker.generation b;
-              handle = h;
-              run_quota = None;
-              followers = [];
-            }
-          in
-          Fair_queue.push_force t.queue ~tenant job;
-          (match key with
-           | Some k -> Hashtbl.replace t.coalesce (coalesce_key tenant k) job
-           | None -> ());
-          t.c_accepted <- t.c_accepted + 1;
-          lane.a_accepted <- lane.a_accepted + 1;
-          h
-        end
-      end
+  let s = new_slot t ~tenant ~class_ in
+  if effective_load t lane >= lane.tn.Tenant.queue_bound then begin
+    ack t s (Rejected Queue_full);
+    t.c_rej_queue <- t.c_rej_queue + 1;
+    lane.a_rej_queue <- lane.a_rej_queue + 1;
+    if lane.a_first_shed = None then lane.a_first_shed <- Some t.clock;
+    Handle.resolve h (Rejected Queue_full)
+  end
+  else begin
+    let deadline = match deadline with Some _ as d -> d | None -> t.cfg.default_deadline in
+    let job =
+      {
+        id = s.l_id;
+        tenant;
+        deadline;
+        work;
+        retry = Retry.create t.cfg.retry ~seed:t.cfg.seed ~job:s.l_id;
+        submitted_at = t.clock;
+        handle = h;
+        run_quota = None;
+      }
+    in
+    Fair_queue.push_force t.queue ~tenant job;
+    t.c_accepted <- t.c_accepted + 1;
+    lane.a_accepted <- lane.a_accepted + 1
+  end;
+  h
 
 let admission h =
   match Handle.status h with
@@ -667,16 +521,6 @@ let admission h =
 
 let poll = Handle.status
 
-(* Drop a queued primary's coalesce-table binding (dispatch, cancel). *)
-let uncoalesce t (job : job) =
-  match job.key with
-  | None -> ()
-  | Some k ->
-    let ck = coalesce_key job.tenant k in
-    (match Hashtbl.find_opt t.coalesce ck with
-     | Some j when j.id = job.id -> Hashtbl.remove t.coalesce ck
-     | _ -> ())
-
 let cancel t h =
   if Handle.is_done h then false
   else begin
@@ -684,7 +528,6 @@ let cancel t h =
     let tenant = Handle.tenant h in
     match Fair_queue.remove t.queue ~tenant (fun (j : job) -> j.id = id) with
     | Some job ->
-      uncoalesce t job;
       settle t job (Hashtbl.find t.slots id) Cancelled;
       true
     | None -> (
@@ -694,26 +537,7 @@ let cancel t h =
         (lane_of t tenant).pending_retries <- (lane_of t tenant).pending_retries - 1;
         settle t job (Hashtbl.find t.slots id) Cancelled;
         true
-      | None ->
-        (* a coalesced follower: detach it from whichever primary carries it *)
-        let found = ref false in
-        Hashtbl.iter
-          (fun _ (primary : job) ->
-             if (not !found) && List.exists (fun (_, fh, _) -> Handle.id fh = id) primary.followers
-             then begin
-               let mine, rest =
-                 List.partition (fun (_, fh, _) -> Handle.id fh = id) primary.followers
-               in
-               primary.followers <- rest;
-               List.iter
-                 (fun ((fs : ledger_slot), fh, _) ->
-                    ack t fs Cancelled;
-                    Handle.resolve fh Cancelled)
-                 mine;
-               found := true
-             end)
-          t.coalesce;
-        !found)
+      | None -> false)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -825,8 +649,6 @@ let respawn t ~in_flight =
    burned reaching the same deterministic failure. *)
 let fail_path ?(retryable = true) t (job : job) msg =
   let lane = lane_of t job.tenant in
-  Breaker.record_failure ~gen:job.bgen (breaker_for t ~tenant:job.tenant ~class_:job.class_)
-    ~now:t.clock;
   if not retryable then settle t job (Hashtbl.find t.slots job.id) (Failed msg)
   else
     match Retry.next_delay job.retry with
@@ -864,9 +686,6 @@ let run_one t (job : job) =
   (match result with
    | Some R_done ->
      s.l_attempts <- Retry.attempts job.retry + 1;
-     Breaker.record_success ~gen:job.bgen
-       (breaker_for t ~tenant:job.tenant ~class_:job.class_)
-       ~now:t.clock;
      settle t job s Completed
    | Some R_timeout ->
      flight_dump t ~reason:"timeout";
@@ -885,9 +704,6 @@ let run_one t (job : job) =
         wedges every incarnation must not respawn pools forever). *)
      respawn t ~in_flight:(Some job.id);
      s.l_requeues <- s.l_requeues + 1;
-     Breaker.record_failure ~gen:job.bgen
-       (breaker_for t ~tenant:job.tenant ~class_:job.class_)
-       ~now:t.clock;
      (match Retry.next_delay job.retry with
       | Some _ ->
         t.c_retries <- t.c_retries + 1;
@@ -905,12 +721,12 @@ let run_one t (job : job) =
 (* Per-tenant quota control: the dispatched tenant observes its
    attempt's measured allocation delta, every other lane observes 0 (its
    EWMA decays, so an idle tenant's K recovers).  One tenant pinned at
-   its floor ([shedding]) degrades only its own admissions. *)
+   its floor costs only its own locality. *)
 let quota_tick t ~dispatched ~delta =
   (* keep the global alloc-rate gauge and pressure baseline current *)
-  let ab = (Pool.counters t.epoch.pool).Pool.alloc_bytes in
-  let global = Headroom.take_pressure t.headroom ~cumulative_alloc:ab in
-  t.press_ewma <- ((3 * t.press_ewma) + global) / 4;
+  ignore
+    (Headroom.take_pressure t.headroom
+       ~cumulative_alloc:(Pool.counters t.epoch.pool).Pool.alloc_bytes);
   List.iter
     (fun lane ->
        match lane.l_qctl with
@@ -930,26 +746,6 @@ let quota_tick t ~dispatched ~delta =
                 (Event.Quota_adjusted { from_quota; to_quota; pressure })))
     (lanes_in_order t)
 
-(* Sample the overload signals and walk the ladder; every rung change is
-   traced. *)
-let ladder_tick t =
-  let total_bound = Fair_queue.total_bound t.queue in
-  let occupancy_pct = if total_bound <= 0 then 0 else 100 * Fair_queue.total t.queue / total_bound in
-  let budget = Headroom.budget t.headroom in
-  let pressure_pct = if budget <= 0 then 0 else 100 * t.press_ewma / budget in
-  match Ladder.observe t.ladder ~now:t.clock ~occupancy_pct ~pressure_pct with
-  | None -> ()
-  | Some (from, to_) ->
-    if Tracer.enabled t.tracer then
-      Tracer.emit t.tracer ~ts:t.clock ~proc:(-1) ~tid:(-1)
-        (Event.Ladder_shift
-           {
-             from_level = Ladder.level_index from;
-             to_level = Ladder.level_index to_;
-             occupancy = occupancy_pct;
-             pressure = pressure_pct;
-           })
-
 let step t =
   t.clock <- t.clock + 1;
   (* promote due retries, ordered by (due step, job id) so the dispatch
@@ -962,12 +758,10 @@ let step t =
        (lane_of t job.tenant).pending_retries <- (lane_of t job.tenant).pending_retries - 1;
        Fair_queue.push_force t.queue ~tenant:job.tenant job)
     due;
-  ladder_tick t;
   let dispatched, delta =
     match Fair_queue.pop t.queue with
     | None -> (None, 0)
     | Some (tenant, job) ->
-      uncoalesce t job;
       let delta = run_one t job in
       (Some tenant, delta)
   in
@@ -999,11 +793,11 @@ let now t = t.clock
 let counters t =
   {
     accepted = t.c_accepted;
-    coalesced = t.c_coalesced;
+    coalesced = 0;
     rejected_queue_full = t.c_rej_queue;
-    rejected_breaker_open = t.c_rej_breaker;
-    rejected_memory_pressure = t.c_rej_memory;
-    rejected_overloaded = t.c_rej_overload;
+    rejected_breaker_open = 0;
+    rejected_memory_pressure = 0;
+    rejected_overloaded = 0;
     completions = t.c_completions;
     failures = t.c_failures;
     cancelled = t.c_cancelled;
@@ -1023,14 +817,10 @@ let tenant_stats t =
          ts_weight = lane.tn.Tenant.weight;
          ts_bound = lane.tn.Tenant.queue_bound;
          ts_accepted = lane.a_accepted;
-         ts_coalesced = lane.a_coalesced;
          ts_completions = lane.a_completions;
          ts_failures = lane.a_failures;
          ts_cancelled = lane.a_cancelled;
          ts_rejected_queue_full = lane.a_rej_queue;
-         ts_rejected_breaker_open = lane.a_rej_breaker;
-         ts_rejected_memory_pressure = lane.a_rej_memory;
-         ts_rejected_overloaded = lane.a_rej_overload;
          ts_first_shed = lane.a_first_shed;
          ts_peak_depth = Fair_queue.peak_depth t.queue lane.tn.Tenant.name;
          ts_latency = lane.lat;
@@ -1081,19 +871,16 @@ let verify_ledger t =
     fail "failure counter %d but %d failed entries" t.c_failures !failures;
   if !cancellations <> t.c_cancelled then
     fail "cancellation counter %d but %d cancelled entries" t.c_cancelled !cancellations;
-  let rej = t.c_rej_queue + t.c_rej_breaker + t.c_rej_memory + t.c_rej_overload in
-  if !rejections <> rej then fail "rejection counters %d but %d rejected entries" rej !rejections;
-  if t.c_accepted + t.c_coalesced + rej <> t.next_id then
-    fail "accepted %d + coalesced %d + rejected %d <> %d submissions" t.c_accepted t.c_coalesced
-      rej t.next_id;
+  let rej = t.c_rej_queue in
+  if !rejections <> rej then fail "rejection counter %d but %d rejected entries" rej !rejections;
+  if t.c_accepted + rej <> t.next_id then
+    fail "accepted %d + rejected %d <> %d submissions" t.c_accepted rej t.next_id;
   (* per-tenant counters must sum to the global ones *)
   let sum f = List.fold_left (fun acc l -> acc + f l) 0 (lanes_in_order t) in
   if sum (fun l -> l.a_accepted) <> t.c_accepted then fail "per-tenant accepted sum mismatch";
   if sum (fun l -> l.a_completions) <> t.c_completions then
     fail "per-tenant completion sum mismatch";
-  if
-    sum (fun l -> l.a_rej_queue + l.a_rej_breaker + l.a_rej_memory + l.a_rej_overload) <> rej
-  then fail "per-tenant rejection sum mismatch";
+  if sum (fun l -> l.a_rej_queue) <> rej then fail "per-tenant rejection sum mismatch";
   match !problem with None -> Ok () | Some m -> Error m
 
 let quota t =
@@ -1109,33 +896,6 @@ let quota_trajectory t =
   in
   List.stable_sort (fun (s1, _) (s2, _) -> compare s1 s2) all
 
-let ladder_level t = Ladder.level t.ladder
-
-let ladder_transitions t = Ladder.transitions t.ladder
-
-let breaker_transitions t =
-  let labels =
-    Hashtbl.fold
-      (fun key _ acc ->
-         match String.index_opt key '\x00' with
-         | Some i ->
-           let tenant = String.sub key 0 i in
-           let class_ = String.sub key (i + 1) (String.length key - i - 1) in
-           (breaker_label tenant class_, key) :: acc
-         | None -> (key, key) :: acc)
-      t.breakers []
-  in
-  let labels = List.sort compare labels in
-  List.concat_map
-    (fun (label, key) ->
-       List.map
-         (fun (step, st) -> (step, label, Breaker.state_name st))
-         (Breaker.transitions (Hashtbl.find t.breakers key)))
-    labels
-
-let breaker_stale_results t =
-  Hashtbl.fold (fun _ b acc -> acc + Breaker.stale_results b) t.breakers 0
-
 let pool_counters t = Pool.counters t.epoch.pool
 
 (* ------------------------------------------------------------------ *)
@@ -1150,11 +910,7 @@ let counter_samples t =
   let mk name v = { Registry.name; help = ""; stable = true; value = Registry.Counter_v v } in
   [
     mk "accepted" t.c_accepted;
-    mk "coalesced" t.c_coalesced;
     mk "rejected_queue_full" t.c_rej_queue;
-    mk "rejected_breaker_open" t.c_rej_breaker;
-    mk "rejected_memory_pressure" t.c_rej_memory;
-    mk "rejected_overloaded" t.c_rej_overload;
     mk "completions" t.c_completions;
     mk "failures" t.c_failures;
     mk "cancelled" t.c_cancelled;

@@ -1,8 +1,8 @@
 (** A multi-tenant, supervised front door over {!Dfd_runtime.Pool}.
 
     [Pool.run] is a one-shot, fail-open entry point: an unhandled worker
-    wedge, a saturated queue, or sustained memory pressure has no
-    recovery path, and a single greedy caller starves every other one.
+    wedge or a saturated queue has no recovery path, and a single greedy
+    caller starves every other one.
     This module owns both problems:
 
     - {b Non-blocking admission} — {!submit} never blocks and never
@@ -11,18 +11,12 @@
       callbacks ({!Handle.on_done}) and may {!cancel} a job that has not
       started.
     - {b Weighted-fair isolation} ({!Tenant}, {!Fair_queue}) — each
-      tenant owns a bounded lane dispatched by deficit round-robin, its
-      own circuit breakers, and (under [Dfdeques]) its own adaptive-K
-      budget.  A bully tenant can exhaust only its own lane, trip only
-      its own breakers and shrink only its own K — the admission-level
-      analogue of the paper's per-deque isolation.
-    - {b Graceful degradation} ({!Ladder}) — as queue occupancy or
-      allocation pressure climbs, the service walks an explicit
-      backpressure ladder: accept → coalesce duplicate jobs → shed the
-      lowest-weight tenant ([Overloaded]) → admit only the
-      highest-weight tenant.  Every rung change is traced
-      ([Ladder_shift]) and counted; recovery is hysteretic so the
-      ladder never flaps.
+      tenant owns a bounded lane dispatched by deficit round-robin and
+      (under [Dfdeques]) its own adaptive-K budget.  The lane bound is
+      the one admission defence: a submission that finds its lane full
+      is shed ([Queue_full]).  A bully tenant can exhaust only its own
+      lane and shrink only its own K — the admission-level analogue of
+      the paper's per-deque isolation.
     - {b Deadlines and retries} — each attempt runs under
       [Pool.run ?timeout]; failures and timeouts are retried under a
       seeded full-jitter backoff policy ({!Retry}) with a per-job budget.
@@ -43,12 +37,6 @@
       the front — the ledger guarantees zero lost jobs and zero
       duplicated completion acknowledgements (a late result from a
       retired epoch is structurally ignored).
-    - {b Per-(tenant, class) circuit breakers} ({!Breaker}) —
-      consecutive failures trip a breaker open; submissions are rejected
-      during the cooldown; half-open probes decide recovery.  Results
-      are generation-tagged at admission so a stale result from an older
-      breaker window can neither consume the probe budget nor flip the
-      state.
     - {b Per-tenant adaptive K} ({!Quota_ctl}) — under a [Dfdeques]
       policy each tenant's observed allocation pressure drives {e its}
       memory threshold K down toward the Theorem 4.4 space bound and
@@ -57,11 +45,10 @@
       to K = k_min never costs its neighbours their locality.
 
     The service is {e step-driven} from one driver thread: {!step}
-    advances a logical clock by one, promotes due retries, samples the
-    backpressure ladder, dispatches at most one queued attempt (in DRR
-    order) to completion, and runs the quota-control interval.  All
-    scheduling decisions (DRR order, retry delays, breaker / quota /
-    ladder trajectories, rejection reasons, latencies in steps) are
+    advances a logical clock by one, promotes due retries, dispatches at
+    most one queued attempt (in DRR order) to completion, and runs the
+    quota-control interval.  All scheduling decisions (DRR order, retry
+    delays, quota trajectories, rejections, latencies in steps) are
     functions of the seed and the submission order, never of wall-clock
     time — which is what makes `repro soak` reports byte-identical per
     seed.  Only the {e timing} inside the pool is nondeterministic;
@@ -69,18 +56,9 @@
 
 type reject_reason =
   | Queue_full  (** the tenant's own lane (queued + retrying + in flight) is at its bound. *)
-  | Breaker_open of string
-      (** the job's breaker is open; the payload is the breaker label
-          (["class"] for the default tenant, ["tenant/class"] otherwise). *)
-  | Memory_pressure
-      (** the tenant's adaptive K is pinned at its floor with pressure
-          still high: shrinking can degrade no further. *)
-  | Overloaded
-      (** the backpressure ladder is at [Shed] (lowest-weight tenants
-          rejected) or [Break] (all but the highest-weight rejected). *)
 
 val reject_reason_name : reject_reason -> string
-(** "queue_full" / "breaker_open" / "memory_pressure" / "overloaded". *)
+(** "queue_full". *)
 
 type outcome =
   | Completed
@@ -96,9 +74,7 @@ type config = {
   tenants : Tenant.t list;
       (** the admission lanes; must be non-empty with unique names.
           Single-tenant services use [[Tenant.default]]. *)
-  ladder : Ladder.config;  (** overload backpressure thresholds. *)
   retry : Retry.policy;
-  breaker : Breaker.config;
   quota_ctl : Quota_ctl.config option;
       (** [Some template] enables a per-tenant adaptive-K controller
           (Dfdeques pools only; ignored under Work_stealing).  A tenant
@@ -122,10 +98,9 @@ type config = {
 }
 
 val default_config : config
-(** seed 0, the single [Tenant.default] lane, {!Ladder.default_config},
-    {!Retry.default}, {!Breaker.default_config}, no quota controller, no
-    default deadline, grace 5 s, 2 extra domains, 8 respawns, no worker
-    respawn budget. *)
+(** seed 0, the single [Tenant.default] lane, {!Retry.default}, no quota
+    controller, no default deadline, grace 5 s, 2 extra domains, 8
+    respawns, no worker respawn budget. *)
 
 exception Supervisor_giveup of string
 (** More than [max_respawns] pool respawns: the supervisor refuses to
@@ -174,32 +149,24 @@ val submit :
   t ->
   ?tenant:string ->
   ?class_:string ->
-  ?key:string ->
   ?deadline:float ->
   ?on_done:(outcome -> unit) ->
   (unit -> unit) ->
   handle
 (** Offer a job to [tenant]'s lane (default ["default"]; unknown tenants
     raise [Invalid_argument]).  Never blocks, never runs the job inline:
-    the returned handle is either [Queued] (admitted — possibly
-    {e coalesced} onto an already-queued job with the same [(tenant,
-    key)] when the ladder is at [Coalesce] or beyond) or already
-    [Done (Rejected _)] (shed, with the reason also recorded in the
-    ledger).  [key] marks the job idempotent for coalescing; jobs
-    without a key are never coalesced.  [deadline] overrides the
-    config's per-attempt timeout.  [on_done] is registered on the handle
-    before admission is decided, so even a synchronous rejection fires
-    it.  The work closure runs inside [Pool.run] on the executor domain,
-    so it may use [Pool.fork_join], [Pool.alloc_hint], etc.
-
-    Admission checks run in a fixed order — overload ladder, tenant
-    memory pressure, coalescing, lane capacity, circuit breaker — so a
-    duplicate is coalesced rather than counted against the full lane,
-    and a breaker probe slot is never burned on a job that would have
-    been shed anyway. *)
+    the returned handle is either [Queued] (admitted) or already
+    [Done (Rejected Queue_full)] (the lane's load — queued, retrying and
+    in flight — was at its bound; the rejection is also recorded in the
+    ledger).  [class_] labels the job in the ledger.  [deadline]
+    overrides the config's per-attempt timeout.  [on_done] is registered
+    on the handle before admission is decided, so even a synchronous
+    rejection fires it.  The work closure runs inside [Pool.run] on the
+    executor domain, so it may use [Pool.fork_join], [Pool.alloc_hint],
+    etc. *)
 
 val admission : handle -> (int, reject_reason) result
-(** [Ok id] — the submission was admitted (queued or coalesced);
+(** [Ok id] — the submission was admitted;
     [Error r] — it was shed synchronously.  Sound to call right after
     {!submit} because [Rejected] is only ever assigned at admission. *)
 
@@ -211,17 +178,16 @@ val await : ?max_steps:int -> t -> handle -> outcome option
     (default 10_000) elapse first.  Single-driver-thread only. *)
 
 val cancel : t -> handle -> bool
-(** Remove a not-yet-started job: queued, waiting between retries, or
-    riding another job as a coalesced follower.  On success the job is
-    acknowledged [Cancelled] (callbacks fire) and [true] is returned;
-    cancelling a queued {e primary} also cancels every follower riding
-    it.  [false] if the job already started or finished. *)
+(** Remove a not-yet-started job: queued or waiting between retries.
+    On success the job is acknowledged [Cancelled] (callbacks fire) and
+    [true] is returned; [false] if the job already started or
+    finished. *)
 
 val step : t -> unit
-(** Advance the logical clock by one: promote due retries, sample the
-    backpressure ladder, dispatch and fully execute at most one queued
-    attempt (in DRR order, under the job's tenant K, blocking, with
-    wedge supervision), then run the quota-control interval. *)
+(** Advance the logical clock by one: promote due retries, dispatch and
+    fully execute at most one queued attempt (in DRR order, under the
+    job's tenant K, blocking, with wedge supervision), then run the
+    quota-control interval. *)
 
 val drive : ?max_steps:int -> t -> unit
 (** {!step} until the service is idle (no queued jobs, no pending
@@ -234,11 +200,17 @@ val idle : t -> bool
 
 type counters = {
   accepted : int;
-  coalesced : int;  (** submissions that rode an already-queued job. *)
+  coalesced : int;  (** always 0; see [rejected_overloaded]. *)
   rejected_queue_full : int;
-  rejected_breaker_open : int;
-  rejected_memory_pressure : int;
-  rejected_overloaded : int;  (** shed by the backpressure ladder. *)
+  rejected_breaker_open : int;  (** always 0; see [rejected_overloaded]. *)
+  rejected_memory_pressure : int;  (** always 0; see [rejected_overloaded]. *)
+  rejected_overloaded : int;
+      (** always 0.  This field, [coalesced], [rejected_breaker_open] and
+          [rejected_memory_pressure] counted overload defences the service
+          no longer has (coalescing, circuit breakers, memory-pressure
+          shedding, the backpressure ladder).  They stay in the record only
+          because the benchmark's service workload reads them in its
+          audit; the next change to the benchmark drops them. *)
   completions : int;
   failures : int;
   cancelled : int;
@@ -260,19 +232,15 @@ type tenant_stats = {
   ts_weight : int;
   ts_bound : int;
   ts_accepted : int;
-  ts_coalesced : int;
   ts_completions : int;
   ts_failures : int;
   ts_cancelled : int;
   ts_rejected_queue_full : int;
-  ts_rejected_breaker_open : int;
-  ts_rejected_memory_pressure : int;
-  ts_rejected_overloaded : int;
-  ts_first_shed : int option;  (** first step at which the ladder shed this tenant. *)
+  ts_first_shed : int option;  (** first step at which a submission of this tenant was rejected. *)
   ts_peak_depth : int;  (** high watermark of the tenant's queued jobs. *)
   ts_latency : Dfd_structures.Stats.Histogram.t;
-      (** completion latency in steps (submit → terminal ack), completed
-          jobs and their coalesced followers. *)
+      (** completion latency in steps (submit → terminal ack) of completed
+          jobs. *)
   ts_quota : int option;  (** the tenant's current K; [None] without a controller. *)
   ts_quota_trajectory : (int * int) list;
 }
@@ -284,7 +252,7 @@ type entry = {
   job : int;
   tenant : string;
   class_ : string;
-  attempts : int;  (** attempts consumed (0 for rejected/coalesced/cancelled jobs). *)
+  attempts : int;  (** attempts consumed (0 for rejected/cancelled jobs). *)
   requeues : int;  (** wedge requeues (each exactly one per wedge). *)
   outcome : outcome option;  (** [None] only while still queued/retrying. *)
 }
@@ -296,7 +264,7 @@ val verify_ledger : t -> (unit, string) result
 (** The exactly-once audit, meaningful once {!idle}: every entry carries
     exactly one terminal outcome (no lost jobs), no duplicate
     acknowledgements were attempted, and the counters are consistent
-    with the entries (accepted + coalesced + rejected = submissions).
+    with the entries (accepted + rejected = submissions).
     [Error msg] pinpoints the first violation. *)
 
 val quota : t -> int option
@@ -308,21 +276,6 @@ val quota_trajectory : t -> (int * int) list
     (stable within a step by tenant registration order); empty without a
     controller.  With a single tenant this is exactly that tenant's
     trajectory. *)
-
-val ladder_level : t -> Ladder.level
-(** The backpressure ladder's current rung. *)
-
-val ladder_transitions : t -> (int * Ladder.level) list
-(** Every rung change as [(step, new_level)], oldest first. *)
-
-val breaker_transitions : t -> (int * string * string) list
-(** Every breaker state change as [(step, label, state)], sorted by
-    label then step — deterministic for the soak report.  Labels are
-    ["class"] for the default tenant and ["tenant/class"] otherwise. *)
-
-val breaker_stale_results : t -> int
-(** Results dropped across all breakers because their admission window
-    had closed (see {!Breaker.stale_results}). *)
 
 val pool_counters : t -> Dfd_runtime.Pool.counters
 (** Counters of the {e current} pool incarnation. *)
@@ -337,10 +290,9 @@ val headroom : t -> Dfd_obs.Headroom.t
     condition. *)
 
 val counter_samples : t -> Dfd_obs.Registry.sample list
-(** The supervision counters as registry samples (short legacy names:
-    ["accepted"], ["rejected_queue_full"], … plus ["coalesced"],
-    ["rejected_overloaded"], ["cancelled"]) — the key set the soak
-    report's counters object uses; render with
+(** The supervision counters as registry samples (short names:
+    ["accepted"], ["rejected_queue_full"], ["completions"], …) — the key
+    set the soak report's counters object uses; render with
     {!Dfd_obs.Registry.Snapshot.to_flat_json}. *)
 
 val metrics_snapshot : ?stable_only:bool -> t -> Dfd_obs.Registry.sample list

@@ -2,11 +2,10 @@
 
     A tenant is one admission lane of the service: it owns a bounded
     queue inside {!Fair_queue}, a deficit-round-robin weight (its
-    guaranteed share of dispatch slots under contention), its own
-    circuit breakers, and — under a [Dfdeques] pool — its own adaptive
-    memory-threshold budget ({!Quota_ctl}).  Isolation is the point:
-    one tenant exhausting its queue, tripping its breakers or blowing
-    its K budget degrades only that tenant's lane, never its
+    guaranteed share of dispatch slots under contention), and — under
+    a [Dfdeques] pool — its own adaptive memory-threshold budget
+    ({!Quota_ctl}).  Isolation is the point: one tenant exhausting its
+    queue or blowing its K budget degrades only that tenant's lane, never its
     neighbours' (the admission-level analogue of the paper's per-deque
     locality regions). *)
 

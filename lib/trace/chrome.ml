@@ -3,7 +3,6 @@ let category (k : Event.kind) =
   | Event.Fork _ | Event.Join _ -> "task"
   | Event.Steal_attempt _ | Event.Steal_success _ | Event.Steal_rank _ -> "steal"
   | Event.Quota_exhausted _ | Event.Quota_adjusted _ -> "quota"
-  | Event.Ladder_shift _ -> "ladder"
   | Event.Dummy_exec -> "dummy"
   | Event.Deque_created _ | Event.Deque_deleted _ -> "deque"
   | Event.Cache_miss_stall _ -> "cache"
@@ -108,18 +107,6 @@ let render (e : Event.t) : Json.t list =
           ("pressure", Json.Int pressure);
         ];
       counter_event ~ts:e.ts "quota K" "bytes" to_quota;
-    ]
-  | Event.Ladder_shift { from_level; to_level; occupancy; pressure } ->
-    (* the decision as an instant plus the rung as a counter track *)
-    [
-      instant e
-        [
-          ("from_level", Json.Int from_level);
-          ("to_level", Json.Int to_level);
-          ("occupancy", Json.Int occupancy);
-          ("pressure", Json.Int pressure);
-        ];
-      counter_event ~ts:e.ts "ladder level" "level" to_level;
     ]
   | Event.Steal_rank { victim; rank; err } ->
     [

@@ -13,7 +13,6 @@ type kind =
   | Counter of { deques : int; heap : int; threads : int }
   | Fault_injected of { fault : string }
   | Quota_adjusted of { from_quota : int; to_quota : int; pressure : int }
-  | Ladder_shift of { from_level : int; to_level : int; occupancy : int; pressure : int }
   | Steal_rank of { victim : int; rank : int; err : int }
   | Worker_quarantined of { worker : int; cause : string }
   | Task_requeued of { worker : int }
@@ -36,11 +35,10 @@ let kind_index = function
   | Counter _ -> 11
   | Fault_injected _ -> 12
   | Quota_adjusted _ -> 13
-  | Ladder_shift _ -> 14
-  | Steal_rank _ -> 15
-  | Worker_quarantined _ -> 16
-  | Task_requeued _ -> 17
-  | Worker_respawned _ -> 18
+  | Steal_rank _ -> 14
+  | Worker_quarantined _ -> 15
+  | Task_requeued _ -> 16
+  | Worker_respawned _ -> 17
 
 let kind_names =
   [|
@@ -58,7 +56,6 @@ let kind_names =
     "counter";
     "fault_injected";
     "quota_adjusted";
-    "ladder_shift";
     "steal_rank";
     "worker_quarantined";
     "task_requeued";
@@ -96,13 +93,6 @@ let to_json e =
       [
         ("from_quota", Json.Int from_quota);
         ("to_quota", Json.Int to_quota);
-        ("pressure", Json.Int pressure);
-      ]
-    | Ladder_shift { from_level; to_level; occupancy; pressure } ->
-      [
-        ("from_level", Json.Int from_level);
-        ("to_level", Json.Int to_level);
-        ("occupancy", Json.Int occupancy);
         ("pressure", Json.Int pressure);
       ]
     | Steal_rank { victim; rank; err } ->
@@ -143,14 +133,6 @@ let of_json j =
     | "quota_adjusted" ->
       Quota_adjusted
         { from_quota = int "from_quota"; to_quota = int "to_quota"; pressure = int "pressure" }
-    | "ladder_shift" ->
-      Ladder_shift
-        {
-          from_level = int "from_level";
-          to_level = int "to_level";
-          occupancy = int "occupancy";
-          pressure = int "pressure";
-        }
     | "steal_rank" -> Steal_rank { victim = int "victim"; rank = int "rank"; err = int "err" }
     | "worker_quarantined" ->
       Worker_quarantined

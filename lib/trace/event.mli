@@ -59,11 +59,6 @@ type kind =
           in response to observed allocation [pressure] (bytes per control
           interval) — the graceful-degradation lever on the Theorem 4.4
           space bound. *)
-  | Ladder_shift of { from_level : int; to_level : int; occupancy : int; pressure : int }
-      (** The service's overload backpressure ladder
-          ({!Dfd_service.Ladder}) moved between rungs (0 accept,
-          1 coalesce, 2 shed, 3 break) on the combined queue-[occupancy]
-          / allocation-[pressure] signal (both percentages). *)
   | Steal_rank of { victim : int; rank : int; err : int }
       (** A successful DFDeques steal under the relaxed R-list: the
           victim deque [victim] (its [did]) sat at 0-based position

@@ -326,19 +326,12 @@ let test_service_metrics_text () =
         (Om_util.value om "dfd_service_accepted_total" <> None);
       checkb "headroom gauges exposed" true
         (Om_util.value ~labels:[ ("policy", "service") ] om "dfd_space_budget_bytes" <> None);
-      (* the counters object keeps an exact key set, in order (the
-         legacy keys plus the front-door additions — coalesced,
-         rejected_overloaded, cancelled — and the crash-domain
-         quarantines counter) *)
-      checkb "legacy counter keys preserved" true
+      (* the counters object keeps an exact key set, in order *)
+      checkb "counter key set pinned" true
         (List.map fst (Registry.Snapshot.to_alist (Service.counter_samples svc))
         = [
             "accepted";
-            "coalesced";
             "rejected_queue_full";
-            "rejected_breaker_open";
-            "rejected_memory_pressure";
-            "rejected_overloaded";
             "completions";
             "failures";
             "cancelled";

@@ -74,7 +74,6 @@ let all_kinds =
     Event.Counter { deques = 4; heap = 123_456; threads = 78 };
     Event.Fault_injected { fault = "steal_fail" };
     Event.Quota_adjusted { from_quota = 50_000; to_quota = 25_000; pressure = 80_000 };
-    Event.Ladder_shift { from_level = 0; to_level = 2; occupancy = 81; pressure = 40 };
     Event.Steal_rank { victim = 11; rank = 5; err = 2 };
     Event.Worker_quarantined { worker = 2; cause = "crash" };
     Event.Task_requeued { worker = 2 };
@@ -115,10 +114,6 @@ let event_gen =
           (fun from_quota to_quota pressure ->
              Event.Quota_adjusted { from_quota; to_quota; pressure })
           small small small;
-        map3
-          (fun from_level to_level occupancy ->
-             Event.Ladder_shift { from_level; to_level; occupancy; pressure = occupancy / 2 })
-          (0 -- 3) (0 -- 3) (0 -- 150);
         map3 (fun victim rank err -> Event.Steal_rank { victim; rank; err }) small (0 -- 64)
           (0 -- 64);
         map2

@@ -50,29 +50,6 @@ let () =
   (match Json.member "all_passed" summary with
    | Json.Bool true -> ()
    | _ -> fail "all_passed is not true");
-  (* the supervised-service section is present only under `chaos --service`;
-     when it is, every campaign fact must hold and the summary must agree *)
-  (match Json.member "service" j with
-   | Json.Null -> ()
-   | Json.Assoc _ as svc ->
-     List.iter
-       (fun k ->
-          match Json.member k svc with
-          | Json.Bool true -> ()
-          | Json.Bool false -> fail "service campaign %S failed" k
-          | _ -> fail "service section missing bool %S" k)
-       [
-         "queue_sheds_at_capacity";
-         "exn_retried_to_budget_then_failed";
-         "flaky_recovers_after_one_retry";
-         "wedge_respawn_requeues_exactly_once";
-         "ledger_verified";
-         "no_duplicate_acks";
-       ];
-     (match Json.member "service_passed" summary with
-      | Json.Bool true -> ()
-      | _ -> fail "service section present but summary service_passed is not true")
-   | _ -> fail "service section is not an object");
   (* the crash-recovery section is present only under `chaos --crash`; when
      it is, every per-policy recovery fact must hold and the summary must
      agree that the whole campaign passed *)

@@ -6,8 +6,7 @@
    Handles both report families: the single-tenant fault plans (none /
    exns / wedges / spikes / mixed) and the multi-tenant open-loop
    campaigns (tenants-normal / tenants-bully), which additionally carry
-   per-tenant sections, the backpressure-ladder trajectory, and the
-   Theorem-4.4 headroom audit.
+   per-tenant sections and the Theorem-4.4 headroom audit.
 
    Usage: validate_soak report.json *)
 
@@ -19,9 +18,7 @@ let fault_kinds = [ "ok"; "spike"; "exn"; "flaky"; "slow"; "wedge" ]
 
 let tenant_kinds = [ "ok"; "dup"; "bully"; "spike" ]
 
-let reject_reasons = [ "queue_full"; "breaker_open"; "memory_pressure"; "overloaded" ]
-
-let ladder_levels = [ "accept"; "coalesce"; "shed"; "break" ]
+let reject_reasons = [ "queue_full" ]
 
 let () =
   let path = match Sys.argv with [| _; p |] -> p | _ -> fail "usage: validate_soak FILE" in
@@ -55,19 +52,10 @@ let () =
             fail "non-positive tenant queue_bound")
        ts
    | _ -> fail "config without tenants");
-  if tenant_mode then (
-    match Json.member "ladder" config with
-    | Json.Assoc _ as l ->
-      List.iter
-        (fun k ->
-           try ignore (Json.to_int_exn (Json.member k l))
-           with _ -> fail "config ladder missing %S" k)
-        [ "coalesce_at"; "shed_at"; "break_at"; "calm_steps" ]
-    | _ -> fail "tenant-mode config without ladder");
   (* submissions: every entry well-formed, accepted ones carry a job id *)
   let subs = try Json.to_list_exn (Json.member "submissions" j) with _ -> fail "no submissions" in
   if subs = [] then fail "empty submissions";
-  let accepted = ref 0 and shed = ref 0 and coalesced_subs = ref 0 in
+  let accepted = ref 0 and shed = ref 0 in
   List.iter
     (fun s ->
        let step = try Json.to_int_exn (Json.member "step" s) with _ -> fail "submission without step" in
@@ -83,12 +71,7 @@ let () =
        | Json.Bool true ->
          incr accepted;
          (try ignore (Json.to_int_exn (Json.member "job" s))
-          with _ -> fail "accepted submission without job id");
-         if tenant_mode then (
-           match Json.member "coalesced" s with
-           | Json.Bool true -> incr coalesced_subs
-           | Json.Bool false -> ()
-           | _ -> fail "tenant-mode submission without coalesced flag")
+          with _ -> fail "accepted submission without job id")
        | Json.Bool false ->
          incr shed;
          (match Json.member "reason" s with
@@ -133,16 +116,8 @@ let () =
   let c k =
     try Json.to_int_exn (Json.member k counters) with _ -> fail "counters missing %S" k
   in
-  (* the accepted flag covers both queued and coalesced admissions *)
-  if c "accepted" + c "coalesced" <> !accepted then
-    fail "accepted + coalesced counters disagree with submissions";
-  if c "coalesced" <> !coalesced_subs && tenant_mode then
-    fail "coalesced counter disagrees with submission flags";
-  if
-    c "rejected_queue_full" + c "rejected_breaker_open" + c "rejected_memory_pressure"
-    + c "rejected_overloaded"
-    <> !shed
-  then fail "rejection counters disagree with submissions";
+  if c "accepted" <> !accepted then fail "accepted counter disagrees with submissions";
+  if c "rejected_queue_full" <> !shed then fail "rejection counter disagrees with submissions";
   if c "completions" <> !completed then fail "completions counter disagrees with ledger";
   if c "failures" <> !failed then fail "failures counter disagrees with ledger";
   if c "cancelled" <> !cancelled then fail "cancelled counter disagrees with ledger";
@@ -163,20 +138,8 @@ let () =
     match Json.member "quota_trajectory" j with
     | Json.List moves -> check_quota_moves moves
     | _ -> fail "no quota_trajectory");
-  (match Json.member "breaker_transitions" j with
-   | Json.List trans ->
-     List.iter
-       (function
-         | Json.List [ Json.Int s; Json.String _; Json.String st ] ->
-           if s < 0 then fail "breaker transition at negative step";
-           if not (List.mem st [ "closed"; "open"; "half_open" ]) then
-             fail "unknown breaker state %S" st
-         | _ -> fail "malformed breaker transition")
-       trans
-   | _ -> fail "no breaker_transitions");
-  (* tenant-mode sections: per-tenant stats, ladder, headroom, merged
-     latency — all schema-checked and cross-checked against the global
-     counters *)
+  (* tenant-mode sections: per-tenant stats, headroom, merged latency —
+     all schema-checked and cross-checked against the global counters *)
   if tenant_mode then begin
     let quantiles q =
       let count = try Json.to_int_exn (Json.member "count" q) with _ -> fail "quantiles without count" in
@@ -195,7 +158,7 @@ let () =
       try Json.to_list_exn (Json.member "tenants" j) with _ -> fail "no tenants section"
     in
     if tenants = [] then fail "empty tenants section";
-    let sum_acc = ref 0 and sum_coal = ref 0 and sum_rej = ref 0 and sum_lat = ref 0 in
+    let sum_acc = ref 0 and sum_rej = ref 0 and sum_lat = ref 0 in
     List.iter
       (fun t ->
          let ti k =
@@ -207,19 +170,10 @@ let () =
          let bound = ti "queue_bound" in
          if ti "peak_depth" > bound then fail "tenant peak_depth exceeds its bound";
          sum_acc := !sum_acc + ti "accepted";
-         sum_coal := !sum_coal + ti "coalesced";
          ignore (ti "completions");
          ignore (ti "failures");
          ignore (ti "cancelled");
-         let rej = Json.member "rejected" t in
-         List.iter
-           (fun k ->
-              let v =
-                try Json.to_int_exn (Json.member k rej)
-                with _ -> fail "tenant rejected section missing %S" k
-              in
-              sum_rej := !sum_rej + v)
-           reject_reasons;
+         sum_rej := !sum_rej + ti "rejected_queue_full";
          (match Json.member "first_shed_step" t with
           | Json.Null -> ()
           | Json.Int s -> if s < 1 then fail "first_shed_step before step 1"
@@ -233,26 +187,10 @@ let () =
          | _ -> fail "tenant stats without quota_trajectory")
       tenants;
     if !sum_acc <> c "accepted" then fail "per-tenant accepted do not sum to the global counter";
-    if !sum_coal <> c "coalesced" then
-      fail "per-tenant coalesced do not sum to the global counter";
     if !sum_rej <> !shed then fail "per-tenant rejections do not sum to the shed submissions";
     let merged = quantiles (Json.member "latency_all_steps" j) in
     if merged <> !sum_lat then
       fail "merged latency count %d but per-tenant histograms hold %d" merged !sum_lat;
-    let ladder = Json.member "ladder" j in
-    (match Json.member "final" ladder with
-     | Json.String l when List.mem l ladder_levels -> ()
-     | _ -> fail "ladder section without a valid final level");
-    (match Json.member "transitions" ladder with
-     | Json.List trans ->
-       List.iter
-         (function
-           | Json.List [ Json.Int s; Json.String l ] ->
-             if s < 1 then fail "ladder transition before step 1";
-             if not (List.mem l ladder_levels) then fail "unknown ladder level %S" l
-           | _ -> fail "malformed ladder transition")
-         trans
-     | _ -> fail "ladder section without transitions");
     let headroom = Json.member "headroom" j in
     let peak =
       try Json.to_int_exn (Json.member "peak_bytes" headroom)
