@@ -294,56 +294,20 @@ let dot_cmd =
   in
   Cmd.v (Cmd.info "dot" ~doc) Term.(const dot_one $ which $ seed_arg)
 
-let chaos_campaigns_arg =
-  let doc = "Fault-injection campaigns per scheduler (alternating lock-free and lock-heavy)." in
-  Arg.(value & opt int 6 & info [ "n"; "campaigns" ] ~docv:"N" ~doc)
-
-let chaos_json_arg =
-  let doc =
-    "Write the full machine-readable campaign report as JSON to $(docv).  For a fixed seed the \
-     report is byte-identical across runs (the pool section only contains deterministic facts)."
-  in
-  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-
-let chaos_skip_pool_arg =
-  let doc = "Only run the (fast, fully deterministic) simulator campaigns." in
-  Arg.(value & flag & info [ "skip-pool" ] ~doc)
-
-let chaos_crash_arg =
-  let doc =
-    "Also run the per-worker crash-domain campaigns: a seeded worker crash is injected \
-     mid-sort into each native pool policy; the pool must quarantine the dead worker, \
-     recover its held task exactly once (lineage-ledger audit), finish correctly at p-1 \
-     with the live Theorem-4.4 budget agreeing with the degraded p, then respawn the slot \
-     under budget and complete a clean run at full strength."
-  in
-  Arg.(value & flag & info [ "crash" ] ~doc)
-
-let chaos_run seed campaigns p json_out skip_pool crash =
-  exit (Chaos.run_chaos ~seed ~campaigns ~p ~json_out ~skip_pool ~crash)
-
-let chaos_cmd =
-  let doc =
-    "Run seeded fault-injection campaigns (stalls, forced steal failures, task exceptions, \
-     allocation spikes, lock delays, worker crashes) against every scheduler and the native \
-     pool, checking invariants, exception propagation, timeouts, graceful degradation and \
-     crash recovery."
-  in
-  Cmd.v (Cmd.info "chaos" ~doc)
-    Term.(
-      const chaos_run $ seed_arg $ chaos_campaigns_arg $ p_arg $ chaos_json_arg
-      $ chaos_skip_pool_arg $ chaos_crash_arg)
-
 let soak_duration_arg =
   let doc = "Logical duration of the submission phase, in service steps (>= 12)." in
   Arg.(value & opt int 60 & info [ "duration-steps" ] ~docv:"N" ~doc)
 
 let soak_plan_arg =
   let doc =
-    "Fault plan: `none', `exns' (raising + flaky + deadline jobs), `wedges' (pool-wedging \
-     jobs), `spikes' (allocation spikes driving the adaptive quota controller), or `mixed'."
+    "Campaign plan.  Fault plans drive one default lane: `none', `exns' (raising + flaky + \
+     deadline jobs), `wedges' (pool-wedging jobs), `spikes' (allocation spikes driving the \
+     adaptive quota controller) or `mixed'.  Tenant plans drive three weighted lanes under \
+     seeded open-loop load: `tenants-normal' (nothing may be shed) or `tenants-bully' (the \
+     lowest-weight tenant offers ~10x load laced with allocation spikes; it must be shed first \
+     and alone, the victims' p99 stays bounded and their K budgets stay isolated)."
   in
-  Arg.(value & opt (Arg.enum Soak.plans) Soak.P_mixed & info [ "fault-plan" ] ~docv:"PLAN" ~doc)
+  Arg.(value & opt (Arg.enum Soak.plans) Soak.P_mixed & info [ "plan" ] ~docv:"PLAN" ~doc)
 
 let soak_policy_arg =
   let doc = "Pool policy: `dfd' (DFDeques with the adaptive-K controller) or `ws'." in
@@ -372,38 +336,23 @@ let soak_flight_arg =
   in
   Arg.(value & opt (some string) None & info [ "flight-dir" ] ~docv:"DIR" ~doc)
 
-let soak_tenants_arg =
-  let doc =
-    "Run the multi-tenant open-loop campaign instead of a fault plan: `normal' (three tenants \
-     under steady seeded load; nothing may be shed) or `bully' (the lowest-weight tenant \
-     offers ~10x load laced with allocation spikes; the oracle checks its own full lane sheds it \
-     first and alone, victims complete >= 99% with bounded p99, and per-tenant K budgets stay \
-     isolated)."
-  in
-  Arg.(value & opt (some (Arg.enum Soak.tenant_modes)) None
-       & info [ "tenants" ] ~docv:"MODE" ~doc)
-
-let soak_run seed duration plan tenants policy grace json_out flight_dir =
-  let tenants = match tenants with None -> Soak.T_off | Some m -> m in
-  exit
-    (Soak.run_soak ~seed ~duration ~plan ~tenants ~policy ~wedge_grace:grace ~json_out
-       ~flight_dir)
+let soak_run seed duration plan policy grace json_out flight_dir =
+  exit (Soak.run_soak ~seed ~duration ~plan ~policy ~wedge_grace:grace ~json_out ~flight_dir)
 
 let soak_cmd =
   let doc =
     "Run a deterministic soak campaign against the supervised job service: a seeded schedule \
      of well-behaved, raising, flaky, deadline-bound, allocation-spiking and pool-wedging \
-     jobs, driven for a fixed number of logical steps and audited against the exactly-once \
-     ledger (zero lost jobs, zero duplicated acknowledgements, outcome classes per \
-     archetype, wedge -> respawn -> requeue exactly once, adaptive-K shrink and recovery).  \
-     With $(b,--tenants) the campaign instead exercises the multi-tenant front door: \
-     weighted-fair bounded lanes under seeded open-loop load, shedding at a full lane, and \
-     per-tenant adaptive-K isolation."
+     jobs, or of weighted tenants under open-loop load, driven for a fixed number of logical \
+     steps and audited by one oracle: the exactly-once ledger (zero lost jobs, zero \
+     duplicated acknowledgements), lane bounds, the Theorem-4.4 headroom budget, outcome \
+     classes per job kind, wedge -> respawn -> requeue exactly once, plus the plan's own \
+     checks (adaptive-K shrink and recovery, bully isolation, no shedding under normal load)."
   in
   Cmd.v (Cmd.info "soak" ~doc)
     Term.(
-      const soak_run $ seed_arg $ soak_duration_arg $ soak_plan_arg $ soak_tenants_arg
-      $ soak_policy_arg $ soak_grace_arg $ soak_json_arg $ soak_flight_arg)
+      const soak_run $ seed_arg $ soak_duration_arg $ soak_plan_arg $ soak_policy_arg
+      $ soak_grace_arg $ soak_json_arg $ soak_flight_arg)
 
 (* ------------------------------------------------------------------ *)
 (* metrics: one deterministic simulated run exposed through the         *)
@@ -546,5 +495,5 @@ let () =
   exit
     (Cmd.eval ~argv
        (Cmd.group ~default info
-          [ list_cmd; exp_cmd; run_cmd; analyze_cmd; trace_cmd; dot_cmd; chaos_cmd; soak_cmd;
+          [ list_cmd; exp_cmd; run_cmd; analyze_cmd; trace_cmd; dot_cmd; soak_cmd;
             check_cmd; metrics_cmd ]))

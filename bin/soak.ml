@@ -1,15 +1,15 @@
 (* repro soak — deterministic soak campaigns against the supervised job
    service (Dfd_service.Service).
 
-   Two families of campaigns share the driver:
-
-   {b Fault plans} (the historical single-tenant mode) drive the default
-   lane for [duration] logical steps under a named plan.  Each plan is a
-   pure function from (step, duration) to a list of job submissions,
-   drawn from six archetypes whose outcome *class* is deterministic even
-   though pool timing is not:
+   Every plan runs through one loop: for [duration] logical steps it
+   offers the plan's submissions for that step, then advances the service
+   by one step.  Jobs are drawn from eight kinds whose outcome *class* is
+   deterministic even though pool timing is not:
 
    - ok     small fork-join reduction with allocation hints; completes.
+   - dup    an ok job from a bursting tenant; completes.
+   - bully  an ok job from a tenant offering ~10x its share; completes
+            if admitted.
    - spike  one huge allocation hint; completes, but drives the adaptive
             quota controller's pressure signal up.
    - exn    always raises; retried to budget exhaustion, then Failed.
@@ -22,24 +22,31 @@
             respawn callback releases the flag, so the second attempt
             completes.  Expected: Completed with requeues = 1.
 
-   {b Tenant plans} (--tenants normal|bully) run the multi-tenant front
-   door under seeded open-loop load: three tenants (gold w4, silver w2,
+   The five fault plans (none, exns, wedges, spikes, mixed) submit a pure
+   function of (step, duration) to the one default lane.  The two tenant
+   plans (tenants-normal, tenants-bully) run the multi-tenant front door
+   under seeded open-loop load: three tenants (gold w4, silver w2,
    bronze w1) submit per-step arrivals drawn from per-tenant splitmix64
-   streams.  Under `bully', bronze offers ~10x its normal load laced
-   with allocation spikes; the oracle then checks the isolation story —
-   the bully is shed first (and only the bully) by its own full lane,
-   victims complete >= 99% with bounded p99, every lane stays within
-   its bound, the bully's K shrinks while the victims' K budgets never
-   dip, and the peak per-attempt allocation stays inside the
-   Theorem-4.4 headroom budget.  Per-tenant latency quantiles come from [Stats.Histogram];
-   the global distribution is their [Histogram.merge].
+   streams.  Under the bully plan, bronze offers ~10x its normal load
+   laced with allocation spikes.
+
+   One oracle judges every plan: the service is idle after the drain,
+   the ledger audits clean, no acknowledgement is duplicated, every lane
+   stays within its bound, the per-attempt allocation peak stays inside
+   the Theorem-4.4 headroom budget, wedges = respawns = accepted wedge
+   jobs, and every accepted job ends with its kind's outcome.  Three
+   plan-specific checks follow: under dfd, spikes and mixed must shrink
+   K and recover it; the bully must be shed first and alone with the
+   victims' p99 bounded and their K budgets untouched; tenants-normal
+   must shed nothing.
 
    After the submission phase the service is driven to idle and audited.
-   The JSON report contains only logical-clock facts — counters, the
-   ledger, quota trajectories, per-tenant sections —
-   never wall-clock readings, so two runs with the same seed and
-   arguments are byte-identical.  The exit code is gated on the ledger
-   audit and the oracle, never on timing. *)
+   Every plan writes one report shape.  It holds only logical-clock
+   facts — counters, the ledger, quota trajectories, per-tenant
+   sections, stable telemetry snapshots — never wall-clock readings, so
+   two runs with the same seed and arguments are byte-identical.  The
+   exit code is gated on the ledger audit and the oracle, never on
+   timing. *)
 
 module Service = Dfd_service.Service
 module Tenant = Dfd_service.Tenant
@@ -52,57 +59,147 @@ module Headroom = Dfd_obs.Headroom
 module Stats = Dfd_structures.Stats
 module Prng = Dfd_structures.Prng
 
-type plan = P_none | P_exns | P_wedges | P_spikes | P_mixed
-
-let plan_name = function
-  | P_none -> "none"
-  | P_exns -> "exns"
-  | P_wedges -> "wedges"
-  | P_spikes -> "spikes"
-  | P_mixed -> "mixed"
+type plan =
+  | P_none
+  | P_exns
+  | P_wedges
+  | P_spikes
+  | P_mixed
+  | P_tenants_normal
+  | P_tenants_bully
 
 let plans =
   [ ("none", P_none); ("exns", P_exns); ("wedges", P_wedges); ("spikes", P_spikes);
-    ("mixed", P_mixed) ]
+    ("mixed", P_mixed); ("tenants-normal", P_tenants_normal);
+    ("tenants-bully", P_tenants_bully) ]
 
-type tenant_mode = T_off | T_normal | T_bully
+let plan_name plan = fst (List.find (fun (_, p) -> p = plan) plans)
 
-let tenant_modes = [ ("normal", T_normal); ("bully", T_bully) ]
-
-let tenant_mode_name = function
-  | T_off -> "off"
-  | T_normal -> "tenants-normal"
-  | T_bully -> "tenants-bully"
-
-type kind = Ok_job | Spike | Exn | Flaky | Slow | Wedge
+type kind = Ok_job | Dup | Bully | Spike | Exn | Flaky | Slow | Wedge
 
 let kind_name = function
   | Ok_job -> "ok"
+  | Dup -> "dup"
+  | Bully -> "bully"
   | Spike -> "spike"
   | Exn -> "exn"
   | Flaky -> "flaky"
   | Slow -> "slow"
   | Wedge -> "wedge"
 
-(* The submission schedule: which jobs to offer at step [s] (1-based).
-   Pure in (plan, duration, s) — the whole campaign replays from the
-   report header. *)
-let schedule plan ~duration s =
+(* ------------------------------------------------------------------ *)
+(* Service configuration for soak campaigns                            *)
+(* ------------------------------------------------------------------ *)
+
+let soak_retry = { Retry.max_attempts = 3; base_delay = 1; max_delay = 8 }
+
+let soak_quota =
+  {
+    Quota_ctl.k_init = 32_000;
+    k_min = 4_000;
+    k_max = 32_000;
+    high_watermark = 50_000;
+    low_watermark = 10_000;
+    recover_steps = 2;
+  }
+
+let slow_deadline = 0.05
+
+(* The multi-tenant lanes: weight is declared importance, so the
+   low-weight bronze lane, with the smallest bound, is where a bully is
+   cheapest to run and the first to fill. *)
+let soak_tenants =
+  [
+    Tenant.make ~weight:4 ~queue_bound:16 "gold";
+    Tenant.make ~weight:2 ~queue_bound:12 "silver";
+    Tenant.make ~weight:1 ~queue_bound:8 "bronze";
+  ]
+
+let tenants_of = function
+  | P_tenants_normal | P_tenants_bully -> soak_tenants
+  | _ -> [ Tenant.make ~weight:1 ~queue_bound:8 "default" ]
+
+(* Headroom estimates: generous S1/D guesses that make the Theorem-4.4
+   budget a real (finite, nonzero) ceiling the 400 kB spikes must stay
+   under. *)
+let soak_headroom_s1 = 600_000
+
+let soak_headroom_depth = 2
+
+(* ------------------------------------------------------------------ *)
+(* The submission schedule                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Per-step arrivals for one tenant, drawn from its own stream so adding
+   a tenant never shifts another's schedule.  Rates are per-mille per
+   step; under the bully plan bronze offers a deterministic 2 plus a coin
+   for a third — roughly 10x its normal 0.25/step. *)
+let arrivals ~bully tenant rng =
+  let bernoulli rate = if Prng.int rng 1000 < rate then 1 else 0 in
+  match tenant with
+  | "gold" -> bernoulli 250
+  | "silver" -> bernoulli 220
+  | "bronze" when bully -> 2 + bernoulli 500
+  | "bronze" -> bernoulli 250
+  | _ -> 0
+
+(* [schedule plan ~seed ~duration] is the function from step [s]
+   (1-based) to the submissions offered at that step, as (tenant, kind)
+   pairs; [None] is the default lane.  Fault plans are pure in
+   (duration, s); tenant plans draw from streams split off [seed], so the
+   whole campaign replays from the report header. *)
+let schedule plan ~seed ~duration =
+  let default kinds = List.map (fun k -> (None, k)) kinds in
   match plan with
-  | P_none -> [ Ok_job ]
+  | P_none -> fun _ -> default [ Ok_job ]
   | P_exns ->
-    (if s mod 5 = 0 then [ Exn ] else [])
-    @ (if s mod 7 = 3 then [ Flaky ] else [])
-    @ (if s = 2 then [ Slow ] else [])
-    @ [ Ok_job ]
-  | P_wedges -> (if s = 3 || s = duration / 2 then [ Wedge ] else []) @ [ Ok_job ]
-  | P_spikes -> if s <= duration / 4 then [ Spike ] else [ Ok_job ]
+    fun s ->
+      default
+        ((if s mod 5 = 0 then [ Exn ] else [])
+         @ (if s mod 7 = 3 then [ Flaky ] else [])
+         @ (if s = 2 then [ Slow ] else [])
+         @ [ Ok_job ])
+  | P_wedges ->
+    fun s -> default ((if s = 3 || s = duration / 2 then [ Wedge ] else []) @ [ Ok_job ])
+  | P_spikes -> fun s -> default (if s <= duration / 4 then [ Spike ] else [ Ok_job ])
   | P_mixed ->
-    (if s <= duration / 6 then [ Spike ] else [])
-    @ (if s mod 7 = 0 then [ Exn ] else [])
-    @ (if s mod 11 = 4 then [ Flaky ] else [])
-    @ (if s = duration / 3 || s = 2 * duration / 3 then [ Wedge ] else [])
-    @ (if s = duration - 5 then List.init 12 (fun _ -> Ok_job) else [ Ok_job ])
+    fun s ->
+      default
+        ((if s <= duration / 6 then [ Spike ] else [])
+         @ (if s mod 7 = 0 then [ Exn ] else [])
+         @ (if s mod 11 = 4 then [ Flaky ] else [])
+         @ (if s = duration / 3 || s = 2 * duration / 3 then [ Wedge ] else [])
+         @ (if s = duration - 5 then List.init 12 (fun _ -> Ok_job) else [ Ok_job ]))
+  | P_tenants_normal | P_tenants_bully ->
+    let bully = plan = P_tenants_bully in
+    let master = Prng.create seed in
+    let streams =
+      List.map (fun (tn : Tenant.t) -> (tn.Tenant.name, Prng.split master)) soak_tenants
+    in
+    let bronze_jobs = ref 0 in
+    (* gold is plain load; silver bursts a pair every 7th step; the bully
+       laces every 4th job with an allocation spike that only its own K
+       controller should feel *)
+    let kind s = function
+      | "gold" -> Ok_job
+      | "silver" -> if s mod 7 = 3 then Dup else Ok_job
+      | _ ->
+        incr bronze_jobs;
+        if not bully then Ok_job else if !bronze_jobs mod 4 = 0 then Spike else Bully
+    in
+    fun s ->
+      List.concat_map
+        (fun (name, rng) ->
+           let n = arrivals ~bully name rng in
+           let n = if name = "silver" && s mod 7 = 3 then n + 1 else n in
+           let rec offer i =
+             if i = n then []
+             else
+               let k = kind s name in
+               (Some name, k) :: offer (i + 1)
+           in
+           offer 0)
+        streams
 
 (* ------------------------------------------------------------------ *)
 (* Job bodies                                                          *)
@@ -133,53 +230,23 @@ let slow_body () =
 let wedge_body flag () = while not (Atomic.get flag) do Domain.cpu_relax () done
 
 (* ------------------------------------------------------------------ *)
-(* Service configuration for soak campaigns                            *)
-(* ------------------------------------------------------------------ *)
-
-let soak_retry = { Retry.max_attempts = 3; base_delay = 1; max_delay = 8 }
-
-let soak_quota =
-  {
-    Quota_ctl.k_init = 32_000;
-    k_min = 4_000;
-    k_max = 32_000;
-    high_watermark = 50_000;
-    low_watermark = 10_000;
-    recover_steps = 2;
-  }
-
-let slow_deadline = 0.05
-
-(* The multi-tenant lanes: weight is declared importance, so the
-   low-weight bronze lane, with the smallest bound, is where a bully is
-   cheapest to run and the first to fill. *)
-let soak_tenants =
-  [
-    Tenant.make ~weight:4 ~queue_bound:16 "gold";
-    Tenant.make ~weight:2 ~queue_bound:12 "silver";
-    Tenant.make ~weight:1 ~queue_bound:8 "bronze";
-  ]
-
-(* Headroom estimates for the tenant campaigns: generous S1/D guesses
-   that make the Theorem-4.4 budget a real (finite, nonzero) ceiling the
-   400 kB spikes must stay under. *)
-let soak_headroom_s1 = 600_000
-
-let soak_headroom_depth = 2
-
-(* ------------------------------------------------------------------ *)
 (* JSON rendering (logical-clock facts only)                           *)
 (* ------------------------------------------------------------------ *)
 
-let outcome_fields = function
-  | None -> [ ("outcome", Json.String "unresolved") ]
-  | Some Service.Completed -> [ ("outcome", Json.String "completed") ]
-  | Some (Service.Failed m) ->
-    [ ("outcome", Json.String "failed"); ("detail", Json.String m) ]
-  | Some (Service.Rejected r) ->
-    [ ("outcome", Json.String "rejected");
-      ("reason", Json.String (Service.reject_reason_name r)) ]
-  | Some Service.Cancelled -> [ ("outcome", Json.String "cancelled") ]
+let outcome_name = function
+  | None -> "unresolved"
+  | Some Service.Completed -> "completed"
+  | Some (Service.Failed _) -> "failed"
+  | Some (Service.Rejected _) -> "rejected"
+  | Some Service.Cancelled -> "cancelled"
+
+let outcome_fields o =
+  ("outcome", Json.String (outcome_name o))
+  ::
+  (match o with
+   | Some (Service.Failed m) -> [ ("detail", Json.String m) ]
+   | Some (Service.Rejected r) -> [ ("reason", Json.String (Service.reject_reason_name r)) ]
+   | _ -> [])
 
 (* The counters object is rendered from the registry's sample type (the
    same path `repro metrics` exposes); [Service.counter_samples] fixes its
@@ -232,6 +299,9 @@ let quantile_json h =
       ("p99", q 0.99);
     ]
 
+let trajectory_json traj =
+  Json.List (List.map (fun (s, k) -> Json.List [ Json.Int s; Json.Int k ]) traj)
+
 let tenant_json (ts : Service.tenant_stats) =
   Json.Assoc
     [
@@ -249,15 +319,10 @@ let tenant_json (ts : Service.tenant_stats) =
       ("latency_steps", quantile_json ts.Service.ts_latency);
       ( "quota",
         match ts.Service.ts_quota with None -> Json.Null | Some k -> Json.Int k );
-      ( "quota_trajectory",
-        Json.List
-          (List.map
-             (fun (s, k) -> Json.List [ Json.Int s; Json.Int k ])
-             ts.Service.ts_quota_trajectory) );
+      ("quota_trajectory", trajectory_json ts.Service.ts_quota_trajectory);
     ]
 
-let headroom_json svc =
-  let h = Service.headroom svc in
+let headroom_json h =
   let peak = Headroom.peak h and budget = Headroom.budget h in
   Json.Assoc
     [
@@ -281,6 +346,24 @@ let ledger_json entries =
              @ outcome_fields e.Service.outcome))
        entries)
 
+type submission = {
+  step : int;
+  tenant : string option;  (** [None]: the default lane. *)
+  kind : kind;
+  result : (int, Service.reject_reason) result;
+}
+
+let submission_json u =
+  Json.Assoc
+    ([ ("step", Json.Int u.step) ]
+     @ (match u.tenant with Some t -> [ ("tenant", Json.String t) ] | None -> [])
+     @ [ ("kind", Json.String (kind_name u.kind)) ]
+     @
+     match u.result with
+     | Ok id -> [ ("accepted", Json.Bool true); ("job", Json.Int id) ]
+     | Error r ->
+       [ ("accepted", Json.Bool false); ("reason", Json.String (Service.reject_reason_name r)) ])
+
 let write_report ~json_out report =
   match json_out with
   | None -> ()
@@ -295,35 +378,149 @@ let write_report ~json_out report =
        exit 1);
     Printf.printf "report: %s\n" path
 
-let finish ~violations =
-  List.iter (fun m -> Printf.printf "  VIOLATION: %s\n" m) violations;
-  if violations = [] then begin
-    print_endline "soak: PASS";
-    0
-  end
-  else begin
-    print_endline "soak: FAIL";
-    1
-  end
-
 (* ------------------------------------------------------------------ *)
-(* The single-tenant fault campaign                                    *)
+(* The oracle                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let run_fault_soak ~seed ~duration ~plan ~policy ~wedge_grace ~json_out ~flight_dir =
+let oracle ~plan ~dfd ~svc ~submissions =
+  let violations = ref [] in
+  let violate fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
+  let c = Service.counters svc in
+  let stats = Service.tenant_stats svc in
+  let k_init = soak_quota.Quota_ctl.k_init in
+  (* ---- universal: every plan ---- *)
+  if not (Service.idle svc) then violate "service not idle after drain";
+  (match Service.verify_ledger svc with
+   | Ok () -> ()
+   | Error m -> violate "ledger audit failed: %s" m);
+  if c.Service.duplicate_acks <> 0 then
+    violate "%d duplicate acknowledgements" c.Service.duplicate_acks;
+  List.iter
+    (fun ts ->
+       if ts.Service.ts_peak_depth > ts.Service.ts_bound then
+         violate "tenant %s peak queue depth %d exceeds bound %d" ts.Service.ts_name
+           ts.Service.ts_peak_depth ts.Service.ts_bound)
+    stats;
+  let h = Service.headroom svc in
+  if Headroom.peak h > Headroom.budget h then
+    violate "headroom peak %d bytes exceeds Theorem-4.4 budget %d" (Headroom.peak h)
+      (Headroom.budget h);
+  let entry_tbl = Hashtbl.create 64 in
+  List.iter (fun (e : Service.entry) -> Hashtbl.replace entry_tbl e.Service.job e) (Service.ledger svc);
+  let accepted_wedges = ref 0 in
+  List.iter
+    (fun u ->
+       match u.result with
+       | Error _ -> ()
+       | Ok id -> (
+           if u.kind = Wedge then incr accepted_wedges;
+           let name = kind_name u.kind in
+           match Hashtbl.find_opt entry_tbl id with
+           | None -> violate "job %d (step %d) missing from the ledger" id u.step
+           | Some e ->
+             let expect_outcome expected =
+               let o = e.Service.outcome in
+               if outcome_name o <> expected then
+                 violate "job %d (%s, step %d): expected %s, got %s" id name u.step expected
+                   (match o with
+                    | Some (Service.Failed m) -> "failed: " ^ m
+                    | Some (Service.Rejected r) -> "rejected: " ^ Service.reject_reason_name r
+                    | o -> outcome_name o)
+             in
+             match u.kind with
+             | Ok_job | Dup | Bully | Spike -> expect_outcome "completed"
+             | Flaky ->
+               expect_outcome "completed";
+               if e.Service.attempts <> 2 then
+                 violate "job %d (flaky): expected 2 attempts, got %d" id e.Service.attempts
+             | Exn | Slow ->
+               expect_outcome "failed";
+               if e.Service.attempts <> soak_retry.Retry.max_attempts then
+                 violate "job %d (%s): expected %d attempts, got %d" id name
+                   soak_retry.Retry.max_attempts e.Service.attempts
+             | Wedge ->
+               expect_outcome "completed";
+               if e.Service.requeues <> 1 then
+                 violate "job %d (wedge): expected exactly 1 requeue, got %d" id
+                   e.Service.requeues))
+    submissions;
+  if c.Service.wedges <> !accepted_wedges then
+    violate "wedge counter %d but %d wedge jobs accepted" c.Service.wedges !accepted_wedges;
+  if c.Service.respawns <> !accepted_wedges then
+    violate "respawn counter %d but %d wedge jobs accepted" c.Service.respawns !accepted_wedges;
+  (* ---- plan-specific ---- *)
+  let stat name = List.find (fun ts -> ts.Service.ts_name = name) stats in
+  (match plan with
+   | (P_spikes | P_mixed) when dfd ->
+     (* adaptive K: the controller must have shrunk K below its initial
+        value and recovered to the ceiling once pressure subsided *)
+     if not (List.exists (fun (_, k) -> k < k_init) (Service.quota_trajectory svc)) then
+       violate "quota controller never shrank K below k_init under allocation spikes";
+     (match Service.quota svc with
+      | Some k when k = soak_quota.Quota_ctl.k_max -> ()
+      | Some k -> violate "quota did not recover to k_max after calm period (final K = %d)" k
+      | None -> violate "dfd service reports no quota")
+   | P_tenants_bully ->
+     let bronze = stat "bronze" and victims = [ stat "gold"; stat "silver" ] in
+     (* the bully's own full lane must have shed it, and strictly first *)
+     (match bronze.Service.ts_first_shed with
+      | None -> violate "bully was never shed"
+      | Some bs ->
+        List.iter
+          (fun ts ->
+             match ts.Service.ts_first_shed with
+             | Some vs when vs <= bs ->
+               violate "victim %s shed at step %d, not after the bully (step %d)"
+                 ts.Service.ts_name vs bs
+             | _ -> ())
+          victims);
+     (* victims' tail latency stays bounded: DRR guarantees their share *)
+     List.iter
+       (fun ts ->
+          match Stats.Histogram.quantile ts.Service.ts_latency 0.99 with
+          | Some p99 when p99 > 20.0 ->
+            violate "victim %s p99 latency %.1f steps exceeds 20" ts.Service.ts_name p99
+          | _ -> ())
+       victims;
+     if dfd then begin
+       (* isolation of the K budgets: the bully's controller shrank,
+          the victims' never dipped below their initial K *)
+       let dipped ts = List.exists (fun (_, k) -> k < k_init) ts.Service.ts_quota_trajectory in
+       if not (dipped bronze) then violate "bully's K never shrank despite allocation spikes";
+       List.iter
+         (fun ts -> if dipped ts then violate "victim %s's K dipped below k_init" ts.Service.ts_name)
+         victims
+     end
+   | P_tenants_normal ->
+     (* under normal load nothing is shed anywhere *)
+     List.iter
+       (fun ts ->
+          if ts.Service.ts_rejected_queue_full > 0 then
+            violate "tenant %s saw %d rejections under normal load" ts.Service.ts_name
+              ts.Service.ts_rejected_queue_full)
+       stats
+   | _ -> ());
+  List.rev !violations
+
+(* ------------------------------------------------------------------ *)
+(* The campaign                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let run_soak ~seed ~duration ~plan ~policy ~wedge_grace ~json_out ~flight_dir =
+  if duration < 12 then begin
+    prerr_endline "repro soak: --duration-steps must be at least 12";
+    exit 2
+  end;
   let dfd = policy = `Dfd in
   let pool_policy =
     if dfd then Pool.Dfdeques { quota = soak_quota.Quota_ctl.k_init } else Pool.Work_stealing
   in
   let policy_name = if dfd then "dfd" else "ws" in
-  let tenants = [ Tenant.make ~weight:1 ~queue_bound:8 "default" ] in
+  let tenants = tenants_of plan in
   let wedge_flags : (int, bool Atomic.t) Hashtbl.t = Hashtbl.create 8 in
   let on_pool_retired ~in_flight =
-    match in_flight with
-    | Some id -> (
-        match Hashtbl.find_opt wedge_flags id with
-        | Some flag -> Atomic.set flag true
-        | None -> ())
+    match Option.bind in_flight (Hashtbl.find_opt wedge_flags) with
+    | Some flag -> Atomic.set flag true
     | None -> ()
   in
   let config =
@@ -340,8 +537,28 @@ let run_fault_soak ~seed ~duration ~plan ~policy ~wedge_grace ~json_out ~flight_
       on_pool_retired = Some on_pool_retired;
     }
   in
-  let svc = Service.create ?flight_dir ~config pool_policy in
-  (* submission phase: one service step per schedule step *)
+  let svc =
+    Service.create ?flight_dir ~headroom_s1:soak_headroom_s1
+      ~headroom_depth:soak_headroom_depth ~config pool_policy
+  in
+  let submit ?tenant kind =
+    let class_ = kind_name kind in
+    let admit ?deadline body = Service.admission (Service.submit svc ?tenant ~class_ ?deadline body) in
+    match kind with
+    | Wedge ->
+      (* the release flag must be findable by the id [submit] assigns,
+         so the respawn callback can free the stuck task *)
+      let flag = Atomic.make false in
+      let result = admit (wedge_body flag) in
+      Result.iter (fun id -> Hashtbl.replace wedge_flags id flag) result;
+      result
+    | Ok_job | Dup | Bully -> admit ok_body
+    | Spike -> admit spike_body
+    | Exn -> admit exn_body
+    | Flaky -> admit (flaky_body (Atomic.make false))
+    | Slow -> admit ~deadline:slow_deadline slow_body
+  in
+  let next = schedule plan ~seed ~duration in
   let submissions = ref [] in
   (* periodic stable telemetry snapshots for the report: only probes
      registered stable (the dfd_service_* family) appear, so each snapshot
@@ -352,347 +569,20 @@ let run_fault_soak ~seed ~duration ~plan ~policy ~wedge_grace ~json_out ~flight_
   let take_snap s = snaps := (s, Service.metrics_snapshot ~stable_only:true svc) :: !snaps in
   for s = 1 to duration do
     List.iter
-      (fun kind ->
-         let class_ = kind_name kind in
-         let deadline = match kind with Slow -> Some slow_deadline | _ -> None in
-         let result =
-           match kind with
-           | Wedge ->
-             (* the release flag must be findable by the id [submit]
-                assigns, so the respawn callback can free the stuck task *)
-             let flag = Atomic.make false in
-             let result = Service.admission (Service.submit svc ~class_ (wedge_body flag)) in
-             (match result with
-              | Ok id -> Hashtbl.replace wedge_flags id flag
-              | Error _ -> ());
-             result
-           | Ok_job -> Service.admission (Service.submit svc ~class_ ok_body)
-           | Spike -> Service.admission (Service.submit svc ~class_ spike_body)
-           | Exn -> Service.admission (Service.submit svc ~class_ exn_body)
-           | Flaky ->
-             Service.admission (Service.submit svc ~class_ (flaky_body (Atomic.make false)))
-           | Slow -> Service.admission (Service.submit svc ~class_ ?deadline slow_body)
-         in
-         submissions := (s, kind, result) :: !submissions)
-      (schedule plan ~duration s);
+      (fun (tenant, kind) ->
+         submissions := { step = s; tenant; kind; result = submit ?tenant kind } :: !submissions)
+      (next s);
     Service.step svc;
     if s mod snap_every = 0 then take_snap s
   done;
   (* drain: retries may still be pending *)
   Service.drive ~max_steps:(duration * 20) svc;
   take_snap (Service.now svc);
-  let snaps = List.rev !snaps in
-  let idle = Service.idle svc in
-  let c = Service.counters svc in
-  let entries = Service.ledger svc in
-  let entry_tbl = Hashtbl.create 64 in
-  List.iter (fun (e : Service.entry) -> Hashtbl.replace entry_tbl e.Service.job e) entries;
-  (* ---- the oracle ---- *)
-  let violations = ref [] in
-  let violate fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
-  if not idle then violate "service not idle after drain";
-  (match Service.verify_ledger svc with
-   | Ok () -> ()
-   | Error m -> violate "ledger audit failed: %s" m);
-  if c.Service.duplicate_acks <> 0 then
-    violate "%d duplicate acknowledgements" c.Service.duplicate_acks;
   let submissions = List.rev !submissions in
-  let accepted_wedges = ref 0 in
-  List.iter
-    (fun (step, kind, result) ->
-       match result with
-       | Error _ -> ()
-       | Ok id ->
-         if kind = Wedge then incr accepted_wedges;
-         (match Hashtbl.find_opt entry_tbl id with
-          | None -> violate "job %d (step %d) missing from the ledger" id step
-          | Some e ->
-            let expect_outcome name pred =
-              match e.Service.outcome with
-              | Some o when pred o -> ()
-              | o ->
-                violate "job %d (%s, step %d): expected %s, got %s" id (kind_name kind) step
-                  name
-                  (match o with
-                   | None -> "unresolved"
-                   | Some Service.Completed -> "completed"
-                   | Some (Service.Failed m) -> "failed: " ^ m
-                   | Some (Service.Rejected r) ->
-                     "rejected: " ^ Service.reject_reason_name r
-                   | Some Service.Cancelled -> "cancelled")
-            in
-            let completed = function Service.Completed -> true | _ -> false in
-            let failed = function Service.Failed _ -> true | _ -> false in
-            (match kind with
-             | Ok_job | Spike -> expect_outcome "completed" completed
-             | Flaky ->
-               expect_outcome "completed" completed;
-               if e.Service.attempts <> 2 then
-                 violate "job %d (flaky): expected 2 attempts, got %d" id e.Service.attempts
-             | Exn | Slow ->
-               expect_outcome "failed" failed;
-               if e.Service.attempts <> soak_retry.Retry.max_attempts then
-                 violate "job %d (%s): expected %d attempts, got %d" id (kind_name kind)
-                   soak_retry.Retry.max_attempts e.Service.attempts
-             | Wedge ->
-               expect_outcome "completed" completed;
-               if e.Service.requeues <> 1 then
-                 violate "job %d (wedge): expected exactly 1 requeue, got %d" id
-                   e.Service.requeues)))
-    submissions;
-  if c.Service.wedges <> !accepted_wedges then
-    violate "wedge counter %d but %d wedge jobs accepted" c.Service.wedges !accepted_wedges;
-  if c.Service.respawns <> !accepted_wedges then
-    violate "respawn counter %d but %d wedge jobs accepted" c.Service.respawns !accepted_wedges;
-  (* adaptive-K acceptance: under dfd with spikes in the plan, the
-     controller must have shrunk K below its initial value and recovered
-     to the ceiling once pressure subsided *)
-  let quota_traj = Service.quota_trajectory svc in
-  if dfd && (plan = P_spikes || plan = P_mixed) then begin
-    if not (List.exists (fun (_, k) -> k < soak_quota.Quota_ctl.k_init) quota_traj) then
-      violate "quota controller never shrank K below k_init under allocation spikes";
-    (match Service.quota svc with
-     | Some k when k = soak_quota.Quota_ctl.k_max -> ()
-     | Some k -> violate "quota did not recover to k_max after calm period (final K = %d)" k
-     | None -> violate "dfd service reports no quota")
-  end;
-  let violations = List.rev !violations in
-  let passed = violations = [] in
-  (* ---- the report ---- *)
-  let report =
-    Json.Assoc
-      [
-        ("seed", Json.Int seed);
-        ("plan", Json.String (plan_name plan));
-        ("duration_steps", Json.Int duration);
-        ("final_step", Json.Int (Service.now svc));
-        ("config", config_json ~policy_name ~with_quota:dfd ~tenants);
-        ( "submissions",
-          Json.List
-            (List.map
-               (fun (step, kind, result) ->
-                  Json.Assoc
-                    ([ ("step", Json.Int step); ("kind", Json.String (kind_name kind)) ]
-                     @
-                     match result with
-                     | Ok id -> [ ("accepted", Json.Bool true); ("job", Json.Int id) ]
-                     | Error r ->
-                       [ ("accepted", Json.Bool false);
-                         ("reason", Json.String (Service.reject_reason_name r)) ]))
-               submissions) );
-        ("ledger", ledger_json entries);
-        ( "quota_trajectory",
-          Json.List
-            (List.map (fun (s, k) -> Json.List [ Json.Int s; Json.Int k ]) quota_traj) );
-        ("counters", counters_json svc);
-        ( "metrics",
-          Json.Assoc
-            [
-              ("snapshot_every", Json.Int snap_every);
-              ( "snapshots",
-                Json.List
-                  (List.map
-                     (fun (s, samples) ->
-                        Json.Assoc
-                          [
-                            ("step", Json.Int s);
-                            ("samples", Registry.Snapshot.to_json samples);
-                          ])
-                     snaps) );
-            ] );
-        ( "checks",
-          Json.Assoc
-            [
-              ("ledger_verified", Json.Bool (Service.verify_ledger svc = Ok ()));
-              ("violations", Json.List (List.map (fun m -> Json.String m) violations));
-              ("all_passed", Json.Bool passed);
-            ] );
-      ]
-  in
-  Service.shutdown ~reap:true svc;
-  write_report ~json_out report;
-  Printf.printf
-    "soak[%s/%s]: %d submitted (%d accepted, %d shed), %d completed, %d failed, %d retries, %d \
-     timeouts, %d wedges -> %d respawns, %d quota moves\n"
-    (plan_name plan) policy_name (List.length submissions) c.Service.accepted
-    c.Service.rejected_queue_full c.Service.completions c.Service.failures c.Service.retries
-    c.Service.timeouts c.Service.wedges c.Service.respawns (List.length quota_traj);
-  finish ~violations
-
-(* ------------------------------------------------------------------ *)
-(* The multi-tenant open-loop campaign                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-step arrivals for one tenant, drawn from its own stream so adding
-   a tenant never shifts another's schedule.  Rates are per-mille per
-   step; in bully mode bronze offers a deterministic 2 plus a coin for a
-   third — roughly 10x its normal 0.25/step. *)
-let arrivals mode tenant rng =
-  let bernoulli rate = if Prng.int rng 1000 < rate then 1 else 0 in
-  match (tenant, mode) with
-  | "gold", _ -> bernoulli 250
-  | "silver", _ -> bernoulli 220
-  | "bronze", T_bully -> 2 + bernoulli 500
-  | "bronze", _ -> bernoulli 250
-  | _ -> 0
-
-type t_submission = {
-  u_step : int;
-  u_tenant : string;
-  u_class : string;
-  u_result : (int, Service.reject_reason) result;
-}
-
-let run_tenant_soak ~seed ~duration ~mode ~policy ~wedge_grace ~json_out ~flight_dir =
-  let dfd = policy = `Dfd in
-  let pool_policy =
-    if dfd then Pool.Dfdeques { quota = soak_quota.Quota_ctl.k_init } else Pool.Work_stealing
-  in
-  let policy_name = if dfd then "dfd" else "ws" in
-  let config =
-    {
-      Service.seed;
-      tenants = soak_tenants;
-      retry = soak_retry;
-      quota_ctl = (if dfd then Some soak_quota else None);
-      default_deadline = None;
-      wedge_grace;
-      domains = 2;
-      max_respawns = 4;
-      worker_respawn_budget = 0;
-      on_pool_retired = None;
-    }
-  in
-  let svc =
-    Service.create ?flight_dir ~headroom_s1:soak_headroom_s1
-      ~headroom_depth:soak_headroom_depth ~config pool_policy
-  in
-  let master = Prng.create seed in
-  let streams =
-    List.map (fun (tn : Tenant.t) -> (tn.Tenant.name, Prng.split master)) soak_tenants
-  in
-  let submissions = ref [] in
-  let bronze_jobs = ref 0 in
-  let submit_one ~s tenant =
-    (* class and body per tenant: gold is plain load; silver bursts a
-       pair every 7th step; bronze in bully mode laces every 4th job with
-       an allocation spike that only its own K controller should feel *)
-    let class_, body =
-      match tenant with
-      | "gold" -> ("ok", ok_body)
-      | "silver" -> ((if s mod 7 = 3 then "dup" else "ok"), ok_body)
-      | _ ->
-        incr bronze_jobs;
-        if mode = T_bully then
-          if !bronze_jobs mod 4 = 0 then ("spike", spike_body) else ("bully", ok_body)
-        else ("ok", ok_body)
-    in
-    let h = Service.submit svc ~tenant ~class_ body in
-    submissions :=
-      { u_step = s; u_tenant = tenant; u_class = class_; u_result = Service.admission h }
-      :: !submissions
-  in
-  for s = 1 to duration do
-    List.iter
-      (fun (name, rng) ->
-         let n = arrivals mode name rng in
-         let n = if name = "silver" && s mod 7 = 3 then n + 1 else n in
-         for _ = 1 to n do
-           submit_one ~s name
-         done)
-      streams;
-    Service.step svc
-  done;
-  Service.drive ~max_steps:(duration * 20) svc;
-  let submissions = List.rev !submissions in
-  let idle = Service.idle svc in
+  let violations = oracle ~plan ~dfd ~svc ~submissions in
   let c = Service.counters svc in
-  let entries = Service.ledger svc in
   let stats = Service.tenant_stats svc in
-  let stat name = List.find (fun ts -> ts.Service.ts_name = name) stats in
-  let bronze = stat "bronze" and gold = stat "gold" and silver = stat "silver" in
-  (* ---- the oracle ---- *)
-  let violations = ref [] in
-  let violate fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
-  if not idle then violate "service not idle after drain";
-  (match Service.verify_ledger svc with
-   | Ok () -> ()
-   | Error m -> violate "ledger audit failed: %s" m);
-  if c.Service.duplicate_acks <> 0 then
-    violate "%d duplicate acknowledgements" c.Service.duplicate_acks;
-  (* every lane must stay within its configured bound, bully or not *)
-  List.iter
-    (fun ts ->
-       if ts.Service.ts_peak_depth > ts.Service.ts_bound then
-         violate "tenant %s peak queue depth %d exceeds bound %d" ts.Service.ts_name
-           ts.Service.ts_peak_depth ts.Service.ts_bound)
-    stats;
-  (* the per-attempt allocation peak must respect the Theorem-4.4 budget *)
-  let h = Service.headroom svc in
-  if Headroom.peak h > Headroom.budget h then
-    violate "headroom peak %d bytes exceeds Theorem-4.4 budget %d" (Headroom.peak h)
-      (Headroom.budget h);
-  (* victims complete >= 99% of their admitted work *)
-  let completion_ratio ts =
-    if ts.Service.ts_accepted = 0 then 1.0
-    else float_of_int ts.Service.ts_completions /. float_of_int ts.Service.ts_accepted
-  in
-  List.iter
-    (fun ts ->
-       if completion_ratio ts < 0.99 then
-         violate "victim tenant %s completion ratio %.3f < 0.99" ts.Service.ts_name
-           (completion_ratio ts))
-    [ gold; silver ];
-  (match mode with
-   | T_bully ->
-     (* the bully's own full lane must have shed it, and strictly first *)
-     (match bronze.Service.ts_first_shed with
-      | None -> violate "bully was never shed"
-      | Some bs ->
-        List.iter
-          (fun ts ->
-             match ts.Service.ts_first_shed with
-             | Some vs when vs <= bs ->
-               violate "victim %s shed at step %d, not after the bully (step %d)"
-                 ts.Service.ts_name vs bs
-             | _ -> ())
-          [ gold; silver ]);
-     (* victims' tail latency stays bounded: DRR guarantees their share *)
-     List.iter
-       (fun ts ->
-          match Stats.Histogram.quantile ts.Service.ts_latency 0.99 with
-          | Some p99 when p99 > 20.0 ->
-            violate "victim %s p99 latency %.1f steps exceeds 20" ts.Service.ts_name p99
-          | _ -> ())
-       [ gold; silver ];
-     if dfd then begin
-       (* isolation of the K budgets: the bully's controller shrank,
-          the victims' never dipped below their initial K *)
-       if
-         not
-           (List.exists
-              (fun (_, k) -> k < soak_quota.Quota_ctl.k_init)
-              bronze.Service.ts_quota_trajectory)
-       then violate "bully's K never shrank despite allocation spikes";
-       List.iter
-         (fun ts ->
-            if
-              List.exists
-                (fun (_, k) -> k < soak_quota.Quota_ctl.k_init)
-                ts.Service.ts_quota_trajectory
-            then violate "victim %s's K dipped below k_init" ts.Service.ts_name)
-         [ gold; silver ]
-     end
-   | T_normal | T_off ->
-     (* under normal load nothing is shed anywhere *)
-     List.iter
-       (fun ts ->
-          if ts.Service.ts_rejected_queue_full > 0 then
-            violate "tenant %s saw %d rejections under normal load" ts.Service.ts_name
-              ts.Service.ts_rejected_queue_full)
-       stats);
-  let violations = List.rev !violations in
-  let passed = violations = [] in
+  let quota_traj = Service.quota_trajectory svc in
   (* the global latency distribution is the merge of the per-tenant
      histograms — same observations, no re-binning *)
   let merged =
@@ -704,60 +594,52 @@ let run_tenant_soak ~seed ~duration ~mode ~policy ~wedge_grace ~json_out ~flight
     Json.Assoc
       [
         ("seed", Json.Int seed);
-        ("plan", Json.String (tenant_mode_name mode));
+        ("plan", Json.String (plan_name plan));
         ("duration_steps", Json.Int duration);
         ("final_step", Json.Int (Service.now svc));
-        ("config", config_json ~policy_name ~with_quota:dfd ~tenants:soak_tenants);
-        ( "submissions",
-          Json.List
-            (List.map
-               (fun u ->
-                  Json.Assoc
-                    ([
-                       ("step", Json.Int u.u_step);
-                       ("tenant", Json.String u.u_tenant);
-                       ("kind", Json.String u.u_class);
-                     ]
-                     @
-                     match u.u_result with
-                     | Ok id -> [ ("accepted", Json.Bool true); ("job", Json.Int id) ]
-                     | Error r ->
-                       [
-                         ("accepted", Json.Bool false);
-                         ("reason", Json.String (Service.reject_reason_name r));
-                       ]))
-               submissions) );
+        ("config", config_json ~policy_name ~with_quota:dfd ~tenants);
+        ("submissions", Json.List (List.map submission_json submissions));
         ("tenants", Json.List (List.map tenant_json stats));
         ("latency_all_steps", quantile_json merged);
-        ("headroom", headroom_json svc);
-        ("ledger", ledger_json entries);
+        ("headroom", headroom_json (Service.headroom svc));
+        ("ledger", ledger_json (Service.ledger svc));
+        ("quota_trajectory", trajectory_json quota_traj);
         ("counters", counters_json svc);
+        ( "metrics",
+          Json.Assoc
+            [
+              ("snapshot_every", Json.Int snap_every);
+              ( "snapshots",
+                Json.List
+                  (List.rev_map
+                     (fun (s, samples) ->
+                        Json.Assoc
+                          [ ("step", Json.Int s); ("samples", Registry.Snapshot.to_json samples) ])
+                     !snaps) );
+            ] );
         ( "checks",
           Json.Assoc
             [
               ("ledger_verified", Json.Bool (Service.verify_ledger svc = Ok ()));
               ("violations", Json.List (List.map (fun m -> Json.String m) violations));
-              ("all_passed", Json.Bool passed);
+              ("all_passed", Json.Bool (violations = []));
             ] );
       ]
   in
   Service.shutdown ~reap:true svc;
   write_report ~json_out report;
   Printf.printf
-    "soak[%s/%s]: %d submitted (%d accepted, %d shed), %d completed, %d failed; bully first \
-     shed %s\n"
-    (tenant_mode_name mode) policy_name (List.length submissions) c.Service.accepted
-    c.Service.rejected_queue_full c.Service.completions c.Service.failures
-    (match bronze.Service.ts_first_shed with
-     | Some s -> Printf.sprintf "at step %d" s
-     | None -> "never");
-  finish ~violations
-
-let run_soak ~seed ~duration ~plan ~tenants ~policy ~wedge_grace ~json_out ~flight_dir =
-  if duration < 12 then begin
-    prerr_endline "repro soak: --duration-steps must be at least 12";
-    exit 2
-  end;
-  match tenants with
-  | T_off -> run_fault_soak ~seed ~duration ~plan ~policy ~wedge_grace ~json_out ~flight_dir
-  | mode -> run_tenant_soak ~seed ~duration ~mode ~policy ~wedge_grace ~json_out ~flight_dir
+    "soak[%s/%s]: %d submitted (%d accepted, %d shed), %d completed, %d failed, %d retries, %d \
+     timeouts, %d wedges -> %d respawns, %d quota moves\n"
+    (plan_name plan) policy_name (List.length submissions) c.Service.accepted
+    c.Service.rejected_queue_full c.Service.completions c.Service.failures c.Service.retries
+    c.Service.timeouts c.Service.wedges c.Service.respawns (List.length quota_traj);
+  List.iter (fun m -> Printf.printf "  VIOLATION: %s\n" m) violations;
+  if violations = [] then begin
+    print_endline "soak: PASS";
+    0
+  end
+  else begin
+    print_endline "soak: FAIL";
+    1
+  end

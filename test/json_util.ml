@@ -1,5 +1,5 @@
 (* Shared helpers for the JSON-consuming test validators
-   (validate_trace / validate_chaos / validate_bench) — one copy of the
+   (validate_trace / validate_soak / validate_metrics) — one copy of the
    file slurping, the exit-with-message failure, and the numeric
    coercion the in-tree JSON type doesn't provide.  Unit-tested directly
    by test_json_util. *)

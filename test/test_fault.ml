@@ -152,11 +152,36 @@ let test_watchdog_fires_when_starved () =
 let scheds : (string * Engine.sched) list =
   [ ("dfd", `Dfdeques); ("ws", `Ws); ("adf", `Adf); ("fifo", `Fifo) ]
 
-let run_with_faults ~sched ~seed ~params =
+let run_with_faults ~sched ~seed ~params ~k ~fault_seed =
   let prog = Dag_gen.gen_prog (Prng.create seed) params in
-  let cfg = Dfd_machine.Config.analysis ~p:4 ~mem_threshold:(Some 1000) ~seed () in
-  let fault = Fault.create ~seed:(seed + 1) () in
+  let cfg = Dfd_machine.Config.analysis ~p:4 ~mem_threshold:(Some k) ~seed () in
+  let fault = Fault.create ~seed:fault_seed () in
   (Engine.run ~check_invariants:(params.Dag_gen.lock_prob = 0.0) ~fault ~sched cfg prog, fault)
+
+let run_default ~sched ~seed ~params =
+  run_with_faults ~sched ~seed ~params ~k:1000 ~fault_seed:(seed + 1)
+
+(* Sixteen fault campaigns with deeper programs and K = 2000: per policy
+   (index i in [scheds]) a lock-free run at seeds b + 1000i and a
+   lock-heavy one at b + 1000i + 1, for b = 1 and 5, each under the
+   default fault plan seeded with [seed lxor 0x5eed].  Every campaign
+   completes, and the set as a whole injects faults. *)
+let check_campaigns ~lock_heavy =
+  let params = if lock_heavy then Dag_gen.lock_heavy else { Dag_gen.default with max_depth = 7 } in
+  let injected = ref 0 in
+  List.iteri
+    (fun i (name, sched) ->
+       List.iter
+         (fun b ->
+            let seed = b + (1_000 * i) + Bool.to_int lock_heavy in
+            let r, fault =
+              run_with_faults ~sched ~seed ~params ~k:2000 ~fault_seed:(seed lxor 0x5eed)
+            in
+            checkb (Printf.sprintf "%s seed %d completes" name seed) true (r.Engine.time > 0);
+            injected := !injected + Fault.injected_total fault)
+         [ 1; 5 ])
+    scheds;
+  checkb "campaigns injected faults" true (!injected > 0)
 
 (* Under the full default fault plan, every policy still completes every
    (lock-free) random program with its structural invariants intact. *)
@@ -165,21 +190,23 @@ let test_all_policies_survive_faults () =
     (fun (name, sched) ->
        let injected = ref 0 in
        for seed = 1 to 5 do
-         let r, fault = run_with_faults ~sched ~seed ~params:Dag_gen.default in
+         let r, fault = run_default ~sched ~seed ~params:Dag_gen.default in
          checkb (Printf.sprintf "%s seed %d completes" name seed) true (r.Engine.time > 0);
          injected := !injected + Fault.injected_total fault
        done;
        (* a tiny program may see no decision points for one seed, but five
           runs with the default rates always inject somewhere *)
        checkb (name ^ " injected something across seeds") true (!injected > 0))
-    scheds
+    scheds;
+  check_campaigns ~lock_heavy:false
 
 let test_lock_heavy_with_lock_delays () =
   List.iter
     (fun (name, sched) ->
-       let r, _ = run_with_faults ~sched ~seed:11 ~params:Dag_gen.lock_heavy in
+       let r, _ = run_default ~sched ~seed:11 ~params:Dag_gen.lock_heavy in
        checkb (name ^ " lock-heavy completes") true (r.Engine.time > 0))
-    scheds
+    scheds;
+  check_campaigns ~lock_heavy:true
 
 (* The whole simulation (faults included) is deterministic per seed. *)
 let qcheck_engine_fault_determinism =
@@ -187,7 +214,7 @@ let qcheck_engine_fault_determinism =
     QCheck.(int_bound 100_000)
     (fun seed ->
        let fingerprint () =
-         let r, fault = run_with_faults ~sched:`Dfdeques ~seed ~params:Dag_gen.default in
+         let r, fault = run_default ~sched:`Dfdeques ~seed ~params:Dag_gen.default in
          ( r.Engine.time, r.Engine.work, r.Engine.steals, r.Engine.heap_peak,
            r.Engine.threads_created, Fault.counts fault )
        in

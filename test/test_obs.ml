@@ -247,6 +247,11 @@ let test_headroom_budget_arithmetic () =
      Float.abs (Headroom.headroom_ratio hr -. ((b -. 50.0) /. b)) < 1e-9);
   Headroom.set_quota hr 200;
   checki "min(K, S1) saturates at S1" (100 + (8 * 100 * 2 * 4)) (Headroom.budget hr);
+  (* a quarantined worker re-derives the budget for the degraded width *)
+  Headroom.set_p hr 1;
+  checki "set_p: S1 + c*min(K,S1)*(p-1)*D" (100 + (8 * 100 * 1 * 4)) (Headroom.budget hr);
+  Headroom.set_p hr 2;
+  checki "set_p restores full width" (100 + (8 * 100 * 2 * 4)) (Headroom.budget hr);
   Headroom.note_premature hr ~depth:3;
   Headroom.note_premature hr ~depth:5;
   checki "premature notes" 2 (Headroom.premature hr);

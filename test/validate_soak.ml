@@ -1,12 +1,9 @@
 (* Smoke-test validator for the `repro soak` JSON report: structural
    checks plus the acceptance criteria — the exactly-once ledger audits
    clean, counters are consistent with the ledger, no duplicate
-   acknowledgements, and the run's own oracle found no violations.
-
-   Handles both report families: the single-tenant fault plans (none /
-   exns / wedges / spikes / mixed) and the multi-tenant open-loop
-   campaigns (tenants-normal / tenants-bully), which additionally carry
-   per-tenant sections and the Theorem-4.4 headroom audit.
+   acknowledgements, the per-tenant sections sum to the global counters,
+   the Theorem-4.4 headroom audit holds, and the run's own oracle found
+   no violations.  Every plan writes the same report shape.
 
    Usage: validate_soak report.json *)
 
@@ -14,9 +11,10 @@ module Json = Dfd_trace.Json
 
 let fail fmt = Json_util.failf ~prog:"validate_soak" fmt
 
-let fault_kinds = [ "ok"; "spike"; "exn"; "flaky"; "slow"; "wedge" ]
+let kinds = [ "ok"; "dup"; "bully"; "spike"; "exn"; "flaky"; "slow"; "wedge" ]
 
-let tenant_kinds = [ "ok"; "dup"; "bully"; "spike" ]
+let plans =
+  [ "none"; "exns"; "wedges"; "spikes"; "mixed"; "tenants-normal"; "tenants-bully" ]
 
 let reject_reasons = [ "queue_full" ]
 
@@ -29,29 +27,27 @@ let () =
   ignore (int_at "seed");
   let duration = int_at "duration_steps" in
   if int_at "final_step" < duration then fail "final_step before duration_steps";
-  let tenant_mode =
-    match Json.member "plan" j with
-    | Json.String ("none" | "exns" | "wedges" | "spikes" | "mixed") -> false
-    | Json.String ("tenants-normal" | "tenants-bully") -> true
-    | Json.String p -> fail "unknown plan %S" p
-    | _ -> fail "missing plan"
-  in
-  let kinds = if tenant_mode then tenant_kinds else fault_kinds in
+  (match Json.member "plan" j with
+   | Json.String p when List.mem p plans -> ()
+   | Json.String p -> fail "unknown plan %S" p
+   | _ -> fail "missing plan");
   let config = Json.member "config" j in
   (match Json.member "policy" config with
    | Json.String ("dfd" | "ws") -> ()
    | _ -> fail "config missing policy");
-  (match Json.member "tenants" config with
-   | Json.List (_ :: _ as ts) ->
-     List.iter
-       (fun t ->
-          (try ignore (Json.to_string_exn (Json.member "name" t))
-           with _ -> fail "config tenant without name");
-          if Json.to_int_exn (Json.member "weight" t) < 1 then fail "non-positive tenant weight";
-          if Json.to_int_exn (Json.member "queue_bound" t) < 1 then
-            fail "non-positive tenant queue_bound")
-       ts
-   | _ -> fail "config without tenants");
+  let lanes =
+    match Json.member "tenants" config with
+    | Json.List (_ :: _ as ts) ->
+      List.map
+        (fun t ->
+           if Json.to_int_exn (Json.member "weight" t) < 1 then fail "non-positive tenant weight";
+           if Json.to_int_exn (Json.member "queue_bound" t) < 1 then
+             fail "non-positive tenant queue_bound";
+           try Json.to_string_exn (Json.member "name" t)
+           with _ -> fail "config tenant without name")
+        ts
+    | _ -> fail "config without tenants"
+  in
   (* submissions: every entry well-formed, accepted ones carry a job id *)
   let subs = try Json.to_list_exn (Json.member "submissions" j) with _ -> fail "no submissions" in
   if subs = [] then fail "empty submissions";
@@ -64,9 +60,11 @@ let () =
         | Json.String k when List.mem k kinds -> ()
         | Json.String k -> fail "unknown job kind %S" k
         | _ -> fail "submission without kind");
-       if tenant_mode then
-         (try ignore (Json.to_string_exn (Json.member "tenant" s))
-          with _ -> fail "tenant-mode submission without tenant");
+       (* a submission without a tenant went to the default lane *)
+       (match Json.member "tenant" s with
+        | Json.String t when List.mem t lanes -> ()
+        | Json.Null when List.mem "default" lanes -> ()
+        | _ -> fail "submission to an unconfigured tenant");
        match Json.member "accepted" s with
        | Json.Bool true ->
          incr accepted;
@@ -134,77 +132,74 @@ let () =
       moves
   in
   (* trajectories: well-formed tuples over the logical clock *)
-  if not tenant_mode then (
-    match Json.member "quota_trajectory" j with
-    | Json.List moves -> check_quota_moves moves
-    | _ -> fail "no quota_trajectory");
-  (* tenant-mode sections: per-tenant stats, headroom, merged latency —
-     all schema-checked and cross-checked against the global counters *)
-  if tenant_mode then begin
-    let quantiles q =
-      let count = try Json.to_int_exn (Json.member "count" q) with _ -> fail "quantiles without count" in
-      if count < 0 then fail "negative latency count";
-      List.iter
-        (fun k ->
-           match Json.member k q with
-           | Json.Float v -> if v < 0.0 then fail "negative latency quantile"
-           | Json.Int v -> if v < 0 then fail "negative latency quantile"
-           | Json.Null when count = 0 -> ()
-           | _ -> fail "latency section missing %S" k)
-        [ "p50"; "p90"; "p99" ];
-      count
-    in
-    let tenants =
-      try Json.to_list_exn (Json.member "tenants" j) with _ -> fail "no tenants section"
-    in
-    if tenants = [] then fail "empty tenants section";
-    let sum_acc = ref 0 and sum_rej = ref 0 and sum_lat = ref 0 in
+  (match Json.member "quota_trajectory" j with
+   | Json.List moves -> check_quota_moves moves
+   | _ -> fail "no quota_trajectory");
+  (* per-tenant stats, headroom, merged latency — all schema-checked and
+     cross-checked against the global counters *)
+  let quantiles q =
+    let count = try Json.to_int_exn (Json.member "count" q) with _ -> fail "quantiles without count" in
+    if count < 0 then fail "negative latency count";
     List.iter
-      (fun t ->
-         let ti k =
-           try Json.to_int_exn (Json.member k t) with _ -> fail "tenant stats missing %S" k
-         in
-         (try ignore (Json.to_string_exn (Json.member "name" t))
-          with _ -> fail "tenant stats without name");
-         if ti "weight" < 1 then fail "non-positive tenant weight in stats";
-         let bound = ti "queue_bound" in
-         if ti "peak_depth" > bound then fail "tenant peak_depth exceeds its bound";
-         sum_acc := !sum_acc + ti "accepted";
-         ignore (ti "completions");
-         ignore (ti "failures");
-         ignore (ti "cancelled");
-         sum_rej := !sum_rej + ti "rejected_queue_full";
-         (match Json.member "first_shed_step" t with
-          | Json.Null -> ()
-          | Json.Int s -> if s < 1 then fail "first_shed_step before step 1"
-          | _ -> fail "malformed first_shed_step");
-         sum_lat := !sum_lat + quantiles (Json.member "latency_steps" t);
-         (match Json.member "quota" t with
-          | Json.Null | Json.Int _ -> ()
-          | _ -> fail "malformed tenant quota");
-         match Json.member "quota_trajectory" t with
-         | Json.List moves -> check_quota_moves moves
-         | _ -> fail "tenant stats without quota_trajectory")
-      tenants;
-    if !sum_acc <> c "accepted" then fail "per-tenant accepted do not sum to the global counter";
-    if !sum_rej <> !shed then fail "per-tenant rejections do not sum to the shed submissions";
-    let merged = quantiles (Json.member "latency_all_steps" j) in
-    if merged <> !sum_lat then
-      fail "merged latency count %d but per-tenant histograms hold %d" merged !sum_lat;
-    let headroom = Json.member "headroom" j in
-    let peak =
-      try Json.to_int_exn (Json.member "peak_bytes" headroom)
-      with _ -> fail "headroom without peak_bytes"
-    in
-    let budget =
-      try Json.to_int_exn (Json.member "budget_bytes" headroom)
-      with _ -> fail "headroom without budget_bytes"
-    in
-    if peak > budget then fail "headroom peak %d exceeds the Theorem-4.4 budget %d" peak budget;
-    match Json.member "within_budget" headroom with
-    | Json.Bool true -> ()
-    | _ -> fail "headroom within_budget is not true"
-  end;
+      (fun k ->
+         match Json.member k q with
+         | Json.Float v -> if v < 0.0 then fail "negative latency quantile"
+         | Json.Int v -> if v < 0 then fail "negative latency quantile"
+         | Json.Null when count = 0 -> ()
+         | _ -> fail "latency section missing %S" k)
+      [ "p50"; "p90"; "p99" ];
+    count
+  in
+  let tenants =
+    try Json.to_list_exn (Json.member "tenants" j) with _ -> fail "no tenants section"
+  in
+  if tenants = [] then fail "empty tenants section";
+  let sum_acc = ref 0 and sum_rej = ref 0 and sum_lat = ref 0 in
+  List.iter
+    (fun t ->
+       let ti k =
+         try Json.to_int_exn (Json.member k t) with _ -> fail "tenant stats missing %S" k
+       in
+       (try ignore (Json.to_string_exn (Json.member "name" t))
+        with _ -> fail "tenant stats without name");
+       if ti "weight" < 1 then fail "non-positive tenant weight in stats";
+       let bound = ti "queue_bound" in
+       if ti "peak_depth" > bound then fail "tenant peak_depth exceeds its bound";
+       sum_acc := !sum_acc + ti "accepted";
+       ignore (ti "completions");
+       ignore (ti "failures");
+       ignore (ti "cancelled");
+       sum_rej := !sum_rej + ti "rejected_queue_full";
+       (match Json.member "first_shed_step" t with
+        | Json.Null -> ()
+        | Json.Int s -> if s < 1 then fail "first_shed_step before step 1"
+        | _ -> fail "malformed first_shed_step");
+       sum_lat := !sum_lat + quantiles (Json.member "latency_steps" t);
+       (match Json.member "quota" t with
+        | Json.Null | Json.Int _ -> ()
+        | _ -> fail "malformed tenant quota");
+       match Json.member "quota_trajectory" t with
+       | Json.List moves -> check_quota_moves moves
+       | _ -> fail "tenant stats without quota_trajectory")
+    tenants;
+  if !sum_acc <> c "accepted" then fail "per-tenant accepted do not sum to the global counter";
+  if !sum_rej <> !shed then fail "per-tenant rejections do not sum to the shed submissions";
+  let merged = quantiles (Json.member "latency_all_steps" j) in
+  if merged <> !sum_lat then
+    fail "merged latency count %d but per-tenant histograms hold %d" merged !sum_lat;
+  let headroom = Json.member "headroom" j in
+  let peak =
+    try Json.to_int_exn (Json.member "peak_bytes" headroom)
+    with _ -> fail "headroom without peak_bytes"
+  in
+  let budget =
+    try Json.to_int_exn (Json.member "budget_bytes" headroom)
+    with _ -> fail "headroom without budget_bytes"
+  in
+  if peak > budget then fail "headroom peak %d exceeds the Theorem-4.4 budget %d" peak budget;
+  (match Json.member "within_budget" headroom with
+   | Json.Bool true -> ()
+   | _ -> fail "headroom within_budget is not true");
   (* the acceptance gate: the run's own oracle *)
   let checks = Json.member "checks" j in
   (match Json.member "ledger_verified" checks with
