@@ -3,8 +3,8 @@
     and the native pool.
 
     Each oracle states one checkable claim and returns a [result] (or a
-    report record) rather than asserting, so unit, property, chaos and
-    explorer suites share the same checks. *)
+    report record) rather than asserting, so unit, property,
+    fault-injection and explorer suites share the same checks. *)
 
 val lemma31 : ?p:int -> ?k:int -> ?seed:int -> Dfd_dag.Prog.t -> (unit, string) result
 (** Lemma 3.1: during a DFDeques simulation the deques in R, flattened

@@ -13,6 +13,7 @@
 module Prng = Dfd_structures.Prng
 module Lfdeque = Dfd_structures.Lfdeque
 module Multiq = Dfd_structures.Multiq
+module Schedpoint = Dfd_structures.Schedpoint
 module Fault = Dfd_fault.Fault
 module Pool = Dfd_runtime.Pool
 
@@ -460,7 +461,29 @@ let multiq_buggy =
    runs exactly once, so the pool's [tasks_run] counter must equal it. *)
 let rec forks_of_fib n = if n < 2 then 0 else 1 + forks_of_fib (n - 1) + forks_of_fib (n - 2)
 
+(* A detached pool whose worker 0 has forked and joined one empty branch
+   while the iteration is prepared.  Under DFDeques that puts worker 0's
+   deque in R, where thieves find its owner and ask it for work, before
+   any controlled thread runs; under work stealing a thief can ask any
+   worker at once.  The warm-up fork counts one task. *)
+let warm_pool ?fault ~workers policy =
+  let pool = Pool.For_testing.create_detached ?fault ~workers policy in
+  Pool.For_testing.as_worker pool 0 (fun () -> ignore (Pool.fork_join ignore ignore));
+  pool
+
+(* Tasks left in the pool once an iteration is over: queued where a
+   worker could take them, or stranded in a private part. *)
+let leaked pool ~workers =
+  let rec priv w =
+    if w = workers then 0 else Pool.For_testing.private_len pool w + priv (w + 1)
+  in
+  Pool.For_testing.queued pool + priv 0
+
 let rec fib n = if n < 2 then n else fib (n - 1) + fib (n - 2)
+
+(* A leaf's work: the explorer's preemption point inside a computation,
+   since the fork and join fast path has none. *)
+let work () = Schedpoint.point Schedpoint.task_work
 
 (* A real fork-join computation on a detached pool: controlled thread 0
    plays worker 0 and computes fib through [fork_join]; threads 1-2 play
@@ -474,11 +497,11 @@ let pool_scenario ~name ~descr ~policy ~leaf ~fork_join =
     Explore.name;
     descr;
     n_threads = 3;
-    approx_steps = 400;
+    approx_steps = 80;
     prepare =
       (fun _rng ->
         let depth = 4 in
-        let pool = Pool.For_testing.create_detached ~workers:3 policy in
+        let pool = warm_pool ~workers:3 policy in
         let result = ref (-1) in
         let finished = Atomic.make false in
         let runs = Array.init (2 lsl depth) (fun _ -> Atomic.make 0) in
@@ -513,6 +536,7 @@ let pool_scenario ~name ~descr ~policy ~leaf ~fork_join =
           let runs = Array.map Atomic.get runs in
           let once = Array.fold_left (fun n r -> if r = 1 then n + 1 else n) 0 runs in
           let expect = forks_of_fib depth in
+          let tasks = expect + 1 in
           if !result <> fib depth then
             Error (Printf.sprintf "fib %d = %d, expected %d" depth !result (fib depth))
           else if Array.exists (fun r -> r > 1) runs then
@@ -522,15 +546,14 @@ let pool_scenario ~name ~descr ~policy ~leaf ~fork_join =
                  runs.(k))
           else if once <> expect then
             Error (Printf.sprintf "%d forked branches ran, expected %d" once expect)
-          else if Pool.For_testing.queued pool <> 0 then
-            Error
-              (Printf.sprintf "%d task(s) leaked in the pool" (Pool.For_testing.queued pool))
+          else if leaked pool ~workers:3 <> 0 then
+            Error (Printf.sprintf "%d task(s) leaked in the pool" (leaked pool ~workers:3))
           else begin
             let c = Pool.counters pool in
-            if c.tasks_run <> expect then
+            if c.tasks_run <> tasks then
               Error
-                (Printf.sprintf "tasks_run=%d, expected %d (forks of fib %d)"
-                   c.tasks_run expect depth)
+                (Printf.sprintf "tasks_run=%d, expected %d (forks of fib %d, and the warm-up)"
+                   c.tasks_run tasks depth)
             else Ok ()
           end
         in
@@ -540,9 +563,7 @@ let pool_scenario ~name ~descr ~policy ~leaf ~fork_join =
 let pool_ws =
   pool_scenario ~name:"pool_ws"
     ~descr:"native pool, work stealing: fork-join fib with two helping workers"
-    ~policy:Pool.Work_stealing
-    ~leaf:(fun () -> ())
-    ~fork_join:Pool.fork_join
+    ~policy:Pool.Work_stealing ~leaf:work ~fork_join:Pool.fork_join
 
 (* Small quota plus a per-leaf allocation hint forces quota give-ups, so
    task transfer flows through the sharded R-list paths too. *)
@@ -550,7 +571,9 @@ let pool_dfd =
   pool_scenario ~name:"pool_dfd"
     ~descr:"native pool, DFDeques(K): small quota forces R-list give-ups"
     ~policy:(Pool.Dfdeques { quota = 32 })
-    ~leaf:(fun () -> Pool.alloc_hint 64)
+    ~leaf:(fun () ->
+      work ();
+      Pool.alloc_hint 64)
     ~fork_join:Pool.fork_join
 
 (* The planted bug: Buggy_join runs the forked branch inline whenever its
@@ -559,9 +582,7 @@ let pool_dfd =
 let pool_join_buggy =
   pool_scenario ~name:"pool_join_buggy"
     ~descr:"deliberately wrong join (Pending means unstolen): explorer must find it"
-    ~policy:Pool.Work_stealing
-    ~leaf:(fun () -> ())
-    ~fork_join:Buggy_join.fork_join
+    ~policy:Pool.Work_stealing ~leaf:work ~fork_join:Buggy_join.fork_join
 
 (* The quarantine protocol under the explorer: the same fork-join fib,
    but with a one-shot [worker_crash] armed.  Helpers 1-2 take through
@@ -580,7 +601,7 @@ let pool_crash_scenario ~name ~descr ~policy ~trigger =
     Explore.name;
     descr;
     n_threads = 3;
-    approx_steps = 450;
+    approx_steps = 90;
     prepare =
       (fun rng ->
         let depth = 4 in
@@ -590,14 +611,17 @@ let pool_crash_scenario ~name ~descr ~policy ~trigger =
             ~seed:(Prng.int rng 1_000_000)
             ()
         in
-        let pool = Pool.For_testing.create_detached ~fault ~workers:3 policy in
+        let pool = warm_pool ~fault ~workers:3 policy in
         let result = ref (-1) in
         let finished = Atomic.make false in
         let body i =
           if i = 0 then
             Pool.For_testing.as_worker pool 0 (fun () ->
               let rec go n =
-                if n < 2 then n
+                if n < 2 then begin
+                  work ();
+                  n
+                end
                 else begin
                   let a, b =
                     Pool.fork_join (fun () -> go (n - 1)) (fun () -> go (n - 2))
@@ -624,15 +648,14 @@ let pool_crash_scenario ~name ~descr ~policy ~trigger =
           let crashed = List.assoc "worker_crash" (Fault.counts fault) in
           if !result <> fib depth then
             Error (Printf.sprintf "fib %d = %d, expected %d" depth !result (fib depth))
-          else if Pool.For_testing.queued pool <> 0 then
-            Error
-              (Printf.sprintf "%d task(s) leaked in the pool" (Pool.For_testing.queued pool))
+          else if leaked pool ~workers:3 <> 0 then
+            Error (Printf.sprintf "%d task(s) leaked in the pool" (leaked pool ~workers:3))
           else begin
             let c = Pool.counters pool in
-            let expect = forks_of_fib depth in
+            let expect = forks_of_fib depth + 1 in
             if c.tasks_run <> expect then
               Error
-                (Printf.sprintf "tasks_run=%d, expected %d (forks of fib %d)"
+                (Printf.sprintf "tasks_run=%d, expected %d (forks of fib %d, and the warm-up)"
                    c.tasks_run expect depth)
             else
               match Pool.verify_lineage pool with
@@ -668,19 +691,22 @@ let pool_crash_ws =
     ~descr:"native pool, work stealing: injected worker crash, quarantine and steal-back"
     ~policy:Pool.Work_stealing ~trigger:1
 
-(* Trigger 2: the victim has usually run a task first, so under
-   DFDeques it owns an R-list deque that quarantine must abandon via the
-   death-certificate protocol and reap. *)
+(* Trigger 1 again: a DFDeques thief adopts a fresh R-list deque as it
+   steals, before its take returns, so the victim dies owning a deque
+   that quarantine must abandon via the death-certificate protocol and
+   reap.  (A second take needs a second answered request, which the
+   explorer rarely schedules.) *)
 let pool_crash_dfd =
   pool_crash_scenario ~name:"pool_crash_dfd"
-    ~descr:"native pool, DFDeques(K): crash after first task, quarantine abandons the deque"
+    ~descr:"native pool, DFDeques(K): crash at first steal, quarantine abandons the deque"
     ~policy:(Pool.Dfdeques { quota = 32 })
-    ~trigger:2
+    ~trigger:1
 
-(* The idle wake-up handshake.  Thread 0 plays worker 0 and pushes one
-   or two tasks as a fork does (publish, then read [n_parked]); thread 1
-   takes one parking step.  No task is ever taken, so whatever was pushed
-   is still queued when the oracle runs.  A lost wake-up is the parker
+(* The idle wake-up handshake.  Thread 0 plays worker 0 and publishes
+   one or two tasks as an answer to a request does (push onto its public
+   deque, then read [n_parked]); thread 1 takes one parking step.  No
+   task is ever taken, so whatever was pushed is still queued when the
+   oracle runs.  A lost wake-up is the parker
    deciding to sleep while a task is queued and no signal was sent.  The
    policy is drawn per iteration, so the scan covers both the WS deque
    array and, under DFDeques, a deque the push first inserts into R. *)
@@ -731,6 +757,85 @@ let pool_park_buggy =
     ~descr:"deliberately misordered parking (scan, then announce): explorer must find it"
     ~step:Buggy_park.park_step
 
+(* The request protocol.  Worker 0 forks one branch, which goes to its
+   private part; the fork is made while the iteration is prepared, so
+   under DFDeques worker 0's deque is in R before any thread runs.
+   Thread 0 then plays worker 0 and runs a loop of [rounds] units of
+   work with a fork-or-join boundary after each.  Thread 1 plays worker 1
+   and helps until the computation is over; finding worker 0's public
+   deque empty, it raises worker 0's request flag.  An owner that has
+   seen a request keeps passing boundaries until its private part is
+   empty: with a correct answer that is the next boundary, which
+   publishes the branch; with a dropped request the thief asks again
+   forever and the iteration runs out of steps.  Then worker 0 joins:
+   it takes the branch back if nobody stole it, else waits for the
+   thief's outcome.  The policy is drawn per iteration, so under
+   DFDeques the thief finds the owner through its R deque. *)
+let request_scenario ~name ~descr ~boundary =
+  {
+    Explore.name;
+    descr;
+    n_threads = 2;
+    approx_steps = 40;
+    prepare =
+      (fun rng ->
+        let policy =
+          if Prng.int rng 2 = 0 then Pool.Work_stealing else Pool.Dfdeques { quota = 32 }
+        in
+        let rounds = 4 in
+        let pool = Pool.For_testing.create_detached ~workers:2 policy in
+        let runs = Atomic.make 0 in
+        let finished = Atomic.make false in
+        let branch () = Atomic.incr runs in
+        let k = Pool.For_testing.as_worker pool 0 (fun () -> Pool.For_testing.fork branch) in
+        let body i =
+          if i = 0 then
+            Pool.For_testing.as_worker pool 0 (fun () ->
+              let n = ref 0 and asked = ref false in
+              while
+                Atomic.get runs = 0
+                && (!n < rounds || (!asked && Pool.For_testing.private_len pool 0 > 0))
+              do
+                work ();
+                if Pool.For_testing.requested pool 0 then asked := true;
+                boundary pool 0;
+                incr n
+              done;
+              if Pool.For_testing.pop_fork k then branch ()
+              else
+                while Pool.For_testing.peek k = None do
+                  work ()
+                done;
+              Atomic.set finished true)
+          else
+            Pool.For_testing.as_worker pool 1 (fun () ->
+              while not (Atomic.get finished) do
+                ignore (Pool.For_testing.help pool 1)
+              done)
+        in
+        let oracle () =
+          if Atomic.get runs <> 1 then
+            Error (Printf.sprintf "the branch ran %d times" (Atomic.get runs))
+          else if leaked pool ~workers:2 <> 0 then
+            Error (Printf.sprintf "%d task(s) leaked in the pool" (leaked pool ~workers:2))
+          else Ok ()
+        in
+        (body, oracle));
+  }
+
+let pool_request =
+  request_scenario ~name:"pool_request"
+    ~descr:"native pool: a thief's request answered at the owner's next boundary"
+    ~boundary:Pool.For_testing.boundary
+
+(* The planted bug: Buggy_request clears the request and publishes
+   nothing.  The explorer must report the livelock as a step-budget
+   failure. *)
+let pool_request_buggy =
+  request_scenario ~name:"pool_request_buggy"
+    ~descr:"deliberately dropped request (clear, no publish): explorer must find the hang"
+    ~boundary:Buggy_request.boundary
+
 (* ------------------------------------------------------------------ *)
 
 let all =
@@ -747,10 +852,12 @@ let all =
     pool_crash_ws;
     pool_crash_dfd;
     pool_park;
+    pool_request;
   ]
 
 let buggy = lfdeque_buggy
 
-let catalogue = multiq_buggy :: lfdeque_buggy :: pool_park_buggy :: pool_join_buggy :: all
+let catalogue =
+  multiq_buggy :: lfdeque_buggy :: pool_park_buggy :: pool_join_buggy :: pool_request_buggy :: all
 
 let find name = List.find_opt (fun s -> s.Explore.name = name) catalogue

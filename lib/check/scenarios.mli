@@ -55,12 +55,13 @@ val pool_crash_ws : Explore.scenario
     degraded worker count. *)
 
 val pool_crash_dfd : Explore.scenario
-(** Same crash injection under DFDeques(K), triggered after the victim
-    has usually run a task — quarantine must also abandon and reap the
-    dead owner's R-list deque via the death-certificate protocol. *)
+(** Same crash injection under DFDeques(K), at the victim's first steal,
+    which has already adopted a fresh R-list deque — quarantine must also
+    abandon and reap the dead owner's deque via the death-certificate
+    protocol. *)
 
 val pool_park : Explore.scenario
-(** The idle wake-up handshake: a push (publish, then read [n_parked])
+(** The idle wake-up handshake: a publication (push, then read [n_parked])
     racing one announce-then-scan parking step, under a policy drawn per
     iteration.  Fails if the parker would sleep while a task is queued
     and no signal was sent. *)
@@ -73,6 +74,21 @@ val pool_join_buggy : Explore.scenario
 (** The {!pool_ws} computation joined through {!Buggy_join} (a branch
     whose promise is still unwritten runs inline); the explorer is
     expected to {e fail} this one.  Excluded from {!all}. *)
+
+val pool_request : Explore.scenario
+(** The request protocol: a thief raises the owner's request flag and
+    the owner's next fork-or-join boundary publishes its private branch,
+    under a policy drawn per iteration.  Fails on a branch not run
+    exactly once, a leaked task, or a livelock (the step budget). *)
+
+val pool_request_buggy : Explore.scenario
+(** The same protocol over {!Buggy_request} (the request is cleared,
+    nothing is published); the explorer is expected to {e fail} this one
+    with an exceeded step budget.  Excluded from {!all}. *)
+
+val work : unit -> unit
+(** A leaf's work in the pool scenarios: the
+    {!Dfd_structures.Schedpoint.task_work} yield point. *)
 
 val multiq_buggy : Explore.scenario
 (** Drives {!Buggy_multiq} (torn membership on remove); the explorer is

@@ -31,9 +31,10 @@ type ctx = {
           [Tracer.enabled] so the disabled path stays free. *)
   fault : Dfd_fault.Fault.t;
       (** fault-injection plan; {!Dfd_fault.Fault.none} unless the caller
-          runs a chaos campaign.  Policies consult it at each steal
-          attempt / queue dispatch ({!Dfd_fault.Fault.steal_fails}) and
-          must treat a positive answer as a failed attempt. *)
+          injects faults ([test_fault], [repro soak --plan]).  Policies
+          consult it at each steal attempt / queue dispatch
+          ({!Dfd_fault.Fault.steal_fails}) and must treat a positive
+          answer as a failed attempt. *)
   last_active : int array;
       (** per processor, the last timestep it held work (maintained by the
           engine); [now - last_active.(proc)] at a successful steal or

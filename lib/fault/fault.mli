@@ -6,7 +6,8 @@
     fault decision points, drawing every answer from one explicit
     splitmix64 stream.  Replaying the same seed against the same
     (deterministic) consumer therefore replays the exact same fault
-    schedule — the property the chaos campaigns (`repro chaos`) and the
+    schedule — the property the fault-injection tests ([test_fault],
+    [test_runtime]), the seeded soaks ([repro soak --plan]) and the
     failing-seed workflow depend on.
 
     Decision points (who asks, and what a positive answer does):
@@ -62,7 +63,7 @@ val zero_rates : rates
 (** All probabilities 0 — a created-but-inert plan. *)
 
 val default_rates : rates
-(** The chaos-campaign default: frequent steal failures, occasional
+(** The fault-injection default: frequent steal failures, occasional
     stalls, allocation spikes and lock delays, no task exceptions. *)
 
 type t
@@ -77,7 +78,7 @@ val enabled : t -> bool
 
 val set_enabled : t -> bool -> unit
 (** Turn injection off (or back on) without discarding the counters —
-    lets a chaos campaign reuse a pool for a clean control run. *)
+    lets a fault-injection run reuse a pool for a clean control run. *)
 
 exception Injected_failure of string
 (** The exception raised into user tasks by {!maybe_task_exn}.  The

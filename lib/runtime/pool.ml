@@ -25,6 +25,30 @@ exception Worker_stop
    can charge its own synchronization ops to that worker's cell. *)
 type task = int -> unit
 
+(* The empty slot of a private stack. *)
+let no_task : task = fun _ -> ()
+
+(* A worker's private task part: an owner-only stack in front of its
+   public [Lfdeque], after Acar, Charguéraud & Rainey's work stealing with
+   private deques (PPoPP 2013).  The live tasks are [items.(lo .. hi-1)],
+   oldest at [lo].  The owner pushes and pops at [hi] with plain writes
+   and publishes from [lo] (oldest first) when a thief asks, so every
+   public task is older than every private one and the two parts read as
+   one deque.  No other worker ever writes it. *)
+type pstack = { mutable items : task array; mutable lo : int; mutable hi : int }
+
+(* A published task, as a public deque holds it.  Its one taker empties
+   it ([take_slot]): [Lfdeque.steal] leaves a won cell in place until the
+   buffer wraps round to it, and with pushes now rare that can take long,
+   so the cell must not keep the task's closure, and whatever the closure
+   holds, alive. *)
+type slot = { mutable run : task }
+
+let take_slot s =
+  let t = s.run in
+  s.run <- no_task;
+  Some t
+
 type policy = Work_stealing | Dfdeques of { quota : int }
 
 (* A deque of the global list R (DFDeques only; the WS policy keeps one
@@ -35,7 +59,7 @@ type policy = Work_stealing | Dfdeques of { quota : int }
    in the lock-free [Multiq] (the deque's position is the [Multiq.entry]
    handle held in [dfd_deque] or by a sampling thief).  [did]/[born_us]
    feed the deque-lifecycle trace events. *)
-type dq = { tasks : task Lfdeque.t; did : int; born_us : int }
+type dq = { tasks : slot Lfdeque.t; did : int; born_us : int }
 
 type counters = {
   steals : int;
@@ -100,7 +124,7 @@ type wcounters = {
 (* Live-telemetry instruments (lib/obs).  With the default disabled
    registry each of these is the shared no-op instrument: updating one is
    a single immutable load and branch, which the obs-overhead pair in
-   bench/pool_scale.exe keeps honest.  With a real registry the pool's
+   perfbench/ keeps honest.  With a real registry the pool's
    hot-path events additionally land in sharded atomic cells that stay
    queryable while the pool runs (and survive across the per-worker
    records of respawned pool incarnations, since registration upserts). *)
@@ -125,7 +149,7 @@ type t = {
   policy : policy;
   n_workers : int;  (** worker domains + the caller *)
   (* --- Work_stealing: one lock-free deque per worker --------------- *)
-  ws_deques : task Lfdeque.t array;
+  ws_deques : slot Lfdeque.t array;
       (** worker [w]'s deque is owned by [w] and never abandoned: a
           quarantined worker's deque stays in place as a steal target. *)
   (* --- Dfdeques: the relaxed ordered list R -------------------------
@@ -161,6 +185,14 @@ type t = {
           counter on the hot path, which would add an atomic RMW per
           operation just to count atomic RMWs; the registry exposes it as
           a lazy probe instead. *)
+  priv : pstack array;
+      (** each worker's private part, [priv.(pad_index w)], owner-only;
+          the other records are padding (see {!padded_run}). *)
+  req : bool Atomic.t array;
+      (** each worker's request flag, [req.(pad_index w)]: raised by a
+          thief that found the worker's public part empty, read with a
+          plain load by the owner at every fork and join, cleared by the
+          owner when it publishes.  The other cells are padding. *)
   idle_lock : Mutex.t;
   idle_cond : Condition.t;
   n_parked : int Atomic.t;
@@ -170,8 +202,8 @@ type t = {
           consistent for wake-ups to be lossless (see {!park}).  Pushers
           only read it. *)
   wakeups : int Atomic.t;
-      (** wake-up signals sent: pushes (or requeues) that saw a parked
-          worker.  Written only on that slow path. *)
+      (** wake-up signals sent: publications (or requeues) that saw a
+          parked worker.  Written only on that slow path. *)
   shutting_down : bool Atomic.t;
   mutable domains : unit Domain.t list;
   rngs : Prng.t array;  (** per worker; only touched by its own worker. *)
@@ -347,81 +379,6 @@ let injected_steal_failure pool w =
   fail
 
 (* ------------------------------------------------------------------ *)
-(* Idle parking                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Wake at most one parked worker.  The pusher has already published the
-   task (an SC store), so either the parker's scan, which follows its SC
-   announce, sees the task, or this read sees the announce — a wake-up can
-   never be lost between the two (see {!park}).  Signalling one worker
-   instead of broadcasting avoids the thundering herd the old single
-   [Condition] produced: p-1 sleepers stampeding the lock for one task. *)
-let signal_work pool =
-  Schedpoint.point Schedpoint.pool_signal;
-  if Atomic.get pool.n_parked > 0 then begin
-    Atomic.incr pool.wakeups;
-    Mutex.lock pool.idle_lock;
-    Condition.signal pool.idle_cond;
-    Mutex.unlock pool.idle_lock
-  end
-
-(* Whether any task sits where a worker could take it: the orphan stack,
-   then every WS deque or every live R member's deque.  Reads only (two
-   atomic loads per deque), allocates nothing. *)
-let work_queued pool =
-  Atomic.get pool.orphans <> []
-  ||
-  match pool.policy with
-  | Work_stealing -> Array.exists (fun q -> not (Lfdeque.is_empty q)) pool.ws_deques
-  | Dfdeques _ -> Multiq.exists (fun d -> not (Lfdeque.is_empty d.tasks)) pool.r
-
-(* A parked worker's reasons to get up.  A pending crash certificate
-   counts: the crasher broadcasts, and the woken worker must
-   scan-and-quarantine, since the held task is not queued anywhere until
-   a quarantiner requeues it. *)
-let idle_over pool =
-  work_queued pool || Atomic.get pool.shutting_down || Atomic.get pool.crashed_pending > 0
-
-(* The parker's half of the wake-up handshake: announce, then scan.
-   Every push publishes its task and then reads [n_parked]
-   ([signal_work]).  OCaml atomics are SC, so if this scan misses the
-   task, the scan's read came before the publishing store, the announce
-   before that, and the pusher's later read of [n_parked] sees the
-   announce and signals.  Scanning before announcing would let both
-   sides miss each other.  [`Found_work] withdraws the announce;
-   [`Would_sleep] leaves it for the caller's wait. *)
-let announce_and_scan pool =
-  Atomic.incr pool.n_parked;
-  Schedpoint.point Schedpoint.pool_park;
-  if idle_over pool then begin
-    Atomic.decr pool.n_parked;
-    `Found_work
-  end
-  else `Would_sleep
-
-(* Sleep until work is queued (or shutdown, or a crash).  The lock makes
-   the signal wait for the sleeper: a pusher that saw the announce takes
-   [idle_lock] to signal, which it can only do once this worker is inside
-   [Condition.wait].  The scan is repeated before every wait, so a
-   spurious or stolen wake-up just sleeps again.  [pool_park] is the one
-   yield point inside a held mutex; controlled threads only reach it
-   through [For_testing.park_step], which takes no lock. *)
-let park pool w =
-  Mutex.lock pool.idle_lock;
-  (match announce_and_scan pool with
-   | `Found_work -> ()
-   | `Would_sleep ->
-     let c = pool.per_worker.(w) in
-     c.c_parks <- c.c_parks + 1;
-     Registry.Counter.incr pool.obs.o_parks;
-     Condition.wait pool.idle_cond pool.idle_lock;
-     while not (idle_over pool) do
-       Condition.wait pool.idle_cond pool.idle_lock
-     done;
-     Atomic.decr pool.n_parked);
-  Mutex.unlock pool.idle_lock
-
-(* ------------------------------------------------------------------ *)
 (* Padded cells: the per-worker sync-op counts                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -458,6 +415,167 @@ let padded_run n make = Array.init (n * pad_stride) (fun _ -> make ())
 let ops pool w = pool.sync_cells.(pad_index w)
 
 let sync_cell pool w = Option.get (ops pool w)
+
+(* The private part and the request flag follow the same rule: the owner
+   writes its [pstack] on every fork and join, and reads its flag there,
+   so each is the middle of a run of its own size, like the sync cells.
+   A [pstack]'s [items] array is the middle of a run of arrays for the
+   same reason (a stack grown later moves out of it). *)
+let pstack pool w = pool.priv.(pad_index w)
+
+let req pool w = pool.req.(pad_index w)
+
+let private_capacity = 32
+
+(* ------------------------------------------------------------------ *)
+(* The private part: owner-only, plain writes                          *)
+(* ------------------------------------------------------------------ *)
+
+let push_private s task =
+  if s.hi = Array.length s.items then begin
+    (* full: slide the live tasks down over published slots, or grow *)
+    let n = s.hi - s.lo in
+    let items = if s.lo > 0 then s.items else Array.make (2 * n) no_task in
+    Array.blit s.items s.lo items 0 n;
+    Array.fill items n (Array.length items - n) no_task;
+    s.items <- items;
+    s.lo <- 0;
+    s.hi <- n
+  end;
+  s.items.(s.hi) <- task;
+  s.hi <- s.hi + 1
+
+(* Only ever called on a nonempty part.  Slots are cleared as they empty
+   so a stack does not keep finished closures alive. *)
+let pop_private s =
+  let i = s.hi - 1 in
+  let t = s.items.(i) in
+  s.items.(i) <- no_task;
+  if i = s.lo then begin
+    s.lo <- 0;
+    s.hi <- 0
+  end
+  else s.hi <- i;
+  t
+
+let take_oldest s =
+  let t = s.items.(s.lo) in
+  s.items.(s.lo) <- no_task;
+  s.lo <- s.lo + 1;
+  if s.lo = s.hi then begin
+    s.lo <- 0;
+    s.hi <- 0
+  end;
+  t
+
+let private_empty pool w =
+  let s = pstack pool w in
+  s.hi = s.lo
+
+(* Thief [w] found [v]'s public part empty: ask [v] to publish.  The flag
+   is read first, so thieves polling a victim that has not answered yet
+   write nothing; the raise is the thief's one sync op. *)
+let request pool w v =
+  let f = req pool v in
+  if v <> w && not (Atomic.get f) then begin
+    Schedpoint.point Schedpoint.pool_request;
+    Atomic.set f true;
+    let ops = sync_cell pool w in
+    ops := !ops + 1
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Idle parking                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Wake at most one parked worker.  The publisher has already stored the
+   task in its public deque (an SC store), so either the parker's scan,
+   which follows its SC announce, sees the task, or this read sees the
+   announce — a wake-up can never be lost between the two (see {!park}).
+   Signalling one worker instead of broadcasting avoids the thundering
+   herd the old single [Condition] produced: p-1 sleepers stampeding the
+   lock for one task. *)
+let signal_work pool =
+  Schedpoint.point Schedpoint.pool_signal;
+  if Atomic.get pool.n_parked > 0 then begin
+    Atomic.incr pool.wakeups;
+    Mutex.lock pool.idle_lock;
+    Condition.signal pool.idle_cond;
+    Mutex.unlock pool.idle_lock
+  end
+
+(* Whether any task sits where a worker could take it: the orphan stack,
+   then every WS deque or every live R member's deque.  Reads only (two
+   atomic loads per deque), allocates nothing.  Private parts are not
+   scanned: another worker's private part can only be read without
+   synchronization ([private_work]), and an owner that holds private
+   work publishes it at its next fork or join once it sees a parked
+   worker ({!park}). *)
+let work_queued pool =
+  Atomic.get pool.orphans <> []
+  ||
+  match pool.policy with
+  | Work_stealing -> Array.exists (fun q -> not (Lfdeque.is_empty q)) pool.ws_deques
+  | Dfdeques _ -> Multiq.exists (fun d -> not (Lfdeque.is_empty d.tasks)) pool.r
+
+(* Whether some worker holds private work: a hint, read without
+   synchronization from owner-only fields, so it may be stale.  It keeps
+   an idle worker asking instead of sleeping while a peer is busy; the
+   guarantee against sleeping through private work is the owner's
+   [n_parked] check at its next boundary, not this read. *)
+let private_work pool =
+  let rec go v = v < pool.n_workers && ((not (private_empty pool v)) || go (v + 1)) in
+  go 0
+
+(* A parked worker's reasons to get up.  A pending crash certificate
+   counts: the crasher broadcasts, and the woken worker must
+   scan-and-quarantine, since the held task is not queued anywhere until
+   a quarantiner requeues it. *)
+let idle_over pool =
+  work_queued pool || private_work pool || Atomic.get pool.shutting_down
+  || Atomic.get pool.crashed_pending > 0
+
+(* The parker's half of the wake-up handshake: announce, then scan.
+   Every publication stores its task and then reads [n_parked]
+   ([signal_work]).  OCaml atomics are SC, so if this scan misses the
+   task, the scan's read came before the publishing store, the announce
+   before that, and the publisher's later read of [n_parked] sees the
+   announce and signals.  Scanning before announcing would let both
+   sides miss each other.  Private work needs no scan: its owner reads
+   [n_parked] at every fork and join and, seeing the announce, publishes
+   and signals ({!boundary}); a parker never holds private work itself,
+   since it parks only at the top of its loop.  [`Found_work] withdraws
+   the announce; [`Would_sleep] leaves it for the caller's wait. *)
+let announce_and_scan pool =
+  Atomic.incr pool.n_parked;
+  Schedpoint.point Schedpoint.pool_park;
+  if idle_over pool then begin
+    Atomic.decr pool.n_parked;
+    `Found_work
+  end
+  else `Would_sleep
+
+(* Sleep until work is queued (or shutdown, or a crash).  The lock makes
+   the signal wait for the sleeper: a pusher that saw the announce takes
+   [idle_lock] to signal, which it can only do once this worker is inside
+   [Condition.wait].  The scan is repeated before every wait, so a
+   spurious or stolen wake-up just sleeps again.  [pool_park] is the one
+   yield point inside a held mutex; controlled threads only reach it
+   through [For_testing.park_step], which takes no lock. *)
+let park pool w =
+  Mutex.lock pool.idle_lock;
+  (match announce_and_scan pool with
+   | `Found_work -> ()
+   | `Would_sleep ->
+     let c = pool.per_worker.(w) in
+     c.c_parks <- c.c_parks + 1;
+     Registry.Counter.incr pool.obs.o_parks;
+     Condition.wait pool.idle_cond pool.idle_lock;
+     while not (idle_over pool) do
+       Condition.wait pool.idle_cond pool.idle_lock
+     done;
+     Atomic.decr pool.n_parked);
+  Mutex.unlock pool.idle_lock
 
 (* ------------------------------------------------------------------ *)
 (* DFDeques: lock-free R membership (Multiq CAS paths) and CAS-only     *)
@@ -519,11 +637,16 @@ let dfd_own_deque pool w =
    deque stays in R for thieves.  Forgetting the handle *before* the
    sticky store becomes visible is what makes [Lfdeque.is_dead] sound:
    once any reader sees [owner = None], this worker can no longer reach
-   the deque to push. *)
+   the deque to push.  An abandoned deque is fully public: the worker
+   abandons only inside [try_get], where its private part is empty (a
+   top-of-loop take, a join whose branch was published, which went
+   oldest first, or [drain] once a run has unwound), so there is nothing
+   left to publish. *)
 let dfd_abandon pool w =
   match pool.dfd_deque.(w) with
   | None -> ()
   | Some e ->
+    assert (private_empty pool w);
     pool.dfd_deque.(w) <- None;
     Lfdeque.abandon ?ops:(ops pool w) (Multiq.value e).tasks;
     reap_if_dead pool ~proc:w e
@@ -582,18 +705,22 @@ let dfd_steal pool w =
          like a WS thief losing a Chase–Lev race. *)
       (match Lfdeque.steal ?ops:(ops pool w) victim.tasks with
        | None ->
-         (* drained (or raced) between sample and steal; reap if dead *)
+         (* drained (or raced) between sample and steal; reap if dead,
+            or ask a live owner to publish *)
          reap_if_dead pool ~proc:w victim_e;
          note_steal_failure pool w;
+         (match Lfdeque.owner victim.tasks with
+          | Some v when Lfdeque.is_empty victim.tasks -> request pool w v
+          | _ -> ());
          None
-       | Some _ as got ->
+       | Some got ->
          note_steal_success pool w ~victim:victim.did;
          note_rank_error pool w victim_e;
          dfd_adopt_after pool w victim_e;
          (* refill from the current K: a runtime quota adjustment takes
             effect here, at the worker's next steal *)
          pool.quota_left.(w) <- Atomic.get pool.dfd_quota;
-         got)
+         take_slot got)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -731,20 +858,52 @@ let scan_crashed pool ~proc =
 (* Obtaining work                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Publish, then read [n_parked]: the pusher's half of the wake-up
-   handshake ({!park}).  No shared write beyond the owner's own deque. *)
-let push_local pool w task =
+let public_deque pool w =
+  match pool.policy with
+  | Work_stealing -> pool.ws_deques.(w)
+  | Dfdeques _ -> (dfd_own_deque pool w).tasks
+
+(* Push onto the worker's public deque, then read [n_parked]: the
+   publisher's half of the wake-up handshake ({!park}). *)
+let publish pool w task =
   Schedpoint.point Schedpoint.pool_push;
-  let tasks =
-    match pool.policy with
-    | Work_stealing -> pool.ws_deques.(w)
-    | Dfdeques _ -> (dfd_own_deque pool w).tasks
-  in
-  Lfdeque.push ?ops:(ops pool w) tasks task;
+  Lfdeque.push ?ops:(ops pool w) (public_deque pool w) { run = task };
   signal_work pool
 
+(* The owner's answer: clear the request first, so a thief that asks
+   again after this point is seen at the next boundary, then move the
+   oldest private task to the bottom of the public deque. *)
+let respond pool w s =
+  Schedpoint.point Schedpoint.pool_respond;
+  let f = req pool w in
+  if Atomic.get f then begin
+    Atomic.set f false;
+    let ops = sync_cell pool w in
+    ops := !ops + 1
+  end;
+  publish pool w (take_oldest s)
+
+(* The check at every fork and join: two plain loads while nobody asks.
+   A parked worker counts as a request, so no worker sleeps while a
+   running peer holds private work past its next boundary. *)
+let boundary pool w s =
+  if s.hi > s.lo && (Atomic.get (req pool w) || Atomic.get pool.n_parked > 0) then
+    respond pool w s
+
+(* A fork: plain writes to the private part, then the boundary check.
+   Under DFDeques the worker's deque must be in R, where thieves look for
+   owners to ask. *)
+let push_local pool w task =
+  (match pool.policy with
+   | Dfdeques _ -> ignore (dfd_own_deque pool w)
+   | Work_stealing -> ());
+  let s = pstack pool w in
+  push_private s task;
+  boundary pool w s
+
 (* One attempt to obtain a task; lock-free on every path — WS and DFD
-   both go through CAS-only deques. *)
+   both go through CAS-only deques.  Only public parts are taken from:
+   the caller's own private part is empty here (see {!dfd_abandon}). *)
 let try_get pool w =
   Schedpoint.point Schedpoint.pool_get;
   (* activity tick: single-writer; the clock wedge detection reads *)
@@ -759,11 +918,11 @@ let try_get pool w =
   match pool.policy with
   | Work_stealing -> (
       match Lfdeque.pop ?ops:(ops pool w) pool.ws_deques.(w) with
-      | Some _ as got ->
+      | Some got ->
         let c = pool.per_worker.(w) in
         c.c_local_pops <- c.c_local_pops + 1;
         Registry.Counter.incr pool.obs.o_local_pops;
-        got
+        take_slot got
       | None ->
         if injected_steal_failure pool w then None
         else begin
@@ -774,12 +933,14 @@ let try_get pool w =
             None
           end
           else
-            match Lfdeque.steal ?ops:(ops pool w) pool.ws_deques.(victim) with
-            | Some _ as got ->
+            let q = pool.ws_deques.(victim) in
+            match Lfdeque.steal ?ops:(ops pool w) q with
+            | Some got ->
               note_steal_success pool w ~victim;
-              got
+              take_slot got
             | None ->
               note_steal_failure pool w;
+              if Lfdeque.is_empty q then request pool w victim;
               None
         end)
   | Dfdeques _ -> (
@@ -799,10 +960,10 @@ let try_get pool w =
       | Some e -> (
           let d = Multiq.value e in
           match Lfdeque.pop ?ops:(ops pool w) d.tasks with
-          | Some _ as got ->
+          | Some got ->
             let c = pool.per_worker.(w) in
             c.c_local_pops <- c.c_local_pops + 1;
-            got
+            take_slot got
           | None ->
             (* empty own deque: retire it, then steal *)
             dfd_abandon pool w;
@@ -827,9 +988,10 @@ let help_once ?(top = false) pool w =
     ops := !ops + 2;
     (* seeded crash/wedge injection — top-of-loop takes by worker domains
        only, so a dying worker holds exactly one unstarted task and
-       nothing else in flight (the caller and nested helping takes are
-       never crash-eligible: killing a worker mid-computation would
-       strand a half-run task that cannot be requeued exactly-once) *)
+       nothing else in flight, its private part empty (the caller and
+       nested helping takes are never crash-eligible: killing a worker
+       mid-computation would strand a half-run task that cannot be
+       requeued exactly-once) *)
     if top && w > 0 then (
       match Fault.worker_take pool.fault ~worker:w with
       | `None -> ()
@@ -846,36 +1008,54 @@ let help_once ?(top = false) pool w =
     true
   | None -> false
 
-(* Pop our most recent push if it is still on top (the fork_join fast
-   path).  Physical equality identifies the task.  Both policies use the
+(* Pop a published branch back if it is still at the bottom of the public
+   deque.  Physical equality identifies the task.  Both policies use the
    same lock-free discipline: owner pop, and a pop that surfaces some
    other task (possible only if ours was stolen) is pushed straight
    back — the push-back is safe because only the owner pops its own
    deque, so nothing was reordered underneath it.  The task was queued
    nowhere between the pop and the push-back, so a worker may have
-   parked in that window: the push-back signals like any push. *)
+   parked in that window: the push-back signals like any publication. *)
 let pop_back pool w tasks task =
   let ops = ops pool w in
   match Lfdeque.pop ?ops tasks with
-  | Some t when t == task -> true
+  | Some s when s.run == task ->
+    s.run <- no_task;
+    true
   | Some other ->
     Lfdeque.push ?ops tasks other;
     signal_work pool;
     false
   | None -> false
 
+(* The join's take.  A nonempty private part means the branch was never
+   published: publication goes oldest first and every younger fork has
+   joined already, so the branch is on top, taken with plain writes.  An
+   empty private part means it was published: pop it back if no thief
+   took it.  So a join whose branch was stolen has an empty private
+   part. *)
 let try_pop_exact pool w task =
-  Schedpoint.point Schedpoint.pool_pop_exact;
-  let got =
-    match pool.policy with
-    | Work_stealing -> pop_back pool w pool.ws_deques.(w) task
-    | Dfdeques _ -> (
-        match pool.dfd_deque.(w) with
-        | None -> false
-        | Some e -> pop_back pool w (Multiq.value e).tasks task)
-  in
-  if got then note_task_start pool w;
-  got
+  let s = pstack pool w in
+  if s.hi > s.lo then begin
+    let t = pop_private s in
+    assert (t == task);
+    note_task_start pool w;
+    boundary pool w s;
+    true
+  end
+  else begin
+    Schedpoint.point Schedpoint.pool_pop_exact;
+    let got =
+      match pool.policy with
+      | Work_stealing -> pop_back pool w pool.ws_deques.(w) task
+      | Dfdeques _ -> (
+          match pool.dfd_deque.(w) with
+          | None -> false
+          | Some e -> pop_back pool w (Multiq.value e).tasks task)
+    in
+    if got then note_task_start pool w;
+    got
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Futures                                                             *)
@@ -940,11 +1120,12 @@ let worker_loop pool w =
       else begin
         incr misses;
         if Atomic.get pool.crashed_pending > 0 then ignore (scan_crashed pool ~proc:w);
-        (* bounded spin, then park until a push signals — but only if a
-           lock-free scan finds nothing queued anywhere, so a pusher never
-           sees a worker parked while work waits, and the busy path never
-           scans.  No thundering herd: one signal wakes one. *)
-        if !misses >= park_threshold && not (work_queued pool) then begin
+        (* bounded spin, then park until a publication signals — but only
+           if a lock-free scan finds nothing queued anywhere and no peer
+           holding private work, so a publisher never sees a worker parked
+           while work waits, and the busy path never scans.  No thundering
+           herd: one signal wakes one. *)
+        if !misses >= park_threshold && not (work_queued pool || private_work pool) then begin
           park pool w;
           misses := 0
         end
@@ -1029,6 +1210,11 @@ let make ?(registry = Registry.disabled) ?(flight = Tracer.disabled) ?(respawn_b
     (* the padded runs first, then one minor collection (the layout rule
        above) *)
     let sync_cells = padded_run n_workers (fun () -> Some (ref 0)) in
+    let req = padded_run n_workers (fun () -> Atomic.make false) in
+    let priv =
+      padded_run n_workers (fun () ->
+          { items = Array.make private_capacity no_task; lo = 0; hi = 0 })
+    in
     Gc.minor ();
     {
       policy;
@@ -1062,6 +1248,8 @@ let make ?(registry = Registry.disabled) ?(flight = Tracer.disabled) ?(respawn_b
               c_rank_err = Stats.Histogram.create ();
             });
       sync_cells;
+      priv;
+      req;
       idle_lock = Mutex.create ();
       idle_cond = Condition.create ();
       n_parked = Atomic.make 0;
@@ -1110,7 +1298,8 @@ let create ?domains ?(tracer = Tracer.disabled) ?(fault = Fault.none) ?registry 
   pool
 
 (* Tasks queued where a worker could take them, counted over the same
-   places [work_queued] scans.  Exact once the pool is quiescent. *)
+   places [work_queued] scans: public parts and orphans, not private
+   parts.  Exact once the pool is quiescent. *)
 let queued pool =
   List.length (Atomic.get pool.orphans)
   +
@@ -1167,12 +1356,13 @@ let run ?timeout ?quota pool f =
          raise e)
 
 (* Take the forked task back if nobody stole it and run [fa] inline (the
-   fast path), else help until its thief publishes the outcome.  The
-   winning pop is the only proof that no one else runs [fa]: a [Pending]
-   promise does not mean unstolen, since a thief holds it [Pending] until
-   [fa] returns (the planted twin in lib/check makes exactly that
-   mistake).  The inline path skips the promise altogether, so only a
-   taken task writes one and only [await] reads one. *)
+   fast path: a plain pop of the private part), else help until its thief
+   publishes the outcome.  The winning pop is the only proof that no one
+   else runs [fa]: a [Pending] promise does not mean unstolen, since a
+   thief holds it [Pending] until [fa] returns (the planted twin in
+   lib/check makes exactly that mistake).  The inline path skips the
+   promise altogether, so only a taken task writes one and only [await]
+   reads one. *)
 let join_fork pool w task (pr : _ promise) fa =
   if try_pop_exact pool w task then begin
     match fa () with
@@ -1394,8 +1584,10 @@ let stats pool = Registry.Snapshot.to_alist (metrics_samples pool)
 let flight pool = pool.flight
 
 (* Human-readable diagnostic dump for hang post-mortems: every counter,
-   the queued-task, parking and cancellation state, and each deque's
-   occupancy.
+   the queued-task, parking and cancellation state, each worker's
+   private-part length and request flag, and each public deque's
+   occupancy.  Private lengths are read without synchronization from
+   owner-only fields, so they may be stale while the owner runs.
    Counter reads are per-worker aggregates and the R walk is a lock-free
    Multiq snapshot — both exact once idle, slightly stale while running.
    Call it from a watchdog, not a hot path. *)
@@ -1422,8 +1614,10 @@ let snapshot pool =
     (Atomic.get pool.respawn_budget);
   Array.iteri
     (fun i c ->
-       pf "  worker %d: tasks_run=%d steals=%d ticks=%d%s%s%s%s\n" i c.c_tasks_run c.c_steals
-         c.c_ticks
+       let s = pstack pool i in
+       pf "  worker %d: tasks_run=%d steals=%d ticks=%d private=%d%s%s%s%s%s\n" i c.c_tasks_run
+         c.c_steals c.c_ticks (s.hi - s.lo)
+         (if Atomic.get (req pool i) then " REQUESTED" else "")
          (if Option.is_some (Atomic.get pool.cur_task.(i)) then " HOLDING" else "")
          (if Atomic.get pool.stopped.(i) then " STOPPED" else "")
          (if Atomic.get pool.wedged.(i) then " WEDGED" else "")
@@ -1548,7 +1742,17 @@ module For_testing = struct
 
   let queued = queued
 
-  let push pool w f = push_local pool w (fun _ -> f ())
+  let private_len pool w =
+    let s = pstack pool w in
+    s.hi - s.lo
+
+  let requested pool w = Atomic.get (req pool w)
+
+  let boundary pool w = boundary pool w (pstack pool w)
+
+  let drop_request pool w = Atomic.set (req pool w) false
+
+  let push pool w f = publish pool w (fun _ -> f ())
 
   type 'a fork = { f_task : task; f_pr : 'a promise }
 

@@ -37,17 +37,30 @@
 
     Fork-join is work-first: {!fork_join} pushes the left branch and runs
     the right inline; on return it pops the left branch back if nobody
-    stole it and runs it inline (the fast path: one push and one pop, and
-    the branch's promise is never written or read), otherwise it helps
-    execute other tasks until the thief publishes the branch's outcome.
-    Exceptions propagate to the joining parent.
+    stole it and runs it inline, otherwise it helps execute other tasks
+    until the thief publishes the branch's outcome.  Exceptions propagate
+    to the joining parent.
+
+    Each worker's tasks live in two parts (after Acar, Charguéraud &
+    Rainey's private deques, PPoPP 2013).  A fork pushes onto an
+    owner-only {e private} stack and its join pops it back with plain
+    writes: no atomic write, no box, and the branch's promise is never
+    written or read.  Thieves take only from the {e public} part, the
+    worker's {!Dfd_structures.Lfdeque}.  A thief that finds a public part
+    empty raises its owner's request flag (under {!Dfdeques}, the owner of
+    the sampled R deque).  The owner reads the flag at every fork and
+    join; when it is set, or a worker is parked, the owner moves its
+    oldest private task to the bottom of its public part and signals.
+    Publication goes oldest first, so every public task is older than
+    every private one, and synchronization is paid per steal, not per
+    fork.  A steal can wait up to one fork interval of its victim.
 
     Idle workers spin briefly with jittered exponential backoff, then park
-    on a condition variable; each push wakes at most one parked worker, so
-    wake-ups do not thundering-herd.  Scheduling counters are kept in
-    per-worker records and aggregated only when read.
-    [bench/pool_scale.exe] tracks the throughput/scalability trajectory of
-    this layer (it emits [BENCH_pool.json]). *)
+    on a condition variable; each publication wakes at most one parked
+    worker, so wake-ups do not thundering-herd.  Scheduling counters are
+    kept in per-worker records and aggregated only when read.
+    [perfbench/] tracks the throughput/scalability trajectory of this
+    layer. *)
 
 type t
 
@@ -114,7 +127,7 @@ val create :
     (parked workers, current K, R size) are published as probes —
     queryable while the pool runs.  With the default disabled registry
     each instrument update is a single load-and-branch (measured by the
-    obs-overhead pair in [bench/pool_scale.exe]).  Registration upserts,
+    obs-overhead pair in [perfbench/]).  Registration upserts,
     so pool incarnations respawned by a supervisor keep accumulating into
     the same series.
 
@@ -225,23 +238,20 @@ val counters : t -> counters
 
 val sync_ops : t -> int
 (** Total synchronization operations (atomic RMWs and publishing stores,
-    CAS retries included) executed on scheduling paths — push, pop and
-    steal under both policies, the promise's publishing store of each
-    task taken from a deque (a branch its forker pops back is joined
-    without one), a taken task's hand-over through its worker's
-    held-task slot, plus
+    CAS retries included) executed on scheduling paths — a thief's
+    request, an owner's response (clearing the flag, publishing to the
+    public part), public pop and steal under both policies, the
+    promise's publishing store of each task taken from a deque, a taken
+    task's hand-over through its worker's held-task slot, plus
     abandonment, reap and R membership under {!Dfdeques} — summed across
-    the per-worker single-writer cells.  An unstolen fork costs 4: the
-    push's cell and [bottom] stores, the pop's [bottom] store and its
-    take of the cell (6 when the pop races for the deque's last task).
-    The Rito & Paulino sync-overhead metric: what the lock removal is
-    measured by, not assumed from, and a direct comparison of the two
-    policies' deque traffic.  Exposed to the registry as the
-    lazily-summed [dfd_pool_sync_ops] probe (the pool deliberately does
-    not mirror it into a write-side counter — that would add an atomic
-    RMW per operation just to count atomic RMWs) and per p in the
-    [sync_ops] section of [BENCH_pool.json].  Same staleness contract as
-    {!val-counters}. *)
+    the per-worker single-writer cells.  An unstolen, unpublished fork
+    costs 0: its push and its join's pop touch only the private part.
+    The Rito & Paulino sync-overhead metric, which is bounded by
+    steals and publications rather than by work.  Exposed to the
+    registry as the lazily-summed [dfd_pool_sync_ops] probe (the pool
+    deliberately does not mirror it into a write-side counter — that
+    would add an atomic RMW per operation just to count atomic RMWs).
+    Same staleness contract as {!val-counters}. *)
 
 val rank_error : t -> Dfd_structures.Stats.Histogram.t
 (** Distribution of the rank error of every successful DFDeques steal:
@@ -355,12 +365,15 @@ val flight : t -> Dfd_trace.Tracer.t
 
 val snapshot : t -> string
 (** Human-readable diagnostic dump: policy, counters, queued-task, parking and
-    cancellation state, per-deque occupancy (and per-worker quota under
-    {!Dfdeques}), and the total injected-fault count.  All reads are
-    lock-free (per-worker counter aggregates; a relaxed walk of the R
-    shards) — exact once the pool is idle, slightly stale while it runs;
-    intended for hang post-mortems and watchdog reports, not hot
-    paths. *)
+    cancellation state, per-worker private-part length and raised
+    request flag, per-public-deque occupancy (and per-worker quota under
+    {!Dfdeques}), and the total injected-fault count.  Its [queued] is
+    the public count of {!For_testing.queued}; the private lengths are
+    listed separately.  All reads are lock-free (per-worker counter
+    aggregates; unsynchronized reads of owner-only private parts; a
+    relaxed walk of the R shards) — exact once the pool is idle,
+    slightly stale while it runs; intended for hang post-mortems and
+    watchdog reports, not hot paths. *)
 
 val shutdown : t -> unit
 (** Stop the worker domains.  The pool must be idle. *)
@@ -406,13 +419,33 @@ module For_testing : sig
 
   val queued : t -> int
   (** Tasks queued where a worker could take them — the orphan stack plus
-      every WS deque, or every live R member's deque.  0 once a
-      computation is quiescent: the checker's leak oracle. *)
+      every WS public deque, or every live R member's public deque.  It
+      does not count private parts, which only their owners read
+      exactly (see {!private_len}).  0 once a computation is quiescent:
+      the checker's leak oracle, with {!private_len}. *)
+
+  val private_len : t -> int -> int
+  (** Tasks in worker [w]'s private part.  Exact from [w]'s own thread or
+      once [w] is quiescent; an unsynchronized, possibly stale read
+      otherwise.  0 at every top-of-loop take, and once every task of a
+      run has returned. *)
+
+  val requested : t -> int -> bool
+  (** Whether worker [w]'s request flag is raised. *)
+
+  val boundary : t -> int -> unit
+  (** Worker [w]'s check at a fork or join: if its private part is
+      nonempty and its flag is raised or a worker is parked, clear the
+      flag, publish the oldest private task and signal. *)
+
+  val drop_request : t -> int -> unit
+  (** Clear worker [w]'s request flag and publish nothing — the wrong
+      answer, for building the planted twin. *)
 
   val push : t -> int -> (unit -> unit) -> unit
-  (** [push pool w f] — worker [w] pushes [f] onto its own deque exactly
-      as a fork does: publish, then signal a parked worker if it sees
-      one. *)
+  (** [push pool w f] — worker [w] publishes [f] onto its public deque
+      exactly as an answer to a request does: push, then signal a parked
+      worker if it sees one. *)
 
   type 'a fork
   (** A branch forked by {!fork}.  {!pop_fork} and {!peek} are the
@@ -421,11 +454,13 @@ module For_testing : sig
 
   val fork : (unit -> 'a) -> 'a fork
   (** Push a branch from the calling worker exactly as {!fork_join}
-      pushes its first one.  Raises {!Not_in_pool} outside a worker. *)
+      pushes its first one: onto the private part, then the boundary
+      check.  Raises {!Not_in_pool} outside a worker. *)
 
   val pop_fork : 'a fork -> bool
-  (** The join's fast path: take the branch back if it is still on top
-      of the caller's deque.  [true] means no other worker can run it. *)
+  (** The join's take: pop the branch from the private part, or back from
+      the public part if it was published and not stolen.  [true] means
+      no other worker can run it. *)
 
   val peek : 'a fork -> 'a option
   (** The branch's published outcome: its value, or its exception
@@ -436,14 +471,21 @@ module For_testing : sig
   val park_step : t -> [ `Found_work | `Would_sleep ]
   (** The parker's announce-then-scan step, without the lock or the wait:
       [`Would_sleep] means a real parker would now block, still announced;
-      [`Found_work] means it withdrew its announce and stays up. *)
+      [`Found_work] means it withdrew its announce and stays up.  The scan
+      looks for what {!work_queued} sees, for a peer holding private work
+      (an unsynchronized hint), for shutdown and for a pending crash
+      certificate. *)
 
   val announce : t -> unit
   (** The announce half of {!park_step} alone (raise the parked count),
       for building deliberately misordered variants. *)
 
   val work_queued : t -> bool
-  (** The scan half of {!park_step} alone: is any task queued? *)
+  (** The queued-work part of {!park_step}'s scan: is any task queued
+      where a parker could take it?  It scans what {!queued} counts:
+      public parts and orphans, never private parts.  A peer's private
+      work reaches a parker through the peer's next {!boundary}, which
+      sees the announce. *)
 
   val wakeups : t -> int
   (** Wake-up signals sent so far (pushes that saw a parked worker). *)

@@ -194,9 +194,9 @@ type t = {
   cfg : config;
   policy : Pool.policy;
   fault : Dfd_fault.Fault.t;
-      (** seeded injector threaded into every pool incarnation — chaos
-          campaigns arm crash/wedge triggers through it; {!Dfd_fault.Fault.none}
-          in production. *)
+      (** seeded injector threaded into every pool incarnation — the
+          fault tests and [repro soak --plan] arm crash/wedge triggers
+          through it; {!Dfd_fault.Fault.none} in production. *)
   tracer : Tracer.t;
   registry : Registry.t;  (** live telemetry; shared with every pool incarnation. *)
   headroom : Headroom.t;

@@ -123,7 +123,8 @@ val create :
     override the policy's initial K with the largest tenant [k_init].
 
     [fault] (default {!Dfd_fault.Fault.none}) is a seeded injector
-    threaded into every pool incarnation — chaos campaigns arm the
+    threaded into every pool incarnation — the fault tests
+    ([test_fault], [test_runtime]) and [repro soak --plan] arm the
     one-shot crash/wedge triggers through it to drive the supervisor's
     surgical-quarantine path deterministically.
 

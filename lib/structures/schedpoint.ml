@@ -74,6 +74,12 @@ let pool_park = 24
 
 let pool_signal = 25
 
+let pool_request = 26
+
+let pool_respond = 27
+
+let task_work = 28
+
 let names =
   [|
     "start";
@@ -102,6 +108,9 @@ let names =
     "pool_orphan_pop";
     "pool_park";
     "pool_signal";
+    "pool_request";
+    "pool_respond";
+    "task_work";
   |]
 
 let name id = if id >= 0 && id < Array.length names then names.(id) else Printf.sprintf "p%d" id

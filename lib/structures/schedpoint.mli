@@ -111,6 +111,21 @@ val pool_signal : int
 (** Pool wake-up: after a push has published its task, before the pusher
     reads [n_parked] to decide whether to signal a parked worker. *)
 
+val pool_request : int
+(** Pool request: a thief that found a victim's public deque empty, after
+    reading the victim's request flag clear and before raising it. *)
+
+val pool_respond : int
+(** Pool response: an owner that saw a request (or a parked worker) at a
+    fork or join, before it clears the flag and publishes its oldest
+    private task. *)
+
+val task_work : int
+(** User work: a leaf of a checker scenario's fork-join computation,
+    where a real task spends its time.  The fork and join fast path has
+    no point of its own, so this is where the explorer may preempt a
+    worker inside a computation.  Emitted by lib/check scenarios only. *)
+
 val name : int -> string
 (** Human-readable name of a point id. *)
 

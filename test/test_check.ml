@@ -160,7 +160,7 @@ let test_join_buggy_caught () =
     checkb "found within default budget" true (r.Explore.r_iterations <= r.Explore.r_budget);
     checkb "shrunk" true f.Explore.f_shrunk;
     checkb "minimal trace nonempty" true (f.Explore.f_choices <> []);
-    checkb "minimal trace short" true (List.length f.Explore.f_choices <= 16);
+    checkb "minimal trace short" true (List.length f.Explore.f_choices <= 24);
     checkb "a double run is the reason" true
       (String.starts_with ~prefix:"exactly-once broken" f.Explore.f_reason);
     let path = Filename.temp_file "replay_join" ".json" in
@@ -184,6 +184,42 @@ let test_join_buggy_caught () =
     let real = Explore.run ~seed:join_buggy_seed Scenarios.pool_ws in
     checkb "real fork_join passes the same seed" true (real.Explore.r_failure = None);
     checki "real fork_join: full budget used" real.Explore.r_budget real.Explore.r_iterations
+
+(* The planted request bug (an owner that clears a request and
+   publishes nothing): the livelock is found as an exceeded step budget,
+   shrunk, and reproducible through a replay file.  Seed chosen so the
+   failure lands within a few iterations. *)
+let request_buggy_seed = 1
+
+let test_request_buggy_caught () =
+  let r = Explore.run ~seed:request_buggy_seed Scenarios.pool_request_buggy in
+  match r.Explore.r_failure with
+  | None -> Alcotest.fail "explorer missed the dropped request"
+  | Some f ->
+    checkb "found within default budget" true (r.Explore.r_iterations <= r.Explore.r_budget);
+    checkb "shrunk" true f.Explore.f_shrunk;
+    checkb "minimal trace nonempty" true (f.Explore.f_choices <> []);
+    checkb "minimal trace short" true (List.length f.Explore.f_choices <= 16);
+    checkb "the step budget is the reason" true
+      (String.starts_with ~prefix:"step budget exceeded" f.Explore.f_reason);
+    let path = Filename.temp_file "replay_request" ".json" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Explore.write_replay path f;
+        let f' = Explore.read_replay path in
+        checkb "replay file roundtrips" true (f = f');
+        checkb "replay from file reproduces" true
+          (Explore.replay Scenarios.pool_request_buggy f' <> None));
+    (* the serial fallback runs the owner alone: no request is ever
+       raised, and it joins its own branch *)
+    let serial = { f with Explore.f_choices = []; f_points = [] } in
+    checkb "serial fallback schedule passes" true
+      (Explore.replay Scenarios.pool_request_buggy serial = None);
+    (* the real boundary answers the very request the twin drops *)
+    checkb "real boundary passes the failing trace" true
+      (Explore.replay Scenarios.pool_request { f with Explore.f_scenario = "pool_request" }
+       = None)
 
 let test_correct_scenarios_pass () =
   List.iter
@@ -220,15 +256,30 @@ let test_catalogue () =
   checki "scenario names distinct" (List.length all) (List.length (List.sort_uniq compare all));
   List.iter
     (fun n -> checkb (n ^ " in all") true (List.mem n all))
-    [ "lfdeque_ops"; "lfdeque_grow"; "lfdeque_wrap"; "lfdeque_abandon"; "lfdeque_reap"; "pool_park" ];
+    [
+      "lfdeque_ops";
+      "lfdeque_grow";
+      "lfdeque_wrap";
+      "lfdeque_abandon";
+      "lfdeque_reap";
+      "pool_park";
+      "pool_request";
+    ];
   List.iter
     (fun n -> checkb (n ^ " kept out of all") false (List.mem n all))
-    [ "lfdeque_buggy"; "multiq_buggy"; "pool_park_buggy"; "pool_join_buggy" ];
+    [ "lfdeque_buggy"; "multiq_buggy"; "pool_park_buggy"; "pool_join_buggy"; "pool_request_buggy" ];
   checkb "the headline buggy scenario is lfdeque_buggy" true
     (Scenarios.buggy.Explore.name = "lfdeque_buggy");
   checkb "catalogue = planted bugs @ all" true
     (names Scenarios.catalogue
-     = [ "multiq_buggy"; "lfdeque_buggy"; "pool_park_buggy"; "pool_join_buggy" ] @ all);
+     = [
+         "multiq_buggy";
+         "lfdeque_buggy";
+         "pool_park_buggy";
+         "pool_join_buggy";
+         "pool_request_buggy";
+       ]
+       @ all);
   List.iter
     (fun n ->
       checkb (n ^ " found by name") true
@@ -254,7 +305,7 @@ let registered_points =
   go 0
 
 let test_point_ids_distinct () =
-  checkb "all known ids registered" true (registered_points >= 26);
+  checkb "all known ids registered" true (registered_points >= 29);
   let names = List.init registered_points Schedpoint.name in
   checki "names pairwise distinct" registered_points
     (List.length (List.sort_uniq compare names));
@@ -318,9 +369,12 @@ let test_points_hit () =
       (* pool points, including a deterministic await: the forked task
          [fa] is stolen by a helper domain and holds its promise open
          until the parent's await loop has emitted [pool_await], so the
-         slow path is taken every run, not by luck.  Spin-waits are
-         bounded: if the handshake wedges, the task returns and the
-         coverage assertion fails instead of the test hanging. *)
+         slow path is taken every run, not by luck.  The parent's second
+         branch keeps forking while it waits, so it passes a boundary
+         after the helper's request ([pool_request]) and answers it
+         ([pool_respond]) by publishing [fa].  Spin-waits are bounded:
+         if the handshake wedges, the task returns and the coverage
+         assertion fails instead of the test hanging. *)
       let pool = Pool.For_testing.create_detached ~workers:2 Pool.Work_stealing in
       (* a parking step on the idle pool: announce, then scan *)
       ignore (Pool.For_testing.park_step pool);
@@ -349,7 +403,9 @@ let test_points_hit () =
                 bounded_spin (fun () -> Atomic.get seen.(Schedpoint.pool_await));
                 1)
               (fun () ->
-                bounded_spin (fun () -> Atomic.get stolen);
+                bounded_spin (fun () ->
+                    ignore (Pool.fork_join ignore ignore);
+                    Atomic.get stolen);
                 2)
           in
           checki "handshake fork_join result" 3 (a + b));
@@ -359,9 +415,9 @@ let test_points_hit () =
          first take ([pool_crash_flag]), the quarantine that recovers the
          held task ([pool_quarantine], [pool_orphan_push]) and worker 0's
          steal-back of the orphan ([pool_orphan_pop]).  Worker 0 forks a
-         task, parks in its second branch until the helper has crashed
-         holding the first, then its await loop scans, quarantines and
-         reruns the orphan.  Spins are bounded: a wedged handshake makes
+         task, keeps forking in its second branch until the helper has
+         crashed holding the first, then its await loop scans,
+         quarantines and reruns the orphan.  Spins are bounded: a wedged handshake makes
          the coverage assertion fail rather than the test hang. *)
       let fault =
         Dfd_fault.Fault.create
@@ -391,12 +447,16 @@ let test_points_hit () =
             Pool.fork_join
               (fun () -> 10)
               (fun () ->
-                bounded_spin (fun () -> Atomic.get crashed);
+                bounded_spin (fun () ->
+                    ignore (Pool.fork_join ignore ignore);
+                    Atomic.get crashed);
                 20)
           in
           checki "crash handshake fork_join result" 30 (a + b));
       Domain.join chelper;
-      checki "crash handshake quarantined exactly one worker" 1 (Pool.quarantines cpool));
+      checki "crash handshake quarantined exactly one worker" 1 (Pool.quarantines cpool);
+      (* the pool scenarios' leaf work *)
+      Dfd_check.Scenarios.work ());
   for id = 0 to registered_points - 1 do
     if id <> Schedpoint.start then
       checkb
@@ -482,6 +542,8 @@ let () =
             test_park_buggy_caught;
           Alcotest.test_case "Pending-means-unstolen join caught and shrunk" `Quick
             test_join_buggy_caught;
+          Alcotest.test_case "dropped request caught as a hang and shrunk" `Quick
+            test_request_buggy_caught;
           Alcotest.test_case "correct scenarios pass" `Quick test_correct_scenarios_pass;
           Alcotest.test_case "lfdeque_grow passes CI seeds 1-3" `Quick
             (test_passes_ci_seeds Scenarios.lfdeque_grow);

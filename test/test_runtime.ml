@@ -45,6 +45,21 @@ let rec fib n =
     a + b
   end
 
+(* One guaranteed steal.  The right branch keeps forking until a thief
+   has run the left one, so its worker passes a fork boundary after every
+   request; an unstolen fork costs no sync op, and this run must publish
+   and steal.  Needs a worker domain. *)
+let forced_steal pool =
+  let taken = Atomic.make false in
+  Pool.run pool (fun () ->
+      ignore
+        (Pool.fork_join
+           (fun () -> Atomic.set taken true)
+           (fun () ->
+              spin_until ~snapshot:(fun () -> Pool.snapshot pool) (fun () ->
+                  ignore (Pool.fork_join ignore ignore);
+                  Atomic.get taken))))
+
 let test_fib () =
   List.iter
     (fun (policy, name) ->
@@ -222,24 +237,22 @@ let test_inline_join_exception () =
 let rec forks_of_fib n = if n < 2 then 0 else 1 + forks_of_fib (n - 1) + forks_of_fib (n - 2)
 
 (* The unstolen fork's exact sync-op cost on a pool with no worker
-   domains: push 2 (cell, bottom), pop 1 (bottom), take 1 (cell clear).
-   A join whose branch is the deque's last task also CASes [top] and
-   restores [bottom]: in fib n that is the n - 1 forks down the
-   leftmost spine, reached through forked branches only. *)
+   domains: 0.  Its push and its join's pop touch only the private part,
+   and with no other worker nothing is ever requested, parked or
+   published. *)
 let test_sync_ops_per_fork () =
   let pool = Pool.create ~domains:0 Pool.Work_stealing in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () ->
        checki "fib 20" 6765 (Pool.run pool (fun () -> fib 20));
-       checki "4 per fork, 2 more per last-task join"
-         ((4 * forks_of_fib 20) + (2 * (20 - 1)))
-         (Pool.sync_ops pool))
+       checki "0 per fork" 0 (Pool.sync_ops pool))
 
-(* Allocation per unstolen fork, measured as 23 words with [fib] above
+(* Allocation per unstolen fork, measured as 21 words with [fib] above
    (its two thunks included): nothing on the fork path may box again,
-   such as a sync-op cell wrapped as [Some] per call or a result stored
-   in a promise that only a thief would read.  Counts words, not time. *)
+   such as a task wrapped as [Some] in a deque cell, a sync-op cell
+   wrapped as [Some] per call or a result stored in a promise that only
+   a thief would read.  Counts words, not time. *)
 let test_fork_alloc_bound () =
   let pool = Pool.create ~domains:0 Pool.Work_stealing in
   Fun.protect
@@ -252,9 +265,9 @@ let test_fork_alloc_bound () =
        let forks = forks_of_fib 20 in
        (* a few hundred words of slack for [run]'s own fixed cost *)
        checkb
-         (Printf.sprintf "%.0f words for %d forks, at most 23 per fork" words forks)
+         (Printf.sprintf "%.0f words for %d forks, at most 21 per fork" words forks)
          true
-         (words <= float_of_int ((23 * forks) + 256)))
+         (words <= float_of_int ((21 * forks) + 256)))
 
 let test_nested_run_rejected () =
   with_pool Pool.Work_stealing (fun pool ->
@@ -298,32 +311,37 @@ let test_rank_error_instrumented () =
 let test_stats_counters () =
   with_pool Pool.Work_stealing (fun pool ->
       ignore (Pool.run pool (fun () -> fib 15));
+      forced_steal pool;
       let stats = Pool.stats pool in
       checkb "tasks ran" true (List.assoc "tasks_run" stats > 0);
       (* one alist entry per field of the [Pool.counters] record *)
       checkb "all counters present" true (List.length stats = 11);
       checkb "WS counts its sync ops" true (List.assoc "sync_ops" stats > 0))
 
-(* Both policies count their scheduling sync ops: a fib run reports a
-   positive total, and the count only grows — through the stats entry
-   and a second run.  Idle worker domains keep polling their empty
-   deques between reads, so successive reads are ordered, not equal. *)
+(* Both policies count their scheduling sync ops: a run with a steal
+   reports a positive total, and the count only grows — through the stats
+   entry and a second such run.  Idle worker domains keep polling between
+   reads, so successive reads are ordered, not equal. *)
 let test_sync_ops_counted policy () =
   with_pool policy (fun pool ->
-      ignore (Pool.run pool (fun () -> fib 15));
+      forced_steal pool;
       let first = Pool.sync_ops pool in
-      checkb "fib counts sync ops" true (first > 0);
+      checkb "a steal counts sync ops" true (first > 0);
       let listed = List.assoc "sync_ops" (Pool.stats pool) in
       checkb "stats entry reads the same count" true (listed >= first);
-      ignore (Pool.run pool (fun () -> fib 15));
+      forced_steal pool;
       checkb "a second run adds to the count" true (Pool.sync_ops pool > listed))
 
 (* Every deque call charges the calling worker's own cell: on a pool
-   with no worker domains, worker 0 runs a fork_join tree alone, so all
-   the sync ops land in its cell and worker 1's cell stays at 0. *)
+   with no worker domains, worker 0 runs a fork_join tree alone, then
+   publishes a task to its public deque and takes it back, so all the
+   sync ops land in its cell and worker 1's cell stays at 0. *)
 let test_sync_ops_per_worker policy () =
   let pool = Pool.For_testing.create_detached ~workers:2 policy in
-  Pool.For_testing.as_worker pool 0 (fun () -> checki "fib 12" 144 (fib 12));
+  Pool.For_testing.as_worker pool 0 (fun () ->
+      checki "fib 12" 144 (fib 12);
+      Pool.For_testing.push pool 0 ignore;
+      checkb "took the published task" true (Pool.For_testing.help pool 0));
   let c0 = !(Pool.For_testing.sync_cell pool 0) in
   checkb "worker 0 counted its sync ops" true (c0 > 0);
   checki "idle worker 1 counted none" 0 !(Pool.For_testing.sync_cell pool 1);
@@ -386,6 +404,45 @@ let test_deep_nesting () =
        with_pool policy (fun pool ->
            checki (name ^ " deep chain") 1 (Pool.run pool (fun () -> chain 500))))
     policies
+
+(* The crash-domain precondition: a worker's private part is empty at
+   every top-of-loop take, where an injected crash may fire.  Worker 0
+   forks fib trees; two helper domains play workers 1 and 2 through the
+   top-of-loop step and check their own private part before every take.
+   Stolen fib branches fork too, so the helpers' private parts are used
+   in between.  Worker 0 keeps forking until the helpers have stolen a
+   few times, so the check is not vacuous. *)
+let test_private_empty_at_top_take policy () =
+  let pool = Pool.For_testing.create_detached ~workers:3 policy in
+  let finished = Atomic.make false in
+  let takes = Array.init 3 (fun _ -> Atomic.make 0) in
+  let nonempty = Atomic.make 0 in
+  let helper i =
+    Domain.spawn (fun () ->
+        Pool.For_testing.as_worker pool i (fun () ->
+            while not (Atomic.get finished) do
+              if Pool.For_testing.private_len pool i <> 0 then Atomic.incr nonempty;
+              match Pool.For_testing.help_top pool i with
+              | `Ran -> Atomic.incr takes.(i)
+              | `Idle | `Stopped -> Domain.cpu_relax ()
+            done))
+  in
+  let helpers = [ helper 1; helper 2 ] in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set finished true;
+      List.iter Domain.join helpers)
+    (fun () ->
+       Pool.For_testing.as_worker pool 0 (fun () ->
+           spin_until ~snapshot:(fun () -> Pool.snapshot pool) (fun () ->
+               checki "fib 16" 987 (fib 16);
+               (Pool.counters pool).Pool.steals >= 4)));
+  checki "no top-of-loop take with a nonempty private part" 0 (Atomic.get nonempty);
+  checkb "the helpers took tasks" true (Atomic.get takes.(1) + Atomic.get takes.(2) > 0);
+  for w = 0 to 2 do
+    checki (Printf.sprintf "worker %d private part empty after the run" w) 0
+      (Pool.For_testing.private_len pool w)
+  done
 
 let test_zero_extra_domains () =
   (* degenerate pool: caller is the only worker; everything runs inline *)
@@ -504,6 +561,11 @@ let test_timeout_fires_and_pool_reusable () =
               with
               | () -> false
               | exception Pool.Timeout -> true);
+           (* every fork_join frame joined its branch while unwinding *)
+           for w = 0 to default_domains do
+             checki (Printf.sprintf "%s worker %d private part empty" name w) 0
+               (Pool.For_testing.private_len pool w)
+           done;
            (* drained and reusable *)
            checki (name ^ " clean run after timeout") 55 (Pool.run pool (fun () -> fib 10))))
     policies
@@ -645,6 +707,10 @@ let () =
           Alcotest.test_case "sequential runs" `Quick test_many_sequential_runs;
           Alcotest.test_case "deep nesting" `Quick test_deep_nesting;
           Alcotest.test_case "zero extra domains" `Quick test_zero_extra_domains;
+          Alcotest.test_case "WS private part empty at top-of-loop takes" `Quick
+            (test_private_empty_at_top_take Pool.Work_stealing);
+          Alcotest.test_case "DFD private part empty at top-of-loop takes" `Quick
+            (test_private_empty_at_top_take (Pool.Dfdeques { quota = 64 }));
         ] );
       ( "robustness",
         [

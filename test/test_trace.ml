@@ -357,13 +357,21 @@ let test_external_lane () =
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () ->
-      (* rerun until worker 1 has stolen, and so wedged: the caller then
-         waits on the stolen task until the timeout *)
+      (* rerun until worker 1 has stolen, and so wedged: the caller keeps
+         forking, so it answers worker 1's requests, until then, and its
+         join waits on the stolen task until the timeout *)
       let wedged () = List.assoc "worker_wedge" (Fault.counts fault) > 0 in
       let rounds = ref 0 in
       while (not (wedged ())) && !rounds < 50 do
         incr rounds;
-        try ignore (Pool.run ~timeout:0.2 pool (fun () -> fib 20)) with Pool.Timeout -> ()
+        try
+          Pool.run ~timeout:0.2 pool (fun () ->
+              ignore
+                (Pool.fork_join ignore (fun () ->
+                     while not (wedged ()) do
+                       ignore (Pool.fork_join ignore ignore)
+                     done)))
+        with Pool.Timeout -> ()
       done;
       checkb "worker 1 wedged" true (wedged ());
       checkb "external quarantine" true (Pool.quarantine pool (n_workers - 1)));
