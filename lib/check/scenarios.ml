@@ -462,10 +462,10 @@ let multiq_buggy =
 let rec forks_of_fib n = if n < 2 then 0 else 1 + forks_of_fib (n - 1) + forks_of_fib (n - 2)
 
 (* A detached pool whose worker 0 has forked and joined one empty branch
-   while the iteration is prepared.  Under DFDeques that puts worker 0's
-   deque in R, where thieves find its owner and ask it for work, before
-   any controlled thread runs; under work stealing a thief can ask any
-   worker at once.  The warm-up fork counts one task. *)
+   while the iteration is prepared.  Under both policies (work stealing
+   is DFDeques with K = ∞) that puts worker 0's deque in R, where thieves
+   find its owner and ask it for work, before any controlled thread
+   runs.  The warm-up fork counts one task. *)
 let warm_pool ?fault ~workers policy =
   let pool = Pool.For_testing.create_detached ?fault ~workers policy in
   Pool.For_testing.as_worker pool 0 (fun () -> ignore (Pool.fork_join ignore ignore));
@@ -560,6 +560,8 @@ let pool_scenario ~name ~descr ~policy ~leaf ~fork_join =
         (body, oracle));
   }
 
+(* Work stealing runs as DFDeques(∞): the same R-list paths as [pool_dfd],
+   with no quota give-ups. *)
 let pool_ws =
   pool_scenario ~name:"pool_ws"
     ~descr:"native pool, work stealing: fork-join fib with two helping workers"
@@ -683,12 +685,13 @@ let pool_crash_scenario ~name ~descr ~policy ~trigger =
         (body, oracle));
   }
 
-(* Trigger 1: the victim dies on its very first take — the leanest
-   quarantine, no deque to abandon.  Under work stealing the dead
-   worker's deque stays in place as a steal target. *)
+(* Trigger 1: the victim dies on its first take.  Work stealing runs as
+   DFDeques(∞), so the crash path is the DFDeques one: a thief adopts a
+   fresh R-list deque as it steals, and quarantine abandons it through the
+   death-certificate protocol and reaps it. *)
 let pool_crash_ws =
   pool_crash_scenario ~name:"pool_crash_ws"
-    ~descr:"native pool, work stealing: injected worker crash, quarantine and steal-back"
+    ~descr:"native pool, work stealing: injected worker crash, quarantine abandons and reaps"
     ~policy:Pool.Work_stealing ~trigger:1
 
 (* Trigger 1 again: a DFDeques thief adopts a fresh R-list deque as it
@@ -707,9 +710,10 @@ let pool_crash_dfd =
    deque, then read [n_parked]); thread 1 takes one parking step.  No
    task is ever taken, so whatever was pushed is still queued when the
    oracle runs.  A lost wake-up is the parker
-   deciding to sleep while a task is queued and no signal was sent.  The
-   policy is drawn per iteration, so the scan covers both the WS deque
-   array and, under DFDeques, a deque the push first inserts into R. *)
+   deciding to sleep while a task is queued and no signal was sent.
+   Under either policy the push first inserts worker 0's deque into R,
+   which the parker's scan walks; the policy is still drawn per
+   iteration, so both K = 32 and K = ∞ pools are covered. *)
 let park_scenario ~name ~descr ~step =
   {
     Explore.name;
@@ -769,8 +773,8 @@ let pool_park_buggy =
    publishes the branch; with a dropped request the thief asks again
    forever and the iteration runs out of steps.  Then worker 0 joins:
    it takes the branch back if nobody stole it, else waits for the
-   thief's outcome.  The policy is drawn per iteration, so under
-   DFDeques the thief finds the owner through its R deque. *)
+   thief's outcome.  Under either policy the thief finds the owner
+   through its R deque; the policy is still drawn per iteration. *)
 let request_scenario ~name ~descr ~boundary =
   {
     Explore.name;

@@ -38,7 +38,8 @@ val multiq_two_choice : Explore.scenario
     must be a live member and the leftmost of both sampled shards. *)
 
 val pool_ws : Explore.scenario
-(** Fork-join fib on the work-stealing pool, two helping workers.  Fails
+(** Fork-join fib on the work-stealing pool (DFDeques with K = ∞, so
+    the R-list paths without give-ups), two helping workers.  Fails
     on a wrong result, a leaked task, a [tasks_run] count other than the
     number of forks, or a forked branch that did not run exactly once
     (each fork counts the runs of its branch, inline ones included). *)
@@ -50,7 +51,8 @@ val pool_dfd : Explore.scenario
 val pool_crash_ws : Explore.scenario
 (** Fork-join fib with a one-shot [worker_crash] armed on the
     work-stealing pool: the victim dies holding one unstarted task,
-    survivors quarantine it and steal its leftovers back; the oracle
+    survivors quarantine it, abandon its R-list deque through the
+    death-certificate protocol and reap it; the oracle
     audits the lineage ledger (no task lost, none run twice) and the
     degraded worker count. *)
 

@@ -51,11 +51,12 @@ let take_slot s =
 
 type policy = Work_stealing | Dfdeques of { quota : int }
 
-(* A deque of the global list R (DFDeques only; the WS policy keeps one
-   bare [Lfdeque] per worker).  Task transfer is CAS-only through [Lfdeque] —
-   owner push/pop at the bottom, thief steals at the top, the sticky
-   owner certificate and the [is_dead] reap test all live inside the
-   structure, so there is no per-deque lock at all.  R membership lives
+(* A deque of the global list R, under both policies: a WS pool runs as
+   DFDeques with K = ∞, the paper's space-efficient work stealer.  Task
+   transfer is CAS-only through [Lfdeque] — owner push/pop at the
+   bottom, thief steals at the top, the sticky owner certificate and the
+   [is_dead] reap test all live inside the structure, so there is no
+   per-deque lock at all.  R membership lives
    in the lock-free [Multiq] (the deque's position is the [Multiq.entry]
    handle held in [dfd_deque] or by a sampling thief).  [did]/[born_us]
    feed the deque-lifecycle trace events. *)
@@ -148,11 +149,7 @@ type obs = {
 type t = {
   policy : policy;
   n_workers : int;  (** worker domains + the caller *)
-  (* --- Work_stealing: one lock-free deque per worker --------------- *)
-  ws_deques : slot Lfdeque.t array;
-      (** worker [w]'s deque is owned by [w] and never abandoned: a
-          quarantined worker's deque stays in place as a steal target. *)
-  (* --- Dfdeques: the relaxed ordered list R -------------------------
+  (* --- the relaxed ordered list R ------------------------------------
      No scheduling or event-recording path takes a mutex: only idle
      parking and respawn do, and neither holds a task.  R membership
      (insert, remove, the thief's insert-after-victim) is lock-free CAS
@@ -165,7 +162,8 @@ type t = {
   quota_left : int array;  (** owner-written only. *)
   dfd_quota : int Atomic.t;
       (** the current memory threshold K.  Seeded from the policy and
-          adjustable at runtime ({!set_quota}) so a supervisor can trade
+          adjustable at runtime ({!set_quota}; max_int, fixed, on a
+          WS pool) so a supervisor can trade
           throughput for the Theorem 4.4 space bound under memory
           pressure; workers pick the new value up at their next steal
           (quota refill), so adjustment costs one atomic store and no
@@ -505,18 +503,14 @@ let signal_work pool =
   end
 
 (* Whether any task sits where a worker could take it: the orphan stack,
-   then every WS deque or every live R member's deque.  Reads only (two
+   then every live R member's deque.  Reads only (two
    atomic loads per deque), allocates nothing.  Private parts are not
    scanned: another worker's private part can only be read without
    synchronization ([private_work]), and an owner that holds private
    work publishes it at its next fork or join once it sees a parked
    worker ({!park}). *)
 let work_queued pool =
-  Atomic.get pool.orphans <> []
-  ||
-  match pool.policy with
-  | Work_stealing -> Array.exists (fun q -> not (Lfdeque.is_empty q)) pool.ws_deques
-  | Dfdeques _ -> Multiq.exists (fun d -> not (Lfdeque.is_empty d.tasks)) pool.r
+  Atomic.get pool.orphans <> [] || Multiq.exists (fun d -> not (Lfdeque.is_empty d.tasks)) pool.r
 
 (* Whether some worker holds private work: a hint, read without
    synchronization from owner-only fields, so it may be stale.  It keeps
@@ -578,8 +572,8 @@ let park pool w =
   Mutex.unlock pool.idle_lock
 
 (* ------------------------------------------------------------------ *)
-(* DFDeques: lock-free R membership (Multiq CAS paths) and CAS-only     *)
-(* task transfer (Lfdeque)                                              *)
+(* Lock-free R membership (Multiq CAS paths) and CAS-only task          *)
+(* transfer (Lfdeque)                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let new_dq pool ~proc ~owner =
@@ -604,8 +598,11 @@ let note_r_insert pool w =
    because abandonment is sticky (a deque is never re-owned, so no push
    can follow the [None]) the certificate is stable once observed.
    Abandon and steal paths race to reap the same entry; [Multiq.remove]'s
-   one-winner CAS charges the removal exactly once. *)
-let reap_if_dead pool ~proc e =
+   one-winner CAS charges the removal exactly once, to [proc].  The
+   event goes to lane [lane] (default [proc]): a quarantiner charges the
+   dead worker but records on its own lane, so the dead worker's last
+   event, its fault, survives even a one-slot ring. *)
+let reap_if_dead ?lane pool ~proc e =
   let d = Multiq.value e in
   if Multiq.is_live e && Lfdeque.is_dead d.tasks
      && Multiq.remove ?ops:(ops pool proc) pool.r e
@@ -615,7 +612,9 @@ let reap_if_dead pool ~proc e =
     Registry.Counter.incr pool.obs.o_deques_deleted;
     if rings_live pool then begin
       let ts = now_us pool in
-      note pool ~ts ~proc (Event.Deque_deleted { did = d.did; residency = ts - d.born_us })
+      note pool ~ts
+        ~proc:(Option.value lane ~default:proc)
+        (Event.Deque_deleted { did = d.did; residency = ts - d.born_us })
     end
   end
 
@@ -702,7 +701,7 @@ let dfd_steal pool w =
       (* CAS-only steal of the victim's oldest task.  [None] covers both
          a genuinely drained deque and a lost top-CAS race — either way
          the attempt failed and the caller retries with backoff, exactly
-         like a WS thief losing a Chase–Lev race. *)
+         like a thief losing a Chase–Lev race. *)
       (match Lfdeque.steal ?ops:(ops pool w) victim.tasks with
        | None ->
          (* drained (or raced) between sample and steal; reap if dead,
@@ -789,8 +788,8 @@ let wedge_spin pool w =
    pool.  One winner (CAS on [quarantined]); the winner fences the slot
    (generation bump), recovers the held task exactly once (atomic
    exchange of [cur_task] — the owner's own pre-run exchange and this one
-   cannot both win), abandons the dead owner's DFDeques deque via the
-   sticky death-certificate protocol (sound because the owner is
+   cannot both win), abandons the dead owner's deque via the sticky
+   death-certificate protocol (sound because the owner is
    certifiably fenced: crashed domains have unwound, wedged ones spin
    without touching the pool, so no push can race the abandonment — the
    one relaxation of the owner-only [abandon] contract, audited in
@@ -809,19 +808,13 @@ let quarantine_as pool ~proc ~cause w =
     if Atomic.get pool.stopped.(w) then Atomic.decr pool.crashed_pending;
     let held = Atomic.exchange pool.cur_task.(w) None in
     let abandoned =
-      match pool.policy with
-      | Work_stealing ->
-        (* the dead worker's deque stays a valid steal target in place:
-           survivors steal its leftovers back naturally *)
-        false
-      | Dfdeques _ -> (
-          match pool.dfd_deque.(w) with
-          | None -> false
-          | Some e ->
-            pool.dfd_deque.(w) <- None;
-            Lfdeque.abandon ?ops:(ops pool w) (Multiq.value e).tasks;
-            reap_if_dead pool ~proc:w e;
-            true)
+      match pool.dfd_deque.(w) with
+      | None -> false
+      | Some e ->
+        pool.dfd_deque.(w) <- None;
+        Lfdeque.abandon ?ops:(ops pool w) (Multiq.value e).tasks;
+        reap_if_dead ~lane:proc pool ~proc:w e;
+        true
     in
     lineage_add pool { worker = w; cause; requeued = Option.is_some held; abandoned };
     (* The requeue comes after the abandonment and the ledger entry: the
@@ -858,16 +851,11 @@ let scan_crashed pool ~proc =
 (* Obtaining work                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let public_deque pool w =
-  match pool.policy with
-  | Work_stealing -> pool.ws_deques.(w)
-  | Dfdeques _ -> (dfd_own_deque pool w).tasks
-
 (* Push onto the worker's public deque, then read [n_parked]: the
    publisher's half of the wake-up handshake ({!park}). *)
 let publish pool w task =
   Schedpoint.point Schedpoint.pool_push;
-  Lfdeque.push ?ops:(ops pool w) (public_deque pool w) { run = task };
+  Lfdeque.push ?ops:(ops pool w) (dfd_own_deque pool w).tasks { run = task };
   signal_work pool
 
 (* The owner's answer: clear the request first, so a thief that asks
@@ -891,59 +879,28 @@ let boundary pool w s =
     respond pool w s
 
 (* A fork: plain writes to the private part, then the boundary check.
-   Under DFDeques the worker's deque must be in R, where thieves look for
-   owners to ask. *)
+   The worker's deque must be in R, where thieves look for owners to
+   ask. *)
 let push_local pool w task =
-  (match pool.policy with
-   | Dfdeques _ -> ignore (dfd_own_deque pool w)
-   | Work_stealing -> ());
+  ignore (dfd_own_deque pool w);
   let s = pstack pool w in
   push_private s task;
   boundary pool w s
 
-(* One attempt to obtain a task; lock-free on every path — WS and DFD
-   both go through CAS-only deques.  Only public parts are taken from:
-   the caller's own private part is empty here (see {!dfd_abandon}). *)
+(* One attempt to obtain a task; lock-free on every path, through
+   CAS-only deques.  Only public parts are taken from: the caller's own
+   private part is empty here (see {!dfd_abandon}). *)
 let try_get pool w =
   Schedpoint.point Schedpoint.pool_get;
   (* activity tick: single-writer; the clock wedge detection reads *)
   let c0 = pool.per_worker.(w) in
   c0.c_ticks <- c0.c_ticks + 1;
-  (* recovered orphans first (both policies): a task requeued from a
-     quarantined worker must not wait behind the deques.  One atomic load
-     when the stack is empty. *)
+  (* recovered orphans first: a task requeued from a quarantined worker
+     must not wait behind the deques.  One atomic load when the stack is
+     empty. *)
   match orphan_pop pool with
   | Some _ as t -> t
   | None -> (
-  match pool.policy with
-  | Work_stealing -> (
-      match Lfdeque.pop ?ops:(ops pool w) pool.ws_deques.(w) with
-      | Some got ->
-        let c = pool.per_worker.(w) in
-        c.c_local_pops <- c.c_local_pops + 1;
-        Registry.Counter.incr pool.obs.o_local_pops;
-        take_slot got
-      | None ->
-        if injected_steal_failure pool w then None
-        else begin
-          let victim = Prng.int pool.rngs.(w) pool.n_workers in
-          trace_steal_attempt pool w ~victim;
-          if victim = w then begin
-            note_steal_failure pool w;
-            None
-          end
-          else
-            let q = pool.ws_deques.(victim) in
-            match Lfdeque.steal ?ops:(ops pool w) q with
-            | Some got ->
-              note_steal_success pool w ~victim;
-              take_slot got
-            | None ->
-              note_steal_failure pool w;
-              if Lfdeque.is_empty q then request pool w victim;
-              None
-        end)
-  | Dfdeques _ -> (
       match pool.dfd_deque.(w) with
       | Some _ when pool.quota_left.(w) <= 0 ->
         (* memory quota exhausted: abandon the deque and steal *)
@@ -963,12 +920,13 @@ let try_get pool w =
           | Some got ->
             let c = pool.per_worker.(w) in
             c.c_local_pops <- c.c_local_pops + 1;
+            Registry.Counter.incr pool.obs.o_local_pops;
             take_slot got
           | None ->
             (* empty own deque: retire it, then steal *)
             dfd_abandon pool w;
             dfd_steal pool w)
-      | None -> dfd_steal pool w))
+      | None -> dfd_steal pool w)
 
 let run_task w t = t w
 
@@ -1009,11 +967,11 @@ let help_once ?(top = false) pool w =
   | None -> false
 
 (* Pop a published branch back if it is still at the bottom of the public
-   deque.  Physical equality identifies the task.  Both policies use the
-   same lock-free discipline: owner pop, and a pop that surfaces some
-   other task (possible only if ours was stolen) is pushed straight
-   back — the push-back is safe because only the owner pops its own
-   deque, so nothing was reordered underneath it.  The task was queued
+   deque.  Physical equality identifies the task.  Lock-free: owner pop,
+   and a pop that surfaces some other task (possible only if ours was
+   stolen) is pushed straight back — the push-back is safe because only
+   the owner pops its own deque, so nothing was reordered underneath it.
+   The task was queued
    nowhere between the pop and the push-back, so a worker may have
    parked in that window: the push-back signals like any publication. *)
 let pop_back pool w tasks task =
@@ -1046,12 +1004,9 @@ let try_pop_exact pool w task =
   else begin
     Schedpoint.point Schedpoint.pool_pop_exact;
     let got =
-      match pool.policy with
-      | Work_stealing -> pop_back pool w pool.ws_deques.(w) task
-      | Dfdeques _ -> (
-          match pool.dfd_deque.(w) with
-          | None -> false
-          | Some e -> pop_back pool w (Multiq.value e).tasks task)
+      match pool.dfd_deque.(w) with
+      | None -> false
+      | Some e -> pop_back pool w (Multiq.value e).tasks task
     in
     if got then note_task_start pool w;
     got
@@ -1216,21 +1171,18 @@ let make ?(registry = Registry.disabled) ?(flight = Tracer.disabled) ?(respawn_b
           { items = Array.make private_capacity no_task; lo = 0; hi = 0 })
     in
     Gc.minor ();
+    (* K = ∞ makes DFDeques the work stealer (DESIGN.md §1) *)
+    let k = match policy with Dfdeques { quota } -> quota | Work_stealing -> max_int in
     {
       policy;
       n_workers;
-      ws_deques = Array.init n_workers (fun w -> Lfdeque.create ~owner:w ());
       (* 2 shards per worker: enough spread that concurrent membership
          CAS retries stay rare, small enough that two-choice sampling
          still sees a meaningful fraction of R *)
       r = Multiq.create ~shards:(2 * n_workers) ();
       dfd_deque = Array.make n_workers None;
-      quota_left =
-        Array.make n_workers
-          (match policy with Dfdeques { quota } -> quota | Work_stealing -> max_int);
-      dfd_quota =
-        Atomic.make
-          (match policy with Dfdeques { quota } -> quota | Work_stealing -> max_int);
+      quota_left = Array.make n_workers k;
+      dfd_quota = Atomic.make k;
       per_worker =
         Array.init n_workers (fun _ ->
             {
@@ -1301,14 +1253,10 @@ let create ?domains ?(tracer = Tracer.disabled) ?(fault = Fault.none) ?registry 
    places [work_queued] scans: public parts and orphans, not private
    parts.  Exact once the pool is quiescent. *)
 let queued pool =
-  List.length (Atomic.get pool.orphans)
-  +
-  match pool.policy with
-  | Work_stealing -> Array.fold_left (fun n q -> n + Lfdeque.length q) 0 pool.ws_deques
-  | Dfdeques _ ->
-    List.fold_left
-      (fun n e -> n + Lfdeque.length (Multiq.value e).tasks)
-      0 (Multiq.members pool.r)
+  List.fold_left
+    (fun n e -> n + Lfdeque.length (Multiq.value e).tasks)
+    (List.length (Atomic.get pool.orphans))
+    (Multiq.members pool.r)
 
 (* After cancellation the deques may still hold queued tasks whose parents
    have unwound: run them all (they raise [Cancelled] immediately or are
@@ -1414,15 +1362,15 @@ let parallel_map f arr =
 
 let alloc_hint n =
   match self () with
-  | Some (w, pool) -> (
-      let c = pool.per_worker.(w) in
-      c.c_alloc_bytes <- c.c_alloc_bytes + n;
-      Registry.Counter.add pool.obs.o_alloc_bytes (max 0 n);
-      match pool.policy with
-      | Dfdeques _ ->
-        (* owner-only slot: no lock needed *)
-        pool.quota_left.(w) <- pool.quota_left.(w) - n
-      | Work_stealing -> ())
+  | Some (w, pool) ->
+    (* a negative hint would refund quota (and, from K = max_int,
+       overflow it into a spurious give-up); frees are not hints *)
+    if n < 0 then invalid_arg "Pool.alloc_hint: negative byte count";
+    let c = pool.per_worker.(w) in
+    c.c_alloc_bytes <- c.c_alloc_bytes + n;
+    Registry.Counter.add pool.obs.o_alloc_bytes n;
+    (* owner-only slot: no lock needed *)
+    pool.quota_left.(w) <- pool.quota_left.(w) - n
   | None ->
     (* aligned with every other pool operation: a hint from outside [run]
        would silently touch no quota, which hides bugs — reject it *)
@@ -1629,26 +1577,19 @@ let snapshot pool =
          (if e.requeued then " (task requeued)" else "")
          (if e.abandoned then " (deque abandoned)" else ""))
     (lineage pool);
-  (match pool.policy with
-   | Work_stealing ->
-     Array.iteri
-       (fun i d -> pf "  deque[worker %d]: %d tasks\n" i (Lfdeque.length d))
-       pool.ws_deques
-   | Dfdeques _ ->
-     (* lock-free Multiq walk: approximate while membership churns,
-        exact once the pool is idle — same contract as the counters *)
-     let ms = Multiq.members pool.r in
-     pf "  R has %d deques across %d shards\n" (List.length ms)
-       (Multiq.shard_count pool.r);
-     List.iter
-       (fun e ->
-          let d = Multiq.value e in
-          pf "  deque #%d owner=%s shard=%d: %d tasks\n" d.did
-            (match Lfdeque.owner d.tasks with None -> "-" | Some w -> string_of_int w)
-            (Multiq.shard_of e) (Lfdeque.length d.tasks))
-       ms;
-     pf "  K=%d\n" (Atomic.get pool.dfd_quota);
-     Array.iteri (fun i q -> pf "  quota_left[worker %d]=%d\n" i q) pool.quota_left);
+  (* lock-free Multiq walk: approximate while membership churns, exact
+     once the pool is idle — same contract as the counters *)
+  let ms = Multiq.members pool.r in
+  pf "  R has %d deques across %d shards\n" (List.length ms) (Multiq.shard_count pool.r);
+  List.iter
+    (fun e ->
+       let d = Multiq.value e in
+       pf "  deque #%d owner=%s shard=%d: %d tasks\n" d.did
+         (match Lfdeque.owner d.tasks with None -> "-" | Some w -> string_of_int w)
+         (Multiq.shard_of e) (Lfdeque.length d.tasks))
+    ms;
+  pf "  K=%d\n" (Atomic.get pool.dfd_quota);
+  Array.iteri (fun i q -> pf "  quota_left[worker %d]=%d\n" i q) pool.quota_left;
   Buffer.contents b
 
 let shutdown pool =
@@ -1741,6 +1682,8 @@ module For_testing = struct
   let sync_cell = sync_cell
 
   let queued = queued
+
+  let r_size pool = Multiq.size pool.r
 
   let private_len pool w =
     let s = pstack pool w in

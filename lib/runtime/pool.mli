@@ -5,12 +5,13 @@
     scheduling algorithms that the simulator analyses, driving real OCaml
     closures on real domains.
 
-    - {!Work_stealing} — one {e lock-free Chase–Lev deque}
-      ({!Dfd_structures.Lfdeque}, the same deque DFDeques uses) per
-      worker, LIFO locally, thieves pop the bottom of a uniformly random
-      victim (Blumofe–Leiserson / Cilk).  The owner's push/pop takes no
-      lock and no CAS except on the last element; steals are arbitrated
-      by one CAS.
+    - {!Work_stealing} — the space-efficient work stealer, run as
+      {!Dfdeques} with K = ∞ (the paper's equivalence, DESIGN.md §1): no
+      quota give-ups, so each worker keeps one deque until it runs dry,
+      R holds no more than [p] deques (outside crash recovery, whose
+      abandoned deque may still hold tasks), and a thief's victim is the
+      same two-choice, leftmost-biased R sample, not a uniform draw.
+      Such a pool has no quota to read or set.
     - {!Dfdeques} — the paper's algorithm: a globally ordered list R of
       deques; thieves pop the bottom of a deque near the leftmost-[p]
       window; a cooperative memory quota (fed by {!alloc_hint}) makes a
@@ -191,11 +192,13 @@ val parallel_prefix_sum : zero:'a -> op:('a -> 'a -> 'a) -> 'a array -> 'a array
 
 val alloc_hint : int -> unit
 (** Report [n] bytes of allocation to the scheduler.  Under {!Dfdeques}
-    this feeds the memory quota; under {!Work_stealing} only the
-    [alloc_bytes] counter is touched (the pressure signal is still
-    useful).  Called from outside {!run} it raises {!Not_in_pool}, like
-    every other pool operation — a hint with no pool to charge is a
-    bug, not a no-op. *)
+    this feeds the memory quota; under {!Work_stealing} (K = ∞) it can
+    never exhaust it, so only the [alloc_bytes] counter shows it (the
+    pressure signal is still useful).  Raises [Invalid_argument] for
+    [n < 0], before touching any counter: a hint reports allocation,
+    never a free.  Called from outside {!run} it raises {!Not_in_pool},
+    like every other pool operation — a hint with no pool to charge is
+    a bug, not a no-op. *)
 
 val quota : t -> int option
 (** The current memory threshold K of a {!Dfdeques} pool; [None] under
@@ -220,9 +223,9 @@ type counters = {
   alloc_bytes : int;  (** total bytes reported via {!alloc_hint} (both policies) *)
   parks : int;  (** times an idle worker parked on the condition variable *)
   r_inserts : int;
-      (** R-membership inserts (own-deque creations + thief adoptions;
-          DFDeques only) *)
-  r_removes : int;  (** deques reaped from R (DFDeques only) *)
+      (** R-membership inserts (own-deque creations + thief adoptions),
+          both policies *)
+  r_removes : int;  (** deques reaped from R, both policies *)
   sync_ops : int;
       (** synchronization operations (atomic RMWs and publishing stores,
           CAS retries included) on scheduling paths, both policies *)
@@ -242,8 +245,8 @@ val sync_ops : t -> int
     request, an owner's response (clearing the flag, publishing to the
     public part), public pop and steal under both policies, the
     promise's publishing store of each task taken from a deque, a taken
-    task's hand-over through its worker's held-task slot, plus
-    abandonment, reap and R membership under {!Dfdeques} — summed across
+    task's hand-over through its worker's held-task slot, abandonment,
+    reap and R membership — summed across
     the per-worker single-writer cells.  An unstolen, unpublished fork
     costs 0: its push and its join's pop touch only the private part.
     The Rito & Paulino sync-overhead metric, which is bounded by
@@ -254,12 +257,12 @@ val sync_ops : t -> int
     Same staleness contract as {!val-counters}. *)
 
 val rank_error : t -> Dfd_structures.Stats.Histogram.t
-(** Distribution of the rank error of every successful DFDeques steal:
-    how many positions outside the exact leftmost-[min(p,|R|)] window
-    the sampled victim sat (0 = the steal was indistinguishable from
-    the exact discipline).  Merged from per-worker single-writer
-    histograms at read, like {!val-counters}; always empty under
-    {!Work_stealing}. *)
+(** Distribution of the rank error of every successful steal, one
+    sample per steal under both policies: how many positions outside
+    the exact leftmost-[min(p,|R|)] window the sampled victim sat (0 =
+    the steal was indistinguishable from the exact discipline).  Merged
+    from per-worker single-writer histograms at read, like
+    {!val-counters}. *)
 
 val heartbeat : t -> int
 (** Monotonic progress counter: total tasks started across all workers.
@@ -280,8 +283,8 @@ val heartbeat : t -> int
     taken-but-unstarted task exactly once (atomic exchange against the
     owner), requeues it through a lock-free orphan stack that all
     workers drain ahead of their deques, abandons the dead owner's
-    DFDeques deque through the sticky death-certificate protocol so
-    survivors steal its queued tasks back, and appends an audit record
+    deque through the sticky death-certificate protocol so survivors
+    steal its queued tasks back, and appends an audit record
     to the {!lineage} ledger.  The pool then runs degraded at
     [p - 1] — the Theorem 4.4 space bound [S1 + c·min(K,S1)·p·D]
     shrinks gracefully with it (see [Dfd_obs.Headroom.set_p]) — until
@@ -294,7 +297,7 @@ type lineage_entry = {
   worker : int;
   cause : string;  (** ["crash"], ["wedge"] or ["respawn"]. *)
   requeued : bool;  (** a held task was recovered through the orphan stack. *)
-  abandoned : bool;  (** a DFDeques deque was abandoned on the owner's behalf. *)
+  abandoned : bool;  (** the owner's deque was abandoned on its behalf. *)
 }
 
 type worker_state = {
@@ -366,8 +369,9 @@ val flight : t -> Dfd_trace.Tracer.t
 val snapshot : t -> string
 (** Human-readable diagnostic dump: policy, counters, queued-task, parking and
     cancellation state, per-worker private-part length and raised
-    request flag, per-public-deque occupancy (and per-worker quota under
-    {!Dfdeques}), and the total injected-fault count.  Its [queued] is
+    request flag, per-public-deque occupancy in R, K and per-worker
+    quota (max_int under {!Work_stealing}), and the total
+    injected-fault count.  Its [queued] is
     the public count of {!For_testing.queued}; the private lengths are
     listed separately.  All reads are lock-free (per-worker counter
     aggregates; unsynchronized reads of owner-only private parts; a
@@ -419,10 +423,16 @@ module For_testing : sig
 
   val queued : t -> int
   (** Tasks queued where a worker could take them — the orphan stack plus
-      every WS public deque, or every live R member's public deque.  It
+      every live R member's public deque.  It
       does not count private parts, which only their owners read
       exactly (see {!private_len}).  0 once a computation is quiescent:
       the checker's leak oracle, with {!private_len}. *)
+
+  val r_size : t -> int
+  (** Deques in R ({!Dfd_structures.Multiq.size}): a lock-free read,
+      exact once the pool is quiescent.  Under {!Work_stealing} it does
+      not exceed the worker count outside crash recovery: the paper's
+      K = ∞ fact. *)
 
   val private_len : t -> int -> int
   (** Tasks in worker [w]'s private part.  Exact from [w]'s own thread or

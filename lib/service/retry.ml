@@ -34,20 +34,11 @@ let next_delay t =
 
 (* Terminal-error classification: exception classes for which a retry is
    guaranteed to fail the same way, so attempting one only burns the
-   budget.  The built-ins are the deterministic programming-bug classes;
-   layers above (the service's [Supervisor_giveup]) register their own
-   typed terminal errors here, since this module cannot name exceptions
-   defined later in the dependency order. *)
-let terminal_predicates : (exn -> bool) list ref = ref []
-
-let register_terminal p = terminal_predicates := p :: !terminal_predicates
-
-let is_terminal e =
-  (match e with
-   | Invalid_argument _ | Assert_failure _ | Match_failure _ | Undefined_recursive_module _ ->
-     true
-   | _ -> false)
-  || List.exists (fun p -> p e) !terminal_predicates
+   budget: the deterministic programming-bug classes.  The service adds
+   its own [Supervisor_giveup] at its one call site. *)
+let is_terminal = function
+  | Invalid_argument _ | Assert_failure _ | Match_failure _ | Undefined_recursive_module _ -> true
+  | _ -> false
 
 let schedule pol ~seed ~job =
   let t = create pol ~seed ~job in

@@ -54,14 +54,8 @@ val schedule : policy -> seed:int -> job:int -> int list
 val is_terminal : exn -> bool
 (** Is this exception class {e terminal} — deterministic, so a retry is
     guaranteed to fail identically and would only burn the budget?
-    Built-ins: [Invalid_argument], [Assert_failure], [Match_failure],
-    [Undefined_recursive_module].  Extended by {!register_terminal};
-    the service registers its [Supervisor_giveup] this way.  The
-    executor consults this on every attempt exception so a terminal
-    failure is acknowledged [Failed] immediately instead of cycling
-    through the backoff schedule. *)
-
-val register_terminal : (exn -> bool) -> unit
-(** Register an additional terminal-exception predicate (used by layers
-    whose exception types this module cannot name).  Predicates are
-    consulted by {!is_terminal} in any order; they must be pure. *)
+    The classes: [Invalid_argument], [Assert_failure], [Match_failure],
+    [Undefined_recursive_module].  The service's executor consults this,
+    and its own [Supervisor_giveup], on every attempt exception so a
+    terminal failure is acknowledged [Failed] immediately instead of
+    cycling through the backoff schedule. *)

@@ -46,7 +46,7 @@ exception Supervisor_giveup of string
 (* A give-up is a typed terminal verdict: if it escapes into a job's work
    closure (nested service, callback), retrying that job would burn its
    whole backoff budget reaching the same verdict. *)
-let () = Retry.register_terminal (function Supervisor_giveup _ -> true | _ -> false)
+let is_giveup = function Supervisor_giveup _ -> true | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Jobs and the executor protocol                                      *)
@@ -79,7 +79,7 @@ type exec_result =
   | R_cancelled_leak  (** [Pool.Cancelled] escaped [run] — a pool bug; surfaced, never swallowed. *)
   | R_exn of { msg : string; retryable : bool }
       (** [retryable] is classified at the raise site ({!Retry.is_terminal}
-          needs the live exception, not its string). *)
+          and [is_giveup] need the live exception, not its string). *)
 
 (* The driver/executor mailbox.  Single-writer per transition:
    the driver writes [Assigned] (only over [Idle]) and [Idle] (only over
@@ -114,7 +114,7 @@ let executor_loop ep =
         | exception Pool.Timeout -> R_timeout
         | exception Pool.Cancelled -> R_cancelled_leak
         | exception e ->
-          R_exn { msg = Printexc.to_string e; retryable = not (Retry.is_terminal e) }
+          R_exn { msg = Printexc.to_string e; retryable = not (Retry.is_terminal e || is_giveup e) }
       in
       Atomic.set ep.cell (Finished { job_id = job.id; result });
       loop 0
@@ -644,7 +644,8 @@ let respawn t ~in_flight =
   t.epoch <- spawn_epoch t
 
 (* Schedule a retry (with backoff) or acknowledge the final failure.
-   [retryable:false] (a terminal error class per {!Retry.is_terminal})
+   [retryable:false] (a terminal error class per {!Retry.is_terminal},
+   or a give-up)
    skips the backoff schedule entirely: the remaining budget would be
    burned reaching the same deterministic failure. *)
 let fail_path ?(retryable = true) t (job : job) msg =

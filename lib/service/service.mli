@@ -104,7 +104,9 @@ val default_config : config
 
 exception Supervisor_giveup of string
 (** More than [max_respawns] pool respawns: the supervisor refuses to
-    keep restarting a pool that keeps wedging. *)
+    keep restarting a pool that keeps wedging.  Terminal like the
+    {!Retry.is_terminal} classes: a job whose work raises it fails on
+    that attempt, with no retry. *)
 
 type t
 

@@ -38,6 +38,11 @@ let spin_until ?(limit_ms = 20_000) ~snapshot cond =
 
 let policies = [ (Pool.Work_stealing, "WS"); (Pool.Dfdeques { quota = 4096 }, "DFD") ]
 
+let has_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let rec fib n =
   if n < 2 then n
   else begin
@@ -239,14 +244,20 @@ let rec forks_of_fib n = if n < 2 then 0 else 1 + forks_of_fib (n - 1) + forks_o
 (* The unstolen fork's exact sync-op cost on a pool with no worker
    domains: 0.  Its push and its join's pop touch only the private part,
    and with no other worker nothing is ever requested, parked or
-   published. *)
+   published.  The first fork puts worker 0's deque in R, where thieves
+   would look for it: a cost per deque lifetime, paid once here, since
+   the deque is never emptied by a take and so never abandoned. *)
 let test_sync_ops_per_fork () =
   let pool = Pool.create ~domains:0 Pool.Work_stealing in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
     (fun () ->
+       checki "fib 10" 55 (Pool.run pool (fun () -> fib 10));
+       checki "one R insert" 1 (Pool.counters pool).Pool.r_inserts;
+       let insert = Pool.sync_ops pool in
        checki "fib 20" 6765 (Pool.run pool (fun () -> fib 20));
-       checki "0 per fork" 0 (Pool.sync_ops pool))
+       checki "0 per fork" 0 (Pool.sync_ops pool - insert);
+       checki "still one R insert" 1 (Pool.counters pool).Pool.r_inserts)
 
 (* Allocation per unstolen fork, measured as 21 words with [fib] above
    (its two thunks included): nothing on the fork path may box again,
@@ -303,10 +314,46 @@ let test_rank_error_instrumented () =
       checki "rank samples = steals" c.Pool.steals (Stats.Histogram.count h);
       checkb "inserts cover removes" true (c.Pool.r_inserts >= c.Pool.r_removes);
       checkb "removes non-negative" true (c.Pool.r_removes >= 0));
+  (* a WS pool is DFDeques with K = ∞: the same fact, with a steal forced
+     so it is not vacuous *)
   with_pool Pool.Work_stealing (fun pool ->
       ignore (Pool.run pool (fun () -> fib 12));
-      checkb "WS records no rank error" true
-        (Stats.Histogram.is_empty (Pool.rank_error pool)))
+      forced_steal pool;
+      let steals = (Pool.counters pool).Pool.steals in
+      checkb "WS stole" true (steals > 0);
+      checki "WS rank samples = steals" steals (Stats.Histogram.count (Pool.rank_error pool)))
+
+(* The paper's fact about DFDeques with K = ∞, which a WS pool runs:
+   never a quota give-up, and never more than p deques in R, since each
+   worker owns at most one and gives it up only once it is empty.  |R| is
+   polled from the test thread while fib and psort run on a pool driven
+   from another domain, and read again once the pool is quiescent. *)
+let test_ws_r_at_most_p () =
+  let p = default_domains + 1 in
+  with_pool Pool.Work_stealing (fun pool ->
+      let max_r = ref 0 in
+      let observe () = max_r := max !max_r (Pool.For_testing.r_size pool) in
+      let run_polled name f =
+        let finished = Atomic.make false in
+        let d =
+          Domain.spawn (fun () ->
+              Fun.protect ~finally:(fun () -> Atomic.set finished true) (fun () -> Pool.run pool f))
+        in
+        spin_until ~snapshot:(fun () -> Pool.snapshot pool) (fun () ->
+            observe ();
+            Atomic.get finished);
+        Domain.join d;
+        let r = Pool.For_testing.r_size pool in
+        checkb (Printf.sprintf "%s: |R| = %d <= p = %d once quiescent" name r p) true (r <= p)
+      in
+      run_polled "fib" (fun () -> checki "fib 22" 17711 (fib 22));
+      let rng = Dfd_structures.Prng.create 7 in
+      let arr = Array.init 100_000 (fun _ -> Dfd_structures.Prng.int rng 1_000_000) in
+      run_polled "psort" (fun () -> Dfd_runtime.Psort.sort ~cutoff:512 ~cmp:compare arr);
+      checkb "psort sorted" true (Dfd_runtime.Psort.sorted ~cmp:compare arr);
+      checkb (Printf.sprintf "max |R| = %d <= p = %d while running" !max_r p) true
+        (!max_r >= 1 && !max_r <= p);
+      checki "no quota give-ups" 0 (Pool.counters pool).Pool.quota_giveups)
 
 let test_stats_counters () =
   with_pool Pool.Work_stealing (fun pool ->
@@ -532,6 +579,10 @@ let test_worker_crash_mid_psort () =
             checki (name ^ " degraded to p-1") 3 (Pool.degraded_p pool);
             checki (name ^ " held task requeued exactly once") 1
               (List.length (List.filter (fun e -> e.Pool.requeued) (Pool.lineage pool)));
+            (* the victim's first take was a steal, which gave it a fresh R
+               deque; quarantine abandons it under both policies *)
+            checkb (name ^ " the dead worker's deque abandoned") true
+              (List.exists (fun e -> e.Pool.abandoned) (Pool.lineage pool));
             (match Pool.verify_lineage pool with
              | Ok () -> ()
              | Error m -> Alcotest.failf "%s lineage audit: %s" name m);
@@ -604,6 +655,25 @@ let test_alloc_hint_outside_run () =
        false
      with Pool.Not_in_pool -> true)
 
+(* A negative hint is rejected before it touches any counter: it would
+   refund quota, and from K = max_int overflow it into a give-up. *)
+let test_alloc_hint_negative () =
+  List.iter
+    (fun (policy, name) ->
+       with_pool policy (fun pool ->
+           checkb (name ^ " negative alloc_hint raises Invalid_argument") true
+             (Pool.run pool (fun () ->
+                  match Pool.alloc_hint (-1) with
+                  | () -> false
+                  | exception Invalid_argument _ -> true));
+           let c = Pool.counters pool in
+           checki (name ^ " alloc_bytes untouched") 0 c.Pool.alloc_bytes;
+           checki (name ^ " no quota give-up") 0 c.Pool.quota_giveups;
+           let k = Option.value (Pool.quota pool) ~default:max_int in
+           checkb (name ^ " worker 0's quota untouched") true
+             (has_sub (Pool.snapshot pool) (Printf.sprintf "quota_left[worker 0]=%d\n" k))))
+    policies
+
 let test_dynamic_quota () =
   with_pool (Pool.Dfdeques { quota = 10_000 }) (fun pool ->
       Alcotest.(check (option int)) "initial quota" (Some 10_000) (Pool.quota pool);
@@ -658,11 +728,7 @@ let test_snapshot_mentions_state () =
        with_pool policy (fun pool ->
            ignore (Pool.run pool (fun () -> fib 10));
            let s = Pool.snapshot pool in
-           let has sub =
-             let n = String.length s and m = String.length sub in
-             let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-             go 0
-           in
+           let has = has_sub s in
            checkb (name ^ " snapshot has counters") true (has "tasks_run");
            checkb (name ^ " snapshot has queue state") true (has "queued=0")))
     policies
@@ -703,6 +769,7 @@ let () =
           Alcotest.test_case "sync ops per unstolen fork" `Quick test_sync_ops_per_fork;
           Alcotest.test_case "allocation per unstolen fork" `Quick test_fork_alloc_bound;
           Alcotest.test_case "rank error instrumented" `Quick test_rank_error_instrumented;
+          Alcotest.test_case "WS |R| <= p, no quota give-ups" `Quick test_ws_r_at_most_p;
           Alcotest.test_case "heartbeat" `Quick test_heartbeat_monotonic;
           Alcotest.test_case "sequential runs" `Quick test_many_sequential_runs;
           Alcotest.test_case "deep nesting" `Quick test_deep_nesting;
@@ -723,6 +790,7 @@ let () =
             test_timeout_fires_and_pool_reusable;
           Alcotest.test_case "two consecutive timeouts" `Quick test_two_consecutive_timeouts;
           Alcotest.test_case "alloc_hint outside run" `Quick test_alloc_hint_outside_run;
+          Alcotest.test_case "negative alloc_hint rejected" `Quick test_alloc_hint_negative;
           Alcotest.test_case "dynamic quota" `Quick test_dynamic_quota;
           Alcotest.test_case "alloc_bytes counter" `Quick test_alloc_bytes_counter;
           Alcotest.test_case "timeout not spurious" `Quick test_timeout_not_spurious;

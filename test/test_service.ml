@@ -576,28 +576,32 @@ let test_surgical_quarantine_over_pool_respawn () =
     [ Pool.Work_stealing; Pool.Dfdeques { quota = 4096 } ]
 
 (* Terminal error classes skip the retry schedule entirely: the job
-   fails on its first attempt with zero retries scheduled.  A plain
+   fails on its first attempt with zero retries scheduled.  So does a
+   job whose work raises the service's own [Supervisor_giveup].  A plain
    [Failure] stays retryable — the budget still applies to it. *)
 let test_terminal_errors_not_retried () =
   checkb "Invalid_argument is terminal" true (Retry.is_terminal (Invalid_argument "x"));
-  checkb "Supervisor_giveup is terminal" true
-    (Retry.is_terminal (Service.Supervisor_giveup "wedged"));
   checkb "Failure stays retryable" false (Retry.is_terminal (Failure "boom"));
   checkb "Not_found stays retryable" false (Retry.is_terminal Not_found);
   with_service Pool.Work_stealing (fun svc ->
-      let runs = Atomic.make 0 in
-      let id =
-        Result.get_ok
-          (sub svc ~class_:"fatal" (fun () ->
-               Atomic.incr runs;
-               invalid_arg "schema mismatch"))
+      let fails_once name raise_it =
+        let runs = Atomic.make 0 in
+        let id =
+          Result.get_ok
+            (sub svc ~class_:"fatal" (fun () ->
+                 Atomic.incr runs;
+                 raise_it ()))
+        in
+        Service.drive svc;
+        checki (name ^ ": ran exactly once") 1 (Atomic.get runs);
+        let e = entry svc id in
+        checkb (name ^ ": failed terminally") true
+          (match e.Service.outcome with Some (Service.Failed _) -> true | _ -> false);
+        checki (name ^ ": single attempt recorded") 1 e.Service.attempts
       in
-      Service.drive svc;
-      checki "ran exactly once" 1 (Atomic.get runs);
-      let e = entry svc id in
-      checkb "failed terminally" true
-        (match e.Service.outcome with Some (Service.Failed _) -> true | _ -> false);
-      checki "single attempt recorded" 1 e.Service.attempts;
+      fails_once "Invalid_argument" (fun () -> invalid_arg "schema mismatch");
+      fails_once "Supervisor_giveup is terminal" (fun () ->
+          raise (Service.Supervisor_giveup "wedged"));
       checki "no retries scheduled" 0 (Service.counters svc).Service.retries;
       (match Service.verify_ledger svc with
        | Ok () -> ()

@@ -320,12 +320,9 @@ let test_pool_tracing policy () =
     (Tracer.count tracer (Event.Action_batch { units = 0 }));
   checki "one Steal_success per steal" c.Pool.steals
     (Tracer.count tracer (Event.Steal_success { victim = 0; latency = 0 }));
-  (match policy with
-   | Pool.Dfdeques _ ->
-     checki "one Steal_rank per rank-error sample"
-       (Stats.Histogram.count (Pool.rank_error pool))
-       (Tracer.count tracer (Event.Steal_rank { victim = 0; rank = 0; err = 0 }))
-   | Pool.Work_stealing -> ());
+  checki "one Steal_rank per rank-error sample"
+    (Stats.Histogram.count (Pool.rank_error pool))
+    (Tracer.count tracer (Event.Steal_rank { victim = 0; rank = 0; err = 0 }));
   let evs = Tracer.events tracer in
   check_procs ~n_workers:(domains + 1) evs;
   let ts = List.map (fun (e : Event.t) -> e.ts) evs in
