@@ -1356,7 +1356,7 @@ let parallel_map f arr =
   if n = 0 then [||]
   else begin
     let out = Array.make n (f arr.(0)) in
-    parallel_for ~lo:0 ~hi:n (fun i -> out.(i) <- f arr.(i));
+    parallel_for ~lo:1 ~hi:n (fun i -> out.(i) <- f arr.(i));
     out
   end
 

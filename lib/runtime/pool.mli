@@ -179,7 +179,8 @@ val parallel_for : lo:int -> hi:int -> (int -> unit) -> unit
     loop encoding.  Must be called from inside {!run}. *)
 
 val parallel_map : ('a -> 'b) -> 'a array -> 'b array
-(** Parallel array map built on {!parallel_for}. *)
+(** Parallel array map built on {!parallel_for}; [f] is applied exactly
+    once per element. *)
 
 val parallel_reduce : zero:'a -> op:('a -> 'a -> 'a) -> lo:int -> hi:int -> (int -> 'a) -> 'a
 (** Binary fork-join tree reduction of [f lo ... f (hi-1)] with an

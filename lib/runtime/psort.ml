@@ -1,6 +1,8 @@
-(* Parallel mergesort with parallel merge.  [sort_into] sorts src[lo,hi)
-   writing the result into dst[lo,hi); alternating the direction of the
-   recursion avoids copying at every level. *)
+(* Parallel mergesort with parallel merge.  [msort] sorts src[lo,hi)
+   leaving the result in src or in the scratch array; alternating the
+   direction of the recursion avoids copying at every level.  Ranges at
+   most [cutoff] long take the same recursion without forking, down to
+   insertion-sorted runs, so the serial part allocates nothing. *)
 
 let sorted ~cmp arr =
   let n = Array.length arr in
@@ -17,7 +19,23 @@ let lower_bound ~cmp src x lo hi =
   done;
   !lo
 
+(* Serial ranges at most this long are insertion-sorted. *)
+let run_length = 16
+
+(* Insertion-sort src[lo,hi) into dst[lo,hi); [dst] may be [src]. *)
+let insertion ~cmp src dst lo hi =
+  for i = lo to hi - 1 do
+    let x = src.(i) in
+    let j = ref i in
+    while !j > lo && cmp dst.(!j - 1) x > 0 do
+      dst.(!j) <- dst.(!j - 1);
+      decr j
+    done;
+    dst.(!j) <- x
+  done
+
 let sort ?(cutoff = 2048) ~cmp arr =
+  if cutoff < 1 then invalid_arg "Psort.sort: cutoff must be positive";
   let n = Array.length arr in
   if n > 1 then begin
     let scratch = Array.copy arr in
@@ -68,18 +86,23 @@ let sort ?(cutoff = 2048) ~cmp arr =
     in
     (* sort src[lo,hi); the result lands in src if [into_src], else in dst *)
     let rec msort src dst lo hi into_src =
-      if hi - lo <= cutoff then begin
-        let seg = Array.sub src lo (hi - lo) in
-        Array.sort cmp seg;
-        Array.blit seg 0 (if into_src then src else dst) lo (hi - lo)
-      end
+      if hi - lo <= cutoff && hi - lo <= run_length then
+        insertion ~cmp src (if into_src then src else dst) lo hi
       else begin
         let mid = (lo + hi) / 2 in
-        let (), () =
-          Pool.fork_join
-            (fun () -> msort src dst lo mid (not into_src))
-            (fun () -> msort src dst mid hi (not into_src))
-        in
+        if hi - lo > cutoff then begin
+          let (), () =
+            Pool.fork_join
+              (fun () -> msort src dst lo mid (not into_src))
+              (fun () -> msort src dst mid hi (not into_src))
+          in
+          ()
+        end
+        else begin
+          (* no closures below the cutoff *)
+          msort src dst lo mid (not into_src);
+          msort src dst mid hi (not into_src)
+        end;
         (* halves are sorted in the opposite array; merge back *)
         if into_src then merge dst src lo mid mid hi lo
         else merge src dst lo mid mid hi lo

@@ -10,8 +10,11 @@
 
 val sort : ?cutoff:int -> cmp:('a -> 'a -> int) -> 'a array -> unit
 (** In-place parallel mergesort.  Must be called from inside {!Pool.run}.
-    [cutoff] (default 2048): subarrays at most this long use
-    [Array.sort]. *)
+    [cutoff] (default 2048): ranges at most this long are sorted serially
+    by the same merge sort, with no fork and no allocation (reading a
+    [float array] from this polymorphic code boxes each element read);
+    beyond its forks, the sort allocates one scratch copy of the array.
+    @raise Invalid_argument if [cutoff < 1], before any fork. *)
 
 val sorted : cmp:('a -> 'a -> int) -> 'a array -> bool
 (** Is the array non-decreasing under [cmp]?  (Test helper.) *)

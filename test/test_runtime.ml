@@ -95,12 +95,25 @@ let test_parallel_for_sum () =
     policies
 
 let test_parallel_map () =
-  with_pool Pool.Work_stealing (fun pool ->
-      let input = Array.init 1000 (fun i -> i) in
-      let out = Pool.run pool (fun () -> Pool.parallel_map (fun x -> x * x) input) in
-      checkb "squares" true (Array.for_all (fun _ -> true) out);
-      checki "spot" (37 * 37) out.(37);
-      checki "len" 1000 (Array.length out))
+  List.iter
+    (fun (policy, name) ->
+       with_pool policy (fun pool ->
+           let n = 1000 in
+           let input = Array.init n (fun i -> i) in
+           let calls = Atomic.make 0 in
+           let out =
+             Pool.run pool (fun () ->
+                 Pool.parallel_map
+                   (fun x ->
+                      Atomic.incr calls;
+                      x * x)
+                   input)
+           in
+           Alcotest.(check (array int)) (name ^ " squares") (Array.init n (fun i -> i * i)) out;
+           checki (name ^ " spot") (37 * 37) out.(37);
+           checki (name ^ " len") n (Array.length out);
+           checki (name ^ " f applied once per element") n (Atomic.get calls)))
+    policies
 
 let test_empty_ranges () =
   with_pool Pool.Work_stealing (fun pool ->
@@ -178,6 +191,138 @@ let test_psort_duplicates_and_custom_cmp () =
       let cmp a b = compare b a in
       Pool.run pool (fun () -> Dfd_runtime.Psort.sort ~cutoff:100 ~cmp arr2);
       checkb "descending order" true (Dfd_runtime.Psort.sorted ~cmp arr2))
+
+(* A cutoff below 1 would recurse without reaching a leaf; the sort must
+   refuse it before forking anything, leaving the array untouched. *)
+let test_psort_rejects_cutoff () =
+  let pool = Pool.create ~domains:0 Pool.Work_stealing in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+       List.iter
+         (fun cutoff ->
+            let arr = [| 4; 3; 2; 1 |] in
+            let tasks0 = (Pool.counters pool).tasks_run in
+            let raised =
+              try
+                Pool.run pool (fun () -> Dfd_runtime.Psort.sort ~cutoff ~cmp:compare arr);
+                false
+              with Invalid_argument _ -> true
+            in
+            let name = Printf.sprintf "cutoff %d" cutoff in
+            checkb (name ^ " rejected") true raised;
+            checki (name ^ " nothing forked") tasks0 (Pool.counters pool).tasks_run;
+            checkb (name ^ " array untouched") true (arr = [| 4; 3; 2; 1 |]))
+         [ 0; -1 ])
+
+(* Sorted, and the input's multiset: equal under a full [compare] once
+   both sides are put in order by it. *)
+let same_multiset a b =
+  let a = Array.copy a and b = Array.copy b in
+  Array.sort compare a;
+  Array.sort compare b;
+  a = b
+
+(* Sizes weighted toward the edges of the kernel: empty and tiny arrays,
+   the insertion-run length (16) +- 1 and the cutoff +- 1. *)
+let psort_case =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 128 >>= fun cutoff ->
+    frequency
+      [
+        (1, oneofl [ 0; 1; 2 ]);
+        (1, oneofl [ 15; 16; 17 ]);
+        (1, oneofl [ cutoff - 1; cutoff; cutoff + 1 ]);
+        (2, int_range 0 2000);
+      ]
+    >>= fun n ->
+    int_bound 1_000_000 >|= fun seed -> (cutoff, n, seed)
+  in
+  QCheck.make ~print:QCheck.Print.(triple int int int) gen
+
+(* Every element kind on every pool: ints with many duplicates, a flat
+   [float array], and boxed (int * string) pairs compared on the int only;
+   the pair comparator forces a minor GC every 512 calls, so the sort
+   moves heap pointers while the collector relocates them. *)
+let qcheck_psort pools =
+  QCheck.Test.make ~count:60 ~name:"psort sorts ints, floats and boxed pairs" psort_case
+    (fun (cutoff, n, seed) ->
+       let st = Random.State.make [| seed |] in
+       let ints = Array.init n (fun _ -> Random.State.int st (1 + (n / 8))) in
+       let floats = Array.init n (fun _ -> Float.of_int (Random.State.int st 100) /. 8.) in
+       let pairs =
+         Array.init n (fun i -> (Random.State.int st (1 + (n / 4)), string_of_int i))
+       in
+       let calls = Atomic.make 0 in
+       let cmp_pair (a, _) (b, _) =
+         if Atomic.fetch_and_add calls 1 land 511 = 0 then Gc.minor ();
+         Int.compare a b
+       in
+       let check name cmp input =
+         List.for_all
+           (fun pool ->
+              let arr = Array.copy input in
+              Pool.run pool (fun () -> Dfd_runtime.Psort.sort ~cutoff ~cmp arr);
+              Dfd_runtime.Psort.sorted ~cmp arr && same_multiset arr input
+              || QCheck.Test.fail_reportf "%s: not a sorted permutation" name)
+           pools
+       in
+       check "ints" Int.compare ints
+       && check "floats" Float.compare floats
+       && check "pairs" cmp_pair pairs)
+
+let test_psort_qcheck () =
+  let pools =
+    List.concat_map
+      (fun domains ->
+         List.map (fun (policy, _) -> Pool.create ~domains policy) policies)
+      [ 0; 1 ]
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Pool.shutdown pools)
+    (fun () -> QCheck.Test.check_exn ~rand:(Random.State.make [| 23 |]) (qcheck_psort pools))
+
+(* Counting, not timing: one sort of 100k ints allocates its scratch copy
+   (n + 1 words) and the closures and promises of its forks, nothing per
+   element.  The per-fork allowance is measured on the same pool from
+   fib's forks, plus 16 words: psort's two branch closures capture up to
+   eight free variables each, fib's one. *)
+let test_psort_alloc_bound () =
+  let pool = Pool.create ~domains:0 Pool.Work_stealing in
+  (* a minor collection first, so the counters include the minor heap *)
+  let stat () =
+    Gc.minor ();
+    Gc.quick_stat ()
+  in
+  let words_and_tasks f =
+    let s0 = stat () and t0 = (Pool.counters pool).tasks_run in
+    f ();
+    let s1 = stat () and t1 = (Pool.counters pool).tasks_run in
+    let words (s : Gc.stat) = s.minor_words +. s.major_words -. s.promoted_words in
+    (words s1 -. words s0, t1 - t0)
+  in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+       ignore (Pool.run pool (fun () -> fib 10));
+       let fib_words, fib_tasks =
+         words_and_tasks (fun () -> ignore (Sys.opaque_identity (Pool.run pool (fun () -> fib 20))))
+       in
+       let per_fork = fib_words /. float_of_int fib_tasks in
+       let n = 100_000 in
+       let rng = Dfd_structures.Prng.create 11 in
+       let arr = Array.init n (fun _ -> Dfd_structures.Prng.int rng 1_000_000) in
+       let words, tasks =
+         words_and_tasks (fun () ->
+             Pool.run pool (fun () -> Dfd_runtime.Psort.sort ~cutoff:512 ~cmp:Int.compare arr))
+       in
+       checkb "sorted" true (Dfd_runtime.Psort.sorted ~cmp:Int.compare arr);
+       let bound = float_of_int (n + 1) +. (float_of_int tasks *. (per_fork +. 16.)) +. 1024. in
+       checkb
+         (Printf.sprintf "%.0f words for n=%d and %d tasks (%.1f words per fork), at most %.0f"
+            words n tasks per_fork bound)
+         true (words <= bound))
 
 exception Boom
 
@@ -778,6 +923,9 @@ let () =
             (test_private_empty_at_top_take Pool.Work_stealing);
           Alcotest.test_case "DFD private part empty at top-of-loop takes" `Quick
             (test_private_empty_at_top_take (Pool.Dfdeques { quota = 64 }));
+          Alcotest.test_case "sort rejects cutoff < 1" `Quick test_psort_rejects_cutoff;
+          Alcotest.test_case "sort property" `Quick test_psort_qcheck;
+          Alcotest.test_case "sort allocation bound" `Quick test_psort_alloc_bound;
         ] );
       ( "robustness",
         [
