@@ -185,7 +185,8 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
   (* Live exposition: probes close over this run's metrics/memory state,
      so the registry answers mid-run queries and holds the final values
      once the run returns (upsert registration rebinds the series on the
-     next run sharing the registry). *)
+     next run sharing the registry; counters carry on from this run's
+     totals). *)
   if Registry.enabled registry then begin
     let cp name help f = Registry.probe registry ~kind:`Counter ~help name f in
     let gp name help f = Registry.probe registry ~kind:`Gauge ~help name f in

@@ -1,6 +1,7 @@
-(* Live Theorem-4.4 gauges.  The budget formula must stay in lockstep
-   with Dfd_check.Oracle.thm44 (test_obs checks them against each other
-   on the differential scenarios). *)
+(* Live Theorem-4.4 gauges: plain fields, published as registry probes.
+   The budget formula must stay in lockstep with Dfd_check.Oracle.thm44
+   (test_obs checks them against each other on the differential
+   scenarios). *)
 
 type t = {
   c : int;
@@ -9,88 +10,61 @@ type t = {
   mutable p : int;
   mutable k : int;
   mutable last_alloc : int;
-  live_g : Registry.Gauge.t;
-  budget_g : Registry.Gauge.t;
-  premature_g : Registry.Gauge.t;
-  premature_depth_h : Registry.Histogram.t;
-  alloc_rate_g : Registry.Gauge.t;
+  mutable live : int;
+  mutable peak : int;
+  mutable premature : int;
+  mutable alloc_rate : int;
 }
 
-let compute_budget ~c ~s1 ~depth ~p ~k = s1 + (c * min k s1 * p * depth)
+let budget t = t.s1 + (t.c * min t.k t.s1 * t.p * t.depth)
+
+let headroom_ratio t =
+  let b = budget t in
+  if b = 0 then if t.peak = 0 then 1.0 else 0.0
+  else float_of_int (b - t.peak) /. float_of_int b
 
 let create ~registry ~policy ?(c = 8) ?(s1 = 0) ?(depth = 0) ~p ~k () =
-  let labeled base = Printf.sprintf "%s{policy=%S}" base policy in
-  let live_g =
-    Registry.gauge registry ~help:"Current live heap bytes under the scheduler."
-      (labeled "dfd_space_live_bytes")
-  in
-  let budget_g =
-    Registry.gauge registry
-      ~help:"Theorem 4.4 space budget S1 + c*min(K,S1)*p*D for the current quota K."
-      (labeled "dfd_space_budget_bytes")
-  in
-  let premature_g =
-    Registry.gauge registry ~help:"Heavy premature nodes observed (Lemma 4.2 charges O(p*D))."
-      (labeled "dfd_space_premature_nodes")
-  in
-  let premature_depth_h =
-    Registry.histogram registry ~help:"Fork depth at which heavy premature nodes were stolen."
-      (labeled "dfd_space_premature_depth")
-  in
-  let alloc_rate_g =
-    Registry.gauge registry ~help:"Allocation pressure (bytes) per quota-control interval."
-      (labeled "dfd_space_alloc_rate_bytes")
-  in
   let t =
-    { c; s1; depth; p; k; last_alloc = 0; live_g; budget_g; premature_g; premature_depth_h; alloc_rate_g }
+    { c; s1; depth; p; k; last_alloc = 0; live = 0; peak = 0; premature = 0; alloc_rate = 0 }
   in
-  Registry.Gauge.set budget_g (compute_budget ~c ~s1 ~depth ~p ~k);
+  let labeled base = Printf.sprintf "%s{policy=%S}" base policy in
+  let g base help f = Registry.probe registry ~kind:`Gauge ~help (labeled base) f in
+  g "dfd_space_live_bytes" "Current live heap bytes under the scheduler." (fun () -> t.live);
+  g "dfd_space_budget_bytes" "Theorem 4.4 space budget S1 + c*min(K,S1)*p*D for the current quota K."
+    (fun () -> budget t);
+  g "dfd_space_premature_nodes" "Heavy premature nodes observed (Lemma 4.2 charges O(p*D))."
+    (fun () -> t.premature);
+  g "dfd_space_alloc_rate_bytes" "Allocation pressure (bytes) per quota-control interval."
+    (fun () -> t.alloc_rate);
   Registry.probe_float registry ~help:"(budget - peak_live) / budget; negative means the bound is blown."
-    (labeled "dfd_space_headroom_ratio") (fun () ->
-      let b = Registry.Gauge.value budget_g in
-      if b = 0 then if Registry.Gauge.peak live_g = 0 then 1.0 else 0.0
-      else float_of_int (b - Registry.Gauge.peak live_g) /. float_of_int b);
-  Registry.probe registry ~kind:`Gauge ~help:"High watermark of dfd_space_live_bytes."
-    (labeled "dfd_space_peak_bytes") (fun () -> Registry.Gauge.peak live_g);
+    (labeled "dfd_space_headroom_ratio") (fun () -> headroom_ratio t);
+  g "dfd_space_peak_bytes" "High watermark of dfd_space_live_bytes." (fun () -> t.peak);
   t
 
-let budget t = compute_budget ~c:t.c ~s1:t.s1 ~depth:t.depth ~p:t.p ~k:t.k
-
-let set_quota t k =
-  t.k <- k;
-  Registry.Gauge.set t.budget_g (budget t)
+let set_quota t k = t.k <- k
 
 (* Degraded-mode rescale: a quarantined worker shrinks the live processor
    count, and the Theorem 4.4 budget S1 + c*min(K,S1)*p*D shrinks with
    it — the bound degrades gracefully in p, and the gauge must agree with
    the pool's [degraded_p] after a crash domain fires. *)
-let set_p t p =
-  t.p <- max 1 p;
-  Registry.Gauge.set t.budget_g (budget t)
+let set_p t p = t.p <- max 1 p
 
-let observe t ~live_bytes = Registry.Gauge.set t.live_g live_bytes
+let observe t ~live_bytes =
+  t.live <- live_bytes;
+  if live_bytes > t.peak then t.peak <- live_bytes
 
-let live t = Registry.Gauge.value t.live_g
+let live t = t.live
 
-let peak t = Registry.Gauge.peak t.live_g
+let peak t = t.peak
 
-let headroom_ratio t =
-  let b = budget t in
-  if b = 0 then if peak t = 0 then 1.0 else 0.0
-  else float_of_int (b - peak t) /. float_of_int b
+let set_premature t n = t.premature <- n
 
-let note_premature t ~depth =
-  Registry.Gauge.add t.premature_g 1;
-  Registry.Histogram.observe t.premature_depth_h depth
-
-let set_premature t n = Registry.Gauge.set t.premature_g n
-
-let premature t = Registry.Gauge.value t.premature_g
+let premature t = t.premature
 
 let reset_pressure t = t.last_alloc <- 0
 
 let take_pressure t ~cumulative_alloc =
   let pressure = max 0 (cumulative_alloc - t.last_alloc) in
   t.last_alloc <- cumulative_alloc;
-  Registry.Gauge.set t.alloc_rate_g pressure;
+  t.alloc_rate <- pressure;
   pressure

@@ -12,15 +12,18 @@
       (same constant [c], default 8), recomputed whenever the adaptive
       controller moves K;
     - [dfd_space_headroom_ratio{...}] — [(budget - peak) / budget];
-    - [dfd_space_premature_nodes{...}] and a log2 histogram
-      [dfd_space_premature_depth{...}] of the fork depths at which heavy
-      premature nodes (Lemma 4.2) were stolen — the term the bound's
-      [p * D] factor is made of;
+    - [dfd_space_premature_nodes{...}] — heavy premature nodes
+      (Lemma 4.2), the term the bound's [p * D] factor is made of (the
+      engine exports their fork depths as [dfd_engine_premature_depth]);
     - [dfd_space_alloc_rate_bytes{...}] — allocation pressure per control
       interval, maintained by {!take_pressure}; the service's
       [Quota_ctl] reads this gauge instead of re-deriving deltas from raw
       pool counters, so degradation and observability share one source of
       truth.
+
+    The values are plain fields of {!t}, owned by one writer (the engine
+    or the service step loop); the gauges are read-side probes over them,
+    so the accessors below work whether or not [registry] is enabled.
 
     [s1] and [depth] come from [Analysis.analyze] when the program is
     known (the simulator path, where the acceptance check against
@@ -39,8 +42,8 @@ val create :
   k:int ->
   unit ->
   t
-(** Registers the gauge family labeled [policy="..."] into [registry]
-    (upsert: a respawned owner re-binds the same series).  [c] defaults
+(** Registers the gauge family labeled [policy="..."] into [registry] as
+    probes (upsert: a respawned owner re-binds the same series).  [c] defaults
     to 8, matching [Oracle.thm44]; [s1] and [depth] default to 0, which
     degrades the budget to the [S1] term alone. *)
 
@@ -48,12 +51,11 @@ val budget : t -> int
 (** [s1 + c * min k s1 * p * depth] for the current [k]. *)
 
 val set_quota : t -> int -> unit
-(** The adaptive controller moved K: recompute and republish the
-    budget. *)
+(** The adaptive controller moved K: the budget gauge follows. *)
 
 val set_p : t -> int -> unit
 (** The live processor count changed (a worker was quarantined, or
-    respawned): recompute and republish the budget with the degraded
+    respawned): the budget gauge follows with the degraded
     [p] — the Theorem 4.4 bound shrinks gracefully to
     [S1 + c*min(K,S1)*(p-1)*D] after a crash domain fires.  Clamped to
     at least 1. *)
@@ -69,11 +71,8 @@ val headroom_ratio : t -> float
 (** [(budget - peak) / budget]; 1.0 while nothing has been observed, 0.0
     when the budget is degenerate (0) and anything was observed. *)
 
-val note_premature : t -> depth:int -> unit
-(** One heavy premature node stolen at fork depth [depth]. *)
-
 val set_premature : t -> int -> unit
-(** Absolute premature count (for owners that already aggregate, like the
+(** Absolute premature count (owners already aggregate it, like the
     engine's {!Dfd_machine.Metrics}). *)
 
 val premature : t -> int

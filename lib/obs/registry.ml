@@ -1,119 +1,8 @@
-(* Sharded-atomic metrics registry.  Hot-path writes touch one Atomic
-   cell selected by the calling domain's id; reads (snapshots) aggregate.
-   Instruments from the [disabled] registry share a [false] flag checked
-   first on every operation, so an off registry costs one immutable load
-   and a branch — measured by the obs-overhead pair in bench/. *)
+(* Read-side metrics registry: every series is a probe closure over state
+   its owner already keeps, evaluated only at snapshot time, so no hot
+   path ever touches the registry. *)
 
 module Json = Dfd_trace.Json
-
-let n_buckets = 63 (* log2 buckets: index 0 = [0,1), i = [2^(i-1), 2^i) *)
-
-let bucket_index v =
-  if v <= 0 then 0
-  else begin
-    let i = ref 0 and x = ref v in
-    while !x > 0 do
-      incr i;
-      x := !x lsr 1
-    done;
-    min !i (n_buckets - 1)
-  end
-
-let shard_index mask = (Domain.self () :> int) land mask
-
-module Counter = struct
-  type t = { on : bool; mask : int; cells : int Atomic.t array }
-
-  let make shards = { on = true; mask = shards - 1; cells = Array.init shards (fun _ -> Atomic.make 0) }
-
-  let noop = { on = false; mask = 0; cells = [||] }
-
-  let add t n =
-    if t.on then begin
-      if n < 0 then invalid_arg "Registry.Counter.add: negative delta";
-      ignore (Atomic.fetch_and_add t.cells.(shard_index t.mask) n)
-    end
-
-  let incr t = if t.on then ignore (Atomic.fetch_and_add t.cells.(shard_index t.mask) 1)
-
-  let value t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t.cells
-end
-
-module Gauge = struct
-  type t = { on : bool; cell : int Atomic.t; hi : int Atomic.t }
-
-  let make () = { on = true; cell = Atomic.make 0; hi = Atomic.make 0 }
-
-  let noop = { on = false; cell = Atomic.make 0; hi = Atomic.make 0 }
-
-  let rec raise_peak t v =
-    let p = Atomic.get t.hi in
-    if v > p && not (Atomic.compare_and_set t.hi p v) then raise_peak t v
-
-  let set t v =
-    if t.on then begin
-      Atomic.set t.cell v;
-      raise_peak t v
-    end
-
-  let add t d =
-    if t.on then begin
-      let v = Atomic.fetch_and_add t.cell d + d in
-      raise_peak t v
-    end
-
-  let value t = Atomic.get t.cell
-
-  let peak t = Atomic.get t.hi
-end
-
-module Histogram = struct
-  type t = {
-    on : bool;
-    mask : int;
-    (* flat [shard * n_buckets] bucket cells plus one sum cell per shard *)
-    cells : int Atomic.t array;
-    sums : int Atomic.t array;
-  }
-
-  let make shards =
-    {
-      on = true;
-      mask = shards - 1;
-      cells = Array.init (shards * n_buckets) (fun _ -> Atomic.make 0);
-      sums = Array.init shards (fun _ -> Atomic.make 0);
-    }
-
-  let noop = { on = false; mask = 0; cells = [||]; sums = [||] }
-
-  let observe t v =
-    if t.on then begin
-      let v = max 0 v in
-      let s = shard_index t.mask in
-      ignore (Atomic.fetch_and_add t.cells.((s * n_buckets) + bucket_index v) 1);
-      ignore (Atomic.fetch_and_add t.sums.(s) v)
-    end
-
-  let bucket_total t i =
-    let shards = t.mask + 1 in
-    let acc = ref 0 in
-    for s = 0 to shards - 1 do
-      acc := !acc + Atomic.get t.cells.((s * n_buckets) + i)
-    done;
-    !acc
-
-  let count t =
-    if not t.on then 0
-    else begin
-      let acc = ref 0 in
-      for i = 0 to n_buckets - 1 do
-        acc := !acc + bucket_total t i
-      done;
-      !acc
-    end
-
-  let sum t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t.sums
-end
 
 type hist = { h_count : int; h_sum : float; h_buckets : (float * int) list }
 
@@ -126,30 +15,15 @@ type probe_fn = P_int of [ `Counter | `Gauge ] * (unit -> int) | P_float of (uni
 type entry = {
   e_help : string;
   e_stable : bool;
-  e_kind : [ `Counter | `Gauge | `Histogram | `Probe ];
-  e_body : body;
+  mutable e_fn : probe_fn;
+  mutable e_base : int;  (** last values of replaced counter closures *)
 }
 
-and body =
-  | B_counter of Counter.t
-  | B_gauge of Gauge.t
-  | B_hist of Histogram.t
-  | B_probe of probe_fn ref
+type t = { on : bool; lock : Mutex.t; entries : (string, entry) Hashtbl.t }
 
-type t = {
-  on : bool;
-  shards : int;
-  lock : Mutex.t;
-  entries : (string, entry) Hashtbl.t;
-}
+let disabled = { on = false; lock = Mutex.create (); entries = Hashtbl.create 1 }
 
-let disabled = { on = false; shards = 1; lock = Mutex.create (); entries = Hashtbl.create 1 }
-
-let rec pow2_ceil n k = if k >= n then k else pow2_ceil n (k * 2)
-
-let create ?(shards = 8) () =
-  let shards = pow2_ceil (max 1 shards) 1 in
-  { on = true; shards; lock = Mutex.create (); entries = Hashtbl.create 64 }
+let create () = { on = true; lock = Mutex.create (); entries = Hashtbl.create 64 }
 
 let enabled t = t.on
 
@@ -208,52 +82,31 @@ let labeled base labels =
   ignore (split_labeled name);
   name
 
-let register t name ~help ~stable ~kind make =
-  ignore (split_labeled name);
-  Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.entries name with
-      | Some e when e.e_kind = kind -> e.e_body
-      | Some e ->
-        invalid_arg
-          (Printf.sprintf "Registry: %S already registered with a different kind (%s)" name
-             (match e.e_kind with
-              | `Counter -> "counter"
-              | `Gauge -> "gauge"
-              | `Histogram -> "histogram"
-              | `Probe -> "probe"))
-      | None ->
-        let body = make () in
-        Hashtbl.replace t.entries name { e_help = help; e_stable = stable; e_kind = kind; e_body = body };
-        body)
+let kind_name = function
+  | P_int (`Counter, _) -> "counter"
+  | P_int (`Gauge, _) -> "gauge"
+  | P_float _ -> "float gauge"
+  | P_hist _ -> "histogram"
 
-let counter t ?(help = "") ?(stable = false) name =
-  if not t.on then Counter.noop
-  else
-    match register t name ~help ~stable ~kind:`Counter (fun () -> B_counter (Counter.make t.shards)) with
-    | B_counter c -> c
-    | _ -> assert false
-
-let gauge t ?(help = "") ?(stable = false) name =
-  if not t.on then Gauge.noop
-  else
-    match register t name ~help ~stable ~kind:`Gauge (fun () -> B_gauge (Gauge.make ())) with
-    | B_gauge g -> g
-    | _ -> assert false
-
-let histogram t ?(help = "") ?(stable = false) name =
-  if not t.on then Histogram.noop
-  else
-    match register t name ~help ~stable ~kind:`Histogram (fun () -> B_hist (Histogram.make t.shards)) with
-    | B_hist h -> h
-    | _ -> assert false
-
-(* Probes upsert by replacing the closure: a respawned component re-probing
-   the same name just redirects the sample at its fresh state. *)
+(* Registration upserts: a respawned component re-probing the same name
+   redirects the series at its fresh state.  A counter's replaced closure
+   is read one last time into [e_base], so the series stays monotone
+   across incarnations. *)
 let put_probe t name ~help ~stable fn =
   if t.on then begin
-    match register t name ~help ~stable ~kind:`Probe (fun () -> B_probe (ref fn)) with
-    | B_probe r -> r := fn
-    | _ -> assert false
+    ignore (split_labeled name);
+    Mutex.protect t.lock (fun () ->
+        match Hashtbl.find_opt t.entries name with
+        | None -> Hashtbl.replace t.entries name { e_help = help; e_stable = stable; e_fn = fn; e_base = 0 }
+        | Some e ->
+          if kind_name e.e_fn <> kind_name fn then
+            invalid_arg
+              (Printf.sprintf "Registry: %S already registered with a different kind (%s)" name
+                 (kind_name e.e_fn));
+          (match e.e_fn with
+           | P_int (`Counter, f) -> e.e_base <- e.e_base + (try f () with _ -> 0)
+           | _ -> ());
+          e.e_fn <- fn)
   end
 
 let probe t ?(help = "") ?(stable = false) ~kind name f = put_probe t name ~help ~stable (P_int (kind, f))
@@ -266,28 +119,16 @@ let hist_of_stats h =
   let module SH = Dfd_structures.Stats.Histogram in
   { h_count = SH.count h; h_sum = SH.total h; h_buckets = SH.buckets h }
 
-let hist_of_instrument (h : Histogram.t) =
-  let buckets = ref [] in
-  for i = n_buckets - 1 downto 0 do
-    let c = Histogram.bucket_total h i in
-    if c > 0 then begin
-      let ub = if i = 0 then 1.0 else Float.of_int (1 lsl i) in
-      buckets := (ub, c) :: !buckets
-    end
-  done;
-  let count = List.fold_left (fun acc (_, c) -> acc + c) 0 !buckets in
-  { h_count = count; h_sum = float_of_int (Histogram.sum h); h_buckets = !buckets }
-
-let sample_of name (e : entry) =
+let sample_of name e =
   let value =
-    match e.e_body with
-    | B_counter c -> Some (Counter_v (Counter.value c))
-    | B_gauge g -> Some (Gauge_v (Gauge.value g))
-    | B_hist h -> Some (Hist_v (hist_of_instrument h))
-    | B_probe { contents = P_int (`Counter, f) } -> ( try Some (Counter_v (f ())) with _ -> None)
-    | B_probe { contents = P_int (`Gauge, f) } -> ( try Some (Gauge_v (f ())) with _ -> None)
-    | B_probe { contents = P_float f } -> ( try Some (Float_v (f ())) with _ -> None)
-    | B_probe { contents = P_hist f } -> ( try Some (Hist_v (f ())) with _ -> None)
+    try
+      Some
+        (match e.e_fn with
+         | P_int (`Counter, f) -> Counter_v (e.e_base + f ())
+         | P_int (`Gauge, f) -> Gauge_v (f ())
+         | P_float f -> Float_v (f ())
+         | P_hist f -> Hist_v (f ()))
+    with _ -> None
   in
   Option.map (fun value -> { name; help = e.e_help; stable = e.e_stable; value }) value
 

@@ -1,24 +1,20 @@
-(** Always-on metrics registry: typed counters, gauges and log2-bucketed
-    histograms, designed so the scheduler hot path pays (almost) nothing.
+(** Always-on metrics registry of read-side probes.
 
-    Write-side instruments are backed by per-domain [Atomic] cells sharded
-    by [Domain.self () land mask] — the same idiom as the native pool's
-    per-worker counter records — so concurrent increments from different
-    domains touch different cache lines and are aggregated only at read
-    (snapshot) time.  An instrument obtained from {!disabled} carries an
-    immutable [false] flag; every update is then a single load-and-branch
-    with no allocation, matching the zero-cost-when-off discipline of
-    {!Dfd_trace.Tracer} and {!Dfd_fault.Fault}.
+    Every series is a {e probe}: a named closure over state its owner
+    already keeps (the pool's single-writer per-worker counter records,
+    the service's supervision counters, a simulation's
+    {!Dfd_machine.Metrics}, the {!Headroom} fields), evaluated only at
+    snapshot time.  No hot path ever touches the registry, so an event is
+    counted once, by its owner, whether telemetry is on or off.  Under
+    {!disabled} registration is a no-op and {!snapshot} is empty.
 
-    Besides owned instruments, the registry accepts {e probes}: named
-    closures evaluated at snapshot time.  Probes let existing state (the
-    pool's per-worker counter records, the service's supervision counters,
-    a simulation's {!Dfd_machine.Metrics}) appear in snapshots without any
-    double bookkeeping on the hot path.  Registration is an upsert: writing
-    the same name again returns the existing instrument (or replaces the
-    probe closure), so components that respawn — pool incarnations under
-    the supervisor — keep accumulating into one time series.  Re-using a
-    name with a different instrument kind raises [Invalid_argument].
+    Registration is an upsert: probing the same name again replaces the
+    closure, so components that respawn — pool incarnations under the
+    supervisor — re-point their series at the fresh state.  A [`Counter]
+    probe's replaced closure is read one last time and carried into a
+    base that later samples add to, so the series stays monotone across
+    incarnations.  Re-using a name with a different kind raises
+    [Invalid_argument].
 
     Metric names follow the OpenMetrics grammar
     [[a-zA-Z_:][a-zA-Z0-9_:]*], optionally followed by a literal label set
@@ -30,57 +26,14 @@
 
 type t
 
-val create : ?shards:int -> unit -> t
-(** An enabled registry.  [shards] (default 8, rounded up to a power of
-    two) bounds the per-instrument cell array; more shards mean less
-    false sharing at higher memory cost. *)
+val create : unit -> t
+(** An enabled registry. *)
 
 val disabled : t
-(** The shared off registry: every instrument it hands out is a no-op and
-    {!snapshot} is empty. *)
+(** The shared off registry: registration is a no-op and {!snapshot} is
+    empty. *)
 
 val enabled : t -> bool
-
-(** Monotone event counts (sharded; increment from any domain). *)
-module Counter : sig
-  type t
-
-  val incr : t -> unit
-
-  val add : t -> int -> unit
-  (** Negative deltas are rejected with [Invalid_argument]. *)
-
-  val value : t -> int
-  (** Sum over shards. *)
-end
-
-(** A current-value cell that remembers its high watermark. *)
-module Gauge : sig
-  type t
-
-  val set : t -> int -> unit
-
-  val add : t -> int -> unit
-
-  val value : t -> int
-
-  val peak : t -> int
-  (** Highest value ever {!set} (or reached via {!add}). *)
-end
-
-(** Log2-bucketed histogram of non-negative integer observations, same
-    bucketing as {!Dfd_structures.Stats.Histogram}: bucket 0 holds [0,1),
-    bucket [i >= 1] holds [[2^(i-1), 2^i)]. *)
-module Histogram : sig
-  type t
-
-  val observe : t -> int -> unit
-  (** Negative observations clamp to 0. *)
-
-  val count : t -> int
-
-  val sum : t -> int
-end
 
 (** Snapshot value of a histogram-shaped sample: total count, total sum
     and per-bucket counts as [(upper_bound, count)] with increasing
@@ -95,10 +48,6 @@ type value =
 
 type sample = { name : string; help : string; stable : bool; value : value }
 
-val counter : t -> ?help:string -> ?stable:bool -> string -> Counter.t
-val gauge : t -> ?help:string -> ?stable:bool -> string -> Gauge.t
-val histogram : t -> ?help:string -> ?stable:bool -> string -> Histogram.t
-
 val probe :
   t ->
   ?help:string ->
@@ -108,7 +57,8 @@ val probe :
   (unit -> int) ->
   unit
 (** Register (or replace) a read-at-snapshot closure rendered as a counter
-    or gauge sample. *)
+    or gauge sample.  A replaced [`Counter] closure's last value carries
+    into the series (see above). *)
 
 val probe_float : t -> ?help:string -> ?stable:bool -> string -> (unit -> float) -> unit
 
@@ -131,9 +81,8 @@ val split_labeled : string -> string * string option
     not handle — also used as the registration-time validator. *)
 
 val snapshot : ?stable_only:bool -> t -> sample list
-(** All current samples sorted by name.  Owned instruments are read with
-    plain atomic loads; probe closures run under the registry lock, so
-    they must not themselves touch the registry.  A probe that raises
+(** All current samples sorted by name.  Probe closures run under the
+    registry lock, so they must not themselves touch the registry.  A probe that raises
     contributes no sample (crash forensics must not crash). *)
 
 (** Renderers over sample lists — shared by the service snapshot, the

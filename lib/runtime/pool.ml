@@ -122,30 +122,6 @@ type wcounters = {
           workers by {!val-rank_error}.  Single-writer like the ints. *)
 }
 
-(* Live-telemetry instruments (lib/obs).  With the default disabled
-   registry each of these is the shared no-op instrument: updating one is
-   a single immutable load and branch, which the obs-overhead pair in
-   perfbench/ keeps honest.  With a real registry the pool's
-   hot-path events additionally land in sharded atomic cells that stay
-   queryable while the pool runs (and survive across the per-worker
-   records of respawned pool incarnations, since registration upserts). *)
-type obs = {
-  o_steals : Registry.Counter.t;
-  o_steal_failures : Registry.Counter.t;
-  o_local_pops : Registry.Counter.t;
-  o_quota_giveups : Registry.Counter.t;
-  o_tasks_run : Registry.Counter.t;
-  o_task_exns : Registry.Counter.t;
-  o_alloc_bytes : Registry.Counter.t;
-  o_parks : Registry.Counter.t;
-  o_deques_created : Registry.Counter.t;
-  o_deques_deleted : Registry.Counter.t;
-  o_quarantines : Registry.Counter.t;
-  o_requeues : Registry.Counter.t;
-  o_respawns : Registry.Counter.t;
-  o_rank_error : Registry.Histogram.t;
-}
-
 type t = {
   policy : policy;
   n_workers : int;  (** worker domains + the caller *)
@@ -179,10 +155,7 @@ type t = {
           passing it allocates nothing.  A ref rather than a mutable field so
           the structures can bump it directly; still single-writer
           (thief-side ops are charged to the thief).  Summed by
-          {!val-sync_ops} — deliberately not mirrored into a registry
-          counter on the hot path, which would add an atomic RMW per
-          operation just to count atomic RMWs; the registry exposes it as
-          a lazy probe instead. *)
+          {!val-sync_ops}, which the registry reads as a lazy probe. *)
   priv : pstack array;
       (** each worker's private part, [priv.(pad_index w)], owner-only;
           the other records are padding (see {!padded_run}). *)
@@ -209,7 +182,6 @@ type t = {
       (** every event, one lane per worker plus the last for external
           writers ({!Tracer.disabled} by default). *)
   fault : Fault.t;  (** fault-injection plan; {!Fault.none} by default. *)
-  obs : obs;  (** registry instruments; no-ops under {!Registry.disabled}. *)
   flight : Tracer.t;
       (** always-on crash-forensics ring, laned like [tracer]
           ({!Tracer.disabled} by default); only rare events are recorded,
@@ -334,7 +306,6 @@ let trace_steal_attempt pool w ~victim =
 let note_task_start pool w =
   let c = pool.per_worker.(w) in
   c.c_tasks_run <- c.c_tasks_run + 1;
-  Registry.Counter.incr pool.obs.o_tasks_run;
   if Tracer.enabled pool.tracer then begin
     let ts = now_us pool in
     pool.last_active_us.(w) <- ts;
@@ -345,14 +316,12 @@ let note_task_start pool w =
 let note_task_exn pool w =
   let c = pool.per_worker.(w) in
   c.c_task_exns <- c.c_task_exns + 1;
-  Registry.Counter.incr pool.obs.o_task_exns;
   if rings_live pool then
     note pool ~ts:(now_us pool) ~proc:w (Event.Fault_injected { fault = "task_exn" })
 
 let note_steal_success pool w ~victim =
   let c = pool.per_worker.(w) in
   c.c_steals <- c.c_steals + 1;
-  Registry.Counter.incr pool.obs.o_steals;
   if rings_live pool then begin
     let ts = now_us pool in
     (* [last_active_us] is stamped only while the tracer is on *)
@@ -362,8 +331,7 @@ let note_steal_success pool w ~victim =
 
 let note_steal_failure pool w =
   let c = pool.per_worker.(w) in
-  c.c_steal_failures <- c.c_steal_failures + 1;
-  Registry.Counter.incr pool.obs.o_steal_failures
+  c.c_steal_failures <- c.c_steal_failures + 1
 
 (* Injected steal failure (chaos testing): charge a failed attempt without
    touching any deque. *)
@@ -563,7 +531,6 @@ let park pool w =
    | `Would_sleep ->
      let c = pool.per_worker.(w) in
      c.c_parks <- c.c_parks + 1;
-     Registry.Counter.incr pool.obs.o_parks;
      Condition.wait pool.idle_cond pool.idle_lock;
      while not (idle_over pool) do
        Condition.wait pool.idle_cond pool.idle_lock
@@ -585,7 +552,6 @@ let new_dq pool ~proc ~owner =
       born_us;
     }
   in
-  Registry.Counter.incr pool.obs.o_deques_created;
   if rings_live pool then note pool ~ts:born_us ~proc (Event.Deque_created { did = d.did });
   d
 
@@ -609,7 +575,6 @@ let reap_if_dead ?lane pool ~proc e =
   then begin
     let c = pool.per_worker.(proc) in
     c.c_r_removes <- c.c_r_removes + 1;
-    Registry.Counter.incr pool.obs.o_deques_deleted;
     if rings_live pool then begin
       let ts = now_us pool in
       note pool ~ts
@@ -662,7 +627,6 @@ let note_rank_error pool w e =
   let err = max 0 (rank - (window - 1)) in
   let c = pool.per_worker.(w) in
   Stats.Histogram.add c.c_rank_err (float_of_int err);
-  Registry.Histogram.observe pool.obs.o_rank_error err;
   if Tracer.enabled pool.tracer then
     Tracer.emit pool.tracer ~ts:(now_us pool) ~proc:w ~tid:(-1)
       (Event.Steal_rank { victim = (Multiq.value e).did; rank; err })
@@ -824,12 +788,10 @@ let quarantine_as pool ~proc ~cause w =
     (match held with
      | Some task ->
        orphan_push pool task;
-       Registry.Counter.incr pool.obs.o_requeues;
        if rings_live pool then
          note pool ~ts:(now_us pool) ~proc (Event.Task_requeued { worker = w });
        signal_work pool
      | None -> ());
-    Registry.Counter.incr pool.obs.o_quarantines;
     if rings_live pool then
       note pool ~ts:(now_us pool) ~proc (Event.Worker_quarantined { worker = w; cause });
     true
@@ -906,7 +868,6 @@ let try_get pool w =
         (* memory quota exhausted: abandon the deque and steal *)
         let c = pool.per_worker.(w) in
         c.c_quota_giveups <- c.c_quota_giveups + 1;
-        Registry.Counter.incr pool.obs.o_quota_giveups;
         if rings_live pool then begin
           let quota = Atomic.get pool.dfd_quota in
           note pool ~ts:(now_us pool) ~proc:w
@@ -920,7 +881,6 @@ let try_get pool w =
           | Some got ->
             let c = pool.per_worker.(w) in
             c.c_local_pops <- c.c_local_pops + 1;
-            Registry.Counter.incr pool.obs.o_local_pops;
             take_slot got
           | None ->
             (* empty own deque: retire it, then steal *)
@@ -1094,32 +1054,6 @@ let worker_loop pool w =
      already recovered (or will recover) everything it held *)
   try loop () with Worker_stop -> ()
 
-(* Register the pool's write-side instruments (hot-path counters) and
-   read-side probes (gauges over state the pool already maintains).
-   Registration upserts, so a respawned incarnation keeps appending to
-   the same series; the probes are re-pointed at the fresh pool. *)
-let make_obs registry =
-  let c name help = Registry.counter registry ~help name in
-  {
-    o_steals = c "dfd_pool_steals_total" "Successful steals (all disciplines).";
-    o_steal_failures = c "dfd_pool_steal_failures_total" "Steal attempts that found nothing (real or injected).";
-    o_local_pops = c "dfd_pool_local_pops_total" "Tasks taken from the worker's own deque.";
-    o_quota_giveups = c "dfd_pool_quota_giveups_total" "Deques abandoned on memory-quota exhaustion.";
-    o_tasks_run = c "dfd_pool_tasks_total" "Tasks executed (all paths, including inline).";
-    o_task_exns = c "dfd_pool_task_exns_total" "Tasks that raised (user, injected, or cancellation).";
-    o_alloc_bytes = c "dfd_pool_alloc_bytes_total" "Bytes reported via Pool.alloc_hint.";
-    o_parks = c "dfd_pool_parks_total" "Times an idle worker parked on the condition variable.";
-    o_deques_created = c "dfd_pool_deques_created_total" "Deques created (DFDeques R-list churn).";
-    o_deques_deleted = c "dfd_pool_deques_deleted_total" "Deques reaped from R (DFDeques R-list churn).";
-    o_quarantines = c "dfd_pool_quarantines_total" "Workers quarantined (crash or wedge verdicts).";
-    o_requeues = c "dfd_pool_crash_requeues_total" "Held tasks recovered exactly-once from quarantined workers.";
-    o_respawns = c "dfd_pool_worker_respawns_total" "Fresh domains spawned into quarantined worker slots.";
-    o_rank_error =
-      Registry.histogram registry
-        ~help:"Rank error per successful DFDeques steal (positions outside the exact leftmost-p window)."
-        "dfd_pool_steal_rank_error";
-  }
-
 (* Total synchronization operations (atomic RMWs + publishing stores,
    CAS retries included) executed on either policy's scheduling paths,
    summed across workers — the Rito & Paulino sync-overhead metric,
@@ -1132,8 +1066,58 @@ let sync_ops pool =
   done;
   !n
 
+let counters pool =
+  Array.fold_left
+    (fun acc c ->
+       {
+         acc with
+         steals = acc.steals + c.c_steals;
+         steal_failures = acc.steal_failures + c.c_steal_failures;
+         local_pops = acc.local_pops + c.c_local_pops;
+         quota_giveups = acc.quota_giveups + c.c_quota_giveups;
+         tasks_run = acc.tasks_run + c.c_tasks_run;
+         task_exns = acc.task_exns + c.c_task_exns;
+         alloc_bytes = acc.alloc_bytes + c.c_alloc_bytes;
+         parks = acc.parks + c.c_parks;
+         r_inserts = acc.r_inserts + c.c_r_inserts;
+         r_removes = acc.r_removes + c.c_r_removes;
+       })
+    {
+      steals = 0;
+      steal_failures = 0;
+      local_pops = 0;
+      quota_giveups = 0;
+      tasks_run = 0;
+      task_exns = 0;
+      alloc_bytes = 0;
+      parks = 0;
+      r_inserts = 0;
+      r_removes = 0;
+      sync_ops = sync_ops pool;
+    }
+    pool.per_worker
+
+(* Per-worker single-writer histograms merged at read, like the ints. *)
+let rank_error pool =
+  Array.fold_left
+    (fun acc c -> Stats.Histogram.merge acc c.c_rank_err)
+    (Stats.Histogram.create ()) pool.per_worker
+
+(* Lineage entries whose cause satisfies [keep]. *)
+let count_causes pool keep =
+  List.fold_left (fun acc e -> if keep e.cause then acc + 1 else acc) 0 (Atomic.get pool.lineage)
+
+let quarantines pool = count_causes pool (( <> ) "respawn")
+
+(* The pool's telemetry: probes over the state it already keeps — the
+   per-worker counter records, the crash-domain ledger — so no scheduling
+   path does any registry work.  Registration upserts: a respawned
+   incarnation re-points every series at itself, and the counters carry
+   their last values across. *)
 let register_probes registry pool =
   let g name help f = Registry.probe registry ~kind:`Gauge ~help name f in
+  let c name help f = Registry.probe registry ~kind:`Counter ~help name f in
+  let cnt name help f = c name help (fun () -> f (counters pool)) in
   g "dfd_pool_parked_workers" "Workers currently parked on the idle condition." (fun () ->
       Atomic.get pool.n_parked);
   g "dfd_pool_workers" "Worker slots (domains + caller)." (fun () -> pool.n_workers);
@@ -1145,15 +1129,40 @@ let register_probes registry pool =
     (fun () -> Atomic.get pool.n_quarantined);
   g "dfd_pool_degraded_p" "Live processor count: workers minus quarantined slots." (fun () ->
       pool.n_workers - Atomic.get pool.n_quarantined);
-  (* a probe, not a write-side counter: mirroring every sync op into a
-     registry cell would add an atomic RMW per operation just to count
-     atomic RMWs.  The per-worker cells are summed lazily at scrape. *)
-  Registry.probe registry ~kind:`Counter
-    ~help:"Synchronization ops (atomic RMWs, CAS retries included) on scheduling paths."
-    "dfd_pool_sync_ops"
-    (fun () -> sync_ops pool)
+  cnt "dfd_pool_steals_total" "Successful steals (all disciplines)." (fun c -> c.steals);
+  cnt "dfd_pool_steal_failures_total" "Steal attempts that found nothing (real or injected)."
+    (fun c -> c.steal_failures);
+  cnt "dfd_pool_local_pops_total" "Tasks taken from the worker's own deque." (fun c ->
+      c.local_pops);
+  cnt "dfd_pool_quota_giveups_total" "Deques abandoned on memory-quota exhaustion." (fun c ->
+      c.quota_giveups);
+  cnt "dfd_pool_tasks_total" "Tasks executed (all paths, including inline)." (fun c ->
+      c.tasks_run);
+  cnt "dfd_pool_task_exns_total" "Tasks that raised (user, injected, or cancellation)." (fun c ->
+      c.task_exns);
+  cnt "dfd_pool_alloc_bytes_total" "Bytes reported via Pool.alloc_hint." (fun c ->
+      c.alloc_bytes);
+  cnt "dfd_pool_parks_total" "Times an idle worker parked on the condition variable." (fun c ->
+      c.parks);
+  cnt "dfd_pool_deques_created_total" "Deques created (DFDeques R-list churn)." (fun c ->
+      c.r_inserts);
+  cnt "dfd_pool_deques_deleted_total" "Deques reaped from R (DFDeques R-list churn)." (fun c ->
+      c.r_removes);
+  cnt "dfd_pool_sync_ops"
+    "Synchronization ops (atomic RMWs, CAS retries included) on scheduling paths." (fun c ->
+      c.sync_ops);
+  c "dfd_pool_quarantines_total" "Workers quarantined (crash or wedge verdicts)." (fun () ->
+      quarantines pool);
+  c "dfd_pool_crash_requeues_total" "Held tasks recovered exactly-once from quarantined workers."
+    (fun () -> Atomic.get pool.n_orphan_pushes);
+  c "dfd_pool_worker_respawns_total" "Fresh domains spawned into quarantined worker slots."
+    (fun () -> count_causes pool (( = ) "respawn"));
+  Registry.probe_histogram registry
+    ~help:"Rank error per successful DFDeques steal (positions outside the exact leftmost-p window)."
+    "dfd_pool_steal_rank_error"
+    (fun () -> Registry.hist_of_stats (rank_error pool))
 
-let make ?(registry = Registry.disabled) ?(flight = Tracer.disabled) ?(respawn_budget = 0)
+let make ?(flight = Tracer.disabled) ?(respawn_budget = 0)
     ~n_workers ~tracer ~fault policy =
     List.iter
       (fun (name, ring) ->
@@ -1211,7 +1220,6 @@ let make ?(registry = Registry.disabled) ?(flight = Tracer.disabled) ?(respawn_b
       rngs = Array.init n_workers (fun i -> Prng.create (1000 + i));
       tracer;
       fault;
-      obs = make_obs registry;
       flight;
       t0 = Unix.gettimeofday ();
       next_did = Atomic.make n_workers;
@@ -1233,9 +1241,9 @@ let make ?(registry = Registry.disabled) ?(flight = Tracer.disabled) ?(respawn_b
       respawn_lock = Mutex.create ();
     }
 
-let make ?registry ?flight ?respawn_budget ~n_workers ~tracer ~fault policy =
-  let pool = make ?registry ?flight ?respawn_budget ~n_workers ~tracer ~fault policy in
-  (match registry with Some r -> register_probes r pool | None -> ());
+let make ?(registry = Registry.disabled) ?flight ?respawn_budget ~n_workers ~tracer ~fault policy =
+  let pool = make ?flight ?respawn_budget ~n_workers ~tracer ~fault policy in
+  register_probes registry pool;
   pool
 
 let create ?domains ?(tracer = Tracer.disabled) ?(fault = Fault.none) ?registry ?flight
@@ -1368,7 +1376,6 @@ let alloc_hint n =
     if n < 0 then invalid_arg "Pool.alloc_hint: negative byte count";
     let c = pool.per_worker.(w) in
     c.c_alloc_bytes <- c.c_alloc_bytes + n;
-    Registry.Counter.add pool.obs.o_alloc_bytes n;
     (* owner-only slot: no lock needed *)
     pool.quota_left.(w) <- pool.quota_left.(w) - n
   | None ->
@@ -1386,43 +1393,6 @@ let set_quota pool k =
   match pool.policy with
   | Work_stealing -> invalid_arg "Pool.set_quota: Work_stealing pool has no quota"
   | Dfdeques _ -> Atomic.set pool.dfd_quota k
-
-let counters pool =
-  Array.fold_left
-    (fun acc c ->
-       {
-         acc with
-         steals = acc.steals + c.c_steals;
-         steal_failures = acc.steal_failures + c.c_steal_failures;
-         local_pops = acc.local_pops + c.c_local_pops;
-         quota_giveups = acc.quota_giveups + c.c_quota_giveups;
-         tasks_run = acc.tasks_run + c.c_tasks_run;
-         task_exns = acc.task_exns + c.c_task_exns;
-         alloc_bytes = acc.alloc_bytes + c.c_alloc_bytes;
-         parks = acc.parks + c.c_parks;
-         r_inserts = acc.r_inserts + c.c_r_inserts;
-         r_removes = acc.r_removes + c.c_r_removes;
-       })
-    {
-      steals = 0;
-      steal_failures = 0;
-      local_pops = 0;
-      quota_giveups = 0;
-      tasks_run = 0;
-      task_exns = 0;
-      alloc_bytes = 0;
-      parks = 0;
-      r_inserts = 0;
-      r_removes = 0;
-      sync_ops = sync_ops pool;
-    }
-    pool.per_worker
-
-(* Per-worker single-writer histograms merged at read, like the ints. *)
-let rank_error pool =
-  Array.fold_left
-    (fun acc c -> Stats.Histogram.merge acc c.c_rank_err)
-    (Stats.Histogram.create ()) pool.per_worker
 
 let heartbeat pool =
   Array.fold_left (fun acc c -> acc + c.c_tasks_run) 0 pool.per_worker
@@ -1458,10 +1428,6 @@ let degraded_p pool = pool.n_workers - Atomic.get pool.n_quarantined
 
 (* Oldest first (the atomic prepend order reversed). *)
 let lineage pool = List.rev (Atomic.get pool.lineage)
-
-let quarantines pool =
-  List.fold_left (fun acc e -> if e.cause = "respawn" then acc else acc + 1) 0
-    (Atomic.get pool.lineage)
 
 (* Exactly-once recovery audit over the lineage ledger — the pool-level
    mirror of the service's [verify_ledger].  Meaningful once the pool is
@@ -1643,7 +1609,6 @@ let respawn_worker pool w =
          Atomic.set pool.quarantined.(w) false;
          Atomic.decr pool.n_quarantined;
          lineage_add pool { worker = w; cause = "respawn"; requeued = false; abandoned = false };
-         Registry.Counter.incr pool.obs.o_respawns;
          if rings_live pool then
            note pool ~ts:(now_us pool) ~proc:w (Event.Worker_respawned { worker = w });
          pool.domains <- Domain.spawn (fun () -> worker_loop pool w) :: pool.domains;

@@ -121,16 +121,16 @@ val create :
     exactly like user exceptions).
 
     [registry] (default {!Dfd_obs.Registry.disabled}): live-telemetry
-    plane.  When enabled, the pool's hot-path events (steals and
-    failures, local pops, quota giveups, tasks, task exceptions, parks,
-    deque churn, [alloc_hint] bytes) additionally land in the registry's
-    sharded [dfd_pool_*] counters, and gauges over live state
-    (parked workers, current K, R size) are published as probes —
-    queryable while the pool runs.  With the default disabled registry
-    each instrument update is a single load-and-branch (measured by the
-    obs-overhead pair in [perfbench/]).  Registration upserts,
-    so pool incarnations respawned by a supervisor keep accumulating into
-    the same series.
+    plane.  The pool publishes its [dfd_pool_*] series there as
+    read-side probes over what it already keeps: the {!counters} fields
+    (steals and failures, local pops, quota giveups, tasks, task
+    exceptions, [alloc_hint] bytes, parks, deque churn, sync ops), the
+    crash-domain ledger (quarantines, requeues, respawns), {!rank_error}
+    as a histogram, and gauges over live state (parked workers, current
+    K, R size).  They are read only when the registry is scraped, so an
+    enabled registry adds nothing to any scheduling path.  Registration
+    upserts and counters carry their last value into the series, so pool
+    incarnations respawned by a supervisor keep one monotone series.
 
     [flight] (default {!Dfd_trace.Tracer.disabled}): always-on crash
     forensics, typically [Tracer.create ~capacity:256 ~lanes:(domains + 2) ()].
@@ -252,9 +252,8 @@ val sync_ops : t -> int
     costs 0: its push and its join's pop touch only the private part.
     The Rito & Paulino sync-overhead metric, which is bounded by
     steals and publications rather than by work.  Exposed to the
-    registry as the lazily-summed [dfd_pool_sync_ops] probe (the pool
-    deliberately does not mirror it into a write-side counter — that
-    would add an atomic RMW per operation just to count atomic RMWs).
+    registry as the lazily-summed [dfd_pool_sync_ops] probe, like every
+    other pool counter.
     Same staleness contract as {!val-counters}. *)
 
 val rank_error : t -> Dfd_structures.Stats.Histogram.t

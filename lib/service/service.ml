@@ -212,12 +212,8 @@ type t = {
   lane_order : string list;  (** registration (= DRR) order. *)
   slots : (int, ledger_slot) Hashtbl.t;
   mutable next_id : int;
-  (* global counters *)
-  mutable c_accepted : int;
-  mutable c_rej_queue : int;
-  mutable c_completions : int;
-  mutable c_failures : int;
-  mutable c_cancelled : int;
+  (* global counters; the admission and outcome totals are sums over the
+     lanes ({!total}) *)
   mutable c_retries : int;
   mutable c_timeouts : int;
   mutable c_wedges : int;
@@ -232,6 +228,9 @@ let lane_of t name =
   | None -> invalid_arg (Printf.sprintf "Service: unknown tenant %S" name)
 
 let lanes_in_order t = List.map (fun n -> Hashtbl.find t.lanes n) t.lane_order
+
+(* A global count: one lane field summed over the lanes. *)
+let total t f = List.fold_left (fun acc l -> acc + f l) 0 (lanes_in_order t)
 
 (* ------------------------------------------------------------------ *)
 (* Pool incarnations                                                   *)
@@ -283,13 +282,16 @@ let register_service_probes t =
   let r = t.registry in
   let c name help f = Registry.probe r ~stable:true ~kind:`Counter ~help name f in
   let g name help f = Registry.probe r ~stable:true ~kind:`Gauge ~help name f in
-  c "dfd_service_accepted_total" "Submissions admitted to a lane." (fun () -> t.c_accepted);
+  c "dfd_service_accepted_total" "Submissions admitted to a lane." (fun () ->
+      total t (fun l -> l.a_accepted));
   c "dfd_service_rejected_total{reason=\"queue_full\"}" "Submissions shed, by reason." (fun () ->
-      t.c_rej_queue);
-  c "dfd_service_completions_total" "Jobs acknowledged Completed." (fun () -> t.c_completions);
+      total t (fun l -> l.a_rej_queue));
+  c "dfd_service_completions_total" "Jobs acknowledged Completed." (fun () ->
+      total t (fun l -> l.a_completions));
   c "dfd_service_failures_total" "Jobs acknowledged Failed (retry budget exhausted)." (fun () ->
-      t.c_failures);
-  c "dfd_service_cancelled_total" "Jobs cancelled before they ran." (fun () -> t.c_cancelled);
+      total t (fun l -> l.a_failures));
+  c "dfd_service_cancelled_total" "Jobs cancelled before they ran." (fun () ->
+      total t (fun l -> l.a_cancelled));
   c "dfd_service_retries_total" "Re-attempts scheduled with backoff." (fun () -> t.c_retries);
   c "dfd_service_timeouts_total" "Attempts that hit their deadline." (fun () -> t.c_timeouts);
   c "dfd_service_wedges_total" "Pool incarnations declared wedged." (fun () -> t.c_wedges);
@@ -391,11 +393,6 @@ let create ?(tracer = Tracer.disabled) ?(fault = Dfd_fault.Fault.none) ?registry
       lane_order;
       slots = Hashtbl.create 64;
       next_id = 0;
-      c_accepted = 0;
-      c_rej_queue = 0;
-      c_completions = 0;
-      c_failures = 0;
-      c_cancelled = 0;
       c_retries = 0;
       c_timeouts = 0;
       c_wedges = 0;
@@ -452,15 +449,9 @@ let ack t (s : ledger_slot) out =
     s.l_outcome <- Some out;
     let lane = lane_of t s.l_tenant in
     (match out with
-     | Completed ->
-       t.c_completions <- t.c_completions + 1;
-       lane.a_completions <- lane.a_completions + 1
-     | Failed _ ->
-       t.c_failures <- t.c_failures + 1;
-       lane.a_failures <- lane.a_failures + 1
-     | Cancelled ->
-       t.c_cancelled <- t.c_cancelled + 1;
-       lane.a_cancelled <- lane.a_cancelled + 1
+     | Completed -> lane.a_completions <- lane.a_completions + 1
+     | Failed _ -> lane.a_failures <- lane.a_failures + 1
+     | Cancelled -> lane.a_cancelled <- lane.a_cancelled + 1
      | Rejected _ -> ())
 
 (* Terminal outcome for a job: ledger, latency and handle. *)
@@ -489,7 +480,6 @@ let submit t ?(tenant = "default") ?(class_ = "default") ?deadline ?on_done work
   let s = new_slot t ~tenant ~class_ in
   if effective_load t lane >= lane.tn.Tenant.queue_bound then begin
     ack t s (Rejected Queue_full);
-    t.c_rej_queue <- t.c_rej_queue + 1;
     lane.a_rej_queue <- lane.a_rej_queue + 1;
     if lane.a_first_shed = None then lane.a_first_shed <- Some t.clock;
     Handle.resolve h (Rejected Queue_full)
@@ -509,7 +499,6 @@ let submit t ?(tenant = "default") ?(class_ = "default") ?deadline ?on_done work
       }
     in
     Fair_queue.push_force t.queue ~tenant job;
-    t.c_accepted <- t.c_accepted + 1;
     lane.a_accepted <- lane.a_accepted + 1
   end;
   h
@@ -793,15 +782,15 @@ let now t = t.clock
 
 let counters t =
   {
-    accepted = t.c_accepted;
+    accepted = total t (fun l -> l.a_accepted);
     coalesced = 0;
-    rejected_queue_full = t.c_rej_queue;
+    rejected_queue_full = total t (fun l -> l.a_rej_queue);
     rejected_breaker_open = 0;
     rejected_memory_pressure = 0;
     rejected_overloaded = 0;
-    completions = t.c_completions;
-    failures = t.c_failures;
-    cancelled = t.c_cancelled;
+    completions = total t (fun l -> l.a_completions);
+    failures = total t (fun l -> l.a_failures);
+    cancelled = total t (fun l -> l.a_cancelled);
     retries = t.c_retries;
     timeouts = t.c_timeouts;
     wedges = t.c_wedges;
@@ -866,22 +855,38 @@ let verify_ledger t =
      | Some Cancelled -> incr cancellations);
     if s.l_acks <> 1 then fail "job %d acknowledged %d times" id s.l_acks
   done;
-  if !completions <> t.c_completions then
-    fail "completion counter %d but %d completed entries" t.c_completions !completions;
-  if !failures <> t.c_failures then
-    fail "failure counter %d but %d failed entries" t.c_failures !failures;
-  if !cancellations <> t.c_cancelled then
-    fail "cancellation counter %d but %d cancelled entries" t.c_cancelled !cancellations;
-  let rej = t.c_rej_queue in
+  let c = counters t in
+  if !completions <> c.completions then
+    fail "completion counter %d but %d completed entries" c.completions !completions;
+  if !failures <> c.failures then
+    fail "failure counter %d but %d failed entries" c.failures !failures;
+  if !cancellations <> c.cancelled then
+    fail "cancellation counter %d but %d cancelled entries" c.cancelled !cancellations;
+  let rej = c.rejected_queue_full in
   if !rejections <> rej then fail "rejection counter %d but %d rejected entries" rej !rejections;
-  if t.c_accepted + rej <> t.next_id then
-    fail "accepted %d + rejected %d <> %d submissions" t.c_accepted rej t.next_id;
-  (* per-tenant counters must sum to the global ones *)
-  let sum f = List.fold_left (fun acc l -> acc + f l) 0 (lanes_in_order t) in
-  if sum (fun l -> l.a_accepted) <> t.c_accepted then fail "per-tenant accepted sum mismatch";
-  if sum (fun l -> l.a_completions) <> t.c_completions then
-    fail "per-tenant completion sum mismatch";
-  if sum (fun l -> l.a_rej_queue) <> rej then fail "per-tenant rejection sum mismatch";
+  if c.accepted + rej <> t.next_id then
+    fail "accepted %d + rejected %d <> %d submissions" c.accepted rej t.next_id;
+  (* each lane's counts against its own ledger entries *)
+  let entries tenant keep =
+    Hashtbl.fold (fun _ s n -> if s.l_tenant = tenant && keep s.l_outcome then n + 1 else n) t.slots 0
+  in
+  let rejected = function Some (Rejected _) -> true | _ -> false in
+  List.iter
+    (fun lane ->
+       let name = lane.tn.Tenant.name in
+       List.iter
+         (fun (what, counter, keep) ->
+            let n = entries name keep in
+            if counter <> n then
+              fail "tenant %S: %s counter %d but %d ledger entries" name what counter n)
+         [
+           ("accepted", lane.a_accepted, fun o -> not (rejected o));
+           ("completion", lane.a_completions, ( = ) (Some Completed));
+           ("failure", lane.a_failures, function Some (Failed _) -> true | _ -> false);
+           ("rejection", lane.a_rej_queue, rejected);
+           ("cancellation", lane.a_cancelled, ( = ) (Some Cancelled));
+         ])
+    (lanes_in_order t);
   match !problem with None -> Ok () | Some m -> Error m
 
 let quota t =
@@ -910,11 +915,11 @@ let headroom t = t.headroom
 let counter_samples t =
   let mk name v = { Registry.name; help = ""; stable = true; value = Registry.Counter_v v } in
   [
-    mk "accepted" t.c_accepted;
-    mk "rejected_queue_full" t.c_rej_queue;
-    mk "completions" t.c_completions;
-    mk "failures" t.c_failures;
-    mk "cancelled" t.c_cancelled;
+    mk "accepted" (total t (fun l -> l.a_accepted));
+    mk "rejected_queue_full" (total t (fun l -> l.a_rej_queue));
+    mk "completions" (total t (fun l -> l.a_completions));
+    mk "failures" (total t (fun l -> l.a_failures));
+    mk "cancelled" (total t (fun l -> l.a_cancelled));
     mk "retries" t.c_retries;
     mk "timeouts" t.c_timeouts;
     mk "wedges" t.c_wedges;

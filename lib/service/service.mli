@@ -133,9 +133,10 @@ val create :
     [registry] (default: a fresh private {!Dfd_obs.Registry.t}) receives
     the service's stable [dfd_service_*] probes (including per-tenant
     lanes labelled [tenant="..."]), the pool's unstable [dfd_pool_*]
-    instruments (series continuous across respawns), and the
-    [policy="service"] {!Dfd_obs.Headroom} gauge family.  Pass
-    {!Dfd_obs.Registry.disabled} to run with zero-cost telemetry.
+    probes (counter series carried across respawns), and the
+    [policy="service"] {!Dfd_obs.Headroom} gauge family.  Every series
+    is a read-side probe, so telemetry costs nothing until scraped;
+    {!Dfd_obs.Registry.disabled} only drops the registrations.
 
     [flight_dir], when set, enables crash forensics: on a wedge, an
     attempt timeout, or a supervisor give-up, the current incarnation's
@@ -267,7 +268,9 @@ val verify_ledger : t -> (unit, string) result
 (** The exactly-once audit, meaningful once {!idle}: every entry carries
     exactly one terminal outcome (no lost jobs), no duplicate
     acknowledgements were attempted, and the counters are consistent
-    with the entries (accepted + rejected = submissions).
+    with the entries (accepted + rejected = submissions), globally and
+    per tenant: each lane's accepted, completed, failed, rejected and
+    cancelled counts match its own ledger entries.
     [Error msg] pinpoints the first violation. *)
 
 val quota : t -> int option

@@ -1,6 +1,6 @@
-(* Tests for the telemetry plane (lib/obs): registry instruments under
-   concurrent domains, snapshot determinism, OpenMetrics round-trips
-   through the Om_util parser (unit + property), and the live
+(* Tests for the telemetry plane (lib/obs): registry probes and their
+   upsert and counter-carry semantics, snapshot determinism, OpenMetrics
+   round-trips through the Om_util parser (unit + property), and the live
    Theorem-4.4 headroom profiler checked differentially against
    [Oracle.thm44].  The flight-recorder ring is a [Tracer] and is tested
    in test_trace. *)
@@ -18,76 +18,26 @@ module Oracle = Dfd_check.Oracle
 module Pool = Dfd_runtime.Pool
 module Service = Dfd_service.Service
 module Retry = Dfd_service.Retry
+module Stats = Dfd_structures.Stats
 open Prog
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
 (* ------------------------------------------------------------------ *)
-(* Registry instruments                                                *)
+(* Registry probes                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let test_counter_concurrent () =
-  let reg = Registry.create ~shards:8 () in
-  let c = Registry.counter reg "t_incr_total" in
-  let domains =
-    List.init 4 (fun _ ->
-        Domain.spawn (fun () ->
-            for _ = 1 to 25_000 do
-              Registry.Counter.incr c
-            done))
-  in
-  List.iter Domain.join domains;
-  checki "4 domains x 25k increments" 100_000 (Registry.Counter.value c);
-  Registry.Counter.add c 5;
-  checki "add" 100_005 (Registry.Counter.value c);
-  checkb "negative add rejected" true
-    (try
-       Registry.Counter.add c (-1);
-       false
-     with Invalid_argument _ -> true)
-
-let test_gauge_peak () =
-  let reg = Registry.create () in
-  let g = Registry.gauge reg "t_gauge" in
-  Registry.Gauge.set g 5;
-  Registry.Gauge.add g 3;
-  checki "set+add" 8 (Registry.Gauge.value g);
-  checki "peak tracks" 8 (Registry.Gauge.peak g);
-  Registry.Gauge.set g 2;
-  checki "set down" 2 (Registry.Gauge.value g);
-  checki "peak keeps watermark" 8 (Registry.Gauge.peak g);
-  Registry.Gauge.add g (-4);
-  checki "negative delta" (-2) (Registry.Gauge.value g);
-  checki "peak unmoved" 8 (Registry.Gauge.peak g)
-
-let test_histogram_concurrent () =
-  let reg = Registry.create () in
-  let h = Registry.histogram reg "t_hist" in
-  let per_domain = 1_000 in
-  let domains =
-    List.init 2 (fun _ ->
-        Domain.spawn (fun () ->
-            for i = 0 to per_domain - 1 do
-              Registry.Histogram.observe h (i mod 7)
-            done))
-  in
-  List.iter Domain.join domains;
-  checki "count" (2 * per_domain) (Registry.Histogram.count h);
-  (* sum of (i mod 7) over 1000 consecutive i: 142 full cycles of 21 plus 0..5 *)
-  let serial = List.fold_left (fun a i -> a + (i mod 7)) 0 (List.init per_domain Fun.id) in
-  checki "sum" (2 * serial) (Registry.Histogram.sum h);
-  Registry.Histogram.observe h (-5);
-  checki "negative clamps to bucket 0" ((2 * per_domain) + 1) (Registry.Histogram.count h);
-  checki "negative adds nothing to sum" (2 * serial) (Registry.Histogram.sum h)
+let read reg name =
+  match List.find_opt (fun s -> s.Registry.name = name) (Registry.snapshot reg) with
+  | Some { Registry.value = Registry.Counter_v v | Registry.Gauge_v v; _ } -> v
+  | _ -> Alcotest.fail (name ^ ": integer sample missing")
 
 let test_snapshot_sorted_stable () =
   let reg = Registry.create () in
-  let b = Registry.gauge reg ~stable:true "t_b" in
-  let a = Registry.counter reg "t_a_total" in
+  Registry.probe reg ~kind:`Gauge ~stable:true "t_b" (fun () -> 7);
+  Registry.probe reg ~kind:`Counter "t_a_total" (fun () -> 1);
   Registry.probe reg ~kind:`Gauge ~stable:true "t_c" (fun () -> 42);
-  Registry.Gauge.set b 7;
-  Registry.Counter.incr a;
   let names snap = List.map (fun s -> s.Registry.name) snap in
   checkb "sorted by name" true
     (let n = names (Registry.snapshot reg) in
@@ -103,39 +53,39 @@ let test_snapshot_sorted_stable () =
 let test_disabled_noop () =
   let reg = Registry.disabled in
   checkb "disabled" false (Registry.enabled reg);
-  let c = Registry.counter reg "t_off_total" in
-  let g = Registry.gauge reg "t_off_gauge" in
-  let h = Registry.histogram reg "t_off_hist" in
-  Registry.Counter.incr c;
-  Registry.Gauge.set g 99;
-  Registry.Histogram.observe h 5;
-  checki "counter inert" 0 (Registry.Counter.value c);
-  checki "gauge inert" 0 (Registry.Gauge.value g);
-  checki "histogram inert" 0 (Registry.Histogram.count h);
+  Registry.probe reg ~kind:`Counter "t_off_total" (fun () -> 1);
+  Registry.probe reg ~kind:`Gauge "t_off_gauge" (fun () -> 99);
+  Registry.probe_float reg "t_off_ratio" (fun () -> 0.5);
+  Registry.probe_histogram reg "t_off_hist" (fun () ->
+      Registry.hist_of_stats (Stats.Histogram.create ()));
   checkb "snapshot empty" true (Registry.snapshot reg = [])
 
 let test_upsert () =
   let reg = Registry.create () in
-  let c1 = Registry.counter reg "t_up_total" in
-  let c2 = Registry.counter reg "t_up_total" in
-  Registry.Counter.incr c1;
-  Registry.Counter.incr c2;
-  checki "same name accumulates into one series" 2 (Registry.Counter.value c1);
-  checkb "kind mismatch rejected" true
-    (try
-       ignore (Registry.gauge reg "t_up_total");
-       false
-     with Invalid_argument _ -> true);
   let cell = ref 1 in
   Registry.probe reg ~kind:`Gauge "t_up_probe" (fun () -> !cell);
-  let read () =
-    match List.find (fun s -> s.Registry.name = "t_up_probe") (Registry.snapshot reg) with
-    | { Registry.value = Registry.Gauge_v v; _ } -> v
-    | _ -> Alcotest.fail "probe sample missing"
-  in
-  checki "probe reads closure" 1 (read ());
+  checki "probe reads closure" 1 (read reg "t_up_probe");
+  cell := 5;
+  checki "probe reads at snapshot time" 5 (read reg "t_up_probe");
   Registry.probe reg ~kind:`Gauge "t_up_probe" (fun () -> 1000);
-  checki "re-registration replaces closure" 1000 (read ());
+  checki "gauge re-registration replaces closure" 1000 (read reg "t_up_probe");
+  checkb "kind mismatch rejected" true
+    (try
+       Registry.probe reg ~kind:`Counter "t_up_probe" (fun () -> 0);
+       false
+     with Invalid_argument _ -> true);
+  (* a counter's replaced closure carries its last value into the series,
+     as a respawned pool's counters must *)
+  let old = ref 5 and fresh = ref 0 in
+  Registry.probe reg ~kind:`Counter "t_up_total" (fun () -> !old);
+  Registry.probe reg ~kind:`Counter "t_up_total" (fun () -> !fresh);
+  checki "counter carries the replaced value" 5 (read reg "t_up_total");
+  fresh := 3;
+  old := 100;
+  checki "fresh state adds on; the old closure is no longer read" 8 (read reg "t_up_total");
+  Registry.probe reg ~kind:`Counter "t_up_total" (fun () -> failwith "boom");
+  Registry.probe reg ~kind:`Counter "t_up_total" (fun () -> 1);
+  checki "a raising closure carries nothing" 9 (read reg "t_up_total");
   Registry.probe reg ~kind:`Gauge "t_up_raises" (fun () -> failwith "boom");
   checkb "raising probe contributes no sample" false
     (List.exists (fun s -> s.Registry.name = "t_up_raises") (Registry.snapshot reg))
@@ -161,14 +111,12 @@ let test_split_labeled () =
 
 let test_openmetrics_roundtrip_unit () =
   let reg = Registry.create () in
-  let c = Registry.counter reg ~help:"events" "om_events_total" in
-  let g = Registry.gauge reg "om_depth" in
-  let gl = Registry.gauge reg "om_live_bytes{policy=\"dfd\"}" in
-  let h = Registry.histogram reg "om_lat" in
-  Registry.Counter.add c 17;
-  Registry.Gauge.set g (-3);
-  Registry.Gauge.set gl 4096;
-  List.iter (Registry.Histogram.observe h) [ 0; 1; 1; 5; 300 ];
+  let h = Stats.Histogram.create () in
+  List.iter (fun v -> Stats.Histogram.add h (float_of_int v)) [ 0; 1; 1; 5; 300 ];
+  Registry.probe reg ~kind:`Counter ~help:"events" "om_events_total" (fun () -> 17);
+  Registry.probe reg ~kind:`Gauge "om_depth" (fun () -> -3);
+  Registry.probe reg ~kind:`Gauge "om_live_bytes{policy=\"dfd\"}" (fun () -> 4096);
+  Registry.probe_histogram reg "om_lat" (fun () -> Registry.hist_of_stats h);
   Registry.probe_float reg "om_ratio" (fun () -> 0.625);
   let text = Openmetrics.render (Registry.snapshot reg) in
   let om = Om_util.parse text in
@@ -194,40 +142,59 @@ let test_openmetrics_roundtrip_unit () =
   checkb "count line" true (value "om_lat_count" = 5.0);
   checkb "sum line" true (value "om_lat_sum" = 307.0)
 
-(* Random mixtures of counters and gauges must survive a render + parse
-   cycle exactly (values are integers, so no float-precision caveats). *)
+(* Random mixtures of counter, gauge and histogram probes must survive a
+   render + parse cycle exactly (values are integers, so no
+   float-precision caveats).  Kind 2 is a histogram over the
+   observations [0; 7; 14; ...] of length [|v| mod 20]. *)
 let openmetrics_roundtrip_prop =
   let gen =
     QCheck.Gen.(
       list_size (int_range 1 10)
-        (pair bool (int_range (-100_000) 100_000)))
+        (pair (int_bound 2) (int_range (-100_000) 100_000)))
   in
   QCheck.Test.make ~name:"openmetrics render/parse roundtrip" ~count:100
     (QCheck.make
        ~print:(fun l ->
          String.concat ";"
-           (List.map (fun (c, v) -> Printf.sprintf "(%b,%d)" c v) l))
+           (List.map (fun (k, v) -> Printf.sprintf "(%d,%d)" k v) l))
        gen)
     (fun spec ->
       let reg = Registry.create () in
       let expect =
-        List.mapi
-          (fun i (is_counter, v) ->
-            if is_counter then begin
-              let name = Printf.sprintf "prop_c%d_total" i in
-              Registry.Counter.add (Registry.counter reg name) (abs v);
-              (name, abs v)
-            end
-            else begin
-              let name = Printf.sprintf "prop_g%d" i in
-              Registry.Gauge.set (Registry.gauge reg name) v;
-              (name, v)
-            end)
-          spec
+        List.concat
+          (List.mapi
+             (fun i (kind, v) ->
+               match kind with
+               | 0 ->
+                 let name = Printf.sprintf "prop_c%d_total" i in
+                 Registry.probe reg ~kind:`Counter name (fun () -> abs v);
+                 [ (name, abs v) ]
+               | 1 ->
+                 let name = Printf.sprintf "prop_g%d" i in
+                 Registry.probe reg ~kind:`Gauge name (fun () -> v);
+                 [ (name, v) ]
+               | _ ->
+                 let name = Printf.sprintf "prop_h%d" i in
+                 let obs = List.init (abs v mod 20) (fun j -> 7 * j) in
+                 let h = Stats.Histogram.create () in
+                 List.iter (fun x -> Stats.Histogram.add h (float_of_int x)) obs;
+                 Registry.probe_histogram reg name (fun () -> Registry.hist_of_stats h);
+                 [
+                   (name ^ "_count", List.length obs);
+                   (name ^ "_sum", List.fold_left ( + ) 0 obs);
+                   (name ^ "_bucket", List.length obs);
+                 ])
+             spec)
       in
       let om = Om_util.parse (Openmetrics.render (Registry.snapshot reg)) in
       List.for_all
-        (fun (name, v) -> Om_util.value om name = Some (float_of_int v))
+        (fun (name, v) ->
+          let got =
+            if String.ends_with ~suffix:"_bucket" name then
+              Om_util.value ~labels:[ ("le", "+Inf") ] om name
+            else Om_util.value om name
+          in
+          got = Some (float_of_int v))
         expect)
 
 (* ------------------------------------------------------------------ *)
@@ -252,20 +219,28 @@ let test_headroom_budget_arithmetic () =
   checki "set_p: S1 + c*min(K,S1)*(p-1)*D" (100 + (8 * 100 * 1 * 4)) (Headroom.budget hr);
   Headroom.set_p hr 2;
   checki "set_p restores full width" (100 + (8 * 100 * 2 * 4)) (Headroom.budget hr);
-  Headroom.note_premature hr ~depth:3;
-  Headroom.note_premature hr ~depth:5;
-  checki "premature notes" 2 (Headroom.premature hr);
   Headroom.set_premature hr 7;
   checki "absolute premature" 7 (Headroom.premature hr);
   checki "first pressure measures from 0" 100 (Headroom.take_pressure hr ~cumulative_alloc:100);
   checki "pressure is the delta" 150 (Headroom.take_pressure hr ~cumulative_alloc:250);
   Headroom.reset_pressure hr;
   checki "reset rebases at 0" 50 (Headroom.take_pressure hr ~cumulative_alloc:50);
-  (* the gauges landed in the registry under the policy label *)
-  let names = List.map (fun s -> s.Registry.name) (Registry.snapshot reg) in
+  (* the gauges read the profiler's fields under the policy label *)
+  let lbl n = n ^ "{policy=\"t\"}" in
   List.iter
-    (fun n -> checkb n true (List.mem (n ^ "{policy=\"t\"}") names))
-    [ "dfd_space_live_bytes"; "dfd_space_peak_bytes"; "dfd_space_budget_bytes" ]
+    (fun (n, v) -> checki n v (read reg (lbl n)))
+    [
+      ("dfd_space_live_bytes", 30);
+      ("dfd_space_peak_bytes", 50);
+      ("dfd_space_budget_bytes", Headroom.budget hr);
+      ("dfd_space_premature_nodes", 7);
+      ("dfd_space_alloc_rate_bytes", 50);
+    ];
+  (* the fork depths of premature nodes are the engine's series alone *)
+  checkb "no dfd_space_premature_depth family" false
+    (List.exists
+       (fun s -> fst (Registry.split_labeled s.Registry.name) = "dfd_space_premature_depth")
+       (Registry.snapshot reg))
 
 let test_headroom_degenerate () =
   let reg = Registry.create () in
@@ -355,9 +330,6 @@ let () =
     [
       ( "registry",
         [
-          Alcotest.test_case "counter under domains" `Quick test_counter_concurrent;
-          Alcotest.test_case "gauge peak" `Quick test_gauge_peak;
-          Alcotest.test_case "histogram under domains" `Quick test_histogram_concurrent;
           Alcotest.test_case "snapshot sorted + stable filter" `Quick test_snapshot_sorted_stable;
           Alcotest.test_case "disabled is inert" `Quick test_disabled_noop;
           Alcotest.test_case "upsert semantics" `Quick test_upsert;

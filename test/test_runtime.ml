@@ -7,6 +7,7 @@
 module Pool = Dfd_runtime.Pool
 module Watchdog = Dfd_fault.Watchdog
 module Stats = Dfd_structures.Stats
+module Registry = Dfd_obs.Registry
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -468,6 +469,90 @@ let test_rank_error_instrumented () =
       checkb "WS stole" true (steals > 0);
       checki "WS rank samples = steals" steals (Stats.Histogram.count (Pool.rank_error pool)))
 
+(* Every dfd_pool_* family a scrape declares, with its OpenMetrics type. *)
+let pool_families =
+  List.map
+    (fun n -> ("dfd_pool_" ^ n, Om_util.Counter))
+    [
+      "steals_total";
+      "steal_failures_total";
+      "local_pops_total";
+      "quota_giveups_total";
+      "tasks_total";
+      "task_exns_total";
+      "alloc_bytes_total";
+      "parks_total";
+      "deques_created_total";
+      "deques_deleted_total";
+      "quarantines_total";
+      "crash_requeues_total";
+      "worker_respawns_total";
+      "sync_ops";
+    ]
+  @ [ ("dfd_pool_steal_rank_error", Om_util.Histogram) ]
+  @ List.map
+      (fun n -> ("dfd_pool_" ^ n, Om_util.Gauge))
+      [ "parked_workers"; "workers"; "quota_bytes"; "r_deques"; "quarantined_workers"; "degraded_p" ]
+
+(* The pool's registry series are probes over its own counters: once the
+   workers are joined, each series equals the field it reads. *)
+let test_registry_series () =
+  List.iter
+    (fun (policy, name) ->
+       let registry = Registry.create () in
+       let pool = Pool.create ~domains:1 ~registry policy in
+       Fun.protect
+         ~finally:(fun () -> Pool.shutdown pool)
+         (fun () ->
+            ignore (Pool.run pool (fun () -> fib 16));
+            let arr = Array.init 5_000 (fun i -> (i * 7919) mod 5_003) in
+            Pool.run pool (fun () -> Dfd_runtime.Psort.sort ~cutoff:64 ~cmp:compare arr);
+            forced_steal pool);
+       let c = Pool.counters pool in
+       let samples = Registry.snapshot registry in
+       let sample n =
+         match List.find_opt (fun s -> s.Registry.name = n) samples with
+         | Some s -> s.Registry.value
+         | None -> Alcotest.fail (name ^ ": no series " ^ n)
+       in
+       let lineage_count p = List.length (List.filter p (Pool.lineage pool)) in
+       List.iter
+         (fun (n, field) ->
+            match sample n with
+            | Registry.Counter_v v -> checki (name ^ " " ^ n) field v
+            | _ -> Alcotest.fail (name ^ ": " ^ n ^ " is not a counter"))
+         [
+           ("dfd_pool_steals_total", c.Pool.steals);
+           ("dfd_pool_steal_failures_total", c.Pool.steal_failures);
+           ("dfd_pool_local_pops_total", c.Pool.local_pops);
+           ("dfd_pool_quota_giveups_total", c.Pool.quota_giveups);
+           ("dfd_pool_tasks_total", c.Pool.tasks_run);
+           ("dfd_pool_task_exns_total", c.Pool.task_exns);
+           ("dfd_pool_alloc_bytes_total", c.Pool.alloc_bytes);
+           ("dfd_pool_parks_total", c.Pool.parks);
+           ("dfd_pool_deques_created_total", c.Pool.r_inserts);
+           ("dfd_pool_deques_deleted_total", c.Pool.r_removes);
+           ("dfd_pool_sync_ops", c.Pool.sync_ops);
+           ("dfd_pool_quarantines_total", Pool.quarantines pool);
+           ("dfd_pool_crash_requeues_total", lineage_count (fun e -> e.Pool.requeued));
+           ( "dfd_pool_worker_respawns_total",
+             lineage_count (fun e -> e.Pool.cause = "respawn") );
+         ];
+       checkb (name ^ " stole") true (c.Pool.steals > 0);
+       checkb (name ^ " hinted") true (c.Pool.alloc_bytes > 0);
+       (match sample "dfd_pool_steal_rank_error" with
+        | Registry.Hist_v h ->
+          checki (name ^ " rank-error samples = steals") c.Pool.steals h.Registry.h_count
+        | _ -> Alcotest.fail (name ^ ": rank error is not a histogram"));
+       let om = Om_util.parse (Dfd_obs.Openmetrics.render samples) in
+       List.iter
+         (fun (fam, typ) ->
+            match Om_util.family om fam with
+            | Some f -> checkb (name ^ " " ^ fam ^ " # TYPE") true (f.Om_util.f_type = typ)
+            | None -> Alcotest.fail (name ^ ": family " ^ fam ^ " not declared"))
+         pool_families)
+    policies
+
 (* The paper's fact about DFDeques with K = ∞, which a WS pool runs:
    never a quota give-up, and never more than p deques in R, since each
    worker owns at most one and gives it up only once it is empty.  |R| is
@@ -914,6 +999,7 @@ let () =
           Alcotest.test_case "sync ops per unstolen fork" `Quick test_sync_ops_per_fork;
           Alcotest.test_case "allocation per unstolen fork" `Quick test_fork_alloc_bound;
           Alcotest.test_case "rank error instrumented" `Quick test_rank_error_instrumented;
+          Alcotest.test_case "registry series match counters" `Quick test_registry_series;
           Alcotest.test_case "WS |R| <= p, no quota give-ups" `Quick test_ws_r_at_most_p;
           Alcotest.test_case "heartbeat" `Quick test_heartbeat_monotonic;
           Alcotest.test_case "sequential runs" `Quick test_many_sequential_runs;

@@ -251,6 +251,13 @@ let with_service ?(config = base_config) ?tracer ?fault policy f =
 
 let entry svc id = List.find (fun e -> e.Service.job = id) (Service.ledger svc)
 
+(* A forking job body: fib n on the service's pool. *)
+let rec fib n =
+  if n < 2 then n
+  else
+    let a, b = Pool.fork_join (fun () -> fib (n - 1)) (fun () -> fib (n - 2)) in
+    a + b
+
 (* submit-and-check-admission, the migration of the old result API *)
 let sub svc ?tenant ?class_ ?deadline f =
   Service.admission (Service.submit svc ?tenant ?class_ ?deadline f)
@@ -475,6 +482,21 @@ let test_wedge_respawn_exactly_once () =
     }
   in
   let svc = Service.create ~config (Pool.Dfdeques { quota = 4096 }) in
+  let tasks_total () =
+    match
+      List.find_opt
+        (fun s -> s.Dfd_obs.Registry.name = "dfd_pool_tasks_total")
+        (Service.metrics_snapshot svc)
+    with
+    | Some { Dfd_obs.Registry.value = Dfd_obs.Registry.Counter_v v; _ } -> v
+    | _ -> Alcotest.fail "dfd_pool_tasks_total missing"
+  in
+  (* enough tasks on the first pool that a series restarted by the
+     respawn would read lower afterwards *)
+  ignore (Service.submit svc (fun () -> ignore (fib 12)));
+  Service.drive svc;
+  let tasks_before = tasks_total () in
+  checkb "first pool ran the forking job" true (tasks_before > 100);
   let flag = Atomic.make false in
   let wedge_id =
     Result.get_ok
@@ -499,6 +521,8 @@ let test_wedge_respawn_exactly_once () =
   Service.drive svc;
   checkb "post-respawn job completes" true
     ((entry svc after).Service.outcome = Some Service.Completed);
+  checkb "dfd_pool_tasks_total monotone across the respawn" true
+    (tasks_total () >= tasks_before);
   (match Service.verify_ledger svc with
    | Ok () -> ()
    | Error m -> Alcotest.fail ("ledger audit: " ^ m));

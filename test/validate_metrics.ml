@@ -37,14 +37,20 @@ let () =
       if not (List.exists (fun (f : Om_util.family) -> f.f_name = fam) om.Om_util.families) then
         fail "%s: sample %s has no # TYPE declaration" text_path p.Om_util.p_name)
     om.Om_util.points;
-  (* the instruments the telemetry plane promises *)
+  (* the instruments the telemetry plane promises (a histogram is present
+     when any of its _bucket/_count/_sum points is) *)
   List.iter
     (fun name ->
-      if not (List.exists (fun (p : Om_util.point) -> p.Om_util.p_name = name) om.Om_util.points)
+      if
+        not
+          (List.exists
+             (fun (p : Om_util.point) -> base_family om.Om_util.families p.Om_util.p_name = name)
+             om.Om_util.points)
       then fail "%s: missing required series %s" text_path name)
     [
       "dfd_engine_time";
       "dfd_engine_actions_total";
+      "dfd_engine_premature_depth";
       "dfd_space_budget_bytes";
       "dfd_space_peak_bytes";
       "dfd_space_headroom_ratio";
