@@ -31,11 +31,21 @@ let no_task : task = fun _ -> ()
 (* A worker's private task part: an owner-only stack in front of its
    public [Lfdeque], after Acar, Charguéraud & Rainey's work stealing with
    private deques (PPoPP 2013).  The live tasks are [items.(lo .. hi-1)],
-   oldest at [lo].  The owner pushes and pops at [hi] with plain writes
-   and publishes from [lo] (oldest first) when a thief asks, so every
-   public task is older than every private one and the two parts read as
-   one deque.  No other worker ever writes it. *)
-type pstack = { mutable items : task array; mutable lo : int; mutable hi : int }
+   oldest at [lo].  The owner pushes and pops at [hi] without
+   synchronization and publishes from [lo] (oldest first) when a thief
+   asks, so every public task is older than every private one and the two
+   parts read as one deque.  A pop leaves its slot as it was:
+   [items.(hi .. used-1)] may still hold finished tasks, and every slot
+   from [used] up is [no_task].  [clear_stale] empties that stale range
+   when it outgrows [stale_limit] and when the worker runs dry.  No
+   other worker ever writes it, except a quarantiner or respawner once
+   the owner is fenced. *)
+type pstack = {
+  mutable items : task array;
+  mutable lo : int;
+  mutable hi : int;
+  mutable used : int;
+}
 
 (* A published task, as a public deque holds it.  Its one taker empties
    it ([take_slot]): [Lfdeque.steal] leaves a won cell in place until the
@@ -181,6 +191,10 @@ type t = {
   tracer : Tracer.t;
       (** every event, one lane per worker plus the last for external
           writers ({!Tracer.disabled} by default). *)
+  tracing : bool;
+      (** [Tracer.enabled tracer], cached: it is fixed when the tracer is
+          made, and the per-task path reads it here without a call into
+          another module. *)
   fault : Fault.t;  (** fault-injection plan; {!Fault.none} by default. *)
   flight : Tracer.t;
       (** always-on crash-forensics ring, laned like [tracer]
@@ -306,7 +320,7 @@ let trace_steal_attempt pool w ~victim =
 let note_task_start pool w =
   let c = pool.per_worker.(w) in
   c.c_tasks_run <- c.c_tasks_run + 1;
-  if Tracer.enabled pool.tracer then begin
+  if pool.tracing then begin
     let ts = now_us pool in
     pool.last_active_us.(w) <- ts;
     Tracer.emit pool.tracer ~ts ~proc:w ~tid:(-1) (Event.Action_batch { units = 1 })
@@ -393,35 +407,64 @@ let req pool w = pool.req.(pad_index w)
 
 let private_capacity = 32
 
+(* The most finished tasks a private stack keeps between clears.  Every
+   minor collection promotes the young tasks the stack still points at,
+   so stale slots cost promoted words and major-heap size; a clear costs
+   an [Array.fill] and makes the next push into each cleared slot add it
+   to the remembered set.  fib 27 at p = 2 on a 2-core x86-64 host
+   promoted (caller's domain) 3.8k words per op with every pop clearing
+   its slot, 6.2k with no limit (peak RSS ~15% higher) and 4.8k with
+   this one, which clears on ~2% of joins. *)
+let stale_limit = 4
+
 (* ------------------------------------------------------------------ *)
-(* The private part: owner-only, plain writes                          *)
+(* The private part: owner-only, no synchronization                    *)
 (* ------------------------------------------------------------------ *)
 
+(* [items] lives in the major heap, so every pointer store into it is a
+   [caml_modify] call: a fork makes one, a join none ([pop_private]'s
+   occasional [clear_stale] aside).  The push's store
+   usually overwrites a stale task, a young block, so [caml_modify]
+   returns early; overwriting the static [no_task] (a slot at [used] or
+   above) would add the slot to the remembered set. *)
 let push_private s task =
-  if s.hi = Array.length s.items then begin
-    (* full: slide the live tasks down over published slots, or grow *)
-    let n = s.hi - s.lo in
-    let items = if s.lo > 0 then s.items else Array.make (2 * n) no_task in
-    Array.blit s.items s.lo items 0 n;
-    Array.fill items n (Array.length items - n) no_task;
-    s.items <- items;
-    s.lo <- 0;
-    s.hi <- n
+  if s.hi = s.used then begin
+    if s.used = Array.length s.items then begin
+      (* full: slide the live tasks down over published slots, or grow *)
+      let n = s.hi - s.lo in
+      let items = if s.lo > 0 then s.items else Array.make (2 * n) no_task in
+      Array.blit s.items s.lo items 0 n;
+      Array.fill items n (Array.length items - n) no_task;
+      s.items <- items;
+      s.lo <- 0;
+      s.hi <- n;
+      s.used <- n
+    end;
+    s.used <- s.used + 1
   end;
   s.items.(s.hi) <- task;
   s.hi <- s.hi + 1
 
-(* Only ever called on a nonempty part.  Slots are cleared as they empty
-   so a stack does not keep finished closures alive. *)
+(* Drop the finished tasks that pops left above [hi], so the stack does
+   not keep their closures, and whatever they hold, alive.  Called when
+   the worker leaves the computation (a worker domain's first miss,
+   [run]'s exit on worker 0, quarantine and respawn) and by a pop that
+   leaves more than [stale_limit] of them. *)
+let clear_stale s =
+  Array.fill s.items s.hi (s.used - s.hi) no_task;
+  s.used <- s.hi
+
+(* Only ever called on a nonempty part.  The popped slot keeps its task:
+   clearing it here would be a [caml_modify] on every join. *)
 let pop_private s =
   let i = s.hi - 1 in
   let t = s.items.(i) in
-  s.items.(i) <- no_task;
   if i = s.lo then begin
     s.lo <- 0;
     s.hi <- 0
   end
   else s.hi <- i;
+  if s.used - s.hi > stale_limit then clear_stale s;
   t
 
 let take_oldest s =
@@ -771,6 +814,7 @@ let quarantine_as pool ~proc ~cause w =
     Atomic.incr pool.wgen.(w);
     if Atomic.get pool.stopped.(w) then Atomic.decr pool.crashed_pending;
     let held = Atomic.exchange pool.cur_task.(w) None in
+    clear_stale (pstack pool w);
     let abandoned =
       match pool.dfd_deque.(w) with
       | None -> false
@@ -840,12 +884,14 @@ let boundary pool w s =
   if s.hi > s.lo && (Atomic.get (req pool w) || Atomic.get pool.n_parked > 0) then
     respond pool w s
 
-(* A fork: plain writes to the private part, then the boundary check.
-   The worker's deque must be in R, where thieves look for owners to
-   ask. *)
+(* A fork: a push onto the private part, then the boundary check.  The
+   worker's deque must be in R, where thieves look for owners to ask.  A
+   nonempty private part means it is there already: a worker gives its
+   deque up only inside [try_get], where its private part is empty
+   ({!dfd_abandon}). *)
 let push_local pool w task =
-  ignore (dfd_own_deque pool w);
   let s = pstack pool w in
+  if s.hi = s.lo then ignore (dfd_own_deque pool w);
   push_private s task;
   boundary pool w s
 
@@ -948,10 +994,10 @@ let pop_back pool w tasks task =
 
 (* The join's take.  A nonempty private part means the branch was never
    published: publication goes oldest first and every younger fork has
-   joined already, so the branch is on top, taken with plain writes.  An
-   empty private part means it was published: pop it back if no thief
-   took it.  So a join whose branch was stolen has an empty private
-   part. *)
+   joined already, so the branch is on top, taken without a store into
+   the stack ({!pop_private}).  An empty private part means it was
+   published: pop it back if no thief took it.  So a join whose branch
+   was stolen has an empty private part. *)
 let try_pop_exact pool w task =
   let s = pstack pool w in
   if s.hi > s.lo then begin
@@ -1033,6 +1079,8 @@ let worker_loop pool w =
     else begin
       if help_once ~top:true pool w then misses := 0
       else begin
+        (* run dry: drop the finished tasks the private part still holds *)
+        if !misses = 0 then clear_stale (pstack pool w);
         incr misses;
         if Atomic.get pool.crashed_pending > 0 then ignore (scan_crashed pool ~proc:w);
         (* bounded spin, then park until a publication signals — but only
@@ -1177,7 +1225,7 @@ let make ?(flight = Tracer.disabled) ?(respawn_budget = 0)
     let req = padded_run n_workers (fun () -> Atomic.make false) in
     let priv =
       padded_run n_workers (fun () ->
-          { items = Array.make private_capacity no_task; lo = 0; hi = 0 })
+          { items = Array.make private_capacity no_task; lo = 0; hi = 0; used = 0 })
     in
     Gc.minor ();
     (* K = ∞ makes DFDeques the work stealer (DESIGN.md §1) *)
@@ -1219,6 +1267,7 @@ let make ?(flight = Tracer.disabled) ?(respawn_budget = 0)
       domains = [];
       rngs = Array.init n_workers (fun i -> Prng.create (1000 + i));
       tracer;
+      tracing = Tracer.enabled tracer;
       fault;
       flight;
       t0 = Unix.gettimeofday ();
@@ -1298,6 +1347,7 @@ let run ?timeout ?quota pool f =
   Fun.protect
     ~finally:(fun () ->
       ctx := None;
+      clear_stale (pstack pool 0);
       Atomic.set pool.deadline None)
     (fun () ->
        match f () with
@@ -1604,6 +1654,7 @@ let respawn_worker pool w =
          Atomic.set pool.wedged.(w) false;
          pool.quota_left.(w) <- Atomic.get pool.dfd_quota;
          pool.dfd_deque.(w) <- None;
+         clear_stale (pstack pool w);
          Atomic.incr pool.wgen.(w);
          (* flags last: the slot is fully rebuilt before it reads as live *)
          Atomic.set pool.quarantined.(w) false;
@@ -1653,6 +1704,12 @@ module For_testing = struct
   let private_len pool w =
     let s = pstack pool w in
     s.hi - s.lo
+
+  let stale_slots pool w =
+    let s = pstack pool w in
+    let n = ref 0 in
+    Array.iteri (fun i t -> if (i < s.lo || i >= s.hi) && t != no_task then incr n) s.items;
+    !n
 
   let requested pool w = Atomic.get (req pool w)
 

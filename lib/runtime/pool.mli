@@ -44,12 +44,18 @@
 
     Each worker's tasks live in two parts (after Acar, Charguéraud &
     Rainey's private deques, PPoPP 2013).  A fork pushes onto an
-    owner-only {e private} stack and its join pops it back with plain
-    writes: no atomic write, no box, and the branch's promise is never
-    written or read.  Thieves take only from the {e public} part, the
-    worker's {!Dfd_structures.Lfdeque}.  A thief that finds a public part
-    empty raises its owner's request flag (under {!Dfdeques}, the owner of
-    the sampled R deque).  The owner reads the flag at every fork and
+    owner-only {e private} stack and its join pops it back without
+    synchronization: no atomic write, no box, and the branch's promise is
+    never written or read.  The stack is a major-heap array, so each
+    pointer store into it is a [caml_modify] call: the push makes one and
+    the pop none.  A pop leaves the finished task in its slot.  The
+    worker clears those stale slots in one pass when more than four pile
+    up, and when it runs dry (a worker domain's first empty-handed take,
+    the end of {!run} for the caller), so a finished branch's closure
+    outlives it only until then.  Thieves take only from the {e public}
+    part, the worker's {!Dfd_structures.Lfdeque}.  A thief that finds a
+    public part empty raises its owner's request flag (under {!Dfdeques},
+    the owner of the sampled R deque).  The owner reads the flag at every fork and
     join; when it is set, or a worker is parked, the owner moves its
     oldest private task to the bottom of its public part and signals.
     Publication goes oldest first, so every public task is older than
@@ -439,6 +445,14 @@ module For_testing : sig
       once [w] is quiescent; an unsynchronized, possibly stale read
       otherwise.  0 at every top-of-loop take, and once every task of a
       run has returned. *)
+
+  val stale_slots : t -> int -> int
+  (** Slots of worker [w]'s private stack outside its live tasks that
+      still hold a task: the finished branches its pops left behind, at
+      most four while [w] runs.  Same read contract as {!private_len}.
+      0 once {!run} has returned (for the caller, worker 0), once a
+      worker domain has gone idle, and once [w] is quarantined or
+      respawned. *)
 
   val requested : t -> int -> bool
   (** Whether worker [w]'s request flag is raised. *)

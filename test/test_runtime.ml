@@ -426,6 +426,84 @@ let test_fork_alloc_bound () =
          true
          (words <= float_of_int ((21 * forks) + 256)))
 
+(* Retention: a join pops its branch without clearing the slot, so the
+   finished closure stays in the private stack until its worker runs dry
+   and clears it (or more than four pile up).  Each forked branch below captures a block with a
+   finaliser; once the worker that ran the fork has gone idle, a full
+   major collection must free it.  [collected] polls a bounded number of
+   times: a worker domain clears at its first empty-handed take, which
+   follows [run]'s return by a scheduling delay, not at a fixed time. *)
+let watched finalised =
+  let blk = Sys.opaque_identity (ref 1) in
+  Gc.finalise (fun _ -> Atomic.incr finalised) blk;
+  blk
+
+let collected finalised ~want cond =
+  let rec go i =
+    Gc.full_major ();
+    if (Atomic.get finalised < want || not (cond ())) && i < 200 then begin
+      Unix.sleepf 0.005;
+      go (i + 1)
+    end
+  in
+  go 1
+
+let test_fork_closure_released_inline () =
+  let pool = Pool.create ~domains:0 Pool.Work_stealing in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+       let finalised = Atomic.make 0 in
+       let stale_inside =
+         Pool.run pool (fun () ->
+             let blk = watched finalised in
+             let a, b = Pool.fork_join (fun () -> !blk) (fun () -> 2) in
+             checki "fork_join" 3 (a + b);
+             Pool.For_testing.stale_slots pool 0)
+       in
+       checkb "the join left its branch in the stack" true (stale_inside > 0);
+       checki "no stale slot once run returns" 0 (Pool.For_testing.stale_slots pool 0);
+       collected finalised ~want:1 (fun () -> true);
+       checki "the branch's block was collected" 1 (Atomic.get finalised))
+
+let test_fork_closure_released_by_idle_worker () =
+  let pool = Pool.create ~domains:1 Pool.Work_stealing in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+       let finalised = Atomic.make 0 in
+       let rec tree blk d =
+         if d = 0 then !blk
+         else
+           let a, b = Pool.fork_join (fun () -> tree blk (d - 1)) (fun () -> tree blk (d - 1)) in
+           a + b
+       in
+       (* run until worker 1 has stolen, so its own forks used its stack *)
+       let runs = ref 0 in
+       spin_until ~snapshot:(fun () -> Pool.snapshot pool) (fun () ->
+           incr runs;
+           checki "tree" 4096 (Pool.run pool (fun () -> tree (watched finalised) 12));
+           (Pool.counters pool).Pool.steals > 0);
+       collected finalised ~want:!runs (fun () -> Pool.For_testing.stale_slots pool 1 = 0);
+       checki "no stale slot on worker 0" 0 (Pool.For_testing.stale_slots pool 0);
+       checki "no stale slot on idle worker 1" 0 (Pool.For_testing.stale_slots pool 1);
+       checki "every run's block was collected" !runs (Atomic.get finalised))
+
+(* Quarantine clears the dead worker's stale slots: worker 1 forks and
+   joins (leaving its branch in its stack), then is quarantined. *)
+let test_quarantine_clears_stale_slots () =
+  let pool = Pool.For_testing.create_detached ~workers:2 Pool.Work_stealing in
+  let finalised = Atomic.make 0 in
+  Pool.For_testing.as_worker pool 1 (fun () ->
+      let blk = watched finalised in
+      let k = Pool.For_testing.fork (fun () -> !blk) in
+      checkb "popped back" true (Pool.For_testing.pop_fork k));
+  checkb "the join left its branch in the stack" true (Pool.For_testing.stale_slots pool 1 > 0);
+  checkb "quarantined" true (Pool.quarantine pool 1);
+  checki "no stale slot after quarantine" 0 (Pool.For_testing.stale_slots pool 1);
+  collected finalised ~want:1 (fun () -> true);
+  checki "the branch's block was collected" 1 (Atomic.get finalised)
+
 let test_nested_run_rejected () =
   with_pool Pool.Work_stealing (fun pool ->
       checkb "nested run fails" true
@@ -998,6 +1076,12 @@ let () =
           Alcotest.test_case "inline join exception" `Quick test_inline_join_exception;
           Alcotest.test_case "sync ops per unstolen fork" `Quick test_sync_ops_per_fork;
           Alcotest.test_case "allocation per unstolen fork" `Quick test_fork_alloc_bound;
+          Alcotest.test_case "finished fork released at run exit" `Quick
+            test_fork_closure_released_inline;
+          Alcotest.test_case "finished fork released by idle worker" `Quick
+            test_fork_closure_released_by_idle_worker;
+          Alcotest.test_case "quarantine clears stale slots" `Quick
+            test_quarantine_clears_stale_slots;
           Alcotest.test_case "rank error instrumented" `Quick test_rank_error_instrumented;
           Alcotest.test_case "registry series match counters" `Quick test_registry_series;
           Alcotest.test_case "WS |R| <= p, no quota give-ups" `Quick test_ws_r_at_most_p;
