@@ -110,7 +110,7 @@ type worker_state = {
    two workers' records off one cache line: the allocator may place them
    side by side.  The one cell written on every deque operation, the
    sync-op count, therefore lives apart from the records, in
-   [sync_cells] under an explicit layout rule (see {!padded_run}). *)
+   [sync_cells], padded (see {!padded}). *)
 type wcounters = {
   mutable c_steals : int;
   mutable c_steal_failures : int;
@@ -159,21 +159,21 @@ type t = {
   sync_cells : int ref option array;
       (** synchronization ops (atomic RMWs and publishing stores, CAS
           retries included) each worker executed on its scheduling paths,
-          both policies.  Worker [w] owns [sync_cells.(pad_index w)]; the
-          other cells are padding (see {!padded_run}).  Each cell is
+          both policies.  Worker [w] owns [sync_cells.(w)], padded
+          (see {!padded}) like its [Some] box.  Each cell is
           stored already boxed as the Lfdeque/Multiq [?ops] argument, so
           passing it allocates nothing.  A ref rather than a mutable field so
           the structures can bump it directly; still single-writer
           (thief-side ops are charged to the thief).  Summed by
           {!val-sync_ops}, which the registry reads as a lazy probe. *)
   priv : pstack array;
-      (** each worker's private part, [priv.(pad_index w)], owner-only;
-          the other records are padding (see {!padded_run}). *)
+      (** each worker's private part, owner-only; the record and its
+          [items] are padded (see {!padded}). *)
   req : bool Atomic.t array;
-      (** each worker's request flag, [req.(pad_index w)]: raised by a
+      (** each worker's request flag, padded: raised by a
           thief that found the worker's public part empty, read with a
           plain load by the owner at every fork and join, cleared by the
-          owner when it publishes.  The other cells are padding. *)
+          owner when it publishes. *)
   idle_lock : Mutex.t;
   idle_cond : Condition.t;
   n_parked : int Atomic.t;
@@ -359,51 +359,51 @@ let injected_steal_failure pool w =
   fail
 
 (* ------------------------------------------------------------------ *)
-(* Padded cells: the per-worker sync-op counts                         *)
+(* Padded cells: the per-worker hot blocks                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Layout rule for a 1-field block that some worker writes on every
-   deque operation: no other such block, and no block that a worker
-   reads on every operation, within 128 bytes of it (the span an
-   adjacent-line prefetcher pulls in as a pair).  Otherwise each write
-   sends the line back and forth between the cores.  Measured with
+(* Layout rule for a block that some worker writes on every deque
+   operation: no other such block, and no block that another worker
+   reads on every operation, within 128 bytes of its live fields (the
+   span an adjacent-line prefetcher pulls in as a pair).  Otherwise each
+   write sends the line back and forth between the cores.  Measured with
    fork-join fib at p = 2 on a 2-core x86-64 host: one unpadded sync-op
    ref per worker, allocated back to back, made WS about 25% slower than
    with the refs apart.
-   OCaml 5's major heap keeps each block size in pools of its own, so
-   padding separates two refs or atomics only if it is the same size:
-   each cell is the middle element of its own run of [pad_stride].
-   [make] allocates the runs first and promotes them at once with a
-   minor collection, before any other value points at a cell, so each
-   run is copied out in array order into consecutive slots of one size
-   class.  A run element is a cell boxed as [Some cell], and the
-   collector copies a one-field block's field right after the block, so
-   the run lays out box, cell, box, cell: the box its worker reads on
-   every operation is the block next to the cell it writes, the pair has
-   16 blocks (256 bytes) of padding on one side and 14 (224 bytes) on
-   the other, and neighbouring workers' cells are 512 bytes apart.  The runs stay
-   reachable from the pool so the padding is never freed and reused. *)
-let pad_stride = 16
+   Each such block is padded by construction: its live fields come
+   first, then [pad_words] words that nothing reads or writes, so the
+   next block in memory, wherever the allocator or the collector puts
+   it, starts at least 128 bytes past the last live field.  Every hot
+   block is padded, so the block before one ends in padding too. *)
+let pad_words = 16
 
-let pad_index i = (i * pad_stride) + (pad_stride / 2)
-
-let padded_run n make = Array.init (n * pad_stride) (fun _ -> make ())
+(* A copy of block [x] with [pad_words] more fields, each the immediate
+   0; field access by offset is unchanged.  Only for blocks of scanned
+   tag (records, [ref]s, [Atomic.t]s, [Some] boxes), whose fields the
+   copy stores with the write barrier. *)
+let padded (x : 'a) : 'a =
+  let x = Obj.repr x in
+  let n = Obj.size x in
+  let p = Obj.new_block (Obj.tag x) (n + pad_words) in
+  for i = 0 to n - 1 do
+    Obj.set_field p i (Obj.field x i)
+  done;
+  Obj.obj p
 
 (* The worker's sync-op cell as the [?ops] argument of every
    Lfdeque/Multiq mutating call on its behalf, and unboxed for the
    pool's own counts. *)
-let ops pool w = pool.sync_cells.(pad_index w)
+let ops pool w = pool.sync_cells.(w)
 
 let sync_cell pool w = Option.get (ops pool w)
 
-(* The private part and the request flag follow the same rule: the owner
-   writes its [pstack] on every fork and join, and reads its flag there,
-   so each is the middle of a run of its own size, like the sync cells.
-   A [pstack]'s [items] array is the middle of a run of arrays for the
-   same reason (a stack grown later moves out of it). *)
-let pstack pool w = pool.priv.(pad_index w)
+(* The owner writes its [pstack] on every fork and join, and reads its
+   request flag there.  A [pstack]'s [items] array ends in [pad_words]
+   slots that hold [no_task] and are never used, and a grown one keeps
+   them. *)
+let pstack pool w = pool.priv.(w)
 
-let req pool w = pool.req.(pad_index w)
+let req pool w = pool.req.(w)
 
 let private_capacity = 32
 
@@ -429,10 +429,10 @@ let stale_limit = 4
    above) would add the slot to the remembered set. *)
 let push_private s task =
   if s.hi = s.used then begin
-    if s.used = Array.length s.items then begin
+    if s.used = Array.length s.items - pad_words then begin
       (* full: slide the live tasks down over published slots, or grow *)
       let n = s.hi - s.lo in
-      let items = if s.lo > 0 then s.items else Array.make (2 * n) no_task in
+      let items = if s.lo > 0 then s.items else Array.make ((2 * n) + pad_words) no_task in
       Array.blit s.items s.lo items 0 n;
       Array.fill items n (Array.length items - n) no_task;
       s.items <- items;
@@ -1219,15 +1219,13 @@ let make ?(flight = Tracer.disabled) ?(respawn_budget = 0)
             (Printf.sprintf "Pool.create: the %s ring needs n_workers + 1 = %d lanes, has %d"
                name (n_workers + 1) (Tracer.lanes ring)))
       [ ("tracer", tracer); ("flight", flight) ];
-    (* the padded runs first, then one minor collection (the layout rule
-       above) *)
-    let sync_cells = padded_run n_workers (fun () -> Some (ref 0)) in
-    let req = padded_run n_workers (fun () -> Atomic.make false) in
+    let sync_cells = Array.init n_workers (fun _ -> padded (Some (padded (ref 0)))) in
+    let req = Array.init n_workers (fun _ -> padded (Atomic.make false)) in
     let priv =
-      padded_run n_workers (fun () ->
-          { items = Array.make private_capacity no_task; lo = 0; hi = 0; used = 0 })
+      Array.init n_workers (fun _ ->
+          padded
+            { items = Array.make (private_capacity + pad_words) no_task; lo = 0; hi = 0; used = 0 })
     in
-    Gc.minor ();
     (* K = ∞ makes DFDeques the work stealer (DESIGN.md §1) *)
     let k = match policy with Dfdeques { quota } -> quota | Work_stealing -> max_int in
     {

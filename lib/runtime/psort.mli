@@ -11,9 +11,19 @@
 val sort : ?cutoff:int -> cmp:('a -> 'a -> int) -> 'a array -> unit
 (** In-place parallel mergesort.  Must be called from inside {!Pool.run}.
     [cutoff] (default 2048): ranges at most this long are sorted serially
-    by the same merge sort, with no fork and no allocation (reading a
-    [float array] from this polymorphic code boxes each element read);
-    beyond its forks, the sort allocates one scratch copy of the array.
+    by the same merge sort, with no fork and no allocation.
+
+    One [int array] core does the sorting, with plain loads and stores.
+    If every element of the array is an immediate ([int], [char], [bool],
+    constant constructors), the core sorts the array itself; beyond its
+    forks, the sort then allocates one scratch copy of the array.
+    Otherwise (boxed values, a flat [float array], or a mix) the core
+    sorts an index array under [cmp] applied to the indexed elements, and
+    the array is then permuted once: the sort allocates the index array,
+    its scratch copy and one copy of the array, and each comparison reads
+    two elements through polymorphic code (which boxes the floats of a
+    [float array]).  The index sort makes the comparisons that sorting
+    the values would make, so it gives the same order.
     @raise Invalid_argument if [cutoff < 1], before any fork. *)
 
 val sorted : cmp:('a -> 'a -> int) -> 'a array -> bool

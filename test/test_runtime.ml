@@ -242,12 +242,34 @@ let psort_case =
   in
   QCheck.make ~print:QCheck.Print.(triple int int int) gen
 
+(* An element kind that mixes immediates ([Low], [High]) and blocks
+   ([Mid (key, i)], which remembers its input position [i]). *)
+type mixed = Low | Mid of int * int | High
+
+(* Every block in [out] is the input's own block at the position [pos]
+   reads from it, each used once: with [same_multiset], the output holds
+   exactly the input's blocks under physical equality, so a permutation
+   that copies or drops one fails. *)
+let own_blocks ~pos out input =
+  let used = Array.make (Array.length input) false in
+  Array.for_all
+    (fun x ->
+       match pos x with
+       | None -> true
+       | Some i ->
+           let fresh = not used.(i) in
+           used.(i) <- true;
+           fresh && x == input.(i))
+    out
+
 (* Every element kind on every pool: ints with many duplicates, a flat
-   [float array], and boxed (int * string) pairs compared on the int only;
-   the pair comparator forces a minor GC every 512 calls, so the sort
-   moves heap pointers while the collector relocates them. *)
+   [float array], boxed (int * string) pairs compared on the int only,
+   and [mixed] arrays: a random mix, and all immediates but one block at
+   index 0 or at n - 1 (the ends of the all-immediate scan).  The pair and
+   mixed comparators force a minor GC every 512 calls, so the sort moves
+   heap pointers while the collector relocates them. *)
 let qcheck_psort pools =
-  QCheck.Test.make ~count:60 ~name:"psort sorts ints, floats and boxed pairs" psort_case
+  QCheck.Test.make ~count:60 ~name:"psort sorts ints, floats, boxed pairs and mixed" psort_case
     (fun (cutoff, n, seed) ->
        let st = Random.State.make [| seed |] in
        let ints = Array.init n (fun _ -> Random.State.int st (1 + (n / 8))) in
@@ -255,23 +277,48 @@ let qcheck_psort pools =
        let pairs =
          Array.init n (fun i -> (Random.State.int st (1 + (n / 4)), string_of_int i))
        in
+       let key () = Random.State.int st (1 + (n / 4)) in
+       let mixed =
+         Array.init n (fun i ->
+             match Random.State.int st 3 with 0 -> Low | 1 -> Mid (key (), i) | _ -> High)
+       in
+       let one_block at =
+         Array.init n (fun i ->
+             if i = at then Mid (key (), i) else if Random.State.bool st then Low else High)
+       in
        let calls = Atomic.make 0 in
+       let tick () = if Atomic.fetch_and_add calls 1 land 511 = 0 then Gc.minor () in
        let cmp_pair (a, _) (b, _) =
-         if Atomic.fetch_and_add calls 1 land 511 = 0 then Gc.minor ();
+         tick ();
          Int.compare a b
        in
-       let check name cmp input =
+       let rank = function Low -> 0 | Mid _ -> 1 | High -> 2 in
+       let cmp_mixed a b =
+         tick ();
+         match (a, b) with
+         | Mid (x, _), Mid (y, _) -> Int.compare x y
+         | _ -> Int.compare (rank a) (rank b)
+       in
+       let check ?(pos = fun _ -> None) name cmp input =
          List.for_all
            (fun pool ->
               let arr = Array.copy input in
               Pool.run pool (fun () -> Dfd_runtime.Psort.sort ~cutoff ~cmp arr);
-              Dfd_runtime.Psort.sorted ~cmp arr && same_multiset arr input
-              || QCheck.Test.fail_reportf "%s: not a sorted permutation" name)
+              (Dfd_runtime.Psort.sorted ~cmp arr && same_multiset arr input
+               || QCheck.Test.fail_reportf "%s: not a sorted permutation" name)
+              && (own_blocks ~pos arr input
+                  || QCheck.Test.fail_reportf "%s: not the input's own blocks" name))
            pools
        in
+       let pair_pos (_, s) = Some (int_of_string s) in
+       let mixed_pos = function Mid (_, i) -> Some i | Low | High -> None in
        check "ints" Int.compare ints
        && check "floats" Float.compare floats
-       && check "pairs" cmp_pair pairs)
+       && check ~pos:pair_pos "pairs" cmp_pair pairs
+       && check ~pos:mixed_pos "mixed" cmp_mixed mixed
+       && (n = 0
+           || check ~pos:mixed_pos "mixed, one block first" cmp_mixed (one_block 0)
+              && check ~pos:mixed_pos "mixed, one block last" cmp_mixed (one_block (n - 1))))
 
 let test_psort_qcheck () =
   let pools =
@@ -704,19 +751,21 @@ let test_sync_ops_per_worker policy () =
 
 (* The sync-op cells' layout rule: no two workers' cells within 128
    bytes.  An address is read by reinterpreting a ref as an int, so the
-   difference of two such reads is half the byte distance; the cells
-   are in the major heap by then, where blocks do not move.  Garbage
-   refs allocated first leave holes in the free slots of the cells' size
-   class, so the rule must hold on a used heap, not only on a fresh one. *)
+   difference of two such reads is half the byte distance; a minor
+   collection first puts the cells in the major heap, where blocks do
+   not move.  Garbage blocks of 1 to 24 fields allocated first leave
+   holes in the free slots of the major heap's size classes, so the rule
+   must hold on a used heap, not only on a fresh one. *)
 let test_sync_cells_apart policy () =
   let addr (r : int ref) = 2 * (Obj.magic r : int) in
   for round = 1 to 20 do
-    let junk = Array.init (round * 1000) (fun i -> ref i) in
+    let junk = Array.init (round * 1000) (fun i -> Array.make (1 + (i mod 24)) i) in
     Gc.minor ();
     let kept = Array.init (round * 100) (fun i -> junk.(i * 7 mod Array.length junk)) in
     Gc.full_major ();
     let pool = Pool.For_testing.create_detached ~workers:4 policy in
     let cells = List.init 4 (Pool.For_testing.sync_cell pool) in
+    Gc.minor ();
     List.iteri
       (fun i a ->
          List.iteri
