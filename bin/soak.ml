@@ -533,7 +533,6 @@ let run_soak ~seed ~duration ~plan ~policy ~wedge_grace ~json_out ~flight_dir =
       wedge_grace;
       domains = 2;
       max_respawns = 16;
-      worker_respawn_budget = 0;
       on_pool_retired = Some on_pool_retired;
     }
   in

@@ -43,13 +43,13 @@ type thm44_report = {
   ok : bool;
 }
 
-let thm44 ?(c = 8) ?(seed = 0) ~p ~k prog =
+let thm44 ?(c = Dfd_obs.Headroom.default_c) ?(seed = 0) ~p ~k prog =
   let s = Analysis.analyze prog in
   let cfg = Config.analysis ~p ~mem_threshold:(Some k) ~seed () in
   let r = Engine.run ~sched:`Dfdeques cfg prog in
   let s1 = s.Analysis.serial_space in
   let depth = s.Analysis.depth in
-  let bound = s1 + (c * min k s1 * p * depth) in
+  let bound = Dfd_obs.Headroom.thm44_bound ~c ~s1 ~k ~p ~depth in
   { p; k; c; s1; depth; heap_peak = r.Engine.heap_peak; bound; ok = r.Engine.heap_peak <= bound }
 
 let thm44_result r =

@@ -27,7 +27,8 @@ type thm44_report = {
 val thm44 : ?c:int -> ?seed:int -> p:int -> k:int -> Dfd_dag.Prog.t -> thm44_report
 (** Theorem 4.4: the space of DFDeques(K) on [p] processors is
     S1 + O(min(K,S1)·p·D).  Measures the peak and compares against the
-    bound instantiated with constant [c] (default 8, the repo's long-used
+    bound ([Dfd_obs.Headroom.thm44_bound]) instantiated with constant [c]
+    (default [Dfd_obs.Headroom.default_c] = 8, the repo's long-used
     empirical headroom). *)
 
 val thm44_result : thm44_report -> (unit, string) result

@@ -13,8 +13,8 @@ let upper_table grain =
          else begin
            let r = Exp_common.run_analysis ~p ~k:(Some k) ~sched:`Dfdeques b in
            let bound =
-             s.Analysis.serial_space
-             + (min k s.Analysis.serial_space * p * s.Analysis.depth)
+             Dfd_obs.Headroom.thm44_bound ~c:1 ~s1:s.Analysis.serial_space ~k ~p
+               ~depth:s.Analysis.depth
            in
            Some
              [

@@ -1,7 +1,8 @@
-(* Live Theorem-4.4 gauges: plain fields, published as registry probes.
-   The budget formula must stay in lockstep with Dfd_check.Oracle.thm44
-   (test_obs checks them against each other on the differential
-   scenarios). *)
+(* Live Theorem-4.4 gauges: plain fields, published as registry probes. *)
+
+let default_c = 8
+
+let thm44_bound ~c ~s1 ~k ~p ~depth = s1 + (c * min k s1 * p * depth)
 
 type t = {
   c : int;
@@ -16,14 +17,14 @@ type t = {
   mutable alloc_rate : int;
 }
 
-let budget t = t.s1 + (t.c * min t.k t.s1 * t.p * t.depth)
+let budget t = thm44_bound ~c:t.c ~s1:t.s1 ~k:t.k ~p:t.p ~depth:t.depth
 
 let headroom_ratio t =
   let b = budget t in
   if b = 0 then if t.peak = 0 then 1.0 else 0.0
   else float_of_int (b - t.peak) /. float_of_int b
 
-let create ~registry ~policy ?(c = 8) ?(s1 = 0) ?(depth = 0) ~p ~k () =
+let create ~registry ~policy ?(c = default_c) ?(s1 = 0) ?(depth = 0) ~p ~k () =
   let t =
     { c; s1; depth; p; k; last_alloc = 0; live = 0; peak = 0; premature = 0; alloc_rate = 0 }
   in

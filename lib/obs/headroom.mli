@@ -30,6 +30,14 @@
     [Oracle.thm44] is exact) and from configuration estimates on the
     service path, where the true dag is unknown until executed. *)
 
+val default_c : int
+(** 8: the constant hiding in the bound's [O(.)], shared by the live
+    gauge and [Dfd_check.Oracle.thm44]. *)
+
+val thm44_bound : c:int -> s1:int -> k:int -> p:int -> depth:int -> int
+(** [S1 + c * min(K, S1) * p * D]: Theorem 4.4's space bound with the
+    constant [c] made explicit — the one place the formula is written. *)
+
 type t
 
 val create :
@@ -44,21 +52,21 @@ val create :
   t
 (** Registers the gauge family labeled [policy="..."] into [registry] as
     probes (upsert: a respawned owner re-binds the same series).  [c] defaults
-    to 8, matching [Oracle.thm44]; [s1] and [depth] default to 0, which
-    degrades the budget to the [S1] term alone. *)
+    to {!default_c}; [s1] and [depth] default to 0, which degrades the
+    budget to the [S1] term alone. *)
 
 val budget : t -> int
-(** [s1 + c * min k s1 * p * depth] for the current [k]. *)
+(** {!thm44_bound} at the current [k] and [p]. *)
 
 val set_quota : t -> int -> unit
 (** The adaptive controller moved K: the budget gauge follows. *)
 
 val set_p : t -> int -> unit
-(** The live processor count changed (a worker was quarantined, or
-    respawned): the budget gauge follows with the degraded
-    [p] — the Theorem 4.4 bound shrinks gracefully to
-    [S1 + c*min(K,S1)*(p-1)*D] after a crash domain fires.  Clamped to
-    at least 1. *)
+(** The live processor count changed (a worker was quarantined, or a
+    fresh pool replaced a degraded one): the budget gauge follows — the
+    Theorem 4.4 bound shrinks to [S1 + c*min(K,S1)*(p-1)*D] after a
+    crash domain fires, and returns to [p] with the fresh pool.  Clamped
+    to at least 1. *)
 
 val observe : t -> live_bytes:int -> unit
 (** Update the live gauge (and through it the peak watermark). *)

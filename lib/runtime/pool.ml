@@ -38,8 +38,8 @@ let no_task : task = fun _ -> ()
    [items.(hi .. used-1)] may still hold finished tasks, and every slot
    from [used] up is [no_task].  [clear_stale] empties that stale range
    when it outgrows [stale_limit] and when the worker runs dry.  No
-   other worker ever writes it, except a quarantiner or respawner once
-   the owner is fenced. *)
+   other worker ever writes it, except a quarantiner once the owner is
+   fenced. *)
 type pstack = {
   mutable items : task array;
   mutable lo : int;
@@ -88,11 +88,10 @@ type counters = {
 
 (* One audit record per crash-domain transition, newest first in the
    pool's lineage ledger.  [cause] is "crash" (the worker's own death
-   certificate), "wedge" (a supervisor's verdict) or "respawn" (a fresh
-   domain spawned into the slot).  [requeued]: the worker held a
-   taken-but-not-started task that was recovered exactly once through the
-   orphan stack.  [abandoned]: a DFDeques deque was abandoned on the dead
-   owner's behalf. *)
+   certificate) or "wedge" (a supervisor's verdict).  [requeued]: the
+   worker held a taken-but-not-started task that was recovered exactly
+   once through the orphan stack.  [abandoned]: a DFDeques deque was
+   abandoned on the dead owner's behalf. *)
 type lineage_entry = { worker : int; cause : string; requeued : bool; abandoned : bool }
 
 type worker_state = {
@@ -137,8 +136,8 @@ type t = {
   n_workers : int;  (** worker domains + the caller *)
   (* --- the relaxed ordered list R ------------------------------------
      No scheduling or event-recording path takes a mutex: only idle
-     parking and respawn do, and neither holds a task.  R membership
-     (insert, remove, the thief's insert-after-victim) is lock-free CAS
+     parking does, and it holds no task.  R membership (insert, remove,
+     the thief's insert-after-victim) is lock-free CAS
      in the [Multiq]; victim selection is two-choice sampling over its
      shards; task transfer is CAS-only through [Lfdeque]. *)
   r : dq Multiq.t;
@@ -148,7 +147,7 @@ type t = {
   quota_left : int array;  (** owner-written only. *)
   dfd_quota : int Atomic.t;
       (** the current memory threshold K.  Seeded from the policy and
-          adjustable at runtime ({!set_quota}; max_int, fixed, on a
+          adjustable per run ([run ?quota]; max_int, fixed, on a
           WS pool) so a supervisor can trade
           throughput for the Theorem 4.4 space bound under memory
           pressure; workers pick the new value up at their next steal
@@ -224,10 +223,9 @@ type t = {
   stopped : bool Atomic.t array;  (** crash certificates, one-way. *)
   wedged : bool Atomic.t array;  (** diagnostic: victim entered the wedge spin. *)
   quarantined : bool Atomic.t array;
-      (** one-winner quarantine flags; cleared only by {!respawn_worker}. *)
-  wgen : int Atomic.t array;
-      (** per-slot generation: bumped by quarantine (fences a wedged
-          spinner out of its loop) and by respawn (new incarnation). *)
+      (** one-winner quarantine flags, never cleared: a quarantined slot
+          stays dead for the pool's lifetime.  The flag is also the
+          wedge fence ({!wedge_spin}). *)
   crashed_pending : int Atomic.t;
       (** raised certificates not yet quarantined; peers scan when > 0. *)
   orphans : task list Atomic.t;
@@ -237,11 +235,6 @@ type t = {
   n_orphan_pops : int Atomic.t;
   n_quarantined : int Atomic.t;  (** currently dead slots: [degraded_p] = n_workers - this. *)
   lineage : lineage_entry list Atomic.t;  (** newest first; lock-free prepend. *)
-  respawn_budget : int Atomic.t;
-  respawn_lock : Mutex.t;
-      (** serialises {!respawn_worker} (cold path): the budget claim, the
-          slot reset and the domain spawn must not interleave with a
-          competing respawn of the same slot. *)
 }
 
 (* Wall-clock event timestamp: microseconds since pool creation.  Only
@@ -448,7 +441,7 @@ let push_private s task =
 (* Drop the finished tasks that pops left above [hi], so the stack does
    not keep their closures, and whatever they hold, alive.  Called when
    the worker leaves the computation (a worker domain's first miss,
-   [run]'s exit on worker 0, quarantine and respawn) and by a pop that
+   [run]'s exit on worker 0, and quarantine) and by a pop that
    leaves more than [stale_limit] of them. *)
 let clear_stale s =
   Array.fill s.items s.hi (s.used - s.hi) no_task;
@@ -777,25 +770,24 @@ let worker_crash pool w =
   raise Worker_stop
 
 (* The injected wedge: spin inside the scheduler, never touching any pool
-   structure again, until a quarantiner bumps the slot generation (or the
-   pool shuts down).  The generation fence is what makes a supervisor's
-   quarantine of this worker sound: after the bump the spinner's only
-   remaining action is to unwind. *)
+   structure again, until a quarantiner sets the slot's one-way
+   [quarantined] flag (or the pool shuts down).  That fence is what makes
+   a supervisor's quarantine of this worker sound: once the flag is set
+   the spinner's only remaining action is to unwind. *)
 let wedge_spin pool w =
   if rings_live pool then
     note pool ~ts:(now_us pool) ~proc:w (Event.Fault_injected { fault = "worker_wedge" });
-  let g0 = Atomic.get pool.wgen.(w) in
   Atomic.set pool.wedged.(w) true;
-  while Atomic.get pool.wgen.(w) = g0 && not (Atomic.get pool.shutting_down) do
+  while not (Atomic.get pool.quarantined.(w) || Atomic.get pool.shutting_down) do
     Domain.cpu_relax ()
   done;
   raise Worker_stop
 
 (* Quarantine worker [w]: the surgical alternative to killing the whole
-   pool.  One winner (CAS on [quarantined]); the winner fences the slot
-   (generation bump), recovers the held task exactly once (atomic
-   exchange of [cur_task] — the owner's own pre-run exchange and this one
-   cannot both win), abandons the dead owner's deque via the sticky
+   pool.  One winner (CAS on [quarantined], which also fences a wedged
+   spinner out of its loop); the winner recovers the held task exactly
+   once (atomic exchange of [cur_task] — the owner's own pre-run exchange
+   and this one cannot both win), abandons the dead owner's deque via the sticky
    death-certificate protocol (sound because the owner is
    certifiably fenced: crashed domains have unwound, wedged ones spin
    without touching the pool, so no push can race the abandonment — the
@@ -811,7 +803,6 @@ let quarantine_as pool ~proc ~cause w =
   if Atomic.compare_and_set pool.quarantined.(w) false true then begin
     Schedpoint.point Schedpoint.pool_quarantine;
     Atomic.incr pool.n_quarantined;
-    Atomic.incr pool.wgen.(w);
     if Atomic.get pool.stopped.(w) then Atomic.decr pool.crashed_pending;
     let held = Atomic.exchange pool.cur_task.(w) None in
     clear_stale (pstack pool w);
@@ -827,8 +818,8 @@ let quarantine_as pool ~proc ~cause w =
     lineage_add pool { worker = w; cause; requeued = Option.is_some held; abandoned };
     (* The requeue comes after the abandonment and the ledger entry: the
        requeued task can complete the computation, so a [run] that
-       returns — and a [verify_lineage] or [respawn_worker] after it —
-       must find both done. *)
+       returns — and a [verify_lineage] after it — must find both
+       done. *)
     (match held with
      | Some task ->
        orphan_push pool task;
@@ -1151,17 +1142,13 @@ let rank_error pool =
     (fun acc c -> Stats.Histogram.merge acc c.c_rank_err)
     (Stats.Histogram.create ()) pool.per_worker
 
-(* Lineage entries whose cause satisfies [keep]. *)
-let count_causes pool keep =
-  List.fold_left (fun acc e -> if keep e.cause then acc + 1 else acc) 0 (Atomic.get pool.lineage)
-
-let quarantines pool = count_causes pool (( <> ) "respawn")
+let quarantines pool = List.length (Atomic.get pool.lineage)
 
 (* The pool's telemetry: probes over the state it already keeps — the
    per-worker counter records, the crash-domain ledger — so no scheduling
-   path does any registry work.  Registration upserts: a respawned
-   incarnation re-points every series at itself, and the counters carry
-   their last values across. *)
+   path does any registry work.  Registration upserts: a pool respawned
+   by a supervisor re-points every series at itself, and the counters
+   carry their last values across. *)
 let register_probes registry pool =
   let g name help f = Registry.probe registry ~kind:`Gauge ~help name f in
   let c name help f = Registry.probe registry ~kind:`Counter ~help name f in
@@ -1203,15 +1190,12 @@ let register_probes registry pool =
       quarantines pool);
   c "dfd_pool_crash_requeues_total" "Held tasks recovered exactly-once from quarantined workers."
     (fun () -> Atomic.get pool.n_orphan_pushes);
-  c "dfd_pool_worker_respawns_total" "Fresh domains spawned into quarantined worker slots."
-    (fun () -> count_causes pool (( = ) "respawn"));
   Registry.probe_histogram registry
     ~help:"Rank error per successful DFDeques steal (positions outside the exact leftmost-p window)."
     "dfd_pool_steal_rank_error"
     (fun () -> Registry.hist_of_stats (rank_error pool))
 
-let make ?(flight = Tracer.disabled) ?(respawn_budget = 0)
-    ~n_workers ~tracer ~fault policy =
+let make ?(flight = Tracer.disabled) ~n_workers ~tracer ~fault policy =
     List.iter
       (fun (name, ring) ->
         if Tracer.enabled ring && Tracer.lanes ring < n_workers + 1 then
@@ -1277,30 +1261,26 @@ let make ?(flight = Tracer.disabled) ?(respawn_budget = 0)
       stopped = Array.init n_workers (fun _ -> Atomic.make false);
       wedged = Array.init n_workers (fun _ -> Atomic.make false);
       quarantined = Array.init n_workers (fun _ -> Atomic.make false);
-      wgen = Array.init n_workers (fun _ -> Atomic.make 0);
       crashed_pending = Atomic.make 0;
       orphans = Atomic.make [];
       n_orphan_pushes = Atomic.make 0;
       n_orphan_pops = Atomic.make 0;
       n_quarantined = Atomic.make 0;
       lineage = Atomic.make [];
-      respawn_budget = Atomic.make (max 0 respawn_budget);
-      respawn_lock = Mutex.create ();
     }
 
-let make ?(registry = Registry.disabled) ?flight ?respawn_budget ~n_workers ~tracer ~fault policy =
-  let pool = make ?flight ?respawn_budget ~n_workers ~tracer ~fault policy in
+let make ?(registry = Registry.disabled) ?flight ~n_workers ~tracer ~fault policy =
+  let pool = make ?flight ~n_workers ~tracer ~fault policy in
   register_probes registry pool;
   pool
 
-let create ?domains ?(tracer = Tracer.disabled) ?(fault = Fault.none) ?registry ?flight
-    ?respawn_budget policy =
+let create ?domains ?(tracer = Tracer.disabled) ?(fault = Fault.none) ?registry ?flight policy =
   let extra =
     match domains with
     | Some d -> max 0 d
     | None -> max 0 (Domain.recommended_domain_count () - 1)
   in
-  let pool = make ?registry ?flight ?respawn_budget ~n_workers:(extra + 1) ~tracer ~fault policy in
+  let pool = make ?registry ?flight ~n_workers:(extra + 1) ~tracer ~fault policy in
   pool.domains <- List.init extra (fun i -> Domain.spawn (fun () -> worker_loop pool (i + 1)));
   pool
 
@@ -1436,20 +1416,10 @@ let quota pool =
   | Work_stealing -> None
   | Dfdeques _ -> Some (Atomic.get pool.dfd_quota)
 
-let set_quota pool k =
-  if k <= 0 then invalid_arg "Pool.set_quota: quota must be positive";
-  match pool.policy with
-  | Work_stealing -> invalid_arg "Pool.set_quota: Work_stealing pool has no quota"
-  | Dfdeques _ -> Atomic.set pool.dfd_quota k
-
 let heartbeat pool =
   Array.fold_left (fun acc c -> acc + c.c_tasks_run) 0 pool.per_worker
 
 (* --- crash-domain surface ------------------------------------------- *)
-
-(* Per-worker progress vector (the aggregate {!val-heartbeat}, split): a
-   supervisor diffing two reads can tell which worker went flat. *)
-let heartbeats pool = Array.map (fun c -> c.c_tasks_run) pool.per_worker
 
 (* Point-in-time crash-domain view of every slot.  [w_activity] is the
    take-attempt clock: an awaiting or stealing worker keeps ticking even
@@ -1482,8 +1452,8 @@ let lineage pool = List.rev (Atomic.get pool.lineage)
    quiescent (after [run]/[drain] returns): every crash certificate must
    have been quarantined, every recovered task must have drained through
    the orphan stack, the ledger's requeue claims must match the stack's
-   push count, and each slot's quarantine/respawn history must reconcile
-   with its live flag. *)
+   push count, and each slot must have at most one entry, present exactly
+   when its one-way quarantine flag is set. *)
 let verify_lineage pool =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
   let pending = Atomic.get pool.crashed_pending in
@@ -1502,21 +1472,13 @@ let verify_lineage pool =
       else begin
         let bad = ref None in
         for w = 1 to pool.n_workers - 1 do
-          let qs =
-            List.fold_left
-              (fun a e -> if e.worker = w && e.cause <> "respawn" then a + 1 else a)
-              0 entries
-          and rs =
-            List.fold_left
-              (fun a e -> if e.worker = w && e.cause = "respawn" then a + 1 else a)
-              0 entries
-          in
-          let live = if Atomic.get pool.quarantined.(w) then 1 else 0 in
-          if qs - rs <> live && !bad = None then
+          let qs = List.fold_left (fun a e -> if e.worker = w then a + 1 else a) 0 entries in
+          let flag = Atomic.get pool.quarantined.(w) in
+          if (qs > 1 || (qs = 1) <> flag) && !bad = None then
             bad :=
               Some
-                (Printf.sprintf "worker %d: %d quarantines - %d respawns inconsistent with live flag %d"
-                   w qs rs live)
+                (Printf.sprintf "worker %d: %d lineage entries inconsistent with quarantine flag %b"
+                   w qs flag)
         done;
         (match !bad with Some s -> Error s | None -> Ok ())
       end
@@ -1569,11 +1531,10 @@ let snapshot pool =
      | Some d -> Printf.sprintf "%+.3fs" (d -. Unix.gettimeofday ()));
   List.iter (fun (k, v) -> pf "  %s=%d\n" k v) (stats pool);
   pf "  heartbeat=%d faults_injected=%d\n" (heartbeat pool) (Fault.injected_total pool.fault);
-  pf "  degraded_p=%d quarantined=%d crashed_pending=%d orphans=%d (pushes=%d pops=%d) respawn_budget=%d\n"
+  pf "  degraded_p=%d quarantined=%d crashed_pending=%d orphans=%d (pushes=%d pops=%d)\n"
     (degraded_p pool) (Atomic.get pool.n_quarantined) (Atomic.get pool.crashed_pending)
     (List.length (Atomic.get pool.orphans))
-    (Atomic.get pool.n_orphan_pushes) (Atomic.get pool.n_orphan_pops)
-    (Atomic.get pool.respawn_budget);
+    (Atomic.get pool.n_orphan_pushes) (Atomic.get pool.n_orphan_pops);
   Array.iteri
     (fun i c ->
        let s = pstack pool i in
@@ -1626,52 +1587,13 @@ let kill pool =
   Condition.broadcast pool.idle_cond;
   Mutex.unlock pool.idle_lock
 
-(* Spawn a fresh domain into a quarantined slot, under the respawn budget.
-   Cold path: [respawn_lock] serialises the budget claim, the slot reset
-   and the spawn, so two supervisors cannot double-fill one slot or spend
-   one budget unit twice.  Resetting the slot's owner-only state is sound
-   because quarantine certifiably fenced the previous incarnation (its
-   generation was bumped; crashed domains have unwound, wedged ones only
-   spin) — and quarantine already drained [cur_task], so no task can be
-   hiding in the slot we reset.  The dead domain stays on [domains] and
-   is reaped by the next [shutdown] join, exactly like a live one. *)
-let respawn_worker pool w =
-  if w <= 0 || w >= pool.n_workers then invalid_arg "Pool.respawn_worker: bad worker";
-  Mutex.lock pool.respawn_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock pool.respawn_lock)
-    (fun () ->
-       if
-         Atomic.get pool.quarantined.(w)
-         && (not (Atomic.get pool.shutting_down))
-         && Atomic.get pool.respawn_budget > 0
-       then begin
-         Atomic.decr pool.respawn_budget;
-         assert (Option.is_none (Atomic.get pool.cur_task.(w)));
-         Atomic.set pool.stopped.(w) false;
-         Atomic.set pool.wedged.(w) false;
-         pool.quota_left.(w) <- Atomic.get pool.dfd_quota;
-         pool.dfd_deque.(w) <- None;
-         clear_stale (pstack pool w);
-         Atomic.incr pool.wgen.(w);
-         (* flags last: the slot is fully rebuilt before it reads as live *)
-         Atomic.set pool.quarantined.(w) false;
-         Atomic.decr pool.n_quarantined;
-         lineage_add pool { worker = w; cause = "respawn"; requeued = false; abandoned = false };
-         if rings_live pool then
-           note pool ~ts:(now_us pool) ~proc:w (Event.Worker_respawned { worker = w });
-         pool.domains <- Domain.spawn (fun () -> worker_loop pool w) :: pool.domains;
-         true
-       end
-       else false)
-
 (* Entry points for the systematic concurrency checker (lib/check): a
    pool with worker slots but no spawned domains, so every thread touching
    it is one the checker controls, plus explicit worker impersonation and
    single help steps.  Not part of the public scheduling API. *)
 module For_testing = struct
-  let create_detached ?(fault = Fault.none) ?respawn_budget ~workers policy =
-    make ?respawn_budget ~n_workers:(max 1 workers) ~tracer:Tracer.disabled ~fault policy
+  let create_detached ?(fault = Fault.none) ~workers policy =
+    make ~n_workers:(max 1 workers) ~tracer:Tracer.disabled ~fault policy
 
   let as_worker pool w f =
     if w < 0 || w >= pool.n_workers then invalid_arg "Pool.For_testing.as_worker";

@@ -101,7 +101,6 @@ val create :
   ?fault:Dfd_fault.Fault.t ->
   ?registry:Dfd_obs.Registry.t ->
   ?flight:Dfd_trace.Tracer.t ->
-  ?respawn_budget:int ->
   policy ->
   t
 (** [create ~domains policy] starts a pool with [domains] extra worker
@@ -131,7 +130,7 @@ val create :
     read-side probes over what it already keeps: the {!counters} fields
     (steals and failures, local pops, quota giveups, tasks, task
     exceptions, [alloc_hint] bytes, parks, deque churn, sync ops), the
-    crash-domain ledger (quarantines, requeues, respawns), {!rank_error}
+    crash-domain ledger (quarantines, requeues), {!rank_error}
     as a histogram, and gauges over live state (parked workers, current
     K, R size).  They are read only when the registry is scraped, so an
     enabled registry adds nothing to any scheduling path.  Registration
@@ -146,25 +145,22 @@ val create :
     ({!Dfd_trace.Tracer.write_file}) on [Timeout], watchdog kill or
     give-up, without enabling full tracing.  Same lane rule as [tracer]:
     one ring per pool, [n_workers + 1] lanes, never shared between live
-    pools.
-
-    [respawn_budget] (default 0): how many quarantined worker slots
-    {!respawn_worker} may refill with fresh domains over the pool's
-    lifetime.  0 means quarantined slots stay dead (the pool runs
-    degraded at p-1, p-2, ...) and wholesale pool respawn remains the
-    supervisor's backstop. *)
+    pools. *)
 
 val run : ?timeout:float -> ?quota:int -> t -> (unit -> 'a) -> 'a
 (** Execute a task (and all the parallel work it forks) to completion on
     the pool; the calling thread works too.  Re-entrant calls from inside
     pool tasks raise {!Nested_run}.
 
-    [quota]: apply this memory threshold K (bytes) for the run — exactly
-    {!set_quota} performed atomically with the run's start, so a
-    multi-tenant driver can give each dispatched job its own tenant's K
-    budget.  The value persists after the run (the next caller sets its
-    own).  Raises [Invalid_argument] on a {!Work_stealing} pool or a
-    non-positive quota, like {!set_quota}.
+    [quota]: set the memory threshold K (bytes) at the run's start (one
+    atomic store, no locks), so a multi-tenant driver can give each
+    dispatched job its own tenant's K budget — the lever the adaptive
+    controller in {!Dfd_service} uses to trade throughput for the
+    Theorem 4.4 space bound [S1 + O(K·p·D)] under memory pressure.  Each
+    worker picks the new value up at its next steal, when its quota
+    refills.  The value persists after the run (the next caller sets its
+    own; {!quota} reads it back).  Raises [Invalid_argument] on a
+    {!Work_stealing} pool or a non-positive quota.
 
     [timeout] (seconds, wall clock): cancel the computation and raise
     {!Timeout} once the deadline passes.  Cancellation is cooperative —
@@ -210,15 +206,6 @@ val alloc_hint : int -> unit
 val quota : t -> int option
 (** The current memory threshold K of a {!Dfdeques} pool; [None] under
     {!Work_stealing}. *)
-
-val set_quota : t -> int -> unit
-(** Adjust the memory threshold K at runtime (one atomic store, no
-    locks).  Each worker picks the new value up at its next steal, when
-    its quota refills — the adjustment lever the adaptive controller in
-    {!Dfd_service} uses to trade throughput for the Theorem 4.4 space
-    bound [S1 + O(K·p·D)] under memory pressure.  Raises
-    [Invalid_argument] on a {!Work_stealing} pool or a non-positive
-    quota. *)
 
 type counters = {
   steals : int;  (** successful steals *)
@@ -285,23 +272,25 @@ val heartbeat : t -> int
     fires inside a worker's top-of-loop take: the worker publishes a
     one-way death certificate and unwinds.  Any peer (or the caller, or
     an external supervisor via {!quarantine}) then {e quarantines} the
-    slot: one CAS winner fences the slot's generation, recovers the
+    slot: one CAS winner sets the slot's one-way quarantine flag (which
+    also fences a wedged worker out of its spin), recovers the
     taken-but-unstarted task exactly once (atomic exchange against the
     owner), requeues it through a lock-free orphan stack that all
     workers drain ahead of their deques, abandons the dead owner's
     deque through the sticky death-certificate protocol so survivors
     steal its queued tasks back, and appends an audit record
-    to the {!lineage} ledger.  The pool then runs degraded at
-    [p - 1] — the Theorem 4.4 space bound [S1 + c·min(K,S1)·p·D]
-    shrinks gracefully with it (see [Dfd_obs.Headroom.set_p]) — until
-    {!respawn_worker} refills the slot under the [respawn_budget].
+    to the {!lineage} ledger.  Quarantine is final: the pool runs
+    degraded at [p - 1] for the rest of its lifetime — the Theorem 4.4
+    space bound [S1 + c·min(K,S1)·p·D] shrinks with it (see
+    [Dfd_obs.Headroom.set_p]) — and only a fresh pool, such as the
+    service's wholesale respawn, brings the width back.
     {!verify_lineage} audits the whole episode after the fact: no task
     lost, none run twice.  DESIGN.md §17 gives the protocol and its
     memory-ordering audit. *)
 
 type lineage_entry = {
   worker : int;
-  cause : string;  (** ["crash"], ["wedge"] or ["respawn"]. *)
+  cause : string;  (** ["crash"] or ["wedge"]. *)
   requeued : bool;  (** a held task was recovered through the orphan stack. *)
   abandoned : bool;  (** the owner's deque was abandoned on its behalf. *)
 }
@@ -316,10 +305,6 @@ type worker_state = {
   w_quarantined : bool;
 }
 
-val heartbeats : t -> int array
-(** Per-worker split of {!heartbeat}: a supervisor diffing two reads can
-    tell {e which} worker went flat, not just that someone did. *)
-
 val worker_states : t -> worker_state array
 (** Point-in-time crash-domain view of every worker slot (lock-free
     reads; same staleness contract as {!val-counters}). *)
@@ -327,36 +312,31 @@ val worker_states : t -> worker_state array
 val quarantine : ?cause:string -> t -> int -> bool
 (** [quarantine pool w]: external supervisor verdict against worker [w]
     (cause defaults to ["wedge"]).  Returns [true] if this call won the
-    quarantine (false: already quarantined).  Sound only against workers
+    quarantine (false: already quarantined; a slot is quarantined at most
+    once).  Sound only against workers
     that are certifiably fenced — crashed (certificate raised) or wedged
     inside the scheduler with a flat {!worker_states} activity clock;
     quarantining a healthy worker is unsound and may duplicate or lose
     its in-flight push.  Raises [Invalid_argument] for the caller slot 0
     or an out-of-range worker. *)
 
-val respawn_worker : t -> int -> bool
-(** Spawn a fresh domain into a quarantined slot, spending one unit of
-    the [respawn_budget].  Returns [false] (and does nothing) if the
-    slot is not quarantined, the budget is exhausted, or the pool is
-    shutting down.  Serialised internally; safe to call from any
-    thread.  Raises [Invalid_argument] for slot 0 or out-of-range. *)
-
 val degraded_p : t -> int
 (** Live processor count: [n_workers] minus currently quarantined slots —
-    the [p] the Theorem 4.4 budget should be instantiated with. *)
+    the [p] the Theorem 4.4 budget should be instantiated with.  It only
+    falls over a pool's lifetime. *)
 
 val lineage : t -> lineage_entry list
 (** The crash-domain audit ledger, oldest first. *)
 
 val quarantines : t -> int
-(** Quarantine episodes recorded in {!lineage} (respawns excluded). *)
+(** Quarantine episodes recorded in {!lineage}: its length. *)
 
 val verify_lineage : t -> (unit, string) result
 (** Exactly-once recovery audit, meaningful once the pool is quiescent:
     no unquarantined crash certificates, the orphan stack drained, its
     push/pop counts balanced and equal to the ledger's requeue count,
-    and each slot's quarantine/respawn history consistent with its live
-    flag.  [Error] pinpoints the first violated invariant. *)
+    and each slot holding at most one ledger entry, present exactly when
+    its quarantine flag is set.  [Error] pinpoints the first violated invariant. *)
 
 val metrics_samples : t -> Dfd_obs.Registry.sample list
 (** {!counters} as registry snapshot samples (unlabelled names, marked
@@ -404,7 +384,7 @@ val kill : t -> unit
     domains and drives the worker roles from threads it serialises
     through the {!Dfd_structures.Schedpoint} yield points. *)
 module For_testing : sig
-  val create_detached : ?fault:Dfd_fault.Fault.t -> ?respawn_budget:int -> workers:int -> policy -> t
+  val create_detached : ?fault:Dfd_fault.Fault.t -> workers:int -> policy -> t
   (** A pool with [workers] worker slots and {e no} worker domains.
       Work only progresses when some thread runs {!as_worker}/{!help}. *)
 
@@ -451,8 +431,7 @@ module For_testing : sig
       still hold a task: the finished branches its pops left behind, at
       most four while [w] runs.  Same read contract as {!private_len}.
       0 once {!run} has returned (for the caller, worker 0), once a
-      worker domain has gone idle, and once [w] is quarantined or
-      respawned. *)
+      worker domain has gone idle, and once [w] is quarantined. *)
 
   val requested : t -> int -> bool
   (** Whether worker [w]'s request flag is raised. *)

@@ -1,4 +1,4 @@
-(* Deficit round-robin over per-tenant bounded FIFOs.  Job cost is one
+(* Deficit round-robin over per-tenant FIFOs.  Job cost is one
    credit, so a tenant's turn dispatches at most [weight] jobs before
    the pointer advances; an empty lane forfeits its leftover credit
    (work conservation).  All state is driven from one thread. *)
@@ -6,7 +6,6 @@
 type 'a lane = {
   name : string;
   weight : int;
-  bound : int;
   mutable front : 'a list;  (* next to dispatch, in order *)
   mutable back : 'a list;  (* newest first *)
   mutable depth : int;
@@ -31,37 +30,21 @@ let find t name =
   in
   go 0
 
-let add_tenant t ~name ~weight ~bound =
+let add_tenant t ~name ~weight =
   if weight < 1 then invalid_arg "Fair_queue.add_tenant: weight must be >= 1";
-  if bound < 1 then invalid_arg "Fair_queue.add_tenant: bound must be >= 1";
   if Array.exists (fun l -> l.name = name) t.lanes then
     invalid_arg (Printf.sprintf "Fair_queue.add_tenant: duplicate tenant %S" name);
-  let lane = { name; weight; bound; front = []; back = []; depth = 0; peak = 0 } in
+  let lane = { name; weight; front = []; back = []; depth = 0; peak = 0 } in
   t.lanes <- Array.append t.lanes [| lane |];
   (* the first registered lane opens the first turn *)
   if Array.length t.lanes = 1 then t.credit <- lane.weight
 
-let tenants t = Array.to_list (Array.map (fun l -> l.name) t.lanes)
-
-let weight t name = (find t name).weight
-
-let bound t name = (find t name).bound
-
-let enqueue t lane x =
+let push t ~tenant x =
+  let lane = find t tenant in
   lane.back <- x :: lane.back;
   lane.depth <- lane.depth + 1;
   if lane.depth > lane.peak then lane.peak <- lane.depth;
   t.total <- t.total + 1
-
-let push t ~tenant x =
-  let lane = find t tenant in
-  if lane.depth >= lane.bound then Error `Queue_full
-  else begin
-    enqueue t lane x;
-    Ok ()
-  end
-
-let push_force t ~tenant x = enqueue t (find t tenant) x
 
 let push_front t ~tenant x =
   let lane = find t tenant in

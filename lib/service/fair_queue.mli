@@ -1,5 +1,7 @@
-(** Weighted-fair admission queues: one bounded FIFO per tenant,
-    dispatched by deficit round-robin.
+(** Weighted-fair admission queues: one FIFO per tenant, dispatched by
+    deficit round-robin.  The queues are unbounded: the service's
+    admission check ([Service.submit]) enforces each tenant's
+    [queue_bound] over queued, retrying and in-flight jobs together.
 
     Dispatch walks the tenants in registration order; entering a
     tenant's turn grants it [weight] credits (one credit = one job, the
@@ -19,28 +21,16 @@ type 'a t
 
 val create : unit -> 'a t
 
-val add_tenant : 'a t -> name:string -> weight:int -> bound:int -> unit
-(** Register a lane.  Raises [Invalid_argument] on duplicates, a
-    non-positive weight or a non-positive bound. *)
+val add_tenant : 'a t -> name:string -> weight:int -> unit
+(** Register a lane; registration order is dispatch order.  Raises
+    [Invalid_argument] on duplicates or a non-positive weight. *)
 
-val tenants : 'a t -> string list
-(** Lane names in registration (= dispatch) order. *)
-
-val weight : 'a t -> string -> int
-
-val bound : 'a t -> string -> int
-
-val push : 'a t -> tenant:string -> 'a -> (unit, [ `Queue_full ]) result
-(** Append to the lane's FIFO; [Error `Queue_full] once the lane holds
-    [bound] jobs. *)
-
-val push_force : 'a t -> tenant:string -> 'a -> unit
-(** Append ignoring the bound — for retries of already-admitted jobs
-    (the service accounts pending retries against the bound at
-    admission, so a forced push cannot exceed it in a correct driver). *)
+val push : 'a t -> tenant:string -> 'a -> unit
+(** Append to the lane's FIFO: new admissions and retries of
+    already-admitted jobs. *)
 
 val push_front : 'a t -> tenant:string -> 'a -> unit
-(** Prepend ignoring the bound — for exactly-once wedge requeues. *)
+(** Prepend — for exactly-once wedge requeues. *)
 
 val pop : 'a t -> (string * 'a) option
 (** Next [(tenant, job)] in DRR order; [None] when every lane is

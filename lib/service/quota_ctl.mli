@@ -20,7 +20,7 @@
       [k_max].
 
     The controller is pure bookkeeping: the service applies the returned
-    action to the pool ({!Dfd_runtime.Pool.set_quota}) and emits the
+    action to the pool ([Dfd_runtime.Pool.run ?quota]) and emits the
     [Quota_adjusted] trace event. *)
 
 type config = {

@@ -23,7 +23,6 @@ type config = {
   wedge_grace : float;
   domains : int;
   max_respawns : int;
-  worker_respawn_budget : int;
   on_pool_retired : (in_flight:int option -> unit) option;
 }
 
@@ -37,7 +36,6 @@ let default_config =
     wedge_grace = 5.0;
     domains = 2;
     max_respawns = 8;
-    worker_respawn_budget = 0;
     on_pool_retired = None;
   }
 
@@ -246,8 +244,7 @@ let effective_policy ~policy ~k0 =
   | Pool.Dfdeques _ when k0 > 0 -> Pool.Dfdeques { quota = k0 }
   | p -> p
 
-let spawn_raw_epoch ?(fault = Dfd_fault.Fault.none) ~domains ~policy ~k0 ~registry
-    ~respawn_budget () =
+let spawn_raw_epoch ?(fault = Dfd_fault.Fault.none) ~domains ~policy ~k0 ~registry () =
   let domains = max 0 domains in
   (* each incarnation gets a fresh flight ring (forensics belong to one
      pool's lifetime; read back through [Pool.flight]) but shares the
@@ -256,8 +253,7 @@ let spawn_raw_epoch ?(fault = Dfd_fault.Fault.none) ~domains ~policy ~k0 ~regist
      included — plus the last for this driver's quarantines. *)
   let flight = Tracer.create ~capacity:256 ~lanes:(domains + 2) () in
   let pool =
-    Pool.create ~domains ~fault ~registry ~flight ~respawn_budget
-      (effective_policy ~policy ~k0)
+    Pool.create ~domains ~fault ~registry ~flight (effective_policy ~policy ~k0)
   in
   let ep = { pool; cell = Atomic.make Idle; retired = Atomic.make false; exec = None } in
   ep.exec <- Some (Domain.spawn (fun () -> executor_loop ep));
@@ -267,10 +263,12 @@ let spawn_epoch t =
   let k0 = max_lane_quota (lanes_in_order t) in
   let ep =
     spawn_raw_epoch ~fault:t.fault ~domains:t.cfg.domains ~policy:t.policy ~k0
-      ~registry:t.registry ~respawn_budget:t.cfg.worker_respawn_budget ()
+      ~registry:t.registry ()
   in
-  (* the fresh pool's alloc counter restarts at 0 *)
+  (* the fresh pool's alloc counter restarts at 0, and it runs every
+     worker slot again, whatever the old one had quarantined *)
   Headroom.reset_pressure t.headroom;
+  Headroom.set_p t.headroom (Pool.degraded_p ep.pool);
   ep
 
 (* The service's own supervision counters exposed as stable probes: they
@@ -330,8 +328,6 @@ let create ?(tracer = Tracer.disabled) ?(fault = Dfd_fault.Fault.none) ?registry
   Tenant.validate_all config.tenants;
   if config.wedge_grace <= 0.0 then invalid_arg "Service: wedge_grace must be positive";
   if config.max_respawns < 0 then invalid_arg "Service: max_respawns must be >= 0";
-  if config.worker_respawn_budget < 0 then
-    invalid_arg "Service: worker_respawn_budget must be >= 0";
   Retry.validate config.retry;
   let registry = match registry with Some r -> r | None -> Registry.create () in
   let queue = Fair_queue.create () in
@@ -339,7 +335,7 @@ let create ?(tracer = Tracer.disabled) ?(fault = Dfd_fault.Fault.none) ?registry
   let lane_order = List.map (fun (tn : Tenant.t) -> tn.name) config.tenants in
   List.iter
     (fun (tn : Tenant.t) ->
-       Fair_queue.add_tenant queue ~name:tn.name ~weight:tn.weight ~bound:tn.queue_bound;
+       Fair_queue.add_tenant queue ~name:tn.name ~weight:tn.weight;
        let l_qctl =
          match policy with
          | Pool.Work_stealing -> None
@@ -382,9 +378,7 @@ let create ?(tracer = Tracer.disabled) ?(fault = Dfd_fault.Fault.none) ?registry
       registry;
       headroom;
       flight_dir;
-      epoch =
-        spawn_raw_epoch ~fault ~domains:config.domains ~policy ~k0 ~registry
-          ~respawn_budget:config.worker_respawn_budget ();
+      epoch = spawn_raw_epoch ~fault ~domains:config.domains ~policy ~k0 ~registry ();
       retired_epochs = [];
       clock = 0;
       queue;
@@ -498,7 +492,7 @@ let submit t ?(tenant = "default") ?(class_ = "default") ?deadline ?on_done work
         run_quota = None;
       }
     in
-    Fair_queue.push_force t.queue ~tenant job;
+    Fair_queue.push t.queue ~tenant job;
     lane.a_accepted <- lane.a_accepted + 1
   end;
   h
@@ -548,9 +542,9 @@ let cancel t h =
    — a worker stuck inside {e user} code has already started its task
    ([w_holding] false), cannot be safely quarantined, and correctly
    escalates to the pool respawn backstop.  A won quarantine shrinks
-   the Theorem-4.4 budget to the degraded p, optionally respawns the
-   slot under the worker respawn budget, dumps forensics, resets the
-   stall clock and keeps waiting: the pool continues at p-1. *)
+   the Theorem-4.4 budget to the degraded p, dumps forensics, resets the
+   stall clock and keeps waiting: the pool continues at p-1 until a
+   wholesale respawn replaces it. *)
 let await_result t (job : job) =
   let ep = t.epoch in
   let last_hb = ref (Pool.heartbeat ep.pool) in
@@ -576,8 +570,6 @@ let await_result t (job : job) =
              t.c_quarantines <- t.c_quarantines + 1;
              Headroom.set_p t.headroom (Pool.degraded_p ep.pool);
              flight_dump t ~reason:(Printf.sprintf "quarantine_w%d" w);
-             if Pool.respawn_worker ep.pool w then
-               Headroom.set_p t.headroom (Pool.degraded_p ep.pool);
              won := true
            end
          end)
@@ -746,7 +738,7 @@ let step t =
   List.iter
     (fun (_, (job : job)) ->
        (lane_of t job.tenant).pending_retries <- (lane_of t job.tenant).pending_retries - 1;
-       Fair_queue.push_force t.queue ~tenant:job.tenant job)
+       Fair_queue.push t.queue ~tenant:job.tenant job)
     due;
   let dispatched, delta =
     match Fair_queue.pop t.queue with

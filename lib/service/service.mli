@@ -27,9 +27,11 @@
       its certificate) or wedged inside the scheduler — holding a
       taken-but-unstarted task with its per-worker activity clock flat —
       is quarantined in place ({!Dfd_runtime.Pool.quarantine}); its held
-      task is recovered exactly once, the pool continues degraded at
-      [p-1] (the Theorem-4.4 budget gauge shrinks with it), and the slot
-      may be refilled under [worker_respawn_budget].  Only when no slot
+      task is recovered exactly once, and the pool continues degraded at
+      [p-1] (the Theorem-4.4 budget gauge shrinks with it) until a
+      wholesale respawn, whose fresh pool runs all [p] workers and
+      restores the gauge.  Quarantine is final: a quarantined slot never
+      comes back within one pool.  Only when no slot
       is quarantinable — e.g. a worker stuck inside user code, which has
       already {e started} its task — does the stall escalate to the
       wholesale verdict: the pool is killed, a fresh pool and executor
@@ -86,11 +88,6 @@ type config = {
           exceed the longest fork-free stretch of any legitimate job. *)
   domains : int;  (** extra worker domains per pool incarnation. *)
   max_respawns : int;  (** hard cap on pool respawns before {!Supervisor_giveup}. *)
-  worker_respawn_budget : int;
-      (** how many quarantined worker slots each pool incarnation may
-          refill with fresh domains ([Pool.respawn_worker]); 0 (the
-          default) leaves quarantined slots dead, running degraded until
-          the wholesale respawn backstop fires. *)
   on_pool_retired : (in_flight:int option -> unit) option;
       (** called after a wedged pool is killed, with the requeued job's
           id; test harnesses use it to release their wedge tasks so the
@@ -100,7 +97,7 @@ type config = {
 val default_config : config
 (** seed 0, the single [Tenant.default] lane, {!Retry.default}, no quota
     controller, no default deadline, grace 5 s, 2 extra domains, 8
-    respawns, no worker respawn budget. *)
+    respawns. *)
 
 exception Supervisor_giveup of string
 (** More than [max_respawns] pool respawns: the supervisor refuses to

@@ -10,7 +10,7 @@ let category (k : Event.kind) =
   | Event.Action_batch _ -> "action"
   | Event.Counter _ -> "counter"
   | Event.Fault_injected _ -> "fault"
-  | Event.Worker_quarantined _ | Event.Task_requeued _ | Event.Worker_respawned _ -> "crash"
+  | Event.Worker_quarantined _ | Event.Task_requeued _ -> "crash"
 
 let pid = Json.Int 0
 
@@ -116,7 +116,6 @@ let render (e : Event.t) : Json.t list =
   | Event.Worker_quarantined { worker; cause } ->
     [ instant e [ ("worker", Json.Int worker); ("cause", Json.String cause) ] ]
   | Event.Task_requeued { worker } -> [ instant e [ ("worker", Json.Int worker) ] ]
-  | Event.Worker_respawned { worker } -> [ instant e [ ("worker", Json.Int worker) ] ]
 
 let to_json ~p events =
   let body = List.concat_map render events in

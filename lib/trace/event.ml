@@ -16,7 +16,6 @@ type kind =
   | Steal_rank of { victim : int; rank : int; err : int }
   | Worker_quarantined of { worker : int; cause : string }
   | Task_requeued of { worker : int }
-  | Worker_respawned of { worker : int }
 
 type t = { ts : int; proc : int; tid : int; kind : kind }
 
@@ -38,7 +37,6 @@ let kind_index = function
   | Steal_rank _ -> 14
   | Worker_quarantined _ -> 15
   | Task_requeued _ -> 16
-  | Worker_respawned _ -> 17
 
 let kind_names =
   [|
@@ -59,7 +57,6 @@ let kind_names =
     "steal_rank";
     "worker_quarantined";
     "task_requeued";
-    "worker_respawned";
   |]
 
 let n_kinds = Array.length kind_names
@@ -100,7 +97,6 @@ let to_json e =
     | Worker_quarantined { worker; cause } ->
       [ ("worker", Json.Int worker); ("cause", Json.String cause) ]
     | Task_requeued { worker } -> [ ("worker", Json.Int worker) ]
-    | Worker_respawned { worker } -> [ ("worker", Json.Int worker) ]
   in
   Json.Assoc
     ([
@@ -138,7 +134,6 @@ let of_json j =
       Worker_quarantined
         { worker = int "worker"; cause = Json.to_string_exn (Json.member "cause" j) }
     | "task_requeued" -> Task_requeued { worker = int "worker" }
-    | "worker_respawned" -> Worker_respawned { worker = int "worker" }
     | s -> raise (Json.Parse_error ("unknown event kind " ^ s))
   in
   { ts = int "ts"; proc = int "proc"; tid = int "tid"; kind }

@@ -73,9 +73,6 @@ type kind =
   | Task_requeued of { worker : int }
       (** The task the quarantined worker [worker] held (taken but never
           started) was recovered and requeued exactly once. *)
-  | Worker_respawned of { worker : int }
-      (** A fresh domain was spawned into quarantined worker slot
-          [worker] under the pool's respawn budget. *)
 
 type t = { ts : int; proc : int; tid : int; kind : kind }
 

@@ -611,7 +611,6 @@ let pool_families =
       "deques_deleted_total";
       "quarantines_total";
       "crash_requeues_total";
-      "worker_respawns_total";
       "sync_ops";
     ]
   @ [ ("dfd_pool_steal_rank_error", Om_util.Histogram) ]
@@ -660,8 +659,6 @@ let test_registry_series () =
            ("dfd_pool_sync_ops", c.Pool.sync_ops);
            ("dfd_pool_quarantines_total", Pool.quarantines pool);
            ("dfd_pool_crash_requeues_total", lineage_count (fun e -> e.Pool.requeued));
-           ( "dfd_pool_worker_respawns_total",
-             lineage_count (fun e -> e.Pool.cause = "respawn") );
          ];
        checkb (name ^ " stole") true (c.Pool.steals > 0);
        checkb (name ^ " hinted") true (c.Pool.alloc_bytes > 0);
@@ -913,14 +910,14 @@ let test_injected_steal_failures_degrade_gracefully () =
    victim dies on its first top-of-loop take, holding one unstarted
    task).  The surviving workers quarantine it, requeue the held task
    exactly once, and the sort still returns fully ordered at p-1; the
-   lineage ledger audits clean, and a respawn under budget restores full
-   strength for a subsequent clean run. *)
+   lineage ledger audits clean.  Quarantine is final: the slot cannot be
+   quarantined again, and a subsequent clean run still runs at p-1. *)
 let test_worker_crash_mid_psort () =
   List.iter
     (fun (policy, name) ->
        let rates = { Fault.zero_rates with Fault.worker_crash = Some 1 } in
        let fault = Fault.create ~rates ~seed:17 () in
-       let pool = Pool.create ~domains:3 ~fault ~respawn_budget:1 policy in
+       let pool = Pool.create ~domains:3 ~fault policy in
        Fun.protect
          ~finally:(fun () -> Pool.shutdown pool)
          (fun () ->
@@ -944,14 +941,12 @@ let test_worker_crash_mid_psort () =
              | Ok () -> ()
              | Error m -> Alcotest.failf "%s lineage audit: %s" name m);
             let victim = match Pool.lineage pool with e :: _ -> e.Pool.worker | [] -> 0 in
-            checkb (name ^ " respawn under budget") true (Pool.respawn_worker pool victim);
-            checkb (name ^ " budget exhausted after one respawn") false
-              (Pool.respawn_worker pool victim);
-            checki (name ^ " full strength restored") 4 (Pool.degraded_p pool);
-            checki (name ^ " clean run after respawn") 6765 (Pool.run pool (fun () -> fib 20));
+            checkb (name ^ " a second quarantine loses") false (Pool.quarantine pool victim);
+            checki (name ^ " still at p-1") 3 (Pool.degraded_p pool);
+            checki (name ^ " clean run at p-1") 6765 (Pool.run pool (fun () -> fib 20));
             (match Pool.verify_lineage pool with
              | Ok () -> ()
-             | Error m -> Alcotest.failf "%s lineage after respawn: %s" name m)))
+             | Error m -> Alcotest.failf "%s lineage after the clean run: %s" name m)))
     policies
 
 let test_timeout_fires_and_pool_reusable () =
@@ -1034,19 +1029,20 @@ let test_alloc_hint_negative () =
 let test_dynamic_quota () =
   with_pool (Pool.Dfdeques { quota = 10_000 }) (fun pool ->
       Alcotest.(check (option int)) "initial quota" (Some 10_000) (Pool.quota pool);
-      Pool.set_quota pool 2_500;
+      checki "still correct after shrink" 6765 (Pool.run ~quota:2_500 pool (fun () -> fib 20));
       Alcotest.(check (option int)) "adjusted quota" (Some 2_500) (Pool.quota pool);
-      checki "still correct after shrink" 6765 (Pool.run pool (fun () -> fib 20));
-      checkb "set_quota rejects non-positive" true
+      checkb "run ~quota rejects non-positive" true
         (try
-           Pool.set_quota pool 0;
+           Pool.run ~quota:0 pool (fun () -> ());
            false
-         with Invalid_argument _ -> true));
+         with Invalid_argument _ -> true);
+      Alcotest.(check (option int)) "a rejected quota is not stored" (Some 2_500)
+        (Pool.quota pool));
   with_pool Pool.Work_stealing (fun pool ->
       Alcotest.(check (option int)) "WS pool has no quota" None (Pool.quota pool);
-      checkb "set_quota rejects WS pools" true
+      checkb "run ~quota rejects WS pools" true
         (try
-           Pool.set_quota pool 100;
+           Pool.run ~quota:100 pool (fun () -> ());
            false
          with Invalid_argument _ -> true))
 

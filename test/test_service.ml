@@ -92,10 +92,10 @@ let qcheck_schedule_deterministic =
 
 let test_fair_queue_drr_order () =
   let q = Fair_queue.create () in
-  Fair_queue.add_tenant q ~name:"a" ~weight:2 ~bound:8;
-  Fair_queue.add_tenant q ~name:"b" ~weight:1 ~bound:8;
-  List.iter (fun i -> ignore (Fair_queue.push q ~tenant:"a" i)) [ 1; 2; 3; 4 ];
-  List.iter (fun i -> ignore (Fair_queue.push q ~tenant:"b" i)) [ 10; 20 ];
+  Fair_queue.add_tenant q ~name:"a" ~weight:2;
+  Fair_queue.add_tenant q ~name:"b" ~weight:1;
+  List.iter (fun i -> Fair_queue.push q ~tenant:"a" i) [ 1; 2; 3; 4 ];
+  List.iter (fun i -> Fair_queue.push q ~tenant:"b" i) [ 10; 20 ];
   let pops = List.init 6 (fun _ -> Option.get (Fair_queue.pop q)) in
   Alcotest.(check (list (pair string int)))
     "weight-2 lane gets two pops per round"
@@ -103,14 +103,14 @@ let test_fair_queue_drr_order () =
     pops;
   checkb "drained" true (Fair_queue.pop q = None)
 
+(* The lane bound is [Service.submit]'s admission check (over queued,
+   retrying and in-flight jobs); the queue itself is unbounded.  The
+   service-level [Queue_full] tests cover the bound. *)
 let test_fair_queue_bounds_and_remove () =
   let q = Fair_queue.create () in
-  Fair_queue.add_tenant q ~name:"a" ~weight:1 ~bound:2;
-  checkb "push ok" true (Fair_queue.push q ~tenant:"a" 1 = Ok ());
-  checkb "push ok" true (Fair_queue.push q ~tenant:"a" 2 = Ok ());
-  checkb "bound refuses" true (Fair_queue.push q ~tenant:"a" 3 = Error `Queue_full);
-  Fair_queue.push_force q ~tenant:"a" 3;
-  checki "forced push bypasses the bound" 3 (Fair_queue.depth q "a");
+  Fair_queue.add_tenant q ~name:"a" ~weight:1;
+  List.iter (fun i -> Fair_queue.push q ~tenant:"a" i) [ 1; 2; 3 ];
+  checki "depth counts every push" 3 (Fair_queue.depth q "a");
   Fair_queue.push_front q ~tenant:"a" 0;
   checki "peak depth tracked" 4 (Fair_queue.peak_depth q "a");
   checkb "front requeue pops first" true (Fair_queue.pop q = Some ("a", 0));
@@ -131,13 +131,13 @@ let qcheck_fair_share =
     (fun (weights, n) ->
        let q = Fair_queue.create () in
        List.iteri
-         (fun i w -> Fair_queue.add_tenant q ~name:(string_of_int i) ~weight:w ~bound:n)
+         (fun i w -> Fair_queue.add_tenant q ~name:(string_of_int i) ~weight:w)
          weights;
        (* every lane holds n jobs, so no lane drains within n pops *)
        List.iteri
          (fun i _ ->
             for j = 1 to n do
-              ignore (Fair_queue.push q ~tenant:(string_of_int i) j)
+              Fair_queue.push q ~tenant:(string_of_int i) j
             done)
          weights;
        let counts = Array.make (List.length weights) 0 in
@@ -550,31 +550,32 @@ let test_supervisor_gives_up () =
   Atomic.set flag true;
   Service.shutdown svc
 
+let wedge_fault () =
+  Dfd_fault.Fault.create
+    ~rates:{ Dfd_fault.Fault.zero_rates with Dfd_fault.Fault.worker_wedge = Some 1 }
+    ~seed:11 ()
+
+let gauge svc name =
+  match
+    List.find_opt (fun s -> s.Dfd_obs.Registry.name = name) (Service.metrics_snapshot svc)
+  with
+  | Some { Dfd_obs.Registry.value = Dfd_obs.Registry.Gauge_v v; _ } -> v
+  | _ -> Alcotest.fail (name ^ " missing")
+
 (* The surgical alternative to the wholesale respawn above: a seeded
    scheduler-level wedge (the victim dies holding an unstarted task, so
    [w_holding] is visible) is quarantined in place — the job completes
-   at p-1 without retiring the pool, the slot respawns under the worker
-   budget, and the wholesale machinery never fires.  [max_respawns = 0]
-   makes that last claim load-bearing: any escalation would raise
-   [Supervisor_giveup] and fail the test. *)
+   at p-1 without retiring the pool, the pool keeps serving at p-1 (the
+   quarantine is final), and the wholesale machinery never fires.
+   [max_respawns = 0] makes that last claim load-bearing: any escalation
+   would raise [Supervisor_giveup] and fail the test. *)
 let test_surgical_quarantine_over_pool_respawn () =
   let config =
-    {
-      base_config with
-      Service.domains = 3;
-      wedge_grace = 0.3;
-      max_respawns = 0;
-      worker_respawn_budget = 1;
-    }
-  in
-  let fault () =
-    Dfd_fault.Fault.create
-      ~rates:{ Dfd_fault.Fault.zero_rates with Dfd_fault.Fault.worker_wedge = Some 1 }
-      ~seed:11 ()
+    { base_config with Service.domains = 3; wedge_grace = 0.3; max_respawns = 0 }
   in
   List.iter
     (fun policy ->
-       with_service ~config ~fault:(fault ()) policy (fun svc ->
+       with_service ~config ~fault:(wedge_fault ()) policy (fun svc ->
            let id =
              Result.get_ok
                (sub svc (fun () ->
@@ -591,13 +592,70 @@ let test_surgical_quarantine_over_pool_respawn () =
            (match Service.verify_ledger svc with
             | Ok () -> ()
             | Error m -> Alcotest.fail ("ledger audit: " ^ m));
-           (* the slot was respawned under the worker budget, so the pool
-              serves the next job at full strength *)
+           (* the slot stays dead: the same pool serves the next job at
+              p-1, still without a wedge or a respawn *)
            let after = Result.get_ok (sub svc (fun () -> ())) in
            Service.drive svc;
            checkb "post-quarantine job completes" true
-             ((entry svc after).Service.outcome = Some Service.Completed)))
+             ((entry svc after).Service.outcome = Some Service.Completed);
+           checki "next job ran at p-1" 3 (gauge svc "dfd_pool_degraded_p");
+           let c = Service.counters svc in
+           checki "still no wholesale wedge" 0 c.Service.wedges;
+           checki "still no pool respawn" 0 c.Service.respawns))
     [ Pool.Work_stealing; Pool.Dfdeques { quota = 4096 } ]
+
+(* The Theorem 4.4 gauge follows the pool's width across both kinds of
+   recovery: a surgical quarantine shrinks it to p-1, and a later
+   wholesale respawn, whose fresh pool runs every worker again, restores
+   it to p.  Job 2 spins in user code (its task is started, so no worker
+   is quarantinable) until [on_pool_retired] releases it, which forces
+   the wholesale verdict. *)
+let test_respawn_restores_headroom_width () =
+  let s1 = 10_000 and depth = 5 and k = 4096 in
+  let budget_at p = s1 + (8 * min k s1 * p * depth) in
+  let release = Atomic.make false in
+  let config =
+    {
+      base_config with
+      Service.domains = 3;
+      wedge_grace = 0.3;
+      max_respawns = 1;
+      on_pool_retired = Some (fun ~in_flight:_ -> Atomic.set release true);
+    }
+  in
+  let svc =
+    Service.create ~fault:(wedge_fault ()) ~headroom_s1:s1 ~headroom_depth:depth ~config
+      (Pool.Dfdeques { quota = k })
+  in
+  let budget () = Dfd_obs.Headroom.budget (Service.headroom svc) in
+  checki "budget at p=4" (budget_at 4) (budget ());
+  let j1 =
+    Result.get_ok
+      (sub svc (fun () ->
+           ignore (Pool.parallel_reduce ~zero:0 ~op:( + ) ~lo:0 ~hi:20_000 Fun.id)))
+  in
+  Service.drive svc;
+  checkb "job 1 completed" true ((entry svc j1).Service.outcome = Some Service.Completed);
+  checki "job 1 quarantined a worker" 1 (Service.counters svc).Service.quarantines;
+  checki "budget at the degraded p=3" (budget_at 3) (budget ());
+  let j2 =
+    Result.get_ok
+      (sub svc (fun () ->
+           while not (Atomic.get release) do
+             Domain.cpu_relax ()
+           done))
+  in
+  Service.drive svc;
+  checkb "job 2 completed on the fresh pool" true
+    ((entry svc j2).Service.outcome = Some Service.Completed);
+  let c = Service.counters svc in
+  checki "one wholesale wedge" 1 c.Service.wedges;
+  checki "one pool respawn" 1 c.Service.respawns;
+  checki "budget back at p=4" (budget_at 4) (budget ());
+  (match Service.verify_ledger svc with
+   | Ok () -> ()
+   | Error m -> Alcotest.fail ("ledger audit: " ^ m));
+  Service.shutdown ~reap:true svc
 
 (* Terminal error classes skip the retry schedule entirely: the job
    fails on its first attempt with zero retries scheduled.  So does a
@@ -717,6 +775,8 @@ let () =
           Alcotest.test_case "supervisor gives up" `Quick test_supervisor_gives_up;
           Alcotest.test_case "surgical quarantine over pool respawn" `Quick
             test_surgical_quarantine_over_pool_respawn;
+          Alcotest.test_case "wholesale respawn restores the headroom width" `Quick
+            test_respawn_restores_headroom_width;
           Alcotest.test_case "terminal errors not retried" `Quick
             test_terminal_errors_not_retried;
           Alcotest.test_case "adaptive K reacts" `Quick test_adaptive_quota_reacts;

@@ -77,7 +77,6 @@ let all_kinds =
     Event.Steal_rank { victim = 11; rank = 5; err = 2 };
     Event.Worker_quarantined { worker = 2; cause = "crash" };
     Event.Task_requeued { worker = 2 };
-    Event.Worker_respawned { worker = 2 };
   ]
 
 let test_event_roundtrip () =
@@ -121,7 +120,6 @@ let event_gen =
           (0 -- 64)
           (oneofl [ "crash"; "wedge" ]);
         map (fun worker -> Event.Task_requeued { worker }) (0 -- 64);
-        map (fun worker -> Event.Worker_respawned { worker }) (0 -- 64);
       ]
   in
   map2
