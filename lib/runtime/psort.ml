@@ -7,7 +7,8 @@
    alternating the direction of the recursion avoids copying at every
    level.  Ranges at most [cutoff] long take the same recursion without
    forking, down to insertion-sorted runs, so the serial part allocates
-   nothing. *)
+   nothing.  Serial merges select rather than branch, in two streams
+   split as a forked merge splits (DESIGN.md §10). *)
 
 let sorted ~cmp arr =
   let n = Array.length arr in
@@ -39,6 +40,60 @@ let insertion ~cmp (src : int array) (dst : int array) lo hi =
     dst.(!j) <- x
   done
 
+(* Merge run 1 = src[i,e1) and run 2 = src[j,e2) into dst from d,
+   taking run 1's head on a tie.  Each step selects the element with a
+   mask rather than a branch on the comparison, which random keys would
+   mispredict half the time; the tails are plain copies. *)
+let merge1 ~cmp (src : int array) (dst : int array) i e1 j e2 d =
+  let i = ref i and j = ref j and d = ref d in
+  while !i < e1 && !j < e2 do
+    let x = src.(!i) and y = src.(!j) in
+    let c = Bool.to_int (cmp x y <= 0) in
+    dst.(!d) <- y lxor ((x lxor y) land (-c));
+    i := !i + c;
+    j := !j + 1 - c;
+    incr d
+  done;
+  while !i < e1 do
+    dst.(!d) <- src.(!i);
+    incr i;
+    incr d
+  done;
+  while !j < e2 do
+    dst.(!d) <- src.(!j);
+    incr j;
+    incr d
+  done
+
+(* The two halves of a split merge (see [sort_ints]) as [merge1]'s
+   streams, src[lo1,m1) with src[lo2,m2) from dlo and src(m1,hi1) with
+   src[m2,hi2) from dmid + 1, advanced one step each per iteration until
+   either runs out.  A select's loads wait on the previous step's
+   compare; two independent streams keep two such chains in flight,
+   which matters most when [cmp] itself loads (the index path).  It takes
+   the split, not the four ranges: at 13 arguments every executable that
+   links it would gain a [caml_curry13] in its startup code, ahead of
+   all other OCaml code, and every function would move by ~7.7 KB. *)
+let merge2 ~cmp (src : int array) (dst : int array) lo1 m1 hi1 lo2 m2 hi2 dlo dmid =
+  let i1 = ref lo1 and j1 = ref lo2 and d1 = ref dlo in
+  let i2 = ref (m1 + 1) and j2 = ref m2 and d2 = ref (dmid + 1) in
+  while !i1 < m1 && !j1 < m2 && !i2 < hi1 && !j2 < hi2 do
+    let x1 = src.(!i1) and y1 = src.(!j1) in
+    let x2 = src.(!i2) and y2 = src.(!j2) in
+    let c1 = Bool.to_int (cmp x1 y1 <= 0) in
+    let c2 = Bool.to_int (cmp x2 y2 <= 0) in
+    dst.(!d1) <- y1 lxor ((x1 lxor y1) land (-c1));
+    dst.(!d2) <- y2 lxor ((x2 lxor y2) land (-c2));
+    i1 := !i1 + c1;
+    j1 := !j1 + 1 - c1;
+    incr d1;
+    i2 := !i2 + c2;
+    j2 := !j2 + 1 - c2;
+    incr d2
+  done;
+  merge1 ~cmp src dst !i1 m1 !j1 m2 !d1;
+  merge1 ~cmp src dst !i2 hi1 !j2 hi2 !d2
+
 (* The core: sort [arr] in place under [cmp]. *)
 let sort_ints ~cutoff ~(cmp : int -> int -> int) (arr : int array) =
   let n = Array.length arr in
@@ -48,44 +103,23 @@ let sort_ints ~cutoff ~(cmp : int -> int -> int) (arr : int array) =
     let n1 = hi1 - lo1 and n2 = hi2 - lo2 in
     if n1 < n2 then merge src dst lo2 hi2 lo1 hi1 dlo
     else if n1 = 0 then ()
-    else if n1 + n2 <= cutoff then begin
-      (* serial two-finger merge *)
-      let i = ref lo1 and j = ref lo2 and d = ref dlo in
-      while !i < hi1 && !j < hi2 do
-        if cmp src.(!i) src.(!j) <= 0 then begin
-          dst.(!d) <- src.(!i);
-          incr i
-        end
-        else begin
-          dst.(!d) <- src.(!j);
-          incr j
-        end;
-        incr d
-      done;
-      while !i < hi1 do
-        dst.(!d) <- src.(!i);
-        incr i;
-        incr d
-      done;
-      while !j < hi2 do
-        dst.(!d) <- src.(!j);
-        incr j;
-        incr d
-      done
-    end
     else begin
       (* split the larger run at its median, binary-search the other *)
       let m1 = (lo1 + hi1) / 2 in
       let m2 = lower_bound ~cmp src src.(m1) lo2 hi2 in
       let dmid = dlo + (m1 - lo1) + (m2 - lo2) in
       dst.(dmid) <- src.(m1);
-      Pool.alloc_hint ((n1 + n2) * 8);
-      let (), () =
-        Pool.fork_join
-          (fun () -> merge src dst lo1 m1 lo2 m2 dlo)
-          (fun () -> merge src dst (m1 + 1) hi1 m2 hi2 (dmid + 1))
-      in
-      ()
+      if n1 + n2 <= cutoff then
+        merge2 ~cmp src dst lo1 m1 hi1 lo2 m2 hi2 dlo dmid
+      else begin
+        Pool.alloc_hint ((n1 + n2) * 8);
+        let (), () =
+          Pool.fork_join
+            (fun () -> merge src dst lo1 m1 lo2 m2 dlo)
+            (fun () -> merge src dst (m1 + 1) hi1 m2 hi2 (dmid + 1))
+        in
+        ()
+      end
     end
   in
   (* sort src[lo,hi); the result lands in src if [into_src], else in dst *)

@@ -1,7 +1,11 @@
 (** Parallel mergesort on the fork-join pool — a complete application of
-    {!Pool}'s API (and of {!Pool.alloc_hint}: each merge reports its scratch
-    space, so under the DFDeques discipline the sort exercises the memory
-    quota exactly like the simulator's benchmarks do).
+    {!Pool}'s API, {!Pool.alloc_hint} included.  Before it forks, each
+    merge of more than [cutoff] elements hints 8 bytes per element it
+    merges, the buffer that a merge allocating its own output would
+    need; under the DFDeques discipline these hints drive the memory
+    quota.  They model allocation rather than count it: merges allocate
+    nothing, and the scratch copy (and, off the immediate path, the
+    index arrays and the copy) are allocated up front without a hint.
 
     Divide-and-conquer with a serial cutoff; the merge of two sorted halves
     is itself parallel (split at the median of the larger half, binary

@@ -182,6 +182,79 @@ let test_psort_already_sorted_and_reverse () =
       checkb "descending gets sorted" true (Dfd_runtime.Psort.sorted ~cmp:compare desc);
       checki "still a permutation" (n * (n + 1) / 2) (Array.fold_left ( + ) 0 desc))
 
+(* Sorted, and the input's multiset: equal under a full [compare] once
+   both sides are put in order by it. *)
+let same_multiset a b =
+  let a = Array.copy a and b = Array.copy b in
+  Array.sort compare a;
+  Array.sort compare b;
+  a = b
+
+(* Every block in [out] is the input's own block at the position [pos]
+   reads from it, each used once: with [same_multiset], the output holds
+   exactly the input's blocks under physical equality, so a permutation
+   that copies or drops one fails. *)
+let own_blocks ~pos out input =
+  let used = Array.make (Array.length input) false in
+  Array.for_all
+    (fun x ->
+       match pos x with
+       | None -> true
+       | Some i ->
+           let fresh = not used.(i) in
+           used.(i) <- true;
+           fresh && x == input.(i))
+    out
+
+(* One line per element, hashed: [show] must tell apart every element
+   that a wrong order would move. *)
+let digest show arr =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun x ->
+       Buffer.add_string b (show x);
+       Buffer.add_char b ';')
+    arr;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The order of elements that [cmp] ties, pinned by digests of the
+   output: a coarse comparator on the int path, (key, position) pairs
+   with 50 keys on the index path, and a flat [float array] of 0.0 and
+   -0.0, which [Float.compare] ties but whose sign shows.  Any merge that
+   keeps the tie rule (the longer run's element first) gives these
+   digests under a valid comparator.  A seeded
+   comparator that answers -1, 0 or 1 at random must still give a
+   permutation of the input (the input's own blocks, for pairs).  Per
+   shape (n, cutoff): the digests of the ints, the pairs and the floats,
+   recorded from the two-finger merge. *)
+let tie_cases =
+  [
+    ( 1000, 64,
+      "f2fbc0b52e2cc17c1e4de19dd1b31cd9",
+      "21ee2e1ead83423b79609102afda0514",
+      "844aaa8a8fc496eb27673253b943ceda" );
+    ( 10_000, 64,
+      "b8420b310de9df27e33df1c4ca3248e2",
+      "08f17884b1c2c59381da708bf61ba62c",
+      "43e2725b3fccbc7444d5f759c319e75a" );
+    ( 100_000, 512,
+      "57d36e54524559d4235b6087496fbe3a",
+      "0a5d493ed114725d09b6b9c84e461bd6",
+      "87138583aae73800c017bec869863ad4" );
+    ( 100_000, 4096,
+      "dc907eeef493dcfea60fb336e94f5e1f",
+      "ca8fcfb6db6ca78c4966be005228a8cd",
+      "a01e7e561e70b18072ed08cc3c922bbb" );
+    ( 37, 1,
+      "e063334239d32472bc72356e07100834",
+      "6fdf30ebceb3d610dc09e6d38b19dfab",
+      "73166039ad5d2cb44ad72d9344c49f64" );
+    ( 5000, 17,
+      "e8b77f9304acf0cb02787564aea22f75",
+      "cb4847841e2ba316fddcdb2d234f5689",
+      "1c4b90ecb5b852321b45050de13a3545" );
+  ]
+
 let test_psort_duplicates_and_custom_cmp () =
   with_pool (Pool.Dfdeques { quota = 8192 }) (fun pool ->
       let arr = Array.init 3000 (fun i -> i mod 7) in
@@ -191,7 +264,39 @@ let test_psort_duplicates_and_custom_cmp () =
       let arr2 = Array.init 2000 (fun i -> (i * 7919) mod 500) in
       let cmp a b = compare b a in
       Pool.run pool (fun () -> Dfd_runtime.Psort.sort ~cutoff:100 ~cmp arr2);
-      checkb "descending order" true (Dfd_runtime.Psort.sorted ~cmp arr2))
+      checkb "descending order" true (Dfd_runtime.Psort.sorted ~cmp arr2);
+      let sort ~cutoff ~cmp arr = Pool.run pool (fun () -> Dfd_runtime.Psort.sort ~cutoff ~cmp arr) in
+      List.iteri
+        (fun k (n, cutoff, d_ints, d_pairs, d_floats) ->
+           let st = Random.State.make [| n; cutoff |] in
+           let ints = Array.init n (fun _ -> Random.State.int st (1 lsl 20)) in
+           let pairs = Array.init n (fun i -> (Random.State.int st 50, i)) in
+           let floats = Array.init n (fun _ -> if Random.State.bool st then 0.0 else -0.0) in
+           let check kind want got =
+             Alcotest.(check string)
+               (Printf.sprintf "%s tie order n=%d cutoff=%d" kind n cutoff)
+               want got
+           in
+           let a = Array.copy ints in
+           sort ~cutoff ~cmp:(fun a b -> compare (a lsr 12) (b lsr 12)) a;
+           check "ints" d_ints (digest string_of_int a);
+           let p = Array.copy pairs in
+           sort ~cutoff ~cmp:(fun (a, _) (b, _) -> Int.compare a b) p;
+           check "pairs" d_pairs (digest (fun (key, i) -> Printf.sprintf "%d,%d" key i) p);
+           let f = Array.copy floats in
+           sort ~cutoff ~cmp:Float.compare f;
+           check "floats" d_floats (digest (fun x -> if Float.sign_bit x then "-" else "+") f);
+           (* an inconsistent comparator: any answer, no order to keep *)
+           let random_cmp a b = (Hashtbl.hash (k, a, b) mod 3) - 1 in
+           let name = Printf.sprintf "random comparator n=%d cutoff=%d" n cutoff in
+           let a = Array.copy ints in
+           sort ~cutoff ~cmp:random_cmp a;
+           checkb (name ^ " ints permuted") true (same_multiset a ints);
+           let p = Array.copy pairs in
+           sort ~cutoff ~cmp:random_cmp p;
+           checkb (name ^ " pairs permuted") true
+             (same_multiset p pairs && own_blocks ~pos:(fun (_, i) -> Some i) p pairs))
+        tie_cases)
 
 (* A cutoff below 1 would recurse without reaching a leaf; the sort must
    refuse it before forking anything, leaving the array untouched. *)
@@ -216,14 +321,6 @@ let test_psort_rejects_cutoff () =
             checkb (name ^ " array untouched") true (arr = [| 4; 3; 2; 1 |]))
          [ 0; -1 ])
 
-(* Sorted, and the input's multiset: equal under a full [compare] once
-   both sides are put in order by it. *)
-let same_multiset a b =
-  let a = Array.copy a and b = Array.copy b in
-  Array.sort compare a;
-  Array.sort compare b;
-  a = b
-
 (* Sizes weighted toward the edges of the kernel: empty and tiny arrays,
    the insertion-run length (16) +- 1 and the cutoff +- 1. *)
 let psort_case =
@@ -246,24 +343,9 @@ let psort_case =
    ([Mid (key, i)], which remembers its input position [i]). *)
 type mixed = Low | Mid of int * int | High
 
-(* Every block in [out] is the input's own block at the position [pos]
-   reads from it, each used once: with [same_multiset], the output holds
-   exactly the input's blocks under physical equality, so a permutation
-   that copies or drops one fails. *)
-let own_blocks ~pos out input =
-  let used = Array.make (Array.length input) false in
-  Array.for_all
-    (fun x ->
-       match pos x with
-       | None -> true
-       | Some i ->
-           let fresh = not used.(i) in
-           used.(i) <- true;
-           fresh && x == input.(i))
-    out
-
-(* Every element kind on every pool: ints with many duplicates, a flat
-   [float array], boxed (int * string) pairs compared on the int only,
+(* Every element kind on every pool: ints with many duplicates, small
+   negatives among them and [min_int] and [max_int] (so a compare or a
+   select that subtracts overflows), a flat [float array], boxed (int * string) pairs compared on the int only,
    and [mixed] arrays: a random mix, and all immediates but one block at
    index 0 or at n - 1 (the ends of the all-immediate scan).  The pair and
    mixed comparators force a minor GC every 512 calls, so the sort moves
@@ -272,7 +354,13 @@ let qcheck_psort pools =
   QCheck.Test.make ~count:60 ~name:"psort sorts ints, floats, boxed pairs and mixed" psort_case
     (fun (cutoff, n, seed) ->
        let st = Random.State.make [| seed |] in
-       let ints = Array.init n (fun _ -> Random.State.int st (1 + (n / 8))) in
+       let ints =
+         Array.init n (fun _ ->
+             match Random.State.int st 8 with
+             | 0 -> min_int
+             | 1 -> max_int
+             | _ -> Random.State.int st (1 + (n / 8)) - (n / 16))
+       in
        let floats = Array.init n (fun _ -> Float.of_int (Random.State.int st 100) /. 8.) in
        let pairs =
          Array.init n (fun i -> (Random.State.int st (1 + (n / 4)), string_of_int i))
