@@ -34,14 +34,18 @@ let prog ~bodies ~block ~tree_only () =
   let cell_addr c = c * cell_words in
   (* level starts in the heap-style index: 0, 1, 9, 73, 585 *)
   let leaf_start = 585 in
-  (* path of cells from root to the leaf holding [l] (depth-4 octree) *)
-  let path_of_leaf l = [ 0; 1 + (l / 512); 9 + (l / 64); 73 + (l / 8); leaf_start + l ] in
+  (* The address arrays are built once per program and shared by every
+     body that uses them.  descent.(l): the path of cells from the root to
+     leaf [l] (depth-4 octree). *)
+  let descent =
+    Array.init 4096 (fun l ->
+        Array.map cell_addr [| 0; 1 + (l / 512); 9 + (l / 64); 73 + (l / 8); leaf_start + l |])
+  in
   let insert_body b =
     let l = leaf_of_body.(b) in
-    let path = path_of_leaf l in
     (* read-only descent, then lock the leaf cell being modified; every 8th
        insertion splits a cell and must also lock its parent *)
-    touch (Array.of_list (List.map cell_addr path))
+    touch descent.(l)
     >> work 2
     >> critical (leaf_start + l) (touch [| cell_addr (leaf_start + l) |] >> work 3)
     (* cell splits and centre-of-mass updates lock shared upper cells for
@@ -66,16 +70,24 @@ let prog ~bodies ~block ~tree_only () =
   let build = par_iter ~lo:0 ~hi:nblocks build_block in
   if tree_only then finish build
   else begin
+    (* walk.(r): the force traversal of a body in 16-leaf region [r] — the
+       approximated top of the tree, the level-3 cells of the region's
+       neighbourhood, and the region's own leaves; the opening test
+       revisits each cell (repeat 2) *)
+    let walk =
+      Array.init 256 (fun r ->
+          let once =
+            Array.concat
+              [
+                Array.init 9 cell_addr;
+                Array.init 8 (fun i -> cell_addr (73 + ((r / 4 * 8) + i)));
+                Array.init 16 (fun i -> cell_addr (leaf_start + ((r * 16) + i)));
+              ]
+          in
+          Array.append once once)
+    in
     let force_body b =
-      let l = leaf_of_body.(b) in
-      (* traverse: the approximated top of the tree, the level-3 cells of
-         the body's neighbourhood, and the leaves of its own region; the
-         opening test revisits each cell (repeat 2) *)
-      let top = List.init 9 cell_addr in
-      let mid = List.init 8 (fun i -> cell_addr (73 + ((l / 64 * 8) + i))) in
-      let local = List.init 16 (fun i -> cell_addr (leaf_start + ((l / 16 * 16) + i))) in
-      let once = Array.of_list (top @ mid @ local) in
-      touch (Array.concat [ once; once ])
+      touch walk.(leaf_of_body.(b) / 16)
       >> work 16
       >> touch [| body_base + b |]
     in

@@ -78,6 +78,16 @@ type mutex = {
 
 exception Malformed_run of string
 
+(* Mutex and condition-variable tables, keyed by the program's int ids and
+   hashed by identity ([Int.hash] would still call the C [caml_hash]).
+   Masking off the sign bit keeps negative ids' hashes non-negative. *)
+module Id_tbl = Hashtbl.Make (struct
+    type t = int
+
+    let equal (a : int) b = a = b
+    let hash x = x land max_int
+  end)
+
 let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_000_000)
     ?(tracer = Tracer.disabled) ?(fault = Fault.none) ?(no_progress_limit = 1000) ?observer
     ?sampler ?(registry = Registry.disabled) ?(flight = Tracer.disabled) ?headroom
@@ -102,24 +112,24 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
   let pool = T.create_pool () in
   let memory = Memory.create ~stack_bytes:cfg.stack_bytes in
   let cache = Option.map (fun geo -> Cache.create geo ~p) cfg.cache in
-  let mutexes : (int, mutex) Hashtbl.t = Hashtbl.create 16 in
+  let mutexes : mutex Id_tbl.t = Id_tbl.create 16 in
   let mutex m =
-    match Hashtbl.find_opt mutexes m with
+    match Id_tbl.find_opt mutexes m with
     | Some mu -> mu
     | None ->
       let mu = { holder = None; waiters = Queue.create (); bus_penalized_at = -1 } in
-      Hashtbl.add mutexes m mu;
+      Id_tbl.add mutexes m mu;
       mu
   in
   (* Condition variables: sticky (counted) signals + a waiter queue; a
      woken waiter re-acquires its mutex through the ordinary Lock path. *)
-  let conds : (int, int ref * T.t Queue.t) Hashtbl.t = Hashtbl.create 16 in
+  let conds : (int ref * T.t Queue.t) Id_tbl.t = Id_tbl.create 16 in
   let cond cv =
-    match Hashtbl.find_opt conds cv with
+    match Id_tbl.find_opt conds cv with
     | Some c -> c
     | None ->
       let c = (ref 0, Queue.create ()) in
-      Hashtbl.add conds cv c;
+      Id_tbl.add conds cv c;
       c
   in
   let curr : T.t option array = Array.make p None in

@@ -6,11 +6,10 @@ type t = {
   set_mask : int;
   set_shift : int;
   assoc : int;
-  (* tags.(proc).(set * assoc + way): cached line tag, -1 = empty. *)
+  (* tags.(proc).(set * assoc + way): cached line tag, -1 = empty.  Each
+     set's ways are in recency order: way 0 is the most recently used, and
+     empty ways sit at the end. *)
   tags : int array array;
-  (* stamps mirror tags with the last-use clock for LRU replacement. *)
-  stamps : int array array;
-  mutable clock : int;
   mutable n_access : int;
   mutable n_miss : int;
   per_proc_miss : int array;
@@ -30,45 +29,42 @@ let create geo ~p =
     set_shift = log2 n_sets;
     assoc;
     tags = Array.init p (fun _ -> Array.make slots (-1));
-    stamps = Array.init p (fun _ -> Array.make slots 0);
-    clock = 0;
     n_access = 0;
     n_miss = 0;
     per_proc_miss = Array.make p 0;
   }
 
 let access_many t ~proc addrs =
-  let tags = t.tags.(proc) and stamps = t.stamps.(proc) in
+  let tags = t.tags.(proc) in
   let { line_shift; set_mask; set_shift; assoc; _ } = t in
-  let clock = ref t.clock and misses = ref 0 in
+  let misses = ref 0 in
   for i = 0 to Array.length addrs - 1 do
     let addr = addrs.(i) in
     (* a negative tag would alias the empty marker -1 *)
     if addr < 0 then invalid_arg "Cache.access: negative address";
-    incr clock;
     let line = addr lsr line_shift in
     let tag = line lsr set_shift in
     let base = (line land set_mask) * assoc in
-    let last = base + assoc - 1 in
-    (* A tag sits in at most one way of its set: stop at the first match. *)
-    let way = ref base in
-    while !way <= last && tags.(!way) <> tag do
-      incr way
-    done;
-    if !way <= last then stamps.(!way) <- !clock
-    else begin
-      (* Miss: evict the first way with the strictly smallest stamp (empty
-         ways carry stamp 0, so they fill in order). *)
-      let victim = ref base in
-      for w = base + 1 to last do
-        if stamps.(w) < stamps.(!victim) then victim := w
+    (* A hit on the most recent way changes nothing. *)
+    if tags.(base) <> tag then begin
+      (* A tag sits in at most one way of its set: stop at the first match.
+         On a miss the shift runs over the whole set and drops the last
+         way, the least recently used (or an empty one). *)
+      let last = base + assoc - 1 in
+      let way = ref (base + 1) in
+      while !way <= last && tags.(!way) <> tag do
+        incr way
       done;
-      tags.(!victim) <- tag;
-      stamps.(!victim) <- !clock;
-      incr misses
+      if !way > last then begin
+        way := last;
+        incr misses
+      end;
+      for w = !way downto base + 1 do
+        tags.(w) <- tags.(w - 1)
+      done;
+      tags.(base) <- tag
     end
   done;
-  t.clock <- !clock;
   t.n_access <- t.n_access + Array.length addrs;
   t.n_miss <- t.n_miss + !misses;
   t.per_proc_miss.(proc) <- t.per_proc_miss.(proc) + !misses;

@@ -158,6 +158,36 @@ let test_barnes_hut_lock_balance () =
     prog;
   checkb "locks balanced" true ((not !bad) && !depth = 0)
 
+(* Every address the Barnes-Hut programs touch, array by array, in serial
+   1DF order: a refactor of how the programs build their address arrays
+   must keep this digest (grain only regroups bodies into blocks, so Fine
+   and Medium touch the same sequence). *)
+let touch_digest prog =
+  let buf = Buffer.create 4096 and arrays = ref 0 in
+  Analysis.iter_serial
+    (function
+      | Dfd_dag.Action.Touch addrs ->
+        incr arrays;
+        Buffer.add_char buf '[';
+        Array.iter (fun a -> Printf.bprintf buf "%d;" a) addrs;
+        Buffer.add_char buf ']'
+      | _ -> ())
+    prog;
+  (!arrays, Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_barnes_hut_touch_digest () =
+  List.iter
+    (fun (b, arrays, digest) ->
+       let n, d = touch_digest (b.W.prog ()) in
+       let tag = Format.asprintf "%s (%a)" b.W.name W.pp_grain b.W.grain in
+       checki (tag ^ " touch arrays") arrays n;
+       Alcotest.(check string) (tag ^ " touch digest") digest d)
+    [
+      (Dfd_benchmarks.Barnes_hut.bench W.Fine, 20480, "a13ec33ad2c871fd473248985465d275");
+      (Dfd_benchmarks.Barnes_hut.bench W.Medium, 20480, "a13ec33ad2c871fd473248985465d275");
+      (Dfd_benchmarks.Barnes_hut.treebuild W.Fine, 12288, "9fe37e2677b9477a35eb0b4973ae3eb4");
+    ]
+
 let test_decision_tree_irregular () =
   let s = Analysis.analyze (Dfd_benchmarks.Decision_tree.prog ~instances:4000 ~cutoff:100 ~seed:7 ()) in
   checki "partitions balanced" 0 s.Analysis.final_heap;
@@ -236,6 +266,7 @@ let () =
           Alcotest.test_case "fft shape" `Quick test_fft_shape;
           Alcotest.test_case "fmm shape" `Quick test_fmm_shape;
           Alcotest.test_case "barnes-hut locks" `Quick test_barnes_hut_lock_balance;
+          Alcotest.test_case "barnes-hut touch digest" `Quick test_barnes_hut_touch_digest;
           Alcotest.test_case "decision tree" `Quick test_decision_tree_irregular;
           Alcotest.test_case "synthetic geometric" `Quick test_synthetic_geometric;
           Alcotest.test_case "pipeline" `Quick test_pipeline_all_schedulers;

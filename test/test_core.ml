@@ -301,6 +301,45 @@ let test_deadlock_detected () =
        false
      with Engine.Deadlock _ -> true)
 
+(* Mutex and condition-variable ids are names only: renaming them, even to
+   negative ids and the extremes of the int range, moves no simulated
+   number, under blocking or spinning locks. *)
+let test_ids_are_names_only () =
+  let named (a, b, cv) =
+    let consumer = lock a >> wait ~cv ~mutex:a >> touch [| 64 |] >> work 2 >> unlock a in
+    let producer = work 30 >> critical a (touch [| 64 |] >> work 1) >> signal cv in
+    let worker i =
+      work (1 + (i mod 3))
+      >> critical (if i mod 2 = 0 then a else b) (touch [| 8 * i |] >> work 2)
+      >> critical b (work 1)
+    in
+    finish
+      (par_list
+         [
+           consumer;
+           consumer;
+           producer;
+           work 60 >> critical a (work 1) >> broadcast cv;
+           par_iter ~lo:0 ~hi:12 worker;
+         ])
+  in
+  let cfg = Config.costed ~p:4 ~seed:3 () in
+  List.iter
+    (fun (sched, spin_locks) ->
+       let run ids = Engine.run ~sched ~spin_locks cfg (named ids) in
+       let small = run (1, 2, 3) and odd = run (-1, min_int, max_int) in
+       let tag =
+         Printf.sprintf "%s%s" (Engine.sched_name sched) (if spin_locks then " spin" else "")
+       in
+       checkb (tag ^ " ran") true (small.Engine.time > 60);
+       checkb (tag ^ ": every simulated number equal") true
+         ({ small with Engine.metrics = odd.Engine.metrics } = odd);
+       Alcotest.(check (array int))
+         (tag ^ ": per-processor actions equal")
+         (Dfd_machine.Metrics.per_proc_actions small.Engine.metrics)
+         (Dfd_machine.Metrics.per_proc_actions odd.Engine.metrics))
+    [ (`Dfdeques, false); (`Ws, false); (`Ws, true) ]
+
 let test_unlock_unheld_raises () =
   let prog = finish (unlock 3) in
   checkb "raises" true
@@ -428,17 +467,44 @@ let pinned =
     ("DecisionTree", `Dfdeques, (15464, 38273, 280864, 8693, 937));
   ]
 
+let check_pinned run (time, work, heap_peak, misses, attempts) (r : Engine.result) =
+  let tag what = run ^ " " ^ what in
+  checki (tag "time") time r.Engine.time;
+  checki (tag "work") work r.Engine.work;
+  checki (tag "heap_peak") heap_peak r.Engine.heap_peak;
+  checki (tag "cache_misses") misses r.Engine.cache_misses;
+  checki (tag "steal_attempts") attempts r.Engine.steal_attempts
+
 let test_table_numbers_pinned () =
   List.iter
-    (fun (name, sched, (time, work, heap_peak, misses, attempts)) ->
-       let r = Engine.run ~sched table_cfg (table_prog name) in
-       let tag what = Printf.sprintf "%s %s %s" name (Engine.sched_name sched) what in
-       checki (tag "time") time r.Engine.time;
-       checki (tag "work") work r.Engine.work;
-       checki (tag "heap_peak") heap_peak r.Engine.heap_peak;
-       checki (tag "cache_misses") misses r.Engine.cache_misses;
-       checki (tag "steal_attempts") attempts r.Engine.steal_attempts)
+    (fun (name, sched, numbers) ->
+       check_pinned
+         (Printf.sprintf "%s %s" name (Engine.sched_name sched))
+         numbers
+         (Engine.run ~sched table_cfg (table_prog name)))
     pinned
+
+(* What the table above does not reach: the lock-based tree build alone,
+   under blocking locks (DFD) and under spin locks with their bus penalty
+   (WS), and Barnes-Hut at Medium grain.  Same configuration, same tuple. *)
+let pinned_barnes_hut =
+  [
+    ("BH-TreeBuild", Workload.Fine, `Dfdeques, false, (18875, 86783, 32768, 6981, 868));
+    ("BH-TreeBuild", Workload.Fine, `Ws, true, (17997, 86783, 32768, 5973, 372));
+    ("BarnesHut", Workload.Medium, `Dfdeques, false, (57513, 160382, 32768, 35154, 3728));
+    ("BarnesHut", Workload.Medium, `Ws, false, (58057, 160382, 32768, 35390, 4351));
+  ]
+
+let test_barnes_hut_numbers_pinned () =
+  List.iter
+    (fun (name, grain, sched, spin_locks, numbers) ->
+       let prog = (Benchmarks.find name grain).Workload.prog () in
+       check_pinned
+         (Printf.sprintf "%s %s%s" name (Engine.sched_name sched)
+            (if spin_locks then " spin" else ""))
+         numbers
+         (Engine.run ~sched ~spin_locks table_cfg prog))
+    pinned_barnes_hut
 
 let test_sampler_sees_every_multiple () =
   let prog = table_prog "FFTW" in
@@ -782,6 +848,7 @@ let () =
       ( "costed",
         [
           Alcotest.test_case "table numbers pinned" `Quick test_table_numbers_pinned;
+          Alcotest.test_case "barnes-hut numbers pinned" `Quick test_barnes_hut_numbers_pinned;
           Alcotest.test_case "sampler every multiple" `Quick test_sampler_sees_every_multiple;
           Alcotest.test_case "counter every step" `Quick test_counter_track_covers_every_step;
           Alcotest.test_case "stuck inside span" `Quick test_stuck_inside_stalled_span;
@@ -798,6 +865,7 @@ let () =
           Alcotest.test_case "condvar needs mutex" `Quick test_condvar_wait_without_mutex_raises;
           Alcotest.test_case "condvar orphan deadlock" `Quick test_condvar_orphan_wait_deadlocks;
           Alcotest.test_case "unlock unheld" `Quick test_unlock_unheld_raises;
+          Alcotest.test_case "ids are names only" `Quick test_ids_are_names_only;
         ] );
       ("theorems", qsuite
          [

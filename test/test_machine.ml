@@ -1,5 +1,6 @@
 (* Tests for the machine model: cache simulator (hand-computed hit/miss
-   sequences, LRU within a set, per-processor isolation), memory
+   sequences, LRU within a set, per-processor isolation, and a random-stream
+   comparison with a naive LRU model over many geometries), memory
    accounting, metrics, configuration validation. *)
 
 module Cache = Dfd_machine.Cache
@@ -82,6 +83,79 @@ let test_cache_rejects_negative_address () =
          (fun () -> ignore (Cache.access c ~proc:0 ~addr)))
     [ -2048; -8; -1 ];
   checki "nothing counted" 0 (Cache.accesses c)
+
+(* Reference model: a naive LRU cache, one list per (processor, set) with
+   the most recently used line first, at most [assoc] long. *)
+type model = { geo : Config.cache; sets : int list array array; proc_miss : int array }
+
+let model_create geo ~p =
+  { geo; sets = Array.init p (fun _ -> Array.make geo.Config.n_sets []); proc_miss = Array.make p 0 }
+
+let model_access m ~proc ~addr =
+  let line = addr / m.geo.Config.line_words in
+  let set = line mod m.geo.Config.n_sets in
+  let ways = m.sets.(proc).(set) in
+  let missed = not (List.mem line ways) in
+  let rest = List.filter (fun l -> l <> line) ways in
+  m.sets.(proc).(set) <- List.filteri (fun i _ -> i < m.geo.Config.assoc) (line :: rest);
+  if missed then m.proc_miss.(proc) <- m.proc_miss.(proc) + 1;
+  missed
+
+(* A case: a geometry, a processor count, and a stream of (proc, addresses)
+   bursts.  Bursts of one go through [access] (each result checked), longer
+   ones through [access_many] (the miss count checked).  Addresses span
+   about twice the cache's lines so that sets both hit and overflow. *)
+let cache_case =
+  let open QCheck.Gen in
+  let gen =
+    oneofl [ 1; 2; 8 ] >>= fun line_words ->
+    oneofl [ 1; 2; 4 ] >>= fun n_sets ->
+    oneofl [ 1; 2; 3; 4; 8 ] >>= fun assoc ->
+    oneofl [ 1; 3 ] >>= fun p ->
+    let span = 2 * line_words * n_sets * (assoc + 1) in
+    let burst = pair (int_bound (p - 1)) (array_size (int_range 1 4) (int_bound (span - 1))) in
+    list_size (int_range 1 120) burst >|= fun stream ->
+    ({ Config.line_words; n_sets; assoc }, p, stream)
+  in
+  let print ({ Config.line_words; n_sets; assoc }, p, stream) =
+    Printf.sprintf "line_words=%d n_sets=%d assoc=%d p=%d stream=%s" line_words n_sets assoc p
+      (String.concat " "
+         (List.map
+            (fun (proc, addrs) ->
+               Printf.sprintf "%d:[%s]" proc
+                 (String.concat ";" (Array.to_list (Array.map string_of_int addrs))))
+            stream))
+  in
+  QCheck.make ~print gen
+
+let cache_matches_lru_model =
+  QCheck.Test.make ~name:"cache = naive LRU model" ~count:500 cache_case
+    (fun (geo, p, stream) ->
+       let c = Cache.create geo ~p and m = model_create geo ~p in
+       let issued = ref 0 in
+       List.iter
+         (fun (proc, addrs) ->
+            issued := !issued + Array.length addrs;
+            if Array.length addrs = 1 then begin
+              let expect = model_access m ~proc ~addr:addrs.(0) in
+              if Cache.access c ~proc ~addr:addrs.(0) <> expect then
+                QCheck.Test.fail_reportf "proc %d addr %d: cache says %s" proc addrs.(0)
+                  (if expect then "hit, model misses" else "miss, model hits")
+            end
+            else begin
+              let expect =
+                Array.fold_left
+                  (fun n addr -> if model_access m ~proc ~addr then n + 1 else n)
+                  0 addrs
+              in
+              let got = Cache.access_many c ~proc addrs in
+              if got <> expect then
+                QCheck.Test.fail_reportf "proc %d burst: %d misses, model %d" proc got expect
+            end)
+         stream;
+       Cache.accesses c = !issued
+       && Cache.misses c = Array.fold_left ( + ) 0 m.proc_miss
+       && List.for_all (fun q -> Cache.proc_misses c q = m.proc_miss.(q)) (List.init p Fun.id))
 
 let test_config_validation () =
   checkb "p=0 rejected" true
@@ -206,6 +280,7 @@ let () =
           Alcotest.test_case "empty rate" `Quick test_cache_empty_rate;
           Alcotest.test_case "capacity thrash" `Quick test_cache_capacity_sweep;
           Alcotest.test_case "negative address" `Quick test_cache_rejects_negative_address;
+          QCheck_alcotest.to_alcotest ~long:false cache_matches_lru_model;
         ] );
       ("config", [ Alcotest.test_case "validation" `Quick test_config_validation ]);
       ( "memory",
