@@ -14,7 +14,6 @@ module Prng = Dfd_structures.Prng
 module Lfdeque = Dfd_structures.Lfdeque
 module Multiq = Dfd_structures.Multiq
 module Schedpoint = Dfd_structures.Schedpoint
-module Fault = Dfd_fault.Fault
 module Pool = Dfd_runtime.Pool
 
 (* Every pushed value delivered exactly once.  [got] is the concatenation
@@ -466,8 +465,8 @@ let rec forks_of_fib n = if n < 2 then 0 else 1 + forks_of_fib (n - 1) + forks_o
    is DFDeques with K = ∞) that puts worker 0's deque in R, where thieves
    find its owner and ask it for work, before any controlled thread
    runs.  The warm-up fork counts one task. *)
-let warm_pool ?fault ~workers policy =
-  let pool = Pool.For_testing.create_detached ?fault ~workers policy in
+let warm_pool ~workers policy =
+  let pool = Pool.For_testing.create_detached ~workers policy in
   Pool.For_testing.as_worker pool 0 (fun () -> ignore (Pool.fork_join ignore ignore));
   pool
 
@@ -585,125 +584,6 @@ let pool_join_buggy =
   pool_scenario ~name:"pool_join_buggy"
     ~descr:"deliberately wrong join (Pending means unstolen): explorer must find it"
     ~policy:Pool.Work_stealing ~leaf:work ~fork_join:Buggy_join.fork_join
-
-(* The quarantine protocol under the explorer: the same fork-join fib,
-   but with a one-shot [worker_crash] armed.  Helpers 1-2 take through
-   the crash-eligible top-of-loop path ([help_top]); the take that trips
-   the trigger kills its worker while it holds exactly one unstarted
-   task.  Survivors quarantine the certificate (worker 0's await loop
-   also scans), the held task flows back exactly once through the orphan
-   stack, and the computation completes at p-1.  The crash is
-   schedule-dependent — it fires only on interleavings where a helper
-   wins enough takes — so the oracle is layered: result, leak and
-   task-count accounting plus the lineage audit hold unconditionally;
-   when the crash did fire, exactly one quarantine, one requeue and a
-   degraded worker count must follow. *)
-let pool_crash_scenario ~name ~descr ~policy ~trigger =
-  {
-    Explore.name;
-    descr;
-    n_threads = 3;
-    approx_steps = 90;
-    prepare =
-      (fun rng ->
-        let depth = 4 in
-        let fault =
-          Fault.create
-            ~rates:{ Fault.zero_rates with Fault.worker_crash = Some trigger }
-            ~seed:(Prng.int rng 1_000_000)
-            ()
-        in
-        let pool = warm_pool ~fault ~workers:3 policy in
-        let result = ref (-1) in
-        let finished = Atomic.make false in
-        let body i =
-          if i = 0 then
-            Pool.For_testing.as_worker pool 0 (fun () ->
-              let rec go n =
-                if n < 2 then begin
-                  work ();
-                  n
-                end
-                else begin
-                  let a, b =
-                    Pool.fork_join (fun () -> go (n - 1)) (fun () -> go (n - 2))
-                  in
-                  a + b
-                end
-              in
-              result := go depth;
-              Atomic.set finished true)
-          else
-            Pool.For_testing.as_worker pool i (fun () ->
-              let rec loop () =
-                if not (Atomic.get finished) then
-                  match Pool.For_testing.help_top pool i with
-                  | `Stopped -> () (* crashed: this worker's domain is dead *)
-                  | `Ran -> loop ()
-                  | `Idle ->
-                    ignore (Pool.For_testing.scan pool ~proc:i);
-                    loop ()
-              in
-              loop ())
-        in
-        let oracle () =
-          let crashed = List.assoc "worker_crash" (Fault.counts fault) in
-          if !result <> fib depth then
-            Error (Printf.sprintf "fib %d = %d, expected %d" depth !result (fib depth))
-          else if leaked pool ~workers:3 <> 0 then
-            Error (Printf.sprintf "%d task(s) leaked in the pool" (leaked pool ~workers:3))
-          else begin
-            let c = Pool.counters pool in
-            let expect = forks_of_fib depth + 1 in
-            if c.tasks_run <> expect then
-              Error
-                (Printf.sprintf "tasks_run=%d, expected %d (forks of fib %d, and the warm-up)"
-                   c.tasks_run expect depth)
-            else
-              match Pool.verify_lineage pool with
-              | Error m -> Error (Printf.sprintf "lineage audit: %s" m)
-              | Ok () ->
-                if crashed = 0 then
-                  if Pool.quarantines pool <> 0 then
-                    Error "quarantine recorded without a crash"
-                  else Ok ()
-                else if crashed <> 1 then
-                  Error (Printf.sprintf "one-shot crash fired %d times" crashed)
-                else if Pool.quarantines pool <> 1 then
-                  Error
-                    (Printf.sprintf "crash fired but %d quarantine(s) recorded"
-                       (Pool.quarantines pool))
-                else if Pool.degraded_p pool <> 2 then
-                  Error (Printf.sprintf "degraded_p=%d, expected 2" (Pool.degraded_p pool))
-                else if
-                  List.length (List.filter (fun e -> e.Pool.requeued) (Pool.lineage pool))
-                  <> 1
-                then Error "held task not requeued exactly once"
-                else Ok ()
-          end
-        in
-        (body, oracle));
-  }
-
-(* Trigger 1: the victim dies on its first take.  Work stealing runs as
-   DFDeques(∞), so the crash path is the DFDeques one: a thief adopts a
-   fresh R-list deque as it steals, and quarantine abandons it through the
-   death-certificate protocol and reaps it. *)
-let pool_crash_ws =
-  pool_crash_scenario ~name:"pool_crash_ws"
-    ~descr:"native pool, work stealing: injected worker crash, quarantine abandons and reaps"
-    ~policy:Pool.Work_stealing ~trigger:1
-
-(* Trigger 1 again: a DFDeques thief adopts a fresh R-list deque as it
-   steals, before its take returns, so the victim dies owning a deque
-   that quarantine must abandon via the death-certificate protocol and
-   reap.  (A second take needs a second answered request, which the
-   explorer rarely schedules.) *)
-let pool_crash_dfd =
-  pool_crash_scenario ~name:"pool_crash_dfd"
-    ~descr:"native pool, DFDeques(K): crash at first steal, quarantine abandons the deque"
-    ~policy:(Pool.Dfdeques { quota = 32 })
-    ~trigger:1
 
 (* The idle wake-up handshake.  Thread 0 plays worker 0 and publishes
    one or two tasks as an answer to a request does (push onto its public
@@ -853,8 +733,6 @@ let all =
     multiq_two_choice;
     pool_ws;
     pool_dfd;
-    pool_crash_ws;
-    pool_crash_dfd;
     pool_park;
     pool_request;
   ]

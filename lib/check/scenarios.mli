@@ -48,20 +48,6 @@ val pool_dfd : Explore.scenario
 (** Same computation under DFDeques(K) with a quota small enough that
     every leaf allocation forces a give-up through the R-list. *)
 
-val pool_crash_ws : Explore.scenario
-(** Fork-join fib with a one-shot [worker_crash] armed on the
-    work-stealing pool: the victim dies holding one unstarted task,
-    survivors quarantine it, abandon its R-list deque through the
-    death-certificate protocol and reap it; the oracle
-    audits the lineage ledger (no task lost, none run twice) and the
-    degraded worker count. *)
-
-val pool_crash_dfd : Explore.scenario
-(** Same crash injection under DFDeques(K), at the victim's first steal,
-    which has already adopted a fresh R-list deque — quarantine must also
-    abandon and reap the dead owner's deque via the death-certificate
-    protocol. *)
-
 val pool_park : Explore.scenario
 (** The idle wake-up handshake: a publication (push, then read [n_parked])
     racing one announce-then-scan parking step, under a policy drawn per

@@ -9,8 +9,6 @@ type rates = {
   alloc_spike_bytes : int;
   lock_delay_prob : float;
   lock_delay_steps : int;
-  worker_crash : int option;
-  worker_wedge : int option;
 }
 
 let zero_rates =
@@ -23,8 +21,6 @@ let zero_rates =
     alloc_spike_bytes = 0;
     lock_delay_prob = 0.0;
     lock_delay_steps = 0;
-    worker_crash = None;
-    worker_wedge = None;
   }
 
 let default_rates =
@@ -37,29 +33,21 @@ let default_rates =
     alloc_spike_bytes = 4096;
     lock_delay_prob = 0.25;
     lock_delay_steps = 8;
-    worker_crash = None;
-    worker_wedge = None;
   }
 
-let kind_names =
-  [| "stall"; "steal_fail"; "task_exn"; "alloc_spike"; "lock_delay"; "worker_crash"; "worker_wedge" |]
+let kind_names = [| "stall"; "steal_fail"; "task_exn"; "alloc_spike"; "lock_delay" |]
 
 let i_stall = 0
 let i_steal_fail = 1
 let i_task_exn = 2
 let i_alloc_spike = 3
 let i_lock_delay = 4
-let i_worker_crash = 5
-let i_worker_wedge = 6
 
 type t = {
   rng : Prng.t;
   rates : rates;
   counters : int array;
   mutable on : bool;
-  mutable takes : int;
-      (** task-takes observed so far, all workers — the logical clock the
-          crash/wedge triggers count on. *)
   lock : Mutex.t;  (** serialises stream draws from the pool's domains. *)
 }
 
@@ -71,7 +59,6 @@ let make ~on ~rates seed =
     rates;
     counters = Array.make (Array.length kind_names) 0;
     on;
-    takes = 0;
     lock = Mutex.create ();
   }
 
@@ -111,34 +98,6 @@ let alloc_spike t =
 
 let lock_delay t =
   if decide t i_lock_delay t.rates.lock_delay_prob then max 1 t.rates.lock_delay_steps else 0
-
-(* Crash-domain triggers.  Unlike the Bernoulli draws above these count on
-   a logical clock — the global sequence of task-takes — so a plan like
-   [worker_crash = Some 1] fires deterministically regardless of how the
-   domains interleave: the first worker (>= 1; the caller never crashes)
-   to take a task once the take counter reaches the trigger dies, exactly
-   once.  The counter bump and the one-shot check share the injector's
-   lock, so concurrent takers see a total order and exactly one fires. *)
-let worker_take t ~worker =
-  if (not t.on) || (t.rates.worker_crash = None && t.rates.worker_wedge = None) then `None
-  else begin
-    Mutex.lock t.lock;
-    t.takes <- t.takes + 1;
-    let fire i = function
-      | Some n when t.takes >= n && t.counters.(i) = 0 ->
-        t.counters.(i) <- 1;
-        true
-      | _ -> false
-    in
-    let r =
-      if worker <= 0 then `None
-      else if fire i_worker_crash t.rates.worker_crash then `Crash
-      else if fire i_worker_wedge t.rates.worker_wedge then `Wedge
-      else `None
-    in
-    Mutex.unlock t.lock;
-    r
-  end
 
 let injected_total t = Array.fold_left ( + ) 0 t.counters
 

@@ -46,17 +46,6 @@ type rates = {
   alloc_spike_bytes : int;  (** extra quota bytes charged by a spike. *)
   lock_delay_prob : float;  (** per successful lock acquisition. *)
   lock_delay_steps : int;  (** extra timesteps the lock is held. *)
-  worker_crash : int option;
-      (** [Some n]: the first worker (>= 1) to take a task once the global
-          take counter reaches [n] crashes — its domain dies holding the
-          task, exercising the pool's quarantine path.  Fires exactly
-          once; deterministic on the logical take clock (see
-          {!worker_take}).  [None] (the default) never crashes. *)
-  worker_wedge : int option;
-      (** Like [worker_crash], but the victim wedges: it spins forever
-          inside the scheduler without running the task or touching any
-          pool structure, until quarantined by a supervisor.  Fires
-          exactly once. *)
 }
 
 val zero_rates : rates
@@ -101,19 +90,9 @@ val alloc_spike : t -> int
 val lock_delay : t -> int
 (** [0] = no fault; otherwise extra timesteps to hold the lock. *)
 
-val worker_take : t -> worker:int -> [ `None | `Crash | `Wedge ]
-(** The native pool calls this at every top-of-loop task-take by a worker
-    domain (after obtaining a task, before running it).  Bumps the global
-    take counter and answers whether this take triggers the plan's
-    one-shot {!rates.worker_crash} / {!rates.worker_wedge} fault.
-    Workers [<= 0] (the caller) never fire — crash domains only cover the
-    spawned worker domains.  With both triggers [None] (the default) this
-    is one branch, no lock. *)
-
 val kind_names : string array
 (** Stable names of the injectable fault kinds, {!counts} order:
-    [stall; steal_fail; task_exn; alloc_spike; lock_delay; worker_crash;
-    worker_wedge]. *)
+    [stall; steal_fail; task_exn; alloc_spike; lock_delay]. *)
 
 val injected_total : t -> int
 (** Faults injected so far, all kinds. *)

@@ -8,7 +8,7 @@ type t = {
   c : int;
   s1 : int;
   depth : int;
-  mutable p : int;
+  p : int;
   mutable k : int;
   mutable last_alloc : int;
   mutable live : int;
@@ -43,12 +43,6 @@ let create ~registry ~policy ?(c = default_c) ?(s1 = 0) ?(depth = 0) ~p ~k () =
   t
 
 let set_quota t k = t.k <- k
-
-(* Degraded-mode rescale: a quarantined worker shrinks the live processor
-   count, and the Theorem 4.4 budget S1 + c*min(K,S1)*p*D shrinks with
-   it — the bound degrades gracefully in p, and the gauge must agree with
-   the pool's [degraded_p] after a crash domain fires. *)
-let set_p t p = t.p <- max 1 p
 
 let observe t ~live_bytes =
   t.live <- live_bytes;

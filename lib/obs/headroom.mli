@@ -56,17 +56,10 @@ val create :
     budget to the [S1] term alone. *)
 
 val budget : t -> int
-(** {!thm44_bound} at the current [k] and [p]. *)
+(** {!thm44_bound} at the current [k] and the [p] fixed at {!create}. *)
 
 val set_quota : t -> int -> unit
 (** The adaptive controller moved K: the budget gauge follows. *)
-
-val set_p : t -> int -> unit
-(** The live processor count changed (a worker was quarantined, or a
-    fresh pool replaced a degraded one): the budget gauge follows — the
-    Theorem 4.4 bound shrinks to [S1 + c*min(K,S1)*(p-1)*D] after a
-    crash domain fires, and returns to [p] with the fresh pool.  Clamped
-    to at least 1. *)
 
 val observe : t -> live_bytes:int -> unit
 (** Update the live gauge (and through it the peak watermark). *)

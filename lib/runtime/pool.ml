@@ -16,11 +16,6 @@ exception Timeout
 
 exception Cancelled
 
-(* Internal control-flow signal: a worker domain hit its injected crash
-   (or was quarantined out from under a wedge) and must unwind its
-   worker loop without running anything else.  Never escapes the pool. *)
-exception Worker_stop
-
 (* A queued task; its argument is the worker that runs it, so the task
    can charge its own synchronization ops to that worker's cell. *)
 type task = int -> unit
@@ -38,8 +33,7 @@ let no_task : task = fun _ -> ()
    [items.(hi .. used-1)] may still hold finished tasks, and every slot
    from [used] up is [no_task].  [clear_stale] empties that stale range
    when it outgrows [stale_limit] and when the worker runs dry.  No
-   other worker ever writes it, except a quarantiner once the owner is
-   fenced. *)
+   other worker ever writes it. *)
 type pstack = {
   mutable items : task array;
   mutable lo : int;
@@ -86,22 +80,6 @@ type counters = {
   sync_ops : int;
 }
 
-(* One audit record per crash-domain transition, newest first in the
-   pool's lineage ledger.  [cause] is "crash" (the worker's own death
-   certificate) or "wedge" (a supervisor's verdict).  [requeued]: the
-   worker held a taken-but-not-started task that was recovered exactly
-   once through the orphan stack.  [abandoned]: a DFDeques deque was
-   abandoned on the dead owner's behalf. *)
-type lineage_entry = { worker : int; cause : string; requeued : bool; abandoned : bool }
-
-type worker_state = {
-  w_activity : int;  (** scheduler interactions (take attempts); rises while alive *)
-  w_heartbeat : int;  (** tasks started by this worker *)
-  w_holding : bool;  (** a taken-but-not-started task sits in the slot *)
-  w_stopped : bool;  (** the worker raised its own crash certificate *)
-  w_quarantined : bool;
-}
-
 (* One record per worker, written only by that worker (thief-side events —
    steals, failures — are charged to the thief).  Reads aggregate across
    workers and may be slightly stale, exactly the contract
@@ -121,11 +99,6 @@ type wcounters = {
   mutable c_parks : int;
   mutable c_r_inserts : int;  (** R-membership inserts charged to this worker. *)
   mutable c_r_removes : int;  (** R-membership removals this worker won. *)
-  mutable c_ticks : int;
-      (** take attempts (every [try_get] entry) — the per-worker activity
-          clock wedge detection compares against: an awaiting or stealing
-          worker keeps ticking even when no task runs, while a wedged one
-          goes flat.  Internal (not part of {!type-counters}). *)
   c_rank_err : Stats.Histogram.t;
       (** rank error of this worker's successful steals; merged across
           workers by {!val-rank_error}.  Single-writer like the ints. *)
@@ -207,34 +180,6 @@ type t = {
       (** absolute wall-clock deadline of the current [run ~timeout]. *)
   cancelled : bool Atomic.t;
       (** the deadline passed: fork_join/await bail out cooperatively. *)
-  (* --- per-worker crash domains --------------------------------------
-     All cross-domain crash state is atomic: the dying worker publishes
-     its held task ([cur_task]) and its certificate ([stopped]) with SC
-     stores, so a quarantiner that reads the certificate also sees every
-     plain write the victim made before it (its [dfd_deque] handle in
-     particular).  Quarantine itself is a one-winner CAS on
-     [quarantined]; the held task moves through [cur_task] by atomic
-     exchange, so it is either run by its owner or requeued by the
-     quarantiner — never both. *)
-  cur_task : task option Atomic.t array;
-      (** per worker: the task it has taken but not yet started.  Filled
-          at every take, emptied by exchange either by the worker itself
-          (to run it) or by a quarantiner (to requeue it). *)
-  stopped : bool Atomic.t array;  (** crash certificates, one-way. *)
-  wedged : bool Atomic.t array;  (** diagnostic: victim entered the wedge spin. *)
-  quarantined : bool Atomic.t array;
-      (** one-winner quarantine flags, never cleared: a quarantined slot
-          stays dead for the pool's lifetime.  The flag is also the
-          wedge fence ({!wedge_spin}). *)
-  crashed_pending : int Atomic.t;
-      (** raised certificates not yet quarantined; peers scan when > 0. *)
-  orphans : task list Atomic.t;
-      (** Treiber stack of recovered held tasks, drained by [try_get]
-          ahead of both policies' deques. *)
-  n_orphan_pushes : int Atomic.t;
-  n_orphan_pops : int Atomic.t;
-  n_quarantined : int Atomic.t;  (** currently dead slots: [degraded_p] = n_workers - this. *)
-  lineage : lineage_entry list Atomic.t;  (** newest first; lock-free prepend. *)
 }
 
 (* Wall-clock event timestamp: microseconds since pool creation.  Only
@@ -290,9 +235,9 @@ let park_threshold = 8
 let rings_live pool = Tracer.enabled pool.tracer || Tracer.enabled pool.flight
 
 (* A rare event (steal successes, quota giveups, deque lifecycle, faults,
-   task exceptions, crash-domain transitions), into both rings.  Callers
-   guard with [rings_live] and read the clock once inside the guard, so
-   with no live ring neither the clock nor the payload is touched.
+   task exceptions), into both rings.  Callers guard with [rings_live]
+   and read the clock once inside the guard, so with no live ring
+   neither the clock nor the payload is touched.
    Frequent events (steal attempts, one [Action_batch] per task, steal
    ranks) go to the tracer only. *)
 let note pool ~ts ~proc kind =
@@ -440,9 +385,9 @@ let push_private s task =
 
 (* Drop the finished tasks that pops left above [hi], so the stack does
    not keep their closures, and whatever they hold, alive.  Called when
-   the worker leaves the computation (a worker domain's first miss,
-   [run]'s exit on worker 0, and quarantine) and by a pop that
-   leaves more than [stale_limit] of them. *)
+   the worker leaves the computation (a worker domain's first miss and
+   [run]'s exit on worker 0) and by a pop that leaves more than
+   [stale_limit] of them. *)
 let clear_stale s =
   Array.fill s.items s.hi (s.used - s.hi) no_task;
   s.used <- s.hi
@@ -506,15 +451,14 @@ let signal_work pool =
     Mutex.unlock pool.idle_lock
   end
 
-(* Whether any task sits where a worker could take it: the orphan stack,
-   then every live R member's deque.  Reads only (two
+(* Whether any task sits where a worker could take it: in every live R
+   member's deque.  Reads only (two
    atomic loads per deque), allocates nothing.  Private parts are not
    scanned: another worker's private part can only be read without
    synchronization ([private_work]), and an owner that holds private
    work publishes it at its next fork or join once it sees a parked
    worker ({!park}). *)
-let work_queued pool =
-  Atomic.get pool.orphans <> [] || Multiq.exists (fun d -> not (Lfdeque.is_empty d.tasks)) pool.r
+let work_queued pool = Multiq.exists (fun d -> not (Lfdeque.is_empty d.tasks)) pool.r
 
 (* Whether some worker holds private work: a hint, read without
    synchronization from owner-only fields, so it may be stale.  It keeps
@@ -525,13 +469,8 @@ let private_work pool =
   let rec go v = v < pool.n_workers && ((not (private_empty pool v)) || go (v + 1)) in
   go 0
 
-(* A parked worker's reasons to get up.  A pending crash certificate
-   counts: the crasher broadcasts, and the woken worker must
-   scan-and-quarantine, since the held task is not queued anywhere until
-   a quarantiner requeues it. *)
-let idle_over pool =
-  work_queued pool || private_work pool || Atomic.get pool.shutting_down
-  || Atomic.get pool.crashed_pending > 0
+(* A parked worker's reasons to get up. *)
+let idle_over pool = work_queued pool || private_work pool || Atomic.get pool.shutting_down
 
 (* The parker's half of the wake-up handshake: announce, then scan.
    Every publication stores its task and then reads [n_parked]
@@ -553,8 +492,8 @@ let announce_and_scan pool =
   end
   else `Would_sleep
 
-(* Sleep until work is queued (or shutdown, or a crash).  The lock makes
-   the signal wait for the sleeper: a pusher that saw the announce takes
+(* Sleep until work is queued (or shutdown).  The lock makes the
+   signal wait for the sleeper: a pusher that saw the announce takes
    [idle_lock] to signal, which it can only do once this worker is inside
    [Condition.wait].  The scan is repeated before every wait, so a
    spurious or stolen wake-up just sleeps again.  [pool_park] is the one
@@ -600,11 +539,8 @@ let note_r_insert pool w =
    because abandonment is sticky (a deque is never re-owned, so no push
    can follow the [None]) the certificate is stable once observed.
    Abandon and steal paths race to reap the same entry; [Multiq.remove]'s
-   one-winner CAS charges the removal exactly once, to [proc].  The
-   event goes to lane [lane] (default [proc]): a quarantiner charges the
-   dead worker but records on its own lane, so the dead worker's last
-   event, its fault, survives even a one-slot ring. *)
-let reap_if_dead ?lane pool ~proc e =
+   one-winner CAS charges the removal exactly once, to [proc]. *)
+let reap_if_dead pool ~proc e =
   let d = Multiq.value e in
   if Multiq.is_live e && Lfdeque.is_dead d.tasks
      && Multiq.remove ?ops:(ops pool proc) pool.r e
@@ -613,9 +549,7 @@ let reap_if_dead ?lane pool ~proc e =
     c.c_r_removes <- c.c_r_removes + 1;
     if rings_live pool then begin
       let ts = now_us pool in
-      note pool ~ts
-        ~proc:(Option.value lane ~default:proc)
-        (Event.Deque_deleted { did = d.did; residency = ts - d.born_us })
+      note pool ~ts ~proc (Event.Deque_deleted { did = d.did; residency = ts - d.born_us })
     end
   end
 
@@ -723,128 +657,6 @@ let dfd_steal pool w =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Per-worker crash domains                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Lock-free Treiber stack of recovered held tasks.  ABA-safe because the
-   cells are immutable fresh cons blocks compared physically; the only
-   shared tail is [], and the pop for [] never reaches the CAS. *)
-let rec orphan_push pool task =
-  let old = Atomic.get pool.orphans in
-  Schedpoint.point Schedpoint.pool_orphan_push;
-  if Atomic.compare_and_set pool.orphans old (task :: old) then
-    Atomic.incr pool.n_orphan_pushes
-  else orphan_push pool task
-
-let rec orphan_pop pool =
-  match Atomic.get pool.orphans with
-  | [] -> None
-  | (task :: rest) as old ->
-    Schedpoint.point Schedpoint.pool_orphan_pop;
-    if Atomic.compare_and_set pool.orphans old rest then begin
-      Atomic.incr pool.n_orphan_pops;
-      Some task
-    end
-    else orphan_pop pool
-
-let rec lineage_add pool entry =
-  let old = Atomic.get pool.lineage in
-  if not (Atomic.compare_and_set pool.lineage old (entry :: old)) then lineage_add pool entry
-
-(* The injected crash: publish the one-way death certificate and die.
-   The held task is already in [cur_task] (SC store), so the certificate
-   read by any peer also publishes the task and every plain write this
-   worker made before it.  The broadcast wakes parked peers — the
-   certificate must be noticed even on an otherwise idle pool, and the
-   held task is queued nowhere a parker's scan could see it until a
-   quarantiner requeues it. *)
-let worker_crash pool w =
-  if rings_live pool then
-    note pool ~ts:(now_us pool) ~proc:w (Event.Fault_injected { fault = "worker_crash" });
-  Schedpoint.point Schedpoint.pool_crash_flag;
-  Atomic.set pool.stopped.(w) true;
-  Atomic.incr pool.crashed_pending;
-  Mutex.lock pool.idle_lock;
-  Condition.broadcast pool.idle_cond;
-  Mutex.unlock pool.idle_lock;
-  raise Worker_stop
-
-(* The injected wedge: spin inside the scheduler, never touching any pool
-   structure again, until a quarantiner sets the slot's one-way
-   [quarantined] flag (or the pool shuts down).  That fence is what makes
-   a supervisor's quarantine of this worker sound: once the flag is set
-   the spinner's only remaining action is to unwind. *)
-let wedge_spin pool w =
-  if rings_live pool then
-    note pool ~ts:(now_us pool) ~proc:w (Event.Fault_injected { fault = "worker_wedge" });
-  Atomic.set pool.wedged.(w) true;
-  while not (Atomic.get pool.quarantined.(w) || Atomic.get pool.shutting_down) do
-    Domain.cpu_relax ()
-  done;
-  raise Worker_stop
-
-(* Quarantine worker [w]: the surgical alternative to killing the whole
-   pool.  One winner (CAS on [quarantined], which also fences a wedged
-   spinner out of its loop); the winner recovers the held task exactly
-   once (atomic exchange of [cur_task] — the owner's own pre-run exchange
-   and this one cannot both win), abandons the dead owner's deque via the sticky
-   death-certificate protocol (sound because the owner is
-   certifiably fenced: crashed domains have unwound, wedged ones spin
-   without touching the pool, so no push can race the abandonment — the
-   one relaxation of the owner-only [abandon] contract, audited in
-   DESIGN.md §17), appends the lineage-ledger entry that
-   {!verify_lineage} later audits, and only then requeues the held task
-   through the orphan stack.  Reap/abandon sync ops are charged to the
-   dead worker's own record — it is fenced, so the single-writer
-   discipline holds.  [proc] identifies the quarantining
-   peer for trace attribution (-1 for an external supervisor). *)
-let quarantine_as pool ~proc ~cause w =
-  if w <= 0 || w >= pool.n_workers then invalid_arg "Pool.quarantine: bad worker";
-  if Atomic.compare_and_set pool.quarantined.(w) false true then begin
-    Schedpoint.point Schedpoint.pool_quarantine;
-    Atomic.incr pool.n_quarantined;
-    if Atomic.get pool.stopped.(w) then Atomic.decr pool.crashed_pending;
-    let held = Atomic.exchange pool.cur_task.(w) None in
-    clear_stale (pstack pool w);
-    let abandoned =
-      match pool.dfd_deque.(w) with
-      | None -> false
-      | Some e ->
-        pool.dfd_deque.(w) <- None;
-        Lfdeque.abandon ?ops:(ops pool w) (Multiq.value e).tasks;
-        reap_if_dead ~lane:proc pool ~proc:w e;
-        true
-    in
-    lineage_add pool { worker = w; cause; requeued = Option.is_some held; abandoned };
-    (* The requeue comes after the abandonment and the ledger entry: the
-       requeued task can complete the computation, so a [run] that
-       returns — and a [verify_lineage] after it — must find both
-       done. *)
-    (match held with
-     | Some task ->
-       orphan_push pool task;
-       if rings_live pool then
-         note pool ~ts:(now_us pool) ~proc (Event.Task_requeued { worker = w });
-       signal_work pool
-     | None -> ());
-    if rings_live pool then
-      note pool ~ts:(now_us pool) ~proc (Event.Worker_quarantined { worker = w; cause });
-    true
-  end
-  else false
-
-(* Peers call this whenever [crashed_pending] is observed positive: find
-   every raised-but-unquarantined certificate and quarantine it.  Cheap
-   when idle (one atomic load at the call sites guards it). *)
-let scan_crashed pool ~proc =
-  let n = ref 0 in
-  for w = 1 to pool.n_workers - 1 do
-    if Atomic.get pool.stopped.(w) && not (Atomic.get pool.quarantined.(w)) then
-      if quarantine_as pool ~proc ~cause:"crash" w then incr n
-  done;
-  !n
-
-(* ------------------------------------------------------------------ *)
 (* Obtaining work                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -891,39 +703,30 @@ let push_local pool w task =
    private part is empty here (see {!dfd_abandon}). *)
 let try_get pool w =
   Schedpoint.point Schedpoint.pool_get;
-  (* activity tick: single-writer; the clock wedge detection reads *)
-  let c0 = pool.per_worker.(w) in
-  c0.c_ticks <- c0.c_ticks + 1;
-  (* recovered orphans first: a task requeued from a quarantined worker
-     must not wait behind the deques.  One atomic load when the stack is
-     empty. *)
-  match orphan_pop pool with
-  | Some _ as t -> t
-  | None -> (
-      match pool.dfd_deque.(w) with
-      | Some _ when pool.quota_left.(w) <= 0 ->
-        (* memory quota exhausted: abandon the deque and steal *)
+  match pool.dfd_deque.(w) with
+  | Some _ when pool.quota_left.(w) <= 0 ->
+    (* memory quota exhausted: abandon the deque and steal *)
+    let c = pool.per_worker.(w) in
+    c.c_quota_giveups <- c.c_quota_giveups + 1;
+    if rings_live pool then begin
+      let quota = Atomic.get pool.dfd_quota in
+      note pool ~ts:(now_us pool) ~proc:w
+        (Event.Quota_exhausted { used = quota - pool.quota_left.(w); quota })
+    end;
+    dfd_abandon pool w;
+    dfd_steal pool w
+  | Some e -> (
+      let d = Multiq.value e in
+      match Lfdeque.pop ?ops:(ops pool w) d.tasks with
+      | Some got ->
         let c = pool.per_worker.(w) in
-        c.c_quota_giveups <- c.c_quota_giveups + 1;
-        if rings_live pool then begin
-          let quota = Atomic.get pool.dfd_quota in
-          note pool ~ts:(now_us pool) ~proc:w
-            (Event.Quota_exhausted { used = quota - pool.quota_left.(w); quota })
-        end;
+        c.c_local_pops <- c.c_local_pops + 1;
+        take_slot got
+      | None ->
+        (* empty own deque: retire it, then steal *)
         dfd_abandon pool w;
-        dfd_steal pool w
-      | Some e -> (
-          let d = Multiq.value e in
-          match Lfdeque.pop ?ops:(ops pool w) d.tasks with
-          | Some got ->
-            let c = pool.per_worker.(w) in
-            c.c_local_pops <- c.c_local_pops + 1;
-            take_slot got
-          | None ->
-            (* empty own deque: retire it, then steal *)
-            dfd_abandon pool w;
-            dfd_steal pool w)
-      | None -> dfd_steal pool w)
+        dfd_steal pool w)
+  | None -> dfd_steal pool w
 
 let run_task w t = t w
 
@@ -931,35 +734,13 @@ let run_task w t = t w
    escapes an exception must never tear down the worker that happened to
    run it: promise-backed tasks capture exceptions themselves ([fulfill]),
    so this is the belt-and-braces path for malformed raw tasks — count it
-   and carry on. *)
-let help_once ?(top = false) pool w =
+   and carry on.  The taken task passes from the take to the run as a
+   local value, so the hand-over costs no sync op. *)
+let help_once pool w =
   match try_get pool w with
-  | Some _ as held ->
-    (* publish the held task before anything can kill us: a quarantiner
-       that reads our certificate is guaranteed to see it.  This store and
-       the exchange below are the take path's two sync ops. *)
-    Atomic.set pool.cur_task.(w) held;
-    let ops = sync_cell pool w in
-    ops := !ops + 2;
-    (* seeded crash/wedge injection — top-of-loop takes by worker domains
-       only, so a dying worker holds exactly one unstarted task and
-       nothing else in flight, its private part empty (the caller and
-       nested helping takes are never crash-eligible: killing a worker
-       mid-computation would strand a half-run task that cannot be
-       requeued exactly-once) *)
-    if top && w > 0 then (
-      match Fault.worker_take pool.fault ~worker:w with
-      | `None -> ()
-      | `Crash -> worker_crash pool w
-      | `Wedge -> wedge_spin pool w);
-    (match Atomic.exchange pool.cur_task.(w) None with
-     | Some t' ->
-       note_task_start pool w;
-       (try run_task w t' with _ -> note_task_exn pool w)
-     | None ->
-       (* a quarantiner won the exchange: the task is requeued and this
-          worker has been declared dead — unwind without running it *)
-       raise Worker_stop);
+  | Some t ->
+    note_task_start pool w;
+    (try run_task w t with _ -> note_task_exn pool w);
     true
   | None -> false
 
@@ -1019,10 +800,10 @@ type 'a outcome = Pending | Done of 'a | Failed of exn
 type 'a promise = 'a outcome Atomic.t
 
 (* Run [f] as worker [w] and publish its outcome.  Only a task taken
-   through [help_once] runs here (a steal, a helper's local pop, a
-   requeued orphan); the forking worker that pops its own task back runs
-   [f] inline and never touches the promise ([join_fork]).  The
-   publishing store is a sync op, charged to [w]. *)
+   through [help_once] runs here (a steal or a helper's local pop); the
+   forking worker that pops its own task back runs [f] inline and never
+   touches the promise ([join_fork]).  The publishing store is a sync
+   op, charged to [w]. *)
 let fulfill pool w (pr : _ promise) f =
   let v =
     match f () with
@@ -1049,9 +830,6 @@ let await pool w (pr : _ promise) =
          spin hot *)
       if help_once pool w then go 0
       else begin
-        (* empty-handed: quarantine any crashed peer before backing off —
-           the promise we await may be fenced inside its dead holder *)
-        if Atomic.get pool.crashed_pending > 0 then ignore (scan_crashed pool ~proc:w);
         backoff_wait pool.rngs.(w) misses;
         go (misses + 1)
       end
@@ -1068,12 +846,11 @@ let worker_loop pool w =
   let rec loop () =
     if Atomic.get pool.shutting_down then ()
     else begin
-      if help_once ~top:true pool w then misses := 0
+      if help_once pool w then misses := 0
       else begin
         (* run dry: drop the finished tasks the private part still holds *)
         if !misses = 0 then clear_stale (pstack pool w);
         incr misses;
-        if Atomic.get pool.crashed_pending > 0 then ignore (scan_crashed pool ~proc:w);
         (* bounded spin, then park until a publication signals — but only
            if a lock-free scan finds nothing queued anywhere and no peer
            holding private work, so a publisher never sees a worker parked
@@ -1088,10 +865,7 @@ let worker_loop pool w =
       loop ()
     end
   in
-  (* Worker_stop: this domain crashed (injected) or was quarantined out
-     from under a wedge — unwind quietly; the quarantine protocol has
-     already recovered (or will recover) everything it held *)
-  try loop () with Worker_stop -> ()
+  loop ()
 
 (* Total synchronization operations (atomic RMWs + publishing stores,
    CAS retries included) executed on either policy's scheduling paths,
@@ -1142,13 +916,11 @@ let rank_error pool =
     (fun acc c -> Stats.Histogram.merge acc c.c_rank_err)
     (Stats.Histogram.create ()) pool.per_worker
 
-let quarantines pool = List.length (Atomic.get pool.lineage)
-
 (* The pool's telemetry: probes over the state it already keeps — the
-   per-worker counter records, the crash-domain ledger — so no scheduling
-   path does any registry work.  Registration upserts: a pool respawned
-   by a supervisor re-points every series at itself, and the counters
-   carry their last values across. *)
+   per-worker counter records — so no scheduling path does any registry
+   work.  Registration upserts: a pool respawned by a supervisor
+   re-points every series at itself, and the counters carry their last
+   values across. *)
 let register_probes registry pool =
   let g name help f = Registry.probe registry ~kind:`Gauge ~help name f in
   let c name help f = Registry.probe registry ~kind:`Counter ~help name f in
@@ -1160,10 +932,6 @@ let register_probes registry pool =
       Atomic.get pool.dfd_quota);
   g "dfd_pool_r_deques" "Live deques in the relaxed R-list (DFDeques)." (fun () ->
       Multiq.size pool.r);
-  g "dfd_pool_quarantined_workers" "Worker slots currently quarantined (crash domains fired)."
-    (fun () -> Atomic.get pool.n_quarantined);
-  g "dfd_pool_degraded_p" "Live processor count: workers minus quarantined slots." (fun () ->
-      pool.n_workers - Atomic.get pool.n_quarantined);
   cnt "dfd_pool_steals_total" "Successful steals (all disciplines)." (fun c -> c.steals);
   cnt "dfd_pool_steal_failures_total" "Steal attempts that found nothing (real or injected)."
     (fun c -> c.steal_failures);
@@ -1186,10 +954,6 @@ let register_probes registry pool =
   cnt "dfd_pool_sync_ops"
     "Synchronization ops (atomic RMWs, CAS retries included) on scheduling paths." (fun c ->
       c.sync_ops);
-  c "dfd_pool_quarantines_total" "Workers quarantined (crash or wedge verdicts)." (fun () ->
-      quarantines pool);
-  c "dfd_pool_crash_requeues_total" "Held tasks recovered exactly-once from quarantined workers."
-    (fun () -> Atomic.get pool.n_orphan_pushes);
   Registry.probe_histogram registry
     ~help:"Rank error per successful DFDeques steal (positions outside the exact leftmost-p window)."
     "dfd_pool_steal_rank_error"
@@ -1235,7 +999,6 @@ let make ?(flight = Tracer.disabled) ~n_workers ~tracer ~fault policy =
               c_parks = 0;
               c_r_inserts = 0;
               c_r_removes = 0;
-              c_ticks = 0;
               c_rank_err = Stats.Histogram.create ();
             });
       sync_cells;
@@ -1257,16 +1020,6 @@ let make ?(flight = Tracer.disabled) ~n_workers ~tracer ~fault policy =
       last_active_us = Array.make n_workers 0;
       deadline = Atomic.make None;
       cancelled = Atomic.make false;
-      cur_task = Array.init n_workers (fun _ -> Atomic.make None);
-      stopped = Array.init n_workers (fun _ -> Atomic.make false);
-      wedged = Array.init n_workers (fun _ -> Atomic.make false);
-      quarantined = Array.init n_workers (fun _ -> Atomic.make false);
-      crashed_pending = Atomic.make 0;
-      orphans = Atomic.make [];
-      n_orphan_pushes = Atomic.make 0;
-      n_orphan_pops = Atomic.make 0;
-      n_quarantined = Atomic.make 0;
-      lineage = Atomic.make [];
     }
 
 let make ?(registry = Registry.disabled) ?flight ~n_workers ~tracer ~fault policy =
@@ -1285,23 +1038,17 @@ let create ?domains ?(tracer = Tracer.disabled) ?(fault = Fault.none) ?registry 
   pool
 
 (* Tasks queued where a worker could take them, counted over the same
-   places [work_queued] scans: public parts and orphans, not private
-   parts.  Exact once the pool is quiescent. *)
+   places [work_queued] scans: public parts, not private parts.  Exact
+   once the pool is quiescent. *)
 let queued pool =
-  List.fold_left
-    (fun n e -> n + Lfdeque.length (Multiq.value e).tasks)
-    (List.length (Atomic.get pool.orphans))
-    (Multiq.members pool.r)
+  List.fold_left (fun n e -> n + Lfdeque.length (Multiq.value e).tasks) 0 (Multiq.members pool.r)
 
 (* After cancellation the deques may still hold queued tasks whose parents
    have unwound: run them all (they raise [Cancelled] immediately or are
    cheap leftovers) so the pool is clean for the next [run]. *)
 let drain pool =
   let misses = ref 0 in
-  (* a pending crash certificate hides a held task that no deque holds:
-     quarantine first so nothing is stranded *)
-  while work_queued pool || Atomic.get pool.crashed_pending > 0 do
-    if Atomic.get pool.crashed_pending > 0 then ignore (scan_crashed pool ~proc:0);
+  while work_queued pool do
     if help_once pool 0 then misses := 0
     else begin
       incr misses;
@@ -1419,70 +1166,6 @@ let quota pool =
 let heartbeat pool =
   Array.fold_left (fun acc c -> acc + c.c_tasks_run) 0 pool.per_worker
 
-(* --- crash-domain surface ------------------------------------------- *)
-
-(* Point-in-time crash-domain view of every slot.  [w_activity] is the
-   take-attempt clock: an awaiting or stealing worker keeps ticking even
-   when no task completes, so "activity flat AND holding" is the wedge
-   signature the service's watchdog keys on. *)
-let worker_states pool =
-  Array.init pool.n_workers (fun w ->
-      {
-        w_activity = pool.per_worker.(w).c_ticks;
-        w_heartbeat = pool.per_worker.(w).c_tasks_run;
-        w_holding = Option.is_some (Atomic.get pool.cur_task.(w));
-        w_stopped = Atomic.get pool.stopped.(w);
-        w_quarantined = Atomic.get pool.quarantined.(w);
-      })
-
-(* External supervisor verdict (the service's watchdog): quarantine [w]
-   without waiting for a crash certificate.  Sound only against workers
-   that are certifiably fenced or wedged-in-scheduler; quarantining a
-   healthy worker mid-push is the caller's bug, which is why the service
-   requires the activity clock flat before issuing the verdict. *)
-let quarantine ?(cause = "wedge") pool w = quarantine_as pool ~proc:(-1) ~cause w
-
-let degraded_p pool = pool.n_workers - Atomic.get pool.n_quarantined
-
-(* Oldest first (the atomic prepend order reversed). *)
-let lineage pool = List.rev (Atomic.get pool.lineage)
-
-(* Exactly-once recovery audit over the lineage ledger — the pool-level
-   mirror of the service's [verify_ledger].  Meaningful once the pool is
-   quiescent (after [run]/[drain] returns): every crash certificate must
-   have been quarantined, every recovered task must have drained through
-   the orphan stack, the ledger's requeue claims must match the stack's
-   push count, and each slot must have at most one entry, present exactly
-   when its one-way quarantine flag is set. *)
-let verify_lineage pool =
-  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let pending = Atomic.get pool.crashed_pending in
-  if pending <> 0 then fail "crashed_pending=%d: unquarantined crash certificates" pending
-  else
-    match Atomic.get pool.orphans with
-    | _ :: _ as orphans -> fail "orphan stack holds %d unrecovered tasks" (List.length orphans)
-    | [] ->
-      let pushes = Atomic.get pool.n_orphan_pushes and pops = Atomic.get pool.n_orphan_pops in
-      let entries = Atomic.get pool.lineage in
-      let requeued = List.fold_left (fun a e -> if e.requeued then a + 1 else a) 0 entries in
-      if pushes <> pops then
-        fail "orphan pushes=%d <> pops=%d: a recovered task was lost or duplicated" pushes pops
-      else if requeued <> pushes then
-        fail "ledger records %d requeues but the orphan stack saw %d pushes" requeued pushes
-      else begin
-        let bad = ref None in
-        for w = 1 to pool.n_workers - 1 do
-          let qs = List.fold_left (fun a e -> if e.worker = w then a + 1 else a) 0 entries in
-          let flag = Atomic.get pool.quarantined.(w) in
-          if (qs > 1 || (qs = 1) <> flag) && !bad = None then
-            bad :=
-              Some
-                (Printf.sprintf "worker %d: %d lineage entries inconsistent with quarantine flag %b"
-                   w qs flag)
-        done;
-        (match !bad with Some s -> Error s | None -> Ok ())
-      end
-
 (* The registry snapshot type is the one flattening of the counters
    record; [stats] (the legacy alist) and the service's counter
    passthrough both derive from it instead of hand-rolling their own. *)
@@ -1531,27 +1214,13 @@ let snapshot pool =
      | Some d -> Printf.sprintf "%+.3fs" (d -. Unix.gettimeofday ()));
   List.iter (fun (k, v) -> pf "  %s=%d\n" k v) (stats pool);
   pf "  heartbeat=%d faults_injected=%d\n" (heartbeat pool) (Fault.injected_total pool.fault);
-  pf "  degraded_p=%d quarantined=%d crashed_pending=%d orphans=%d (pushes=%d pops=%d)\n"
-    (degraded_p pool) (Atomic.get pool.n_quarantined) (Atomic.get pool.crashed_pending)
-    (List.length (Atomic.get pool.orphans))
-    (Atomic.get pool.n_orphan_pushes) (Atomic.get pool.n_orphan_pops);
   Array.iteri
     (fun i c ->
        let s = pstack pool i in
-       pf "  worker %d: tasks_run=%d steals=%d ticks=%d private=%d%s%s%s%s%s\n" i c.c_tasks_run
-         c.c_steals c.c_ticks (s.hi - s.lo)
-         (if Atomic.get (req pool i) then " REQUESTED" else "")
-         (if Option.is_some (Atomic.get pool.cur_task.(i)) then " HOLDING" else "")
-         (if Atomic.get pool.stopped.(i) then " STOPPED" else "")
-         (if Atomic.get pool.wedged.(i) then " WEDGED" else "")
-         (if Atomic.get pool.quarantined.(i) then " QUARANTINED" else ""))
+       pf "  worker %d: tasks_run=%d steals=%d private=%d%s\n" i c.c_tasks_run c.c_steals
+         (s.hi - s.lo)
+         (if Atomic.get (req pool i) then " REQUESTED" else ""))
     pool.per_worker;
-  List.iter
-    (fun e ->
-       pf "  lineage: worker %d %s%s%s\n" e.worker e.cause
-         (if e.requeued then " (task requeued)" else "")
-         (if e.abandoned then " (deque abandoned)" else ""))
-    (lineage pool);
   (* lock-free Multiq walk: approximate while membership churns, exact
      once the pool is idle — same contract as the counters *)
   let ms = Multiq.members pool.r in
@@ -1592,8 +1261,8 @@ let kill pool =
    it is one the checker controls, plus explicit worker impersonation and
    single help steps.  Not part of the public scheduling API. *)
 module For_testing = struct
-  let create_detached ?(fault = Fault.none) ~workers policy =
-    make ~n_workers:(max 1 workers) ~tracer:Tracer.disabled ~fault policy
+  let create_detached ~workers policy =
+    make ~n_workers:(max 1 workers) ~tracer:Tracer.disabled ~fault:Fault.none policy
 
   let as_worker pool w f =
     if w < 0 || w >= pool.n_workers then invalid_arg "Pool.For_testing.as_worker";
@@ -1603,17 +1272,6 @@ module For_testing = struct
     Fun.protect ~finally:(fun () -> ctx := saved) f
 
   let help pool w = help_once pool w
-
-  (* One top-of-loop step as a worker domain would take it: crash/wedge
-     faults are armed and the crash path's [Worker_stop] is surfaced as a
-     verdict instead of escaping into the checker. *)
-  let help_top pool w =
-    match help_once ~top:true pool w with
-    | true -> `Ran
-    | false -> `Idle
-    | exception Worker_stop -> `Stopped
-
-  let scan pool ~proc = scan_crashed pool ~proc
 
   let sync_cell = sync_cell
 

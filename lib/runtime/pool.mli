@@ -8,8 +8,7 @@
     - {!Work_stealing} — the space-efficient work stealer, run as
       {!Dfdeques} with K = ∞ (the paper's equivalence, DESIGN.md §1): no
       quota give-ups, so each worker keeps one deque until it runs dry,
-      R holds no more than [p] deques (outside crash recovery, whose
-      abandoned deque may still hold tasks), and a thief's victim is the
+      R holds no more than [p] deques, and a thief's victim is the
       same two-choice, leftmost-biased R sample, not a uniform draw.
       Such a pool has no quota to read or set.
     - {!Dfdeques} — the paper's algorithm: a globally ordered list R of
@@ -129,9 +128,8 @@ val create :
     plane.  The pool publishes its [dfd_pool_*] series there as
     read-side probes over what it already keeps: the {!counters} fields
     (steals and failures, local pops, quota giveups, tasks, task
-    exceptions, [alloc_hint] bytes, parks, deque churn, sync ops), the
-    crash-domain ledger (quarantines, requeues), {!rank_error}
-    as a histogram, and gauges over live state (parked workers, current
+    exceptions, [alloc_hint] bytes, parks, deque churn, sync ops),
+    {!rank_error} as a histogram, and gauges over live state (parked workers, current
     K, R size).  They are read only when the registry is scraped, so an
     enabled registry adds nothing to any scheduling path.  Registration
     upserts and counters carry their last value into the series, so pool
@@ -140,8 +138,8 @@ val create :
     [flight] (default {!Dfd_trace.Tracer.disabled}): always-on crash
     forensics, typically [Tracer.create ~capacity:256 ~lanes:(domains + 2) ()].
     Rare events (steal successes, quota giveups, deque lifecycle,
-    injected faults, task exceptions, crash-domain transitions) are
-    recorded into it — as into [tracer] — and a supervisor dumps it
+    injected faults, task exceptions) are recorded into it — as into
+    [tracer] — and a supervisor dumps it
     ({!Dfd_trace.Tracer.write_file}) on [Timeout], watchdog kill or
     give-up, without enabling full tracing.  Same lane rule as [tracer]:
     one ring per pool, [n_workers + 1] lanes, never shared between live
@@ -238,9 +236,8 @@ val sync_ops : t -> int
     CAS retries included) executed on scheduling paths — a thief's
     request, an owner's response (clearing the flag, publishing to the
     public part), public pop and steal under both policies, the
-    promise's publishing store of each task taken from a deque, a taken
-    task's hand-over through its worker's held-task slot, abandonment,
-    reap and R membership — summed across
+    promise's publishing store of each task taken from a deque,
+    abandonment, reap and R membership — summed across
     the per-worker single-writer cells.  An unstolen, unpublished fork
     costs 0: its push and its join's pop touch only the private part.
     The Rito & Paulino sync-overhead metric, which is bounded by
@@ -264,79 +261,6 @@ val heartbeat : t -> int
     ({!Dfd_fault.Watchdog.touch} on change, {!Dfd_fault.Watchdog.check}
     periodically) — the pool never stamps wall-clock time on the hot path
     for liveness purposes. *)
-
-(** {2 Per-worker crash domains}
-
-    The pool survives the death of an individual worker domain without
-    losing or duplicating work.  A seeded {!Dfd_fault.Fault.t} crash
-    fires inside a worker's top-of-loop take: the worker publishes a
-    one-way death certificate and unwinds.  Any peer (or the caller, or
-    an external supervisor via {!quarantine}) then {e quarantines} the
-    slot: one CAS winner sets the slot's one-way quarantine flag (which
-    also fences a wedged worker out of its spin), recovers the
-    taken-but-unstarted task exactly once (atomic exchange against the
-    owner), requeues it through a lock-free orphan stack that all
-    workers drain ahead of their deques, abandons the dead owner's
-    deque through the sticky death-certificate protocol so survivors
-    steal its queued tasks back, and appends an audit record
-    to the {!lineage} ledger.  Quarantine is final: the pool runs
-    degraded at [p - 1] for the rest of its lifetime — the Theorem 4.4
-    space bound [S1 + c·min(K,S1)·p·D] shrinks with it (see
-    [Dfd_obs.Headroom.set_p]) — and only a fresh pool, such as the
-    service's wholesale respawn, brings the width back.
-    {!verify_lineage} audits the whole episode after the fact: no task
-    lost, none run twice.  DESIGN.md §17 gives the protocol and its
-    memory-ordering audit. *)
-
-type lineage_entry = {
-  worker : int;
-  cause : string;  (** ["crash"] or ["wedge"]. *)
-  requeued : bool;  (** a held task was recovered through the orphan stack. *)
-  abandoned : bool;  (** the owner's deque was abandoned on its behalf. *)
-}
-
-type worker_state = {
-  w_activity : int;
-      (** take-attempt clock: rises while the worker lives, even idle-stealing;
-          flat = wedged or dead.  The watchdog's per-worker liveness signal. *)
-  w_heartbeat : int;  (** tasks started by this worker. *)
-  w_holding : bool;  (** a taken-but-unstarted task sits in the slot. *)
-  w_stopped : bool;  (** the worker raised its own crash certificate. *)
-  w_quarantined : bool;
-}
-
-val worker_states : t -> worker_state array
-(** Point-in-time crash-domain view of every worker slot (lock-free
-    reads; same staleness contract as {!val-counters}). *)
-
-val quarantine : ?cause:string -> t -> int -> bool
-(** [quarantine pool w]: external supervisor verdict against worker [w]
-    (cause defaults to ["wedge"]).  Returns [true] if this call won the
-    quarantine (false: already quarantined; a slot is quarantined at most
-    once).  Sound only against workers
-    that are certifiably fenced — crashed (certificate raised) or wedged
-    inside the scheduler with a flat {!worker_states} activity clock;
-    quarantining a healthy worker is unsound and may duplicate or lose
-    its in-flight push.  Raises [Invalid_argument] for the caller slot 0
-    or an out-of-range worker. *)
-
-val degraded_p : t -> int
-(** Live processor count: [n_workers] minus currently quarantined slots —
-    the [p] the Theorem 4.4 budget should be instantiated with.  It only
-    falls over a pool's lifetime. *)
-
-val lineage : t -> lineage_entry list
-(** The crash-domain audit ledger, oldest first. *)
-
-val quarantines : t -> int
-(** Quarantine episodes recorded in {!lineage}: its length. *)
-
-val verify_lineage : t -> (unit, string) result
-(** Exactly-once recovery audit, meaningful once the pool is quiescent:
-    no unquarantined crash certificates, the orphan stack drained, its
-    push/pop counts balanced and equal to the ledger's requeue count,
-    and each slot holding at most one ledger entry, present exactly when
-    its quarantine flag is set.  [Error] pinpoints the first violated invariant. *)
 
 val metrics_samples : t -> Dfd_obs.Registry.sample list
 (** {!counters} as registry snapshot samples (unlabelled names, marked
@@ -384,7 +308,7 @@ val kill : t -> unit
     domains and drives the worker roles from threads it serialises
     through the {!Dfd_structures.Schedpoint} yield points. *)
 module For_testing : sig
-  val create_detached : ?fault:Dfd_fault.Fault.t -> workers:int -> policy -> t
+  val create_detached : workers:int -> policy -> t
   (** A pool with [workers] worker slots and {e no} worker domains.
       Work only progresses when some thread runs {!as_worker}/{!help}. *)
 
@@ -397,19 +321,9 @@ module For_testing : sig
   (** One attempt by worker [w] to obtain and run a single task; [false]
       if none was found. *)
 
-  val help_top : t -> int -> [ `Ran | `Idle | `Stopped ]
-  (** Like {!help} but as a worker domain's top-of-loop step: armed
-      crash/wedge faults may fire, and the crash path's internal unwind
-      is surfaced as [`Stopped] instead of escaping. *)
-
-  val scan : t -> proc:int -> int
-  (** Quarantine every raised-but-unquarantined crash certificate, as
-      peers do when they observe one pending; returns how many this call
-      won. *)
-
   val queued : t -> int
-  (** Tasks queued where a worker could take them — the orphan stack plus
-      every live R member's public deque.  It
+  (** Tasks queued where a worker could take them: every live R
+      member's public deque.  It
       does not count private parts, which only their owners read
       exactly (see {!private_len}).  0 once a computation is quiescent:
       the checker's leak oracle, with {!private_len}. *)
@@ -417,8 +331,7 @@ module For_testing : sig
   val r_size : t -> int
   (** Deques in R ({!Dfd_structures.Multiq.size}): a lock-free read,
       exact once the pool is quiescent.  Under {!Work_stealing} it does
-      not exceed the worker count outside crash recovery: the paper's
-      K = ∞ fact. *)
+      not exceed the worker count: the paper's K = ∞ fact. *)
 
   val private_len : t -> int -> int
   (** Tasks in worker [w]'s private part.  Exact from [w]'s own thread or
@@ -430,8 +343,8 @@ module For_testing : sig
   (** Slots of worker [w]'s private stack outside its live tasks that
       still hold a task: the finished branches its pops left behind, at
       most four while [w] runs.  Same read contract as {!private_len}.
-      0 once {!run} has returned (for the caller, worker 0), once a
-      worker domain has gone idle, and once [w] is quarantined. *)
+      0 once {!run} has returned (for the caller, worker 0) and once a
+      worker domain has gone idle. *)
 
   val requested : t -> int -> bool
   (** Whether worker [w]'s request flag is raised. *)
@@ -476,8 +389,7 @@ module For_testing : sig
       [`Would_sleep] means a real parker would now block, still announced;
       [`Found_work] means it withdrew its announce and stays up.  The scan
       looks for what {!work_queued} sees, for a peer holding private work
-      (an unsynchronized hint), for shutdown and for a pending crash
-      certificate. *)
+      (an unsynchronized hint) and for shutdown. *)
 
   val announce : t -> unit
   (** The announce half of {!park_step} alone (raise the parked count),
@@ -486,7 +398,7 @@ module For_testing : sig
   val work_queued : t -> bool
   (** The queued-work part of {!park_step}'s scan: is any task queued
       where a parker could take it?  It scans what {!queued} counts:
-      public parts and orphans, never private parts.  A peer's private
+      public parts, never private parts.  A peer's private
       work reaches a parker through the peer's next {!boundary}, which
       sees the announce. *)
 

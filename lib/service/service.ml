@@ -151,7 +151,6 @@ type counters = {
   retries : int;
   timeouts : int;
   wedges : int;
-  quarantines : int;
   respawns : int;
   duplicate_acks : int;
 }
@@ -192,9 +191,8 @@ type t = {
   cfg : config;
   policy : Pool.policy;
   fault : Dfd_fault.Fault.t;
-      (** seeded injector threaded into every pool incarnation — the
-          fault tests and [repro soak --plan] arm crash/wedge triggers
-          through it; {!Dfd_fault.Fault.none} in production. *)
+      (** seeded injector threaded into every pool incarnation;
+          {!Dfd_fault.Fault.none} in production. *)
   tracer : Tracer.t;
   registry : Registry.t;  (** live telemetry; shared with every pool incarnation. *)
   headroom : Headroom.t;
@@ -215,7 +213,6 @@ type t = {
   mutable c_retries : int;
   mutable c_timeouts : int;
   mutable c_wedges : int;
-  mutable c_quarantines : int;
   mutable c_respawns : int;
   mutable c_dup_acks : int;
 }
@@ -250,7 +247,8 @@ let spawn_raw_epoch ?(fault = Dfd_fault.Fault.none) ~domains ~policy ~k0 ~regist
      pool's lifetime; read back through [Pool.flight]) but shares the
      registry, whose upsert registration keeps the dfd_pool_* series
      continuous across respawns.  One lane per worker — the caller slot
-     included — plus the last for this driver's quarantines. *)
+     included — plus the last, which the pool reserves for external
+     writers. *)
   let flight = Tracer.create ~capacity:256 ~lanes:(domains + 2) () in
   let pool =
     Pool.create ~domains ~fault ~registry ~flight (effective_policy ~policy ~k0)
@@ -265,10 +263,8 @@ let spawn_epoch t =
     spawn_raw_epoch ~fault:t.fault ~domains:t.cfg.domains ~policy:t.policy ~k0
       ~registry:t.registry ()
   in
-  (* the fresh pool's alloc counter restarts at 0, and it runs every
-     worker slot again, whatever the old one had quarantined *)
+  (* the fresh pool's alloc counter restarts at 0 *)
   Headroom.reset_pressure t.headroom;
-  Headroom.set_p t.headroom (Pool.degraded_p ep.pool);
   ep
 
 (* The service's own supervision counters exposed as stable probes: they
@@ -293,8 +289,6 @@ let register_service_probes t =
   c "dfd_service_retries_total" "Re-attempts scheduled with backoff." (fun () -> t.c_retries);
   c "dfd_service_timeouts_total" "Attempts that hit their deadline." (fun () -> t.c_timeouts);
   c "dfd_service_wedges_total" "Pool incarnations declared wedged." (fun () -> t.c_wedges);
-  c "dfd_service_quarantines_total" "Workers surgically quarantined instead of a pool respawn."
-    (fun () -> t.c_quarantines);
   c "dfd_service_respawns_total" "Fresh pool incarnations after a wedge." (fun () -> t.c_respawns);
   c "dfd_service_duplicate_acks_total" "Terminal acks refused (0 in a correct run)." (fun () ->
       t.c_dup_acks);
@@ -390,7 +384,6 @@ let create ?(tracer = Tracer.disabled) ?(fault = Dfd_fault.Fault.none) ?registry
       c_retries = 0;
       c_timeouts = 0;
       c_wedges = 0;
-      c_quarantines = 0;
       c_respawns = 0;
       c_dup_acks = 0;
     }
@@ -529,53 +522,12 @@ let cancel t h =
 
 (* Block until the executor posts this job's result, watching the pool's
    heartbeat; [None] = the pool made no progress for [wedge_grace]
-   seconds with the attempt still in flight — declared wedged.
-
-   Surgery precedes amputation: before escalating a stall to the
-   wholesale pool-wedge verdict, the driver looks for a worker it can
-   quarantine in place.  A candidate is any non-caller slot that either
-   raised its own crash certificate ([w_stopped]; normally peers reap
-   these themselves, so this is a backstop for an otherwise-idle pool)
-   or bears the wedge signature: it holds a taken-but-unstarted task
-   while its per-worker activity clock sat flat across the whole grace
-   window.  The [w_holding] requirement is what makes the verdict sound
-   — a worker stuck inside {e user} code has already started its task
-   ([w_holding] false), cannot be safely quarantined, and correctly
-   escalates to the pool respawn backstop.  A won quarantine shrinks
-   the Theorem-4.4 budget to the degraded p, dumps forensics, resets the
-   stall clock and keeps waiting: the pool continues at p-1 until a
-   wholesale respawn replaces it. *)
+   seconds with the attempt still in flight — declared wedged, and the
+   caller replaces the whole pool ({!respawn}). *)
 let await_result t (job : job) =
   let ep = t.epoch in
   let last_hb = ref (Pool.heartbeat ep.pool) in
-  let stall_base = ref (Pool.worker_states ep.pool) in
   let last_progress = ref (Unix.gettimeofday ()) in
-  let reset_stall () =
-    last_progress := Unix.gettimeofday ();
-    stall_base := Pool.worker_states ep.pool
-  in
-  let try_surgical () =
-    let states = Pool.worker_states ep.pool in
-    let won = ref false in
-    Array.iteri
-      (fun w (st : Pool.worker_state) ->
-         if
-           w > 0
-           && (not st.Pool.w_quarantined)
-           && (st.Pool.w_stopped
-              || (st.Pool.w_holding && st.Pool.w_activity = (!stall_base).(w).Pool.w_activity))
-         then begin
-           let cause = if st.Pool.w_stopped then "crash" else "wedge" in
-           if Pool.quarantine ~cause ep.pool w then begin
-             t.c_quarantines <- t.c_quarantines + 1;
-             Headroom.set_p t.headroom (Pool.degraded_p ep.pool);
-             flight_dump t ~reason:(Printf.sprintf "quarantine_w%d" w);
-             won := true
-           end
-         end)
-      states;
-    !won
-  in
   let rec go spins =
     match Atomic.get ep.cell with
     | Finished { job_id; result } when job_id = job.id ->
@@ -589,14 +541,9 @@ let await_result t (job : job) =
       let hb = Pool.heartbeat ep.pool in
       if hb <> !last_hb then begin
         last_hb := hb;
-        reset_stall ()
+        last_progress := Unix.gettimeofday ()
       end;
-      if Unix.gettimeofday () -. !last_progress > t.cfg.wedge_grace then
-        if try_surgical () then begin
-          reset_stall ();
-          go 0
-        end
-        else None
+      if Unix.gettimeofday () -. !last_progress > t.cfg.wedge_grace then None
       else begin
         relax spins;
         go (spins + 1)
@@ -786,7 +733,6 @@ let counters t =
     retries = t.c_retries;
     timeouts = t.c_timeouts;
     wedges = t.c_wedges;
-    quarantines = t.c_quarantines;
     respawns = t.c_respawns;
     duplicate_acks = t.c_dup_acks;
   }
@@ -915,7 +861,6 @@ let counter_samples t =
     mk "retries" t.c_retries;
     mk "timeouts" t.c_timeouts;
     mk "wedges" t.c_wedges;
-    mk "quarantines" t.c_quarantines;
     mk "respawns" t.c_respawns;
     mk "duplicate_acks" t.c_dup_acks;
   ]

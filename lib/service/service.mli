@@ -22,23 +22,14 @@
       seeded full-jitter backoff policy ({!Retry}) with a per-job budget.
     - {b Supervision} — jobs execute on a dedicated executor domain; the
       driver watches {!Dfd_runtime.Pool.heartbeat} while an attempt is in
-      flight.  When the pool stalls for [wedge_grace] seconds the driver
-      tries {e surgical quarantine} first: a worker that crashed (raised
-      its certificate) or wedged inside the scheduler — holding a
-      taken-but-unstarted task with its per-worker activity clock flat —
-      is quarantined in place ({!Dfd_runtime.Pool.quarantine}); its held
-      task is recovered exactly once, and the pool continues degraded at
-      [p-1] (the Theorem-4.4 budget gauge shrinks with it) until a
-      wholesale respawn, whose fresh pool runs all [p] workers and
-      restores the gauge.  Quarantine is final: a quarantined slot never
-      comes back within one pool.  Only when no slot
-      is quarantinable — e.g. a worker stuck inside user code, which has
-      already {e started} its task — does the stall escalate to the
-      wholesale verdict: the pool is killed, a fresh pool and executor
-      are spawned, and the in-flight job is requeued {e exactly once} at
-      the front — the ledger guarantees zero lost jobs and zero
-      duplicated completion acknowledgements (a late result from a
-      retired epoch is structurally ignored).
+      flight.  When the pool stalls for [wedge_grace] seconds it is
+      declared wedged: the pool is killed, a fresh pool and executor are
+      spawned, and the in-flight job is requeued {e exactly once} at the
+      front — the ledger guarantees zero lost jobs and zero duplicated
+      completion acknowledgements (a late result from a retired epoch is
+      structurally ignored).  This is the service's one recovery path;
+      the pool itself keeps no failure-recovery state, and every pool
+      runs at the fixed width [domains + 1].
     - {b Per-tenant adaptive K} ({!Quota_ctl}) — under a [Dfdeques]
       policy each tenant's observed allocation pressure drives {e its}
       memory threshold K down toward the Theorem 4.4 space bound and
@@ -122,10 +113,8 @@ val create :
     override the policy's initial K with the largest tenant [k_init].
 
     [fault] (default {!Dfd_fault.Fault.none}) is a seeded injector
-    threaded into every pool incarnation — the fault tests
-    ([test_fault], [test_runtime]) and [repro soak --plan] arm the
-    one-shot crash/wedge triggers through it to drive the supervisor's
-    surgical-quarantine path deterministically.
+    threaded into every pool incarnation, where it forces steal
+    failures and injects task exceptions ({!Dfd_runtime.Pool.create}).
 
     [registry] (default: a fresh private {!Dfd_obs.Registry.t}) receives
     the service's stable [dfd_service_*] probes (including per-tenant
@@ -218,9 +207,6 @@ type counters = {
   retries : int;  (** re-attempts scheduled with backoff. *)
   timeouts : int;  (** attempts that hit their deadline. *)
   wedges : int;  (** pool incarnations declared wedged. *)
-  quarantines : int;
-      (** workers surgically quarantined inside a live pool instead of a
-          wholesale respawn. *)
   respawns : int;  (** fresh pool incarnations after a wedge. *)
   duplicate_acks : int;  (** terminal acks refused because one landed already; 0 in a correct run. *)
 }

@@ -62,23 +62,15 @@ let lfdeque_reap = 18
 
 let lfdeque_steal_commit = 19
 
-let pool_crash_flag = 20
+let pool_park = 20
 
-let pool_quarantine = 21
+let pool_signal = 21
 
-let pool_orphan_push = 22
+let pool_request = 22
 
-let pool_orphan_pop = 23
+let pool_respond = 23
 
-let pool_park = 24
-
-let pool_signal = 25
-
-let pool_request = 26
-
-let pool_respond = 27
-
-let task_work = 28
+let task_work = 24
 
 let names =
   [|
@@ -102,10 +94,6 @@ let names =
     "lfdeque_abandon";
     "lfdeque_reap";
     "lfdeque_steal_commit";
-    "pool_crash_flag";
-    "pool_quarantine";
-    "pool_orphan_push";
-    "pool_orphan_pop";
     "pool_park";
     "pool_signal";
     "pool_request";

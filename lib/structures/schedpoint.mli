@@ -86,21 +86,6 @@ val lfdeque_steal_commit : int
     instant between its non-atomic top check and top store, where the
     correct deque has a single CAS and hence no such window. *)
 
-val pool_crash_flag : int
-(** Pool crash path: between publishing the held task and raising the
-    worker's own death certificate — the window a quarantining peer
-    races. *)
-
-val pool_quarantine : int
-(** Pool quarantine: after winning the one-winner quarantine CAS, before
-    fencing the victim and recovering its held task. *)
-
-val pool_orphan_push : int
-(** Pool orphan requeue: inside the Treiber-stack push CAS window. *)
-
-val pool_orphan_pop : int
-(** Pool orphan take: inside the Treiber-stack pop CAS window. *)
-
 val pool_park : int
 (** Pool parking: between a parker's announce ([n_parked] raised) and its
     scan for queued work — the window a concurrent push races.  The

@@ -10,7 +10,6 @@ let category (k : Event.kind) =
   | Event.Action_batch _ -> "action"
   | Event.Counter _ -> "counter"
   | Event.Fault_injected _ -> "fault"
-  | Event.Worker_quarantined _ | Event.Task_requeued _ -> "crash"
 
 let pid = Json.Int 0
 
@@ -113,9 +112,6 @@ let render (e : Event.t) : Json.t list =
       instant e
         [ ("victim", Json.Int victim); ("rank", Json.Int rank); ("err", Json.Int err) ];
     ]
-  | Event.Worker_quarantined { worker; cause } ->
-    [ instant e [ ("worker", Json.Int worker); ("cause", Json.String cause) ] ]
-  | Event.Task_requeued { worker } -> [ instant e [ ("worker", Json.Int worker) ] ]
 
 let to_json ~p events =
   let body = List.concat_map render events in

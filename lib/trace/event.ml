@@ -14,8 +14,6 @@ type kind =
   | Fault_injected of { fault : string }
   | Quota_adjusted of { from_quota : int; to_quota : int; pressure : int }
   | Steal_rank of { victim : int; rank : int; err : int }
-  | Worker_quarantined of { worker : int; cause : string }
-  | Task_requeued of { worker : int }
 
 type t = { ts : int; proc : int; tid : int; kind : kind }
 
@@ -35,8 +33,6 @@ let kind_index = function
   | Fault_injected _ -> 12
   | Quota_adjusted _ -> 13
   | Steal_rank _ -> 14
-  | Worker_quarantined _ -> 15
-  | Task_requeued _ -> 16
 
 let kind_names =
   [|
@@ -55,8 +51,6 @@ let kind_names =
     "fault_injected";
     "quota_adjusted";
     "steal_rank";
-    "worker_quarantined";
-    "task_requeued";
   |]
 
 let n_kinds = Array.length kind_names
@@ -94,9 +88,6 @@ let to_json e =
       ]
     | Steal_rank { victim; rank; err } ->
       [ ("victim", Json.Int victim); ("rank", Json.Int rank); ("err", Json.Int err) ]
-    | Worker_quarantined { worker; cause } ->
-      [ ("worker", Json.Int worker); ("cause", Json.String cause) ]
-    | Task_requeued { worker } -> [ ("worker", Json.Int worker) ]
   in
   Json.Assoc
     ([
@@ -130,10 +121,6 @@ let of_json j =
       Quota_adjusted
         { from_quota = int "from_quota"; to_quota = int "to_quota"; pressure = int "pressure" }
     | "steal_rank" -> Steal_rank { victim = int "victim"; rank = int "rank"; err = int "err" }
-    | "worker_quarantined" ->
-      Worker_quarantined
-        { worker = int "worker"; cause = Json.to_string_exn (Json.member "cause" j) }
-    | "task_requeued" -> Task_requeued { worker = int "worker" }
     | s -> raise (Json.Parse_error ("unknown event kind " ^ s))
   in
   { ts = int "ts"; proc = int "proc"; tid = int "tid"; kind }

@@ -65,14 +65,6 @@ type kind =
           [rank] in the relaxed global order; [err] is how far outside
           the exact leftmost-[p] window that is ([max 0 (rank - (p-1))],
           0 when the relaxation cost nothing on this steal). *)
-  | Worker_quarantined of { worker : int; cause : string }
-      (** The pool declared worker [worker] dead and fenced it out of the
-          scheduling structures — [cause] is ["crash"] (the worker's own
-          death certificate) or ["wedge"] (a supervisor's verdict).
-          [proc] is the worker that won the quarantine race. *)
-  | Task_requeued of { worker : int }
-      (** The task the quarantined worker [worker] held (taken but never
-          started) was recovered and requeued exactly once. *)
 
 type t = { ts : int; proc : int; tid : int; kind : kind }
 

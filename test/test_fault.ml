@@ -71,37 +71,15 @@ let test_set_enabled_pauses_injection () =
   checkb "resumed" true (Fault.steal_fails f);
   checki "counters preserved across pause" 2 (Fault.injected_total f)
 
-(* The crash-domain triggers count on the logical take clock and fire
-   exactly once each; the caller (worker 0) bumps the clock but is never
-   a victim. *)
-let test_worker_take_triggers () =
-  let rates =
-    { Fault.zero_rates with Fault.worker_crash = Some 2; Fault.worker_wedge = Some 3 }
-  in
-  let f = Fault.create ~rates ~seed:6 () in
-  checkb "worker 0 never fires" true (Fault.worker_take f ~worker:0 = `None);
-  checkb "second take crashes" true (Fault.worker_take f ~worker:1 = `Crash);
-  checkb "third take wedges" true (Fault.worker_take f ~worker:2 = `Wedge);
-  for _ = 1 to 50 do
-    checkb "both triggers are one-shot" true (Fault.worker_take f ~worker:1 = `None)
-  done;
-  checki "crash counted once" 1 (List.assoc "worker_crash" (Fault.counts f));
-  checki "wedge counted once" 1 (List.assoc "worker_wedge" (Fault.counts f));
-  (* a caller-only workload can push the clock past the trigger without a
-     victim; the first eligible worker then dies *)
-  let g = Fault.create ~rates:{ Fault.zero_rates with Fault.worker_crash = Some 1 } ~seed:7 () in
-  for _ = 1 to 10 do
-    checkb "caller takes never fire" true (Fault.worker_take g ~worker:0 = `None)
-  done;
-  checkb "first eligible worker dies" true (Fault.worker_take g ~worker:3 = `Crash);
-  (* the disabled injector answers without consuming anything *)
-  checkb "none never fires" true (Fault.worker_take Fault.none ~worker:1 = `None)
-
 let test_counts_shape () =
   let f = Fault.create ~seed:77 () in
   ignore (decision_trace f 2000);
   let counts = Fault.counts f in
-  checki "five kinds" (Array.length Fault.kind_names) (List.length counts);
+  Alcotest.(check (array string))
+    "the five kinds, in order"
+    [| "stall"; "steal_fail"; "task_exn"; "alloc_spike"; "lock_delay" |]
+    Fault.kind_names;
+  checki "one count per kind" (Array.length Fault.kind_names) (List.length counts);
   List.iteri
     (fun i (name, _) -> Alcotest.(check string) "kind order" Fault.kind_names.(i) name)
     counts;
@@ -261,7 +239,6 @@ let () =
           Alcotest.test_case "zero rates never inject" `Quick test_zero_rates_never_inject;
           Alcotest.test_case "certain task exn" `Quick test_certain_task_exn;
           Alcotest.test_case "set_enabled pauses" `Quick test_set_enabled_pauses_injection;
-          Alcotest.test_case "worker-take triggers one-shot" `Quick test_worker_take_triggers;
           Alcotest.test_case "counts shape" `Quick test_counts_shape;
         ] );
       ( "watchdog",

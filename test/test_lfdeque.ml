@@ -175,13 +175,13 @@ let qcheck_no_dup_no_loss =
        let pushed, taken = concurrent_run ~n_stealers ops in
        multiset_eq pushed taken)
 
-(* The quarantine-path property: a deque whose owner died mid-stream and
-   was abandoned on its behalf (the pool's reaper-side [abandon], the one
-   audited relaxation of the owner-only contract) must yield to its
-   drainers exactly the multiset it held at the moment of death — no
-   element lost inside the dead deque, none delivered twice.  The owner
-   phase is sequential (the owner is fenced before anyone else touches
-   the deque), the drain is concurrent. *)
+(* The quota give-up property: an owner that runs out of memory quota
+   mid-stream abandons its deque ([abandon], owner-only, its last
+   operation on the deque) and leaves it in R for thieves.  The abandoned
+   deque must yield to its drainers exactly the multiset it held at the
+   give-up — no element lost inside it, none delivered twice.  The owner
+   phase is sequential and ends with the owner's own [abandon]; the drain
+   is concurrent. *)
 let qcheck_dead_owner_drain =
   QCheck.Test.make ~count:40
     ~name:"lfdeque: draining a dead owner's abandoned deque = exact pre-crash multiset"
@@ -203,7 +203,7 @@ let qcheck_dead_owner_drain =
               | None -> ())
          ops;
        let remaining = Hashtbl.fold (fun k () acc -> k :: acc) live [] in
-       (* the owner crashes here; a quarantining peer abandons for it *)
+       (* the owner's quota runs out here: it gives the deque up *)
        Lfdeque.abandon q;
        let total = List.length remaining in
        let taken = Atomic.make 0 in

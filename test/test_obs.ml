@@ -214,11 +214,6 @@ let test_headroom_budget_arithmetic () =
      Float.abs (Headroom.headroom_ratio hr -. ((b -. 50.0) /. b)) < 1e-9);
   Headroom.set_quota hr 200;
   checki "min(K, S1) saturates at S1" (100 + (8 * 100 * 2 * 4)) (Headroom.budget hr);
-  (* a quarantined worker re-derives the budget for the degraded width *)
-  Headroom.set_p hr 1;
-  checki "set_p: S1 + c*min(K,S1)*(p-1)*D" (100 + (8 * 100 * 1 * 4)) (Headroom.budget hr);
-  Headroom.set_p hr 2;
-  checki "set_p restores full width" (100 + (8 * 100 * 2 * 4)) (Headroom.budget hr);
   Headroom.set_premature hr 7;
   checki "absolute premature" 7 (Headroom.premature hr);
   checki "first pressure measures from 0" 100 (Headroom.take_pressure hr ~cumulative_alloc:100);
@@ -318,7 +313,6 @@ let test_service_metrics_text () =
             "retries";
             "timeouts";
             "wedges";
-            "quarantines";
             "respawns";
             "duplicate_acks";
           ]))

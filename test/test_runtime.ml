@@ -624,21 +624,6 @@ let test_fork_closure_released_by_idle_worker () =
        checki "no stale slot on idle worker 1" 0 (Pool.For_testing.stale_slots pool 1);
        checki "every run's block was collected" !runs (Atomic.get finalised))
 
-(* Quarantine clears the dead worker's stale slots: worker 1 forks and
-   joins (leaving its branch in its stack), then is quarantined. *)
-let test_quarantine_clears_stale_slots () =
-  let pool = Pool.For_testing.create_detached ~workers:2 Pool.Work_stealing in
-  let finalised = Atomic.make 0 in
-  Pool.For_testing.as_worker pool 1 (fun () ->
-      let blk = watched finalised in
-      let k = Pool.For_testing.fork (fun () -> !blk) in
-      checkb "popped back" true (Pool.For_testing.pop_fork k));
-  checkb "the join left its branch in the stack" true (Pool.For_testing.stale_slots pool 1 > 0);
-  checkb "quarantined" true (Pool.quarantine pool 1);
-  checki "no stale slot after quarantine" 0 (Pool.For_testing.stale_slots pool 1);
-  collected finalised ~want:1 (fun () -> true);
-  checki "the branch's block was collected" 1 (Atomic.get finalised)
-
 let test_nested_run_rejected () =
   with_pool Pool.Work_stealing (fun pool ->
       checkb "nested run fails" true
@@ -697,14 +682,12 @@ let pool_families =
       "parks_total";
       "deques_created_total";
       "deques_deleted_total";
-      "quarantines_total";
-      "crash_requeues_total";
       "sync_ops";
     ]
   @ [ ("dfd_pool_steal_rank_error", Om_util.Histogram) ]
   @ List.map
       (fun n -> ("dfd_pool_" ^ n, Om_util.Gauge))
-      [ "parked_workers"; "workers"; "quota_bytes"; "r_deques"; "quarantined_workers"; "degraded_p" ]
+      [ "parked_workers"; "workers"; "quota_bytes"; "r_deques" ]
 
 (* The pool's registry series are probes over its own counters: once the
    workers are joined, each series equals the field it reads. *)
@@ -727,7 +710,6 @@ let test_registry_series () =
          | Some s -> s.Registry.value
          | None -> Alcotest.fail (name ^ ": no series " ^ n)
        in
-       let lineage_count p = List.length (List.filter p (Pool.lineage pool)) in
        List.iter
          (fun (n, field) ->
             match sample n with
@@ -745,8 +727,6 @@ let test_registry_series () =
            ("dfd_pool_deques_created_total", c.Pool.r_inserts);
            ("dfd_pool_deques_deleted_total", c.Pool.r_removes);
            ("dfd_pool_sync_ops", c.Pool.sync_ops);
-           ("dfd_pool_quarantines_total", Pool.quarantines pool);
-           ("dfd_pool_crash_requeues_total", lineage_count (fun e -> e.Pool.requeued));
          ];
        checkb (name ^ " stole") true (c.Pool.steals > 0);
        checkb (name ^ " hinted") true (c.Pool.alloc_bytes > 0);
@@ -894,10 +874,11 @@ let test_deep_nesting () =
            checki (name ^ " deep chain") 1 (Pool.run pool (fun () -> chain 500))))
     policies
 
-(* The crash-domain precondition: a worker's private part is empty at
-   every top-of-loop take, where an injected crash may fire.  Worker 0
-   forks fib trees; two helper domains play workers 1 and 2 through the
-   top-of-loop step and check their own private part before every take.
+(* A worker abandons its deque only inside a take, and only with an
+   empty private part, so that part must be empty at every top-of-loop
+   take ({!Pool.For_testing.help}).  Worker 0 forks fib trees; two
+   helper domains play workers 1 and 2 through the top-of-loop step and
+   check their own private part before every take.
    Stolen fib branches fork too, so the helpers' private parts are used
    in between.  Worker 0 keeps forking until the helpers have stolen a
    few times, so the check is not vacuous. *)
@@ -911,9 +892,8 @@ let test_private_empty_at_top_take policy () =
         Pool.For_testing.as_worker pool i (fun () ->
             while not (Atomic.get finished) do
               if Pool.For_testing.private_len pool i <> 0 then Atomic.incr nonempty;
-              match Pool.For_testing.help_top pool i with
-              | `Ran -> Atomic.incr takes.(i)
-              | `Idle | `Stopped -> Domain.cpu_relax ()
+              if Pool.For_testing.help pool i then Atomic.incr takes.(i)
+              else Domain.cpu_relax ()
             done))
   in
   let helpers = [ helper 1; helper 2 ] in
@@ -993,49 +973,6 @@ let test_injected_steal_failures_degrade_gracefully () =
             if rate = 1.0 then checki (label ^ ": zero steals") 0 (Pool.counters pool).Pool.steals))
     (List.map (fun (policy, name) -> (policy, name, 0.5)) policies
      @ [ (Pool.Work_stealing, "WS", 1.0) ])
-
-(* E2E crash domain: a seeded one-shot worker crash fires mid-psort (the
-   victim dies on its first top-of-loop take, holding one unstarted
-   task).  The surviving workers quarantine it, requeue the held task
-   exactly once, and the sort still returns fully ordered at p-1; the
-   lineage ledger audits clean.  Quarantine is final: the slot cannot be
-   quarantined again, and a subsequent clean run still runs at p-1. *)
-let test_worker_crash_mid_psort () =
-  List.iter
-    (fun (policy, name) ->
-       let rates = { Fault.zero_rates with Fault.worker_crash = Some 1 } in
-       let fault = Fault.create ~rates ~seed:17 () in
-       let pool = Pool.create ~domains:3 ~fault policy in
-       Fun.protect
-         ~finally:(fun () -> Pool.shutdown pool)
-         (fun () ->
-            let n = 20_000 in
-            let arr = Array.init n (fun i -> i * 7919 land 0xffff) in
-            let expect = Array.copy arr in
-            Array.sort compare expect;
-            Pool.run pool (fun () -> Dfd_runtime.Psort.sort ~cutoff:64 ~cmp:compare arr);
-            checkb (name ^ " sorted at p-1") true (arr = expect);
-            checki (name ^ " crash fired once") 1
-              (List.assoc "worker_crash" (Fault.counts fault));
-            checki (name ^ " exactly one quarantine") 1 (Pool.quarantines pool);
-            checki (name ^ " degraded to p-1") 3 (Pool.degraded_p pool);
-            checki (name ^ " held task requeued exactly once") 1
-              (List.length (List.filter (fun e -> e.Pool.requeued) (Pool.lineage pool)));
-            (* the victim's first take was a steal, which gave it a fresh R
-               deque; quarantine abandons it under both policies *)
-            checkb (name ^ " the dead worker's deque abandoned") true
-              (List.exists (fun e -> e.Pool.abandoned) (Pool.lineage pool));
-            (match Pool.verify_lineage pool with
-             | Ok () -> ()
-             | Error m -> Alcotest.failf "%s lineage audit: %s" name m);
-            let victim = match Pool.lineage pool with e :: _ -> e.Pool.worker | [] -> 0 in
-            checkb (name ^ " a second quarantine loses") false (Pool.quarantine pool victim);
-            checki (name ^ " still at p-1") 3 (Pool.degraded_p pool);
-            checki (name ^ " clean run at p-1") 6765 (Pool.run pool (fun () -> fib 20));
-            (match Pool.verify_lineage pool with
-             | Ok () -> ()
-             | Error m -> Alcotest.failf "%s lineage after the clean run: %s" name m)))
-    policies
 
 let test_timeout_fires_and_pool_reusable () =
   List.iter
@@ -1213,8 +1150,6 @@ let () =
             test_fork_closure_released_inline;
           Alcotest.test_case "finished fork released by idle worker" `Quick
             test_fork_closure_released_by_idle_worker;
-          Alcotest.test_case "quarantine clears stale slots" `Quick
-            test_quarantine_clears_stale_slots;
           Alcotest.test_case "rank error instrumented" `Quick test_rank_error_instrumented;
           Alcotest.test_case "registry series match counters" `Quick test_registry_series;
           Alcotest.test_case "WS |R| <= p, no quota give-ups" `Quick test_ws_r_at_most_p;
@@ -1235,8 +1170,6 @@ let () =
           QCheck_alcotest.to_alcotest ~long:false qcheck_injected_exn_propagates;
           Alcotest.test_case "steal failures degrade gracefully" `Quick
             test_injected_steal_failures_degrade_gracefully;
-          Alcotest.test_case "worker crash mid-psort recovers at p-1" `Quick
-            test_worker_crash_mid_psort;
           Alcotest.test_case "timeout fires, pool reusable" `Quick
             test_timeout_fires_and_pool_reusable;
           Alcotest.test_case "two consecutive timeouts" `Quick test_two_consecutive_timeouts;

@@ -481,7 +481,14 @@ let test_wedge_respawn_exactly_once () =
             | None -> ());
     }
   in
-  let svc = Service.create ~config (Pool.Dfdeques { quota = 4096 }) in
+  let s1 = 10_000 and depth = 5 and k = 4096 in
+  let svc =
+    Service.create ~headroom_s1:s1 ~headroom_depth:depth ~config (Pool.Dfdeques { quota = k })
+  in
+  (* the Theorem 4.4 budget at the pool's fixed width, p = domains + 1 *)
+  let budget () = Dfd_obs.Headroom.budget (Service.headroom svc) in
+  checki "budget at p=3" (s1 + (8 * min k s1 * 3 * depth)) (budget ());
+  let budget_before = budget () in
   let tasks_total () =
     match
       List.find_opt
@@ -523,6 +530,7 @@ let test_wedge_respawn_exactly_once () =
     ((entry svc after).Service.outcome = Some Service.Completed);
   checkb "dfd_pool_tasks_total monotone across the respawn" true
     (tasks_total () >= tasks_before);
+  checki "the respawn keeps the headroom budget" budget_before (budget ());
   (match Service.verify_ledger svc with
    | Ok () -> ()
    | Error m -> Alcotest.fail ("ledger audit: " ^ m));
@@ -549,113 +557,6 @@ let test_supervisor_gives_up () =
   (* release the stuck task so shutdown can join the executor *)
   Atomic.set flag true;
   Service.shutdown svc
-
-let wedge_fault () =
-  Dfd_fault.Fault.create
-    ~rates:{ Dfd_fault.Fault.zero_rates with Dfd_fault.Fault.worker_wedge = Some 1 }
-    ~seed:11 ()
-
-let gauge svc name =
-  match
-    List.find_opt (fun s -> s.Dfd_obs.Registry.name = name) (Service.metrics_snapshot svc)
-  with
-  | Some { Dfd_obs.Registry.value = Dfd_obs.Registry.Gauge_v v; _ } -> v
-  | _ -> Alcotest.fail (name ^ " missing")
-
-(* The surgical alternative to the wholesale respawn above: a seeded
-   scheduler-level wedge (the victim dies holding an unstarted task, so
-   [w_holding] is visible) is quarantined in place — the job completes
-   at p-1 without retiring the pool, the pool keeps serving at p-1 (the
-   quarantine is final), and the wholesale machinery never fires.
-   [max_respawns = 0] makes that last claim load-bearing: any escalation
-   would raise [Supervisor_giveup] and fail the test. *)
-let test_surgical_quarantine_over_pool_respawn () =
-  let config =
-    { base_config with Service.domains = 3; wedge_grace = 0.3; max_respawns = 0 }
-  in
-  List.iter
-    (fun policy ->
-       with_service ~config ~fault:(wedge_fault ()) policy (fun svc ->
-           let id =
-             Result.get_ok
-               (sub svc (fun () ->
-                    ignore (Pool.parallel_reduce ~zero:0 ~op:( + ) ~lo:0 ~hi:20_000 Fun.id)))
-           in
-           Service.drive svc;
-           let e = entry svc id in
-           checkb "job completed at p-1" true (e.Service.outcome = Some Service.Completed);
-           checki "single attempt (no requeue)" 1 e.Service.attempts;
-           let c = Service.counters svc in
-           checki "one surgical quarantine" 1 c.Service.quarantines;
-           checki "no wholesale wedge" 0 c.Service.wedges;
-           checki "no pool respawn" 0 c.Service.respawns;
-           (match Service.verify_ledger svc with
-            | Ok () -> ()
-            | Error m -> Alcotest.fail ("ledger audit: " ^ m));
-           (* the slot stays dead: the same pool serves the next job at
-              p-1, still without a wedge or a respawn *)
-           let after = Result.get_ok (sub svc (fun () -> ())) in
-           Service.drive svc;
-           checkb "post-quarantine job completes" true
-             ((entry svc after).Service.outcome = Some Service.Completed);
-           checki "next job ran at p-1" 3 (gauge svc "dfd_pool_degraded_p");
-           let c = Service.counters svc in
-           checki "still no wholesale wedge" 0 c.Service.wedges;
-           checki "still no pool respawn" 0 c.Service.respawns))
-    [ Pool.Work_stealing; Pool.Dfdeques { quota = 4096 } ]
-
-(* The Theorem 4.4 gauge follows the pool's width across both kinds of
-   recovery: a surgical quarantine shrinks it to p-1, and a later
-   wholesale respawn, whose fresh pool runs every worker again, restores
-   it to p.  Job 2 spins in user code (its task is started, so no worker
-   is quarantinable) until [on_pool_retired] releases it, which forces
-   the wholesale verdict. *)
-let test_respawn_restores_headroom_width () =
-  let s1 = 10_000 and depth = 5 and k = 4096 in
-  let budget_at p = s1 + (8 * min k s1 * p * depth) in
-  let release = Atomic.make false in
-  let config =
-    {
-      base_config with
-      Service.domains = 3;
-      wedge_grace = 0.3;
-      max_respawns = 1;
-      on_pool_retired = Some (fun ~in_flight:_ -> Atomic.set release true);
-    }
-  in
-  let svc =
-    Service.create ~fault:(wedge_fault ()) ~headroom_s1:s1 ~headroom_depth:depth ~config
-      (Pool.Dfdeques { quota = k })
-  in
-  let budget () = Dfd_obs.Headroom.budget (Service.headroom svc) in
-  checki "budget at p=4" (budget_at 4) (budget ());
-  let j1 =
-    Result.get_ok
-      (sub svc (fun () ->
-           ignore (Pool.parallel_reduce ~zero:0 ~op:( + ) ~lo:0 ~hi:20_000 Fun.id)))
-  in
-  Service.drive svc;
-  checkb "job 1 completed" true ((entry svc j1).Service.outcome = Some Service.Completed);
-  checki "job 1 quarantined a worker" 1 (Service.counters svc).Service.quarantines;
-  checki "budget at the degraded p=3" (budget_at 3) (budget ());
-  let j2 =
-    Result.get_ok
-      (sub svc (fun () ->
-           while not (Atomic.get release) do
-             Domain.cpu_relax ()
-           done))
-  in
-  Service.drive svc;
-  checkb "job 2 completed on the fresh pool" true
-    ((entry svc j2).Service.outcome = Some Service.Completed);
-  let c = Service.counters svc in
-  checki "one wholesale wedge" 1 c.Service.wedges;
-  checki "one pool respawn" 1 c.Service.respawns;
-  checki "budget back at p=4" (budget_at 4) (budget ());
-  (match Service.verify_ledger svc with
-   | Ok () -> ()
-   | Error m -> Alcotest.fail ("ledger audit: " ^ m));
-  Service.shutdown ~reap:true svc
 
 (* Terminal error classes skip the retry schedule entirely: the job
    fails on its first attempt with zero retries scheduled.  So does a
@@ -773,10 +674,6 @@ let () =
           Alcotest.test_case "wedge respawn exactly once" `Quick
             test_wedge_respawn_exactly_once;
           Alcotest.test_case "supervisor gives up" `Quick test_supervisor_gives_up;
-          Alcotest.test_case "surgical quarantine over pool respawn" `Quick
-            test_surgical_quarantine_over_pool_respawn;
-          Alcotest.test_case "wholesale respawn restores the headroom width" `Quick
-            test_respawn_restores_headroom_width;
           Alcotest.test_case "terminal errors not retried" `Quick
             test_terminal_errors_not_retried;
           Alcotest.test_case "adaptive K reacts" `Quick test_adaptive_quota_reacts;

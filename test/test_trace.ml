@@ -11,7 +11,6 @@ module Chrome = Dfd_trace.Chrome
 module Engine = Dfdeques_core.Engine
 module Config = Dfd_machine.Config
 module Pool = Dfd_runtime.Pool
-module Fault = Dfd_fault.Fault
 module Stats = Dfd_structures.Stats
 
 let check = Alcotest.check
@@ -75,8 +74,6 @@ let all_kinds =
     Event.Fault_injected { fault = "steal_fail" };
     Event.Quota_adjusted { from_quota = 50_000; to_quota = 25_000; pressure = 80_000 };
     Event.Steal_rank { victim = 11; rank = 5; err = 2 };
-    Event.Worker_quarantined { worker = 2; cause = "crash" };
-    Event.Task_requeued { worker = 2 };
   ]
 
 let test_event_roundtrip () =
@@ -115,11 +112,6 @@ let event_gen =
           small small small;
         map3 (fun victim rank err -> Event.Steal_rank { victim; rank; err }) small (0 -- 64)
           (0 -- 64);
-        map2
-          (fun worker cause -> Event.Worker_quarantined { worker; cause })
-          (0 -- 64)
-          (oneofl [ "crash"; "wedge" ]);
-        map (fun worker -> Event.Task_requeued { worker }) (0 -- 64);
       ]
   in
   map2
@@ -326,12 +318,10 @@ let test_pool_tracing policy () =
   let ts = List.map (fun (e : Event.t) -> e.ts) evs in
   checkb "events sorted by ts" true (List.sort compare ts = ts)
 
-(* A supervisor that is not a worker (here the test thread) records on
-   the last lane.  Worker 1 wedges on its first take; its last event is
-   the wedge fault.  The test thread then quarantines it.  With one slot
-   per lane, both events must survive: when external writes wrapped into
+(* A ring needs one lane per worker plus the last, which the pool keeps
+   for writers that are not workers.  When external writes wrapped into
    worker n_workers - 1's lane, as on a flight ring of n_workers lanes,
-   the quarantine overwrote the wedge.  Such a ring is now refused. *)
+   they overwrote that worker's last event.  Such a ring is refused. *)
 let test_external_lane () =
   let n_workers = 2 in
   checkb "a ring without an external lane is refused" true
@@ -343,46 +333,7 @@ let test_external_lane () =
      | pool ->
        Pool.shutdown pool;
        false
-     | exception Invalid_argument _ -> true);
-  let fault =
-    Fault.create ~rates:{ Fault.zero_rates with Fault.worker_wedge = Some 1 } ~seed:11 ()
-  in
-  let flight = Tracer.create ~capacity:1 ~lanes:(n_workers + 1) () in
-  let pool = Pool.create ~domains:(n_workers - 1) ~fault ~flight Pool.Work_stealing in
-  Fun.protect
-    ~finally:(fun () -> Pool.shutdown pool)
-    (fun () ->
-      (* rerun until worker 1 has stolen, and so wedged: the caller keeps
-         forking, so it answers worker 1's requests, until then, and its
-         join waits on the stolen task until the timeout *)
-      let wedged () = List.assoc "worker_wedge" (Fault.counts fault) > 0 in
-      let rounds = ref 0 in
-      while (not (wedged ())) && !rounds < 50 do
-        incr rounds;
-        try
-          Pool.run ~timeout:0.2 pool (fun () ->
-              ignore
-                (Pool.fork_join ignore (fun () ->
-                     while not (wedged ()) do
-                       ignore (Pool.fork_join ignore ignore)
-                     done)))
-        with Pool.Timeout -> ()
-      done;
-      checkb "worker 1 wedged" true (wedged ());
-      checkb "external quarantine" true (Pool.quarantine pool (n_workers - 1)));
-  let evs = Tracer.events flight in
-  check_procs ~n_workers evs;
-  checkb "worker n_workers - 1's wedge survives" true
-    (List.exists
-       (fun (e : Event.t) ->
-         e.proc = n_workers - 1 && e.kind = Event.Fault_injected { fault = "worker_wedge" })
-       evs);
-  checkb "the external quarantine survives" true
-    (List.exists
-       (fun (e : Event.t) ->
-         e.proc = -1
-         && e.kind = Event.Worker_quarantined { worker = n_workers - 1; cause = "wedge" })
-       evs)
+     | exception Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome export                                                       *)
