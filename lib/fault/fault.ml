@@ -4,7 +4,6 @@ type rates = {
   stall_prob : float;
   stall_steps : int;
   steal_fail_prob : float;
-  task_exn_prob : float;
   alloc_spike_prob : float;
   alloc_spike_bytes : int;
   lock_delay_prob : float;
@@ -16,7 +15,6 @@ let zero_rates =
     stall_prob = 0.0;
     stall_steps = 0;
     steal_fail_prob = 0.0;
-    task_exn_prob = 0.0;
     alloc_spike_prob = 0.0;
     alloc_spike_bytes = 0;
     lock_delay_prob = 0.0;
@@ -28,39 +26,23 @@ let default_rates =
     stall_prob = 0.02;
     stall_steps = 5;
     steal_fail_prob = 0.2;
-    task_exn_prob = 0.0;
     alloc_spike_prob = 0.05;
     alloc_spike_bytes = 4096;
     lock_delay_prob = 0.25;
     lock_delay_steps = 8;
   }
 
-let kind_names = [| "stall"; "steal_fail"; "task_exn"; "alloc_spike"; "lock_delay" |]
+let kind_names = [| "stall"; "steal_fail"; "alloc_spike"; "lock_delay" |]
 
 let i_stall = 0
 let i_steal_fail = 1
-let i_task_exn = 2
-let i_alloc_spike = 3
-let i_lock_delay = 4
+let i_alloc_spike = 2
+let i_lock_delay = 3
 
-type t = {
-  rng : Prng.t;
-  rates : rates;
-  counters : int array;
-  mutable on : bool;
-  lock : Mutex.t;  (** serialises stream draws from the pool's domains. *)
-}
-
-exception Injected_failure of string
+type t = { rng : Prng.t; rates : rates; counters : int array; on : bool }
 
 let make ~on ~rates seed =
-  {
-    rng = Prng.create seed;
-    rates;
-    counters = Array.make (Array.length kind_names) 0;
-    on;
-    lock = Mutex.create ();
-  }
+  { rng = Prng.create seed; rates; counters = Array.make (Array.length kind_names) 0; on }
 
 let none = make ~on:false ~rates:zero_rates 0
 
@@ -68,17 +50,12 @@ let create ?(rates = default_rates) ~seed () = make ~on:true ~rates seed
 
 let enabled t = t.on
 
-let set_enabled t b = t.on <- b
-
-(* One Bernoulli draw; the counter bump happens under the same lock so the
-   per-kind totals are exact even under domain concurrency. *)
+(* One Bernoulli draw, counted when it hits. *)
 let decide t i prob =
   if (not t.on) || prob <= 0.0 then false
   else begin
-    Mutex.lock t.lock;
     let hit = Prng.float t.rng 1.0 < prob in
     if hit then t.counters.(i) <- t.counters.(i) + 1;
-    Mutex.unlock t.lock;
     hit
   end
 
@@ -86,12 +63,6 @@ let stall_steps t =
   if decide t i_stall t.rates.stall_prob then max 1 t.rates.stall_steps else 0
 
 let steal_fails t = decide t i_steal_fail t.rates.steal_fail_prob
-
-let inject_task_exn t = decide t i_task_exn t.rates.task_exn_prob
-
-let maybe_task_exn t =
-  if inject_task_exn t then
-    raise (Injected_failure (Printf.sprintf "injected task exception #%d" t.counters.(i_task_exn)))
 
 let alloc_spike t =
   if decide t i_alloc_spike t.rates.alloc_spike_prob then max 1 t.rates.alloc_spike_bytes else 0

@@ -1,25 +1,21 @@
-(** Deterministic, seeded fault injection for the scheduler and the native
-    pool.
+(** Deterministic, seeded fault injection for the simulation engine.
 
     A fault injector is a {e plan}: given a seed and a table of per-fault
-    probabilities, it answers yes/no (or how-much) at each of the runtime's
-    fault decision points, drawing every answer from one explicit
-    splitmix64 stream.  Replaying the same seed against the same
-    (deterministic) consumer therefore replays the exact same fault
-    schedule — the property the fault-injection tests ([test_fault],
-    [test_runtime]), the seeded soaks ([repro soak --plan]) and the
-    failing-seed workflow depend on.
+    probabilities, it answers yes/no (or how-much) at each of the
+    engine's fault decision points, drawing every answer from one
+    explicit splitmix64 stream.  Replaying the same seed against the
+    same (deterministic) consumer therefore replays the exact same fault
+    schedule — the property the fault-injection tests ([test_fault]) and
+    the failing-seed workflow depend on.
 
     Decision points (who asks, and what a positive answer does):
 
     - {!stall_steps} — the simulation engine, once per processor per
       timestep: the processor freezes for that many timesteps (a
       descheduled/slow core).
-    - {!steal_fails} — every scheduler policy and the native pool, at each
-      steal attempt: the attempt is forced to fail (lost arbitration,
+    - {!steal_fails} — every simulated scheduler policy, at each steal
+      attempt: the attempt is forced to fail (lost arbitration,
       contended deque).
-    - {!maybe_task_exn} — the native pool, at each forked task: the task
-      raises {!Injected_failure} instead of running user code.
     - {!alloc_spike} — the engine, at each [Alloc] action under a finite
       memory threshold: that many extra bytes are charged against the
       processor's quota (an allocation burst past K).
@@ -27,21 +23,17 @@
       the critical section is stretched by that many timesteps (a slow
       lock holder).
 
-    The injector is thread-safe (one mutex around the stream) so the
-    native pool's worker domains may share it; under concurrency the
-    {e interleaving} of draws is scheduling-dependent, so only the
-    single-threaded simulator gets bitwise-identical fault schedules.
-    Aggregate per-kind counts are kept exactly in both settings.
+    A plan takes no lock: one consumer thread per plan.  The native pool
+    injects no faults (DESIGN.md §9).
 
     {!none} is a shared disabled injector: every decision point returns
-    "no fault" without consuming randomness, so threading it through the
-    hot paths costs one branch. *)
+    "no fault" without consuming randomness or writing anything, so
+    threading it through the hot paths costs one branch. *)
 
 type rates = {
   stall_prob : float;  (** per processor per timestep. *)
   stall_steps : int;  (** length of an injected stall (>= 1 when it fires). *)
   steal_fail_prob : float;  (** per steal attempt / queue dispatch. *)
-  task_exn_prob : float;  (** per forked task (native pool only). *)
   alloc_spike_prob : float;  (** per [Alloc] action under finite K. *)
   alloc_spike_bytes : int;  (** extra quota bytes charged by a spike. *)
   lock_delay_prob : float;  (** per successful lock acquisition. *)
@@ -53,7 +45,7 @@ val zero_rates : rates
 
 val default_rates : rates
 (** The fault-injection default: frequent steal failures, occasional
-    stalls, allocation spikes and lock delays, no task exceptions. *)
+    stalls, allocation spikes and lock delays. *)
 
 type t
 
@@ -65,24 +57,10 @@ val create : ?rates:rates -> seed:int -> unit -> t
 
 val enabled : t -> bool
 
-val set_enabled : t -> bool -> unit
-(** Turn injection off (or back on) without discarding the counters —
-    lets a fault-injection run reuse a pool for a clean control run. *)
-
-exception Injected_failure of string
-(** The exception raised into user tasks by {!maybe_task_exn}.  The
-    payload identifies the injection ("injected task exception #3"). *)
-
 val stall_steps : t -> int
 (** [0] = no fault; otherwise the number of timesteps to stall. *)
 
 val steal_fails : t -> bool
-
-val inject_task_exn : t -> bool
-(** The bare decision; prefer {!maybe_task_exn} at the raise site. *)
-
-val maybe_task_exn : t -> unit
-(** Raise {!Injected_failure} if the plan injects here, else return. *)
 
 val alloc_spike : t -> int
 (** [0] = no fault; otherwise extra bytes to charge against the quota. *)
@@ -92,7 +70,7 @@ val lock_delay : t -> int
 
 val kind_names : string array
 (** Stable names of the injectable fault kinds, {!counts} order:
-    [stall; steal_fail; task_exn; alloc_spike; lock_delay]. *)
+    [stall; steal_fail; alloc_spike; lock_delay]. *)
 
 val injected_total : t -> int
 (** Faults injected so far, all kinds. *)

@@ -5,7 +5,6 @@ module Prng = Dfd_structures.Prng
 module Schedpoint = Dfd_structures.Schedpoint
 module Tracer = Dfd_trace.Tracer
 module Event = Dfd_trace.Event
-module Fault = Dfd_fault.Fault
 module Registry = Dfd_obs.Registry
 
 exception Not_in_pool
@@ -161,13 +160,12 @@ type t = {
   mutable domains : unit Domain.t list;
   rngs : Prng.t array;  (** per worker; only touched by its own worker. *)
   tracer : Tracer.t;
-      (** every event, one lane per worker plus the last for external
-          writers ({!Tracer.disabled} by default). *)
+      (** every event, one lane per worker ({!Tracer.disabled} by
+          default). *)
   tracing : bool;
       (** [Tracer.enabled tracer], cached: it is fixed when the tracer is
           made, and the per-task path reads it here without a call into
           another module. *)
-  fault : Fault.t;  (** fault-injection plan; {!Fault.none} by default. *)
   flight : Tracer.t;
       (** always-on crash-forensics ring, laned like [tracer]
           ({!Tracer.disabled} by default); only rare events are recorded,
@@ -228,14 +226,13 @@ let park_threshold = 8
 
 (* ------------------------------------------------------------------ *)
 (* Event recording: lock-free.  Both rings give each worker its own     *)
-(* lane and external writers ([proc = -1]) the last one, so every       *)
-(* emit appends to a lane nobody else writes.                           *)
+(* lane, so every emit appends to a lane nobody else writes.            *)
 (* ------------------------------------------------------------------ *)
 
 let rings_live pool = Tracer.enabled pool.tracer || Tracer.enabled pool.flight
 
-(* A rare event (steal successes, quota giveups, deque lifecycle, faults,
-   task exceptions), into both rings.  Callers guard with [rings_live]
+(* A rare event (steal successes, quota giveups, deque lifecycle, task
+   exceptions), into both rings.  Callers guard with [rings_live]
    and read the clock once inside the guard, so with no live ring
    neither the clock nor the payload is touched.
    Frequent events (steal attempts, one [Action_batch] per task, steal
@@ -284,17 +281,6 @@ let note_steal_success pool w ~victim =
 let note_steal_failure pool w =
   let c = pool.per_worker.(w) in
   c.c_steal_failures <- c.c_steal_failures + 1
-
-(* Injected steal failure (chaos testing): charge a failed attempt without
-   touching any deque. *)
-let injected_steal_failure pool w =
-  let fail = Fault.steal_fails pool.fault in
-  if fail then begin
-    note_steal_failure pool w;
-    if rings_live pool then
-      note pool ~ts:(now_us pool) ~proc:w (Event.Fault_injected { fault = "steal_fail" })
-  end;
-  fail
 
 (* ------------------------------------------------------------------ *)
 (* Padded cells: the per-worker hot blocks                             *)
@@ -615,46 +601,43 @@ let dfd_adopt_after pool w victim_e =
   pool.dfd_deque.(w) <- Some e
 
 let dfd_steal pool w =
-  if injected_steal_failure pool w then None
-  else begin
-    (* two-choice victim draw: sample two shards, steal from the
-       more-leftmost of their heads.  Both empty is a failed attempt, as
-       the old k >= |snapshot| draw was, preserving the paper's bias
-       toward short R. *)
-    let rng = pool.rngs.(w) in
-    let n_sh = Multiq.shard_count pool.r in
-    let i = Prng.int rng n_sh in
-    let j = Prng.int rng n_sh in
-    trace_steal_attempt pool w ~victim:i;
-    match Multiq.sample pool.r i j with
-    | None ->
-      note_steal_failure pool w;
-      None
-    | Some victim_e ->
-      let victim = Multiq.value victim_e in
-      (* CAS-only steal of the victim's oldest task.  [None] covers both
-         a genuinely drained deque and a lost top-CAS race — either way
-         the attempt failed and the caller retries with backoff, exactly
-         like a thief losing a Chase–Lev race. *)
-      (match Lfdeque.steal ?ops:(ops pool w) victim.tasks with
-       | None ->
-         (* drained (or raced) between sample and steal; reap if dead,
-            or ask a live owner to publish *)
-         reap_if_dead pool ~proc:w victim_e;
-         note_steal_failure pool w;
-         (match Lfdeque.owner victim.tasks with
-          | Some v when Lfdeque.is_empty victim.tasks -> request pool w v
-          | _ -> ());
-         None
-       | Some got ->
-         note_steal_success pool w ~victim:victim.did;
-         note_rank_error pool w victim_e;
-         dfd_adopt_after pool w victim_e;
-         (* refill from the current K: a runtime quota adjustment takes
-            effect here, at the worker's next steal *)
-         pool.quota_left.(w) <- Atomic.get pool.dfd_quota;
-         take_slot got)
-  end
+  (* two-choice victim draw: sample two shards, steal from the
+     more-leftmost of their heads.  Both empty is a failed attempt, as
+     the old k >= |snapshot| draw was, preserving the paper's bias
+     toward short R. *)
+  let rng = pool.rngs.(w) in
+  let n_sh = Multiq.shard_count pool.r in
+  let i = Prng.int rng n_sh in
+  let j = Prng.int rng n_sh in
+  trace_steal_attempt pool w ~victim:i;
+  match Multiq.sample pool.r i j with
+  | None ->
+    note_steal_failure pool w;
+    None
+  | Some victim_e ->
+    let victim = Multiq.value victim_e in
+    (* CAS-only steal of the victim's oldest task.  [None] covers both
+       a genuinely drained deque and a lost top-CAS race — either way
+       the attempt failed and the caller retries with backoff, exactly
+       like a thief losing a Chase–Lev race. *)
+    (match Lfdeque.steal ?ops:(ops pool w) victim.tasks with
+     | None ->
+       (* drained (or raced) between sample and steal; reap if dead,
+          or ask a live owner to publish *)
+       reap_if_dead pool ~proc:w victim_e;
+       note_steal_failure pool w;
+       (match Lfdeque.owner victim.tasks with
+        | Some v when Lfdeque.is_empty victim.tasks -> request pool w v
+        | _ -> ());
+       None
+     | Some got ->
+       note_steal_success pool w ~victim:victim.did;
+       note_rank_error pool w victim_e;
+       dfd_adopt_after pool w victim_e;
+       (* refill from the current K: a runtime quota adjustment takes
+          effect here, at the worker's next steal *)
+       pool.quota_left.(w) <- Atomic.get pool.dfd_quota;
+       take_slot got)
 
 (* ------------------------------------------------------------------ *)
 (* Obtaining work                                                      *)
@@ -933,15 +916,15 @@ let register_probes registry pool =
   g "dfd_pool_r_deques" "Live deques in the relaxed R-list (DFDeques)." (fun () ->
       Multiq.size pool.r);
   cnt "dfd_pool_steals_total" "Successful steals (all disciplines)." (fun c -> c.steals);
-  cnt "dfd_pool_steal_failures_total" "Steal attempts that found nothing (real or injected)."
-    (fun c -> c.steal_failures);
+  cnt "dfd_pool_steal_failures_total" "Steal attempts that found nothing." (fun c ->
+      c.steal_failures);
   cnt "dfd_pool_local_pops_total" "Tasks taken from the worker's own deque." (fun c ->
       c.local_pops);
   cnt "dfd_pool_quota_giveups_total" "Deques abandoned on memory-quota exhaustion." (fun c ->
       c.quota_giveups);
   cnt "dfd_pool_tasks_total" "Tasks executed (all paths, including inline)." (fun c ->
       c.tasks_run);
-  cnt "dfd_pool_task_exns_total" "Tasks that raised (user, injected, or cancellation)." (fun c ->
+  cnt "dfd_pool_task_exns_total" "Tasks that raised (user or cancellation)." (fun c ->
       c.task_exns);
   cnt "dfd_pool_alloc_bytes_total" "Bytes reported via Pool.alloc_hint." (fun c ->
       c.alloc_bytes);
@@ -959,13 +942,13 @@ let register_probes registry pool =
     "dfd_pool_steal_rank_error"
     (fun () -> Registry.hist_of_stats (rank_error pool))
 
-let make ?(flight = Tracer.disabled) ~n_workers ~tracer ~fault policy =
+let make ?(flight = Tracer.disabled) ~n_workers ~tracer policy =
     List.iter
       (fun (name, ring) ->
-        if Tracer.enabled ring && Tracer.lanes ring < n_workers + 1 then
+        if Tracer.enabled ring && Tracer.lanes ring < n_workers then
           invalid_arg
-            (Printf.sprintf "Pool.create: the %s ring needs n_workers + 1 = %d lanes, has %d"
-               name (n_workers + 1) (Tracer.lanes ring)))
+            (Printf.sprintf "Pool.create: the %s ring needs n_workers = %d lanes, has %d" name
+               n_workers (Tracer.lanes ring)))
       [ ("tracer", tracer); ("flight", flight) ];
     let sync_cells = Array.init n_workers (fun _ -> padded (Some (padded (ref 0)))) in
     let req = Array.init n_workers (fun _ -> padded (Atomic.make false)) in
@@ -1013,7 +996,6 @@ let make ?(flight = Tracer.disabled) ~n_workers ~tracer ~fault policy =
       rngs = Array.init n_workers (fun i -> Prng.create (1000 + i));
       tracer;
       tracing = Tracer.enabled tracer;
-      fault;
       flight;
       t0 = Unix.gettimeofday ();
       next_did = Atomic.make n_workers;
@@ -1022,18 +1004,18 @@ let make ?(flight = Tracer.disabled) ~n_workers ~tracer ~fault policy =
       cancelled = Atomic.make false;
     }
 
-let make ?(registry = Registry.disabled) ?flight ~n_workers ~tracer ~fault policy =
-  let pool = make ?flight ~n_workers ~tracer ~fault policy in
+let make ?(registry = Registry.disabled) ?flight ~n_workers ~tracer policy =
+  let pool = make ?flight ~n_workers ~tracer policy in
   register_probes registry pool;
   pool
 
-let create ?domains ?(tracer = Tracer.disabled) ?(fault = Fault.none) ?registry ?flight policy =
+let create ?domains ?(tracer = Tracer.disabled) ?registry ?flight policy =
   let extra =
     match domains with
     | Some d -> max 0 d
     | None -> max 0 (Domain.recommended_domain_count () - 1)
   in
-  let pool = make ?registry ?flight ~n_workers:(extra + 1) ~tracer ~fault policy in
+  let pool = make ?registry ?flight ~n_workers:(extra + 1) ~tracer policy in
   pool.domains <- List.init extra (fun i -> Domain.spawn (fun () -> worker_loop pool (i + 1)));
   pool
 
@@ -1107,12 +1089,6 @@ let join_fork pool w task (pr : _ promise) fa =
 let fork_join fa fb =
   let w, pool = self_exn () in
   check_cancel pool;
-  let fa =
-    if Fault.enabled pool.fault then (fun () ->
-        Fault.maybe_task_exn pool.fault;
-        fa ())
-    else fa
-  in
   let pr = Atomic.make Pending in
   let task w = fulfill pool w pr fa in
   push_local pool w task;
@@ -1166,27 +1142,21 @@ let quota pool =
 let heartbeat pool =
   Array.fold_left (fun acc c -> acc + c.c_tasks_run) 0 pool.per_worker
 
-(* The registry snapshot type is the one flattening of the counters
-   record; [stats] (the legacy alist) and the service's counter
-   passthrough both derive from it instead of hand-rolling their own. *)
-let metrics_samples pool =
+let stats pool =
   let c = counters pool in
-  let s name value = { Registry.name; help = ""; stable = false; value = Registry.Counter_v value } in
   [
-    s "steals" c.steals;
-    s "steal_failures" c.steal_failures;
-    s "local_pops" c.local_pops;
-    s "quota_giveups" c.quota_giveups;
-    s "tasks_run" c.tasks_run;
-    s "task_exns" c.task_exns;
-    s "alloc_bytes" c.alloc_bytes;
-    s "parks" c.parks;
-    s "r_inserts" c.r_inserts;
-    s "r_removes" c.r_removes;
-    s "sync_ops" c.sync_ops;
+    ("steals", c.steals);
+    ("steal_failures", c.steal_failures);
+    ("local_pops", c.local_pops);
+    ("quota_giveups", c.quota_giveups);
+    ("tasks_run", c.tasks_run);
+    ("task_exns", c.task_exns);
+    ("alloc_bytes", c.alloc_bytes);
+    ("parks", c.parks);
+    ("r_inserts", c.r_inserts);
+    ("r_removes", c.r_removes);
+    ("sync_ops", c.sync_ops);
   ]
-
-let stats pool = Registry.Snapshot.to_alist (metrics_samples pool)
 
 let flight pool = pool.flight
 
@@ -1213,7 +1183,7 @@ let snapshot pool =
      | None -> "none"
      | Some d -> Printf.sprintf "%+.3fs" (d -. Unix.gettimeofday ()));
   List.iter (fun (k, v) -> pf "  %s=%d\n" k v) (stats pool);
-  pf "  heartbeat=%d faults_injected=%d\n" (heartbeat pool) (Fault.injected_total pool.fault);
+  pf "  heartbeat=%d\n" (heartbeat pool);
   Array.iteri
     (fun i c ->
        let s = pstack pool i in
@@ -1262,7 +1232,7 @@ let kill pool =
    single help steps.  Not part of the public scheduling API. *)
 module For_testing = struct
   let create_detached ~workers policy =
-    make ~n_workers:(max 1 workers) ~tracer:Tracer.disabled ~fault:Fault.none policy
+    make ~n_workers:(max 1 workers) ~tracer:Tracer.disabled policy
 
   let as_worker pool w f =
     if w < 0 || w >= pool.n_workers then invalid_arg "Pool.For_testing.as_worker";

@@ -97,7 +97,6 @@ exception Cancelled
 val create :
   ?domains:int ->
   ?tracer:Dfd_trace.Tracer.t ->
-  ?fault:Dfd_fault.Fault.t ->
   ?registry:Dfd_obs.Registry.t ->
   ?flight:Dfd_trace.Tracer.t ->
   policy ->
@@ -111,18 +110,13 @@ val create :
     lifecycle, one [Action_batch] per task.  Unlike the simulator, event
     timestamps are wall-clock microseconds since pool creation, so traces
     export directly to Chrome/Perfetto at real-time scale.  One ring per
-    pool: it needs [n_workers + 1] = [domains + 2] lanes (worker [w]
-    writes lane [w], the caller being worker 0; external supervisors
-    write the last), so every emit is lock-free; never share a ring
-    between live pools.  With tracing off the hot paths never read the
-    clock.  Raises [Invalid_argument] if an enabled [tracer] or [flight]
-    has fewer than [n_workers + 1] lanes.
-
-    [fault] (default {!Dfd_fault.Fault.none}): a seeded fault-injection
-    plan for chaos testing.  The pool consults it at every steal attempt
-    (forced failures, counted and traced as [Fault_injected]) and at every
-    fork (injected task exceptions, which propagate to the joining parent
-    exactly like user exceptions).
+    pool: it needs [n_workers] = [domains + 1] lanes (worker [w] writes
+    lane [w], the caller being worker 0; nothing else writes), so every
+    emit is lock-free; never share a ring between live pools.  With
+    tracing off the hot paths never read the clock.  Raises
+    [Invalid_argument] if an enabled [tracer] or [flight] has fewer than
+    [n_workers] lanes.  The pool injects no faults: fault injection
+    belongs to the simulator.
 
     [registry] (default {!Dfd_obs.Registry.disabled}): live-telemetry
     plane.  The pool publishes its [dfd_pool_*] series there as
@@ -136,14 +130,15 @@ val create :
     incarnations respawned by a supervisor keep one monotone series.
 
     [flight] (default {!Dfd_trace.Tracer.disabled}): always-on crash
-    forensics, typically [Tracer.create ~capacity:256 ~lanes:(domains + 2) ()].
-    Rare events (steal successes, quota giveups, deque lifecycle,
-    injected faults, task exceptions) are recorded into it — as into
-    [tracer] — and a supervisor dumps it
-    ({!Dfd_trace.Tracer.write_file}) on [Timeout], watchdog kill or
-    give-up, without enabling full tracing.  Same lane rule as [tracer]:
-    one ring per pool, [n_workers + 1] lanes, never shared between live
-    pools. *)
+    forensics, typically [Tracer.create ~capacity:256 ~lanes:(domains + 1) ()].
+    Rare events (steal successes, quota giveups, deque lifecycle, task
+    exceptions) are recorded into it — as into [tracer] — and a
+    supervisor dumps it ({!Dfd_trace.Tracer.write_file}) on [Timeout],
+    watchdog kill or give-up, without enabling full tracing.  A task
+    exception is noted as [Fault_injected {fault = "task_exn"}], the
+    event the simulator's fault layer also uses.  Same lane rule as
+    [tracer]: one ring per pool, [n_workers] lanes, never shared between
+    live pools. *)
 
 val run : ?timeout:float -> ?quota:int -> t -> (unit -> 'a) -> 'a
 (** Execute a task (and all the parallel work it forks) to completion on
@@ -207,11 +202,11 @@ val quota : t -> int option
 
 type counters = {
   steals : int;  (** successful steals *)
-  steal_failures : int;  (** steal attempts that found nothing (real or injected) *)
+  steal_failures : int;  (** steal attempts that found nothing *)
   local_pops : int;  (** tasks taken from the worker's own deque *)
   quota_giveups : int;  (** deques abandoned on memory-quota exhaustion *)
   tasks_run : int;  (** tasks executed (all paths, including inline) *)
-  task_exns : int;  (** tasks that raised (user, injected, or cancellation) *)
+  task_exns : int;  (** tasks that raised (user or cancellation) *)
   alloc_bytes : int;  (** total bytes reported via {!alloc_hint} (both policies) *)
   parks : int;  (** times an idle worker parked on the condition variable *)
   r_inserts : int;
@@ -257,19 +252,13 @@ val rank_error : t -> Dfd_structures.Stats.Histogram.t
 val heartbeat : t -> int
 (** Monotonic progress counter: total tasks started across all workers.
     A cheap read (per-worker sum, no locks, no clock), intended as the
-    progress clock for a no-progress watchdog
-    ({!Dfd_fault.Watchdog.touch} on change, {!Dfd_fault.Watchdog.check}
-    periodically) — the pool never stamps wall-clock time on the hot path
-    for liveness purposes. *)
-
-val metrics_samples : t -> Dfd_obs.Registry.sample list
-(** {!counters} as registry snapshot samples (unlabelled names, marked
-    unstable since native counters race) — the single flattening that
-    {!stats} and the service's counter passthrough both derive from. *)
+    progress clock for a no-progress watchdog, such as the service's
+    wedge detector — the pool never stamps wall-clock time on the hot
+    path for liveness purposes. *)
 
 val stats : t -> (string * int) list
-(** {!counters} flattened to association-list form for quick printing
-    ([Dfd_obs.Registry.Snapshot.to_alist] over {!metrics_samples}). *)
+(** {!counters} flattened to association-list form for quick printing,
+    one [(field name, value)] pair per field, in declaration order. *)
 
 val flight : t -> Dfd_trace.Tracer.t
 (** The flight recorder passed at {!create}
@@ -280,8 +269,7 @@ val snapshot : t -> string
 (** Human-readable diagnostic dump: policy, counters, queued-task, parking and
     cancellation state, per-worker private-part length and raised
     request flag, per-public-deque occupancy in R, K and per-worker
-    quota (max_int under {!Work_stealing}), and the total
-    injected-fault count.  Its [queued] is
+    quota (max_int under {!Work_stealing}).  Its [queued] is
     the public count of {!For_testing.queued}; the private lengths are
     listed separately.  All reads are lock-free (per-worker counter
     aggregates; unsynchronized reads of owner-only private parts; a

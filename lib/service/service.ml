@@ -190,9 +190,6 @@ type lane = {
 type t = {
   cfg : config;
   policy : Pool.policy;
-  fault : Dfd_fault.Fault.t;
-      (** seeded injector threaded into every pool incarnation;
-          {!Dfd_fault.Fault.none} in production. *)
   tracer : Tracer.t;
   registry : Registry.t;  (** live telemetry; shared with every pool incarnation. *)
   headroom : Headroom.t;
@@ -241,18 +238,15 @@ let effective_policy ~policy ~k0 =
   | Pool.Dfdeques _ when k0 > 0 -> Pool.Dfdeques { quota = k0 }
   | p -> p
 
-let spawn_raw_epoch ?(fault = Dfd_fault.Fault.none) ~domains ~policy ~k0 ~registry () =
+let spawn_raw_epoch ~domains ~policy ~k0 ~registry () =
   let domains = max 0 domains in
   (* each incarnation gets a fresh flight ring (forensics belong to one
      pool's lifetime; read back through [Pool.flight]) but shares the
      registry, whose upsert registration keeps the dfd_pool_* series
-     continuous across respawns.  One lane per worker — the caller slot
-     included — plus the last, which the pool reserves for external
-     writers. *)
-  let flight = Tracer.create ~capacity:256 ~lanes:(domains + 2) () in
-  let pool =
-    Pool.create ~domains ~fault ~registry ~flight (effective_policy ~policy ~k0)
-  in
+     continuous across respawns.  One lane per worker, the caller slot
+     included. *)
+  let flight = Tracer.create ~capacity:256 ~lanes:(domains + 1) () in
+  let pool = Pool.create ~domains ~registry ~flight (effective_policy ~policy ~k0) in
   let ep = { pool; cell = Atomic.make Idle; retired = Atomic.make false; exec = None } in
   ep.exec <- Some (Domain.spawn (fun () -> executor_loop ep));
   ep
@@ -260,8 +254,7 @@ let spawn_raw_epoch ?(fault = Dfd_fault.Fault.none) ~domains ~policy ~k0 ~regist
 let spawn_epoch t =
   let k0 = max_lane_quota (lanes_in_order t) in
   let ep =
-    spawn_raw_epoch ~fault:t.fault ~domains:t.cfg.domains ~policy:t.policy ~k0
-      ~registry:t.registry ()
+    spawn_raw_epoch ~domains:t.cfg.domains ~policy:t.policy ~k0 ~registry:t.registry ()
   in
   (* the fresh pool's alloc counter restarts at 0 *)
   Headroom.reset_pressure t.headroom;
@@ -317,8 +310,8 @@ let register_service_probes t =
            match lane.l_qctl with Some qc -> Quota_ctl.quota qc | None -> 0))
     t.lane_order
 
-let create ?(tracer = Tracer.disabled) ?(fault = Dfd_fault.Fault.none) ?registry ?flight_dir
-    ?headroom_s1 ?headroom_depth ?(config = default_config) policy =
+let create ?(tracer = Tracer.disabled) ?registry ?flight_dir ?headroom_s1 ?headroom_depth
+    ?(config = default_config) policy =
   Tenant.validate_all config.tenants;
   if config.wedge_grace <= 0.0 then invalid_arg "Service: wedge_grace must be positive";
   if config.max_respawns < 0 then invalid_arg "Service: max_respawns must be >= 0";
@@ -367,12 +360,11 @@ let create ?(tracer = Tracer.disabled) ?(fault = Dfd_fault.Fault.none) ?registry
     {
       cfg = config;
       policy;
-      fault;
       tracer;
       registry;
       headroom;
       flight_dir;
-      epoch = spawn_raw_epoch ~fault ~domains:config.domains ~policy ~k0 ~registry ();
+      epoch = spawn_raw_epoch ~domains:config.domains ~policy ~k0 ~registry ();
       retired_epochs = [];
       clock = 0;
       queue;

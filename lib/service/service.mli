@@ -100,7 +100,6 @@ type t
 
 val create :
   ?tracer:Dfd_trace.Tracer.t ->
-  ?fault:Dfd_fault.Fault.t ->
   ?registry:Dfd_obs.Registry.t ->
   ?flight_dir:string ->
   ?headroom_s1:int ->
@@ -111,10 +110,6 @@ val create :
 (** Start the service: spawns the first pool incarnation and its
     executor domain.  Under [Dfdeques], enabled quota controllers
     override the policy's initial K with the largest tenant [k_init].
-
-    [fault] (default {!Dfd_fault.Fault.none}) is a seeded injector
-    threaded into every pool incarnation, where it forces steal
-    failures and injects task exceptions ({!Dfd_runtime.Pool.create}).
 
     [registry] (default: a fresh private {!Dfd_obs.Registry.t}) receives
     the service's stable [dfd_service_*] probes (including per-tenant

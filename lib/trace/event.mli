@@ -51,8 +51,10 @@ type kind =
           threads — the counter tracks of the Chrome export.  Emitted
           machine-wide with both [proc = -1] and [tid = -1]. *)
   | Fault_injected of { fault : string }
-      (** The fault-injection layer ({!Dfd_fault.Fault}) fired here;
-          [fault] is the injected kind ("stall", "steal_fail", ...). *)
+      (** The simulator's fault-injection layer ({!Dfd_fault.Fault})
+          fired here; [fault] is the injected kind ("stall",
+          "steal_fail", ...).  The native pool notes a task that raised
+          with [fault = "task_exn"]. *)
   | Quota_adjusted of { from_quota : int; to_quota : int; pressure : int }
       (** The adaptive quota controller ({!Dfd_service.Quota_ctl}) moved
           the DFDeques memory threshold K from [from_quota] to [to_quota]

@@ -9,10 +9,11 @@
     emit takes a lock: concurrent writers never share a lane.
 
     {b Lanes.}  [proc >= 0] writes lane [proc]; any other [proc] —
-    negative (a machine-wide sample or an external supervisor), or past
-    the last lane — writes the last lane.  The simulator (one thread)
-    uses one lane; the native pool needs [n_workers + 1], one per worker
-    plus the last for writers that are not workers.
+    negative (a machine-wide sample), or past the last lane — writes the
+    last lane.  The simulator (one thread) uses one lane, or [p + 1] for
+    its flight ring, whose last lane holds the machine-wide counter
+    track.  The native pool needs [n_workers], one per worker: only
+    workers write its rings.
 
     {b Retention} is the capacity chosen at each call site: [1 lsl 20]
     (the default) for a full trace, 256 per lane for a crash-forensics

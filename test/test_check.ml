@@ -376,8 +376,6 @@ let test_points_hit () =
          if the handshake wedges, the task returns and the coverage
          assertion fails instead of the test hanging. *)
       let pool = Pool.For_testing.create_detached ~workers:2 Pool.Work_stealing in
-      (* a parking step on the idle pool: announce, then scan *)
-      ignore (Pool.For_testing.park_step pool);
       let stolen = Atomic.make false in
       let finished = Atomic.make false in
       let bounded_spin cond =
@@ -411,6 +409,11 @@ let test_points_hit () =
           checki "handshake fork_join result" 3 (a + b));
       Atomic.set finished true;
       Domain.join helper;
+      (* a parking step on the idle pool: announce, then scan.  Only
+         after the handshake: the announce stays up, and while a worker
+         is announced the parent publishes [fa] unasked, so the helper
+         would steal it without ever requesting. *)
+      ignore (Pool.For_testing.park_step pool);
       (* the pool scenarios' leaf work *)
       Dfd_check.Scenarios.work ());
   for id = 0 to registered_points - 1 do

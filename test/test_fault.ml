@@ -37,8 +37,7 @@ let test_none_never_injects () =
     checki "no stall" 0 (Fault.stall_steps f);
     checkb "no steal failure" false (Fault.steal_fails f);
     checki "no spike" 0 (Fault.alloc_spike f);
-    checki "no lock delay" 0 (Fault.lock_delay f);
-    Fault.maybe_task_exn f
+    checki "no lock delay" 0 (Fault.lock_delay f)
   done;
   checki "nothing counted" 0 (Fault.injected_total f)
 
@@ -51,33 +50,13 @@ let test_zero_rates_never_inject () =
   done;
   checki "nothing counted" 0 (Fault.injected_total f)
 
-let test_certain_task_exn () =
-  let rates = { Fault.zero_rates with Fault.task_exn_prob = 1.0 } in
-  let f = Fault.create ~rates ~seed:5 () in
-  checkb "raises Injected_failure" true
-    (try
-       Fault.maybe_task_exn f;
-       false
-     with Fault.Injected_failure _ -> true);
-  checki "counted once" 1 (Fault.injected_total f)
-
-let test_set_enabled_pauses_injection () =
-  let rates = { Fault.zero_rates with Fault.steal_fail_prob = 1.0 } in
-  let f = Fault.create ~rates ~seed:9 () in
-  checkb "injects" true (Fault.steal_fails f);
-  Fault.set_enabled f false;
-  checkb "paused" false (Fault.steal_fails f);
-  Fault.set_enabled f true;
-  checkb "resumed" true (Fault.steal_fails f);
-  checki "counters preserved across pause" 2 (Fault.injected_total f)
-
 let test_counts_shape () =
   let f = Fault.create ~seed:77 () in
   ignore (decision_trace f 2000);
   let counts = Fault.counts f in
   Alcotest.(check (array string))
-    "the five kinds, in order"
-    [| "stall"; "steal_fail"; "task_exn"; "alloc_spike"; "lock_delay" |]
+    "the four kinds, in order"
+    [| "stall"; "steal_fail"; "alloc_spike"; "lock_delay" |]
     Fault.kind_names;
   checki "one count per kind" (Array.length Fault.kind_names) (List.length counts);
   List.iteri
@@ -237,8 +216,6 @@ let () =
           Alcotest.test_case "same seed same schedule" `Quick test_same_seed_same_schedule;
           Alcotest.test_case "none never injects" `Quick test_none_never_injects;
           Alcotest.test_case "zero rates never inject" `Quick test_zero_rates_never_inject;
-          Alcotest.test_case "certain task exn" `Quick test_certain_task_exn;
-          Alcotest.test_case "set_enabled pauses" `Quick test_set_enabled_pauses_injection;
           Alcotest.test_case "counts shape" `Quick test_counts_shape;
         ] );
       ( "watchdog",

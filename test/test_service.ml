@@ -243,8 +243,8 @@ let base_config =
     retry = { Retry.max_attempts = 3; base_delay = 1; max_delay = 4 };
   }
 
-let with_service ?(config = base_config) ?tracer ?fault policy f =
-  let svc = Service.create ?tracer ?fault ~config policy in
+let with_service ?(config = base_config) ?tracer policy f =
+  let svc = Service.create ?tracer ~config policy in
   (* [reap] is only safe when a test has released its wedge tasks; tests
      that wedge call shutdown themselves *)
   Fun.protect ~finally:(fun () -> try Service.shutdown svc with _ -> ()) (fun () -> f svc)

@@ -288,17 +288,18 @@ let rec fib n =
     let a, b = Pool.fork_join (fun () -> fib (n - 1)) (fun () -> fib (n - 2)) in
     a + b
 
+(* Every pool event is written by a worker, into that worker's lane. *)
 let check_procs ~n_workers evs =
   List.iter
-    (fun (e : Event.t) ->
-      checkb "proc in [-1, n_workers)" true (e.proc >= -1 && e.proc < n_workers))
+    (fun (e : Event.t) -> checkb "proc in [0, n_workers)" true (e.proc >= 0 && e.proc < n_workers))
     evs
 
 (* A traced p=2 fib on a ring small enough to overflow: the per-kind
-   counts, exact after overwrites, must equal the pool's own counters. *)
+   counts, exact after overwrites, must equal the pool's own counters.
+   The ring has exactly one lane per worker, the fewest a pool accepts. *)
 let test_pool_tracing policy () =
   let domains = 1 in
-  let tracer = Tracer.create ~capacity:64 ~lanes:(domains + 2) () in
+  let tracer = Tracer.create ~capacity:64 ~lanes:(domains + 1) () in
   let pool = Pool.create ~domains ~tracer policy in
   Fun.protect
     ~finally:(fun () -> Pool.shutdown pool)
@@ -318,22 +319,29 @@ let test_pool_tracing policy () =
   let ts = List.map (fun (e : Event.t) -> e.ts) evs in
   checkb "events sorted by ts" true (List.sort compare ts = ts)
 
-(* A ring needs one lane per worker plus the last, which the pool keeps
-   for writers that are not workers.  When external writes wrapped into
-   worker n_workers - 1's lane, as on a flight ring of n_workers lanes,
-   they overwrote that worker's last event.  Such a ring is refused. *)
-let test_external_lane () =
+(* A ring needs one lane per worker and no more: only workers write.  A
+   ring with a lane too few is refused, since a clamped worker would
+   share another worker's lane; a ring of exactly [n_workers] lanes
+   takes a traced fib whose every event sits in its writer's lane. *)
+let test_worker_lanes () =
   let n_workers = 2 in
-  checkb "a ring without an external lane is refused" true
+  checkb "a ring without a lane per worker is refused" true
     (match
        Pool.create ~domains:(n_workers - 1)
-         ~flight:(Tracer.create ~capacity:1 ~lanes:n_workers ())
+         ~flight:(Tracer.create ~capacity:1 ~lanes:(n_workers - 1) ())
          Pool.Work_stealing
      with
      | pool ->
        Pool.shutdown pool;
        false
-     | exception Invalid_argument _ -> true)
+     | exception Invalid_argument _ -> true);
+  let tracer = Tracer.create ~capacity:4096 ~lanes:n_workers () in
+  let pool = Pool.create ~domains:(n_workers - 1) ~tracer Pool.Work_stealing in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () -> checki "fib 15" 610 (Pool.run pool (fun () -> fib 15)));
+  checkb "events recorded" true (Tracer.total tracer > 0);
+  check_procs ~n_workers (Tracer.events tracer)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome export                                                       *)
@@ -397,7 +405,7 @@ let () =
           Alcotest.test_case "WS traced fib" `Quick (test_pool_tracing Pool.Work_stealing);
           Alcotest.test_case "DFD traced fib" `Quick
             (test_pool_tracing (Pool.Dfdeques { quota = 4096 }));
-          Alcotest.test_case "external writer keeps its own lane" `Quick test_external_lane;
+          Alcotest.test_case "a ring needs one lane per worker" `Quick test_worker_lanes;
         ] );
       ( "engine",
         [
