@@ -254,14 +254,22 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
      the timestep. *)
   let execute_action proc th (a : Action.t) cont =
     th.T.prog <- cont;
-    Metrics.action_executed metrics ~proc ~units:(Action.work_units a);
+    (* Action.work_units and Action.depth_units, inlined: only Alloc's
+       depth needs the call. *)
+    let units = match a with Action.Work n -> n | _ -> 1 in
+    Metrics.action_executed metrics ~proc ~units;
     last_active.(proc) <- ctx.Sched_intf.now;
     if Tracer.enabled tracer then
       Tracer.emit tracer ~ts:ctx.Sched_intf.now ~proc ~tid:th.T.tid
-        (Event.Action_batch { units = Action.work_units a });
+        (Event.Action_batch { units });
     (match observer with Some f -> f ~now:ctx.Sched_intf.now ~proc th a | None -> ());
     progress ();
-    let extra = Action.depth_units a - 1 in
+    let extra =
+      match a with
+      | Action.Work n -> n - 1
+      | Action.Alloc _ -> Action.depth_units a - 1
+      | _ -> 0
+    in
     let extra =
       match a with
       | Action.Touch addrs -> (
@@ -523,7 +531,10 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
     done
   in
 
-  while not (T.dead root) do
+  (* A disabled plan's [stall_steps] draws nothing and returns 0, so with
+     the plan off a free processor goes straight to its turn. *)
+  let fault_on = Fault.enabled fault in
+  while root.T.state <> T.Done do
     let step = ctx.now + 1 in
     if step > max_steps then raise (Stuck (Printf.sprintf "exceeded %d timesteps" max_steps));
     (* If every processor is stalled (= executing) up to [first_free], the
@@ -531,9 +542,14 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
        and the state cannot change.  The clock jumps over them in one
        assignment (stopping at [max_steps]), and the end-of-step observers
        below take the whole span [step, ctx.now]. *)
+    (* A branch-free min, unchecked past [avail.(0)]: every index here and
+       in the turn loop below is a processor < p, the length of [avail].
+       The difference of two non-negative timesteps cannot overflow, and
+       its sign mask selects the smaller. *)
     let first_free = ref avail.(0) in
     for proc = 1 to p - 1 do
-      if avail.(proc) < !first_free then first_free := avail.(proc)
+      let d = Array.unsafe_get avail proc - !first_free in
+      first_free := !first_free + (d land (d asr (Sys.int_size - 1)))
     done;
     if !first_free > step then begin
       ctx.now <- min (!first_free - 1) max_steps;
@@ -541,8 +557,12 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
     end
     else begin
       ctx.now <- step;
+      (* A stalled processor is executing, which is progress.  Every touch
+         in a step writes the same [now], so one touch covers them all. *)
+      let any_stalled = ref false in
       for proc = 0 to p - 1 do
-        if avail.(proc) > ctx.now then progress () (* stalled = executing *)
+        if Array.unsafe_get avail proc > ctx.now then any_stalled := true
+        else if not fault_on then turn proc
         else (
           (* injected processor stall: the core freezes for a few timesteps
              (descheduled / slowed), counted as occupied like any stall *)
@@ -552,7 +572,8 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
             if rings_live then note ~proc ~tid:(-1) (Event.Fault_injected { fault = "stall" });
             progress ();
             stall proc (s - 1))
-      done
+      done;
+      if !any_stalled then progress ()
     end;
     (* Over a jumped span the state is constant: the invariant check, the
        headroom gauges and the watchdog need one look, while the counter

@@ -38,8 +38,6 @@ let seq fs k = List.fold_right (fun f acc -> f acc) fs k
 
 let par child parent k = Fork ((fun () -> finish child), parent (Join k))
 
-let par_lazy child parent k = Fork (child, parent (Join k))
-
 (* Balanced binary fork tree: the left half becomes the forked child thread,
    the right half continues in the current thread.  This matches how the
    paper's benchmarks express parallel loops as binary fork trees. *)

@@ -71,10 +71,6 @@ val par : frag -> frag -> frag
     then joins: a binary fork-join.  The {e child} is the left branch, which
     the depth-first order executes first (Section 3.1). *)
 
-val par_lazy : (unit -> t) -> frag -> frag
-(** Like {!par} but the child is supplied as an already-closed lazy thread;
-    used when the child's size makes eager fragment construction wasteful. *)
-
 val par_list : frag list -> frag
 (** Fork-join over a list, as a balanced {e binary} tree of forks — the
     paper's encoding of parallel loops and multi-way forks (Section 5.1). *)

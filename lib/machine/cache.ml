@@ -34,25 +34,32 @@ let create geo ~p =
     per_proc_miss = Array.make p 0;
   }
 
+(* The kernel reads and writes with [Array.unsafe_get]/[unsafe_set], all in
+   range by construction: [i < Array.length addrs]; [addr >= 0] is checked
+   before any index is formed, so [line >= 0] and
+   [0 <= line land set_mask < n_sets]; hence [base = set * assoc] and every
+   way touched, [base + w] with [0 <= w < assoc], lies in
+   [0, n_sets * assoc), the length of [tags] (Cache.create).  [t.tags.(proc)]
+   stays checked: [proc] comes from the caller. *)
 let access_many t ~proc addrs =
   let tags = t.tags.(proc) in
   let { line_shift; set_mask; set_shift; assoc; _ } = t in
   let misses = ref 0 in
   for i = 0 to Array.length addrs - 1 do
-    let addr = addrs.(i) in
+    let addr = Array.unsafe_get addrs i in
     (* a negative tag would alias the empty marker -1 *)
     if addr < 0 then invalid_arg "Cache.access: negative address";
     let line = addr lsr line_shift in
     let tag = line lsr set_shift in
     let base = (line land set_mask) * assoc in
     (* A hit on the most recent way changes nothing. *)
-    if tags.(base) <> tag then begin
+    if Array.unsafe_get tags base <> tag then begin
       (* A tag sits in at most one way of its set: stop at the first match.
          On a miss the shift runs over the whole set and drops the last
          way, the least recently used (or an empty one). *)
       let last = base + assoc - 1 in
       let way = ref (base + 1) in
-      while !way <= last && tags.(!way) <> tag do
+      while !way <= last && Array.unsafe_get tags !way <> tag do
         incr way
       done;
       if !way > last then begin
@@ -60,9 +67,9 @@ let access_many t ~proc addrs =
         incr misses
       end;
       for w = !way downto base + 1 do
-        tags.(w) <- tags.(w - 1)
+        Array.unsafe_set tags w (Array.unsafe_get tags (w - 1))
       done;
-      tags.(base) <- tag
+      Array.unsafe_set tags base tag
     end
   done;
   t.n_access <- t.n_access + Array.length addrs;

@@ -82,6 +82,9 @@ let test_cache_rejects_negative_address () =
          (Invalid_argument "Cache.access: negative address")
          (fun () -> ignore (Cache.access c ~proc:0 ~addr)))
     [ -2048; -8; -1 ];
+  Alcotest.check_raises "burst [0; 8; -2048]"
+    (Invalid_argument "Cache.access: negative address")
+    (fun () -> ignore (Cache.access_many c ~proc:0 [| 0; 8; -2048 |]));
   checki "nothing counted" 0 (Cache.accesses c)
 
 (* Reference model: a naive LRU cache, one list per (processor, set) with
@@ -104,18 +107,23 @@ let model_access m ~proc ~addr =
 (* A case: a geometry, a processor count, and a stream of (proc, addresses)
    bursts.  Bursts of one go through [access] (each result checked), longer
    ones through [access_many] (the miss count checked).  Addresses span
-   about twice the cache's lines so that sets both hit and overflow. *)
+   about twice the cache's lines so that sets both hit and overflow.  One
+   case in four takes the simulator's own geometry, [Config.default_cache],
+   with a stream long enough to revisit its 1 024 lines. *)
 let cache_case =
   let open QCheck.Gen in
-  let gen =
+  let small =
     oneofl [ 1; 2; 8 ] >>= fun line_words ->
     oneofl [ 1; 2; 4 ] >>= fun n_sets ->
-    oneofl [ 1; 2; 3; 4; 8 ] >>= fun assoc ->
+    oneofl [ 1; 2; 3; 4; 8 ] >>= fun assoc -> return ({ Config.line_words; n_sets; assoc }, 120)
+  in
+  let gen =
+    frequency [ (3, small); (1, return (Config.default_cache, 3_000)) ]
+    >>= fun (({ Config.line_words; n_sets; assoc } as geo), max_bursts) ->
     oneofl [ 1; 3 ] >>= fun p ->
     let span = 2 * line_words * n_sets * (assoc + 1) in
     let burst = pair (int_bound (p - 1)) (array_size (int_range 1 4) (int_bound (span - 1))) in
-    list_size (int_range 1 120) burst >|= fun stream ->
-    ({ Config.line_words; n_sets; assoc }, p, stream)
+    list_size (int_range 1 max_bursts) burst >|= fun stream -> (geo, p, stream)
   in
   let print ({ Config.line_words; n_sets; assoc }, p, stream) =
     Printf.sprintf "line_words=%d n_sets=%d assoc=%d p=%d stream=%s" line_words n_sets assoc p
