@@ -301,16 +301,16 @@ let soak_duration_arg =
 let soak_plan_arg =
   let doc =
     "Campaign plan.  Fault plans drive one default lane: `none', `exns' (raising + flaky + \
-     deadline jobs), `wedges' (pool-wedging jobs), `spikes' (allocation spikes driving the \
-     adaptive quota controller) or `mixed'.  Tenant plans drive three weighted lanes under \
-     seeded open-loop load: `tenants-normal' (nothing may be shed) or `tenants-bully' (the \
+     deadline jobs), `wedges' (pool-wedging jobs), `spikes' (allocation spikes that set the \
+     headroom peak) or `mixed'.  Tenant plans drive three weighted lanes under seeded \
+     open-loop load: `tenants-normal' (nothing may be shed) or `tenants-bully' (the \
      lowest-weight tenant offers ~10x load laced with allocation spikes; it must be shed first \
-     and alone, the victims' p99 stays bounded and their K budgets stay isolated)."
+     and alone, and the victims' p99 stays bounded)."
   in
   Arg.(value & opt (Arg.enum Soak.plans) Soak.P_mixed & info [ "plan" ] ~docv:"PLAN" ~doc)
 
 let soak_policy_arg =
-  let doc = "Pool policy: `dfd' (DFDeques with the adaptive-K controller) or `ws'." in
+  let doc = "Pool policy: `dfd' (DFDeques at K = 32000 bytes) or `ws'." in
   Arg.(value & opt (Arg.enum [ ("dfd", `Dfd); ("ws", `Ws) ]) `Dfd
        & info [ "policy" ] ~docv:"POLICY" ~doc)
 
@@ -345,9 +345,10 @@ let soak_cmd =
      of well-behaved, raising, flaky, deadline-bound, allocation-spiking and pool-wedging \
      jobs, or of weighted tenants under open-loop load, driven for a fixed number of logical \
      steps and audited by one oracle: the exactly-once ledger (zero lost jobs, zero \
-     duplicated acknowledgements), lane bounds, the Theorem-4.4 headroom budget, outcome \
-     classes per job kind, wedge -> respawn -> requeue exactly once, plus the plan's own \
-     checks (adaptive-K shrink and recovery, bully isolation, no shedding under normal load)."
+     duplicated acknowledgements), lane bounds, the Theorem-4.4 headroom budget and the exact \
+     per-attempt headroom peak, outcome classes per job kind, wedge -> respawn -> requeue \
+     exactly once, plus the plan's own checks (bully isolation, no shedding under normal \
+     load)."
   in
   Cmd.v (Cmd.info "soak" ~doc)
     Term.(

@@ -10,8 +10,8 @@
    - dup    an ok job from a bursting tenant; completes.
    - bully  an ok job from a tenant offering ~10x its share; completes
             if admitted.
-   - spike  one huge allocation hint; completes, but drives the adaptive
-            quota controller's pressure signal up.
+   - spike  one huge allocation hint; completes, and sets the
+            per-attempt allocation peak the headroom gauges record.
    - exn    always raises; retried to budget exhaustion, then Failed.
    - flaky  raises on the first attempt only; Completed after one retry.
    - slow   endless forking under a tight per-job deadline; every attempt
@@ -34,16 +34,18 @@
    the ledger audits clean, no acknowledgement is duplicated, every lane
    stays within its bound, the per-attempt allocation peak stays inside
    the Theorem-4.4 headroom budget, wedges = respawns = accepted wedge
-   jobs, and every accepted job ends with its kind's outcome.  Three
-   plan-specific checks follow: under dfd, spikes and mixed must shrink
-   K and recover it; the bully must be shed first and alone with the
-   victims' p99 bounded and their K budgets untouched; tenants-normal
-   must shed nothing.
+   jobs, and every accepted job ends with its kind's outcome.  The
+   headroom peak must also be exact: the spike's bytes when a spike
+   completed, else one ok body's bytes when any ok/dup/bully job
+   completed, else 0.  Two plan-specific checks follow: the bully must
+   be shed first and alone with the victims' p99 bounded; tenants-normal
+   must shed nothing.  A dfd service runs every attempt at the one K
+   [soak_quota].
 
    After the submission phase the service is driven to idle and audited.
    Every plan writes one report shape.  It holds only logical-clock
-   facts — counters, the ledger, quota trajectories, per-tenant
-   sections, stable telemetry snapshots — never wall-clock readings, so
+   facts — counters, the ledger, per-tenant sections, stable telemetry
+   snapshots — never wall-clock readings, so
    two runs with the same seed and arguments are byte-identical.  The
    exit code is gated on the ledger audit and the oracle, never on
    timing. *)
@@ -51,7 +53,6 @@
 module Service = Dfd_service.Service
 module Tenant = Dfd_service.Tenant
 module Retry = Dfd_service.Retry
-module Quota_ctl = Dfd_service.Quota_ctl
 module Pool = Dfd_runtime.Pool
 module Json = Dfd_trace.Json
 module Registry = Dfd_obs.Registry
@@ -93,15 +94,8 @@ let kind_name = function
 
 let soak_retry = { Retry.max_attempts = 3; base_delay = 1; max_delay = 8 }
 
-let soak_quota =
-  {
-    Quota_ctl.k_init = 32_000;
-    k_min = 4_000;
-    k_max = 32_000;
-    high_watermark = 50_000;
-    low_watermark = 10_000;
-    recover_steps = 2;
-  }
+(* The DFDeques memory threshold K of a dfd soak's pool. *)
+let soak_quota = 32_000
 
 let slow_deadline = 0.05
 
@@ -178,8 +172,7 @@ let schedule plan ~seed ~duration =
     in
     let bronze_jobs = ref 0 in
     (* gold is plain load; silver bursts a pair every 7th step; the bully
-       laces every 4th job with an allocation spike that only its own K
-       controller should feel *)
+       laces every 4th job with an allocation spike *)
     let kind s = function
       | "gold" -> Ok_job
       | "silver" -> if s mod 7 = 3 then Dup else Ok_job
@@ -205,10 +198,14 @@ let schedule plan ~seed ~duration =
 (* Job bodies                                                          *)
 (* ------------------------------------------------------------------ *)
 
+let ok_hints = 64
+
+let ok_hint_bytes = 16
+
 let ok_body () =
   ignore
-    (Pool.parallel_reduce ~zero:0 ~op:( + ) ~lo:0 ~hi:64 (fun i ->
-         Pool.alloc_hint 16;
+    (Pool.parallel_reduce ~zero:0 ~op:( + ) ~lo:0 ~hi:ok_hints (fun i ->
+         Pool.alloc_hint ok_hint_bytes;
          i))
 
 let spike_bytes = 400_000
@@ -253,7 +250,7 @@ let outcome_fields o =
    key set and order. *)
 let counters_json svc = Registry.Snapshot.to_flat_json (Service.counter_samples svc)
 
-let config_json ~policy_name ~with_quota ~tenants =
+let config_json ~policy_name ~dfd ~tenants =
   Json.Assoc
     [
       ("policy", Json.String policy_name);
@@ -275,18 +272,7 @@ let config_json ~policy_name ~with_quota ~tenants =
             ("base_delay", Json.Int soak_retry.Retry.base_delay);
             ("max_delay", Json.Int soak_retry.Retry.max_delay);
           ] );
-      ( "quota_ctl",
-        if with_quota then
-          Json.Assoc
-            [
-              ("k_init", Json.Int soak_quota.Quota_ctl.k_init);
-              ("k_min", Json.Int soak_quota.Quota_ctl.k_min);
-              ("k_max", Json.Int soak_quota.Quota_ctl.k_max);
-              ("high_watermark", Json.Int soak_quota.Quota_ctl.high_watermark);
-              ("low_watermark", Json.Int soak_quota.Quota_ctl.low_watermark);
-              ("recover_steps", Json.Int soak_quota.Quota_ctl.recover_steps);
-            ]
-        else Json.Null );
+      ("quota", if dfd then Json.Int soak_quota else Json.Null);
     ]
 
 let quantile_json h =
@@ -298,9 +284,6 @@ let quantile_json h =
       ("p90", q 0.9);
       ("p99", q 0.99);
     ]
-
-let trajectory_json traj =
-  Json.List (List.map (fun (s, k) -> Json.List [ Json.Int s; Json.Int k ]) traj)
 
 let tenant_json (ts : Service.tenant_stats) =
   Json.Assoc
@@ -317,9 +300,6 @@ let tenant_json (ts : Service.tenant_stats) =
         match ts.Service.ts_first_shed with None -> Json.Null | Some s -> Json.Int s );
       ("peak_depth", Json.Int ts.Service.ts_peak_depth);
       ("latency_steps", quantile_json ts.Service.ts_latency);
-      ( "quota",
-        match ts.Service.ts_quota with None -> Json.Null | Some k -> Json.Int k );
-      ("quota_trajectory", trajectory_json ts.Service.ts_quota_trajectory);
     ]
 
 let headroom_json h =
@@ -382,12 +362,11 @@ let write_report ~json_out report =
 (* The oracle                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let oracle ~plan ~dfd ~svc ~submissions =
+let oracle ~plan ~svc ~submissions =
   let violations = ref [] in
   let violate fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
   let c = Service.counters svc in
   let stats = Service.tenant_stats svc in
-  let k_init = soak_quota.Quota_ctl.k_init in
   (* ---- universal: every plan ---- *)
   if not (Service.idle svc) then violate "service not idle after drain";
   (match Service.verify_ledger svc with
@@ -448,18 +427,29 @@ let oracle ~plan ~dfd ~svc ~submissions =
     violate "wedge counter %d but %d wedge jobs accepted" c.Service.wedges !accepted_wedges;
   if c.Service.respawns <> !accepted_wedges then
     violate "respawn counter %d but %d wedge jobs accepted" c.Service.respawns !accepted_wedges;
+  (* the headroom peak is the largest completed attempt's allocation:
+     a spike's hint, else one ok body's hints (the other kinds hint
+     nothing) *)
+  let completed kinds =
+    List.exists
+      (fun u ->
+         List.mem u.kind kinds
+         &&
+         match u.result with
+         | Ok id -> (Hashtbl.find entry_tbl id).Service.outcome = Some Service.Completed
+         | Error _ -> false)
+      submissions
+  in
+  let expected_peak =
+    if completed [ Spike ] then spike_bytes
+    else if completed [ Ok_job; Dup; Bully ] then ok_hints * ok_hint_bytes
+    else 0
+  in
+  if Headroom.peak h <> expected_peak then
+    violate "headroom peak %d bytes, expected exactly %d" (Headroom.peak h) expected_peak;
   (* ---- plan-specific ---- *)
   let stat name = List.find (fun ts -> ts.Service.ts_name = name) stats in
   (match plan with
-   | (P_spikes | P_mixed) when dfd ->
-     (* adaptive K: the controller must have shrunk K below its initial
-        value and recovered to the ceiling once pressure subsided *)
-     if not (List.exists (fun (_, k) -> k < k_init) (Service.quota_trajectory svc)) then
-       violate "quota controller never shrank K below k_init under allocation spikes";
-     (match Service.quota svc with
-      | Some k when k = soak_quota.Quota_ctl.k_max -> ()
-      | Some k -> violate "quota did not recover to k_max after calm period (final K = %d)" k
-      | None -> violate "dfd service reports no quota")
    | P_tenants_bully ->
      let bronze = stat "bronze" and victims = [ stat "gold"; stat "silver" ] in
      (* the bully's own full lane must have shed it, and strictly first *)
@@ -481,16 +471,7 @@ let oracle ~plan ~dfd ~svc ~submissions =
           | Some p99 when p99 > 20.0 ->
             violate "victim %s p99 latency %.1f steps exceeds 20" ts.Service.ts_name p99
           | _ -> ())
-       victims;
-     if dfd then begin
-       (* isolation of the K budgets: the bully's controller shrank,
-          the victims' never dipped below their initial K *)
-       let dipped ts = List.exists (fun (_, k) -> k < k_init) ts.Service.ts_quota_trajectory in
-       if not (dipped bronze) then violate "bully's K never shrank despite allocation spikes";
-       List.iter
-         (fun ts -> if dipped ts then violate "victim %s's K dipped below k_init" ts.Service.ts_name)
-         victims
-     end
+       victims
    | P_tenants_normal ->
      (* under normal load nothing is shed anywhere *)
      List.iter
@@ -512,9 +493,7 @@ let run_soak ~seed ~duration ~plan ~policy ~wedge_grace ~json_out ~flight_dir =
     exit 2
   end;
   let dfd = policy = `Dfd in
-  let pool_policy =
-    if dfd then Pool.Dfdeques { quota = soak_quota.Quota_ctl.k_init } else Pool.Work_stealing
-  in
+  let pool_policy = if dfd then Pool.Dfdeques { quota = soak_quota } else Pool.Work_stealing in
   let policy_name = if dfd then "dfd" else "ws" in
   let tenants = tenants_of plan in
   let wedge_flags : (int, bool Atomic.t) Hashtbl.t = Hashtbl.create 8 in
@@ -528,7 +507,6 @@ let run_soak ~seed ~duration ~plan ~policy ~wedge_grace ~json_out ~flight_dir =
       Service.seed;
       tenants;
       retry = soak_retry;
-      quota_ctl = (if dfd then Some soak_quota else None);
       default_deadline = None;
       wedge_grace;
       domains = 2;
@@ -578,10 +556,9 @@ let run_soak ~seed ~duration ~plan ~policy ~wedge_grace ~json_out ~flight_dir =
   Service.drive ~max_steps:(duration * 20) svc;
   take_snap (Service.now svc);
   let submissions = List.rev !submissions in
-  let violations = oracle ~plan ~dfd ~svc ~submissions in
+  let violations = oracle ~plan ~svc ~submissions in
   let c = Service.counters svc in
   let stats = Service.tenant_stats svc in
-  let quota_traj = Service.quota_trajectory svc in
   (* the global latency distribution is the merge of the per-tenant
      histograms — same observations, no re-binning *)
   let merged =
@@ -596,13 +573,12 @@ let run_soak ~seed ~duration ~plan ~policy ~wedge_grace ~json_out ~flight_dir =
         ("plan", Json.String (plan_name plan));
         ("duration_steps", Json.Int duration);
         ("final_step", Json.Int (Service.now svc));
-        ("config", config_json ~policy_name ~with_quota:dfd ~tenants);
+        ("config", config_json ~policy_name ~dfd ~tenants);
         ("submissions", Json.List (List.map submission_json submissions));
         ("tenants", Json.List (List.map tenant_json stats));
         ("latency_all_steps", quantile_json merged);
         ("headroom", headroom_json (Service.headroom svc));
         ("ledger", ledger_json (Service.ledger svc));
-        ("quota_trajectory", trajectory_json quota_traj);
         ("counters", counters_json svc);
         ( "metrics",
           Json.Assoc
@@ -629,10 +605,10 @@ let run_soak ~seed ~duration ~plan ~policy ~wedge_grace ~json_out ~flight_dir =
   write_report ~json_out report;
   Printf.printf
     "soak[%s/%s]: %d submitted (%d accepted, %d shed), %d completed, %d failed, %d retries, %d \
-     timeouts, %d wedges -> %d respawns, %d quota moves\n"
+     timeouts, %d wedges -> %d respawns\n"
     (plan_name plan) policy_name (List.length submissions) c.Service.accepted
     c.Service.rejected_queue_full c.Service.completions c.Service.failures c.Service.retries
-    c.Service.timeouts c.Service.wedges c.Service.respawns (List.length quota_traj);
+    c.Service.timeouts c.Service.wedges c.Service.respawns;
   List.iter (fun m -> Printf.printf "  VIOLATION: %s\n" m) violations;
   if violations = [] then begin
     print_endline "soak: PASS";

@@ -99,10 +99,15 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
     { Sched_intf.cfg; metrics; rng; tracer; fault; last_active = Array.make p 0; now = 0 }
   in
   let last_active = ctx.Sched_intf.last_active in
-  (* The events both rings take (quota exhaustions, injected stalls, the
-     per-step counter sample): the payload is built once, and only when a
-     ring is live. *)
-  let rings_live = Tracer.enabled tracer || Tracer.enabled flight in
+  (* A tracer's and a fault plan's enabled flags are fixed for the run,
+     so they are read once here.  The events both rings take (quota
+     exhaustions, injected stalls, the per-step counter sample): the
+     payload is built once, and only when a ring is live.  A disabled
+     plan's draws ([stall_steps], [alloc_spike], [lock_delay]) draw
+     nothing and return 0, so with the plan off they are skipped. *)
+  let traced = Tracer.enabled tracer in
+  let rings_live = traced || Tracer.enabled flight in
+  let fault_on = Fault.enabled fault in
   let note_at ~ts ~proc ~tid kind =
     Tracer.emit tracer ~ts ~proc ~tid kind;
     Tracer.emit flight ~ts ~proc ~tid kind
@@ -178,7 +183,7 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
          | None -> "idle")
         avail.(proc)
     done;
-    if Tracer.enabled tracer then begin
+    if traced then begin
       let evs = Tracer.events tracer in
       let n = List.length evs in
       let recent = if n > 15 then List.filteri (fun i _ -> i >= n - 15) evs else evs in
@@ -259,7 +264,7 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
     let units = match a with Action.Work n -> n | _ -> 1 in
     Metrics.action_executed metrics ~proc ~units;
     last_active.(proc) <- ctx.Sched_intf.now;
-    if Tracer.enabled tracer then
+    if traced then
       Tracer.emit tracer ~ts:ctx.Sched_intf.now ~proc ~tid:th.T.tid
         (Event.Action_batch { units });
     (match observer with Some f -> f ~now:ctx.Sched_intf.now ~proc th a | None -> ());
@@ -277,7 +282,7 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
           | Some c ->
             let misses = Cache.access_many c ~proc addrs in
             let stall = misses * cfg.miss_penalty in
-            if misses > 0 && Tracer.enabled tracer then
+            if misses > 0 && traced then
               Tracer.emit tracer ~ts:ctx.Sched_intf.now ~proc ~tid:th.T.tid
                 (Event.Cache_miss_stall { misses; stall });
             extra + stall
@@ -289,9 +294,9 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
           quota.(proc) <- quota.(proc) - n;
           (* injected allocation spike: a burst past K charged against the
              quota, forcing extra deque give-ups downstream *)
-          let spike = Fault.alloc_spike fault in
+          let spike = if fault_on then Fault.alloc_spike fault else 0 in
           if spike > 0 then begin
-            if Tracer.enabled tracer then
+            if traced then
               Tracer.emit tracer ~ts:ctx.Sched_intf.now ~proc ~tid:th.T.tid
                 (Event.Fault_injected { fault = "alloc_spike" });
             quota.(proc) <- quota.(proc) - spike
@@ -306,7 +311,7 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
         extra
       | Action.Dummy ->
         Metrics.dummy_executed metrics;
-        if Tracer.enabled tracer then
+        if traced then
           Tracer.emit tracer ~ts:ctx.Sched_intf.now ~proc ~tid:th.T.tid Event.Dummy_exec;
         extra
       | Action.Unlock m ->
@@ -329,8 +334,8 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
       | Action.Lock _ ->
         (* injected lock-hold delay: the winner keeps the mutex for extra
            timesteps, stretching the critical section for everyone queued *)
-        let d = Fault.lock_delay fault in
-        if d > 0 && Tracer.enabled tracer then
+        let d = if fault_on then Fault.lock_delay fault else 0 in
+        if d > 0 && traced then
           Tracer.emit tracer ~ts:ctx.Sched_intf.now ~proc ~tid:th.T.tid
             (Event.Fault_injected { fault = "lock_delay" });
         extra + d
@@ -407,7 +412,7 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
                 end
                 else begin
                   (* Suspend: free transition. *)
-                  if Tracer.enabled tracer then
+                  if traced then
                     Tracer.emit tracer ~ts:ctx.now ~proc ~tid:th.T.tid
                       (Event.Join { child = c.T.tid });
                   th.T.state <- T.Blocked_join;
@@ -464,7 +469,7 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
                 (* Busy-wait: burn this timestep, retry next.  The spinner's
                    test-and-set traffic also slows the lock holder (cache-line
                    ping-pong), charged at most once per mutex per timestep. *)
-                if Tracer.enabled tracer then
+                if traced then
                   Tracer.emit tracer ~ts:ctx.now ~proc ~tid:th.T.tid
                     (Event.Lock_wait { mutex = m });
                 stall proc 0;
@@ -481,7 +486,7 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
                 end;
                 finished := true
               | Some _ ->
-                if Tracer.enabled tracer then
+                if traced then
                   Tracer.emit tracer ~ts:ctx.now ~proc ~tid:th.T.tid
                     (Event.Lock_wait { mutex = m });
                 th.T.state <- T.Blocked_lock m;
@@ -502,7 +507,7 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
             Memory.thread_created memory;
             Metrics.action_executed metrics ~proc ~units:1;
             last_active.(proc) <- ctx.now;
-            if Tracer.enabled tracer then begin
+            if traced then begin
               Tracer.emit tracer ~ts:ctx.now ~proc ~tid:th.T.tid
                 (Event.Fork { child = child.T.tid });
               Tracer.emit tracer ~ts:ctx.now ~proc ~tid:th.T.tid
@@ -531,9 +536,7 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
     done
   in
 
-  (* A disabled plan's [stall_steps] draws nothing and returns 0, so with
-     the plan off a free processor goes straight to its turn. *)
-  let fault_on = Fault.enabled fault in
+  (* with the fault plan off a free processor goes straight to its turn *)
   while root.T.state <> T.Done do
     let step = ctx.now + 1 in
     if step > max_steps then raise (Stuck (Printf.sprintf "exceeded %d timesteps" max_steps));

@@ -9,12 +9,10 @@ type t = {
   s1 : int;
   depth : int;
   p : int;
-  mutable k : int;
-  mutable last_alloc : int;
+  k : int;
   mutable live : int;
   mutable peak : int;
   mutable premature : int;
-  mutable alloc_rate : int;
 }
 
 let budget t = thm44_bound ~c:t.c ~s1:t.s1 ~k:t.k ~p:t.p ~depth:t.depth
@@ -25,9 +23,7 @@ let headroom_ratio t =
   else float_of_int (b - t.peak) /. float_of_int b
 
 let create ~registry ~policy ?(c = default_c) ?(s1 = 0) ?(depth = 0) ~p ~k () =
-  let t =
-    { c; s1; depth; p; k; last_alloc = 0; live = 0; peak = 0; premature = 0; alloc_rate = 0 }
-  in
+  let t = { c; s1; depth; p; k; live = 0; peak = 0; premature = 0 } in
   let labeled base = Printf.sprintf "%s{policy=%S}" base policy in
   let g base help f = Registry.probe registry ~kind:`Gauge ~help (labeled base) f in
   g "dfd_space_live_bytes" "Current live heap bytes under the scheduler." (fun () -> t.live);
@@ -35,14 +31,10 @@ let create ~registry ~policy ?(c = default_c) ?(s1 = 0) ?(depth = 0) ~p ~k () =
     (fun () -> budget t);
   g "dfd_space_premature_nodes" "Heavy premature nodes observed (Lemma 4.2 charges O(p*D))."
     (fun () -> t.premature);
-  g "dfd_space_alloc_rate_bytes" "Allocation pressure (bytes) per quota-control interval."
-    (fun () -> t.alloc_rate);
   Registry.probe_float registry ~help:"(budget - peak_live) / budget; negative means the bound is blown."
     (labeled "dfd_space_headroom_ratio") (fun () -> headroom_ratio t);
   g "dfd_space_peak_bytes" "High watermark of dfd_space_live_bytes." (fun () -> t.peak);
   t
-
-let set_quota t k = t.k <- k
 
 let observe t ~live_bytes =
   t.live <- live_bytes;
@@ -55,11 +47,3 @@ let peak t = t.peak
 let set_premature t n = t.premature <- n
 
 let premature t = t.premature
-
-let reset_pressure t = t.last_alloc <- 0
-
-let take_pressure t ~cumulative_alloc =
-  let pressure = max 0 (cumulative_alloc - t.last_alloc) in
-  t.last_alloc <- cumulative_alloc;
-  t.alloc_rate <- pressure;
-  pressure

@@ -2,24 +2,19 @@
 
     The paper's headline space claim — DFDeques(K) keeps live space within
     [S1 + O(min(K, S1) * p * D)] — is checked offline by the test oracles;
-    this module turns it into gauges an operator (and the adaptive-K
-    controller) can watch while a run is in flight:
+    this module turns it into gauges an operator can watch while a run
+    is in flight:
 
     - [dfd_space_live_bytes{policy=...}] — current live heap bytes;
     - [dfd_space_peak_bytes{...}] — its high watermark;
     - [dfd_space_budget_bytes{...}] — [S1 + c * min(K, S1) * p * D], the
       bound instantiated exactly as [Dfd_check.Oracle.thm44] computes it
-      (same constant [c], default 8), recomputed whenever the adaptive
-      controller moves K;
+      (same constant [c], default 8), with [K] and [p] fixed at
+      {!create};
     - [dfd_space_headroom_ratio{...}] — [(budget - peak) / budget];
     - [dfd_space_premature_nodes{...}] — heavy premature nodes
       (Lemma 4.2), the term the bound's [p * D] factor is made of (the
-      engine exports their fork depths as [dfd_engine_premature_depth]);
-    - [dfd_space_alloc_rate_bytes{...}] — allocation pressure per control
-      interval, maintained by {!take_pressure}; the service's
-      [Quota_ctl] reads this gauge instead of re-deriving deltas from raw
-      pool counters, so degradation and observability share one source of
-      truth.
+      engine exports their fork depths as [dfd_engine_premature_depth]).
 
     The values are plain fields of {!t}, owned by one writer (the engine
     or the service step loop); the gauges are read-side probes over them,
@@ -56,10 +51,7 @@ val create :
     budget to the [S1] term alone. *)
 
 val budget : t -> int
-(** {!thm44_bound} at the current [k] and the [p] fixed at {!create}. *)
-
-val set_quota : t -> int -> unit
-(** The adaptive controller moved K: the budget gauge follows. *)
+(** {!thm44_bound} at the [k] and [p] fixed at {!create}. *)
 
 val observe : t -> live_bytes:int -> unit
 (** Update the live gauge (and through it the peak watermark). *)
@@ -77,13 +69,3 @@ val set_premature : t -> int -> unit
     engine's {!Dfd_machine.Metrics}). *)
 
 val premature : t -> int
-
-val take_pressure : t -> cumulative_alloc:int -> int
-(** Pressure = non-negative delta of [cumulative_alloc] since the last
-    call (first call measures from 0); publishes it on the alloc-rate
-    gauge and returns it.  This is the exact quantity the service's
-    quota tick historically computed inline from [Pool.counters]. *)
-
-val reset_pressure : t -> unit
-(** Reset the {!take_pressure} baseline to 0 — called when the counter
-    source restarts (a fresh pool incarnation after a wedge). *)

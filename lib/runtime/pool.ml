@@ -117,14 +117,9 @@ type t = {
       (** each worker's owned deque, as its R-membership handle;
           owner-written.  The deque itself is [Multiq.value]. *)
   quota_left : int array;  (** owner-written only. *)
-  dfd_quota : int Atomic.t;
-      (** the current memory threshold K.  Seeded from the policy and
-          adjustable per run ([run ?quota]; max_int, fixed, on a
-          WS pool) so a supervisor can trade
-          throughput for the Theorem 4.4 space bound under memory
-          pressure; workers pick the new value up at their next steal
-          (quota refill), so adjustment costs one atomic store and no
-          locks. *)
+  dfd_quota : int;
+      (** the memory threshold K, fixed by the policy (max_int on a WS
+          pool); a worker's quota refills to it at each steal. *)
   (* --- shared scheduling state -------------------------------------- *)
   per_worker : wcounters array;
   sync_cells : int ref option array;
@@ -634,9 +629,7 @@ let dfd_steal pool w =
        note_steal_success pool w ~victim:victim.did;
        note_rank_error pool w victim_e;
        dfd_adopt_after pool w victim_e;
-       (* refill from the current K: a runtime quota adjustment takes
-          effect here, at the worker's next steal *)
-       pool.quota_left.(w) <- Atomic.get pool.dfd_quota;
+       pool.quota_left.(w) <- pool.dfd_quota;
        take_slot got)
 
 (* ------------------------------------------------------------------ *)
@@ -692,7 +685,7 @@ let try_get pool w =
     let c = pool.per_worker.(w) in
     c.c_quota_giveups <- c.c_quota_giveups + 1;
     if rings_live pool then begin
-      let quota = Atomic.get pool.dfd_quota in
+      let quota = pool.dfd_quota in
       note pool ~ts:(now_us pool) ~proc:w
         (Event.Quota_exhausted { used = quota - pool.quota_left.(w); quota })
     end;
@@ -911,8 +904,8 @@ let register_probes registry pool =
   g "dfd_pool_parked_workers" "Workers currently parked on the idle condition." (fun () ->
       Atomic.get pool.n_parked);
   g "dfd_pool_workers" "Worker slots (domains + caller)." (fun () -> pool.n_workers);
-  g "dfd_pool_quota_bytes" "Current DFDeques memory threshold K (max_int under WS)." (fun () ->
-      Atomic.get pool.dfd_quota);
+  g "dfd_pool_quota_bytes" "DFDeques memory threshold K (max_int under WS)." (fun () ->
+      pool.dfd_quota);
   g "dfd_pool_r_deques" "Live deques in the relaxed R-list (DFDeques)." (fun () ->
       Multiq.size pool.r);
   cnt "dfd_pool_steals_total" "Successful steals (all disciplines)." (fun c -> c.steals);
@@ -968,7 +961,7 @@ let make ?(flight = Tracer.disabled) ~n_workers ~tracer policy =
       r = Multiq.create ~shards:(2 * n_workers) ();
       dfd_deque = Array.make n_workers None;
       quota_left = Array.make n_workers k;
-      dfd_quota = Atomic.make k;
+      dfd_quota = k;
       per_worker =
         Array.init n_workers (fun _ ->
             {
@@ -1038,15 +1031,8 @@ let drain pool =
     end
   done
 
-let run ?timeout ?quota pool f =
+let run ?timeout pool f =
   (match self () with Some _ -> raise Nested_run | None -> ());
-  (match quota with
-   | None -> ()
-   | Some k ->
-     if k <= 0 then invalid_arg "Pool.run: quota must be positive";
-     (match pool.policy with
-      | Work_stealing -> invalid_arg "Pool.run: Work_stealing pool has no quota"
-      | Dfdeques _ -> Atomic.set pool.dfd_quota k));
   let ctx = Domain.DLS.get worker_key in
   ctx := Some (0, pool);
   Atomic.set pool.cancelled false;
@@ -1137,7 +1123,7 @@ let alloc_hint n =
 let quota pool =
   match pool.policy with
   | Work_stealing -> None
-  | Dfdeques _ -> Some (Atomic.get pool.dfd_quota)
+  | Dfdeques _ -> Some pool.dfd_quota
 
 let heartbeat pool =
   Array.fold_left (fun acc c -> acc + c.c_tasks_run) 0 pool.per_worker
@@ -1202,7 +1188,7 @@ let snapshot pool =
          (match Lfdeque.owner d.tasks with None -> "-" | Some w -> string_of_int w)
          (Multiq.shard_of e) (Lfdeque.length d.tasks))
     ms;
-  pf "  K=%d\n" (Atomic.get pool.dfd_quota);
+  pf "  K=%d\n" pool.dfd_quota;
   Array.iteri (fun i q -> pf "  quota_left[worker %d]=%d\n" i q) pool.quota_left;
   Buffer.contents b
 

@@ -140,20 +140,11 @@ val create :
     [tracer]: one ring per pool, [n_workers] lanes, never shared between
     live pools. *)
 
-val run : ?timeout:float -> ?quota:int -> t -> (unit -> 'a) -> 'a
+val run : ?timeout:float -> t -> (unit -> 'a) -> 'a
 (** Execute a task (and all the parallel work it forks) to completion on
     the pool; the calling thread works too.  Re-entrant calls from inside
-    pool tasks raise {!Nested_run}.
-
-    [quota]: set the memory threshold K (bytes) at the run's start (one
-    atomic store, no locks), so a multi-tenant driver can give each
-    dispatched job its own tenant's K budget — the lever the adaptive
-    controller in {!Dfd_service} uses to trade throughput for the
-    Theorem 4.4 space bound [S1 + O(K·p·D)] under memory pressure.  Each
-    worker picks the new value up at its next steal, when its quota
-    refills.  The value persists after the run (the next caller sets its
-    own; {!quota} reads it back).  Raises [Invalid_argument] on a
-    {!Work_stealing} pool or a non-positive quota.
+    pool tasks raise {!Nested_run}.  Every run uses the memory threshold
+    K the pool was created with ({!quota}).
 
     [timeout] (seconds, wall clock): cancel the computation and raise
     {!Timeout} once the deadline passes.  Cancellation is cooperative —
@@ -189,15 +180,14 @@ val parallel_prefix_sum : zero:'a -> op:('a -> 'a -> 'a) -> 'a array -> 'a array
 val alloc_hint : int -> unit
 (** Report [n] bytes of allocation to the scheduler.  Under {!Dfdeques}
     this feeds the memory quota; under {!Work_stealing} (K = ∞) it can
-    never exhaust it, so only the [alloc_bytes] counter shows it (the
-    pressure signal is still useful).  Raises [Invalid_argument] for
-    [n < 0], before touching any counter: a hint reports allocation,
-    never a free.  Called from outside {!run} it raises {!Not_in_pool},
+    never exhaust it, so only the [alloc_bytes] counter shows it.
+    Raises [Invalid_argument] for [n < 0], before touching any counter:
+    a hint reports allocation, never a free.  Called from outside {!run} it raises {!Not_in_pool},
     like every other pool operation — a hint with no pool to charge is
     a bug, not a no-op. *)
 
 val quota : t -> int option
-(** The current memory threshold K of a {!Dfdeques} pool; [None] under
+(** The memory threshold K of a {!Dfdeques} pool; [None] under
     {!Work_stealing}. *)
 
 type counters = {

@@ -1,6 +1,5 @@
 module Pool = Dfd_runtime.Pool
 module Tracer = Dfd_trace.Tracer
-module Event = Dfd_trace.Event
 module Registry = Dfd_obs.Registry
 module Openmetrics = Dfd_obs.Openmetrics
 module Headroom = Dfd_obs.Headroom
@@ -18,7 +17,6 @@ type config = {
   seed : int;
   tenants : Tenant.t list;
   retry : Retry.policy;
-  quota_ctl : Quota_ctl.config option;
   default_deadline : float option;
   wedge_grace : float;
   domains : int;
@@ -31,7 +29,6 @@ let default_config =
     seed = 0;
     tenants = [ Tenant.default ];
     retry = Retry.default;
-    quota_ctl = None;
     default_deadline = None;
     wedge_grace = 5.0;
     domains = 2;
@@ -68,7 +65,6 @@ type job = {
   retry : Retry.t;
   submitted_at : int;
   handle : handle;
-  mutable run_quota : int option;  (** tenant K, stamped by the driver at dispatch. *)
 }
 
 type exec_result =
@@ -107,7 +103,7 @@ let executor_loop ep =
     match Atomic.get ep.cell with
     | Assigned job ->
       let result =
-        match Pool.run ?timeout:job.deadline ?quota:job.run_quota ep.pool job.work with
+        match Pool.run ?timeout:job.deadline ep.pool job.work with
         | () -> R_done
         | exception Pool.Timeout -> R_timeout
         | exception Pool.Cancelled -> R_cancelled_leak
@@ -167,15 +163,12 @@ type tenant_stats = {
   ts_first_shed : int option;
   ts_peak_depth : int;
   ts_latency : Stats.Histogram.t;
-  ts_quota : int option;
-  ts_quota_trajectory : (int * int) list;
 }
 
 (* One admission lane's bookkeeping; the queue itself lives in the
    shared Fair_queue. *)
 type lane = {
   tn : Tenant.t;
-  l_qctl : Quota_ctl.t option;
   lat : Stats.Histogram.t;
   mutable in_flight : int;  (* 0 or 1 *)
   mutable pending_retries : int;
@@ -190,11 +183,8 @@ type lane = {
 type t = {
   cfg : config;
   policy : Pool.policy;
-  tracer : Tracer.t;
   registry : Registry.t;  (** live telemetry; shared with every pool incarnation. *)
-  headroom : Headroom.t;
-      (** Theorem-4.4 gauges over the service's pool; also owns the
-          pressure baseline the quota tick consumes. *)
+  headroom : Headroom.t;  (** Theorem-4.4 gauges over the service's pool. *)
   flight_dir : string option;  (** where wedge/timeout/give-up dumps land. *)
   mutable epoch : epoch;
   mutable retired_epochs : epoch list;
@@ -228,17 +218,7 @@ let total t f = List.fold_left (fun acc l -> acc + f l) 0 (lanes_in_order t)
 (* Pool incarnations                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let max_lane_quota lanes =
-  List.fold_left
-    (fun acc l -> match l.l_qctl with Some qc -> max acc (Quota_ctl.quota qc) | None -> acc)
-    0 lanes
-
-let effective_policy ~policy ~k0 =
-  match policy with
-  | Pool.Dfdeques _ when k0 > 0 -> Pool.Dfdeques { quota = k0 }
-  | p -> p
-
-let spawn_raw_epoch ~domains ~policy ~k0 ~registry () =
+let spawn_epoch ~domains ~policy ~registry =
   let domains = max 0 domains in
   (* each incarnation gets a fresh flight ring (forensics belong to one
      pool's lifetime; read back through [Pool.flight]) but shares the
@@ -246,18 +226,9 @@ let spawn_raw_epoch ~domains ~policy ~k0 ~registry () =
      continuous across respawns.  One lane per worker, the caller slot
      included. *)
   let flight = Tracer.create ~capacity:256 ~lanes:(domains + 1) () in
-  let pool = Pool.create ~domains ~registry ~flight (effective_policy ~policy ~k0) in
+  let pool = Pool.create ~domains ~registry ~flight policy in
   let ep = { pool; cell = Atomic.make Idle; retired = Atomic.make false; exec = None } in
   ep.exec <- Some (Domain.spawn (fun () -> executor_loop ep));
-  ep
-
-let spawn_epoch t =
-  let k0 = max_lane_quota (lanes_in_order t) in
-  let ep =
-    spawn_raw_epoch ~domains:t.cfg.domains ~policy:t.policy ~k0 ~registry:t.registry ()
-  in
-  (* the fresh pool's alloc counter restarts at 0 *)
-  Headroom.reset_pressure t.headroom;
   ep
 
 (* The service's own supervision counters exposed as stable probes: they
@@ -290,11 +261,6 @@ let register_service_probes t =
   g "dfd_service_pending_retries" "Retries waiting for their due step." (fun () ->
       List.length t.pending);
   g "dfd_service_clock" "The driver's logical clock (steps)." (fun () -> t.clock);
-  g "dfd_service_quota_bytes" "Largest tenant memory threshold K (0 under Work_stealing)."
-    (fun () ->
-      match max_lane_quota (lanes_in_order t) with
-      | 0 -> ( match Pool.quota t.epoch.pool with Some k -> k | None -> 0)
-      | k -> k);
   (* per-tenant lanes, labelled so OpenMetrics renders one family *)
   List.iter
     (fun name ->
@@ -305,12 +271,10 @@ let register_service_probes t =
            lane.a_completions);
        c (lbl "dfd_tenant_shed_total") "Per-tenant rejections." (fun () -> lane.a_rej_queue);
        g (lbl "dfd_tenant_queue_depth") "Per-tenant queued jobs." (fun () ->
-           Fair_queue.depth t.queue name);
-       g (lbl "dfd_tenant_quota_bytes") "Per-tenant memory threshold K." (fun () ->
-           match lane.l_qctl with Some qc -> Quota_ctl.quota qc | None -> 0))
+           Fair_queue.depth t.queue name))
     t.lane_order
 
-let create ?(tracer = Tracer.disabled) ?registry ?flight_dir ?headroom_s1 ?headroom_depth
+let create ?registry ?flight_dir ?headroom_s1 ?headroom_depth
     ?(config = default_config) policy =
   Tenant.validate_all config.tenants;
   if config.wedge_grace <= 0.0 then invalid_arg "Service: wedge_grace must be positive";
@@ -323,18 +287,9 @@ let create ?(tracer = Tracer.disabled) ?registry ?flight_dir ?headroom_s1 ?headr
   List.iter
     (fun (tn : Tenant.t) ->
        Fair_queue.add_tenant queue ~name:tn.name ~weight:tn.weight;
-       let l_qctl =
-         match policy with
-         | Pool.Work_stealing -> None
-         | Pool.Dfdeques _ -> (
-           match (tn.quota, config.quota_ctl) with
-           | Some qcfg, _ | None, Some qcfg -> Some (Quota_ctl.create qcfg)
-           | None, None -> None)
-       in
        Hashtbl.replace lanes tn.name
          {
            tn;
-           l_qctl;
            lat = Stats.Histogram.create ();
            in_flight = 0;
            pending_retries = 0;
@@ -346,25 +301,19 @@ let create ?(tracer = Tracer.disabled) ?registry ?flight_dir ?headroom_s1 ?headr
            a_first_shed = None;
          })
     config.tenants;
-  let lane_list = List.map (fun n -> Hashtbl.find lanes n) lane_order in
-  let k0 =
-    match max_lane_quota lane_list with
-    | 0 -> ( match policy with Pool.Dfdeques { quota } -> quota | Pool.Work_stealing -> 0)
-    | k -> k
-  in
+  let k = match policy with Pool.Dfdeques { quota } -> quota | Pool.Work_stealing -> 0 in
   let headroom =
     Headroom.create ~registry ~policy:"service" ?s1:headroom_s1 ?depth:headroom_depth
-      ~p:(max 0 config.domains + 1) ~k:k0 ()
+      ~p:(max 0 config.domains + 1) ~k ()
   in
   let t =
     {
       cfg = config;
       policy;
-      tracer;
       registry;
       headroom;
       flight_dir;
-      epoch = spawn_raw_epoch ~domains:config.domains ~policy ~k0 ~registry ();
+      epoch = spawn_epoch ~domains:config.domains ~policy ~registry;
       retired_epochs = [];
       clock = 0;
       queue;
@@ -474,7 +423,6 @@ let submit t ?(tenant = "default") ?(class_ = "default") ?deadline ?on_done work
         retry = Retry.create t.cfg.retry ~seed:t.cfg.seed ~job:s.l_id;
         submitted_at = t.clock;
         handle = h;
-        run_quota = None;
       }
     in
     Fair_queue.push t.queue ~tenant job;
@@ -561,7 +509,7 @@ let respawn t ~in_flight =
   (match t.cfg.on_pool_retired with
    | Some f -> f ~in_flight
    | None -> ());
-  t.epoch <- spawn_epoch t
+  t.epoch <- spawn_epoch ~domains:t.cfg.domains ~policy:t.policy ~registry:t.registry
 
 (* Schedule a retry (with backoff) or acknowledge the final failure.
    [retryable:false] (a terminal error class per {!Retry.is_terminal},
@@ -582,28 +530,25 @@ let fail_path ?(retryable = true) t (job : job) msg =
       s.l_attempts <- Retry.attempts job.retry;
       settle t job s (Failed msg)
 
-(* Run one attempt to completion, attributing its allocation delta to
-   the job's tenant.  Returns the measured delta (0 on a wedge). *)
+(* Run one attempt to completion, feeding its allocation delta to the
+   headroom gauges. *)
 let run_one t (job : job) =
   let s = Hashtbl.find t.slots job.id in
   let lane = lane_of t job.tenant in
   lane.in_flight <- 1;
-  job.run_quota <- Option.map Quota_ctl.quota lane.l_qctl;
   let before = (Pool.counters t.epoch.pool).Pool.alloc_bytes in
   (match Atomic.get t.epoch.cell with
    | Idle -> ()
    | _ -> assert false);
   Atomic.set t.epoch.cell (Assigned job);
   let result = await_result t job in
-  let delta =
-    match result with
-    | None -> 0
-    | Some _ ->
-      (* the pool is idle again (the executor posted Finished), so the
-         counter sum is exact: the delta is this attempt's allocation *)
-      max 0 ((Pool.counters t.epoch.pool).Pool.alloc_bytes - before)
-  in
-  if delta > 0 then Headroom.observe t.headroom ~live_bytes:delta;
+  (match result with
+   | None -> ()
+   | Some _ ->
+     (* the pool is idle again (the executor posted Finished), so the
+        counter sum is exact: the delta is this attempt's allocation *)
+     let delta = (Pool.counters t.epoch.pool).Pool.alloc_bytes - before in
+     if delta > 0 then Headroom.observe t.headroom ~live_bytes:delta);
   (match result with
    | Some R_done ->
      s.l_attempts <- Retry.attempts job.retry + 1;
@@ -632,40 +577,11 @@ let run_one t (job : job) =
       | None ->
         s.l_attempts <- Retry.attempts job.retry;
         settle t job s (Failed "pool wedged; retry budget exhausted")));
-  lane.in_flight <- 0;
-  delta
+  lane.in_flight <- 0
 
 (* ------------------------------------------------------------------ *)
 (* The driver clock                                                    *)
 (* ------------------------------------------------------------------ *)
-
-(* Per-tenant quota control: the dispatched tenant observes its
-   attempt's measured allocation delta, every other lane observes 0 (its
-   EWMA decays, so an idle tenant's K recovers).  One tenant pinned at
-   its floor costs only its own locality. *)
-let quota_tick t ~dispatched ~delta =
-  (* keep the global alloc-rate gauge and pressure baseline current *)
-  ignore
-    (Headroom.take_pressure t.headroom
-       ~cumulative_alloc:(Pool.counters t.epoch.pool).Pool.alloc_bytes);
-  List.iter
-    (fun lane ->
-       match lane.l_qctl with
-       | None -> ()
-       | Some qc ->
-         let pressure =
-           match dispatched with Some name when name = lane.tn.Tenant.name -> delta | _ -> 0
-         in
-         (match Quota_ctl.observe qc ~now:t.clock ~pressure with
-          | Quota_ctl.Steady -> ()
-          | Quota_ctl.Shrink { from_quota; to_quota } | Quota_ctl.Grow { from_quota; to_quota }
-            ->
-            (* the budget gauge tracks the largest K still in use *)
-            Headroom.set_quota t.headroom (max_lane_quota (lanes_in_order t));
-            if Tracer.enabled t.tracer then
-              Tracer.emit t.tracer ~ts:t.clock ~proc:(-1) ~tid:(-1)
-                (Event.Quota_adjusted { from_quota; to_quota; pressure })))
-    (lanes_in_order t)
 
 let step t =
   t.clock <- t.clock + 1;
@@ -679,14 +595,7 @@ let step t =
        (lane_of t job.tenant).pending_retries <- (lane_of t job.tenant).pending_retries - 1;
        Fair_queue.push t.queue ~tenant:job.tenant job)
     due;
-  let dispatched, delta =
-    match Fair_queue.pop t.queue with
-    | None -> (None, 0)
-    | Some (tenant, job) ->
-      let delta = run_one t job in
-      (Some tenant, delta)
-  in
-  quota_tick t ~dispatched ~delta
+  match Fair_queue.pop t.queue with None -> () | Some (_, job) -> run_one t job
 
 let idle t = Fair_queue.total t.queue = 0 && t.pending = []
 
@@ -744,9 +653,6 @@ let tenant_stats t =
          ts_first_shed = lane.a_first_shed;
          ts_peak_depth = Fair_queue.peak_depth t.queue lane.tn.Tenant.name;
          ts_latency = lane.lat;
-         ts_quota = Option.map Quota_ctl.quota lane.l_qctl;
-         ts_quota_trajectory =
-           (match lane.l_qctl with Some qc -> Quota_ctl.trajectory qc | None -> []);
        })
     (lanes_in_order t)
 
@@ -818,19 +724,6 @@ let verify_ledger t =
          ])
     (lanes_in_order t);
   match !problem with None -> Ok () | Some m -> Error m
-
-let quota t =
-  match max_lane_quota (lanes_in_order t) with
-  | 0 -> Pool.quota t.epoch.pool
-  | k -> Some k
-
-let quota_trajectory t =
-  let all =
-    List.concat_map
-      (fun lane -> match lane.l_qctl with Some qc -> Quota_ctl.trajectory qc | None -> [])
-      (lanes_in_order t)
-  in
-  List.stable_sort (fun (s1, _) (s2, _) -> compare s1 s2) all
 
 let pool_counters t = Pool.counters t.epoch.pool
 

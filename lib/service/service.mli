@@ -11,12 +11,11 @@
       callbacks ({!Handle.on_done}) and may {!cancel} a job that has not
       started.
     - {b Weighted-fair isolation} ({!Tenant}, {!Fair_queue}) — each
-      tenant owns a bounded lane dispatched by deficit round-robin and
-      (under [Dfdeques]) its own adaptive-K budget.  The lane bound is
-      the one admission defence: a submission that finds its lane full
-      is shed ([Queue_full]).  A bully tenant can exhaust only its own
-      lane and shrink only its own K — the admission-level analogue of
-      the paper's per-deque isolation.
+      tenant owns a bounded lane dispatched by deficit round-robin.  The
+      lane bound is the one admission defence: a submission that finds
+      its lane full is shed ([Queue_full]).  A bully tenant can exhaust
+      only its own lane — the admission-level analogue of the paper's
+      per-deque isolation.
     - {b Deadlines and retries} — each attempt runs under
       [Pool.run ?timeout]; failures and timeouts are retried under a
       seeded full-jitter backoff policy ({!Retry}) with a per-job budget.
@@ -29,22 +28,16 @@
       completion acknowledgements (a late result from a retired epoch is
       structurally ignored).  This is the service's one recovery path;
       the pool itself keeps no failure-recovery state, and every pool
-      runs at the fixed width [domains + 1].
-    - {b Per-tenant adaptive K} ({!Quota_ctl}) — under a [Dfdeques]
-      policy each tenant's observed allocation pressure drives {e its}
-      memory threshold K down toward the Theorem 4.4 space bound and
-      back up when pressure subsides; each dispatch applies the job's
-      tenant K to the pool ([Pool.run ?quota]), so one tenant degrading
-      to K = k_min never costs its neighbours their locality.
+      runs at the fixed width [domains + 1] and at the one memory
+      threshold K of the policy the service was created with.
 
     The service is {e step-driven} from one driver thread: {!step}
-    advances a logical clock by one, promotes due retries, dispatches at
-    most one queued attempt (in DRR order) to completion, and runs the
-    quota-control interval.  All scheduling decisions (DRR order, retry
-    delays, quota trajectories, rejections, latencies in steps) are
-    functions of the seed and the submission order, never of wall-clock
-    time — which is what makes `repro soak` reports byte-identical per
-    seed.  Only the {e timing} inside the pool is nondeterministic;
+    advances a logical clock by one, promotes due retries and dispatches
+    at most one queued attempt (in DRR order) to completion.  All
+    scheduling decisions (DRR order, retry delays, rejections, latencies
+    in steps) are functions of the seed and the submission order, never
+    of wall-clock time — which is what makes `repro soak` reports
+    byte-identical per seed.  Only the {e timing} inside the pool is nondeterministic;
     outcome classes are not. *)
 
 type reject_reason =
@@ -68,10 +61,6 @@ type config = {
       (** the admission lanes; must be non-empty with unique names.
           Single-tenant services use [[Tenant.default]]. *)
   retry : Retry.policy;
-  quota_ctl : Quota_ctl.config option;
-      (** [Some template] enables a per-tenant adaptive-K controller
-          (Dfdeques pools only; ignored under Work_stealing).  A tenant
-          with its own [Tenant.quota] overrides the template. *)
   default_deadline : float option;  (** per-attempt [Pool.run] timeout, seconds. *)
   wedge_grace : float;
       (** seconds without pool heartbeat progress (while an attempt is in
@@ -86,9 +75,8 @@ type config = {
 }
 
 val default_config : config
-(** seed 0, the single [Tenant.default] lane, {!Retry.default}, no quota
-    controller, no default deadline, grace 5 s, 2 extra domains, 8
-    respawns. *)
+(** seed 0, the single [Tenant.default] lane, {!Retry.default}, no
+    default deadline, grace 5 s, 2 extra domains, 8 respawns. *)
 
 exception Supervisor_giveup of string
 (** More than [max_respawns] pool respawns: the supervisor refuses to
@@ -99,7 +87,6 @@ exception Supervisor_giveup of string
 type t
 
 val create :
-  ?tracer:Dfd_trace.Tracer.t ->
   ?registry:Dfd_obs.Registry.t ->
   ?flight_dir:string ->
   ?headroom_s1:int ->
@@ -108,8 +95,8 @@ val create :
   Dfd_runtime.Pool.policy ->
   t
 (** Start the service: spawns the first pool incarnation and its
-    executor domain.  Under [Dfdeques], enabled quota controllers
-    override the policy's initial K with the largest tenant [k_init].
+    executor domain.  Every incarnation runs under [policy], so a
+    [Dfdeques] service runs every attempt at the policy's K.
 
     [registry] (default: a fresh private {!Dfd_obs.Registry.t}) receives
     the service's stable [dfd_service_*] probes (including per-tenant
@@ -170,9 +157,8 @@ val cancel : t -> handle -> bool
 
 val step : t -> unit
 (** Advance the logical clock by one: promote due retries, dispatch and
-    fully execute at most one queued attempt (in DRR order, under the
-    job's tenant K, blocking, with wedge supervision), then run the
-    quota-control interval. *)
+    fully execute at most one queued attempt (in DRR order, blocking,
+    with wedge supervision). *)
 
 val drive : ?max_steps:int -> t -> unit
 (** {!step} until the service is idle (no queued jobs, no pending
@@ -223,8 +209,6 @@ type tenant_stats = {
   ts_latency : Dfd_structures.Stats.Histogram.t;
       (** completion latency in steps (submit → terminal ack) of completed
           jobs. *)
-  ts_quota : int option;  (** the tenant's current K; [None] without a controller. *)
-  ts_quota_trajectory : (int * int) list;
 }
 
 val tenant_stats : t -> tenant_stats list
@@ -250,16 +234,6 @@ val verify_ledger : t -> (unit, string) result
     per tenant: each lane's accepted, completed, failed, rejected and
     cancelled counts match its own ledger entries.
     [Error msg] pinpoints the first violation. *)
-
-val quota : t -> int option
-(** The largest current per-tenant K — the value the Theorem-4.4 budget
-    gauge is computed from ([None] under Work_stealing). *)
-
-val quota_trajectory : t -> (int * int) list
-(** All tenants' K changes as [(step, new_K)] merged in step order
-    (stable within a step by tenant registration order); empty without a
-    controller.  With a single tenant this is exactly that tenant's
-    trajectory. *)
 
 val pool_counters : t -> Dfd_runtime.Pool.counters
 (** Counters of the {e current} pool incarnation. *)

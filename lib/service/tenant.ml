@@ -1,11 +1,6 @@
-type t = {
-  name : string;
-  weight : int;
-  queue_bound : int;
-  quota : Quota_ctl.config option;
-}
+type t = { name : string; weight : int; queue_bound : int }
 
-let make ?(weight = 1) ?(queue_bound = 64) ?quota name = { name; weight; queue_bound; quota }
+let make ?(weight = 1) ?(queue_bound = 64) name = { name; weight; queue_bound }
 
 let default = make "default"
 
@@ -13,8 +8,7 @@ let validate t =
   if t.name = "" then invalid_arg "Tenant: name must be non-empty";
   if t.weight < 1 then invalid_arg (Printf.sprintf "Tenant %s: weight must be >= 1" t.name);
   if t.queue_bound < 1 then
-    invalid_arg (Printf.sprintf "Tenant %s: queue_bound must be >= 1" t.name);
-  match t.quota with None -> () | Some q -> Quota_ctl.validate q
+    invalid_arg (Printf.sprintf "Tenant %s: queue_bound must be >= 1" t.name)
 
 let validate_all ts =
   if ts = [] then invalid_arg "Tenant: at least one tenant required";

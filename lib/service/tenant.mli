@@ -1,13 +1,12 @@
 (** Tenant descriptors for the multi-tenant front door.
 
     A tenant is one admission lane of the service: it owns a bounded
-    queue inside {!Fair_queue}, a deficit-round-robin weight (its
-    guaranteed share of dispatch slots under contention), and — under
-    a [Dfdeques] pool — its own adaptive memory-threshold budget
-    ({!Quota_ctl}).  Isolation is the point: one tenant exhausting its
-    queue or blowing its K budget degrades only that tenant's lane, never its
-    neighbours' (the admission-level analogue of the paper's per-deque
-    locality regions). *)
+    queue inside {!Fair_queue} and a deficit-round-robin weight (its
+    guaranteed share of dispatch slots under contention).  Isolation is
+    the point: one tenant exhausting its queue degrades only that
+    tenant's lane, never its neighbours' (the admission-level analogue
+    of the paper's per-deque locality regions).  Every lane runs at the
+    service pool's one memory threshold K. *)
 
 type t = {
   name : string;  (** unique lane name; ["default"] is the implicit single lane. *)
@@ -15,13 +14,9 @@ type t = {
   queue_bound : int;
       (** bound on the tenant's in-service load (queued + pending
           retries + in flight), [>= 1]. *)
-  quota : Quota_ctl.config option;
-      (** per-tenant adaptive-K budget; [None] inherits the service
-          config's template (or runs without one under
-          [Work_stealing]). *)
 }
 
-val make : ?weight:int -> ?queue_bound:int -> ?quota:Quota_ctl.config -> string -> t
+val make : ?weight:int -> ?queue_bound:int -> string -> t
 (** [make name] with weight 1 and bound 64. *)
 
 val default : t

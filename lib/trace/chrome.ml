@@ -2,7 +2,7 @@ let category (k : Event.kind) =
   match k with
   | Event.Fork _ | Event.Join _ -> "task"
   | Event.Steal_attempt _ | Event.Steal_success _ | Event.Steal_rank _ -> "steal"
-  | Event.Quota_exhausted _ | Event.Quota_adjusted _ -> "quota"
+  | Event.Quota_exhausted _ -> "quota"
   | Event.Dummy_exec -> "dummy"
   | Event.Deque_created _ | Event.Deque_deleted _ -> "deque"
   | Event.Cache_miss_stall _ -> "cache"
@@ -96,17 +96,6 @@ let render (e : Event.t) : Json.t list =
     [ instant e [ ("misses", Json.Int misses); ("stall", Json.Int stall) ] ]
   | Event.Lock_wait { mutex } -> [ instant e [ ("mutex", Json.Int mutex) ] ]
   | Event.Fault_injected { fault } -> [ instant e [ ("fault", Json.String fault) ] ]
-  | Event.Quota_adjusted { from_quota; to_quota; pressure } ->
-    (* both an instant (the decision) and a counter track (the K level) *)
-    [
-      instant e
-        [
-          ("from_quota", Json.Int from_quota);
-          ("to_quota", Json.Int to_quota);
-          ("pressure", Json.Int pressure);
-        ];
-      counter_event ~ts:e.ts "quota K" "bytes" to_quota;
-    ]
   | Event.Steal_rank { victim; rank; err } ->
     [
       instant e

@@ -12,7 +12,6 @@ type kind =
   | Action_batch of { units : int }
   | Counter of { deques : int; heap : int; threads : int }
   | Fault_injected of { fault : string }
-  | Quota_adjusted of { from_quota : int; to_quota : int; pressure : int }
   | Steal_rank of { victim : int; rank : int; err : int }
 
 type t = { ts : int; proc : int; tid : int; kind : kind }
@@ -31,8 +30,7 @@ let kind_index = function
   | Action_batch _ -> 10
   | Counter _ -> 11
   | Fault_injected _ -> 12
-  | Quota_adjusted _ -> 13
-  | Steal_rank _ -> 14
+  | Steal_rank _ -> 13
 
 let kind_names =
   [|
@@ -49,7 +47,6 @@ let kind_names =
     "action_batch";
     "counter";
     "fault_injected";
-    "quota_adjusted";
     "steal_rank";
   |]
 
@@ -80,12 +77,6 @@ let to_json e =
     | Counter { deques; heap; threads } ->
       [ ("deques", Json.Int deques); ("heap", Json.Int heap); ("threads", Json.Int threads) ]
     | Fault_injected { fault } -> [ ("fault", Json.String fault) ]
-    | Quota_adjusted { from_quota; to_quota; pressure } ->
-      [
-        ("from_quota", Json.Int from_quota);
-        ("to_quota", Json.Int to_quota);
-        ("pressure", Json.Int pressure);
-      ]
     | Steal_rank { victim; rank; err } ->
       [ ("victim", Json.Int victim); ("rank", Json.Int rank); ("err", Json.Int err) ]
   in
@@ -117,9 +108,6 @@ let of_json j =
       Counter { deques = int "deques"; heap = int "heap"; threads = int "threads" }
     | "fault_injected" ->
       Fault_injected { fault = Json.to_string_exn (Json.member "fault" j) }
-    | "quota_adjusted" ->
-      Quota_adjusted
-        { from_quota = int "from_quota"; to_quota = int "to_quota"; pressure = int "pressure" }
     | "steal_rank" -> Steal_rank { victim = int "victim"; rank = int "rank"; err = int "err" }
     | s -> raise (Json.Parse_error ("unknown event kind " ^ s))
   in

@@ -6,10 +6,9 @@
     microseconds since pool creation.  [proc] is the simulated processor
     or worker-domain index, [-1] when the event is machine-wide rather
     than tied to one processor; [tid] is the executing thread id, [-1]
-    when no thread is associated.  The two conventions are independent:
-    a {!kind.Quota_adjusted} decision has [proc = -1] but may carry a
-    [tid], while a {!kind.Counter} sample is machine-wide on both axes
-    and always carries [proc = -1] {e and} [tid = -1] (asserted by
+    when no thread is associated.  The two conventions are independent;
+    a {!kind.Counter} sample is machine-wide on both axes and always
+    carries [proc = -1] {e and} [tid = -1] (asserted by
     [test/validate_trace.ml] on the exported trace and by [test_trace]
     on the raw stream).
 
@@ -55,12 +54,6 @@ type kind =
           fired here; [fault] is the injected kind ("stall",
           "steal_fail", ...).  The native pool notes a task that raised
           with [fault = "task_exn"]. *)
-  | Quota_adjusted of { from_quota : int; to_quota : int; pressure : int }
-      (** The adaptive quota controller ({!Dfd_service.Quota_ctl}) moved
-          the DFDeques memory threshold K from [from_quota] to [to_quota]
-          in response to observed allocation [pressure] (bytes per control
-          interval) — the graceful-degradation lever on the Theorem 4.4
-          space bound. *)
   | Steal_rank of { victim : int; rank : int; err : int }
       (** A successful DFDeques steal under the relaxed R-list: the
           victim deque [victim] (its [did]) sat at 0-based position

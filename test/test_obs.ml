@@ -212,14 +212,10 @@ let test_headroom_budget_arithmetic () =
   checkb "ratio = (budget - peak) / budget" true
     (let b = float_of_int (Headroom.budget hr) in
      Float.abs (Headroom.headroom_ratio hr -. ((b -. 50.0) /. b)) < 1e-9);
-  Headroom.set_quota hr 200;
-  checki "min(K, S1) saturates at S1" (100 + (8 * 100 * 2 * 4)) (Headroom.budget hr);
+  let wide = Headroom.create ~registry:Registry.disabled ~policy:"w" ~s1:100 ~depth:4 ~p:2 ~k:200 () in
+  checki "min(K, S1) saturates at S1" (100 + (8 * 100 * 2 * 4)) (Headroom.budget wide);
   Headroom.set_premature hr 7;
   checki "absolute premature" 7 (Headroom.premature hr);
-  checki "first pressure measures from 0" 100 (Headroom.take_pressure hr ~cumulative_alloc:100);
-  checki "pressure is the delta" 150 (Headroom.take_pressure hr ~cumulative_alloc:250);
-  Headroom.reset_pressure hr;
-  checki "reset rebases at 0" 50 (Headroom.take_pressure hr ~cumulative_alloc:50);
   (* the gauges read the profiler's fields under the policy label *)
   let lbl n = n ^ "{policy=\"t\"}" in
   List.iter
@@ -229,13 +225,21 @@ let test_headroom_budget_arithmetic () =
       ("dfd_space_peak_bytes", 50);
       ("dfd_space_budget_bytes", Headroom.budget hr);
       ("dfd_space_premature_nodes", 7);
-      ("dfd_space_alloc_rate_bytes", 50);
     ];
-  (* the fork depths of premature nodes are the engine's series alone *)
-  checkb "no dfd_space_premature_depth family" false
-    (List.exists
-       (fun s -> fst (Registry.split_labeled s.Registry.name) = "dfd_space_premature_depth")
-       (Registry.snapshot reg))
+  (* these five are the whole family: the fork depths of premature
+     nodes are the engine's series alone, and K is fixed at [create], so
+     there is no allocation-pressure gauge *)
+  Alcotest.(check (list string))
+    "gauge families"
+    [
+      "dfd_space_budget_bytes";
+      "dfd_space_headroom_ratio";
+      "dfd_space_live_bytes";
+      "dfd_space_peak_bytes";
+      "dfd_space_premature_nodes";
+    ]
+    (List.sort compare
+       (List.map (fun s -> fst (Registry.split_labeled s.Registry.name)) (Registry.snapshot reg)))
 
 let test_headroom_degenerate () =
   let reg = Registry.create () in

@@ -1037,26 +1037,6 @@ let test_alloc_hint_negative () =
              (has_sub (Pool.snapshot pool) (Printf.sprintf "quota_left[worker 0]=%d\n" k))))
     policies
 
-let test_dynamic_quota () =
-  with_pool (Pool.Dfdeques { quota = 10_000 }) (fun pool ->
-      Alcotest.(check (option int)) "initial quota" (Some 10_000) (Pool.quota pool);
-      checki "still correct after shrink" 6765 (Pool.run ~quota:2_500 pool (fun () -> fib 20));
-      Alcotest.(check (option int)) "adjusted quota" (Some 2_500) (Pool.quota pool);
-      checkb "run ~quota rejects non-positive" true
-        (try
-           Pool.run ~quota:0 pool (fun () -> ());
-           false
-         with Invalid_argument _ -> true);
-      Alcotest.(check (option int)) "a rejected quota is not stored" (Some 2_500)
-        (Pool.quota pool));
-  with_pool Pool.Work_stealing (fun pool ->
-      Alcotest.(check (option int)) "WS pool has no quota" None (Pool.quota pool);
-      checkb "run ~quota rejects WS pools" true
-        (try
-           Pool.run ~quota:100 pool (fun () -> ());
-           false
-         with Invalid_argument _ -> true))
-
 let test_alloc_bytes_counter () =
   List.iter
     (fun (policy, name) ->
@@ -1159,7 +1139,6 @@ let () =
           Alcotest.test_case "two consecutive timeouts" `Quick test_two_consecutive_timeouts;
           Alcotest.test_case "alloc_hint outside run" `Quick test_alloc_hint_outside_run;
           Alcotest.test_case "negative alloc_hint rejected" `Quick test_alloc_hint_negative;
-          Alcotest.test_case "dynamic quota" `Quick test_dynamic_quota;
           Alcotest.test_case "alloc_bytes counter" `Quick test_alloc_bytes_counter;
           Alcotest.test_case "timeout not spurious" `Quick test_timeout_not_spurious;
           Alcotest.test_case "background run observed" `Quick test_background_run_observed;

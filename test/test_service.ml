@@ -1,22 +1,17 @@
 (* Tests for the supervised job service (lib/service): the seeded
-   full-jitter retry policy (property-tested), the adaptive-K quota
-   controller (unit-tested on the logical clock), the weighted-fair
+   full-jitter retry policy (property-tested), the weighted-fair
    admission queue (DRR order unit-tested, the weight-share bound
    property-tested), submission handles, and the service itself
    end-to-end against a real pool — exactly-once ledger, non-blocking
    admission, cancellation, deadline/retry layering, wedge detection
-   with pool respawn, multi-tenant shed ordering, and the adaptive-K
-   control loop reacting to allocation pressure. *)
+   with pool respawn and multi-tenant shed ordering. *)
 
 module Service = Dfd_service.Service
 module Handle = Dfd_service.Handle
 module Tenant = Dfd_service.Tenant
 module Fair_queue = Dfd_service.Fair_queue
 module Retry = Dfd_service.Retry
-module Quota_ctl = Dfd_service.Quota_ctl
 module Pool = Dfd_runtime.Pool
-module Tracer = Dfd_trace.Tracer
-module Event = Dfd_trace.Event
 module Stats = Dfd_structures.Stats
 
 let checki = Alcotest.(check int)
@@ -185,53 +180,6 @@ let test_handle_lifecycle () =
     (List.hd !log = ("late", 1))
 
 (* ------------------------------------------------------------------ *)
-(* Quota controller: AIMD on the logical clock                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_quota_ctl_shrink_floor_recover () =
-  let cfg =
-    {
-      Quota_ctl.k_init = 16_000;
-      k_min = 2_000;
-      k_max = 16_000;
-      high_watermark = 10_000;
-      low_watermark = 2_000;
-      recover_steps = 2;
-    }
-  in
-  let qc = Quota_ctl.create cfg in
-  (match Quota_ctl.observe qc ~now:1 ~pressure:100_000 with
-   | Quota_ctl.Shrink { from_quota = 16_000; to_quota = 8_000 } -> ()
-   | _ -> Alcotest.fail "expected first shrink 16000 -> 8000");
-  ignore (Quota_ctl.observe qc ~now:2 ~pressure:100_000);
-  ignore (Quota_ctl.observe qc ~now:3 ~pressure:100_000);
-  checki "pinned at the floor" 2_000 (Quota_ctl.quota qc);
-  (match Quota_ctl.observe qc ~now:4 ~pressure:100_000 with
-   | Quota_ctl.Steady -> ()
-   | _ -> Alcotest.fail "at the floor, high pressure must hold steady");
-  (* calm: the EWMA decays, then K doubles every [recover_steps] *)
-  let grows = ref 0 in
-  for i = 5 to 60 do
-    match Quota_ctl.observe qc ~now:i ~pressure:0 with
-    | Quota_ctl.Grow _ -> incr grows
-    | _ -> ()
-  done;
-  checki "recovered to the ceiling" 16_000 (Quota_ctl.quota qc);
-  checki "three doublings back" 3 !grows;
-  checkb "trajectory recorded every move" true
-    (List.length (Quota_ctl.trajectory qc) = 3 + 3)
-
-let test_quota_ctl_validates () =
-  let bad cfg = try Quota_ctl.validate cfg; false with Invalid_argument _ -> true in
-  let base = Quota_ctl.default_config in
-  checkb "k_min > 0" true (bad { base with Quota_ctl.k_min = 0 });
-  checkb "k_max >= k_min" true (bad { base with Quota_ctl.k_max = base.Quota_ctl.k_min - 1 });
-  checkb "k_init in range" true (bad { base with Quota_ctl.k_init = base.Quota_ctl.k_max + 1 });
-  checkb "watermarks ordered" true
-    (bad { base with Quota_ctl.low_watermark = base.Quota_ctl.high_watermark + 1 });
-  checkb "recover_steps >= 1" true (bad { base with Quota_ctl.recover_steps = 0 })
-
-(* ------------------------------------------------------------------ *)
 (* Service end-to-end                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -243,8 +191,8 @@ let base_config =
     retry = { Retry.max_attempts = 3; base_delay = 1; max_delay = 4 };
   }
 
-let with_service ?(config = base_config) ?tracer policy f =
-  let svc = Service.create ?tracer ~config policy in
+let with_service ?(config = base_config) policy f =
+  let svc = Service.create ~config policy in
   (* [reap] is only safe when a test has released its wedge tasks; tests
      that wedge call shutdown themselves *)
   Fun.protect ~finally:(fun () -> try Service.shutdown svc with _ -> ()) (fun () -> f svc)
@@ -590,51 +538,6 @@ let test_terminal_errors_not_retried () =
        | Ok () -> ()
        | Error m -> Alcotest.fail ("ledger audit: " ^ m)))
 
-(* The ISSUE acceptance test for the control loop: an allocation spike
-   observed through the pool's [alloc_bytes] counter drives K down (via
-   [Pool.run ?quota], with [Quota_adjusted] trace events), and a calm
-   stretch restores it to the ceiling. *)
-let test_adaptive_quota_reacts () =
-  let qcfg =
-    {
-      Quota_ctl.k_init = 32_000;
-      k_min = 4_000;
-      k_max = 32_000;
-      high_watermark = 20_000;
-      low_watermark = 5_000;
-      recover_steps = 2;
-    }
-  in
-  let config = { base_config with Service.quota_ctl = Some qcfg } in
-  let tracer = Tracer.create () in
-  with_service ~config ~tracer (Pool.Dfdeques { quota = 32_000 }) (fun svc ->
-      checki "starts at k_init" 32_000 (Option.get (Service.quota svc));
-      (* allocation spikes: each job reports 200 kB, far above the
-         high watermark; only the first admission is asserted here *)
-      checkb "first spike admitted" true
-        (Result.is_ok (sub svc ~class_:"spike" (fun () -> Pool.alloc_hint 200_000)));
-      Service.step svc;
-      for _ = 1 to 3 do
-        ignore (Service.submit svc ~class_:"spike" (fun () -> Pool.alloc_hint 200_000));
-        Service.step svc
-      done;
-      Service.step svc;
-      (* one more tick so the last spike's pressure is observed *)
-      let shrunk = Option.get (Service.quota svc) in
-      checkb "spike drove K down" true (shrunk < 32_000);
-      checkb "trajectory shows the shrink" true
-        (List.exists (fun (_, k) -> k < 32_000) (Service.quota_trajectory svc));
-      (* calm: idle steps with zero pressure until the controller
-         recovers the ceiling *)
-      for _ = 1 to 40 do
-        Service.step svc
-      done;
-      checki "calm restored K to the ceiling" 32_000 (Option.get (Service.quota svc));
-      checkb "Quota_adjusted events were traced" true
-        (Tracer.count tracer
-           (Event.Quota_adjusted { from_quota = 0; to_quota = 0; pressure = 0 })
-         > 0))
-
 let () =
   Alcotest.run "service"
     [
@@ -653,11 +556,6 @@ let () =
         ] );
       ( "handle",
         [ Alcotest.test_case "lifecycle and callbacks" `Quick test_handle_lifecycle ] );
-      ( "quota_ctl",
-        [
-          Alcotest.test_case "shrink, floor, recover" `Quick test_quota_ctl_shrink_floor_recover;
-          Alcotest.test_case "config validation" `Quick test_quota_ctl_validates;
-        ] );
       ( "service",
         [
           Alcotest.test_case "all complete exactly once" `Quick test_all_complete_exactly_once;
@@ -676,6 +574,5 @@ let () =
           Alcotest.test_case "supervisor gives up" `Quick test_supervisor_gives_up;
           Alcotest.test_case "terminal errors not retried" `Quick
             test_terminal_errors_not_retried;
-          Alcotest.test_case "adaptive K reacts" `Quick test_adaptive_quota_reacts;
         ] );
     ]

@@ -72,12 +72,13 @@ let all_kinds =
     Event.Action_batch { units = 8 };
     Event.Counter { deques = 4; heap = 123_456; threads = 78 };
     Event.Fault_injected { fault = "steal_fail" };
-    Event.Quota_adjusted { from_quota = 50_000; to_quota = 25_000; pressure = 80_000 };
     Event.Steal_rank { victim = 11; rank = 5; err = 2 };
   ]
 
 let test_event_roundtrip () =
   checki "vocabulary covered" Event.n_kinds (List.length all_kinds);
+  (* [all_kinds] lists the kinds in id order, so the ids are dense *)
+  List.iteri (fun i kind -> checki (Event.kind_name kind ^ " id") i (Event.kind_index kind)) all_kinds;
   List.iteri
     (fun i kind ->
        let e = { Event.ts = 100 + i; proc = i mod 4; tid = i - 1; kind } in
@@ -106,10 +107,6 @@ let event_gen =
         map
           (fun fault -> Event.Fault_injected { fault })
           (oneofl [ "stall"; "steal_fail"; "task_exn"; "alloc_spike"; "lock_delay" ]);
-        map3
-          (fun from_quota to_quota pressure ->
-             Event.Quota_adjusted { from_quota; to_quota; pressure })
-          small small small;
         map3 (fun victim rank err -> Event.Steal_rank { victim; rank; err }) small (0 -- 64)
           (0 -- 64);
       ]

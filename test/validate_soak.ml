@@ -32,8 +32,11 @@ let () =
    | Json.String p -> fail "unknown plan %S" p
    | _ -> fail "missing plan");
   let config = Json.member "config" j in
-  (match Json.member "policy" config with
-   | Json.String ("dfd" | "ws") -> ()
+  (* a dfd pool runs at one positive K; a ws pool has none *)
+  (match (Json.member "policy" config, Json.member "quota" config) with
+   | Json.String "dfd", Json.Int k -> if k <= 0 then fail "non-positive dfd quota %d" k
+   | Json.String "ws", Json.Null -> ()
+   | Json.String ("dfd" | "ws"), _ -> fail "config quota does not match its policy"
    | _ -> fail "config missing policy");
   let lanes =
     match Json.member "tenants" config with
@@ -122,19 +125,6 @@ let () =
   if !rejected <> !shed then fail "rejected ledger entries disagree with shed submissions";
   if c "duplicate_acks" <> 0 then fail "duplicate acknowledgements reported";
   if c "wedges" <> c "respawns" then fail "wedge/respawn counters disagree";
-  let check_quota_moves moves =
-    List.iter
-      (function
-        | Json.List [ Json.Int s; Json.Int k ] ->
-          if s < 1 then fail "quota move at non-positive step";
-          if k <= 0 then fail "non-positive quota in trajectory"
-        | _ -> fail "malformed quota move")
-      moves
-  in
-  (* trajectories: well-formed tuples over the logical clock *)
-  (match Json.member "quota_trajectory" j with
-   | Json.List moves -> check_quota_moves moves
-   | _ -> fail "no quota_trajectory");
   (* per-tenant stats, headroom, merged latency — all schema-checked and
      cross-checked against the global counters *)
   let quantiles q =
@@ -174,13 +164,7 @@ let () =
         | Json.Null -> ()
         | Json.Int s -> if s < 1 then fail "first_shed_step before step 1"
         | _ -> fail "malformed first_shed_step");
-       sum_lat := !sum_lat + quantiles (Json.member "latency_steps" t);
-       (match Json.member "quota" t with
-        | Json.Null | Json.Int _ -> ()
-        | _ -> fail "malformed tenant quota");
-       match Json.member "quota_trajectory" t with
-       | Json.List moves -> check_quota_moves moves
-       | _ -> fail "tenant stats without quota_trajectory")
+       sum_lat := !sum_lat + quantiles (Json.member "latency_steps" t))
     tenants;
   if !sum_acc <> c "accepted" then fail "per-tenant accepted do not sum to the global counter";
   if !sum_rej <> !shed then fail "per-tenant rejections do not sum to the shed submissions";
