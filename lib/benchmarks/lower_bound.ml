@@ -24,8 +24,6 @@ let prog ~p ~d ~a_bytes () =
   let leaf i = if i = 0 then subgraph_g0 ~d else subgraph_g ~d ~a_bytes in
   finish (par_iter ~lo:0 ~hi:leaves leaf)
 
-let expected_serial_space ~a_bytes = a_bytes
-
 let bench ?(p = 8) ?(d = 64) ?(a_bytes = 1024) grain =
   Workload.make ~name:"LowerBound"
     ~description:

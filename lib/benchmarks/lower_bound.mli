@@ -16,7 +16,4 @@
 
 val prog : p:int -> d:int -> a_bytes:int -> unit -> Dfd_dag.Prog.t
 
-val expected_serial_space : a_bytes:int -> int
-(** S1 of the constructed dag (= [a_bytes]: one allocation live at a time). *)
-
 val bench : ?p:int -> ?d:int -> ?a_bytes:int -> Workload.grain -> Workload.t

@@ -4,8 +4,8 @@
 
    These are deliberately thin: each oracle states one checkable claim
    and returns a [result] (or a report record) instead of asserting, so
-   every suite — unit, property, fault injection, and the schedule
-   explorer — can share the same checks and render its own diagnostics. *)
+   every suite — unit, property and the schedule explorer — can share
+   the same checks and render its own diagnostics. *)
 
 module Action = Dfd_dag.Action
 module Prog = Dfd_dag.Prog

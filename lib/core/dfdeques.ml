@@ -79,14 +79,6 @@ module P = struct
   let steal t ~proc : Sched_intf.acquired =
     let ctx = t.ctx in
     Metrics.steal_attempt ctx.Sched_intf.metrics;
-    if Dfd_fault.Fault.steal_fails ctx.Sched_intf.fault then begin
-      (* injected steal failure: the attempt is charged but finds nothing *)
-      if Tracer.enabled ctx.Sched_intf.tracer then
-        Tracer.emit ctx.Sched_intf.tracer ~ts:ctx.Sched_intf.now ~proc ~tid:(-1)
-          (Event.Fault_injected { fault = "steal_fail" });
-      No_work
-    end
-    else
     (* ablation: the paper targets the leftmost p deques (keeping steals
        near the depth-first frontier); victim_anywhere targets uniformly
        over all of R *)

@@ -7,8 +7,7 @@ module Metrics = Dfd_machine.Metrics
 module Prng = Dfd_structures.Prng
 module Tracer = Dfd_trace.Tracer
 module Event = Dfd_trace.Event
-module Fault = Dfd_fault.Fault
-module Watchdog = Dfd_fault.Watchdog
+module Watchdog = Dfd_structures.Watchdog
 module Registry = Dfd_obs.Registry
 module Headroom = Dfd_obs.Headroom
 module T = Thread_state
@@ -89,25 +88,22 @@ module Id_tbl = Hashtbl.Make (struct
   end)
 
 let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_000_000)
-    ?(tracer = Tracer.disabled) ?(fault = Fault.none) ?(no_progress_limit = 1000) ?observer
+    ?(tracer = Tracer.disabled) ?(no_progress_limit = 1000) ?observer
     ?sampler ?(registry = Registry.disabled) ?(flight = Tracer.disabled) ?headroom
     ~(sched : sched) (cfg : Config.t) (prog : Prog.t) : result =
   let p = cfg.p in
   let metrics = Metrics.create ~p in
   let rng = Prng.create cfg.seed in
   let ctx =
-    { Sched_intf.cfg; metrics; rng; tracer; fault; last_active = Array.make p 0; now = 0 }
+    { Sched_intf.cfg; metrics; rng; tracer; last_active = Array.make p 0; now = 0 }
   in
   let last_active = ctx.Sched_intf.last_active in
-  (* A tracer's and a fault plan's enabled flags are fixed for the run,
-     so they are read once here.  The events both rings take (quota
-     exhaustions, injected stalls, the per-step counter sample): the
-     payload is built once, and only when a ring is live.  A disabled
-     plan's draws ([stall_steps], [alloc_spike], [lock_delay]) draw
-     nothing and return 0, so with the plan off they are skipped. *)
+  (* A tracer's enabled flag is fixed for the run, so it is read once
+     here.  The events both rings take (quota exhaustions, the per-step
+     counter sample): the payload is built once, and only when a ring is
+     live. *)
   let traced = Tracer.enabled tracer in
   let rings_live = traced || Tracer.enabled flight in
-  let fault_on = Fault.enabled fault in
   let note_at ~ts ~proc ~tid kind =
     Tracer.emit tracer ~ts ~proc ~tid kind;
     Tracer.emit flight ~ts ~proc ~tid kind
@@ -175,7 +171,6 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
     Buffer.add_char b '\n';
     Printf.bprintf b "memory: heap=%d live_threads=%d\n" (Memory.heap_current memory)
       (Memory.live_threads memory);
-    Printf.bprintf b "faults injected: %d\n" (Fault.injected_total fault);
     for proc = 0 to p - 1 do
       Printf.bprintf b "P%d: %s avail=%d\n" proc
         (match curr.(proc) with
@@ -290,18 +285,7 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
       | Action.Alloc n ->
         Memory.alloc memory n;
         th.T.big_alloc_pending <- false;
-        if finite_k then begin
-          quota.(proc) <- quota.(proc) - n;
-          (* injected allocation spike: a burst past K charged against the
-             quota, forcing extra deque give-ups downstream *)
-          let spike = if fault_on then Fault.alloc_spike fault else 0 in
-          if spike > 0 then begin
-            if traced then
-              Tracer.emit tracer ~ts:ctx.Sched_intf.now ~proc ~tid:th.T.tid
-                (Event.Fault_injected { fault = "alloc_spike" });
-            quota.(proc) <- quota.(proc) - spike
-          end
-        end;
+        if finite_k then quota.(proc) <- quota.(proc) - n;
         extra
       | Action.Free n ->
         Memory.free memory n;
@@ -331,15 +315,7 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
         Queue.iter (fun w -> wake_cond_waiter proc w) waiters;
         Queue.clear waiters;
         extra
-      | Action.Lock _ ->
-        (* injected lock-hold delay: the winner keeps the mutex for extra
-           timesteps, stretching the critical section for everyone queued *)
-        let d = if fault_on then Fault.lock_delay fault else 0 in
-        if d > 0 && traced then
-          Tracer.emit tracer ~ts:ctx.Sched_intf.now ~proc ~tid:th.T.tid
-            (Event.Fault_injected { fault = "lock_delay" });
-        extra + d
-      | Action.Work _ | Action.Wait _ -> extra
+      | Action.Lock _ | Action.Work _ | Action.Wait _ -> extra
     in
     stall proc extra
   in
@@ -536,15 +512,14 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
     done
   in
 
-  (* with the fault plan off a free processor goes straight to its turn *)
   while root.T.state <> T.Done do
     let step = ctx.now + 1 in
     if step > max_steps then raise (Stuck (Printf.sprintf "exceeded %d timesteps" max_steps));
     (* If every processor is stalled (= executing) up to [first_free], the
-       steps before it run no turn: they draw no fault and no PRNG value,
-       and the state cannot change.  The clock jumps over them in one
-       assignment (stopping at [max_steps]), and the end-of-step observers
-       below take the whole span [step, ctx.now]. *)
+       steps before it run no turn: they draw no PRNG value, and the state
+       cannot change.  The clock jumps over them in one assignment
+       (stopping at [max_steps]), and the end-of-step observers below take
+       the whole span [step, ctx.now]. *)
     (* A branch-free min, unchecked past [avail.(0)]: every index here and
        in the turn loop below is a processor < p, the length of [avail].
        The difference of two non-negative timesteps cannot overflow, and
@@ -564,17 +539,7 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
          in a step writes the same [now], so one touch covers them all. *)
       let any_stalled = ref false in
       for proc = 0 to p - 1 do
-        if Array.unsafe_get avail proc > ctx.now then any_stalled := true
-        else if not fault_on then turn proc
-        else (
-          (* injected processor stall: the core freezes for a few timesteps
-             (descheduled / slowed), counted as occupied like any stall *)
-          match Fault.stall_steps fault with
-          | 0 -> turn proc
-          | s ->
-            if rings_live then note ~proc ~tid:(-1) (Event.Fault_injected { fault = "stall" });
-            progress ();
-            stall proc (s - 1))
+        if Array.unsafe_get avail proc > ctx.now then any_stalled := true else turn proc
       done;
       if !any_stalled then progress ()
     end;
@@ -584,8 +549,7 @@ let run ?(spin_locks = false) ?(check_invariants = false) ?(max_steps = 10_000_0
     if check_invariants then P.check_invariants pol;
     (* The flight ring keeps this machine-wide counter track in its last
        lane: on a wedge the dump shows the final few hundred timesteps of
-       heap / thread / deque history next to the per-proc fault and quota
-       events. *)
+       heap / thread / deque history next to the per-proc quota events. *)
     if rings_live then begin
       let sample =
         Event.Counter

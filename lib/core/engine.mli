@@ -20,10 +20,10 @@
 
     {b Advancing time.}  A timestep in which every processor is stalled
     (still executing a multi-timestep action or a miss penalty) runs no
-    scheduler turn, draws no fault and no random number, and changes no
-    state.  The engine therefore jumps its clock over each maximal run of
-    such timesteps in one assignment.  The per-timestep observers still
-    see every timestep of the span: one counter sample per timestep on
+    scheduler turn, draws no random number, and changes no state.  The
+    engine therefore jumps its clock over each maximal run of such
+    timesteps in one assignment.  The per-timestep observers still see
+    every timestep of the span: one counter sample per timestep on
     [tracer] and [flight], and a [sampler] call at every multiple of its
     period.  The observers of constant state — [check_invariants],
     [headroom] and the watchdog — look once per span.  [max_steps] stops
@@ -95,7 +95,6 @@ val run :
   ?check_invariants:bool ->
   ?max_steps:int ->
   ?tracer:Dfd_trace.Tracer.t ->
-  ?fault:Dfd_fault.Fault.t ->
   ?no_progress_limit:int ->
   ?observer:(now:int -> proc:int -> Thread_state.t -> Dfd_dag.Action.t -> unit) ->
   ?sampler:int * (now:int -> heap:int -> threads:int -> deques:int -> unit) ->
@@ -122,16 +121,9 @@ val run :
     lifecycle, cache-miss stalls, lock waits, executed actions, and one
     counter sample (live deques / heap / threads) per timestep.  The
     disabled default costs one branch per potential event.
-    [fault] (default {!Dfd_fault.Fault.none}): a seeded fault-injection
-    plan.  The engine consults it once per processor per timestep for
-    stalls, at each [Alloc] under finite K for allocation spikes, and at
-    each lock acquisition for lock-hold delays; the plugged policy
-    consults it at each steal attempt / queue dispatch for forced
-    failures.  The whole simulation stays deterministic: the same seed
-    and configuration replay the identical fault schedule.  Injections
-    are traced as [Fault_injected] events when a tracer is active.
-    [no_progress_limit] (default 1000): timesteps without an executed
-    action before the no-progress watchdog declares deadlock/livelock;
+    [no_progress_limit] (default 1000): timesteps in which no processor
+    executed an action or was stalled, before the no-progress watchdog
+    declares deadlock/livelock;
     the raised {!Deadlock} carries a diagnostic snapshot (policy
     counters, memory state, per-processor activity, the recent trace
     ring).
@@ -147,9 +139,9 @@ val run :
     registry answers mid-run snapshots and retains the final values after
     the run returns.
     [flight] (default {!Dfd_trace.Tracer.disabled}): crash-forensics
-    ring; the engine records quota exhaustions and injected stalls on
-    each processor's lane and a machine-wide counter sample per timestep
-    on the last lane (size it [~capacity:256 ~lanes:(p + 1)]).
+    ring; the engine records quota exhaustions on each processor's lane
+    and a machine-wide counter sample per timestep on the last lane
+    (size it [~capacity:256 ~lanes:(p + 1)]).
     [headroom] : a {!Dfd_obs.Headroom} gauge family fed every timestep
     (once per all-stalled span, across which they do not change) with
     the live heap bytes and the heavy-premature count; create it

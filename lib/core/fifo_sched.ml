@@ -14,15 +14,6 @@ module P = struct
   let register_root t root = Queue.push root t.q
 
   let acquire t ~proc : Sched_intf.acquired =
-    if Dfd_fault.Fault.steal_fails t.ctx.Sched_intf.fault then begin
-      (* injected dispatch failure: the global-queue access finds nothing
-         (lost arbitration under contention) *)
-      if Dfd_trace.Tracer.enabled t.ctx.Sched_intf.tracer then
-        Dfd_trace.Tracer.emit t.ctx.Sched_intf.tracer ~ts:t.ctx.Sched_intf.now ~proc ~tid:(-1)
-          (Dfd_trace.Event.Fault_injected { fault = "steal_fail" });
-      No_work
-    end
-    else
     match Queue.take_opt t.q with
     | Some th ->
       let ctx = t.ctx in

@@ -26,14 +26,6 @@ module P = struct
   let steal t ~proc : Sched_intf.acquired =
     let ctx = t.ctx in
     Metrics.steal_attempt ctx.Sched_intf.metrics;
-    if Dfd_fault.Fault.steal_fails ctx.Sched_intf.fault then begin
-      (* injected steal failure: the attempt is charged but finds nothing *)
-      if Tracer.enabled ctx.Sched_intf.tracer then
-        Tracer.emit ctx.Sched_intf.tracer ~ts:ctx.Sched_intf.now ~proc ~tid:(-1)
-          (Event.Fault_injected { fault = "steal_fail" });
-      No_work
-    end
-    else
     let p = ctx.Sched_intf.cfg.Dfd_machine.Config.p in
     let victim = Prng.int ctx.Sched_intf.rng p in
     if Tracer.enabled ctx.Sched_intf.tracer then

@@ -1120,11 +1120,6 @@ let alloc_hint n =
        would silently touch no quota, which hides bugs — reject it *)
     raise Not_in_pool
 
-let quota pool =
-  match pool.policy with
-  | Work_stealing -> None
-  | Dfdeques _ -> Some pool.dfd_quota
-
 let heartbeat pool =
   Array.fold_left (fun acc c -> acc + c.c_tasks_run) 0 pool.per_worker
 

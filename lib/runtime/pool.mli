@@ -115,8 +115,7 @@ val create :
     emit is lock-free; never share a ring between live pools.  With
     tracing off the hot paths never read the clock.  Raises
     [Invalid_argument] if an enabled [tracer] or [flight] has fewer than
-    [n_workers] lanes.  The pool injects no faults: fault injection
-    belongs to the simulator.
+    [n_workers] lanes.
 
     [registry] (default {!Dfd_obs.Registry.disabled}): live-telemetry
     plane.  The pool publishes its [dfd_pool_*] series there as
@@ -135,16 +134,15 @@ val create :
     exceptions) are recorded into it — as into [tracer] — and a
     supervisor dumps it ({!Dfd_trace.Tracer.write_file}) on [Timeout],
     watchdog kill or give-up, without enabling full tracing.  A task
-    exception is noted as [Fault_injected {fault = "task_exn"}], the
-    event the simulator's fault layer also uses.  Same lane rule as
-    [tracer]: one ring per pool, [n_workers] lanes, never shared between
-    live pools. *)
+    exception is noted as [Fault_injected {fault = "task_exn"}].  Same
+    lane rule as [tracer]: one ring per pool, [n_workers] lanes, never
+    shared between live pools. *)
 
 val run : ?timeout:float -> t -> (unit -> 'a) -> 'a
 (** Execute a task (and all the parallel work it forks) to completion on
     the pool; the calling thread works too.  Re-entrant calls from inside
     pool tasks raise {!Nested_run}.  Every run uses the memory threshold
-    K the pool was created with ({!quota}).
+    K the pool was created with (the {!Dfdeques} [quota]).
 
     [timeout] (seconds, wall clock): cancel the computation and raise
     {!Timeout} once the deadline passes.  Cancellation is cooperative —
@@ -185,10 +183,6 @@ val alloc_hint : int -> unit
     a hint reports allocation, never a free.  Called from outside {!run} it raises {!Not_in_pool},
     like every other pool operation — a hint with no pool to charge is
     a bug, not a no-op. *)
-
-val quota : t -> int option
-(** The memory threshold K of a {!Dfdeques} pool; [None] under
-    {!Work_stealing}. *)
 
 type counters = {
   steals : int;  (** successful steals *)

@@ -1,4 +1,4 @@
-type 'a status = Queued | Running | Done of 'a
+type 'a status = Queued | Done of 'a
 
 type 'a t = {
   id : int;
@@ -15,11 +15,7 @@ let tenant t = t.tenant
 
 let status t = t.status
 
-let is_done t = match t.status with Done _ -> true | _ -> false
-
-let set_running t = if not (is_done t) then t.status <- Running
-
-let set_queued t = if not (is_done t) then t.status <- Queued
+let is_done t = match t.status with Done _ -> true | Queued -> false
 
 let resolve t outcome =
   if not (is_done t) then begin
@@ -32,4 +28,4 @@ let resolve t outcome =
 let on_done t f =
   match t.status with
   | Done outcome -> f outcome
-  | Queued | Running -> t.callbacks <- f :: t.callbacks
+  | Queued -> t.callbacks <- f :: t.callbacks

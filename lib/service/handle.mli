@@ -1,10 +1,12 @@
 (** Submission handles for the non-blocking front door.
 
     [Service.submit] returns immediately with a handle; the job's
-    lifecycle (queued → running → terminal outcome) is observable
-    through it.  The type is polymorphic in the outcome so this module
-    stays free of a dependency cycle with {!Service}, which instantiates
-    ['a] with its [outcome] type.
+    lifecycle (queued → terminal outcome) is observable through it.
+    There is no running state: the driver thread runs each attempt to
+    completion inside one [Service.step], so no reader of a handle can
+    see an attempt in flight.  The type is polymorphic in the outcome
+    so this module stays free of a dependency cycle with {!Service},
+    which instantiates ['a] with its [outcome] type.
 
     Handles are driven from the service's single driver thread:
     {!resolve} runs the registered callbacks synchronously on that
@@ -12,8 +14,9 @@
     must be quick and must not re-enter the service. *)
 
 type 'a status =
-  | Queued  (** admitted: waiting in its tenant's lane or between retries. *)
-  | Running  (** an attempt is executing on the pool right now. *)
+  | Queued
+      (** admitted, not yet settled: in its tenant's lane, between
+          retries, or inside the driver's step that runs it. *)
   | Done of 'a  (** terminal; never changes again. *)
 
 type 'a t
@@ -29,13 +32,6 @@ val tenant : 'a t -> string
 val status : 'a t -> 'a status
 
 val is_done : 'a t -> bool
-
-val set_running : 'a t -> unit
-(** Driver only; no-op once {!is_done}. *)
-
-val set_queued : 'a t -> unit
-(** Driver only (an attempt failed and a retry was scheduled); no-op
-    once {!is_done}. *)
 
 val resolve : 'a t -> 'a -> unit
 (** Transition to [Done] and fire the callbacks in registration order.

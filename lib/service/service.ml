@@ -725,8 +725,6 @@ let verify_ledger t =
     (lanes_in_order t);
   match !problem with None -> Ok () | Some m -> Error m
 
-let pool_counters t = Pool.counters t.epoch.pool
-
 (* ------------------------------------------------------------------ *)
 (* Telemetry exposition                                                 *)
 (* ------------------------------------------------------------------ *)

@@ -9,7 +9,9 @@
       runs the job inline: it returns a {!handle} immediately.  The
       caller observes progress through {!poll} / {!await} / completion
       callbacks ({!Handle.on_done}) and may {!cancel} a job that has not
-      started.
+      started.  A handle reads [Queued] until its job settles: attempts
+      run to completion inside the driver's {!step}, so none is ever
+      observably running.
     - {b Weighted-fair isolation} ({!Tenant}, {!Fair_queue}) — each
       tenant owns a bounded lane dispatched by deficit round-robin.  The
       lane bound is the one admission defence: a submission that finds
@@ -115,7 +117,12 @@ val create :
     [headroom_s1] / [headroom_depth] (default 0) are configuration
     estimates of serial space and dag depth for the Theorem-4.4 budget
     gauge — the service cannot derive them because the dag is unknown
-    until executed; the simulator path computes them exactly. *)
+    until executed; the simulator path computes them exactly.  The
+    budget's K is the policy's; a {!Dfd_runtime.Pool.Work_stealing}
+    service has none and uses K = 0, so its budget is [headroom_s1]
+    alone.  [repro metrics] maps an infinite K to K = S1 instead; the
+    service keeps the tighter ceiling because one attempt's peak is one
+    job's allocation, which S1 already bounds (DESIGN.md §12). *)
 
 val submit :
   t ->
@@ -234,9 +241,6 @@ val verify_ledger : t -> (unit, string) result
     per tenant: each lane's accepted, completed, failed, rejected and
     cancelled counts match its own ledger entries.
     [Error msg] pinpoints the first violation. *)
-
-val pool_counters : t -> Dfd_runtime.Pool.counters
-(** Counters of the {e current} pool incarnation. *)
 
 val registry : t -> Dfd_obs.Registry.t
 (** The telemetry registry this service publishes into. *)

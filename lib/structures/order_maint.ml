@@ -8,7 +8,6 @@ type label = {
 type t = {
   mutable first : label;
   mutable n : int;
-  mutable relabels : int;
 }
 
 (* Tags live in [0, max_tag]; we keep them spread out so gaps usually
@@ -17,11 +16,9 @@ let max_tag = 1 lsl 60
 
 let create () =
   let base = { tag = max_tag / 2; live = true; l_prev = None; l_next = None } in
-  ({ first = base; n = 1; relabels = 0 }, base)
+  ({ first = base; n = 1 }, base)
 
 let size t = t.n
-
-let relabel_count t = t.relabels
 
 let check l = if not l.live then invalid_arg "Order_maint: dead label"
 
@@ -32,7 +29,6 @@ let compare a b =
 
 (* Spread all labels evenly across the tag space. *)
 let relabel t =
-  t.relabels <- t.relabels + 1;
   let gap = max 1 (max_tag / (t.n + 1)) in
   let rec walk node tag =
     node.tag <- tag;

@@ -36,6 +36,3 @@ val compare : label -> label -> int
 
 val size : t -> int
 (** Number of live labels. *)
-
-val relabel_count : t -> int
-(** How many full relabellings happened (observability for tests). *)

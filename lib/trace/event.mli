@@ -50,10 +50,10 @@ type kind =
           threads — the counter tracks of the Chrome export.  Emitted
           machine-wide with both [proc = -1] and [tid = -1]. *)
   | Fault_injected of { fault : string }
-      (** The simulator's fault-injection layer ({!Dfd_fault.Fault})
-          fired here; [fault] is the injected kind ("stall",
-          "steal_fail", ...).  The native pool notes a task that raised
-          with [fault = "task_exn"]. *)
+      (** A native pool task raised; the pool notes it with
+          [fault = "task_exn"].  The simulator emits none.  The kind keeps
+          its name and id so that traces and flight dumps keep one
+          schema. *)
   | Steal_rank of { victim : int; rank : int; err : int }
       (** A successful DFDeques steal under the relaxed R-list: the
           victim deque [victim] (its [did]) sat at 0-based position

@@ -16,7 +16,6 @@ module Workload = Dfd_benchmarks.Workload
 module Benchmarks = Dfd_benchmarks.Registry
 module Tracer = Dfd_trace.Tracer
 module Event = Dfd_trace.Event
-module Fault = Dfd_fault.Fault
 open Prog
 
 let checki = Alcotest.(check int)
@@ -485,20 +484,6 @@ let test_table_numbers_pinned () =
          (Engine.run ~sched table_cfg (table_prog name)))
     pinned
 
-(* A plan that is on but never fires takes the engine's fault path on every
-   free processor, where [Fault.none] skips it: both must give the pinned
-   numbers. *)
-let test_table_numbers_zero_rate_plan () =
-  List.iter
-    (fun (name, sched, numbers) ->
-       let fault = Fault.create ~rates:Fault.zero_rates ~seed:1 () in
-       check_pinned
-         (Printf.sprintf "%s %s zero-rate plan" name (Engine.sched_name sched))
-         numbers
-         (Engine.run ~sched ~fault table_cfg (table_prog name));
-       checki (name ^ " nothing injected") 0 (Fault.injected_total fault))
-    pinned
-
 (* One processor executes a single 5 000-unit action while the other three
    fail a steal every timestep (steal cost 1: no stall between attempts,
    so no step is jumped) for five times the watchdog's limit.  The
@@ -880,7 +865,6 @@ let () =
         [
           Alcotest.test_case "table numbers pinned" `Quick test_table_numbers_pinned;
           Alcotest.test_case "barnes-hut numbers pinned" `Quick test_barnes_hut_numbers_pinned;
-          Alcotest.test_case "zero-rate plan pinned" `Quick test_table_numbers_zero_rate_plan;
           Alcotest.test_case "long action is progress" `Quick test_long_action_is_progress;
           Alcotest.test_case "sampler every multiple" `Quick test_sampler_sees_every_multiple;
           Alcotest.test_case "counter every step" `Quick test_counter_track_covers_every_step;

@@ -5,7 +5,7 @@
    still runs real concurrent domains.) *)
 
 module Pool = Dfd_runtime.Pool
-module Watchdog = Dfd_fault.Watchdog
+module Watchdog = Dfd_structures.Watchdog
 module Stats = Dfd_structures.Stats
 module Registry = Dfd_obs.Registry
 
@@ -1032,7 +1032,9 @@ let test_alloc_hint_negative () =
            let c = Pool.counters pool in
            checki (name ^ " alloc_bytes untouched") 0 c.Pool.alloc_bytes;
            checki (name ^ " no quota give-up") 0 c.Pool.quota_giveups;
-           let k = Option.value (Pool.quota pool) ~default:max_int in
+           let k =
+             match policy with Pool.Dfdeques { quota } -> quota | Pool.Work_stealing -> max_int
+           in
            checkb (name ^ " worker 0's quota untouched") true
              (has_sub (Pool.snapshot pool) (Printf.sprintf "quota_left[worker 0]=%d\n" k))))
     policies

@@ -162,10 +162,6 @@ let test_handle_lifecycle () =
   let log = ref [] in
   Handle.on_done h (fun v -> log := ("a", v) :: !log);
   Handle.on_done h (fun v -> log := ("b", v) :: !log);
-  Handle.set_running h;
-  checkb "running" true (Handle.status h = Handle.Running);
-  Handle.set_queued h;
-  checkb "back to queued on retry" true (Handle.status h = Handle.Queued);
   Handle.resolve h 1;
   checkb "done" true (Handle.is_done h);
   Alcotest.(check (list (pair string int)))
@@ -173,8 +169,6 @@ let test_handle_lifecycle () =
     [ ("b", 1); ("a", 1) ] !log;
   Handle.resolve h 2;
   checkb "second resolve ignored" true (Handle.status h = Handle.Done 1);
-  Handle.set_running h;
-  checkb "set_running after done is a no-op" true (Handle.status h = Handle.Done 1);
   Handle.on_done h (fun v -> log := ("late", v) :: !log);
   checkb "late registration fires immediately with the settled value" true
     (List.hd !log = ("late", 1))
