@@ -184,9 +184,14 @@ let now_us pool = int_of_float ((Unix.gettimeofday () -. pool.t0) *. 1e6)
 let worker_key : (int * t) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let self () = !(Domain.DLS.get worker_key)
+(* Every helper an unstolen fork and its join pass through is
+   [@inline]: without flambda, ocamlopt inlines none of them on its own,
+   and each call costs a stack check.  Cold paths stay calls.
+   test/inline_guard fails if [fork_join]'s machine code calls one
+   (DESIGN.md §10). *)
+let[@inline] self () = !(Domain.DLS.get worker_key)
 
-let self_exn () =
+let[@inline] self_exn () =
   match self () with
   | Some ctx -> ctx
   | None -> raise Not_in_pool
@@ -195,7 +200,7 @@ let self_exn () =
    The first check past the deadline flips [cancelled]; every scheduler
    interaction after that raises, so the computation unwinds without
    creating new work. *)
-let check_cancel pool =
+let[@inline] check_cancel pool =
   if Atomic.get pool.cancelled then raise Cancelled;
   match Atomic.get pool.deadline with
   | Some d when Unix.gettimeofday () > d ->
@@ -247,7 +252,7 @@ let trace_steal_attempt pool w ~victim =
 (* Worker [w] obtained a task (any path).  [c_tasks_run] doubles as the
    cheap monotonic heartbeat: watchdogs poll its sum instead of the pool
    stamping wall-clock times on the hot path. *)
-let note_task_start pool w =
+let[@inline] note_task_start pool w =
   let c = pool.per_worker.(w) in
   c.c_tasks_run <- c.c_tasks_run + 1;
   if pool.tracing then begin
@@ -312,17 +317,17 @@ let padded (x : 'a) : 'a =
 (* The worker's sync-op cell as the [?ops] argument of every
    Lfdeque/Multiq mutating call on its behalf, and unboxed for the
    pool's own counts. *)
-let ops pool w = pool.sync_cells.(w)
+let[@inline] ops pool w = pool.sync_cells.(w)
 
-let sync_cell pool w = Option.get (ops pool w)
+let[@inline] sync_cell pool w = Option.get (ops pool w)
 
 (* The owner writes its [pstack] on every fork and join, and reads its
    request flag there.  A [pstack]'s [items] array ends in [pad_words]
    slots that hold [no_task] and are never used, and a grown one keeps
    them. *)
-let pstack pool w = pool.priv.(w)
+let[@inline] pstack pool w = pool.priv.(w)
 
-let req pool w = pool.req.(w)
+let[@inline] req pool w = pool.req.(w)
 
 let private_capacity = 32
 
@@ -346,7 +351,7 @@ let stale_limit = 4
    usually overwrites a stale task, a young block, so [caml_modify]
    returns early; overwriting the static [no_task] (a slot at [used] or
    above) would add the slot to the remembered set. *)
-let push_private s task =
+let[@inline] push_private s task =
   if s.hi = s.used then begin
     if s.used = Array.length s.items - pad_words then begin
       (* full: slide the live tasks down over published slots, or grow *)
@@ -375,7 +380,7 @@ let clear_stale s =
 
 (* Only ever called on a nonempty part.  The popped slot keeps its task:
    clearing it here would be a [caml_modify] on every join. *)
-let pop_private s =
+let[@inline] pop_private s =
   let i = s.hi - 1 in
   let t = s.items.(i) in
   if i = s.lo then begin
@@ -659,7 +664,7 @@ let respond pool w s =
 (* The check at every fork and join: two plain loads while nobody asks.
    A parked worker counts as a request, so no worker sleeps while a
    running peer holds private work past its next boundary. *)
-let boundary pool w s =
+let[@inline] boundary pool w s =
   if s.hi > s.lo && (Atomic.get (req pool w) || Atomic.get pool.n_parked > 0) then
     respond pool w s
 
@@ -668,7 +673,7 @@ let boundary pool w s =
    nonempty private part means it is there already: a worker gives its
    deque up only inside [try_get], where its private part is empty
    ({!dfd_abandon}). *)
-let push_local pool w task =
+let[@inline] push_local pool w task =
   let s = pstack pool w in
   if s.hi = s.lo then ignore (dfd_own_deque pool w);
   push_private s task;
@@ -746,7 +751,7 @@ let pop_back pool w tasks task =
    the stack ({!pop_private}).  An empty private part means it was
    published: pop it back if no thief took it.  So a join whose branch
    was stolen has an empty private part. *)
-let try_pop_exact pool w task =
+let[@inline] try_pop_exact pool w task =
   let s = pstack pool w in
   if s.hi > s.lo then begin
     let t = pop_private s in
@@ -1062,7 +1067,7 @@ let run ?timeout pool f =
    lib/check makes exactly that mistake).  The inline path skips the
    promise altogether, so only a taken task writes one and only [await]
    reads one. *)
-let join_fork pool w task (pr : _ promise) fa =
+let[@inline] join_fork pool w task (pr : _ promise) fa =
   if try_pop_exact pool w task then begin
     match fa () with
     | v -> v

@@ -28,9 +28,3 @@ val touch : t -> now:int -> unit
 
 val check : t -> now:int -> unit
 (** Raise {!No_progress} if the limit is exceeded at time [now]. *)
-
-val fired : t -> bool
-(** Whether {!check} ever raised. *)
-
-val last_progress : t -> int
-(** The time of the most recent {!touch} (0 before the first). *)
