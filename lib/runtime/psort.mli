@@ -18,6 +18,10 @@ val sort : ?cutoff:int -> cmp:('a -> 'a -> int) -> 'a array -> unit
     by the same merge sort, with no fork and no allocation.
 
     One [int array] core does the sorting, with plain loads and stores.
+    If [cmp] is [Int.compare] itself (physical equality), the core sorts
+    the array itself with no scan of its elements and compares inline,
+    calling nothing per element; any other [cmp], a closure that calls
+    [Int.compare] included, is called on every comparison.
     If every element of the array is an immediate ([int], [char], [bool],
     constant constructors), the core sorts the array itself; beyond its
     forks, the sort then allocates one scratch copy of the array.

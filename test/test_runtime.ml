@@ -321,6 +321,54 @@ let test_psort_rejects_cutoff () =
             checkb (name ^ " array untouched") true (arr = [| 4; 3; 2; 1 |]))
          [ 0; -1 ])
 
+(* [Int.compare] takes the core's inline compare, any other closure the
+   compare through [cmp]; on ints the two must give [List.sort]'s array.
+   Sizes and cutoffs straddle the insertion-run length (16) and the
+   serial cutoff, on p = 1 and p = 2 pools under both disciplines. *)
+let test_psort_inline_order () =
+  let pools =
+    List.concat_map
+      (fun domains -> List.map (fun (policy, name) -> (Pool.create ~domains policy, name, domains)) policies)
+      [ 0; 1 ]
+  in
+  let st = Random.State.make [| 41 |] in
+  let inputs n =
+    [
+      ("duplicates", Array.init n (fun _ -> Random.State.int st 8));
+      ( "extremes",
+        Array.init n (fun _ ->
+            match Random.State.int st 6 with
+            | 0 -> min_int
+            | 1 -> max_int
+            | _ -> Random.State.int st 200 - 150) );
+    ]
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun (pool, _, _) -> Pool.shutdown pool) pools)
+    (fun () ->
+       List.iter
+         (fun n ->
+            List.iter
+              (fun (kind, input) ->
+                 let expect = Array.of_list (List.sort Int.compare (Array.to_list input)) in
+                 List.iter
+                   (fun cutoff ->
+                      List.iter
+                        (fun (pool, name, domains) ->
+                           let sort cmp =
+                             let a = Array.copy input in
+                             Pool.run pool (fun () -> Dfd_runtime.Psort.sort ~cutoff ~cmp a);
+                             a
+                           in
+                           let inline = sort Int.compare and closure = sort (fun a b -> Int.compare a b) in
+                           let case = Printf.sprintf "%s p=%d %s n=%d cutoff=%d" name (domains + 1) kind n cutoff in
+                           checkb (case ^ " inline = List.sort") true (inline = expect);
+                           checkb (case ^ " closure = List.sort") true (closure = expect))
+                        pools)
+                   [ 1; 16; 17; 512 ])
+              (inputs n))
+         [ 0; 1; 2; 17; 1000; 5000 ])
+
 (* Sizes weighted toward the edges of the kernel: empty and tiny arrays,
    the insertion-run length (16) +- 1 and the cutoff +- 1. *)
 let psort_case =
@@ -448,17 +496,22 @@ let test_psort_alloc_bound () =
        let per_fork = fib_words /. float_of_int fib_tasks in
        let n = 100_000 in
        let rng = Dfd_structures.Prng.create 11 in
-       let arr = Array.init n (fun _ -> Dfd_structures.Prng.int rng 1_000_000) in
-       let words, tasks =
-         words_and_tasks (fun () ->
-             Pool.run pool (fun () -> Dfd_runtime.Psort.sort ~cutoff:512 ~cmp:Int.compare arr))
-       in
-       checkb "sorted" true (Dfd_runtime.Psort.sorted ~cmp:Int.compare arr);
-       let bound = float_of_int (n + 1) +. (float_of_int tasks *. (per_fork +. 16.)) +. 1024. in
-       checkb
-         (Printf.sprintf "%.0f words for n=%d and %d tasks (%.1f words per fork), at most %.0f"
-            words n tasks per_fork bound)
-         true (words <= bound))
+       let input = Array.init n (fun _ -> Dfd_structures.Prng.int rng 1_000_000) in
+       (* the inline compare, then the compare through a closure *)
+       List.iter
+         (fun (order, cmp) ->
+            let arr = Array.copy input in
+            let words, tasks =
+              words_and_tasks (fun () ->
+                  Pool.run pool (fun () -> Dfd_runtime.Psort.sort ~cutoff:512 ~cmp arr))
+            in
+            checkb (order ^ " sorted") true (Dfd_runtime.Psort.sorted ~cmp:Int.compare arr);
+            let bound = float_of_int (n + 1) +. (float_of_int tasks *. (per_fork +. 16.)) +. 1024. in
+            checkb
+              (Printf.sprintf "%s: %.0f words for n=%d and %d tasks (%.1f words per fork), at most %.0f"
+                 order words n tasks per_fork bound)
+              true (words <= bound))
+         [ ("Int.compare", Int.compare); ("closure", fun a b -> Int.compare a b) ])
 
 exception Boom
 
@@ -1132,6 +1185,7 @@ let () =
           Alcotest.test_case "sort rejects cutoff < 1" `Quick test_psort_rejects_cutoff;
           Alcotest.test_case "sort property" `Quick test_psort_qcheck;
           Alcotest.test_case "sort allocation bound" `Quick test_psort_alloc_bound;
+          Alcotest.test_case "sort inline order" `Quick test_psort_inline_order;
         ] );
       ( "robustness",
         [
