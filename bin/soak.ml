@@ -12,7 +12,8 @@
             if admitted.
    - spike  one huge allocation hint; completes, and sets the
             per-attempt allocation peak the headroom gauges record.
-   - exn    always raises; retried to budget exhaustion, then Failed.
+   - exn    always raises; re-queued at the back of its lane until its
+            attempts run out, then Failed.
    - flaky  raises on the first attempt only; Completed after one retry.
    - slow   endless forking under a tight per-job deadline; every attempt
             times out, then Failed.
@@ -52,7 +53,6 @@
 
 module Service = Dfd_service.Service
 module Tenant = Dfd_service.Tenant
-module Retry = Dfd_service.Retry
 module Pool = Dfd_runtime.Pool
 module Json = Dfd_trace.Json
 module Registry = Dfd_obs.Registry
@@ -92,7 +92,7 @@ let kind_name = function
 (* Service configuration for soak campaigns                            *)
 (* ------------------------------------------------------------------ *)
 
-let soak_retry = { Retry.max_attempts = 3; base_delay = 1; max_delay = 8 }
+let soak_max_attempts = 3
 
 (* The DFDeques memory threshold K of a dfd soak's pool. *)
 let soak_quota = 32_000
@@ -235,7 +235,6 @@ let outcome_name = function
   | Some Service.Completed -> "completed"
   | Some (Service.Failed _) -> "failed"
   | Some (Service.Rejected _) -> "rejected"
-  | Some Service.Cancelled -> "cancelled"
 
 let outcome_fields o =
   ("outcome", Json.String (outcome_name o))
@@ -265,13 +264,7 @@ let config_json ~policy_name ~dfd ~tenants =
                     ("queue_bound", Json.Int tn.Tenant.queue_bound);
                   ])
              tenants) );
-      ( "retry",
-        Json.Assoc
-          [
-            ("max_attempts", Json.Int soak_retry.Retry.max_attempts);
-            ("base_delay", Json.Int soak_retry.Retry.base_delay);
-            ("max_delay", Json.Int soak_retry.Retry.max_delay);
-          ] );
+      ("retry", Json.Assoc [ ("max_attempts", Json.Int soak_max_attempts) ]);
       ("quota", if dfd then Json.Int soak_quota else Json.Null);
     ]
 
@@ -294,7 +287,6 @@ let tenant_json (ts : Service.tenant_stats) =
       ("accepted", Json.Int ts.Service.ts_accepted);
       ("completions", Json.Int ts.Service.ts_completions);
       ("failures", Json.Int ts.Service.ts_failures);
-      ("cancelled", Json.Int ts.Service.ts_cancelled);
       ("rejected_queue_full", Json.Int ts.Service.ts_rejected_queue_full);
       ( "first_shed_step",
         match ts.Service.ts_first_shed with None -> Json.Null | Some s -> Json.Int s );
@@ -414,9 +406,9 @@ let oracle ~plan ~svc ~submissions =
                  violate "job %d (flaky): expected 2 attempts, got %d" id e.Service.attempts
              | Exn | Slow ->
                expect_outcome "failed";
-               if e.Service.attempts <> soak_retry.Retry.max_attempts then
-                 violate "job %d (%s): expected %d attempts, got %d" id name
-                   soak_retry.Retry.max_attempts e.Service.attempts
+               if e.Service.attempts <> soak_max_attempts then
+                 violate "job %d (%s): expected %d attempts, got %d" id name soak_max_attempts
+                   e.Service.attempts
              | Wedge ->
                expect_outcome "completed";
                if e.Service.requeues <> 1 then
@@ -506,7 +498,7 @@ let run_soak ~seed ~duration ~plan ~policy ~wedge_grace ~json_out ~flight_dir =
     {
       Service.seed;
       tenants;
-      retry = soak_retry;
+      max_attempts = soak_max_attempts;
       default_deadline = None;
       wedge_grace;
       domains = 2;
@@ -520,7 +512,7 @@ let run_soak ~seed ~duration ~plan ~policy ~wedge_grace ~json_out ~flight_dir =
   in
   let submit ?tenant kind =
     let class_ = kind_name kind in
-    let admit ?deadline body = Service.admission (Service.submit svc ?tenant ~class_ ?deadline body) in
+    let admit ?deadline body = Service.submit svc ?tenant ~class_ ?deadline body in
     match kind with
     | Wedge ->
       (* the release flag must be findable by the id [submit] assigns,
@@ -552,7 +544,7 @@ let run_soak ~seed ~duration ~plan ~policy ~wedge_grace ~json_out ~flight_dir =
     Service.step svc;
     if s mod snap_every = 0 then take_snap s
   done;
-  (* drain: retries may still be pending *)
+  (* drain: the lanes may still hold jobs and re-queued attempts *)
   Service.drive ~max_steps:(duration * 20) svc;
   take_snap (Service.now svc);
   let submissions = List.rev !submissions in

@@ -90,30 +90,6 @@ let pop t =
     go 0
   end
 
-let remove t ~tenant pred =
-  let lane = find t tenant in
-  let rec split acc = function
-    | [] -> None
-    | x :: rest when pred x ->
-      Some (x, List.rev_append acc rest)
-    | x :: rest -> split (x :: acc) rest
-  in
-  match split [] lane.front with
-  | Some (x, rest) ->
-    lane.front <- rest;
-    lane.depth <- lane.depth - 1;
-    t.total <- t.total - 1;
-    Some x
-  | None -> (
-    (* the back list is newest-first; search it in FIFO order *)
-    match split [] (List.rev lane.back) with
-    | Some (x, rest) ->
-      lane.back <- List.rev rest;
-      lane.depth <- lane.depth - 1;
-      t.total <- t.total - 1;
-      Some x
-    | None -> None)
-
 let depth t name = (find t name).depth
 
 let peak_depth t name = (find t name).peak

@@ -1,7 +1,7 @@
 (** Weighted-fair admission queues: one FIFO per tenant, dispatched by
     deficit round-robin.  The queues are unbounded: the service's
     admission check ([Service.submit]) enforces each tenant's
-    [queue_bound] over queued, retrying and in-flight jobs together.
+    [queue_bound] over queued and in-flight jobs together.
 
     Dispatch walks the tenants in registration order; entering a
     tenant's turn grants it [weight] credits (one credit = one job, the
@@ -26,8 +26,8 @@ val add_tenant : 'a t -> name:string -> weight:int -> unit
     [Invalid_argument] on duplicates or a non-positive weight. *)
 
 val push : 'a t -> tenant:string -> 'a -> unit
-(** Append to the lane's FIFO: new admissions and retries of
-    already-admitted jobs. *)
+(** Append to the lane's FIFO: new admissions, and failed attempts of
+    already-admitted jobs that have attempts left. *)
 
 val push_front : 'a t -> tenant:string -> 'a -> unit
 (** Prepend — for exactly-once wedge requeues. *)
@@ -35,10 +35,6 @@ val push_front : 'a t -> tenant:string -> 'a -> unit
 val pop : 'a t -> (string * 'a) option
 (** Next [(tenant, job)] in DRR order; [None] when every lane is
     empty. *)
-
-val remove : 'a t -> tenant:string -> ('a -> bool) -> 'a option
-(** Remove and return the first queued job satisfying the predicate
-    (for cancellation); [None] if no queued job matches. *)
 
 val depth : 'a t -> string -> int
 (** Jobs currently queued in the lane. *)

@@ -9,14 +9,12 @@ type reject_reason = Queue_full
 
 let reject_reason_name Queue_full = "queue_full"
 
-type outcome = Completed | Failed of string | Rejected of reject_reason | Cancelled
-
-type handle = outcome Handle.t
+type outcome = Completed | Failed of string | Rejected of reject_reason
 
 type config = {
   seed : int;
   tenants : Tenant.t list;
-  retry : Retry.policy;
+  max_attempts : int;
   default_deadline : float option;
   wedge_grace : float;
   domains : int;
@@ -28,7 +26,7 @@ let default_config =
   {
     seed = 0;
     tenants = [ Tenant.default ];
-    retry = Retry.default;
+    max_attempts = 4;
     default_deadline = None;
     wedge_grace = 5.0;
     domains = 2;
@@ -38,10 +36,15 @@ let default_config =
 
 exception Supervisor_giveup of string
 
-(* A give-up is a typed terminal verdict: if it escapes into a job's work
-   closure (nested service, callback), retrying that job would burn its
-   whole backoff budget reaching the same verdict. *)
-let is_giveup = function Supervisor_giveup _ -> true | _ -> false
+(* Exception classes for which a retry is guaranteed to fail the same
+   way, so attempting one only burns the budget: the deterministic
+   programming-bug classes, and a give-up that escaped into a job's work
+   closure (nested service, callback). *)
+let is_terminal = function
+  | Invalid_argument _ | Assert_failure _ | Match_failure _ | Undefined_recursive_module _
+  | Supervisor_giveup _ ->
+    true
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Jobs and the executor protocol                                      *)
@@ -62,9 +65,8 @@ type job = {
   tenant : string;
   deadline : float option;
   work : unit -> unit;
-  retry : Retry.t;
   submitted_at : int;
-  handle : handle;
+  on_done : (outcome -> unit) option;
 }
 
 type exec_result =
@@ -72,8 +74,8 @@ type exec_result =
   | R_timeout
   | R_cancelled_leak  (** [Pool.Cancelled] escaped [run] — a pool bug; surfaced, never swallowed. *)
   | R_exn of { msg : string; retryable : bool }
-      (** [retryable] is classified at the raise site ({!Retry.is_terminal}
-          and [is_giveup] need the live exception, not its string). *)
+      (** [retryable] is classified at the raise site ({!is_terminal}
+          needs the live exception, not its string). *)
 
 (* The driver/executor mailbox.  Single-writer per transition:
    the driver writes [Assigned] (only over [Idle]) and [Idle] (only over
@@ -108,7 +110,7 @@ let executor_loop ep =
         | exception Pool.Timeout -> R_timeout
         | exception Pool.Cancelled -> R_cancelled_leak
         | exception e ->
-          R_exn { msg = Printexc.to_string e; retryable = not (Retry.is_terminal e || is_giveup e) }
+          R_exn { msg = Printexc.to_string e; retryable = not (is_terminal e) }
       in
       Atomic.set ep.cell (Finished { job_id = job.id; result });
       loop 0
@@ -143,7 +145,6 @@ type counters = {
   rejected_overloaded : int;
   completions : int;
   failures : int;
-  cancelled : int;
   retries : int;
   timeouts : int;
   wedges : int;
@@ -158,7 +159,6 @@ type tenant_stats = {
   ts_accepted : int;
   ts_completions : int;
   ts_failures : int;
-  ts_cancelled : int;
   ts_rejected_queue_full : int;
   ts_first_shed : int option;
   ts_peak_depth : int;
@@ -171,11 +171,9 @@ type lane = {
   tn : Tenant.t;
   lat : Stats.Histogram.t;
   mutable in_flight : int;  (* 0 or 1 *)
-  mutable pending_retries : int;
   mutable a_accepted : int;
   mutable a_completions : int;
   mutable a_failures : int;
-  mutable a_cancelled : int;
   mutable a_rej_queue : int;
   mutable a_first_shed : int option;
 }
@@ -190,7 +188,6 @@ type t = {
   mutable retired_epochs : epoch list;
   mutable clock : int;
   queue : job Fair_queue.t;  (** per-tenant bounded lanes, DRR dispatch. *)
-  mutable pending : (int * job) list;  (** retries waiting for their due step. *)
   lanes : (string, lane) Hashtbl.t;
   lane_order : string list;  (** registration (= DRR) order. *)
   slots : (int, ledger_slot) Hashtbl.t;
@@ -248,9 +245,7 @@ let register_service_probes t =
       total t (fun l -> l.a_completions));
   c "dfd_service_failures_total" "Jobs acknowledged Failed (retry budget exhausted)." (fun () ->
       total t (fun l -> l.a_failures));
-  c "dfd_service_cancelled_total" "Jobs cancelled before they ran." (fun () ->
-      total t (fun l -> l.a_cancelled));
-  c "dfd_service_retries_total" "Re-attempts scheduled with backoff." (fun () -> t.c_retries);
+  c "dfd_service_retries_total" "Failed attempts sent back to their lane." (fun () -> t.c_retries);
   c "dfd_service_timeouts_total" "Attempts that hit their deadline." (fun () -> t.c_timeouts);
   c "dfd_service_wedges_total" "Pool incarnations declared wedged." (fun () -> t.c_wedges);
   c "dfd_service_respawns_total" "Fresh pool incarnations after a wedge." (fun () -> t.c_respawns);
@@ -258,8 +253,6 @@ let register_service_probes t =
       t.c_dup_acks);
   g "dfd_service_queue_depth" "Jobs queued across all lanes, not yet dispatched." (fun () ->
       Fair_queue.total t.queue);
-  g "dfd_service_pending_retries" "Retries waiting for their due step." (fun () ->
-      List.length t.pending);
   g "dfd_service_clock" "The driver's logical clock (steps)." (fun () -> t.clock);
   (* per-tenant lanes, labelled so OpenMetrics renders one family *)
   List.iter
@@ -279,7 +272,7 @@ let create ?registry ?flight_dir ?headroom_s1 ?headroom_depth
   Tenant.validate_all config.tenants;
   if config.wedge_grace <= 0.0 then invalid_arg "Service: wedge_grace must be positive";
   if config.max_respawns < 0 then invalid_arg "Service: max_respawns must be >= 0";
-  Retry.validate config.retry;
+  if config.max_attempts < 1 then invalid_arg "Service: max_attempts must be >= 1";
   let registry = match registry with Some r -> r | None -> Registry.create () in
   let queue = Fair_queue.create () in
   let lanes = Hashtbl.create 8 in
@@ -292,11 +285,9 @@ let create ?registry ?flight_dir ?headroom_s1 ?headroom_depth
            tn;
            lat = Stats.Histogram.create ();
            in_flight = 0;
-           pending_retries = 0;
            a_accepted = 0;
            a_completions = 0;
            a_failures = 0;
-           a_cancelled = 0;
            a_rej_queue = 0;
            a_first_shed = None;
          })
@@ -317,7 +308,6 @@ let create ?registry ?flight_dir ?headroom_s1 ?headroom_depth
       retired_epochs = [];
       clock = 0;
       queue;
-      pending = [];
       lanes;
       lane_order;
       slots = Hashtbl.create 64;
@@ -368,8 +358,9 @@ let new_slot t ~tenant ~class_ =
   s
 
 (* The single choke point for terminal acknowledgements: the first ack
-   wins, any further one is counted as a duplicate and refused. *)
-let ack t (s : ledger_slot) out =
+   wins and fires the caller's [on_done]; any further one is counted as a
+   duplicate and refused, so [on_done] runs at most once per job. *)
+let ack t (s : ledger_slot) ~on_done out =
   s.l_acks <- s.l_acks + 1;
   match s.l_outcome with
   | Some _ -> t.c_dup_acks <- t.c_dup_acks + 1
@@ -379,81 +370,39 @@ let ack t (s : ledger_slot) out =
     (match out with
      | Completed -> lane.a_completions <- lane.a_completions + 1
      | Failed _ -> lane.a_failures <- lane.a_failures + 1
-     | Cancelled -> lane.a_cancelled <- lane.a_cancelled + 1
-     | Rejected _ -> ())
+     | Rejected _ -> ());
+    Option.iter (fun f -> f out) on_done
 
-(* Terminal outcome for a job: ledger, latency and handle. *)
+(* Terminal outcome for an admitted job: latency, then the ledger ack. *)
 let settle t (job : job) (s : ledger_slot) out =
-  ack t s out;
   (match out with
    | Completed ->
      Stats.Histogram.add (lane_of t job.tenant).lat (float_of_int (t.clock - job.submitted_at))
    | _ -> ());
-  Handle.resolve job.handle out
+  ack t s ~on_done:job.on_done out
 
 (* ------------------------------------------------------------------ *)
 (* Admission control                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let effective_load t lane =
-  Fair_queue.depth t.queue lane.tn.Tenant.name + lane.pending_retries + lane.in_flight
-
-(* The lane bound is the one admission check.  The load counts pending
-   retries and the in-flight attempt, so forced retry pushes can never
-   overrun the bound. *)
+(* The lane bound is the one admission check.  The load counts the
+   in-flight attempt, which a failure sends back into the lane, so a
+   retry can never overrun the bound. *)
 let submit t ?(tenant = "default") ?(class_ = "default") ?deadline ?on_done work =
   let lane = lane_of t tenant in
-  let h = Handle.make ~id:t.next_id ~tenant in
-  (match on_done with Some f -> Handle.on_done h f | None -> ());
   let s = new_slot t ~tenant ~class_ in
-  if effective_load t lane >= lane.tn.Tenant.queue_bound then begin
-    ack t s (Rejected Queue_full);
+  if Fair_queue.depth t.queue tenant + lane.in_flight >= lane.tn.Tenant.queue_bound then begin
     lane.a_rej_queue <- lane.a_rej_queue + 1;
     if lane.a_first_shed = None then lane.a_first_shed <- Some t.clock;
-    Handle.resolve h (Rejected Queue_full)
+    ack t s ~on_done (Rejected Queue_full);
+    Error Queue_full
   end
   else begin
     let deadline = match deadline with Some _ as d -> d | None -> t.cfg.default_deadline in
-    let job =
-      {
-        id = s.l_id;
-        tenant;
-        deadline;
-        work;
-        retry = Retry.create t.cfg.retry ~seed:t.cfg.seed ~job:s.l_id;
-        submitted_at = t.clock;
-        handle = h;
-      }
-    in
-    Fair_queue.push t.queue ~tenant job;
-    lane.a_accepted <- lane.a_accepted + 1
-  end;
-  h
-
-let admission h =
-  match Handle.status h with
-  | Handle.Done (Rejected r) -> Error r
-  | _ -> Ok (Handle.id h)
-
-let poll = Handle.status
-
-let cancel t h =
-  if Handle.is_done h then false
-  else begin
-    let id = Handle.id h in
-    let tenant = Handle.tenant h in
-    match Fair_queue.remove t.queue ~tenant (fun (j : job) -> j.id = id) with
-    | Some job ->
-      settle t job (Hashtbl.find t.slots id) Cancelled;
-      true
-    | None -> (
-      match List.find_opt (fun (_, (j : job)) -> j.id = id) t.pending with
-      | Some (_, job) ->
-        t.pending <- List.filter (fun (_, (j : job)) -> j.id <> id) t.pending;
-        (lane_of t tenant).pending_retries <- (lane_of t tenant).pending_retries - 1;
-        settle t job (Hashtbl.find t.slots id) Cancelled;
-        true
-      | None -> false)
+    Fair_queue.push t.queue ~tenant
+      { id = s.l_id; tenant; deadline; work; submitted_at = t.clock; on_done };
+    lane.a_accepted <- lane.a_accepted + 1;
+    Ok s.l_id
   end
 
 (* ------------------------------------------------------------------ *)
@@ -511,24 +460,17 @@ let respawn t ~in_flight =
    | None -> ());
   t.epoch <- spawn_epoch ~domains:t.cfg.domains ~policy:t.policy ~registry:t.registry
 
-(* Schedule a retry (with backoff) or acknowledge the final failure.
-   [retryable:false] (a terminal error class per {!Retry.is_terminal},
-   or a give-up)
-   skips the backoff schedule entirely: the remaining budget would be
+(* Send a failed attempt's job straight back into its lane (at the back,
+   or at the [front] for a wedge requeue) while it has attempts left, or
+   acknowledge the final failure.  [retryable:false] (a terminal error
+   class per {!is_terminal}) fails at once: the remaining budget would be
    burned reaching the same deterministic failure. *)
-let fail_path ?(retryable = true) t (job : job) msg =
-  let lane = lane_of t job.tenant in
-  if not retryable then settle t job (Hashtbl.find t.slots job.id) (Failed msg)
-  else
-    match Retry.next_delay job.retry with
-    | Some d ->
-      t.c_retries <- t.c_retries + 1;
-      lane.pending_retries <- lane.pending_retries + 1;
-      t.pending <- (t.clock + d, job) :: t.pending
-    | None ->
-      let s = Hashtbl.find t.slots job.id in
-      s.l_attempts <- Retry.attempts job.retry;
-      settle t job s (Failed msg)
+let fail_path ?(retryable = true) ?(front = false) t (job : job) (s : ledger_slot) msg =
+  if retryable && s.l_attempts < t.cfg.max_attempts then begin
+    t.c_retries <- t.c_retries + 1;
+    (if front then Fair_queue.push_front else Fair_queue.push) t.queue ~tenant:job.tenant job
+  end
+  else settle t job s (Failed msg)
 
 (* Run one attempt to completion, feeding its allocation delta to the
    headroom gauges. *)
@@ -536,6 +478,7 @@ let run_one t (job : job) =
   let s = Hashtbl.find t.slots job.id in
   let lane = lane_of t job.tenant in
   lane.in_flight <- 1;
+  s.l_attempts <- s.l_attempts + 1;
   let before = (Pool.counters t.epoch.pool).Pool.alloc_bytes in
   (match Atomic.get t.epoch.cell with
    | Idle -> ()
@@ -550,33 +493,22 @@ let run_one t (job : job) =
      let delta = (Pool.counters t.epoch.pool).Pool.alloc_bytes - before in
      if delta > 0 then Headroom.observe t.headroom ~live_bytes:delta);
   (match result with
-   | Some R_done ->
-     s.l_attempts <- Retry.attempts job.retry + 1;
-     settle t job s Completed
+   | Some R_done -> settle t job s Completed
    | Some R_timeout ->
      flight_dump t ~reason:"timeout";
      t.c_timeouts <- t.c_timeouts + 1;
-     s.l_attempts <- Retry.attempts job.retry + 1;
-     fail_path t job "deadline exceeded"
+     fail_path t job s "deadline exceeded"
    | Some R_cancelled_leak ->
-     s.l_attempts <- Retry.attempts job.retry + 1;
-     fail_path t job "internal: Pool.Cancelled leaked to the run caller"
-   | Some (R_exn { msg; retryable }) ->
-     s.l_attempts <- Retry.attempts job.retry + 1;
-     fail_path ~retryable t job msg
+     fail_path t job s "internal: Pool.Cancelled leaked to the run caller"
+   | Some (R_exn { msg; retryable }) -> fail_path ~retryable t job s msg
    | None ->
      (* wedged: respawn the pool, requeue the in-flight job exactly once
-        at the front.  The requeue consumes a retry attempt (a job that
-        wedges every incarnation must not respawn pools forever). *)
+        at the front.  The wedged attempt counts against the budget (a
+        job that wedges every incarnation must not respawn pools
+        forever). *)
      respawn t ~in_flight:(Some job.id);
      s.l_requeues <- s.l_requeues + 1;
-     (match Retry.next_delay job.retry with
-      | Some _ ->
-        t.c_retries <- t.c_retries + 1;
-        Fair_queue.push_front t.queue ~tenant:job.tenant job
-      | None ->
-        s.l_attempts <- Retry.attempts job.retry;
-        settle t job s (Failed "pool wedged; retry budget exhausted")));
+     fail_path ~front:true t job s "pool wedged; retry budget exhausted");
   lane.in_flight <- 0
 
 (* ------------------------------------------------------------------ *)
@@ -585,19 +517,9 @@ let run_one t (job : job) =
 
 let step t =
   t.clock <- t.clock + 1;
-  (* promote due retries, ordered by (due step, job id) so the dispatch
-     order is a pure function of the schedule *)
-  let due, rest = List.partition (fun (d, _) -> d <= t.clock) t.pending in
-  t.pending <- rest;
-  let due = List.sort (fun (d1, j1) (d2, j2) -> compare (d1, j1.id) (d2, j2.id)) due in
-  List.iter
-    (fun (_, (job : job)) ->
-       (lane_of t job.tenant).pending_retries <- (lane_of t job.tenant).pending_retries - 1;
-       Fair_queue.push t.queue ~tenant:job.tenant job)
-    due;
   match Fair_queue.pop t.queue with None -> () | Some (_, job) -> run_one t job
 
-let idle t = Fair_queue.total t.queue = 0 && t.pending = []
+let idle t = Fair_queue.total t.queue = 0
 
 let drive ?(max_steps = 10_000) t =
   let n = ref 0 in
@@ -605,14 +527,6 @@ let drive ?(max_steps = 10_000) t =
     step t;
     incr n
   done
-
-let await ?(max_steps = 10_000) t h =
-  let n = ref 0 in
-  while (not (Handle.is_done h)) && !n < max_steps do
-    step t;
-    incr n
-  done;
-  match Handle.status h with Handle.Done out -> Some out | _ -> None
 
 let now t = t.clock
 
@@ -630,7 +544,6 @@ let counters t =
     rejected_overloaded = 0;
     completions = total t (fun l -> l.a_completions);
     failures = total t (fun l -> l.a_failures);
-    cancelled = total t (fun l -> l.a_cancelled);
     retries = t.c_retries;
     timeouts = t.c_timeouts;
     wedges = t.c_wedges;
@@ -648,7 +561,6 @@ let tenant_stats t =
          ts_accepted = lane.a_accepted;
          ts_completions = lane.a_completions;
          ts_failures = lane.a_failures;
-         ts_cancelled = lane.a_cancelled;
          ts_rejected_queue_full = lane.a_rej_queue;
          ts_first_shed = lane.a_first_shed;
          ts_peak_depth = Fair_queue.peak_depth t.queue lane.tn.Tenant.name;
@@ -679,16 +591,14 @@ let verify_ledger t =
   if t.c_dup_acks > 0 then fail "%d duplicate acknowledgements" t.c_dup_acks;
   let completions = ref 0
   and failures = ref 0
-  and rejections = ref 0
-  and cancellations = ref 0 in
+  and rejections = ref 0 in
   for id = 0 to t.next_id - 1 do
     let s = Hashtbl.find t.slots id in
     (match s.l_outcome with
      | None -> fail "job %d has no terminal outcome (lost)" id
      | Some Completed -> incr completions
      | Some (Failed _) -> incr failures
-     | Some (Rejected _) -> incr rejections
-     | Some Cancelled -> incr cancellations);
+     | Some (Rejected _) -> incr rejections);
     if s.l_acks <> 1 then fail "job %d acknowledged %d times" id s.l_acks
   done;
   let c = counters t in
@@ -696,8 +606,6 @@ let verify_ledger t =
     fail "completion counter %d but %d completed entries" c.completions !completions;
   if !failures <> c.failures then
     fail "failure counter %d but %d failed entries" c.failures !failures;
-  if !cancellations <> c.cancelled then
-    fail "cancellation counter %d but %d cancelled entries" c.cancelled !cancellations;
   let rej = c.rejected_queue_full in
   if !rejections <> rej then fail "rejection counter %d but %d rejected entries" rej !rejections;
   if c.accepted + rej <> t.next_id then
@@ -720,7 +628,6 @@ let verify_ledger t =
            ("completion", lane.a_completions, ( = ) (Some Completed));
            ("failure", lane.a_failures, function Some (Failed _) -> true | _ -> false);
            ("rejection", lane.a_rej_queue, rejected);
-           ("cancellation", lane.a_cancelled, ( = ) (Some Cancelled));
          ])
     (lanes_in_order t);
   match !problem with None -> Ok () | Some m -> Error m
@@ -740,7 +647,6 @@ let counter_samples t =
     mk "rejected_queue_full" (total t (fun l -> l.a_rej_queue));
     mk "completions" (total t (fun l -> l.a_completions));
     mk "failures" (total t (fun l -> l.a_failures));
-    mk "cancelled" (total t (fun l -> l.a_cancelled));
     mk "retries" t.c_retries;
     mk "timeouts" t.c_timeouts;
     mk "wedges" t.c_wedges;

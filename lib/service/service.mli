@@ -6,12 +6,11 @@
     This module owns both problems:
 
     - {b Non-blocking admission} — {!submit} never blocks and never
-      runs the job inline: it returns a {!handle} immediately.  The
-      caller observes progress through {!poll} / {!await} / completion
-      callbacks ({!Handle.on_done}) and may {!cancel} a job that has not
-      started.  A handle reads [Queued] until its job settles: attempts
-      run to completion inside the driver's {!step}, so none is ever
-      observably running.
+      runs the job inline: it returns its admission at once, the job's
+      ledger id or the reason it was shed.  The caller learns the
+      outcome from its [on_done] callback, which fires exactly once:
+      synchronously on a shed, else from the {!step} that settles the
+      job (attempts run to completion inside the driver's step).
     - {b Weighted-fair isolation} ({!Tenant}, {!Fair_queue}) — each
       tenant owns a bounded lane dispatched by deficit round-robin.  The
       lane bound is the one admission defence: a submission that finds
@@ -19,8 +18,10 @@
       only its own lane — the admission-level analogue of the paper's
       per-deque isolation.
     - {b Deadlines and retries} — each attempt runs under
-      [Pool.run ?timeout]; failures and timeouts are retried under a
-      seeded full-jitter backoff policy ({!Retry}) with a per-job budget.
+      [Pool.run ?timeout]; a failed or timed-out attempt uses up one of
+      the job's [max_attempts] and, while any are left, goes straight to
+      the back of its own lane, with no backoff delay.  {!is_terminal}
+      failures are not retried.
     - {b Supervision} — jobs execute on a dedicated executor domain; the
       driver watches {!Dfd_runtime.Pool.heartbeat} while an attempt is in
       flight.  When the pool stalls for [wedge_grace] seconds it is
@@ -34,35 +35,36 @@
       threshold K of the policy the service was created with.
 
     The service is {e step-driven} from one driver thread: {!step}
-    advances a logical clock by one, promotes due retries and dispatches
-    at most one queued attempt (in DRR order) to completion.  All
-    scheduling decisions (DRR order, retry delays, rejections, latencies
-    in steps) are functions of the seed and the submission order, never
-    of wall-clock time — which is what makes `repro soak` reports
-    byte-identical per seed.  Only the {e timing} inside the pool is nondeterministic;
-    outcome classes are not. *)
+    advances a logical clock by one and dispatches at most one queued
+    attempt (in DRR order) to completion.  All scheduling decisions (DRR
+    order, retry positions, rejections, latencies in steps) are
+    functions of the submission order and the outcome classes, never of
+    wall-clock time or of a random draw — which is what makes `repro
+    soak` reports byte-identical per seed.  Only the {e timing} inside
+    the pool is nondeterministic; outcome classes are not. *)
 
 type reject_reason =
-  | Queue_full  (** the tenant's own lane (queued + retrying + in flight) is at its bound. *)
+  | Queue_full  (** the tenant's own lane (queued + in flight) is at its bound. *)
 
 val reject_reason_name : reject_reason -> string
 (** "queue_full". *)
 
 type outcome =
   | Completed
-  | Failed of string  (** retry budget exhausted; the last error. *)
+  | Failed of string  (** the last attempt's error: budget exhausted, or {!is_terminal}. *)
   | Rejected of reject_reason  (** shed at admission; assigned synchronously by {!submit}. *)
-  | Cancelled  (** {!cancel} removed the job before it ran. *)
-
-type handle = outcome Handle.t
-(** The caller's view of one submission; see {!Handle}. *)
 
 type config = {
-  seed : int;  (** master seed for every retry stream. *)
+  seed : int;
+      (** read by nothing: the service draws no random numbers.  It stays
+          in the record only because the benchmark's service workload
+          sets it; the next change to the benchmark drops it. *)
   tenants : Tenant.t list;
       (** the admission lanes; must be non-empty with unique names.
           Single-tenant services use [[Tenant.default]]. *)
-  retry : Retry.policy;
+  max_attempts : int;
+      (** attempts per job, the first included (>= 1).  A wedge requeue
+          uses one up too. *)
   default_deadline : float option;  (** per-attempt [Pool.run] timeout, seconds. *)
   wedge_grace : float;
       (** seconds without pool heartbeat progress (while an attempt is in
@@ -77,14 +79,20 @@ type config = {
 }
 
 val default_config : config
-(** seed 0, the single [Tenant.default] lane, {!Retry.default}, no
-    default deadline, grace 5 s, 2 extra domains, 8 respawns. *)
+(** seed 0, the single [Tenant.default] lane, 4 attempts, no default
+    deadline, grace 5 s, 2 extra domains, 8 respawns. *)
 
 exception Supervisor_giveup of string
 (** More than [max_respawns] pool respawns: the supervisor refuses to
-    keep restarting a pool that keeps wedging.  Terminal like the
-    {!Retry.is_terminal} classes: a job whose work raises it fails on
-    that attempt, with no retry. *)
+    keep restarting a pool that keeps wedging. *)
+
+val is_terminal : exn -> bool
+(** Is this exception class {e terminal} — deterministic, so a retry is
+    guaranteed to fail identically and would only burn the budget?
+    The classes: [Invalid_argument], [Assert_failure], [Match_failure],
+    [Undefined_recursive_module] and {!Supervisor_giveup}.  A job whose
+    attempt raises one is acknowledged [Failed] on that attempt, with no
+    retry. *)
 
 type t
 
@@ -131,45 +139,28 @@ val submit :
   ?deadline:float ->
   ?on_done:(outcome -> unit) ->
   (unit -> unit) ->
-  handle
+  (int, reject_reason) result
 (** Offer a job to [tenant]'s lane (default ["default"]; unknown tenants
     raise [Invalid_argument]).  Never blocks, never runs the job inline:
-    the returned handle is either [Queued] (admitted) or already
-    [Done (Rejected Queue_full)] (the lane's load — queued, retrying and
-    in flight — was at its bound; the rejection is also recorded in the
-    ledger).  [class_] labels the job in the ledger.  [deadline]
-    overrides the config's per-attempt timeout.  [on_done] is registered
-    on the handle before admission is decided, so even a synchronous
-    rejection fires it.  The work closure runs inside [Pool.run] on the
-    executor domain, so it may use [Pool.fork_join], [Pool.alloc_hint],
-    etc. *)
-
-val admission : handle -> (int, reject_reason) result
-(** [Ok id] — the submission was admitted;
-    [Error r] — it was shed synchronously.  Sound to call right after
-    {!submit} because [Rejected] is only ever assigned at admission. *)
-
-val poll : handle -> outcome Handle.status
-(** Alias for {!Handle.status}. *)
-
-val await : ?max_steps:int -> t -> handle -> outcome option
-(** Drive {!step} until the handle is terminal; [None] if [max_steps]
-    (default 10_000) elapse first.  Single-driver-thread only. *)
-
-val cancel : t -> handle -> bool
-(** Remove a not-yet-started job: queued or waiting between retries.
-    On success the job is acknowledged [Cancelled] (callbacks fire) and
-    [true] is returned; [false] if the job already started or
-    finished. *)
+    [Ok id] — admitted under ledger id [id]; [Error Queue_full] — shed,
+    because the lane's load (queued and in flight) was at its bound.
+    A shed is recorded in the ledger too.  [class_] labels the job in
+    the ledger.  [deadline] overrides the config's per-attempt timeout.
+    [on_done] fires exactly once with the job's terminal outcome: inside
+    [submit], before it returns, on a shed; else inside the {!step} that
+    settles the job.  It runs on the driver thread, so it must be quick
+    and must not re-enter the service.  The work closure runs inside
+    [Pool.run] on the executor domain, so it may use [Pool.fork_join],
+    [Pool.alloc_hint], etc. *)
 
 val step : t -> unit
-(** Advance the logical clock by one: promote due retries, dispatch and
-    fully execute at most one queued attempt (in DRR order, blocking,
-    with wedge supervision). *)
+(** Advance the logical clock by one: dispatch and fully execute at most
+    one queued attempt (in DRR order, blocking, with wedge
+    supervision). *)
 
 val drive : ?max_steps:int -> t -> unit
-(** {!step} until the service is idle (no queued jobs, no pending
-    retries) or [max_steps] (default 10_000) steps have elapsed. *)
+(** {!step} until the service is idle (no queued jobs) or [max_steps]
+    (default 10_000) steps have elapsed. *)
 
 val now : t -> int
 (** The logical clock (number of {!step}s so far). *)
@@ -191,8 +182,7 @@ type counters = {
           audit; the next change to the benchmark drops them. *)
   completions : int;
   failures : int;
-  cancelled : int;
-  retries : int;  (** re-attempts scheduled with backoff. *)
+  retries : int;  (** failed attempts sent back to their lane, wedge requeues included. *)
   timeouts : int;  (** attempts that hit their deadline. *)
   wedges : int;  (** pool incarnations declared wedged. *)
   respawns : int;  (** fresh pool incarnations after a wedge. *)
@@ -209,7 +199,6 @@ type tenant_stats = {
   ts_accepted : int;
   ts_completions : int;
   ts_failures : int;
-  ts_cancelled : int;
   ts_rejected_queue_full : int;
   ts_first_shed : int option;  (** first step at which a submission of this tenant was rejected. *)
   ts_peak_depth : int;  (** high watermark of the tenant's queued jobs. *)
@@ -225,9 +214,9 @@ type entry = {
   job : int;
   tenant : string;
   class_ : string;
-  attempts : int;  (** attempts consumed (0 for rejected/cancelled jobs). *)
+  attempts : int;  (** attempts consumed (0 for rejected jobs). *)
   requeues : int;  (** wedge requeues (each exactly one per wedge). *)
-  outcome : outcome option;  (** [None] only while still queued/retrying. *)
+  outcome : outcome option;  (** [None] only while still queued. *)
 }
 
 val ledger : t -> entry list
@@ -238,8 +227,8 @@ val verify_ledger : t -> (unit, string) result
     exactly one terminal outcome (no lost jobs), no duplicate
     acknowledgements were attempted, and the counters are consistent
     with the entries (accepted + rejected = submissions), globally and
-    per tenant: each lane's accepted, completed, failed, rejected and
-    cancelled counts match its own ledger entries.
+    per tenant: each lane's accepted, completed, failed and rejected
+    counts match its own ledger entries.
     [Error msg] pinpoints the first violation. *)
 
 val registry : t -> Dfd_obs.Registry.t

@@ -12,8 +12,8 @@ type t = {
   name : string;  (** unique lane name; ["default"] is the implicit single lane. *)
   weight : int;  (** DRR weight [>= 1]: dispatch share under contention. *)
   queue_bound : int;
-      (** bound on the tenant's in-service load (queued + pending
-          retries + in flight), [>= 1]. *)
+      (** bound on the tenant's in-service load (queued + in flight),
+          [>= 1]. *)
 }
 
 val make : ?weight:int -> ?queue_bound:int -> string -> t

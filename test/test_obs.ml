@@ -17,7 +17,6 @@ module Engine = Dfdeques_core.Engine
 module Oracle = Dfd_check.Oracle
 module Pool = Dfd_runtime.Pool
 module Service = Dfd_service.Service
-module Retry = Dfd_service.Retry
 module Stats = Dfd_structures.Stats
 open Prog
 
@@ -293,7 +292,7 @@ let test_service_metrics_text () =
       Service.default_config with
       Service.seed = 7;
       domains = 1;
-      retry = { Retry.max_attempts = 2; base_delay = 1; max_delay = 2 };
+      max_attempts = 2;
     }
   in
   let svc = Service.create ~config Pool.Work_stealing in
@@ -313,7 +312,6 @@ let test_service_metrics_text () =
             "rejected_queue_full";
             "completions";
             "failures";
-            "cancelled";
             "retries";
             "timeouts";
             "wedges";

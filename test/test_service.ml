@@ -1,85 +1,19 @@
-(* Tests for the supervised job service (lib/service): the seeded
-   full-jitter retry policy (property-tested), the weighted-fair
+(* Tests for the supervised job service (lib/service): the weighted-fair
    admission queue (DRR order unit-tested, the weight-share bound
-   property-tested), submission handles, and the service itself
-   end-to-end against a real pool — exactly-once ledger, non-blocking
-   admission, cancellation, deadline/retry layering, wedge detection
-   with pool respawn and multi-tenant shed ordering. *)
+   property-tested), the per-job attempt budget, and the service itself
+   end-to-end against a real pool — exactly-once ledger and [on_done],
+   non-blocking admission, a failed attempt's place in its lane,
+   deadline/retry layering, wedge detection with pool respawn and
+   multi-tenant shed ordering. *)
 
 module Service = Dfd_service.Service
-module Handle = Dfd_service.Handle
 module Tenant = Dfd_service.Tenant
 module Fair_queue = Dfd_service.Fair_queue
-module Retry = Dfd_service.Retry
 module Pool = Dfd_runtime.Pool
 module Stats = Dfd_structures.Stats
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
-
-(* ------------------------------------------------------------------ *)
-(* Retry: seeded full-jitter backoff (properties)                      *)
-(* ------------------------------------------------------------------ *)
-
-(* (seed, job, policy) generator: small but covers the ramp, the cap and
-   the budget edge (max_attempts = 1 means no retries at all). *)
-let retry_case =
-  QCheck.(
-    quad (int_bound 1_000_000) (int_bound 500) (int_range 1 8)
-      (pair (int_range 1 5) (int_bound 15)))
-
-let policy_of (max_attempts, (base_delay, extra)) =
-  { Retry.max_attempts; base_delay; max_delay = base_delay + extra }
-
-let qcheck_delays_bounded =
-  QCheck.Test.make ~count:200 ~name:"retry delays lie in [1, max_delay]" retry_case
-    (fun (seed, job, ma, bd) ->
-       let pol = policy_of (ma, bd) in
-       List.for_all (fun d -> 1 <= d && d <= pol.Retry.max_delay)
-         (Retry.schedule pol ~seed ~job))
-
-let qcheck_budget_never_exceeded =
-  QCheck.Test.make ~count:200
-    ~name:"retry budget: exactly max_attempts - 1 delays, then None forever" retry_case
-    (fun (seed, job, ma, bd) ->
-       let pol = policy_of (ma, bd) in
-       let t = Retry.create pol ~seed ~job in
-       let delays = ref 0 in
-       (* call well past exhaustion: the budget must hold anyway *)
-       for _ = 1 to (2 * ma) + 3 do
-         match Retry.next_delay t with Some _ -> incr delays | None -> ()
-       done;
-       !delays = ma - 1 && Retry.attempts t = ma)
-
-let qcheck_attempts_monotone =
-  QCheck.Test.make ~count:200
-    ~name:"attempt counter is monotone and clamped at max_attempts" retry_case
-    (fun (seed, job, ma, bd) ->
-       let pol = policy_of (ma, bd) in
-       let t = Retry.create pol ~seed ~job in
-       let ok = ref true in
-       let prev = ref (Retry.attempts t) in
-       for _ = 1 to ma + 4 do
-         ignore (Retry.next_delay t);
-         let a = Retry.attempts t in
-         if a < !prev || a > ma then ok := false;
-         prev := a
-       done;
-       !ok && !prev = ma)
-
-let qcheck_schedule_deterministic =
-  QCheck.Test.make ~count:200 ~name:"equal (seed, job) give byte-identical schedules"
-    retry_case
-    (fun (seed, job, ma, bd) ->
-       let pol = policy_of (ma, bd) in
-       let s1 = Retry.schedule pol ~seed ~job in
-       let s2 = Retry.schedule pol ~seed ~job in
-       (* and the incremental API agrees with the pure one *)
-       let t = Retry.create pol ~seed ~job in
-       let rec steps acc =
-         match Retry.next_delay t with None -> List.rev acc | Some d -> steps (d :: acc)
-       in
-       s1 = s2 && s1 = steps [])
 
 (* ------------------------------------------------------------------ *)
 (* Fair queue: DRR dispatch                                            *)
@@ -98,10 +32,10 @@ let test_fair_queue_drr_order () =
     pops;
   checkb "drained" true (Fair_queue.pop q = None)
 
-(* The lane bound is [Service.submit]'s admission check (over queued,
-   retrying and in-flight jobs); the queue itself is unbounded.  The
-   service-level [Queue_full] tests cover the bound. *)
-let test_fair_queue_bounds_and_remove () =
+(* The lane bound is [Service.submit]'s admission check (over queued and
+   in-flight jobs); the queue itself is unbounded.  The service-level
+   [Queue_full] tests cover the bound. *)
+let test_fair_queue_bounds_and_requeue () =
   let q = Fair_queue.create () in
   Fair_queue.add_tenant q ~name:"a" ~weight:1;
   List.iter (fun i -> Fair_queue.push q ~tenant:"a" i) [ 1; 2; 3 ];
@@ -109,10 +43,7 @@ let test_fair_queue_bounds_and_remove () =
   Fair_queue.push_front q ~tenant:"a" 0;
   checki "peak depth tracked" 4 (Fair_queue.peak_depth q "a");
   checkb "front requeue pops first" true (Fair_queue.pop q = Some ("a", 0));
-  checkb "remove finds a queued job" true
-    (Fair_queue.remove q ~tenant:"a" (fun x -> x = 2) = Some 2);
-  checkb "removed job is gone" true (Fair_queue.remove q ~tenant:"a" (fun x -> x = 2) = None);
-  checki "total" 2 (Fair_queue.total q)
+  checki "total" 3 (Fair_queue.total q)
 
 (* The isolation property behind the whole front door: over any interval
    in which every lane stays backlogged, each lane's dispatch count is
@@ -150,39 +81,14 @@ let qcheck_fair_share =
          (List.mapi (fun i w -> (i, w)) weights))
 
 (* ------------------------------------------------------------------ *)
-(* Handle: status machine and callbacks                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_handle_lifecycle () =
-  let h = Handle.make ~id:7 ~tenant:"t" in
-  checki "id" 7 (Handle.id h);
-  Alcotest.(check string) "tenant" "t" (Handle.tenant h);
-  checkb "fresh handle is queued" true (Handle.status h = Handle.Queued);
-  checkb "not done" false (Handle.is_done h);
-  let log = ref [] in
-  Handle.on_done h (fun v -> log := ("a", v) :: !log);
-  Handle.on_done h (fun v -> log := ("b", v) :: !log);
-  Handle.resolve h 1;
-  checkb "done" true (Handle.is_done h);
-  Alcotest.(check (list (pair string int)))
-    "callbacks fired once, in registration order"
-    [ ("b", 1); ("a", 1) ] !log;
-  Handle.resolve h 2;
-  checkb "second resolve ignored" true (Handle.status h = Handle.Done 1);
-  Handle.on_done h (fun v -> log := ("late", v) :: !log);
-  checkb "late registration fires immediately with the settled value" true
-    (List.hd !log = ("late", 1))
-
-(* ------------------------------------------------------------------ *)
 (* Service end-to-end                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let base_config =
   {
     Service.default_config with
-    Service.seed = 42;
-    domains = 2;
-    retry = { Retry.max_attempts = 3; base_delay = 1; max_delay = 4 };
+    Service.domains = 2;
+    max_attempts = 3;
   }
 
 let with_service ?(config = base_config) policy f =
@@ -200,17 +106,13 @@ let rec fib n =
     let a, b = Pool.fork_join (fun () -> fib (n - 1)) (fun () -> fib (n - 2)) in
     a + b
 
-(* submit-and-check-admission, the migration of the old result API *)
-let sub svc ?tenant ?class_ ?deadline f =
-  Service.admission (Service.submit svc ?tenant ?class_ ?deadline f)
-
 let test_all_complete_exactly_once () =
   with_service Pool.Work_stealing (fun svc ->
       let ran = Atomic.make 0 in
       let ids =
         List.init 20 (fun _ ->
             Result.get_ok
-              (sub svc (fun () ->
+              (Service.submit svc (fun () ->
                    Atomic.incr ran;
                    ignore (Pool.parallel_reduce ~zero:0 ~op:( + ) ~lo:0 ~hi:64 Fun.id))))
       in
@@ -235,7 +137,7 @@ let test_retry_to_budget_then_failed () =
       let runs = Atomic.make 0 in
       let id =
         Result.get_ok
-          (sub svc ~class_:"boom" (fun () ->
+          (Service.submit svc ~class_:"boom" (fun () ->
                Atomic.incr runs;
                failwith "boom"))
       in
@@ -246,7 +148,12 @@ let test_retry_to_budget_then_failed () =
         (match e.Service.outcome with Some (Service.Failed _) -> true | _ -> false);
       checki "ledger attempts" 3 e.Service.attempts;
       let c = Service.counters svc in
-      checki "two retries scheduled" 2 c.Service.retries;
+      checki "exactly max_attempts - 1 retries" 2 c.Service.retries;
+      (* the budget holds past exhaustion: further steps run nothing *)
+      for _ = 1 to 5 do
+        Service.step svc
+      done;
+      checki "no attempt after the failure" 3 (Atomic.get runs);
       (match Service.verify_ledger svc with
        | Ok () -> ()
        | Error m -> Alcotest.fail ("ledger audit: " ^ m)))
@@ -256,7 +163,7 @@ let test_flaky_recovers_after_one_retry () =
       let tripped = Atomic.make false in
       let id =
         Result.get_ok
-          (sub svc ~class_:"flaky" (fun () ->
+          (Service.submit svc ~class_:"flaky" (fun () ->
                if not (Atomic.exchange tripped true) then failwith "flaky"))
       in
       Service.drive svc;
@@ -265,20 +172,53 @@ let test_flaky_recovers_after_one_retry () =
       checki "two attempts" 2 e.Service.attempts;
       checki "one retry" 1 (Service.counters svc).Service.retries)
 
+(* The per-job budget, one step at a time: an always-failing job's
+   ledger attempt count never decreases, never exceeds [max_attempts],
+   and ends there with exactly [max_attempts - 1] retries, for budgets
+   from 1 (no retry at all) up. *)
+let test_attempts_monotone_and_clamped () =
+  List.iter
+    (fun ma ->
+       let config = { base_config with Service.domains = 0; max_attempts = ma } in
+       with_service ~config Pool.Work_stealing (fun svc ->
+           let runs = Atomic.make 0 in
+           let id =
+             Result.get_ok
+               (Service.submit svc (fun () ->
+                    Atomic.incr runs;
+                    failwith "boom"))
+           in
+           let prev = ref 0 in
+           for _ = 1 to ma + 4 do
+             Service.step svc;
+             let a = (entry svc id).Service.attempts in
+             checkb (Printf.sprintf "budget %d: attempts monotone and <= budget" ma) true
+               (!prev <= a && a <= ma);
+             prev := a
+           done;
+           checki (Printf.sprintf "budget %d: attempts end at the budget" ma) ma !prev;
+           checki (Printf.sprintf "budget %d: runs" ma) ma (Atomic.get runs);
+           checki (Printf.sprintf "budget %d: retries" ma) (ma - 1)
+             (Service.counters svc).Service.retries;
+           checkb (Printf.sprintf "budget %d: failed" ma) true
+             (match (entry svc id).Service.outcome with
+              | Some (Service.Failed _) -> true
+              | _ -> false)))
+    [ 1; 2; 3; 5 ]
+
 let test_queue_full_sheds () =
   let config =
     { base_config with Service.tenants = [ Tenant.make ~queue_bound:2 "default" ] }
   in
   with_service ~config Pool.Work_stealing (fun svc ->
-      checkb "first accepted" true (Result.is_ok (sub svc (fun () -> ())));
-      checkb "second accepted" true (Result.is_ok (sub svc (fun () -> ())));
+      checkb "first accepted" true (Result.is_ok (Service.submit svc (fun () -> ())));
+      checkb "second accepted" true (Result.is_ok (Service.submit svc (fun () -> ())));
       let fired = ref None in
-      let h3 = Service.submit svc ~on_done:(fun o -> fired := Some o) (fun () -> ()) in
-      checkb "third shed" true (Service.admission h3 = Error Service.Queue_full);
-      (* a synchronous rejection is terminal on the handle and fires the
-         completion callback — the caller needs no second code path *)
-      checkb "shed handle resolved synchronously" true
-        (Handle.status h3 = Handle.Done (Service.Rejected Service.Queue_full));
+      checkb "third shed" true
+        (Service.submit svc ~on_done:(fun o -> fired := Some o) (fun () -> ())
+        = Error Service.Queue_full);
+      (* a shed fires the completion callback before [submit] returns —
+         the caller needs no second code path *)
       checkb "on_done fired for the rejection" true
         (!fired = Some (Service.Rejected Service.Queue_full));
       Service.drive svc;
@@ -291,34 +231,52 @@ let test_queue_full_sheds () =
        | Ok () -> ()
        | Error m -> Alcotest.fail ("ledger audit: " ^ m)))
 
-let test_handle_await_poll_callbacks () =
-  with_service Pool.Work_stealing (fun svc ->
-      let seen = ref None in
-      let h = Service.submit svc ~on_done:(fun o -> seen := Some o) (fun () -> ()) in
-      checkb "queued right after submit" true (Service.poll h = Handle.Queued);
-      (match Service.await svc h with
-       | Some Service.Completed -> ()
-       | _ -> Alcotest.fail "await must drive the job to its outcome");
-      checkb "poll agrees" true (Service.poll h = Handle.Done Service.Completed);
-      checkb "callback fired with the outcome" true (!seen = Some Service.Completed);
-      (* await on a settled handle returns without stepping *)
-      checkb "await is idempotent" true (Service.await svc h = Some Service.Completed))
-
-let test_cancel_queued_job () =
-  with_service Pool.Work_stealing (fun svc ->
-      let ran = Atomic.make false in
-      let victim = Service.submit svc (fun () -> Atomic.set ran true) in
-      let bystander = Service.submit svc (fun () -> ()) in
-      checkb "cancel succeeds while queued" true (Service.cancel svc victim);
-      checkb "cancel is terminal on the handle" true
-        (Handle.status victim = Handle.Done Service.Cancelled);
-      checkb "second cancel returns false" false (Service.cancel svc victim);
+(* A failed attempt goes straight to the back of its own lane: F fails
+   once, so B1 and B2, queued behind it, run before F's retry.  [on_done]
+   fires exactly once per job — for a shed, inside [submit]; for a
+   completion; and for a retried job only when its retry completes. *)
+let test_retry_back_of_lane_on_done_once () =
+  let config =
+    { base_config with Service.tenants = [ Tenant.make ~queue_bound:3 "default" ] }
+  in
+  with_service ~config Pool.Work_stealing (fun svc ->
+      let order = Atomic.make [] in
+      let fired = Hashtbl.create 4 in
+      let on_done name o =
+        Hashtbl.replace fired name (o :: Option.value ~default:[] (Hashtbl.find_opt fired name))
+      in
+      let fired_for name = Option.value ~default:[] (Hashtbl.find_opt fired name) in
+      let job name body =
+        Service.submit svc ~class_:name ~on_done:(on_done name) (fun () ->
+            Atomic.set order (name :: Atomic.get order);
+            body ())
+      in
+      let tripped = Atomic.make false in
+      let f =
+        Result.get_ok (job "F" (fun () -> if not (Atomic.exchange tripped true) then failwith "once"))
+      in
+      let b1 = Result.get_ok (job "B1" ignore) in
+      ignore (Result.get_ok (job "B2" ignore));
+      checkb "S shed at the bound" true (job "S" ignore = Error Service.Queue_full);
+      checkb "shed fired inside submit" true
+        (fired_for "S" = [ Service.Rejected Service.Queue_full ]);
+      Service.step svc;
+      checki "F's failed attempt counted" 1 (entry svc f).Service.attempts;
+      checkb "F unsettled after its failure" true ((entry svc f).Service.outcome = None);
+      checkb "a failed attempt fires nothing" true (fired_for "F" = []);
       Service.drive svc;
-      checkb "cancelled work never ran" false (Atomic.get ran);
-      checkb "bystander unaffected" true
-        (Handle.status bystander = Handle.Done Service.Completed);
-      checkb "cannot cancel a finished job" false (Service.cancel svc bystander);
-      checki "cancelled counted" 1 (Service.counters svc).Service.cancelled;
+      Alcotest.(check (list string)) "run order" [ "F"; "B1"; "B2"; "F" ]
+        (List.rev (Atomic.get order));
+      List.iter
+        (fun name ->
+           checkb (name ^ ": on_done fired once, Completed") true
+             (fired_for name = [ Service.Completed ]))
+        [ "F"; "B1"; "B2" ];
+      checkb "shed still fired once" true
+        (fired_for "S" = [ Service.Rejected Service.Queue_full ]);
+      checki "F took two attempts" 2 (entry svc f).Service.attempts;
+      checki "B1 took one" 1 (entry svc b1).Service.attempts;
+      checki "one retry" 1 (Service.counters svc).Service.retries;
       (match Service.verify_ledger svc with
        | Ok () -> ()
        | Error m -> Alcotest.fail ("ledger audit: " ^ m)))
@@ -338,13 +296,13 @@ let test_bully_shed_first_victims_bounded () =
   with_service ~config Pool.Work_stealing (fun svc ->
       (* the bully fills its whole lane *)
       for _ = 1 to 4 do
-        checkb "bully backlog admitted" true (Result.is_ok (sub svc ~tenant:"bronze" (fun () -> ())))
+        checkb "bully backlog admitted" true (Result.is_ok (Service.submit svc ~tenant:"bronze" (fun () -> ())))
       done;
-      (match sub svc ~tenant:"bronze" (fun () -> ()) with
+      (match Service.submit svc ~tenant:"bronze" (fun () -> ()) with
        | Error Service.Queue_full -> ()
        | _ -> Alcotest.fail "the bully must be shed at its own bound");
       checkb "the victim is still admitted" true
-        (Result.is_ok (sub svc ~tenant:"gold" (fun () -> ())));
+        (Result.is_ok (Service.submit svc ~tenant:"gold" (fun () -> ())));
       Service.drive svc;
       let stats = Service.tenant_stats svc in
       let stat n = List.find (fun ts -> ts.Service.ts_name = n) stats in
@@ -375,12 +333,12 @@ let test_unknown_tenant_rejected () =
 
 let test_deadline_enforced () =
   let config =
-    { base_config with Service.retry = { Retry.max_attempts = 2; base_delay = 1; max_delay = 2 } }
+    { base_config with Service.max_attempts = 2 }
   in
   with_service ~config Pool.Work_stealing (fun svc ->
       let id =
         Result.get_ok
-          (sub svc ~class_:"slow" ~deadline:0.05 (fun () ->
+          (Service.submit svc ~class_:"slow" ~deadline:0.05 (fun () ->
                let rec loop () =
                  ignore (Pool.fork_join (fun () -> ()) (fun () -> ()));
                  loop ()
@@ -397,7 +355,6 @@ let test_deadline_enforced () =
            (match o with
             | Some Service.Completed -> "completed"
             | Some (Service.Rejected _) -> "rejected"
-            | Some Service.Cancelled -> "cancelled"
             | _ -> "unresolved"));
       checki "every attempt timed out" 2 (Service.counters svc).Service.timeouts)
 
@@ -449,11 +406,10 @@ let test_wedge_respawn_exactly_once () =
   let flag = Atomic.make false in
   let wedge_id =
     Result.get_ok
-      (Service.admission
-         (Service.submit svc ~class_:"wedge" (fun () ->
-              while not (Atomic.get flag) do
-                Domain.cpu_relax ()
-              done)))
+      (Service.submit svc ~class_:"wedge" (fun () ->
+           while not (Atomic.get flag) do
+             Domain.cpu_relax ()
+           done))
   in
   Hashtbl.replace wedge_flags wedge_id flag;
   Service.drive svc;
@@ -466,7 +422,7 @@ let test_wedge_respawn_exactly_once () =
   checki "one respawn" 1 c.Service.respawns;
   checki "no duplicate acks" 0 c.Service.duplicate_acks;
   (* the respawned pool is a working pool *)
-  let after = Result.get_ok (Service.admission (Service.submit svc (fun () -> ()))) in
+  let after = Result.get_ok (Service.submit svc (fun () -> ())) in
   Service.drive svc;
   checkb "post-respawn job completes" true
     ((entry svc after).Service.outcome = Some Service.Completed);
@@ -486,11 +442,10 @@ let test_supervisor_gives_up () =
   let flag = Atomic.make false in
   ignore
     (Result.get_ok
-       (Service.admission
-          (Service.submit svc (fun () ->
-               while not (Atomic.get flag) do
-                 Domain.cpu_relax ()
-               done))));
+       (Service.submit svc (fun () ->
+            while not (Atomic.get flag) do
+              Domain.cpu_relax ()
+            done)));
   checkb "giveup past max_respawns" true
     (try
        Service.drive svc;
@@ -500,20 +455,22 @@ let test_supervisor_gives_up () =
   Atomic.set flag true;
   Service.shutdown svc
 
-(* Terminal error classes skip the retry schedule entirely: the job
-   fails on its first attempt with zero retries scheduled.  So does a
-   job whose work raises the service's own [Supervisor_giveup].  A plain
-   [Failure] stays retryable — the budget still applies to it. *)
+(* Terminal error classes are never retried: the job fails on its first
+   attempt with zero retries.  So does a job whose work raises the
+   service's own [Supervisor_giveup].  A plain [Failure] stays
+   retryable — the budget still applies to it. *)
 let test_terminal_errors_not_retried () =
-  checkb "Invalid_argument is terminal" true (Retry.is_terminal (Invalid_argument "x"));
-  checkb "Failure stays retryable" false (Retry.is_terminal (Failure "boom"));
-  checkb "Not_found stays retryable" false (Retry.is_terminal Not_found);
+  checkb "Invalid_argument is terminal" true (Service.is_terminal (Invalid_argument "x"));
+  checkb "Supervisor_giveup is terminal" true
+    (Service.is_terminal (Service.Supervisor_giveup "wedged"));
+  checkb "Failure stays retryable" false (Service.is_terminal (Failure "boom"));
+  checkb "Not_found stays retryable" false (Service.is_terminal Not_found);
   with_service Pool.Work_stealing (fun svc ->
       let fails_once name raise_it =
         let runs = Atomic.make 0 in
         let id =
           Result.get_ok
-            (sub svc ~class_:"fatal" (fun () ->
+            (Service.submit svc ~class_:"fatal" (fun () ->
                  Atomic.incr runs;
                  raise_it ()))
         in
@@ -537,19 +494,15 @@ let () =
     [
       ( "retry",
         [
-          QCheck_alcotest.to_alcotest ~long:false qcheck_delays_bounded;
-          QCheck_alcotest.to_alcotest ~long:false qcheck_budget_never_exceeded;
-          QCheck_alcotest.to_alcotest ~long:false qcheck_attempts_monotone;
-          QCheck_alcotest.to_alcotest ~long:false qcheck_schedule_deterministic;
+          Alcotest.test_case "attempt counter is monotone and clamped at max_attempts" `Quick
+            test_attempts_monotone_and_clamped;
         ] );
       ( "fair_queue",
         [
           Alcotest.test_case "DRR dispatch order" `Quick test_fair_queue_drr_order;
-          Alcotest.test_case "bounds, requeue, remove" `Quick test_fair_queue_bounds_and_remove;
+          Alcotest.test_case "bounds and requeue" `Quick test_fair_queue_bounds_and_requeue;
           QCheck_alcotest.to_alcotest ~long:false qcheck_fair_share;
         ] );
-      ( "handle",
-        [ Alcotest.test_case "lifecycle and callbacks" `Quick test_handle_lifecycle ] );
       ( "service",
         [
           Alcotest.test_case "all complete exactly once" `Quick test_all_complete_exactly_once;
@@ -557,8 +510,8 @@ let () =
             test_retry_to_budget_then_failed;
           Alcotest.test_case "flaky recovers" `Quick test_flaky_recovers_after_one_retry;
           Alcotest.test_case "queue full sheds" `Quick test_queue_full_sheds;
-          Alcotest.test_case "await, poll, callbacks" `Quick test_handle_await_poll_callbacks;
-          Alcotest.test_case "cancel queued job" `Quick test_cancel_queued_job;
+          Alcotest.test_case "retry at the back, on_done once" `Quick
+            test_retry_back_of_lane_on_done_once;
           Alcotest.test_case "bully shed first, victims bounded" `Quick
             test_bully_shed_first_victims_bounded;
           Alcotest.test_case "unknown tenant rejected" `Quick test_unknown_tenant_rejected;

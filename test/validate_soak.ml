@@ -1,7 +1,7 @@
 (* Smoke-test validator for the `repro soak` JSON report: structural
    checks plus the acceptance criteria — the exactly-once ledger audits
-   clean, counters are consistent with the ledger, no duplicate
-   acknowledgements, the per-tenant sections sum to the global counters,
+   clean, counters are consistent with the ledger (every attempt beyond
+   a job's first is one counted retry), no duplicate acknowledgements, the per-tenant sections sum to the global counters,
    the Theorem-4.4 headroom audit holds, and the run's own oracle found
    no violations.  Every plan writes the same report shape.
 
@@ -85,7 +85,7 @@ let () =
   let ledger = try Json.to_list_exn (Json.member "ledger" j) with _ -> fail "no ledger" in
   if List.length ledger <> List.length subs then
     fail "ledger has %d entries but %d submissions" (List.length ledger) (List.length subs);
-  let completed = ref 0 and failed = ref 0 and rejected = ref 0 and cancelled = ref 0 in
+  let completed = ref 0 and failed = ref 0 and rejected = ref 0 and reattempts = ref 0 in
   List.iter
     (fun e ->
        (try ignore (Json.to_int_exn (Json.member "job" e)) with _ -> fail "ledger entry without job");
@@ -100,10 +100,17 @@ let () =
          try Json.to_int_exn (Json.member "requeues" e) with _ -> fail "entry without requeues"
        in
        if attempts < 0 || requeues < 0 then fail "negative attempts/requeues";
+       let ran () =
+         if attempts < 1 then fail "admitted entry with no attempt";
+         reattempts := !reattempts + attempts - 1
+       in
        match Json.member "outcome" e with
-       | Json.String "completed" -> incr completed
-       | Json.String "failed" -> incr failed
-       | Json.String "cancelled" -> incr cancelled
+       | Json.String "completed" ->
+         ran ();
+         incr completed
+       | Json.String "failed" ->
+         ran ();
+         incr failed
        | Json.String "rejected" ->
          incr rejected;
          (match Json.member "reason" e with
@@ -121,7 +128,9 @@ let () =
   if c "rejected_queue_full" <> !shed then fail "rejection counter disagrees with submissions";
   if c "completions" <> !completed then fail "completions counter disagrees with ledger";
   if c "failures" <> !failed then fail "failures counter disagrees with ledger";
-  if c "cancelled" <> !cancelled then fail "cancelled counter disagrees with ledger";
+  if c "retries" <> !reattempts then
+    fail "retries counter %d but the ledger holds %d attempts beyond each job's first"
+      (c "retries") !reattempts;
   if !rejected <> !shed then fail "rejected ledger entries disagree with shed submissions";
   if c "duplicate_acks" <> 0 then fail "duplicate acknowledgements reported";
   if c "wedges" <> c "respawns" then fail "wedge/respawn counters disagree";
@@ -158,7 +167,6 @@ let () =
        sum_acc := !sum_acc + ti "accepted";
        ignore (ti "completions");
        ignore (ti "failures");
-       ignore (ti "cancelled");
        sum_rej := !sum_rej + ti "rejected_queue_full";
        (match Json.member "first_shed_step" t with
         | Json.Null -> ()
