@@ -171,7 +171,4 @@ module Snapshot = struct
            | Float_v f -> Some (s.name, Json.Float f)
            | Hist_v _ -> None)
          samples)
-
-  let to_alist samples =
-    List.filter_map (fun s -> match s.value with Counter_v n | Gauge_v n -> Some (s.name, n) | Float_v _ | Hist_v _ -> None) samples
 end

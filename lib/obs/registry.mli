@@ -85,9 +85,9 @@ val snapshot : ?stable_only:bool -> t -> sample list
     registry lock, so they must not themselves touch the registry.  A probe that raises
     contributes no sample (crash forensics must not crash). *)
 
-(** Renderers over sample lists — shared by the service snapshot, the
-    soak report and [Pool.stats], which previously each hand-rolled their
-    own flattening. *)
+(** Renderers over sample lists — shared by the service snapshot and the
+    soak report, which previously each hand-rolled their own
+    flattening. *)
 module Snapshot : sig
   val to_json : sample list -> Dfd_trace.Json.t
   (** Lossless: [{"metrics":[{"name","type","value"...}]}]; histograms
@@ -96,7 +96,4 @@ module Snapshot : sig
   val to_flat_json : sample list -> Dfd_trace.Json.t
   (** A flat object [{name: number, ...}] of the scalar samples
       (histograms are skipped) — the legacy counters-object shape. *)
-
-  val to_alist : sample list -> (string * int) list
-  (** Integer-valued samples only, in snapshot (name) order. *)
 end

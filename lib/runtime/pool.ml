@@ -11,8 +11,6 @@ exception Not_in_pool
 
 exception Nested_run
 
-exception Timeout
-
 exception Cancelled
 
 (* A queued task; its argument is the worker that runs it, so the task
@@ -130,8 +128,9 @@ type t = {
           stored already boxed as the Lfdeque/Multiq [?ops] argument, so
           passing it allocates nothing.  A ref rather than a mutable field so
           the structures can bump it directly; still single-writer
-          (thief-side ops are charged to the thief).  Summed by
-          {!val-sync_ops}, which the registry reads as a lazy probe. *)
+          (thief-side ops are charged to the thief).  Summed into
+          {!val-counters}' [sync_ops], which the registry reads as a lazy
+          probe. *)
   priv : pstack array;
       (** each worker's private part, owner-only; the record and its
           [items] are padded (see {!padded}). *)
@@ -169,10 +168,9 @@ type t = {
   next_did : int Atomic.t;
   last_active_us : int array;
       (** per worker, tracer-only stamp of its last task (steal latency). *)
-  deadline : float option Atomic.t;
-      (** absolute wall-clock deadline of the current [run ~timeout]. *)
   cancelled : bool Atomic.t;
-      (** the deadline passed: fork_join/await bail out cooperatively. *)
+      (** set by {!cancel}, cleared by [run]'s entry: fork_join/await
+          bail out cooperatively. *)
 }
 
 (* Wall-clock event timestamp: microseconds since pool creation.  Only
@@ -196,17 +194,12 @@ let[@inline] self_exn () =
   | Some ctx -> ctx
   | None -> raise Not_in_pool
 
-(* Cooperative cancellation: checked at every fork and await iteration.
-   The first check past the deadline flips [cancelled]; every scheduler
-   interaction after that raises, so the computation unwinds without
-   creating new work. *)
-let[@inline] check_cancel pool =
-  if Atomic.get pool.cancelled then raise Cancelled;
-  match Atomic.get pool.deadline with
-  | Some d when Unix.gettimeofday () > d ->
-    Atomic.set pool.cancelled true;
-    raise Cancelled
-  | _ -> ()
+(* Cooperative cancellation: one load at every fork and await
+   iteration.  Once {!cancel} has set the flag, every scheduler
+   interaction raises, so the computation unwinds without creating new
+   work.  The pool keeps no clock for it: a caller with a deadline
+   watches its own and cancels. *)
+let[@inline] check_cancel pool = if Atomic.get pool.cancelled then raise Cancelled
 
 (* Bounded exponential backoff with full jitter between failed steal
    attempts: the spin count is drawn uniformly from [1, 2^n], so
@@ -848,11 +841,10 @@ let worker_loop pool w =
   in
   loop ()
 
-(* Total synchronization operations (atomic RMWs + publishing stores,
-   CAS retries included) executed on either policy's scheduling paths,
-   summed across workers — the Rito & Paulino sync-overhead metric,
-   measured rather than assumed.  Same staleness contract as
-   {!val-counters}. *)
+(* [counters]' [sync_ops]: synchronization operations (atomic RMWs +
+   publishing stores, CAS retries included) executed on either policy's
+   scheduling paths, summed across the per-worker cells — the Rito &
+   Paulino sync-overhead metric, measured rather than assumed. *)
 let sync_ops pool =
   let n = ref 0 in
   for w = 0 to pool.n_workers - 1 do
@@ -998,7 +990,6 @@ let make ?(flight = Tracer.disabled) ~n_workers ~tracer policy =
       t0 = Unix.gettimeofday ();
       next_did = Atomic.make n_workers;
       last_active_us = Array.make n_workers 0;
-      deadline = Atomic.make None;
       cancelled = Atomic.make false;
     }
 
@@ -1036,28 +1027,26 @@ let drain pool =
     end
   done
 
-let run ?timeout pool f =
+let cancel pool = Atomic.set pool.cancelled true
+
+let run pool f =
   (match self () with Some _ -> raise Nested_run | None -> ());
   let ctx = Domain.DLS.get worker_key in
   ctx := Some (0, pool);
+  (* a cancel aimed at an earlier run, or at none, is stale here *)
   Atomic.set pool.cancelled false;
-  Atomic.set pool.deadline (Option.map (fun s -> Unix.gettimeofday () +. s) timeout);
   Fun.protect
     ~finally:(fun () ->
       ctx := None;
-      clear_stale (pstack pool 0);
-      Atomic.set pool.deadline None)
+      clear_stale (pstack pool 0))
     (fun () ->
        match f () with
        | v -> v
-       | exception Cancelled when Atomic.get pool.cancelled ->
+       | exception _ when Atomic.get pool.cancelled ->
+         (* whatever unwound the computation, a cancelled run reports
+            [Cancelled], after draining so the pool is clean *)
          drain pool;
-         raise Timeout
-       | exception e when Atomic.get pool.cancelled ->
-         (* a user exception raced the cancellation; still leave the pool
-            clean, but report the user's exception *)
-         drain pool;
-         raise e)
+         raise Cancelled)
 
 (* Take the forked task back if nobody stole it and run [fa] inline (the
    fast path: a plain pop of the private part), else help until its thief
@@ -1101,15 +1090,6 @@ let rec parallel_for ~lo ~hi body =
     ()
   end
 
-let parallel_map f arr =
-  let n = Array.length arr in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n (f arr.(0)) in
-    parallel_for ~lo:1 ~hi:n (fun i -> out.(i) <- f arr.(i));
-    out
-  end
-
 let alloc_hint n =
   match self () with
   | Some (w, pool) ->
@@ -1128,7 +1108,8 @@ let alloc_hint n =
 let heartbeat pool =
   Array.fold_left (fun acc c -> acc + c.c_tasks_run) 0 pool.per_worker
 
-let stats pool =
+(* {!counters} as [name=value] pairs, in declaration order, for [snapshot]. *)
+let counter_fields pool =
   let c = counters pool in
   [
     ("steals", c.steals);
@@ -1162,13 +1143,10 @@ let snapshot pool =
      | Work_stealing -> "WS"
      | Dfdeques { quota } -> Printf.sprintf "DFDeques(K=%d)" quota)
     pool.n_workers;
-  pf "  queued=%d parked=%d wakeups=%d shutting_down=%b cancelled=%b deadline=%s\n"
+  pf "  queued=%d parked=%d wakeups=%d shutting_down=%b cancelled=%b\n"
     (queued pool) (Atomic.get pool.n_parked) (Atomic.get pool.wakeups)
-    (Atomic.get pool.shutting_down) (Atomic.get pool.cancelled)
-    (match Atomic.get pool.deadline with
-     | None -> "none"
-     | Some d -> Printf.sprintf "%+.3fs" (d -. Unix.gettimeofday ()));
-  List.iter (fun (k, v) -> pf "  %s=%d\n" k v) (stats pool);
+    (Atomic.get pool.shutting_down) (Atomic.get pool.cancelled);
+  List.iter (fun (k, v) -> pf "  %s=%d\n" k v) (counter_fields pool);
   pf "  heartbeat=%d\n" (heartbeat pool);
   Array.iteri
     (fun i c ->
@@ -1292,35 +1270,3 @@ let parallel_reduce ~zero ~op ~lo ~hi f =
     end
   in
   go lo hi
-
-(* Blelloch two-phase scan over [grain]-sized chunks: reduce each chunk in
-   parallel, serially prefix the chunk sums (few chunks), then expand each
-   chunk in parallel. *)
-let parallel_prefix_sum ~zero ~op arr =
-  let n = Array.length arr in
-  if n = 0 then [||]
-  else begin
-    let grain = 1024 in
-    let nchunks = (n + grain - 1) / grain in
-    let sums = Array.make nchunks zero in
-    parallel_for ~lo:0 ~hi:nchunks (fun c ->
-        let lo = c * grain and hi = min n ((c + 1) * grain) in
-        let acc = ref zero in
-        for i = lo to hi - 1 do
-          acc := op !acc arr.(i)
-        done;
-        sums.(c) <- !acc);
-    let offsets = Array.make nchunks zero in
-    for c = 1 to nchunks - 1 do
-      offsets.(c) <- op offsets.(c - 1) sums.(c - 1)
-    done;
-    let out = Array.make n zero in
-    parallel_for ~lo:0 ~hi:nchunks (fun c ->
-        let lo = c * grain and hi = min n ((c + 1) * grain) in
-        let acc = ref offsets.(c) in
-        for i = lo to hi - 1 do
-          out.(i) <- !acc;
-          acc := op !acc arr.(i)
-        done);
-    out
-  end

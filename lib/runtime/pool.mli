@@ -30,7 +30,7 @@
       {!rank_error}, the [dfd_pool_steal_rank_error] registry histogram
       and [Steal_rank] trace events; the synchronization cost of the
       CAS discipline is itself measured, under both policies
-      ({!sync_ops}, [dfd_pool_sync_ops]).  DESIGN.md §15 documents the MultiQueue and
+      ([counters.sync_ops], [dfd_pool_sync_ops]).  DESIGN.md §15 documents the MultiQueue and
       §16 the lock-free deque (CAS commit points, ABA and
       memory-ordering audit); §10 the lock hierarchy: no scheduling or
       event-recording path takes a mutex.
@@ -83,16 +83,12 @@ exception Nested_run
 (** {!run} was called from inside a pool task (re-entrant runs are not
     allowed). *)
 
-exception Timeout
-(** The {!run} [timeout] expired.  Raised by [run] itself after the
-    in-flight computation has been cancelled and the deques drained; the
-    pool is reusable afterwards. *)
-
 exception Cancelled
-(** Internal cooperative-cancellation signal: raised inside pool tasks
-    once the {!run} deadline has passed so the computation unwinds.  User
-    code only observes it if it catches-and-inspects exceptions crossing a
-    {!fork_join}; [run] translates it to {!Timeout} at the boundary. *)
+(** The run was cancelled ({!cancel}).  Inside pool tasks it is the
+    cooperative signal that unwinds the computation: every {!fork_join}
+    and join-wait raises it once the flag is set.  {!run} raises it too,
+    after draining the deques, as the result of a cancelled run; the pool
+    is reusable afterwards. *)
 
 val create :
   ?domains:int ->
@@ -132,25 +128,35 @@ val create :
     forensics, typically [Tracer.create ~capacity:256 ~lanes:(domains + 1) ()].
     Rare events (steal successes, quota giveups, deque lifecycle, task
     exceptions) are recorded into it — as into [tracer] — and a
-    supervisor dumps it ({!Dfd_trace.Tracer.write_file}) on [Timeout],
-    watchdog kill or give-up, without enabling full tracing.  A task
+    supervisor dumps it ({!Dfd_trace.Tracer.write_file}) on an attempt
+    timeout, watchdog kill or give-up, without enabling full tracing.  A task
     exception is noted as [Fault_injected {fault = "task_exn"}].  Same
     lane rule as [tracer]: one ring per pool, [n_workers] lanes, never
     shared between live pools. *)
 
-val run : ?timeout:float -> t -> (unit -> 'a) -> 'a
+val run : t -> (unit -> 'a) -> 'a
 (** Execute a task (and all the parallel work it forks) to completion on
     the pool; the calling thread works too.  Re-entrant calls from inside
     pool tasks raise {!Nested_run}.  Every run uses the memory threshold
     K the pool was created with (the {!Dfdeques} [quota]).
 
-    [timeout] (seconds, wall clock): cancel the computation and raise
-    {!Timeout} once the deadline passes.  Cancellation is cooperative —
-    it takes effect at the next {!fork_join} or join-wait of any task, so
-    a task that loops forever without touching the pool cannot be
-    interrupted.  On timeout the leftover queued tasks are drained (each
-    unwinds immediately via the cancellation signal) before {!Timeout} is
-    raised, leaving the pool idle and reusable. *)
+    [run] clears the cancel flag on entry, so a {!cancel} issued before
+    it (aimed at an earlier run, or at none) does not reach it.  If the
+    flag is set when the computation unwinds, whatever it raised, [run]
+    drains the leftover queued tasks (each unwinds at once) and raises
+    {!Cancelled}, leaving the pool idle and reusable.  A run that returns
+    before any task sees the flag returns its value. *)
+
+val cancel : t -> unit
+(** Set the pool's cancel flag: the current {!run}'s tasks raise
+    {!Cancelled} at their next {!fork_join} or join-wait, and the run
+    raises {!Cancelled}.  Callable from any thread.  Cancellation is
+    cooperative, so a task that loops forever without touching the pool
+    cannot be interrupted (a supervisor's heartbeat watchdog covers that
+    case, see {!heartbeat}).  The pool keeps no clock: a caller with a
+    deadline watches its own and cancels once it passes.  Since {!run}
+    clears the flag on entry, a cancel that may land before the run
+    starts must be re-asserted until the run returns. *)
 
 val fork_join : (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
 (** Run the two thunks in parallel, returning both results.  Must be
@@ -162,18 +168,9 @@ val parallel_for : lo:int -> hi:int -> (int -> unit) -> unit
 (** Binary fork-join tree over [lo, hi) — the standard nested-parallel
     loop encoding.  Must be called from inside {!run}. *)
 
-val parallel_map : ('a -> 'b) -> 'a array -> 'b array
-(** Parallel array map built on {!parallel_for}; [f] is applied exactly
-    once per element. *)
-
 val parallel_reduce : zero:'a -> op:('a -> 'a -> 'a) -> lo:int -> hi:int -> (int -> 'a) -> 'a
 (** Binary fork-join tree reduction of [f lo ... f (hi-1)] with an
     associative [op].  Must be called from inside {!run}. *)
-
-val parallel_prefix_sum : zero:'a -> op:('a -> 'a -> 'a) -> 'a array -> 'a array
-(** Exclusive prefix "sums" under an associative [op] (Blelloch two-phase
-    scan over chunks).  [out.(i) = fold op zero arr.(0..i-1)].  Must be
-    called from inside {!run}. *)
 
 val alloc_hint : int -> unit
 (** Report [n] bytes of allocation to the scheduler.  Under {!Dfdeques}
@@ -199,7 +196,15 @@ type counters = {
   r_removes : int;  (** deques reaped from R, both policies *)
   sync_ops : int;
       (** synchronization operations (atomic RMWs and publishing stores,
-          CAS retries included) on scheduling paths, both policies *)
+          CAS retries included) executed on scheduling paths, both
+          policies — a thief's request, an owner's response (clearing the
+          flag, publishing to the public part), public pop and steal, the
+          promise's publishing store of each task taken from a deque,
+          abandonment, reap and R membership.  An unstolen, unpublished
+          fork costs 0: its push and its join's pop touch only the
+          private part.  The Rito & Paulino sync-overhead metric, bounded
+          by steals and publications rather than by work; the registry's
+          [dfd_pool_sync_ops] probe. *)
 }
 
 val counters : t -> counters
@@ -209,21 +214,6 @@ val counters : t -> counters
     no lock is taken to read any of them), so a snapshot taken while
     tasks are running may be slightly stale; it is exact once the pool
     is idle. *)
-
-val sync_ops : t -> int
-(** Total synchronization operations (atomic RMWs and publishing stores,
-    CAS retries included) executed on scheduling paths — a thief's
-    request, an owner's response (clearing the flag, publishing to the
-    public part), public pop and steal under both policies, the
-    promise's publishing store of each task taken from a deque,
-    abandonment, reap and R membership — summed across
-    the per-worker single-writer cells.  An unstolen, unpublished fork
-    costs 0: its push and its join's pop touch only the private part.
-    The Rito & Paulino sync-overhead metric, which is bounded by
-    steals and publications rather than by work.  Exposed to the
-    registry as the lazily-summed [dfd_pool_sync_ops] probe, like every
-    other pool counter.
-    Same staleness contract as {!val-counters}. *)
 
 val rank_error : t -> Dfd_structures.Stats.Histogram.t
 (** Distribution of the rank error of every successful steal, one
@@ -239,10 +229,6 @@ val heartbeat : t -> int
     progress clock for a no-progress watchdog, such as the service's
     wedge detector — the pool never stamps wall-clock time on the hot
     path for liveness purposes. *)
-
-val stats : t -> (string * int) list
-(** {!counters} flattened to association-list form for quick printing,
-    one [(field name, value)] pair per field, in declaration order. *)
 
 val flight : t -> Dfd_trace.Tracer.t
 (** The flight recorder passed at {!create}

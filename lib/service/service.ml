@@ -71,8 +71,7 @@ type job = {
 
 type exec_result =
   | R_done
-  | R_timeout
-  | R_cancelled_leak  (** [Pool.Cancelled] escaped [run] — a pool bug; surfaced, never swallowed. *)
+  | R_timeout  (** the driver cancelled the attempt past its deadline. *)
   | R_exn of { msg : string; retryable : bool }
       (** [retryable] is classified at the raise site ({!is_terminal}
           needs the live exception, not its string). *)
@@ -105,10 +104,9 @@ let executor_loop ep =
     match Atomic.get ep.cell with
     | Assigned job ->
       let result =
-        match Pool.run ?timeout:job.deadline ep.pool job.work with
+        match Pool.run ep.pool job.work with
         | () -> R_done
-        | exception Pool.Timeout -> R_timeout
-        | exception Pool.Cancelled -> R_cancelled_leak
+        | exception Pool.Cancelled -> R_timeout
         | exception e ->
           R_exn { msg = Printexc.to_string e; retryable = not (is_terminal e) }
       in
@@ -410,13 +408,18 @@ let submit t ?(tenant = "default") ?(class_ = "default") ?deadline ?on_done work
 (* ------------------------------------------------------------------ *)
 
 (* Block until the executor posts this job's result, watching the pool's
-   heartbeat; [None] = the pool made no progress for [wedge_grace]
-   seconds with the attempt still in flight — declared wedged, and the
-   caller replaces the whole pool ({!respawn}). *)
+   heartbeat and the attempt's deadline, counted from dispatch; [None] =
+   the pool made no progress for [wedge_grace] seconds with the attempt
+   still in flight — declared wedged, and the caller replaces the whole
+   pool ({!respawn}).  Past the deadline every poll re-asserts
+   [Pool.cancel], since a cancel that lands before the executor enters
+   [Pool.run] is cleared by the run's entry; a stale one left after the
+   attempt posts is cleared by the next run's. *)
 let await_result t (job : job) =
   let ep = t.epoch in
   let last_hb = ref (Pool.heartbeat ep.pool) in
   let last_progress = ref (Unix.gettimeofday ()) in
+  let due = Option.map (fun d -> !last_progress +. d) job.deadline in
   let rec go spins =
     match Atomic.get ep.cell with
     | Finished { job_id; result } when job_id = job.id ->
@@ -428,11 +431,13 @@ let await_result t (job : job) =
       assert false
     | Idle | Assigned _ ->
       let hb = Pool.heartbeat ep.pool in
+      let now = Unix.gettimeofday () in
       if hb <> !last_hb then begin
         last_hb := hb;
-        last_progress := Unix.gettimeofday ()
+        last_progress := now
       end;
-      if Unix.gettimeofday () -. !last_progress > t.cfg.wedge_grace then None
+      (match due with Some d when now > d -> Pool.cancel ep.pool | _ -> ());
+      if now -. !last_progress > t.cfg.wedge_grace then None
       else begin
         relax spins;
         go (spins + 1)
@@ -498,8 +503,6 @@ let run_one t (job : job) =
      flight_dump t ~reason:"timeout";
      t.c_timeouts <- t.c_timeouts + 1;
      fail_path t job s "deadline exceeded"
-   | Some R_cancelled_leak ->
-     fail_path t job s "internal: Pool.Cancelled leaked to the run caller"
    | Some (R_exn { msg; retryable }) -> fail_path ~retryable t job s msg
    | None ->
      (* wedged: respawn the pool, requeue the in-flight job exactly once

@@ -17,8 +17,12 @@
       its lane full is shed ([Queue_full]).  A bully tenant can exhaust
       only its own lane — the admission-level analogue of the paper's
       per-deque isolation.
-    - {b Deadlines and retries} — each attempt runs under
-      [Pool.run ?timeout]; a failed or timed-out attempt uses up one of
+    - {b Deadlines and retries} — the driver enforces a job's deadline,
+      counted from each attempt's dispatch: while it waits for the
+      attempt it watches the wall clock, and past the deadline it
+      cancels the run ({!Dfd_runtime.Pool.cancel}), so the attempt fails
+      "deadline exceeded".  The pool itself keeps no clock.  A failed or
+      timed-out attempt uses up one of
       the job's [max_attempts] and, while any are left, goes straight to
       the back of its own lane, with no backoff delay.  {!is_terminal}
       failures are not retried.
@@ -65,7 +69,9 @@ type config = {
   max_attempts : int;
       (** attempts per job, the first included (>= 1).  A wedge requeue
           uses one up too. *)
-  default_deadline : float option;  (** per-attempt [Pool.run] timeout, seconds. *)
+  default_deadline : float option;
+      (** per-attempt deadline, seconds from dispatch, for jobs submitted
+          without [?deadline]. *)
   wedge_grace : float;
       (** seconds without pool heartbeat progress (while an attempt is in
           flight) before the pool is declared wedged and respawned.  Must

@@ -40,7 +40,7 @@
    bumps an [ops] cell by the number of atomic RMW/store operations it
    actually executed (CAS attempts included, plain loads excluded) — the
    fork/join sync-op metric of Rito & Paulino that the pool aggregates
-   per worker into [Pool.sync_ops], under either policy. *)
+   per worker into [(Pool.counters p).sync_ops], under either policy. *)
 
 module Schedpoint = Schedpoint
 

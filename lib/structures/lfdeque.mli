@@ -26,7 +26,8 @@
     The optional [ops] argument on mutating operations accumulates the
     number of atomic RMW / publishing-store operations actually executed
     (CAS attempts included, plain loads excluded) — the per-worker
-    sync-op metric surfaced as [Pool.sync_ops] for both policies. *)
+    sync-op metric surfaced as [(Pool.counters p).sync_ops] for both
+    policies. *)
 
 type 'a t
 

@@ -95,7 +95,7 @@ let without arr e =
 (* Sync-op accounting: every atomic RMW (CAS attempts included, failed
    or not) and counter bump on the mutating paths charges the caller's
    optional [ops] cell — the pool aggregates these per worker into
-   [Pool.sync_ops].  Plain atomic loads are not counted. *)
+   [(Pool.counters p).sync_ops].  Plain atomic loads are not counted. *)
 let bump ops n = match ops with None -> () | Some r -> r := !r + n
 
 let rec publish ops t e =

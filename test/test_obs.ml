@@ -306,7 +306,7 @@ let test_service_metrics_text () =
         (Om_util.value ~labels:[ ("policy", "service") ] om "dfd_space_budget_bytes" <> None);
       (* the counters object keeps an exact key set, in order *)
       checkb "counter key set pinned" true
-        (List.map fst (Registry.Snapshot.to_alist (Service.counter_samples svc))
+        (List.map (fun s -> s.Registry.name) (Service.counter_samples svc)
         = [
             "accepted";
             "rejected_queue_full";

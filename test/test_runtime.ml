@@ -95,31 +95,12 @@ let test_parallel_for_sum () =
            checki (name ^ " sum") (n * (n - 1) / 2) total))
     policies
 
-let test_parallel_map () =
-  List.iter
-    (fun (policy, name) ->
-       with_pool policy (fun pool ->
-           let n = 1000 in
-           let input = Array.init n (fun i -> i) in
-           let calls = Atomic.make 0 in
-           let out =
-             Pool.run pool (fun () ->
-                 Pool.parallel_map
-                   (fun x ->
-                      Atomic.incr calls;
-                      x * x)
-                   input)
-           in
-           Alcotest.(check (array int)) (name ^ " squares") (Array.init n (fun i -> i * i)) out;
-           checki (name ^ " spot") (37 * 37) out.(37);
-           checki (name ^ " len") n (Array.length out);
-           checki (name ^ " f applied once per element") n (Atomic.get calls)))
-    policies
-
 let test_empty_ranges () =
   with_pool Pool.Work_stealing (fun pool ->
       Pool.run pool (fun () -> Pool.parallel_for ~lo:5 ~hi:5 (fun _ -> assert false));
-      checki "empty map" 0 (Array.length (Pool.run pool (fun () -> Pool.parallel_map succ [||]))))
+      checki "empty reduce" 7
+        (Pool.run pool (fun () ->
+             Pool.parallel_reduce ~zero:7 ~op:( + ) ~lo:5 ~hi:5 (fun _ -> assert false))))
 
 let test_parallel_reduce () =
   List.iter
@@ -138,21 +119,6 @@ let test_parallel_reduce () =
            in
            checki (name ^ " max reduce") 999 mx))
     policies
-
-let test_parallel_prefix_sum () =
-  with_pool Pool.Work_stealing (fun pool ->
-      let arr = Array.init 4000 (fun i -> i + 1) in
-      let out = Pool.run pool (fun () -> Pool.parallel_prefix_sum ~zero:0 ~op:( + ) arr) in
-      checki "first is zero" 0 out.(0);
-      checki "exclusive prefix" (1 + 2 + 3) out.(3);
-      checki "last" (3999 * 4000 / 2) out.(3999);
-      (* reference check at random points *)
-      List.iter
-        (fun i ->
-           let expect = i * (i + 1) / 2 in
-           checki (Printf.sprintf "prefix %d" i) expect out.(i))
-        [ 1; 17; 1023; 1024; 1025; 2500 ];
-      checki "empty" 0 (Array.length (Pool.run pool (fun () -> Pool.parallel_prefix_sum ~zero:0 ~op:( + ) [||]))))
 
 let test_psort_correct () =
   List.iter
@@ -588,9 +554,9 @@ let test_sync_ops_per_fork () =
     (fun () ->
        checki "fib 10" 55 (Pool.run pool (fun () -> fib 10));
        checki "one R insert" 1 (Pool.counters pool).Pool.r_inserts;
-       let insert = Pool.sync_ops pool in
+       let insert = (Pool.counters pool).Pool.sync_ops in
        checki "fib 20" 6765 (Pool.run pool (fun () -> fib 20));
-       checki "0 per fork" 0 (Pool.sync_ops pool - insert);
+       checki "0 per fork" 0 ((Pool.counters pool).Pool.sync_ops - insert);
        checki "still one R insert" 1 (Pool.counters pool).Pool.r_inserts)
 
 (* Allocation per unstolen fork, measured as 21 words with [fib] above
@@ -698,7 +664,7 @@ let test_alloc_hint_quota () =
   with_pool (Pool.Dfdeques { quota = 100 }) (fun pool ->
       Pool.run pool (fun () ->
           Pool.parallel_for ~lo:0 ~hi:64 (fun _ -> Pool.alloc_hint 64));
-      let giveups = List.assoc "quota_giveups" (Pool.stats pool) in
+      let giveups = (Pool.counters pool).Pool.quota_giveups in
       checkb "quota giveups occur under DFDeques" true (giveups >= 0))
 
 let test_rank_error_instrumented () =
@@ -832,25 +798,43 @@ let test_stats_counters () =
   with_pool Pool.Work_stealing (fun pool ->
       ignore (Pool.run pool (fun () -> fib 15));
       forced_steal pool;
-      let stats = Pool.stats pool in
-      checkb "tasks ran" true (List.assoc "tasks_run" stats > 0);
-      (* one alist entry per field of the [Pool.counters] record *)
-      checkb "all counters present" true (List.length stats = 11);
-      checkb "WS counts its sync ops" true (List.assoc "sync_ops" stats > 0))
+      let c = Pool.counters pool in
+      checkb "tasks ran" true (c.Pool.tasks_run > 0);
+      (* the snapshot lists one [name=value] line per field of the
+         [Pool.counters] record (idle workers keep polling, so only the
+         names are pinned) *)
+      let s = Pool.snapshot pool in
+      List.iter
+        (fun k -> checkb ("snapshot lists " ^ k) true (has_sub s ("  " ^ k ^ "=")))
+        [
+          "steals";
+          "steal_failures";
+          "local_pops";
+          "quota_giveups";
+          "tasks_run";
+          "task_exns";
+          "alloc_bytes";
+          "parks";
+          "r_inserts";
+          "r_removes";
+          "sync_ops";
+        ];
+      checkb "WS counts its sync ops" true (c.Pool.sync_ops > 0))
 
 (* Both policies count their scheduling sync ops: a run with a steal
-   reports a positive total, and the count only grows — through the stats
-   entry and a second such run.  Idle worker domains keep polling between
+   reports a positive total, and the count only grows — through a second
+   read and a second such run.  Idle worker domains keep polling between
    reads, so successive reads are ordered, not equal. *)
 let test_sync_ops_counted policy () =
   with_pool policy (fun pool ->
+      let sync_ops () = (Pool.counters pool).Pool.sync_ops in
       forced_steal pool;
-      let first = Pool.sync_ops pool in
+      let first = sync_ops () in
       checkb "a steal counts sync ops" true (first > 0);
-      let listed = List.assoc "sync_ops" (Pool.stats pool) in
-      checkb "stats entry reads the same count" true (listed >= first);
+      let again = sync_ops () in
+      checkb "a second read is no lower" true (again >= first);
       forced_steal pool;
-      checkb "a second run adds to the count" true (Pool.sync_ops pool > listed))
+      checkb "a second run adds to the count" true (sync_ops () > again))
 
 (* Every deque call charges the calling worker's own cell: on a pool
    with no worker domains, worker 0 runs a fork_join tree alone, then
@@ -865,7 +849,7 @@ let test_sync_ops_per_worker policy () =
   let c0 = !(Pool.For_testing.sync_cell pool 0) in
   checkb "worker 0 counted its sync ops" true (c0 > 0);
   checki "idle worker 1 counted none" 0 !(Pool.For_testing.sync_cell pool 1);
-  checki "total is the sum of the cells" c0 (Pool.sync_ops pool)
+  checki "total is the sum of the cells" c0 (Pool.counters pool).Pool.sync_ops
 
 (* The sync-op cells' layout rule: no two workers' cells within 128
    bytes.  An address is read by reinterpreting a ref as an int, so the
@@ -1013,21 +997,48 @@ let qcheck_user_exn_propagates =
                  propagated && counted && clean))
          policies)
 
+(* An endlessly forking computation: only a cancel ends it. *)
+let endless () =
+  let rec loop () =
+    ignore (Pool.fork_join (fun () -> ()) (fun () -> ()));
+    loop ()
+  in
+  loop ()
+
+(* A run under a deadline, enforced the way the service's driver does
+   it: a watcher domain waits [after] seconds, then re-asserts
+   [Pool.cancel] until the run returns, since a cancel that lands before
+   [run]'s entry is cleared by it.  The pool keeps no clock of its own.
+   Reports how the run ended. *)
+let run_watched pool ~after f =
+  let finished = Atomic.make false in
+  let watcher =
+    Domain.spawn (fun () ->
+        let due = Unix.gettimeofday () +. after in
+        while not (Atomic.get finished) do
+          if Unix.gettimeofday () > due then Pool.cancel pool;
+          Unix.sleepf 0.001
+        done)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set finished true;
+      Domain.join watcher)
+    (fun () ->
+       match Pool.run pool f with
+       | v -> Ok v
+       | exception Pool.Cancelled -> Error "cancelled"
+       | exception e -> Error (Printexc.to_string e))
+
+let check_outcome name expect got =
+  Alcotest.(check string) name expect
+    (match got with Ok _ -> "returned" | Error m -> m)
+
 let test_timeout_fires_and_pool_reusable () =
   List.iter
     (fun (policy, name) ->
        with_pool policy (fun pool ->
-           checkb (name ^ " timeout fires") true
-             (match
-                Pool.run ~timeout:0.05 pool (fun () ->
-                    let rec loop () =
-                      ignore (Pool.fork_join (fun () -> ()) (fun () -> ()));
-                      loop ()
-                    in
-                    loop ())
-              with
-              | () -> false
-              | exception Pool.Timeout -> true);
+           check_outcome (name ^ " timeout fires") "cancelled" (run_watched pool ~after:0.05 endless);
            (* every fork_join frame joined its branch while unwinding *)
            for w = 0 to default_domains do
              checki (Printf.sprintf "%s worker %d private part empty" name w) 0
@@ -1037,30 +1048,45 @@ let test_timeout_fires_and_pool_reusable () =
            checki (name ^ " clean run after timeout") 55 (Pool.run pool (fun () -> fib 10))))
     policies
 
-(* Regression: a pool must survive *consecutive* timeouts (the drain
-   after the first must leave no stale cancellation state), and the
-   internal cooperative-cancellation signal must never escape [run] —
-   the caller sees [Timeout], nothing else. *)
+(* A run's own task may cancel it: no watcher and no clock, so the
+   cancel deterministically precedes the next fork_join, which raises
+   [Cancelled]; the run drains, raises [Cancelled], and the next run
+   clears the flag and completes. *)
+let test_cancel_from_inside policy () =
+  with_pool policy (fun pool ->
+      let before = Atomic.make 0 in
+      check_outcome "cancel from inside the run" "cancelled"
+        (match
+           Pool.run pool (fun () ->
+               Atomic.set before (fib 12);
+               Pool.cancel pool;
+               (* bounded, so a cancel that is not seen fails the check
+                  with "returned" instead of hanging *)
+               for _ = 1 to 1_000_000 do
+                 ignore (Pool.fork_join (fun () -> ()) (fun () -> ()))
+               done)
+         with
+         | () -> Ok ()
+         | exception Pool.Cancelled -> Error "cancelled"
+         | exception e -> Error (Printexc.to_string e));
+      checki "work before the cancel completed" 144 (Atomic.get before);
+      for w = 0 to default_domains do
+        checki (Printf.sprintf "worker %d private part empty" w) 0
+          (Pool.For_testing.private_len pool w)
+      done;
+      checki "clean run after the cancel" 55 (Pool.run pool (fun () -> fib 10));
+      checkb "next run cleared the flag" true (has_sub (Pool.snapshot pool) "cancelled=false"))
+
+(* Regression: a pool must survive *consecutive* cancelled runs (the
+   drain after the first must leave no stale cancellation state), and a
+   cancelled run reports [Cancelled], nothing else. *)
 let test_two_consecutive_timeouts () =
   List.iter
     (fun (policy, name) ->
        with_pool policy (fun pool ->
-           let endless () =
-             let rec loop () =
-               ignore (Pool.fork_join (fun () -> ()) (fun () -> ()));
-               loop ()
-             in
-             loop ()
-           in
-           let observe () =
-             match Pool.run ~timeout:0.05 pool endless with
-             | () -> "returned"
-             | exception Pool.Timeout -> "timeout"
-             | exception Pool.Cancelled -> "cancelled-leaked"
-             | exception e -> Printexc.to_string e
-           in
-           Alcotest.(check string) (name ^ " first timeout") "timeout" (observe ());
-           Alcotest.(check string) (name ^ " second timeout") "timeout" (observe ());
+           check_outcome (name ^ " first timeout") "cancelled" (run_watched pool ~after:0.05 endless);
+           check_outcome (name ^ " second timeout") "cancelled"
+             (run_watched pool ~after:0.05 endless);
            checki (name ^ " reusable after two timeouts") 55 (Pool.run pool (fun () -> fib 10))))
     policies
 
@@ -1102,10 +1128,23 @@ let test_alloc_bytes_counter () =
              (Pool.counters pool).Pool.alloc_bytes))
     policies
 
+(* No cancel reaches a run it was not aimed at: one issued while no run
+   is active, as a watcher's late cancel can be, is cleared by the next
+   run's entry, and a deadline that has not passed cancels nothing. *)
 let test_timeout_not_spurious () =
-  with_pool Pool.Work_stealing (fun pool ->
-      (* generous deadline, short computation: must not raise *)
-      checki "no spurious timeout" 6765 (Pool.run ~timeout:60.0 pool (fun () -> fib 20)))
+  List.iter
+    (fun (policy, name) ->
+       with_pool policy (fun pool ->
+           Pool.cancel pool;
+           checki (name ^ " cancel while idle does not reach the next run") 6765
+             (Pool.run pool (fun () -> fib 20));
+           check_outcome (name ^ " cancelled run") "cancelled" (run_watched pool ~after:0.0 endless);
+           Pool.cancel pool;
+           checki (name ^ " stale cancel after a cancelled run") 6765
+             (Pool.run pool (fun () -> fib 20));
+           check_outcome (name ^ " no spurious timeout") "returned"
+             (run_watched pool ~after:60.0 (fun () -> fib 20))))
+    policies
 
 let test_background_run_observed () =
   (* a run driven from another domain, observed by watchdog-bounded
@@ -1140,9 +1179,7 @@ let () =
           Alcotest.test_case "fib" `Quick test_fib;
           Alcotest.test_case "fork_join order" `Quick test_fork_join_order;
           Alcotest.test_case "parallel_for" `Quick test_parallel_for_sum;
-          Alcotest.test_case "parallel_map" `Quick test_parallel_map;
           Alcotest.test_case "parallel_reduce" `Quick test_parallel_reduce;
-          Alcotest.test_case "prefix sum" `Quick test_parallel_prefix_sum;
           Alcotest.test_case "parallel sort" `Quick test_psort_correct;
           Alcotest.test_case "sort edge orders" `Quick test_psort_already_sorted_and_reverse;
           Alcotest.test_case "sort duplicates" `Quick test_psort_duplicates_and_custom_cmp;
@@ -1152,6 +1189,10 @@ let () =
           Alcotest.test_case "fork_join outside run" `Quick test_fork_join_outside_run_rejected;
           Alcotest.test_case "alloc_hint quota" `Quick test_alloc_hint_quota;
           Alcotest.test_case "stats" `Quick test_stats_counters;
+          Alcotest.test_case "WS cancel from inside a run" `Quick
+            (test_cancel_from_inside Pool.Work_stealing);
+          Alcotest.test_case "DFD cancel from inside a run" `Quick
+            (test_cancel_from_inside (Pool.Dfdeques { quota = 4096 }));
           Alcotest.test_case "WS sync ops counted" `Quick
             (test_sync_ops_counted Pool.Work_stealing);
           Alcotest.test_case "DFD sync ops counted" `Quick

@@ -358,6 +358,47 @@ let test_deadline_enforced () =
             | _ -> "unresolved"));
       checki "every attempt timed out" 2 (Service.counters svc).Service.timeouts)
 
+(* A deadline already due at dispatch: the driver's first cancel can
+   land before the executor enters [Pool.run], whose entry clears it, so
+   only re-asserting it on every poll fails each attempt.  Several jobs,
+   so the race is met under both policies.  Each job forks until it is
+   cancelled, or for 2 s: a lost cancel shows as a completion, not a
+   hang. *)
+let test_deadline_due_at_dispatch () =
+  List.iter
+    (fun policy ->
+       let config = { base_config with Service.max_attempts = 3 } in
+       with_service ~config policy (fun svc ->
+           let ids =
+             List.init 4 (fun _ ->
+                 Result.get_ok
+                   (Service.submit svc ~class_:"slow" ~deadline:0.0 (fun () ->
+                        let stop = Unix.gettimeofday () +. 2.0 in
+                        while Unix.gettimeofday () < stop do
+                          ignore (Pool.fork_join (fun () -> ()) (fun () -> ()))
+                        done)))
+           in
+           Service.drive svc;
+           List.iter
+             (fun id ->
+                let e = entry svc id in
+                checkb "failed on its deadline" true
+                  (e.Service.outcome = Some (Service.Failed "deadline exceeded"));
+                checki "every attempt ran" 3 e.Service.attempts)
+             ids;
+           let c = Service.counters svc in
+           checki "every attempt timed out" 12 c.Service.timeouts;
+           checki "no wedge" 0 c.Service.wedges;
+           let id =
+             Result.get_ok
+               (Service.submit svc (fun () ->
+                    ignore (Pool.parallel_reduce ~zero:0 ~op:( + ) ~lo:0 ~hi:64 Fun.id)))
+           in
+           Service.drive svc;
+           checkb "then a clean job completes" true
+             ((entry svc id).Service.outcome = Some Service.Completed)))
+    [ Pool.Work_stealing; Pool.Dfdeques { quota = 4096 } ]
+
 (* The supervision contract: a job that spins outside cooperative
    cancellation wedges the pool; the supervisor kills it, respawns, and
    requeues the job exactly once.  The respawn callback releases the
@@ -516,6 +557,7 @@ let () =
             test_bully_shed_first_victims_bounded;
           Alcotest.test_case "unknown tenant rejected" `Quick test_unknown_tenant_rejected;
           Alcotest.test_case "deadline enforced" `Quick test_deadline_enforced;
+          Alcotest.test_case "deadline due at dispatch" `Quick test_deadline_due_at_dispatch;
           Alcotest.test_case "wedge respawn exactly once" `Quick
             test_wedge_respawn_exactly_once;
           Alcotest.test_case "supervisor gives up" `Quick test_supervisor_gives_up;
