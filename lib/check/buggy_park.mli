@@ -12,4 +12,4 @@
     found, shrunk and replayed; the same scenario over the real
     {!Dfd_runtime.Pool.For_testing.park_step} ([pool_park]) passes. *)
 
-val park_step : Dfd_runtime.Pool.t -> [ `Found_work | `Would_sleep ]
+val park_step : Dfd_runtime.Pool.t -> int -> [ `Found_work | `Would_sleep ]

@@ -613,7 +613,7 @@ let park_scenario ~name ~descr ~step =
             for _ = 1 to n_push do
               Pool.For_testing.push pool 0 ignore
             done
-          else verdict := step pool
+          else verdict := step pool 1
         in
         let oracle () =
           let queued = Pool.For_testing.queued pool in
@@ -640,6 +640,61 @@ let pool_park_buggy =
   park_scenario ~name:"pool_park_buggy"
     ~descr:"deliberately misordered parking (scan, then announce): explorer must find it"
     ~step:Buggy_park.park_step
+
+(* The recall handshake.  Pool A's slot 1 is attached to a worker
+   domain, played by thread 1, which takes one parking step there.
+   Thread 0 plays a run of another pool B that has taken that domain
+   for one of its own slots: it recalls it from A (raise slot 1's
+   recall flag, then broadcast on A's idle condition).  The parker reads
+   the wake-up count right after its scan, with no yield point in
+   between.  A real parker holds [idle_lock] from its announce until its
+   wait, so a broadcast after its scan reaches it waiting.  A parker
+   that would sleep with the flag raised and no broadcast after its
+   scan is a domain asleep in A while B counts on it.  The policy is
+   drawn per iteration, as in [park_scenario]. *)
+let recall_scenario ~name ~descr ~recall =
+  {
+    Explore.name;
+    descr;
+    n_threads = 2;
+    approx_steps = 20;
+    prepare =
+      (fun rng ->
+        let policy =
+          if Prng.int rng 2 = 0 then Pool.Work_stealing else Pool.Dfdeques { quota = 32 }
+        in
+        let a = Pool.For_testing.create_detached ~workers:2 policy in
+        let b = Pool.For_testing.create_detached ~workers:2 policy in
+        let verdict = ref `Found_work and seen = ref 0 in
+        let body i =
+          if i = 0 then Pool.For_testing.as_worker b 0 (fun () -> recall a 1)
+          else begin
+            verdict := Pool.For_testing.park_step a 1;
+            seen := Pool.For_testing.wakeups a
+          end
+        in
+        let oracle () =
+          match !verdict with
+          | `Would_sleep
+            when Pool.For_testing.recalled a 1 && Pool.For_testing.wakeups a = !seen ->
+            Error "recalled domain asleep: it would sleep with its recall flag raised and no \
+                   broadcast after its scan"
+          | `Would_sleep | `Found_work -> Ok ()
+        in
+        (body, oracle));
+  }
+
+let pool_recall =
+  recall_scenario ~name:"pool_recall"
+    ~descr:"native pool: flag-then-broadcast recall racing a parking step, no domain sleeps recalled"
+    ~recall:Pool.For_testing.recall
+
+(* The planted bug: Buggy_recall broadcasts before it raises the flag.
+   The explorer must find the domain asleep while recalled. *)
+let pool_recall_buggy =
+  recall_scenario ~name:"pool_recall_buggy"
+    ~descr:"deliberately misordered recall (broadcast, then flag): explorer must find it"
+    ~recall:Buggy_recall.recall
 
 (* The request protocol.  Worker 0 forks one branch, which goes to its
    private part; the fork is made while the iteration is prepared, so
@@ -735,11 +790,13 @@ let all =
     pool_dfd;
     pool_park;
     pool_request;
+    pool_recall;
   ]
 
 let buggy = lfdeque_buggy
 
 let catalogue =
-  multiq_buggy :: lfdeque_buggy :: pool_park_buggy :: pool_join_buggy :: pool_request_buggy :: all
+  multiq_buggy :: lfdeque_buggy :: pool_park_buggy :: pool_join_buggy :: pool_request_buggy
+  :: pool_recall_buggy :: all
 
 let find name = List.find_opt (fun s -> s.Explore.name = name) catalogue

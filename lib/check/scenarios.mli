@@ -58,6 +58,17 @@ val pool_park_buggy : Explore.scenario
 (** The same race over {!Buggy_park} (scan, then announce); the explorer
     is expected to {e fail} this one.  Excluded from {!all}. *)
 
+val pool_recall : Explore.scenario
+(** The recall handshake: a run of another pool recalls a worker
+    domain parking in this one (flag, then broadcast on the idle
+    condition) while the domain takes one announce-then-scan parking
+    step, under a policy drawn per iteration.  Fails if the domain would
+    sleep with its recall flag raised and no broadcast after its scan. *)
+
+val pool_recall_buggy : Explore.scenario
+(** The same race over {!Buggy_recall} (broadcast, then flag); the
+    explorer is expected to {e fail} this one.  Excluded from {!all}. *)
+
 val pool_join_buggy : Explore.scenario
 (** The {!pool_ws} computation joined through {!Buggy_join} (a branch
     whose promise is still unwritten runs inline); the explorer is

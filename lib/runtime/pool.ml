@@ -149,9 +149,25 @@ type t = {
           only read it. *)
   wakeups : int Atomic.t;
       (** wake-up signals sent: publications (or requeues) that saw a
-          parked worker.  Written only on that slow path. *)
+          parked worker, and recalls.  Written only on those slow paths. *)
   shutting_down : bool Atomic.t;
-  mutable domains : unit Domain.t list;
+  (* --- borrowed worker domains (see [set] below) --------------------- *)
+  slots : wdom option array;
+      (** the worker domain attached to each slot 1..n-1, present or on
+          its way; under [set.lock]. *)
+  recall : bool Atomic.t array;
+      (** each slot's recall flag: raised by a run of another pool that
+          has taken the slot's domain, cleared by the domain as it
+          leaves. *)
+  attached : int Atomic.t;
+      (** [Some] entries of [slots]; written under [set.lock], read
+          without it by [run]'s entry. *)
+  mutable running : bool;
+      (** a run is in progress: a recaller's hint, read under
+          [set.lock] and written without it. *)
+  mutable live : bool;
+      (** counted in the domain bound: from [create] until [shutdown] or
+          [kill]; under [set.lock]. *)
   rngs : Prng.t array;  (** per worker; only touched by its own worker. *)
   tracer : Tracer.t;
       (** every event, one lane per worker ({!Tracer.disabled} by
@@ -171,6 +187,22 @@ type t = {
   cancelled : bool Atomic.t;
       (** set by {!cancel}, cleared by [run]'s entry: fork_join/await
           bail out cooperatively. *)
+}
+
+(* A worker domain of the process-wide set.  Every field is under
+   [set.lock]. *)
+and wdom = {
+  id : int;
+  mutable home : (t * int) option;
+      (** the pool slot it is assigned to; [None] while free. *)
+  mutable at : (t * int) option;
+      (** the pool slot it is serving now, written by the domain itself;
+          differs from [home] while it moves. *)
+  mutable exiled : bool;
+      (** it was serving a pool when the pool was killed: outside the
+          bound until it leaves that pool. *)
+  mutable quit : bool;
+  mutable handle : unit Domain.t option;
 }
 
 (* Wall-clock event timestamp: microseconds since pool creation.  Only
@@ -448,8 +480,11 @@ let private_work pool =
   let rec go v = v < pool.n_workers && ((not (private_empty pool v)) || go (v + 1)) in
   go 0
 
-(* A parked worker's reasons to get up. *)
-let idle_over pool = work_queued pool || private_work pool || Atomic.get pool.shutting_down
+(* A parked worker's reasons to get up: work, shutdown, or a recall of
+   its domain by a run of another pool. *)
+let idle_over pool w =
+  work_queued pool || private_work pool || Atomic.get pool.shutting_down
+  || Atomic.get pool.recall.(w)
 
 (* The parker's half of the wake-up handshake: announce, then scan.
    Every publication stores its task and then reads [n_parked]
@@ -460,12 +495,14 @@ let idle_over pool = work_queued pool || private_work pool || Atomic.get pool.sh
    sides miss each other.  Private work needs no scan: its owner reads
    [n_parked] at every fork and join and, seeing the announce, publishes
    and signals ({!boundary}); a parker never holds private work itself,
-   since it parks only at the top of its loop.  [`Found_work] withdraws
-   the announce; [`Would_sleep] leaves it for the caller's wait. *)
-let announce_and_scan pool =
+   since it parks only at the top of its loop.  A recall is raised
+   before its broadcast ({!recall_slot}), so the same order covers it.
+   [`Found_work] withdraws the announce; [`Would_sleep] leaves it for
+   the caller's wait. *)
+let announce_and_scan pool w =
   Atomic.incr pool.n_parked;
   Schedpoint.point Schedpoint.pool_park;
-  if idle_over pool then begin
+  if idle_over pool w then begin
     Atomic.decr pool.n_parked;
     `Found_work
   end
@@ -480,13 +517,13 @@ let announce_and_scan pool =
    through [For_testing.park_step], which takes no lock. *)
 let park pool w =
   Mutex.lock pool.idle_lock;
-  (match announce_and_scan pool with
+  (match announce_and_scan pool w with
    | `Found_work -> ()
    | `Would_sleep ->
      let c = pool.per_worker.(w) in
      c.c_parks <- c.c_parks + 1;
      Condition.wait pool.idle_cond pool.idle_lock;
-     while not (idle_over pool) do
+     while not (idle_over pool w) do
        Condition.wait pool.idle_cond pool.idle_lock
      done;
      Atomic.decr pool.n_parked);
@@ -814,11 +851,13 @@ let await pool w (pr : _ promise) =
 (* Worker domains                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Worker [w]'s loop in [pool], until the pool shuts down or the
+   slot's domain is recalled.  Both are read only here, between tasks,
+   so a departing domain has finished every task it took. *)
 let worker_loop pool w =
-  Domain.DLS.get worker_key := Some (w, pool);
   let misses = ref 0 in
   let rec loop () =
-    if Atomic.get pool.shutting_down then ()
+    if Atomic.get pool.shutting_down || Atomic.get pool.recall.(w) then ()
     else begin
       if help_once pool w then misses := 0
       else begin
@@ -840,6 +879,196 @@ let worker_loop pool w =
     end
   in
   loop ()
+
+(* The process-wide set of worker domains.  Pools own slots, not
+   domains: a run fills its empty slots by borrowing ({!borrow}), and a
+   domain stays attached to the pool it last served, spinning and then
+   parking there, until a run of another pool recalls it.  So one
+   process that alternates pools runs on as few domains as its widest
+   pool needs, instead of leaving one blocked in each idle pool beside
+   the pool that runs: on OCaml 5 every minor collection stops every
+   domain, and a blocked one joins the stop only through its backup
+   thread.
+   [bound] is the sum of the live pools' [n_workers - 1]; [counted]
+   never holds more domains than that.  A domain serving a pool when it
+   is killed is exiled: outside [counted] until it leaves that pool.
+   One lock guards the set, every pool's [slots], [attached] and [live]
+   and every [wdom]; no scheduling path takes it.  Lock order: [lock],
+   then a pool's [idle_lock]. *)
+type set = {
+  lock : Mutex.t;
+  changed : Condition.t;
+      (** a domain was assigned, left a slot or was told to quit. *)
+  mutable counted : wdom list;
+  mutable bound : int;
+  mutable exited : unit Domain.t list;
+      (** domains that quit on their own, for a [shutdown] to join. *)
+  mutable alive : int;  (** domains spawned and not yet quit *)
+  mutable next_id : int;
+  mutable recalls : int;
+}
+
+let set =
+  {
+    lock = Mutex.create ();
+    changed = Condition.create ();
+    counted = [];
+    bound = 0;
+    exited = [];
+    alive = 0;
+    next_id = 0;
+    recalls = 0;
+  }
+
+let locked f =
+  Mutex.lock set.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock set.lock) f
+
+let broadcast_idle pool =
+  Mutex.lock pool.idle_lock;
+  Condition.broadcast pool.idle_cond;
+  Mutex.unlock pool.idle_lock
+
+(* The recaller's half of the recall handshake: raise the slot's flag,
+   then broadcast under [idle_lock].  The slot's domain parks only after
+   an announce-then-scan under that lock that includes the flag
+   ({!announce_and_scan}), so it either sees the flag or is already
+   waiting when the broadcast comes.  Broadcasting first would let it
+   scan in between and sleep while recalled. *)
+let recall_slot pool w =
+  Atomic.set pool.recall.(w) true;
+  Schedpoint.point Schedpoint.pool_recall;
+  Atomic.incr pool.wakeups;
+  broadcast_idle pool
+
+(* Whether [wd] is serving slot [h] now, not on its way to it.  Under
+   the lock. *)
+let serving wd (p, w) = match wd.at with Some (q, v) -> p == q && w = v | None -> false
+
+(* Give slot [w] of [pool] to [wd], and take it back.  Under the
+   lock. *)
+let assign wd pool w =
+  wd.home <- Some (pool, w);
+  pool.slots.(w) <- Some wd;
+  Atomic.incr pool.attached
+
+let unassign pool w =
+  pool.slots.(w) <- None;
+  Atomic.decr pool.attached
+
+(* Take [wd] from its home, slot [h]: a domain serving it is recalled,
+   and one still on its way there never arrives.  Under the lock. *)
+let take_home wd ((q, v) as h) =
+  wd.home <- None;
+  if serving wd h then recall_slot q v else unassign q v
+
+(* Take [wd] out of the set for good.  Under the lock. *)
+let retire wd =
+  wd.quit <- true;
+  set.counted <- List.filter (fun d -> d != wd) set.counted;
+  set.alive <- set.alive - 1
+
+(* A worker domain's life: wait until it is assigned a slot or told to
+   quit; serve the slot until its pool shuts down or a recall takes the
+   domain; then clear the slot's private stack, reset [worker_key] and,
+   under the lock, vacate the slot and clear its recall flag, so the
+   slot is refilled only once the domain is gone.  An exiled domain
+   rejoins the set; a domain left with no home while the set is above
+   its bound quits, for a [shutdown] to join.  Then round again: a
+   recalled domain's new home is already assigned. *)
+let rec domain_main wd =
+  let next =
+    locked (fun () ->
+        while Option.is_none wd.home && not wd.quit do
+          Condition.wait set.changed set.lock
+        done;
+        wd.at <- wd.home;
+        wd.home)
+  in
+  match next with
+  | None -> ()
+  | Some (pool, w) ->
+    let ctx = Domain.DLS.get worker_key in
+    ctx := Some (w, pool);
+    worker_loop pool w;
+    clear_stale (pstack pool w);
+    ctx := None;
+    let stays =
+      locked (fun () ->
+          unassign pool w;
+          Atomic.set pool.recall.(w) false;
+          wd.at <- None;
+          if wd.exiled then begin
+            wd.exiled <- false;
+            set.counted <- wd :: set.counted
+          end;
+          if Option.is_none wd.home && List.length set.counted > set.bound then begin
+            retire wd;
+            set.exited <- Option.get wd.handle :: set.exited
+          end;
+          Condition.broadcast set.changed;
+          not wd.quit)
+    in
+    if stays then domain_main wd
+
+let spawn pool w =
+  let wd =
+    { id = set.next_id; home = None; at = None; exiled = false; quit = false; handle = None }
+  in
+  match Domain.spawn (fun () -> domain_main wd) with
+  | d ->
+    set.next_id <- set.next_id + 1;
+    set.alive <- set.alive + 1;
+    set.counted <- wd :: set.counted;
+    wd.handle <- Some d;
+    assign wd pool w
+  | exception _ -> (* no domain to be had: this run is narrower *) ()
+
+(* A domain for an empty slot of [pool], in order: a free one; one
+   taken from a pool whose run is not in progress (it joins late, as a
+   thief does); a new one, while the set is below its bound. *)
+let fill pool w =
+  let idle wd =
+    match wd.home with Some (q, _) -> q != pool && not q.running | None -> false
+  in
+  match List.find_opt (fun wd -> Option.is_none wd.home) set.counted with
+  | Some wd ->
+    assign wd pool w;
+    Condition.broadcast set.changed
+  | None -> (
+      match List.find_opt idle set.counted with
+      | Some ({ home = Some h; _ } as wd) ->
+        set.recalls <- set.recalls + 1;
+        take_home wd h;
+        assign wd pool w
+      | _ -> if List.length set.counted < set.bound then spawn pool w)
+
+(* [run]'s entry, when some slot is empty. *)
+let borrow pool =
+  locked (fun () ->
+      if pool.live then
+        for w = 1 to pool.n_workers - 1 do
+          if Option.is_none pool.slots.(w) then fill pool w
+        done)
+
+(* Take [pool] out of the bound (once): assignments to it are undone,
+   and domains serving it will leave at their next loop top.  Under the
+   lock. *)
+let release pool =
+  if pool.live then begin
+    pool.live <- false;
+    set.bound <- set.bound - (pool.n_workers - 1);
+    List.iter
+      (fun wd ->
+         match wd.home with
+         | Some ((q, v) as h) when q == pool ->
+           (* one on its way here never arrives; one here leaves, as
+              [shutting_down] tells it *)
+           if not (serving wd h) then unassign q v;
+           wd.home <- None
+         | _ -> ())
+      set.counted
+  end
 
 (* [counters]' [sync_ops]: synchronization operations (atomic RMWs +
    publishing stores, CAS retries included) executed on either policy's
@@ -982,7 +1211,11 @@ let make ?(flight = Tracer.disabled) ~n_workers ~tracer policy =
       n_parked = Atomic.make 0;
       wakeups = Atomic.make 0;
       shutting_down = Atomic.make false;
-      domains = [];
+      slots = Array.make n_workers None;
+      recall = Array.init n_workers (fun _ -> Atomic.make false);
+      attached = Atomic.make 0;
+      running = false;
+      live = false;
       rngs = Array.init n_workers (fun i -> Prng.create (1000 + i));
       tracer;
       tracing = Tracer.enabled tracer;
@@ -1005,7 +1238,9 @@ let create ?domains ?(tracer = Tracer.disabled) ?registry ?flight policy =
     | None -> max 0 (Domain.recommended_domain_count () - 1)
   in
   let pool = make ?registry ?flight ~n_workers:(extra + 1) ~tracer policy in
-  pool.domains <- List.init extra (fun i -> Domain.spawn (fun () -> worker_loop pool (i + 1)));
+  locked (fun () ->
+      pool.live <- true;
+      set.bound <- set.bound + extra);
   pool
 
 (* Tasks queued where a worker could take them, counted over the same
@@ -1035,11 +1270,14 @@ let run pool f =
   ctx := Some (0, pool);
   (* a cancel aimed at an earlier run, or at none, is stale here *)
   Atomic.set pool.cancelled false;
+  pool.running <- true;
   Fun.protect
     ~finally:(fun () ->
       ctx := None;
-      clear_stale (pstack pool 0))
+      clear_stale (pstack pool 0);
+      pool.running <- false)
     (fun () ->
+       if Atomic.get pool.attached < pool.n_workers - 1 then borrow pool;
        match f () with
        | v -> v
        | exception _ when Atomic.get pool.cancelled ->
@@ -1166,29 +1404,73 @@ let snapshot pool =
          (match Lfdeque.owner d.tasks with None -> "-" | Some w -> string_of_int w)
          (Multiq.shard_of e) (Lfdeque.length d.tasks))
     ms;
+  Array.iteri
+    (fun w d ->
+       if w > 0 then
+         pf "  slot %d: domain %s recall=%b\n" w
+           (match d with Some wd -> "#" ^ string_of_int wd.id | None -> "-")
+           (Atomic.get pool.recall.(w)))
+    pool.slots;
   pf "  K=%d\n" pool.dfd_quota;
   Array.iteri (fun i q -> pf "  quota_left[worker %d]=%d\n" i q) pool.quota_left;
   Buffer.contents b
 
+(* Retire free domains while the set is above its bound, and wake them
+   to quit; their handles, to join.  Under the lock. *)
+let trim () =
+  let free wd = Option.is_none wd.home && Option.is_none wd.at in
+  let rec go acc =
+    match List.find_opt free set.counted with
+    | Some wd when List.length set.counted > set.bound ->
+      retire wd;
+      go (Option.get wd.handle :: acc)
+    | _ -> acc
+  in
+  let quitting = go [] in
+  if quitting <> [] then Condition.broadcast set.changed;
+  quitting
+
+(* Release the pool's slots, wait until every domain serving it has
+   left (those beyond the bound quit as they leave), then bring the set
+   back to its bound: free domains beyond it quit too.  Every domain
+   that quit is joined. *)
 let shutdown pool =
+  locked (fun () -> release pool);
   Atomic.set pool.shutting_down true;
-  Mutex.lock pool.idle_lock;
-  Condition.broadcast pool.idle_cond;
-  Mutex.unlock pool.idle_lock;
-  List.iter Domain.join pool.domains;
-  pool.domains <- []
+  broadcast_idle pool;
+  let quitting =
+    locked (fun () ->
+        while Atomic.get pool.attached > 0 do
+          Condition.wait set.changed set.lock
+        done;
+        let quitting = trim () @ set.exited in
+        set.exited <- [];
+        quitting)
+  in
+  List.iter Domain.join quitting
 
 (* Forceful teardown for a supervisor that has declared the pool wedged:
-   signal shutdown and walk away without joining, so the supervisor can
-   respawn immediately.  Idle and parked workers exit promptly; a worker
-   genuinely stuck inside a user task is abandoned (its domain leaks until
-   the task returns, at which point the shutdown flag stops it).  Calling
-   [shutdown] later reaps the domains once they have exited. *)
+   release the pool's slots, signal shutdown and walk away without
+   waiting, so the supervisor can respawn immediately.  The domains
+   serving the pool are exiled, outside the bound: idle and parked ones
+   leave at once, and one stuck inside a user task leaves when the task
+   returns; each then rejoins the set as a free domain, or quits if the
+   set is at its bound.  Calling [shutdown] later waits for them and
+   joins those that quit. *)
 let kill pool =
+  locked (fun () ->
+      List.iter
+        (fun wd ->
+           match wd.home with
+           | Some ((q, _) as h) when q == pool && serving wd h ->
+             wd.exiled <- true
+           | _ -> ())
+        set.counted;
+      release pool;
+      set.counted <- List.filter (fun wd -> not wd.exiled) set.counted;
+      set.exited <- trim () @ set.exited);
   Atomic.set pool.shutting_down true;
-  Mutex.lock pool.idle_lock;
-  Condition.broadcast pool.idle_cond;
-  Mutex.unlock pool.idle_lock
+  broadcast_idle pool
 
 (* Entry points for the systematic concurrency checker (lib/check): a
    pool with worker slots but no spawned domains, so every thread touching
@@ -1257,6 +1539,22 @@ module For_testing = struct
   let work_queued = work_queued
 
   let wakeups pool = Atomic.get pool.wakeups
+
+  let recall = recall_slot
+
+  let raise_recall pool w = Atomic.set pool.recall.(w) true
+
+  let wake_all pool =
+    Atomic.incr pool.wakeups;
+    broadcast_idle pool
+
+  let recalled pool w = Atomic.get pool.recall.(w)
+
+  let worker_id () = fst (self_exn ())
+
+  let worker_domains () = locked (fun () -> set.alive)
+
+  let recalls () = locked (fun () -> set.recalls)
 end
 
 let parallel_reduce ~zero ~op ~lo ~hi f =

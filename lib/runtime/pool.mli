@@ -66,7 +66,22 @@
     worker, so wake-ups do not thundering-herd.  Scheduling counters are
     kept in per-worker records and aggregated only when read.
     [perfbench/] tracks the throughput/scalability trajectory of this
-    layer. *)
+    layer.
+
+    Worker domains belong to the process, not to a pool.  A pool owns
+    worker {e slots}; {!run} fills its empty slots with domains it
+    borrows from one process-wide set, and a domain stays attached to
+    the pool it last served, spinning and then parking there, until a
+    run of another pool recalls it.  So a process that alternates pools
+    runs on as few domains as its widest pool needs, instead of leaving
+    one blocked in each idle pool beside the pool that runs (on OCaml 5
+    every minor collection stops every domain, and a blocked domain
+    joins the stop late).  A domain parked in a pool whose slots no run
+    needs still blocks beside the others.  The set never holds more domains than the sum of the live
+    pools' [domains], which is what the pools would own on their own.
+    A consequence: a worker domain may serve several pools over its
+    life, so a task must not keep per-pool state in its own
+    [Domain.DLS] keys. *)
 
 type t
 
@@ -97,9 +112,11 @@ val create :
   ?flight:Dfd_trace.Tracer.t ->
   policy ->
   t
-(** [create ~domains policy] starts a pool with [domains] extra worker
-    domains (default: [Domain.recommended_domain_count () - 1]).  The
-    caller participates as a worker while inside {!run}.
+(** [create ~domains policy] makes a pool of [domains] worker slots
+    besides the caller's (default: [Domain.recommended_domain_count () -
+    1]), and adds them to the process's domain bound.  It spawns
+    nothing: the pool reaches its width at its first {!run}, which fills
+    the slots.  The caller participates as a worker while inside {!run}.
 
     [tracer] (default {!Dfd_trace.Tracer.disabled}) receives structured
     scheduler events — steal attempts/successes, quota exhaustions, deque
@@ -139,6 +156,15 @@ val run : t -> (unit -> 'a) -> 'a
     the pool; the calling thread works too.  Re-entrant calls from inside
     pool tasks raise {!Nested_run}.  Every run uses the memory threshold
     K the pool was created with (the {!Dfdeques} [quota]).
+
+    A run whose pool has an empty worker slot borrows a domain for it,
+    in this order: a free one; one recalled from a pool whose run is not
+    in progress; a new one, while the process holds fewer than its bound.
+    A recalled domain finishes any task it holds, leaves its old pool
+    and joins this run late, as a thief does; the run does not wait for
+    it.  Borrowed domains stay attached, so back-to-back runs on one
+    pool borrow nothing, and their entry is a single load beyond the
+    run's own.
 
     [run] clears the cancel flag on entry, so a {!cancel} issued before
     it (aimed at an earlier run, or at none) does not reach it.  If the
@@ -238,8 +264,9 @@ val flight : t -> Dfd_trace.Tracer.t
 val snapshot : t -> string
 (** Human-readable diagnostic dump: policy, counters, queued-task, parking and
     cancellation state, per-worker private-part length and raised
-    request flag, per-public-deque occupancy in R, K and per-worker
-    quota (max_int under {!Work_stealing}).  Its [queued] is
+    request flag, per-public-deque occupancy in R, each worker slot's
+    attached domain (by id, present or on its way) and recall flag, K
+    and per-worker quota (max_int under {!Work_stealing}).  Its [queued] is
     the public count of {!For_testing.queued}; the private lengths are
     listed separately.  All reads are lock-free (per-worker counter
     aggregates; unsynchronized reads of owner-only private parts; a
@@ -248,16 +275,24 @@ val snapshot : t -> string
     watchdog reports, not hot paths. *)
 
 val shutdown : t -> unit
-(** Stop the worker domains.  The pool must be idle. *)
+(** Release the pool's worker slots and take them out of the process's
+    domain bound, wait until every domain serving the pool has left it,
+    then join the free domains beyond the bound (and any domain that quit
+    after a {!kill}).  The others stay free for other pools.  The pool
+    must be idle. *)
 
 val kill : t -> unit
 (** Forceful teardown for a supervisor that has declared the pool wedged
     (e.g. a task looping forever without touching the pool, beyond the
-    reach of cooperative cancellation): signal shutdown and return
-    {e without} joining the worker domains, so the caller can respawn a
-    fresh pool immediately.  Idle and parked workers exit promptly; a
-    genuinely stuck worker is abandoned until its task returns.  Call
-    {!shutdown} later to reap the domains once they have exited. *)
+    reach of cooperative cancellation): release the slots, signal
+    shutdown and return {e without} waiting, so the caller can respawn a
+    fresh pool immediately.  The domains serving the pool leave the
+    process's bound at once: idle and parked ones leave the pool
+    promptly, and a genuinely stuck one when its task returns.  Each then
+    rejoins the set as a free domain if the set is below its bound, or
+    quits.  So a stuck task never keeps a fresh pool from its full
+    width.  Call {!shutdown} later to wait for them and join those that
+    quit. *)
 
 (** Hooks for the systematic concurrency checker
     ({!module:Dfd_check.Explore}) — {b not} part of the scheduling API.
@@ -342,12 +377,13 @@ module For_testing : sig
       still queued, taken back by {!pop_fork}, or taken by another
       worker and not yet finished. *)
 
-  val park_step : t -> [ `Found_work | `Would_sleep ]
-  (** The parker's announce-then-scan step, without the lock or the wait:
-      [`Would_sleep] means a real parker would now block, still announced;
-      [`Found_work] means it withdrew its announce and stays up.  The scan
-      looks for what {!work_queued} sees, for a peer holding private work
-      (an unsynchronized hint) and for shutdown. *)
+  val park_step : t -> int -> [ `Found_work | `Would_sleep ]
+  (** [park_step pool w]: worker [w]'s announce-then-scan step, without
+      the lock or the wait: [`Would_sleep] means a real parker would now
+      block, still announced; [`Found_work] means it withdrew its
+      announce and stays up.  The scan looks for what {!work_queued}
+      sees, for a peer holding private work (an unsynchronized hint), for
+      shutdown and for slot [w]'s recall flag. *)
 
   val announce : t -> unit
   (** The announce half of {!park_step} alone (raise the parked count),
@@ -361,7 +397,36 @@ module For_testing : sig
       sees the announce. *)
 
   val wakeups : t -> int
-  (** Wake-up signals sent so far (pushes that saw a parked worker). *)
+  (** Wake-up signals sent so far: pushes that saw a parked worker, and
+      recall broadcasts. *)
+
+  val recall : t -> int -> unit
+  (** [recall pool w]: the handshake a run of another pool makes when it
+      takes slot [w]'s domain: raise the slot's recall flag, then
+      broadcast on [pool]'s idle condition (counted in {!wakeups}).  The
+      {!Dfd_structures.Schedpoint.pool_recall} yield point sits between
+      the two. *)
+
+  val raise_recall : t -> int -> unit
+  (** The flag half of {!recall} alone, for building deliberately
+      misordered variants. *)
+
+  val wake_all : t -> unit
+  (** The broadcast half of {!recall} alone (counted in {!wakeups}). *)
+
+  val recalled : t -> int -> bool
+  (** Whether slot [w]'s recall flag is raised. *)
+
+  val worker_id : unit -> int
+  (** The calling worker's slot in the pool it is running for.  Raises
+      {!Not_in_pool} outside a worker. *)
+
+  val worker_domains : unit -> int
+  (** Worker domains alive in the process: spawned by some run and not
+      yet quit, exiled ones included. *)
+
+  val recalls : unit -> int
+  (** Domains taken so far by a run from another pool's slot. *)
 
   val sync_cell : t -> int -> int ref
   (** Worker [w]'s sync-op cell, for checking the cells' memory layout. *)

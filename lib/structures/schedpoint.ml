@@ -72,6 +72,8 @@ let pool_respond = 23
 
 let task_work = 24
 
+let pool_recall = 25
+
 let names =
   [|
     "start";
@@ -99,6 +101,7 @@ let names =
     "pool_request";
     "pool_respond";
     "task_work";
+    "pool_recall";
   |]
 
 let name id = if id >= 0 && id < Array.length names then names.(id) else Printf.sprintf "p%d" id

@@ -105,6 +105,12 @@ val pool_respond : int
     fork or join, before it clears the flag and publishes its oldest
     private task. *)
 
+val pool_recall : int
+(** Pool recall: a run that has taken another pool's worker domain,
+    after raising that slot's recall flag and before its broadcast on the
+    other pool's idle condition.  The checker's buggy recall twin
+    emits it between its broadcast and its flag instead. *)
+
 val task_work : int
 (** User work: a leaf of a checker scenario's fork-join computation,
     where a real task spends its time.  The fork and join fast path has

@@ -221,6 +221,42 @@ let test_request_buggy_caught () =
       (Explore.replay Scenarios.pool_request { f with Explore.f_scenario = "pool_request" }
        = None)
 
+(* The planted recall bug (broadcast, then flag): the recalled domain
+   asleep in its old pool is found, shrunk, and reproducible through a
+   replay file.  Seed chosen so the failure lands within a few
+   iterations. *)
+let recall_buggy_seed = 1
+
+let test_recall_buggy_caught () =
+  let r = Explore.run ~seed:recall_buggy_seed Scenarios.pool_recall_buggy in
+  match r.Explore.r_failure with
+  | None -> Alcotest.fail "explorer missed the broadcast-before-flag recall"
+  | Some f ->
+    checkb "found within default budget" true (r.Explore.r_iterations <= r.Explore.r_budget);
+    checkb "shrunk" true f.Explore.f_shrunk;
+    checkb "minimal trace nonempty" true (f.Explore.f_choices <> []);
+    checkb "minimal trace short" true (List.length f.Explore.f_choices <= 16);
+    checkb "a recalled domain asleep is the reason" true
+      (String.starts_with ~prefix:"recalled domain asleep" f.Explore.f_reason);
+    let path = Filename.temp_file "replay_recall" ".json" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Explore.write_replay path f;
+        let f' = Explore.read_replay path in
+        checkb "replay file roundtrips" true (f = f');
+        checkb "replay from file reproduces" true
+          (Explore.replay Scenarios.pool_recall_buggy f' <> None));
+    (* the serial fallback runs the recaller to completion first, so the
+       parker's scan sees the flag *)
+    let serial = { f with Explore.f_choices = []; f_points = [] } in
+    checkb "serial fallback schedule passes" true
+      (Explore.replay Scenarios.pool_recall_buggy serial = None);
+    (* the real flag-then-broadcast recall passes the very trace that
+       breaks the twin *)
+    checkb "real recall passes the failing trace" true
+      (Explore.replay Scenarios.pool_recall { f with Explore.f_scenario = "pool_recall" } = None)
+
 let test_correct_scenarios_pass () =
   List.iter
     (fun sc ->
@@ -264,10 +300,18 @@ let test_catalogue () =
       "lfdeque_reap";
       "pool_park";
       "pool_request";
+      "pool_recall";
     ];
   List.iter
     (fun n -> checkb (n ^ " kept out of all") false (List.mem n all))
-    [ "lfdeque_buggy"; "multiq_buggy"; "pool_park_buggy"; "pool_join_buggy"; "pool_request_buggy" ];
+    [
+      "lfdeque_buggy";
+      "multiq_buggy";
+      "pool_park_buggy";
+      "pool_join_buggy";
+      "pool_request_buggy";
+      "pool_recall_buggy";
+    ];
   checkb "the headline buggy scenario is lfdeque_buggy" true
     (Scenarios.buggy.Explore.name = "lfdeque_buggy");
   checkb "catalogue = planted bugs @ all" true
@@ -278,6 +322,7 @@ let test_catalogue () =
          "pool_park_buggy";
          "pool_join_buggy";
          "pool_request_buggy";
+         "pool_recall_buggy";
        ]
        @ all);
   List.iter
@@ -305,7 +350,7 @@ let registered_points =
   go 0
 
 let test_point_ids_distinct () =
-  checkb "all known ids registered" true (registered_points >= 25);
+  checkb "all known ids registered" true (registered_points >= 26);
   let names = List.init registered_points Schedpoint.name in
   checki "names pairwise distinct" registered_points
     (List.length (List.sort_uniq compare names));
@@ -413,7 +458,9 @@ let test_points_hit () =
          after the handshake: the announce stays up, and while a worker
          is announced the parent publishes [fa] unasked, so the helper
          would steal it without ever requesting. *)
-      ignore (Pool.For_testing.park_step pool);
+      ignore (Pool.For_testing.park_step pool 1);
+      (* a recall of slot 1 by a run of another pool: flag, then broadcast *)
+      Pool.For_testing.recall pool 1;
       (* the pool scenarios' leaf work *)
       Dfd_check.Scenarios.work ());
   for id = 0 to registered_points - 1 do
@@ -503,6 +550,8 @@ let () =
             test_join_buggy_caught;
           Alcotest.test_case "dropped request caught as a hang and shrunk" `Quick
             test_request_buggy_caught;
+          Alcotest.test_case "broadcast-before-flag recall caught and shrunk" `Quick
+            test_recall_buggy_caught;
           Alcotest.test_case "correct scenarios pass" `Quick test_correct_scenarios_pass;
           Alcotest.test_case "lfdeque_grow passes CI seeds 1-3" `Quick
             (test_passes_ci_seeds Scenarios.lfdeque_grow);

@@ -1168,8 +1168,102 @@ let test_snapshot_mentions_state () =
            let s = Pool.snapshot pool in
            let has = has_sub s in
            checkb (name ^ " snapshot has counters") true (has "tasks_run");
-           checkb (name ^ " snapshot has queue state") true (has "queued=0")))
+           checkb (name ^ " snapshot has queue state") true (has "queued=0");
+           checkb (name ^ " snapshot has slot 1's domain") true (has "slot 1: domain #");
+           checkb (name ^ " snapshot has slot 1's recall flag") true (has "recall=false")))
     policies
+
+(* ------------------------------------------------------------------ *)
+(* Worker domains borrowed from the process-wide set                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Runs [pool] until some task has run on each of its worker slots, or
+   fails with the pool's snapshot.  Each run forks leaves that do a
+   little work, so a domain that joins the run late still finds some. *)
+let see_every_worker pool ~workers =
+  let seen = Array.init workers (fun _ -> Atomic.make false) in
+  spin_until ~snapshot:(fun () -> Pool.snapshot pool) (fun () ->
+      Pool.run pool (fun () ->
+          Pool.parallel_for ~lo:0 ~hi:64 (fun _ ->
+              Atomic.set seen.(Pool.For_testing.worker_id ()) true;
+              ignore (Sys.opaque_identity (fib 8))));
+      Array.for_all Atomic.get seen)
+
+(* perfbench's fib and psort alternate a WS and a DFD pool of one
+   worker domain each: the second pool's run recalls the first pool's
+   domain instead of spawning, so the process holds one worker domain. *)
+let test_alternating_pools_share_a_domain () =
+  checki "no worker domain before" 0 (Pool.For_testing.worker_domains ());
+  let pools = List.map (fun (policy, _) -> Pool.create ~domains:1 policy) policies in
+  Fun.protect
+    ~finally:(fun () -> List.iter Pool.shutdown pools)
+    (fun () ->
+       for _ = 1 to 25 do
+         List.iter (fun pool -> checki "fib 15" 610 (Pool.run pool (fun () -> fib 15))) pools
+       done;
+       checki "one worker domain after 50 alternating runs" 1
+         (Pool.For_testing.worker_domains ()));
+  checki "no worker domain after both shutdowns" 0 (Pool.For_testing.worker_domains ())
+
+(* A domain stays attached to its pool between runs, so back-to-back
+   runs take nothing from anywhere. *)
+let test_back_to_back_runs_recall_nothing () =
+  with_pool ~domains:1 Pool.Work_stealing (fun pool ->
+      checki "first run" 610 (Pool.run pool (fun () -> fib 15));
+      let recalls = Pool.For_testing.recalls () in
+      let domains = Pool.For_testing.worker_domains () in
+      for _ = 1 to 50 do
+        checki "fib 15" 610 (Pool.run pool (fun () -> fib 15))
+      done;
+      checki "no recall" recalls (Pool.For_testing.recalls ());
+      checki "no new domain" domains (Pool.For_testing.worker_domains ()))
+
+(* Two pools driven at once from two domains: neither run recalls the
+   other's domain while that run is in progress, so both reach full
+   width; and both shutdowns leave no worker domain behind. *)
+let test_concurrent_pools_full_width () =
+  let pools = List.map (fun (policy, _) -> Pool.create ~domains:1 policy) policies in
+  let drivers =
+    List.map (fun pool -> Domain.spawn (fun () -> see_every_worker pool ~workers:2)) pools
+  in
+  List.iter Domain.join drivers;
+  List.iter Pool.shutdown pools;
+  checki "no worker domain after both shutdowns" 0 (Pool.For_testing.worker_domains ())
+
+(* A killed pool's domain stuck in a task is outside the bound, so a
+   fresh pool spawns its own and runs at full width; the stuck domain
+   quits once its task returns, and the shutdowns join everything. *)
+let test_kill_then_fresh_pool_full_width () =
+  let old = Pool.create ~domains:1 Pool.Work_stealing in
+  let stolen = Atomic.make false and release = Atomic.make false in
+  let driver =
+    Domain.spawn (fun () ->
+        Pool.run old (fun () ->
+            ignore
+              (Pool.fork_join
+                 (fun () ->
+                    Atomic.set stolen true;
+                    while not (Atomic.get release) do
+                      Domain.cpu_relax ()
+                    done)
+                 (fun () ->
+                    while not (Atomic.get stolen) do
+                      ignore (Pool.fork_join ignore ignore)
+                    done))))
+  in
+  spin_until ~snapshot:(fun () -> Pool.snapshot old) (fun () -> Atomic.get stolen);
+  Pool.kill old;
+  let fresh = Pool.create ~domains:1 Pool.Work_stealing in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set release true;
+      Domain.join driver;
+      Pool.shutdown old;
+      Pool.shutdown fresh)
+    (fun () ->
+       see_every_worker fresh ~workers:2;
+       checki "the stuck domain and the fresh pool's" 2 (Pool.For_testing.worker_domains ()));
+  checki "no worker domain after both shutdowns" 0 (Pool.For_testing.worker_domains ())
 
 let () =
   Alcotest.run "runtime"
@@ -1240,5 +1334,16 @@ let () =
           Alcotest.test_case "timeout not spurious" `Quick test_timeout_not_spurious;
           Alcotest.test_case "background run observed" `Quick test_background_run_observed;
           Alcotest.test_case "snapshot" `Quick test_snapshot_mentions_state;
+        ] );
+      ( "domains",
+        [
+          Alcotest.test_case "alternating pools share one domain" `Quick
+            test_alternating_pools_share_a_domain;
+          Alcotest.test_case "back-to-back runs recall nothing" `Quick
+            test_back_to_back_runs_recall_nothing;
+          Alcotest.test_case "concurrent pools reach full width" `Quick
+            test_concurrent_pools_full_width;
+          Alcotest.test_case "fresh pool full width after kill" `Quick
+            test_kill_then_fresh_pool_full_width;
         ] );
     ]
